@@ -152,6 +152,18 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         Printf.eprintf "unknown protocol %S (skeap|seap|centralized|unbatched)\n" other;
         exit 1
   in
+  (* An unwritable trace path fails here, before the run, not after it.
+     Opening without truncation creates the file if it is missing; the
+     trace overwrites it at the end. *)
+  let cannot_write_trace msg =
+    Printf.eprintf "dpq_sim: cannot write trace %s\n" msg;
+    exit 1
+  in
+  Option.iter
+    (fun file ->
+      try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file)
+      with Sys_error msg -> cannot_write_trace msg)
+    trace_file;
   (* adaptive runs always record a trace so the window trajectory can be
      reported, whether or not it is written to a file *)
   let trace =
@@ -263,7 +275,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         st.Dpq_simrt.Fault_plan.dups_suppressed);
   (match (trace, trace_file) with
   | Some tr, Some file ->
-      Trace.to_file tr file;
+      (try Trace.to_file tr file with Sys_error msg -> cannot_write_trace msg);
       Printf.printf "\ntrace    : %d events -> %s\n" (Trace.num_events tr) file;
       Format.printf "%a@." Trace.pp_summary tr
   | _ -> ());

@@ -104,16 +104,22 @@ val pending_gets : t -> int
 val stored_elements : t -> Element.t list
 (** All stored elements, unordered (testing/diagnostics). *)
 
-val elements_at : t -> node:int -> Element.t list
-(** Elements a given real node currently stores (its virtual nodes'
-    key-space share) — the per-node candidate sets KSelect works on. *)
+val elements_by_node : t -> Element.t list array
+(** [elements_by_node t].(v): the elements real node [v] currently stores
+    (its virtual nodes' key-space share) — the per-node candidate sets
+    KSelect works on.  One pass over the primary store, O(m + n); a dead
+    node's slot is [[]].  Each list is in the store's iteration order with
+    every key's queue reversed onto it, so a run draws the same KSelect
+    samples from it every time. *)
 
-val take_matching : t -> node:int -> f:(Element.t -> bool) -> Element.t list
-(** Remove and return all elements stored at [node] that satisfy [f]:
-    Seap's DeleteMin phase uses this to pull the k smallest elements out of
-    their random-key homes before re-storing them under position keys
-    (§5.2).  Purely local to [node].  Replica copies drop the same
-    identities (free local bookkeeping, like the call itself). *)
+val take_matching_by_node : t -> f:(Element.t -> bool) -> Element.t list array
+(** Remove every stored element that satisfies [f] and return them
+    bucketed by the real node that stored them: Seap's DeleteMin phase uses
+    this to pull the k smallest elements out of their random-key homes
+    before re-storing them under position keys (§5.2).  Purely local to
+    each node; one pass over the primary store, O(m + n).  Replica copies
+    drop the same identities, key by key (free local bookkeeping, like the
+    take itself). *)
 
 (** {2 Permanent loss and anti-entropy repair} *)
 

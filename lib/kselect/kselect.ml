@@ -124,20 +124,32 @@ let report_of_engine rounds m =
       busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
     }
 
+(* Flat per-stage state.  Positions run 1..n', so per-position state is an
+   array of length n' + 1 (slot 0 unused) and per-pair state a square of
+   side n' + 1 indexed [i * (n' + 1) + j]. *)
+let elts_by_position ~n' (reps : (int * Element.t) list array) =
+  match Array.find_map (function (_, e) :: _ -> Some e | [] -> None) reps with
+  | None -> invalid_arg "Kselect.sorting_stage: no representatives"
+  | Some e0 ->
+      let by_pos = Array.make (n' + 1) e0 in
+      Array.iter (List.iter (fun (pos, elt) -> by_pos.(pos) <- elt)) reps;
+      by_pos
+
+(* [orders.(i)]: the order the root of T(v_i) computed, 0 while unknown. *)
 let orders_to_array ~n' ~elt_of_pos orders =
-  if Hashtbl.length orders <> n' then
+  let got = Array.fold_left (fun acc o -> if o <> 0 then acc + 1 else acc) 0 orders in
+  if got <> n' then
     failwith
-      (Printf.sprintf "Kselect.sorting_stage: got %d orders for %d representatives"
-         (Hashtbl.length orders) n');
+      (Printf.sprintf "Kselect.sorting_stage: got %d orders for %d representatives" got n');
   let by_order = Array.make (n' + 1) None in
-  Hashtbl.iter
-    (fun i order ->
-      if order < 1 || order > n' then failwith "Kselect.sorting_stage: order out of range";
-      (match by_order.(order) with
-      | Some _ -> failwith "Kselect.sorting_stage: duplicate order"
-      | None -> ());
-      by_order.(order) <- Some (Hashtbl.find elt_of_pos i))
-    orders;
+  for i = 1 to n' do
+    let order = orders.(i) in
+    if order < 1 || order > n' then failwith "Kselect.sorting_stage: order out of range";
+    (match by_order.(order) with
+    | Some _ -> failwith "Kselect.sorting_stage: duplicate order"
+    | None -> ());
+    by_order.(order) <- Some elt_of_pos.(i)
+  done;
   Array.map Option.get (Array.sub by_order 1 n')
 
 (* [reps]: for each real node, the (position, element) pairs it contributed.
@@ -159,10 +171,9 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
   let tnodes : (int * int, tnode) Hashtbl.t = Hashtbl.create (4 * n') in
   let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
-  let orders : (int, int) Hashtbl.t = Hashtbl.create n' in
+  let orders = Array.make (n' + 1) 0 in
   let participations : (int * int, unit) Hashtbl.t = Hashtbl.create (4 * n') in
-  let elt_of_pos = Hashtbl.create n' in
-  Array.iter (List.iter (fun (pos, elt) -> Hashtbl.replace elt_of_pos pos elt)) reps;
+  let elt_of_pos = elts_by_position ~n' reps in
   let routing_header =
     let nn = max 2 n in
     (2 * Bitsize.log2_ceil nn) + Bitsize.log2_ceil nn
@@ -196,7 +207,7 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
       tn.t_done <- true;
       if tn.t_parent_point < 0.0 then
         (* Root of T(v_i): the combined vote vector yields the order. *)
-        Hashtbl.replace orders tn.t_i (tn.t_smaller + 1)
+        orders.(tn.t_i) <- tn.t_smaller + 1
       else
         hop_back_from eng ~src_vnode:tn.t_vnode ~from_point:tn.t_point ~point:tn.t_parent_point
           (Child_sum
@@ -370,12 +381,17 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
   let point_of_bits x = float_of_int x /. float_of_int (1 lsl d') in
   let pos_point i = Hashing.to_unit_interval hash_pos i in
   let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
-  let tnodes : (int * int, tnode) Hashtbl.t = Hashtbl.create (4 * n') in
-  let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
-  let orders : (int, int) Hashtbl.t = Hashtbl.create n' in
-  let participations : (int * int, unit) Hashtbl.t = Hashtbl.create (4 * n') in
-  let elt_of_pos = Hashtbl.create n' in
-  Array.iter (List.iter (fun (pos, elt) -> Hashtbl.replace elt_of_pos pos elt)) reps;
+  let side = n' + 1 in
+  let elt_of_pos = elts_by_position ~n' reps in
+  (* Tree node c_{i,j} of T(v_i) lives at [tnodes.(i * side + j)]. *)
+  let tnodes : tnode option array = Array.make (side * side) None in
+  (* Rendezvous point of the pair {i, j}, i < j, at slot [i * side + j]:
+     the first copy to arrive parks its (i, element, return point) here;
+     [rz_i = 0] means nobody is waiting. *)
+  let rz_i = Array.make (side * side) 0 in
+  let rz_elt = Array.make (side * side) elt_of_pos.(1) in
+  let rz_return = Array.make (side * side) 0.0 in
+  let orders = Array.make side 0 in
   let point_bits = 2 * Bitsize.log2_ceil (max 2 n) in
   let routing_header = point_bits + Bitsize.log2_ceil (max 2 n) in
   (* Each item additionally ships its destination vnode address. *)
@@ -404,7 +420,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
   let try_complete eng post tn =
     if (not tn.t_done) && tn.t_has_own_vote && tn.t_child_sums = tn.t_expected_children then begin
       tn.t_done <- true;
-      if tn.t_parent_point < 0.0 then Hashtbl.replace orders tn.t_i (tn.t_smaller + 1)
+      if tn.t_parent_point < 0.0 then orders.(tn.t_i) <- tn.t_smaller + 1
       else
         post eng ~src:(Ldb.owner tn.t_vnode) ~point:tn.t_parent_point
           (Child_sum
@@ -444,8 +460,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
             t_done = false;
           }
         in
-        Hashtbl.replace tnodes (d.i, mid) tn;
-        Hashtbl.replace participations (self, d.i) ();
+        tnodes.((d.i * side) + mid) <- Some tn;
         let shifted = x lsr 1 in
         let hi = 1 lsl (d' - 1) in
         if left then begin
@@ -485,20 +500,26 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
           post eng ~src:self ~point:r.return_point
             (Vote { i = r.i; j = r.j; smaller = 0; larger = 0 })
         else begin
-          let key = (min r.i r.j, max r.i r.j) in
-          match Hashtbl.find_opt rendez key with
-          | None -> Hashtbl.replace rendez key (r.i, r.elt, r.return_point)
-          | Some (i0, elt0, rp0) ->
-              Hashtbl.remove rendez key;
-              let first_smaller = Element.compare elt0 r.elt < 0 in
-              let s0, l0 = if first_smaller then (0, 1) else (1, 0) in
-              let s1, l1 = if first_smaller then (1, 0) else (0, 1) in
-              post eng ~src:self ~point:rp0 (Vote { i = i0; j = r.i; smaller = s0; larger = l0 });
-              post eng ~src:self ~point:r.return_point
-                (Vote { i = r.i; j = i0; smaller = s1; larger = l1 })
+          let slot = (min r.i r.j * side) + max r.i r.j in
+          let i0 = rz_i.(slot) in
+          if i0 = 0 then begin
+            rz_i.(slot) <- r.i;
+            rz_elt.(slot) <- r.elt;
+            rz_return.(slot) <- r.return_point
+          end
+          else begin
+            rz_i.(slot) <- 0;
+            let elt0 = rz_elt.(slot) and rp0 = rz_return.(slot) in
+            let first_smaller = Element.compare elt0 r.elt < 0 in
+            let s0, l0 = if first_smaller then (0, 1) else (1, 0) in
+            let s1, l1 = if first_smaller then (1, 0) else (0, 1) in
+            post eng ~src:self ~point:rp0 (Vote { i = i0; j = r.i; smaller = s0; larger = l0 });
+            post eng ~src:self ~point:r.return_point
+              (Vote { i = r.i; j = i0; smaller = s1; larger = l1 })
+          end
         end
     | Vote v -> (
-        match Hashtbl.find_opt tnodes (v.i, v.j) with
+        match tnodes.((v.i * side) + v.j) with
         | None -> failwith "Kselect.sorting_stage: vote for unknown tree node"
         | Some tn ->
             tn.t_smaller <- tn.t_smaller + v.smaller;
@@ -506,7 +527,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
             tn.t_has_own_vote <- true;
             try_complete eng post tn)
     | Child_sum c -> (
-        match Hashtbl.find_opt tnodes (c.i, c.parent_mid) with
+        match tnodes.((c.i * side) + c.parent_mid) with
         | None -> failwith "Kselect.sorting_stage: child sum for unknown tree node"
         | Some tn ->
             tn.t_smaller <- tn.t_smaller + c.smaller;
@@ -574,7 +595,23 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
     ~max_congestion:stage_report.Phase.max_congestion
     ~max_message_bits:stage_report.Phase.max_message_bits
     ~total_bits:stage_report.Phase.total_bits;
-  (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
+  (* (node, tree) participations: the distinct owners of each tree's
+     nodes, counted with one stamp per real node. *)
+  let participations = ref 0 in
+  let stamp = Array.make n 0 in
+  for i = 1 to n' do
+    for j = 1 to n' do
+      match tnodes.((i * side) + j) with
+      | Some tn ->
+          let owner = Ldb.owner tn.t_vnode in
+          if stamp.(owner) <> i then begin
+            stamp.(owner) <- i;
+            incr participations
+          end
+      | None -> ()
+    done
+  done;
+  (orders_to_array ~n' ~elt_of_pos orders, !participations)
 
 (* ------------------------------------------------------------------------ *)
 (* The full protocol.                                                        *)

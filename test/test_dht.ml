@@ -304,6 +304,95 @@ let test_repair_traffic_delta_log_m () =
         (bits - base <= 80 * delta * log2m))
     [ 4; 16; 64; 256 ]
 
+(* --- per-owner bucketing: elements_by_node / take_matching_by_node --- *)
+
+let elt_t = Alcotest.testable Element.pp Element.equal
+
+(* [m] elements over [m * 3 / 4] keys, so some keys hold several. *)
+let stored_pairs m =
+  List.init m (fun i -> (i mod (m * 3 / 4), elt ~prio:(1 + (i * 37 mod 101)) ~origin:(i mod 5) ~seq:i ()))
+
+let put_all dht ~n pairs =
+  ignore
+    (Dht.run_batch_sync dht
+       (List.mapi (fun i (key, e) -> Dht.Put { origin = i mod n; key; elt = e; confirm = false }) pairs))
+
+(* Brute force: each (key, element) goes to the real node owning the key's
+   primary manager. *)
+let by_owner_reference dht pairs =
+  let buckets = Array.make (Ldb.n (Dht.ldb dht)) [] in
+  List.iter
+    (fun (key, e) ->
+      let owner = Ldb.owner (Dht.manager_of_key dht key) in
+      buckets.(owner) <- e :: buckets.(owner))
+    pairs;
+  buckets
+
+let check_buckets msg expected got =
+  checki (msg ^ ": one bucket per node") (Array.length expected) (Array.length got);
+  Array.iteri
+    (fun v exp ->
+      Alcotest.check (Alcotest.list elt_t)
+        (Printf.sprintf "%s: node %d (as a multiset)" msg v)
+        (List.sort Element.compare exp)
+        (List.sort Element.compare got.(v)))
+    expected
+
+let test_by_node_matches_reference k () =
+  let n = 12 and m = 240 in
+  let dht = mk_repl ~n ~k ~seed:91 in
+  let pairs = stored_pairs m in
+  put_all dht ~n pairs;
+  check_buckets "elements_by_node" (by_owner_reference dht pairs) (Dht.elements_by_node dht);
+  let f e = Element.prio e <= 30 in
+  let taken = Dht.take_matching_by_node dht ~f in
+  check_buckets "take_matching_by_node"
+    (by_owner_reference dht (List.filter (fun (_, e) -> f e) pairs))
+    taken;
+  let rest = List.filter (fun (_, e) -> not (f e)) pairs in
+  checki "size drops by the take" (List.length rest) (Dht.size dht);
+  check_buckets "elements_by_node after the take" (by_owner_reference dht rest)
+    (Dht.elements_by_node dht);
+  checkb "nothing left to take" true
+    (Array.for_all (( = ) []) (Dht.take_matching_by_node dht ~f))
+
+let test_by_node_after_kill () =
+  let n = 12 and m = 240 and victim = 5 in
+  let dht = mk_repl ~n ~k:3 ~seed:93 in
+  let pairs = stored_pairs m in
+  put_all dht ~n pairs;
+  ignore (Dht.kill_node dht ~node:victim);
+  let by_node = Dht.elements_by_node dht in
+  Alcotest.check (Alcotest.list elt_t) "dead slot is empty" [] by_node.(victim);
+  check_buckets "elements_by_node after a kill" (by_owner_reference dht pairs) by_node;
+  let taken = Dht.take_matching_by_node dht ~f:(fun e -> Element.prio e > 90) in
+  Alcotest.check (Alcotest.list elt_t) "dead slot takes nothing" [] taken.(victim)
+
+let test_take_drops_every_replica () =
+  (* If a backup copy kept a taken element, killing its primary owner would
+     let repair pull it back from that copy. *)
+  let n = 12 and m = 240 in
+  let dht = mk_repl ~n ~k:3 ~seed:95 in
+  let pairs = stored_pairs m in
+  put_all dht ~n pairs;
+  let taken = Dht.take_matching_by_node dht ~f:(fun e -> Element.prio e <= 40) in
+  let victim = ref 0 in
+  Array.iteri (fun v l -> if List.length l > List.length taken.(!victim) then victim := v) taken;
+  let victim = !victim in
+  checkb "the victim owned taken elements" true (taken.(victim) <> []);
+  let size = Dht.size dht in
+  let report = Dht.kill_node dht ~node:victim in
+  checkb "the kill destroyed stored state" true (report.Dht.destroyed > 0);
+  checki "size unchanged by kill + repair" size (Dht.size dht);
+  let stored = Dht.stored_elements dht in
+  Array.iter
+    (List.iter (fun e ->
+         checkb
+           (Printf.sprintf "taken %s does not reappear" (Element.to_string e))
+           false
+           (List.exists (Element.equal e) stored)))
+    taken
+
 let () =
   Alcotest.run "dpq_dht"
     [
@@ -333,5 +422,14 @@ let () =
           Alcotest.test_case "clean repair ships nothing" `Quick test_repair_clean_ships_nothing;
           Alcotest.test_case "repair traffic O(delta log m)" `Quick
             test_repair_traffic_delta_log_m;
+        ] );
+      ( "by-node",
+        [
+          Alcotest.test_case "buckets match per-owner reference, k=1" `Quick
+            (test_by_node_matches_reference 1);
+          Alcotest.test_case "buckets match per-owner reference, k=3" `Quick
+            (test_by_node_matches_reference 3);
+          Alcotest.test_case "buckets after a kill" `Quick test_by_node_after_kill;
+          Alcotest.test_case "take drops every replica" `Quick test_take_drops_every_replica;
         ] );
     ]

@@ -313,6 +313,20 @@ let diff_point ~n ~per_node ~prio_range ~seed k =
     (Printf.sprintf "n=%d m=%d k=%d: pairwise matches oracle" n (List.length all) k)
     true
     (E.equal refr.K.element oracle);
+  (* When both formats run Phases 1-2, they draw the same samples and build
+     the same copy trees on the same nodes, so the diagnostics agree too —
+     the participation count in particular is computed independently by
+     each (flat stamp array vs. a set of (node, tree) pairs). *)
+  let d_opt = opt.K.diagnostics and d_ref = refr.K.diagnostics in
+  if not d_opt.K.phase1_skipped then begin
+    let label what = Printf.sprintf "n=%d m=%d k=%d: %s agree" n (List.length all) k what in
+    checkb (label "mean_trees_per_node") true
+      (d_opt.K.mean_trees_per_node = d_ref.K.mean_trees_per_node);
+    Alcotest.(check (list int)) (label "phase2_candidates") d_ref.K.phase2_candidates
+      d_opt.K.phase2_candidates;
+    Alcotest.(check (list int)) (label "phase2_rep_counts") d_ref.K.phase2_rep_counts
+      d_opt.K.phase2_rep_counts
+  end;
   (opt.K.report.Phase.messages, refr.K.report.Phase.messages)
 
 (* qcheck sweep over random (n, per_node, k, seed) up to n=64, plus the
