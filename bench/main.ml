@@ -1,25 +1,25 @@
-(* Bechamel micro/meso benchmarks — one Test.make per reproduced table, so
-   the wall-clock cost of regenerating each experiment's core computation is
-   tracked alongside the simulated-cost tables in bin/experiments.ml.
+(* The digest-gated regression grid (EXPERIMENTS.md §S2): one JSON row per
+   cell in BENCH_grid.jsonl, re-run and compared by --compare.
 
-   Run with:  dune exec bench/main.exe
-   With:      dune exec bench/main.exe -- --trace FILE
-   the timing loop is skipped and one four-backend comparison run is
-   recorded as JSONL trace events into FILE instead.
-
-   The regression gate (EXPERIMENTS.md §S2) lives here too:
-
-     --record          run the smoke grid (backend × n × Λ) and write one
-                       JSON row per cell — events/sec, minor words/op, peak
-                       heap words, run digest — to BENCH_grid.jsonl, plus
-                       the legacy BENCH_skeap.json / BENCH_seap.json
-                       snapshots for the largest cells.  (--json-only is a
-                       deprecated alias.)  The grid ends with the streamed
-                       large-n cells (mode "stream": skeap at n = 4096,
-                       16384, 65536 with 2²⁰ ops each) — generated on
-                       demand, digested and checked online, never
-                       materialized; they run last, ascending in n, because
-                       Gc top_heap_words is process-global and monotonic.
+     --record          run the whole grid (backend × n × Λ) and rewrite
+                       BENCH_grid.jsonl with one row per cell — events/sec,
+                       minor words/op, peak heap words, run digest.  The
+                       grid ends with the streamed large-n cells (mode
+                       "stream": skeap at n = 4096, 16384, 65536 with 2²⁰
+                       ops each) — generated on demand, digested and checked
+                       online, never materialized; they run last, ascending
+                       in n, because Gc top_heap_words is process-global and
+                       monotonic.
+       --faults SPEC   run the grid over the faulty network (e.g.
+                       "drop=0.1,dup=0.05"); the spec is stored per row and
+                       replayed by --compare.
+     --record-open     append only the open-loop cells (mode "open": burst /
+                       diurnal arrivals x fixed windows + the adaptive
+                       gossip-fed controller, EXPERIMENTS.md §S6) to an
+                       existing BENCH_grid.jsonl; every pre-existing row is
+                       left byte-for-byte untouched.  --record includes the
+                       same cells when rewriting the whole grid.  Takes
+                       --faults like --record.
      --compare         re-run every cell recorded in BENCH_grid.jsonl and
                        fail (exit 1) if any digest changed, throughput
                        regressed more than --tolerance (default 0.4), a
@@ -29,323 +29,32 @@
                        recorded value by more than --msg-tolerance (default
                        0.25) — the message gate is what pins stream cells,
                        whose oplog-only digests cannot see wire traffic.
-     --max-n N         with --compare, skip cells with n > N (CI smoke
-                       caps at 4096 to bound wall-clock).
-     --domains N       with --compare, re-run every cell on N OCaml domains
-                       instead of the recorded value; digests must still
-                       match bit-for-bit — the cross-domain-count identity
-                       gate (DESIGN.md §9).  The recorded grid itself also
-                       carries explicit domains=4 stream cells whose digests
-                       equal their domains=1 twins.
-     --out FILE        with --compare, also write the freshly measured rows
-                       to FILE (CI uploads them as an artifact).
-     --faults SPEC     with --record, run the grid over the faulty network
-                       (e.g. "drop=0.1,dup=0.05"); the spec is stored per
-                       row and replayed by --compare.
-     --record-open     append only the open-loop cells (mode "open": burst /
-                       diurnal arrivals x fixed windows + the adaptive
-                       gossip-fed controller, EXPERIMENTS.md §S6) to an
-                       existing BENCH_grid.jsonl; every pre-existing row is
-                       left byte-for-byte untouched.  --record includes the
-                       same cells when rewriting the whole grid. *)
+       --max-n N       skip cells with n > N (CI smoke caps at 4096 to
+                       bound wall-clock).
+       --domains N     re-run every cell on N OCaml domains instead of the
+                       recorded value; digests must still match bit-for-bit
+                       — the cross-domain-count identity gate (DESIGN.md
+                       §9).  The recorded grid itself also carries explicit
+                       domains=4 stream cells whose digests equal their
+                       domains=1 twins.
+       --out FILE      also write the freshly measured rows to FILE (CI
+                       uploads them as an artifact).
 
-open Bechamel
-open Toolkit
+   The mode flag comes first.  Without one, or with a malformed value,
+   bench prints a message and exits 2. *)
 
 module Rng = Dpq_util.Rng
-module E = Dpq_util.Element
-module Ldb = Dpq_overlay.Ldb
-module Aggtree = Dpq_aggtree.Aggtree
-module Phase = Dpq_aggtree.Phase
-module Skeap = Dpq_skeap.Skeap
-module Seap = Dpq_seap.Seap
-module K = Dpq_kselect.Kselect
 module W = Dpq_workloads.Workload
 module R = Dpq_workloads.Runner
 module Batch_ctl = Dpq_gossip.Batch_ctl
-
-(* T1: one Skeap batch (one op per node). *)
-let bench_t1_skeap_batch n =
-  Test.make ~name:(Printf.sprintf "t1/skeap-batch/n=%d" n)
-    (Staged.stage @@ fun () ->
-     let h = Skeap.create ~seed:1 ~n ~num_prios:4 () in
-     for v = 0 to n - 1 do
-       ignore (Skeap.insert h ~node:v ~prio:(1 + (v mod 4)))
-     done;
-     ignore (Skeap.process_batch h))
-
-(* T2/T3: batch encoding under high injection rate. *)
-let bench_t2_skeap_hot_batch =
-  Test.make ~name:"t2/skeap-batch/n=32,lambda=32"
-    (Staged.stage @@ fun () ->
-     let h = Skeap.create ~seed:1 ~n:32 ~num_prios:4 () in
-     for v = 0 to 31 do
-       for i = 1 to 32 do
-         if i mod 2 = 0 then ignore (Skeap.insert h ~node:v ~prio:(1 + (i mod 4)))
-         else Skeap.delete_min h ~node:v
-       done
-     done;
-     ignore (Skeap.process_batch h))
-
-let bench_t3_seap_round =
-  Test.make ~name:"t3/seap-round/n=32,lambda=8"
-    (Staged.stage @@ fun () ->
-     let h = Seap.create ~seed:1 ~n:32 () in
-     for v = 0 to 31 do
-       for i = 1 to 8 do
-         if i mod 2 = 0 then ignore (Seap.insert h ~node:v ~prio:(1 + (i * 97)))
-         else Seap.delete_min h ~node:v
-       done
-     done;
-     ignore (Seap.process_round h))
-
-(* T4: one KSelect run. *)
-let bench_t4_kselect n =
-  Test.make ~name:(Printf.sprintf "t4/kselect/n=%d,m=%d" n (8 * n))
-    (Staged.stage @@ fun () ->
-     let rng = Rng.create ~seed:7 in
-     let tree = Aggtree.of_ldb (Ldb.build ~n ~seed:1) in
-     let elements =
-       Array.init n (fun v -> List.init 8 (fun s -> E.make ~prio:(1 + Rng.int rng 100_000) ~origin:v ~seq:s ()))
-     in
-     ignore (K.select ~seed:3 ~tree ~elements ~k:(4 * n) ()))
-
-(* T5: the congestion-generating DHT storm. *)
-let bench_t5_dht_storm =
-  Test.make ~name:"t5/dht-batch/n=64,ops=256"
-    (Staged.stage @@ fun () ->
-     let ldb = Ldb.build ~n:64 ~seed:1 in
-     let dht = Dpq_dht.Dht.create ~ldb ~seed:2 () in
-     let ops =
-       List.init 256 (fun k ->
-           Dpq_dht.Dht.Put
-             { origin = k mod 64; key = k; elt = E.make ~prio:k ~origin:0 ~seq:k (); confirm = false })
-     in
-     ignore (Dpq_dht.Dht.run_batch_sync dht ops))
-
-(* T6: the four-way protocol comparison at one size. *)
-let bench_t6_comparison name runner =
-  Test.make ~name:(Printf.sprintf "t6/%s/n=32" name)
-    (Staged.stage @@ fun () ->
-     let wl = W.generate ~rng:(Rng.create ~seed:3) ~n:32 ~rounds:2 ~lambda:2 ~prio:(W.Constant_set 4) () in
-     ignore (runner wl))
-
-(* T7: fairness measurement (storage scan). *)
-let bench_t7_fairness =
-  Test.make ~name:"t7/seap-insert-1600/n=32"
-    (Staged.stage @@ fun () ->
-     let h = Seap.create ~seed:1 ~n:32 () in
-     for i = 0 to 1599 do
-       ignore (Seap.insert h ~node:(i mod 32) ~prio:(1 + (i * 31 mod 100_000)))
-     done;
-     ignore (Seap.process_round h);
-     ignore (Seap.stored_per_node h))
-
-(* T8: a full semantics verification pass. *)
-let bench_t8_checker =
-  Test.make ~name:"t8/checker/600-op log"
-    (Staged.stage @@ fun () ->
-     let h = Skeap.create ~seed:5 ~n:8 ~num_prios:3 () in
-     let rng = Rng.create ~seed:9 in
-     for _ = 1 to 3 do
-       for _ = 1 to 200 do
-         let node = Rng.int rng 8 in
-         if Rng.bool rng then ignore (Skeap.insert h ~node ~prio:(1 + Rng.int rng 3))
-         else Skeap.delete_min h ~node
-       done;
-       ignore (Skeap.process_batch h)
-     done;
-     ignore (Dpq_semantics.Checker.check_all_skeap (Skeap.oplog h)))
-
-(* T9: distributed sorting end to end. *)
-let bench_t9_sort =
-  Test.make ~name:"t9/seap-sort/n=8,m=64"
-    (Staged.stage @@ fun () ->
-     let h = Seap.create ~seed:1 ~n:8 () in
-     let rng = Rng.create ~seed:4 in
-     for i = 0 to 63 do
-       ignore (Seap.insert h ~node:(i mod 8) ~prio:(1 + Rng.int rng 100_000))
-     done;
-     ignore (Seap.process_round h);
-     while Seap.heap_size h > 0 do
-       for node = 0 to min 8 (Seap.heap_size h) - 1 do
-         Seap.delete_min h ~node
-       done;
-       ignore (Seap.process_round h)
-     done)
-
-(* T10 + F1: overlay construction, join cost and tree height. *)
-let bench_t10_build_and_join n =
-  Test.make ~name:(Printf.sprintf "t10/ldb-build+join/n=%d" n)
-    (Staged.stage @@ fun () ->
-     let ldb = Ldb.build ~n ~seed:1 in
-     ignore (Ldb.join_cost_hops ldb);
-     ignore (Ldb.join ldb))
-
-let bench_f1_tree n =
-  Test.make ~name:(Printf.sprintf "f1/aggtree-build/n=%d" n)
-    (Staged.stage @@ fun () -> ignore (Aggtree.of_ldb (Ldb.build ~n ~seed:1)))
-
-(* F2/F3 share T4's kselect; routing and sequential baselines round out the
-   picture. *)
-let bench_routing n =
-  Test.make ~name:(Printf.sprintf "overlay/route/n=%d" n)
-    (Staged.stage
-    @@
-    let ldb = Ldb.build ~n ~seed:1 in
-    let rng = Rng.create ~seed:5 in
-    fun () ->
-      let src = Ldb.vnode ~owner:(Rng.int rng n) Ldb.Middle in
-      ignore (Ldb.route ldb ~src ~point:(Rng.float rng)))
-
-(* A1: KSelect's sampling-constant ablation. *)
-let bench_a1_kselect_c c =
-  Test.make ~name:(Printf.sprintf "a1/kselect-c=%.0f/n=64" c)
-    (Staged.stage @@ fun () ->
-     let rng = Rng.create ~seed:7 in
-     let tree = Aggtree.of_ldb (Ldb.build ~n:64 ~seed:1) in
-     let elements =
-       Array.init 64 (fun v -> List.init 8 (fun s -> E.make ~prio:(1 + Rng.int rng 100_000) ~origin:v ~seq:s ()))
-     in
-     ignore (K.select ~seed:3 ~rep_factor:c ~tree ~elements ~k:256 ()))
-
-(* A2 / lineage: the queue and stack variants. *)
-let bench_skueue =
-  Test.make ~name:"lineage/skueue 64 enq + 64 deq / n=16"
-    (Staged.stage @@ fun () ->
-     let q = Dpq_skueue.Skueue.create ~seed:1 ~n:16 () in
-     for i = 0 to 63 do
-       ignore (Dpq_skueue.Skueue.enqueue q ~node:(i mod 16) ())
-     done;
-     ignore (Dpq_skueue.Skueue.process_batch q);
-     for i = 0 to 63 do
-       Dpq_skueue.Skueue.dequeue q ~node:(i mod 16)
-     done;
-     ignore (Dpq_skueue.Skueue.process_batch q))
-
-let bench_sstack =
-  Test.make ~name:"lineage/sstack 64 push + 64 pop / n=16"
-    (Staged.stage @@ fun () ->
-     let s = Dpq_skueue.Sstack.create ~seed:1 ~n:16 () in
-     for i = 0 to 63 do
-       ignore (Dpq_skueue.Sstack.push s ~node:(i mod 16) ())
-     done;
-     ignore (Dpq_skueue.Sstack.process_batch s);
-     for i = 0 to 63 do
-       Dpq_skueue.Sstack.pop s ~node:(i mod 16)
-     done;
-     ignore (Dpq_skueue.Sstack.process_batch s))
-
-(* obs: the tracer's overhead — the same Skeap batch with tracing off/on
-   quantifies the "zero cost when disabled" claim. *)
-let bench_obs_overhead ~traced =
-  Test.make ~name:(Printf.sprintf "obs/skeap-batch-%s/n=32" (if traced then "traced" else "plain"))
-    (Staged.stage @@ fun () ->
-     let trace = if traced then Some (Dpq_obs.Trace.create ()) else None in
-     let h = Skeap.create ~seed:1 ?trace ~n:32 ~num_prios:4 () in
-     for v = 0 to 31 do
-       ignore (Skeap.insert h ~node:v ~prio:(1 + (v mod 4)))
-     done;
-     ignore (Skeap.process_batch h))
-
-(* T11: churn with data handoff. *)
-let bench_t11_churn =
-  Test.make ~name:"t11/join+leave/n=32,m=320"
-    (Staged.stage @@ fun () ->
-     let h = Seap.create ~seed:1 ~n:32 () in
-     for i = 0 to 319 do
-       ignore (Seap.insert h ~node:(i mod 32) ~prio:(1 + (i * 31 mod 100_000)))
-     done;
-     ignore (Seap.process_round h);
-     ignore (Seap.add_node h);
-     ignore (Seap.remove_last_node h))
-
-let bench_seq_binheap =
-  Test.make ~name:"baseline/binheap 1k push+pop"
-    (Staged.stage @@ fun () ->
-     let h = Dpq_util.Binheap.create ~cmp:Int.compare in
-     for i = 0 to 999 do
-       Dpq_util.Binheap.push h ((i * 7919) mod 1000)
-     done;
-     while not (Dpq_util.Binheap.is_empty h) do
-       ignore (Dpq_util.Binheap.pop h)
-     done)
-
-let bench_seq_pairing =
-  Test.make ~name:"baseline/pairing-heap 1k push+pop"
-    (Staged.stage @@ fun () ->
-     let module P = Dpq_baselines.Pairing_heap in
-     let h = ref (P.empty ~cmp:Int.compare) in
-     for i = 0 to 999 do
-       h := P.insert !h ((i * 7919) mod 1000)
-     done;
-     while not (P.is_empty !h) do
-       match P.delete_min !h with Some (_, rest) -> h := rest | None -> ()
-     done)
-
-let tests =
-  Test.make_grouped ~name:"dpq"
-    [
-      bench_t1_skeap_batch 16;
-      bench_t1_skeap_batch 64;
-      bench_t1_skeap_batch 256;
-      bench_t2_skeap_hot_batch;
-      bench_t3_seap_round;
-      bench_t4_kselect 16;
-      bench_t4_kselect 64;
-      bench_t5_dht_storm;
-      bench_t6_comparison "skeap" (fun wl ->
-          R.run ~n:32 (Dpq_types.Types.Skeap { num_prios = 4 }) wl);
-      bench_t6_comparison "centralized" (fun wl -> R.run ~n:32 Dpq_types.Types.Centralized wl);
-      bench_t6_comparison "unbatched" (fun wl ->
-          R.run ~n:32 (Dpq_types.Types.Unbatched { num_prios = 4 }) wl);
-      bench_obs_overhead ~traced:false;
-      bench_obs_overhead ~traced:true;
-      bench_t7_fairness;
-      bench_t8_checker;
-      bench_t9_sort;
-      bench_t10_build_and_join 256;
-      bench_t10_build_and_join 4096;
-      bench_f1_tree 1024;
-      bench_a1_kselect_c 2.0;
-      bench_a1_kselect_c 8.0;
-      bench_skueue;
-      bench_sstack;
-      bench_t11_churn;
-      bench_routing 256;
-      bench_routing 4096;
-      bench_seq_binheap;
-      bench_seq_pairing;
-    ]
-
-let record_trace file =
-  let trace = Dpq_obs.Trace.create () in
-  let wl =
-    W.generate ~rng:(Rng.create ~seed:3) ~n:32 ~rounds:2 ~lambda:2 ~prio:(W.Constant_set 4) ()
-  in
-  List.iter
-    (fun backend -> ignore (R.run ~seed:1 ~trace ~n:32 backend wl))
-    [
-      Dpq_types.Types.Skeap { num_prios = 4 };
-      Dpq_types.Types.Seap;
-      Dpq_types.Types.Centralized;
-      Dpq_types.Types.Unbatched { num_prios = 4 };
-    ];
-  Dpq_obs.Trace.to_file trace file;
-  Printf.printf "recorded %d trace events -> %s\n" (Dpq_obs.Trace.num_events trace) file;
-  Format.printf "%a@." Dpq_obs.Trace.pp_summary trace
-
-(* ------------------------------------------------- regression-gate grid *)
-
+module Fault_plan = Dpq_simrt.Fault_plan
 module Heap = Dpq.Dpq_heap
 module Run_digest = Dpq_explore.Run_digest
 
 let grid_file = "BENCH_grid.jsonl"
 let faults_seed = 271828
 
-(* The smoke grid.  The largest cell per backend (n=32, Λ=4) is exactly the
-   workload the legacy BENCH_skeap.json / BENCH_seap.json snapshots have
-   always recorded, so those files stay comparable across history. *)
+(* The smoke grid. *)
 let grid =
   List.concat_map
     (fun backend ->
@@ -438,9 +147,14 @@ type cell_stats = {
   c_ops_per_tick : float;
 }
 
+let fault_plan faults_spec =
+  if faults_spec = "" then None else Some (Fault_plan.of_string ~seed:faults_seed faults_spec)
+
 (* One full workload pass through the facade: inject each round, process,
-   accumulate cost counters.  This is Runner.run minus the final semantics
-   check, so the timed region is protocol work only. *)
+   accumulate cost counters.  This is Runner.run minus the online checker,
+   and it stays a hand-rolled loop on purpose: the eager cells' recorded
+   events/sec time protocol work only, so moving them onto Runner would
+   shift every recorded eager throughput. *)
 let drive ?trace ?faults ?domains ~backend ~n wl =
   let h = Heap.create ~seed:1 ?domains ?trace ?faults ~n backend in
   let rounds = ref 0 and messages = ref 0 and total_bits = ref 0 in
@@ -459,77 +173,39 @@ let drive ?trace ?faults ?domains ~backend ~n wl =
     wl;
   (h, !rounds, !messages, !total_bits)
 
-(* The streamed counterpart of [drive]: rounds come from the generator on
-   demand, and after every processed round the completed records are drained
-   into the incremental digest and the online checker — nothing O(total ops)
-   is ever held, which is what makes the n=65536 cell fit in one process. *)
-let drive_stream ?faults ?domains ~backend ~n spec =
-  let h = Heap.create ~seed:1 ?domains ?faults ~n backend in
-  let checker = Heap.online_checker h in
-  let acc = Run_digest.start () in
-  let gen = W.Gen.create spec in
-  let rounds = ref 0 and messages = ref 0 and total_bits = ref 0 in
-  let rec loop () =
-    match W.Gen.next gen with
-    | None -> ()
-    | Some round ->
-        List.iter
-          (fun (op : W.op) ->
-            match op.W.action with
-            | `Ins p -> ignore (Heap.insert h ~node:op.W.node ~prio:p)
-            | `Del -> Heap.delete_min h ~node:op.W.node)
-          round;
-        let r = Heap.process h in
-        rounds := !rounds + r.Heap.rounds;
-        messages := !messages + r.Heap.messages;
-        total_bits := !total_bits + r.Heap.total_bits;
-        let recs = Heap.take_oplog h in
-        Run_digest.feed_records acc recs;
-        Dpq_semantics.Checker.Online.feed_all checker recs;
-        loop ()
-  in
-  loop ();
-  let ok = Dpq_semantics.Checker.Online.finish checker = Ok () in
-  let peak_live = Dpq_semantics.Checker.Online.peak_live checker in
-  (!rounds, !messages, !total_bits, Run_digest.finish acc, ok, peak_live)
-
-let run_stream_cell ?(faults_spec = "") ?(domains = 1) (backend, n, lambda, wl_rounds) =
-  let spec = stream_spec ~n ~lambda ~wl_rounds in
-  let faults =
-    if faults_spec = "" then None
-    else Some (Dpq_simrt.Fault_plan.of_string ~seed:faults_seed faults_spec)
-  in
-  (* A single timed pass: at 2²⁰ ops per cell the run is long enough that
-     warmup and repetition buy nothing, and the eager grid already ran. *)
-  let ops = W.Gen.total_ops spec in
+(* Run [f] once, returning its result, wall seconds and minor words. *)
+let measure f =
   let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let rounds, messages, total_bits, digest, ok, peak_live =
-    drive_stream ?faults ~domains ~backend ~n spec
-  in
+  let x = f () in
   let wall = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. m0 in
+  (x, wall, Gc.minor_words () -. m0)
+
+(* The row of a single-pass Runner cell (stream or open): costs and the
+   checker verdict straight from the summary. *)
+let summary_row ~mode ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor ~digest
+    (s : R.summary) =
   {
-    c_backend = Dpq_types.Types.backend_name backend;
-    c_n = n;
+    c_backend = R.protocol_name s;
+    c_n = s.R.n;
     c_lambda = lambda;
-    c_mode = "stream";
+    c_mode = mode;
     c_wl_rounds = wl_rounds;
     c_domains = domains;
     c_faults = faults_spec;
-    c_ops = ops;
-    c_rounds = rounds;
-    c_messages = messages;
-    c_total_bits = total_bits;
+    c_ops = s.R.ops;
+    c_rounds = s.R.rounds;
+    c_messages = s.R.messages;
+    c_total_bits = s.R.total_bits;
     c_wall = wall;
-    c_eps = (if wall > 0.0 then float_of_int messages /. wall else 0.0);
-    c_minor_words_per_op = minor /. float_of_int (max 1 ops);
+    c_eps = (if wall > 0.0 then float_of_int s.R.messages /. wall else 0.0);
+    c_minor_words_per_op = minor /. float_of_int (max 1 s.R.ops);
     (* max over every domain's major heap, not just the coordinator's: a
        worker ballooning its own heap must not slip past the gate *)
     c_peak_heap_words = Dpq_simrt.Domain_pool.peak_heap_words ();
-    c_peak_live = peak_live;
+    c_peak_live = s.R.peak_live;
     c_digest = digest;
-    c_ok = ok;
+    c_ok = s.R.semantics_ok;
     c_arrival = "";
     c_window = "";
     c_p50 = 0;
@@ -538,6 +214,24 @@ let run_stream_cell ?(faults_spec = "") ?(domains = 1) (backend, n, lambda, wl_r
     c_makespan = 0;
     c_ops_per_tick = 0.0;
   }
+
+(* A streamed cell: Runner pulls rounds from the generator on demand and
+   hands every drained batch to the incremental digest and the online
+   checker — nothing O(total ops) is ever held, which is what makes the
+   n=65536 cell fit in one process.  A single timed pass: at 2²⁰ ops per
+   cell the run is long enough that warmup and repetition buy nothing, and
+   the eager grid already ran. *)
+let run_stream_cell ?(faults_spec = "") ?(domains = 1) (backend, n, lambda, wl_rounds) =
+  let spec = stream_spec ~n ~lambda ~wl_rounds in
+  let faults = fault_plan faults_spec in
+  let acc = Run_digest.start () in
+  let s, wall, minor =
+    measure (fun () ->
+        R.run_gen ~seed:1 ?faults ~domains ~sink:(Run_digest.feed_records acc) ~n backend
+          (W.Gen.create spec))
+  in
+  summary_row ~mode:"stream" ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor
+    ~digest:(Run_digest.finish acc) s
 
 let parse_window window_s =
   if String.length window_s > 6 && String.sub window_s 0 6 = "fixed:" then
@@ -562,39 +256,18 @@ let run_open_cell ?(faults_spec = "") ?(domains = 1) (backend, n, ticks, arrival
     W.Gen.
       { n; rounds = ticks; lambda = 2; insert_ratio = 0.5; dist = W.Constant_set 4; seed = 3; arrival }
   in
-  let faults =
-    if faults_spec = "" then None
-    else Some (Dpq_simrt.Fault_plan.of_string ~seed:faults_seed faults_spec)
-  in
+  let faults = fault_plan faults_spec in
   let trace = Dpq_obs.Trace.create () in
   let acc = Run_digest.start () in
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let s =
-    R.run_open ~seed:1 ?faults ~domains ~trace ~sink:(Run_digest.feed_records acc) ~window ~n
-      backend (W.Gen.create spec)
+  let s, wall, minor =
+    measure (fun () ->
+        R.run_open ~seed:1 ?faults ~domains ~trace ~sink:(Run_digest.feed_records acc) ~window ~n
+          backend (W.Gen.create spec))
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. m0 in
   {
-    c_backend = Dpq_types.Types.backend_name backend;
-    c_n = n;
-    c_lambda = spec.W.Gen.lambda;
-    c_mode = "open";
-    c_wl_rounds = ticks;
-    c_domains = domains;
-    c_faults = faults_spec;
-    c_ops = s.R.ops;
-    c_rounds = s.R.rounds;
-    c_messages = s.R.messages;
-    c_total_bits = s.R.total_bits;
-    c_wall = wall;
-    c_eps = (if wall > 0.0 then float_of_int s.R.messages /. wall else 0.0);
-    c_minor_words_per_op = minor /. float_of_int (max 1 s.R.ops);
-    c_peak_heap_words = Dpq_simrt.Domain_pool.peak_heap_words ();
-    c_peak_live = s.R.peak_live;
-    c_digest = Run_digest.finish ~trace acc;
-    c_ok = s.R.semantics_ok;
+    (summary_row ~mode:"open" ~lambda:spec.W.Gen.lambda ~wl_rounds:ticks ~domains ~faults_spec
+       ~wall ~minor ~digest:(Run_digest.finish ~trace acc) s)
+    with
     c_arrival = arrival_s;
     c_window = window_s;
     c_p50 = s.R.p50_latency;
@@ -606,35 +279,29 @@ let run_open_cell ?(faults_spec = "") ?(domains = 1) (backend, n, ticks, arrival
 
 let run_cell ?(faults_spec = "") ?(wl_rounds = 4) ?(domains = 1) (backend, n, lambda) =
   let wl = cell_workload ~wl_rounds ~n ~lambda () in
-  let plan () =
-    if faults_spec = "" then None
-    else Some (Dpq_simrt.Fault_plan.of_string ~seed:faults_seed faults_spec)
-  in
   let timed () =
-    let faults = plan () in
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    let _, rounds, messages, total_bits = drive ?faults ~domains ~backend ~n wl in
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, rounds, messages, total_bits, Gc.minor_words () -. m0)
+    let faults = fault_plan faults_spec in
+    let (_, _, messages, total_bits), wall, minor =
+      measure (fun () -> drive ?faults ~domains ~backend ~n wl)
+    in
+    (wall, messages, total_bits, minor)
   in
   (* One untimed warmup settles caches, branch predictors and the GC
      before measurement; the min over five timed repetitions then estimates
      peak attainable throughput rather than scheduler luck. *)
   ignore (timed ());
-  let reps = List.init 5 (fun _ -> timed ()) in
-  let wall, rounds, messages, total_bits, minor =
+  let wall, messages, total_bits, minor =
     List.fold_left
-      (fun (w, _, _, _, mi) (w', r', m', b', mi') ->
-        ((min w w' : float), r', m', b', min mi mi'))
-      (infinity, 0, 0, 0, infinity)
-      reps
+      (fun (w, _, _, mi) (w', m', b', mi') -> ((min w w' : float), m', b', min mi mi'))
+      (infinity, 0, 0, infinity)
+      (List.init 5 (fun _ -> timed ()))
   in
-  ignore rounds;
   (* A separate traced run pins the schedule identity: the digest must be
      bit-for-bit stable across any engine optimisation. *)
   let trace = Dpq_obs.Trace.create () in
-  let h, rounds, messages', total_bits' = drive ~trace ?faults:(plan ()) ~domains ~backend ~n wl in
+  let h, rounds, messages', total_bits' =
+    drive ~trace ?faults:(fault_plan faults_spec) ~domains ~backend ~n wl
+  in
   assert (messages' = messages && total_bits' = total_bits);
   let ops = W.total_ops wl in
   {
@@ -752,30 +419,6 @@ let backend_of_name = function
   | "unbatched" -> Dpq_types.Types.Unbatched { num_prios = 4 }
   | s -> failwith (Printf.sprintf "bench: unknown backend %S in baseline" s)
 
-(* Legacy single-cell snapshots, kept schema-compatible (new fields are
-   additive) so external tooling that diffed them keeps working. *)
-let write_legacy_snapshot c file =
-  let oc = open_out file in
-  Printf.fprintf oc
-    "{\n\
-    \  \"backend\": %S,\n\
-    \  \"n\": %d,\n\
-    \  \"lambda\": %d,\n\
-    \  \"ops\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"messages\": %d,\n\
-    \  \"total_bits\": %d,\n\
-    \  \"wall_seconds\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"digest\": %S,\n\
-    \  \"semantics_ok\": %b\n\
-     }\n"
-    c.c_backend c.c_n c.c_lambda c.c_ops c.c_rounds c.c_messages c.c_total_bits c.c_wall c.c_eps
-    c.c_digest c.c_ok;
-  close_out oc;
-  Printf.printf "wrote %s (messages=%d wall=%.4fs %.2fM ev/s digest=%s)\n" file c.c_messages c.c_wall
-    (c.c_eps /. 1e6) c.c_digest
-
 (* A short untimed spin before the first measured cell: in a cold process
    the first cell otherwise absorbs CPU frequency ramp-up and code-page
    faults, which read as noise on its events/sec — it was reliably the
@@ -798,49 +441,52 @@ let pp_row c =
     | _ -> "")
     c.c_ok
 
+let run_all f cells =
+  List.map
+    (fun cell ->
+      let c = f cell in
+      pp_row c;
+      c)
+    cells
+
+let write_rows ?(append = false) file rows =
+  let oc =
+    if append then open_out_gen [ Open_append; Open_wronly ] 0o644 file else open_out file
+  in
+  List.iter (fun c -> output_string oc (row_to_json c ^ "\n")) rows;
+  close_out oc
+
 let record_grid ?faults_spec () =
   spinup ();
-  let rows =
-    List.map
-      (fun cell ->
-        let c = run_cell ?faults_spec cell in
-        pp_row c;
-        c)
-      grid
-  in
+  (* Sequential lets, not one [@] chain: OCaml leaves the evaluation order
+     of operands unspecified, and the cells must run in this order. *)
+  let eager = run_all (run_cell ?faults_spec) grid in
   (* Open-loop cells next: still small (n = 16), so they cannot disturb the
      stream cells' ascending top_heap_words readings. *)
-  let rows =
-    rows
-    @ List.map
-        (fun cell ->
-          let c = run_open_cell ?faults_spec cell in
-          pp_row c;
-          c)
-        open_grid
-  in
+  let open_rows = run_all (run_open_cell ?faults_spec) open_grid in
   (* Stream cells last, ascending n (see the comment on [stream_grid]). *)
-  let rows =
-    rows
-    @ List.map
-        (fun (backend, n, lambda, wl_rounds, domains) ->
-          let c = run_stream_cell ?faults_spec ~domains (backend, n, lambda, wl_rounds) in
-          pp_row c;
-          c)
-        stream_grid
+  let stream =
+    run_all
+      (fun (backend, n, lambda, wl_rounds, domains) ->
+        run_stream_cell ?faults_spec ~domains (backend, n, lambda, wl_rounds))
+      stream_grid
   in
-  let oc = open_out grid_file in
-  List.iter (fun c -> output_string oc (row_to_json c ^ "\n")) rows;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells)\n" grid_file (List.length rows);
-  List.iter
-    (fun c ->
-      if c.c_n = 32 && c.c_lambda = 4 then
-        match c.c_backend with
-        | "skeap" -> write_legacy_snapshot c "BENCH_skeap.json"
-        | "seap" -> write_legacy_snapshot c "BENCH_seap.json"
-        | _ -> ())
-    rows
+  let rows = eager @ open_rows @ stream in
+  write_rows grid_file rows;
+  Printf.printf "wrote %s (%d cells)\n" grid_file (List.length rows)
+
+(* Append ONLY the open-loop cells to an existing grid: every pre-existing
+   row (and its digest) is preserved byte-for-byte, which is the
+   --adaptive off compatibility invariant. *)
+let record_open ?faults_spec () =
+  if not (Sys.file_exists grid_file) then begin
+    Printf.eprintf "bench --record-open: no %s baseline; run `bench -- --record` first\n" grid_file;
+    exit 2
+  end;
+  spinup ();
+  let rows = run_all (run_open_cell ?faults_spec) open_grid in
+  write_rows ~append:true grid_file rows;
+  Printf.printf "appended %d open-loop cells to %s\n" (List.length rows) grid_file
 
 let read_lines file =
   let ic = open_in file in
@@ -961,9 +607,7 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
   (match out with
   | None -> ()
   | Some file ->
-      let oc = open_out file in
-      List.iter (fun c -> output_string oc (row_to_json c ^ "\n")) current;
-      close_out oc;
+      write_rows file current;
       Printf.printf "wrote %s (%d cells)\n" file (List.length current));
   if !failures > 0 then begin
     Printf.printf "bench --compare: %d of %d cells FAILED (tolerance %.0f%%)\n" !failures
@@ -976,87 +620,80 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
       (List.length current) (tolerance *. 100.0)
       (if !skipped > 0 then Printf.sprintf " (%d skipped over --max-n)" !skipped else "")
 
+let usage =
+  "usage: bench --record [--faults SPEC]\n\
+  \       bench --record-open [--faults SPEC]\n\
+  \       bench --compare [--tolerance F] [--heap-tolerance F] [--msg-tolerance F]\n\
+  \                       [--max-n N] [--domains N] [--out FILE]\n"
+
+(* Each mode and the value flags it takes. *)
+let modes =
+  [
+    ("--record", [ "--faults" ]);
+    ("--record-open", [ "--faults" ]);
+    ( "--compare",
+      [ "--tolerance"; "--heap-tolerance"; "--msg-tolerance"; "--max-n"; "--domains"; "--out" ] );
+  ]
+
+let usage_error msg =
+  Printf.eprintf "bench: %s\n%s" msg usage;
+  exit 2
+
+(* The mode and its (flag, value) pairs; a flag the mode does not take is
+   a usage error. *)
+let parse_args = function
+  | mode :: rest when List.mem_assoc mode modes ->
+      let takes = List.assoc mode modes in
+      let rec go acc = function
+        | [] -> (mode, acc)
+        | flag :: value :: rest when List.mem flag takes -> go ((flag, value) :: acc) rest
+        | [ flag ] when List.mem flag takes -> usage_error (flag ^ " needs a value")
+        | arg :: _ -> usage_error (Printf.sprintf "%s does not take %S" mode arg)
+      in
+      go [] rest
+  | [] -> usage_error "no mode given"
+  | arg :: _ -> usage_error (Printf.sprintf "unknown mode %S" arg)
+
+(* The value of [flag], or [default] when absent; a value [parse] rejects
+   exits 2 naming the flag and what it expects. *)
+let flag_value flags flag ~expects ~default parse =
+  match List.assoc_opt flag flags with
+  | None -> default
+  | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None ->
+          Printf.eprintf "bench: %s expects %s, got %S\n" flag expects v;
+          exit 2)
+
+let non_negative_float v =
+  match float_of_string_opt v with Some f when f >= 0.0 -> Some f | _ -> None
+
+let positive_int v = match int_of_string_opt v with Some i when i >= 1 -> Some i | _ -> None
+
 let () =
-  let argv = Array.to_list Sys.argv in
-  (match argv with
-  | _ :: "--trace" :: file :: _ ->
-      record_trace file;
-      exit 0
-  | _ -> ());
-  let rec opt_value flag = function
-    | f :: v :: _ when f = flag -> Some v
-    | _ :: rest -> opt_value flag rest
-    | [] -> None
+  let mode, flags = parse_args (List.tl (Array.to_list Sys.argv)) in
+  let tolerance flag ~default =
+    flag_value flags flag ~expects:"a number >= 0" ~default non_negative_float
   in
-  let faults_spec = opt_value "--faults" argv in
   (* Validate the spec before spending any benchmark time on it. *)
-  Option.iter (fun s -> ignore (Dpq_simrt.Fault_plan.of_string ~seed:0 s)) faults_spec;
-  if List.mem "--record" argv || List.mem "--json-only" argv then begin
-    record_grid ?faults_spec ();
-    exit 0
-  end;
-  if List.mem "--record-open" argv then begin
-    (* Append ONLY the open-loop cells to an existing grid: every
-       pre-existing row (and its digest) is preserved byte-for-byte, which
-       is the --adaptive off compatibility invariant. *)
-    if not (Sys.file_exists grid_file) then begin
-      Printf.eprintf "bench --record-open: no %s baseline; run `bench -- --record` first\n"
-        grid_file;
-      exit 2
-    end;
-    spinup ();
-    let rows =
-      List.map
-        (fun cell ->
-          let c = run_open_cell ?faults_spec cell in
-          pp_row c;
-          c)
-        open_grid
-    in
-    let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 grid_file in
-    List.iter (fun c -> output_string oc (row_to_json c ^ "\n")) rows;
-    close_out oc;
-    Printf.printf "appended %d open-loop cells to %s\n" (List.length rows) grid_file;
-    exit 0
-  end;
-  if List.mem "--compare" argv then begin
-    let tolerance =
-      match opt_value "--tolerance" argv with None -> 0.4 | Some s -> float_of_string s
-    in
-    let heap_tolerance =
-      match opt_value "--heap-tolerance" argv with None -> 0.5 | Some s -> float_of_string s
-    in
-    let msg_tolerance =
-      match opt_value "--msg-tolerance" argv with None -> 0.25 | Some s -> float_of_string s
-    in
-    let max_n =
-      match opt_value "--max-n" argv with None -> max_int | Some s -> int_of_string s
-    in
-    let domains_override = Option.map int_of_string (opt_value "--domains" argv) in
-    compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_override
-      ~out:(opt_value "--out" argv) ();
-    exit 0
-  end;
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.4) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  let faults_spec =
+    flag_value flags "--faults" ~expects:"a fault-plan spec such as drop=0.1,dup=0.05"
+      ~default:None (fun s ->
+        match Fault_plan.of_string ~seed:0 s with
+        | (_ : Fault_plan.t) -> Some (Some s)
+        | exception Invalid_argument _ -> None)
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-42s %16s\n" "benchmark" "time/run";
-  Printf.printf "%s\n" (String.make 60 '-');
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] ->
-          let pretty =
-            if est > 1e9 then Printf.sprintf "%8.2f s" (est /. 1e9)
-            else if est > 1e6 then Printf.sprintf "%8.2f ms" (est /. 1e6)
-            else if est > 1e3 then Printf.sprintf "%8.2f us" (est /. 1e3)
-            else Printf.sprintf "%8.0f ns" est
-          in
-          Printf.printf "%-42s %16s\n" name pretty
-      | _ -> Printf.printf "%-42s %16s\n" name "n/a")
-    (List.sort (fun (a, _) (b, _) -> compare a b) rows)
+  match mode with
+  | "--record" -> record_grid ?faults_spec ()
+  | "--record-open" -> record_open ?faults_spec ()
+  | _ ->
+      compare_grid
+        ~tolerance:(tolerance "--tolerance" ~default:0.4)
+        ~heap_tolerance:(tolerance "--heap-tolerance" ~default:0.5)
+        ~msg_tolerance:(tolerance "--msg-tolerance" ~default:0.25)
+        ~max_n:(flag_value flags "--max-n" ~expects:"a positive integer" ~default:max_int positive_int)
+        ~domains_override:
+          (flag_value flags "--domains" ~expects:"a positive integer" ~default:None (fun v ->
+               Option.map Option.some (positive_int v)))
+        ~out:(List.assoc_opt "--out" flags) ()

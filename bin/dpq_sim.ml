@@ -41,7 +41,7 @@ let make_faults ~seed ~faults_spec ~drop ~dup ~crash =
   | Some spec -> (
       try Some (Dpq_simrt.Fault_plan.of_string ~seed spec)
       with Invalid_argument m ->
-        Printf.eprintf "%s\n" m;
+        Printf.eprintf "dpq_sim: --faults: %s\n" m;
         exit 1)
   | None ->
       if drop = 0.0 && dup = 0.0 && crash = [] then None
@@ -61,13 +61,13 @@ let make_faults ~seed ~faults_spec ~drop ~dup ~crash =
                             until_tick = int_of_string u;
                           }
                       with _ ->
-                        Printf.eprintf "bad --crash %S (want NODE@FROM-UNTIL)\n" c;
+                        Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
                         exit 1)
                   | _ ->
-                      Printf.eprintf "bad --crash %S (want NODE@FROM-UNTIL)\n" c;
+                      Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
                       exit 1)
               | _ ->
-                  Printf.eprintf "bad --crash %S (want NODE@FROM-UNTIL)\n" c;
+                  Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
                   exit 1)
             crash
         in
@@ -118,11 +118,22 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         Printf.eprintf "--adaptive: %s\n" e;
         exit 1
   in
-  (match window with
-  | Some w when w < 1 ->
-      Printf.eprintf "--window must be >= 1\n";
-      exit 1
-  | _ -> ());
+  (* Out-of-range values fail here with the flag's name, not as a library
+     exception from inside the run. *)
+  let bad flag fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "dpq_sim: %s %s\n" flag msg;
+        exit 1)
+      fmt
+  in
+  (match window with Some w when w < 1 -> bad "--window" "must be >= 1, got %d" w | _ -> ());
+  List.iter
+    (fun (flag, v) -> if v < 1 then bad flag "must be >= 1, got %d" v)
+    [ ("--nodes", nodes); ("--domains", domains); ("--replication", replication); ("--prios", prios) ];
+  List.iter
+    (fun (flag, p) -> if not (p >= 0.0 && p <= 1.0) then bad flag "must be in [0,1], got %g" p)
+    [ ("--drop", drop); ("--dup", dup) ];
   (* any open-loop knob switches to the open-loop driver; with all three at
      their defaults the run takes the legacy closed-loop path bit-for-bit *)
   let open_mode = arrival <> W.Closed || adaptive <> Batch_ctl.Off || window <> None in
@@ -152,6 +163,15 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         Printf.eprintf "unknown protocol %S (skeap|seap|centralized|unbatched)\n" other;
         exit 1
   in
+  let faults = make_faults ~seed:(seed + 271828) ~faults_spec ~drop ~dup ~crash in
+  Option.iter
+    (fun plan ->
+      List.iter
+        (fun (k : Dpq_simrt.Fault_plan.kill) ->
+          if k.Dpq_simrt.Fault_plan.node >= nodes then
+            bad "--faults" "kills node %d but --nodes is %d" k.Dpq_simrt.Fault_plan.node nodes)
+        (Dpq_simrt.Fault_plan.kills plan))
+    faults;
   (* An unwritable trace path fails here, before the run, not after it.
      Opening without truncation creates the file if it is missing; the
      trace overwrites it at the end. *)
@@ -169,7 +189,6 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
   let trace =
     if trace_file <> None || adaptive <> Batch_ctl.Off then Some (Trace.create ()) else None
   in
-  let faults = make_faults ~seed:(seed + 271828) ~faults_spec ~drop ~dup ~crash in
   let summary, ops, ins, del =
     if open_mode then begin
       (match (backend, adaptive) with

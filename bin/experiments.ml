@@ -740,6 +740,18 @@ let run only seed full trace_file faults =
     Printf.eprintf "no matching experiments; known: %s\n"
       (String.concat ", " (List.map fst all_experiments));
     exit 1);
+  (* An unwritable trace path fails here, before any table runs, not after
+     all of them.  Opening without truncation creates the file if it is
+     missing; the trace overwrites it at the end. *)
+  let cannot_write_trace msg =
+    Printf.eprintf "experiments: cannot write trace %s\n" msg;
+    exit 1
+  in
+  Option.iter
+    (fun file ->
+      try close_out (open_out_gen [ Open_wronly; Open_creat ] 0o644 file)
+      with Sys_error msg -> cannot_write_trace msg)
+    trace_file;
   Printf.printf "# Skeap & Seap reproduction — experiment run (seed %d%s)\n" seed
     (if full then ", full sweeps" else "");
   List.iter
@@ -750,7 +762,7 @@ let run only seed full trace_file faults =
     wanted;
   match (!trace_sink, trace_file) with
   | Some tr, Some file ->
-      Trace.to_file tr file;
+      (try Trace.to_file tr file with Sys_error msg -> cannot_write_trace msg);
       Printf.printf "\n[trace: %d events from Runner-driven experiments -> %s]\n"
         (Trace.num_events tr) file
   | _ -> ()

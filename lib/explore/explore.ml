@@ -9,7 +9,6 @@ module Checker = Dpq_semantics.Checker
 module Workload = Dpq_workloads.Workload
 module Runner = Dpq_workloads.Runner
 module Batch_ctl = Dpq_gossip.Batch_ctl
-module Heap = Dpq.Dpq_heap
 
 type engine = Sync | Async of Async.delay_policy
 
@@ -67,26 +66,15 @@ let run cfg =
     | Sync -> Types.Dht_sync
     | Async policy -> Types.Dht_async { seed = sub_seed cfg.seed "delay"; policy }
   in
-  let log =
+  (* Both drivers hand every drained batch to [sink]; the log is rebuilt
+     from the chunks so the batch checker below can see the whole run. *)
+  let chunks = ref [] in
+  let sink records = chunks := List.rev_append records !chunks in
+  let (_ : Runner.summary) =
     match cfg.adaptive with
     | Batch_ctl.Off ->
-        let h =
-          Heap.create ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains ~trace
-            ?faults ?sched ~n:cfg.n cfg.backend
-        in
-        List.iter
-          (fun round ->
-            List.iter
-              (fun (op : Workload.op) ->
-                (* a permanently killed node issues nothing *)
-                if Heap.live h ~node:op.Workload.node then
-                  match op.Workload.action with
-                  | `Ins p -> ignore (Heap.insert h ~node:op.Workload.node ~prio:p)
-                  | `Del -> Heap.delete_min h ~node:op.Workload.node)
-              round;
-            ignore (Heap.process ~dht_mode h))
-          cfg.workload;
-        Heap.oplog h
+        Runner.run ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains ~trace
+          ?faults ?sched ~dht_mode ~sink ~n:cfg.n cfg.backend cfg.workload
     | Batch_ctl.On ctl ->
         (* Adaptive runs are open-loop: the gossip-fed controller needs the
            tick stream, so only generator-spec workloads qualify (a
@@ -96,15 +84,11 @@ let run cfg =
           | Some spec -> spec
           | None -> invalid_arg "Explore.run: adaptive configs need a generator-spec workload"
         in
-        let chunks = ref [] in
-        let sink records = chunks := List.rev_append records !chunks in
-        ignore
-          (Runner.run_open ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains
-             ~trace ?faults ?sched ~dht_mode ~sink ~window:(Runner.Adaptive ctl) ~n:cfg.n
-             cfg.backend (Workload.Gen.create spec)
-            : Runner.summary);
-        Oplog.of_list (List.rev !chunks)
+        Runner.run_open ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains ~trace
+          ?faults ?sched ~dht_mode ~sink ~window:(Runner.Adaptive ctl) ~n:cfg.n cfg.backend
+          (Workload.Gen.create spec)
   in
+  let log = Oplog.of_list (List.rev !chunks) in
   let log = match cfg.corrupt with None -> log | Some c -> Corrupt.apply c log in
   let violation =
     match explain ~sched:cfg.sched cfg.backend log with Ok () -> None | Error v -> Some v

@@ -864,7 +864,7 @@ let prune_between st ~c_l ~c_r ~prune_below ~prune_above =
 
 (* -------------------------------------------------------------- select  *)
 
-let select ?(seed = 1) ?(rep_factor = 4.0) ?(delta_factor = 1.0) ?(impl : impl = `Aggregated)
+let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     ?phase1_hint ?trace ?faults ?sched ~tree ~elements ~k () =
   let ldb = Aggtree.ldb tree in
   let n = Ldb.n ldb in
@@ -950,7 +950,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(delta_factor = 1.0) ?(impl : impl =
     let delta =
       max 1
         (int_of_float
-           (delta_factor *. sqrt (log (float_of_int (max 2 n))) *. (float_of_int (max 2 n) ** 0.25)))
+           (sqrt (log (float_of_int (max 2 n))) *. (float_of_int (max 2 n) ** 0.25)))
     in
     let no_progress = ref 0 in
     let iter2 = ref 0 in

@@ -69,7 +69,6 @@ type result = {
 val select :
   ?seed:int ->
   ?rep_factor:float ->
-  ?delta_factor:float ->
   ?impl:impl ->
   ?phase1_hint:int * int ->
   ?trace:Dpq_obs.Trace.t ->
@@ -86,11 +85,11 @@ val select :
     from the tree's node count.
 
     [rep_factor] (default 4) scales the representative count n' =
-    rep_factor·√n of Phase 2a; [delta_factor] (default 1) scales δ
-    (Lemma 4.6).  Larger n' / smaller δ prune faster per iteration but cost
-    more rendezvous traffic — the trade-off quantified by experiment A1.
-    Correctness is unaffected either way (the exact-rank guards hold
-    unconditionally).
+    rep_factor·√n of Phase 2a.  A larger n' prunes faster per iteration
+    but costs more rendezvous traffic — the trade-off quantified by
+    experiment A1.  Correctness is unaffected either way (the exact-rank
+    guards hold unconditionally).  Phase 2's δ (Lemma 4.6) is fixed at
+    √(log n)·n^{1/4}, i.e. the lemma's constant taken as 1.
 
     [impl] selects the sorting-stage wire format.  [`Aggregated] (default)
     addresses every copy-tree / rendezvous / vote payload directly to its

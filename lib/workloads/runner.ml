@@ -140,7 +140,8 @@ let acc_finish acc ~backend ~n checker =
    workload, the oplog or the outcome list, so memory is O(live elements) +
    one round.  Closed-loop latency: every op completes in the batch it was
    injected into, so its completion latency is that batch's round cost. *)
-let run_stream ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode ~n backend next =
+let run_stream ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend
+    next =
   let h = Heap.create ~seed ?replication ?domains ?trace ?faults ?sched ~n backend in
   let checker = Heap.online_checker h in
   let acc = acc_create () in
@@ -163,24 +164,26 @@ let run_stream ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode
         acc_costs acc r;
         List.iter (acc_outcome acc) r.Heap.completions;
         Lat.add acc.lat r.Heap.rounds ~count:(List.length r.Heap.completions);
-        Checker.Online.feed_all checker (Heap.take_oplog h);
+        let records = Heap.take_oplog h in
+        Option.iter (fun f -> f records) sink;
+        Checker.Online.feed_all checker records;
         loop ()
   in
   loop ();
   acc.a_makespan <- acc.a_rounds;
   acc_finish acc ~backend ~n checker
 
-let run ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ~n backend workload =
+let run ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend workload =
   let remaining = ref workload in
-  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ~n backend (fun () ->
+  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
       match !remaining with
       | [] -> None
       | round :: rest ->
           remaining := rest;
           Some round)
 
-let run_gen ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ~n backend gen =
-  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ~n backend (fun () ->
+let run_gen ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend gen =
+  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
       Workload.Gen.next gen)
 
 (* --------------------------------------------------------- open loop *)

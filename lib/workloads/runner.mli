@@ -58,6 +58,7 @@ val run_stream :
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
   ?dht_mode:Dpq_types.Types.dht_mode ->
+  ?sink:(Dpq_semantics.Oplog.record list -> unit) ->
   n:int ->
   Dpq_types.Types.backend ->
   (unit -> Workload.round option) ->
@@ -79,7 +80,10 @@ val run_stream :
     [lost_ops], and with [replication > kills] the online verdict matches
     the fault-free run.  [domains] (default 1) is the domain-parallel
     execution knob of {!Dpq.Dpq_heap.create}: summaries — including the
-    run digest — are bit-identical at every value (DESIGN.md §9). *)
+    run digest — are bit-identical at every value (DESIGN.md §9).
+    [sink], when given, receives every drained oplog batch in witness
+    order, before the online checker sees it — the hook digest and replay
+    callers use, as in {!run_open}. *)
 
 val run :
   ?seed:int ->
@@ -89,6 +93,7 @@ val run :
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
   ?dht_mode:Dpq_types.Types.dht_mode ->
+  ?sink:(Dpq_semantics.Oplog.record list -> unit) ->
   n:int ->
   Dpq_types.Types.backend ->
   Workload.t ->
@@ -103,6 +108,7 @@ val run_gen :
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
   ?dht_mode:Dpq_types.Types.dht_mode ->
+  ?sink:(Dpq_semantics.Oplog.record list -> unit) ->
   n:int ->
   Dpq_types.Types.backend ->
   Workload.Gen.t ->

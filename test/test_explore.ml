@@ -97,6 +97,15 @@ let test_mini_sweep_clean () =
            (E.backend_to_string f.E.config.E.backend)
            (Checker.violation_to_string f.E.violation))
 
+(* The sweep `dpq_sim explore --seeds 64` runs (seeds 0..63, n=6, 2 rounds,
+   Λ=2, one domain), pinned by its digest: a refactor that claims the same
+   behaviour must leave it unchanged.  A change that alters schedules on
+   purpose updates this pin in the same diff. *)
+let test_sweep_digest_pinned () =
+  let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~domains:1 ~seeds:(List.init 64 Fun.id) () in
+  checki "no violations" 0 (List.length r.E.failures);
+  checks "64-seed sweep digest" "5d0ef2ebd1f5adbe6893d5c25d5da225" r.E.digest
+
 (* ------------------------------------------- Planted bugs and shrinking *)
 
 let planted_violation cfg =
@@ -332,7 +341,10 @@ let () =
           Alcotest.test_case "digest sees the schedule" `Quick test_digest_reflects_schedule;
         ] );
       ( "sweep",
-        [ Alcotest.test_case "64-seed skeap+seap mini-sweep" `Quick test_mini_sweep_clean ] );
+        [
+          Alcotest.test_case "64-seed skeap+seap mini-sweep" `Quick test_mini_sweep_clean;
+          Alcotest.test_case "64-seed default sweep digest pinned" `Quick test_sweep_digest_pinned;
+        ] );
       ( "shrink",
         [
           Alcotest.test_case "planted bugs caught" `Quick test_planted_bugs_caught;

@@ -179,6 +179,52 @@ let test_run_gen_matches_run () =
   checkb "semantics" true s1.R.semantics_ok;
   checkb "peak live positive" true (s1.R.peak_live > 0)
 
+(* [?sink] sees every drained batch once, in witness order, and what it
+   sees is the whole run: digested, it equals the digest of a direct facade
+   drive of the same workload. *)
+let test_run_sink () =
+  let module Heap = Dpq.Dpq_heap in
+  let module Oplog = Dpq_semantics.Oplog in
+  let module Run_digest = Dpq_explore.Run_digest in
+  let wl = small_wl 7 8 in
+  List.iter
+    (fun backend ->
+      let name = T.backend_name backend in
+      let batches = ref [] in
+      let trace = Dpq_obs.Trace.create () in
+      let s = R.run ~trace ~sink:(fun b -> batches := b :: !batches) ~n:8 backend wl in
+      let batches = List.rev !batches in
+      checkb (name ^ ": semantics") true s.R.semantics_ok;
+      checkb (name ^ ": every batch non-empty") true (List.for_all (( <> ) []) batches);
+      let records = List.concat batches in
+      checki (name ^ ": one record per op") s.R.ops (List.length records);
+      let ids = List.map (fun (r : Oplog.record) -> (r.Oplog.node, r.Oplog.local_seq)) records in
+      checki (name ^ ": each record once") (List.length ids)
+        (List.length (List.sort_uniq compare ids));
+      let rec increasing = function
+        | (a : Oplog.record) :: (b :: _ as rest) -> a.Oplog.witness < b.Oplog.witness && increasing rest
+        | _ -> true
+      in
+      checkb (name ^ ": increasing witness order") true (increasing records);
+      let acc = Run_digest.start () in
+      List.iter (Run_digest.feed_records acc) batches;
+      let direct_trace = Dpq_obs.Trace.create () in
+      let h = Heap.create ~seed:1 ~trace:direct_trace ~n:8 backend in
+      List.iter
+        (fun round ->
+          List.iter
+            (fun (op : W.op) ->
+              match op.W.action with
+              | `Ins p -> ignore (Heap.insert h ~node:op.W.node ~prio:p)
+              | `Del -> Heap.delete_min h ~node:op.W.node)
+            round;
+          ignore (Heap.process h))
+        wl;
+      Alcotest.check Alcotest.string (name ^ ": digest = direct drive")
+        (Run_digest.of_run ~oplog:(Heap.oplog h) ~trace:direct_trace)
+        (Run_digest.finish ~trace acc))
+    [ T.Skeap { num_prios = 3 }; T.Seap; T.Centralized; T.Unbatched { num_prios = 3 } ]
+
 let test_all_runners_same_matched_count () =
   (* Same workload, same per-node issue orders: the number of non-⊥ deletes
      must agree across all implementations (they serialize per-node order
@@ -215,6 +261,7 @@ let () =
           Alcotest.test_case "centralized" `Quick test_runner_centralized;
           Alcotest.test_case "unbatched" `Quick test_runner_unbatched;
           Alcotest.test_case "run_gen = run" `Quick test_run_gen_matches_run;
+          Alcotest.test_case "sink sees the whole run" `Quick test_run_sink;
           Alcotest.test_case "throughput metrics" `Quick test_throughput_metrics;
           Alcotest.test_case "insert counts agree" `Quick test_all_runners_same_matched_count;
         ] );
