@@ -20,6 +20,7 @@ module K = Dpq_kselect.Kselect
 module W = Dpq_workloads.Workload
 module R = Dpq_workloads.Runner
 module Trace = Dpq_obs.Trace
+module Checker = Dpq_semantics.Checker
 
 (* Set by --trace FILE: experiments that drive the unified Runner (t6) feed
    this sink; the driver writes the JSONL file at the end of the run. *)
@@ -331,7 +332,8 @@ let t8 ~seed ~full =
           done;
           ignore (Skeap.process_batch ~dht_mode:(Skeap.Dht_async { seed = trial; policy }) hk)
         done;
-        if Dpq_semantics.Checker.check_all_skeap (Skeap.oplog hk) = Ok () then incr skeap_pass;
+        if Checker.check Checker.Online.Skeap_contract (Skeap.oplog hk) = Ok () then
+          incr skeap_pass;
         let hs = Seap.create ~seed:(seed + trial) ~n:8 () in
         for _ = 1 to 3 do
           for _ = 1 to 20 do
@@ -341,7 +343,7 @@ let t8 ~seed ~full =
           done;
           ignore (Seap.process_round ~dht_mode:(Seap.Dht_async { seed = trial; policy }) hs)
         done;
-        if Dpq_semantics.Checker.check_all_seap (Seap.oplog hs) = Ok () then incr seap_pass
+        if Checker.check Checker.Online.Seap_contract (Seap.oplog hs) = Ok () then incr seap_pass
       done;
       Table.add_row tab
         [
@@ -678,9 +680,7 @@ let a2 ~seed ~full =
           let rounds =
             List.fold_left (fun acc r -> acc + r.Seap.report.Phase.rounds) 0 results
           in
-          let seq_ok =
-            Dpq_semantics.Checker.check_all_skeap (Seap.oplog h) = Ok ()
-          in
+          let seq_ok = Checker.check Checker.Online.Skeap_contract (Seap.oplog h) = Ok () in
           Table.add_row tab
             [
               string_of_int lambda;

@@ -58,6 +58,6 @@ let () =
   Printf.printf "output is globally sorted:            %b\n" (is_sorted sorted_out);
   Printf.printf "first five: %s\n"
     (String.concat ", " (List.map string_of_int (List.filteri (fun i _ -> i < 5) out_keys)));
-  match Dpq_semantics.Checker.check_all_seap (S.oplog h) with
+  match Dpq_semantics.Checker.(check Online.Seap_contract) (S.oplog h) with
   | Ok () -> print_endline "run verified: serializable + heap consistent ✓"
   | Error e -> Printf.printf "semantics check FAILED: %s\n" e

@@ -62,6 +62,6 @@ let () =
   Printf.printf "backlog remaining: %d\n" (S.heap_size h);
 
   (* The executed stream must be sequentially consistent: verify. *)
-  match Dpq_semantics.Checker.check_all_skeap (S.oplog h) with
+  match Dpq_semantics.Checker.(check Online.Skeap_contract) (S.oplog h) with
   | Ok () -> print_endline "\nscheduler history verified: sequentially consistent ✓"
   | Error e -> Printf.printf "\nsemantics check FAILED: %s\n" e

@@ -222,14 +222,7 @@ let online_contract t =
 
 let online_checker t = Dpq_semantics.Checker.Online.create (online_contract t)
 
-let verify t =
-  match t.impl with
-  | I_skeap h -> Dpq_semantics.Checker.check_all_skeap (Skeap_impl.oplog h)
-  | I_seap h -> Dpq_semantics.Checker.check_all_seap (Seap_impl.oplog h)
-  (* Both baselines serialize at a single point under synchronous delivery,
-     so they are held to the stronger (sequential-consistency) contract. *)
-  | I_centralized h -> Dpq_semantics.Checker.check_all_skeap (Centralized_impl.oplog h)
-  | I_unbatched h -> Dpq_semantics.Checker.check_all_skeap (Unbatched_impl.oplog h)
+let verify t = Dpq_semantics.Checker.check (online_contract t) (oplog t)
 
 let stored_per_node t =
   match t.impl with

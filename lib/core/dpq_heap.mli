@@ -152,9 +152,9 @@ val remove_last_node : t -> churn_cost
 (** Remove node [n-1]; same contract as {!add_node}. *)
 
 val verify : t -> (unit, string) Stdlib.result
-(** Check the whole run so far against the backend's guarantee:
-    serializability + heap consistency for Seap, sequential consistency +
-    heap consistency for the rest. *)
+(** Check the whole run so far against {!online_contract}: serializability
+    for Seap, sequential consistency for the rest (both imply heap
+    consistency). *)
 
 val oplog : t -> Dpq_semantics.Oplog.t
 

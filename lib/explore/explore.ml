@@ -42,12 +42,14 @@ let sub_seed seed name = Rng.bits (Rng.named ~seed name)
    "baselines need FIFO release" regression in test_faults): under a
    perturbing scheduler they are held to serializability instead. *)
 let explain ~sched backend log =
-  match backend with
-  | Types.Seap -> Checker.explain_all_seap log
-  | Types.Skeap _ -> Checker.explain_all_skeap log
-  | Types.Centralized | Types.Unbatched _ ->
-      if sched = Sched.Fifo then Checker.explain_all_skeap log
-      else Checker.explain_all_seap log
+  let contract =
+    match backend with
+    | Types.Seap -> Checker.Online.Seap_contract
+    | Types.Skeap _ -> Checker.Online.Skeap_contract
+    | Types.Centralized | Types.Unbatched _ ->
+        if sched = Sched.Fifo then Checker.Online.Skeap_contract else Checker.Online.Seap_contract
+  in
+  Checker.explain contract log
 
 let run cfg =
   (match (cfg.backend, cfg.engine) with
@@ -67,7 +69,7 @@ let run cfg =
     | Async policy -> Types.Dht_async { seed = sub_seed cfg.seed "delay"; policy }
   in
   (* Both drivers hand every drained batch to [sink]; the log is rebuilt
-     from the chunks so the batch checker below can see the whole run. *)
+     from the chunks so [Corrupt] can rewrite the whole run before the check. *)
   let chunks = ref [] in
   let sink records = chunks := List.rev_append records !chunks in
   let (_ : Runner.summary) =
@@ -371,17 +373,7 @@ let engine_of_string s =
   else Error (Printf.sprintf "Explore: bad engine %S" s)
 
 let all_clauses =
-  Checker.
-    [
-      Well_formedness;
-      Local_consistency;
-      Serializability;
-      Heap_clause_1;
-      Heap_clause_2;
-      Heap_clause_3;
-      Fifo_order;
-      Lifo_order;
-    ]
+  Checker.[ Well_formedness; Local_consistency; Serializability; Fifo_order; Lifo_order ]
 
 let clause_of_string s =
   let s = String.trim s in

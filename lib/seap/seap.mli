@@ -21,8 +21,8 @@
 
     The run records an operation log whose witness order places each
     phase's inserts (in element order) before its deletes (in rank order);
-    {!Dpq_semantics.Checker.check_all_seap} verifies serializability and
-    heap consistency on it. *)
+    {!Dpq_semantics.Checker.check} with the [Seap_contract] verifies
+    serializability (and with it heap consistency) on it. *)
 
 module Element = Dpq_util.Element
 module Phase = Dpq_aggtree.Phase

@@ -3,23 +3,12 @@ module Binheap = Dpq_util.Binheap
 
 (* ------------------------------------------------------------ violations *)
 
-type clause =
-  | Well_formedness
-  | Local_consistency
-  | Serializability
-  | Heap_clause_1
-  | Heap_clause_2
-  | Heap_clause_3
-  | Fifo_order
-  | Lifo_order
+type clause = Well_formedness | Local_consistency | Serializability | Fifo_order | Lifo_order
 
 let clause_name = function
   | Well_formedness -> "well-formedness"
   | Local_consistency -> "local-consistency"
   | Serializability -> "serializability"
-  | Heap_clause_1 -> "heap-clause-1"
-  | Heap_clause_2 -> "heap-clause-2"
-  | Heap_clause_3 -> "heap-clause-3"
   | Fifo_order -> "fifo-order"
   | Lifo_order -> "lifo-order"
 
@@ -48,302 +37,25 @@ let violation_to_string v =
 
 let pp_violation fmt v = Format.pp_print_string fmt (violation_to_string v)
 
-let fail ~clause ?culprit ?partner fmt =
-  Printf.ksprintf (fun detail -> Error { clause; culprit; partner; detail }) fmt
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-(* ------------------------------------------------- explaining checkers *)
-
-let explain_well_formed log =
-  match Oplog.check_well_formed log with
-  | Ok () -> Ok ()
-  | Error detail -> Error { clause = Well_formedness; culprit = None; partner = None; detail }
-
-let explain_local_consistency log =
-  let last_seen = Hashtbl.create 16 in
-  let rec go = function
-    | [] -> Ok ()
-    | (r : Oplog.record) :: rest -> (
-        match Hashtbl.find_opt last_seen r.Oplog.node with
-        | Some (prev : Oplog.record) when prev.Oplog.local_seq >= r.Oplog.local_seq ->
-            fail ~clause:Local_consistency ~culprit:(ref_of r) ~partner:(ref_of prev)
-              "node %d: local op %d appears in ≺ after local op %d" r.Oplog.node
-              r.Oplog.local_seq prev.Oplog.local_seq
-        | _ ->
-            Hashtbl.replace last_seen r.Oplog.node r;
-            go rest)
-  in
-  go (Oplog.to_list log)
-
-let explain_serializability log =
-  (* Replay on a reference multiset-of-priorities heap.  Definition 1.2
-     constrains which {e priority} a delete may return (the minimum present)
-     but leaves equal-priority ties unconstrained — Skeap resolves them
-     FIFO-by-position, Seap by the element tiebreaker, and both are valid
-     sequential heap behaviours.  The oracle therefore accepts any returned
-     element that (a) is currently in the heap and (b) carries the current
-     minimum priority; ⊥ is accepted exactly on the empty heap. *)
-  let by_prio : (int, (int * int * int, Element.t) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  let prios = Binheap.create ~cmp:Int.compare in
-  let ekey (e : Element.t) = (e.Element.prio, e.Element.origin, e.Element.seq) in
-  let bucket p =
-    match Hashtbl.find_opt by_prio p with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 8 in
-        Hashtbl.replace by_prio p b;
-        b
-  in
-  let rec min_prio () =
-    (* lazy deletion: prios may contain stale entries for drained buckets *)
-    match Binheap.peek prios with
-    | None -> None
-    | Some p ->
-        let b = bucket p in
-        if Hashtbl.length b = 0 then begin
-          ignore (Binheap.pop prios);
-          min_prio ()
-        end
-        else Some p
-  in
-  let clause = Serializability in
-  let rec go = function
-    | [] -> Ok ()
-    | (r : Oplog.record) :: rest -> (
-        match r.Oplog.kind with
-        | Oplog.Insert e ->
-            Hashtbl.replace (bucket (Element.prio e)) (ekey e) e;
-            Binheap.push prios (Element.prio e);
-            go rest
-        | Oplog.Delete_min -> (
-            match (min_prio (), r.Oplog.result) with
-            | None, None -> go rest
-            | None, Some got ->
-                fail ~clause ~culprit:(ref_of r)
-                  "delete at node %d (op %d) returned %s from an empty heap" r.Oplog.node
-                  r.Oplog.local_seq (Element.to_string got)
-            | Some p, None ->
-                fail ~clause ~culprit:(ref_of r)
-                  "delete at node %d (op %d) returned ⊥ but priority %d is present"
-                  r.Oplog.node r.Oplog.local_seq p
-            | Some p, Some got ->
-                if Element.prio got <> p then
-                  fail ~clause ~culprit:(ref_of r)
-                    "delete at node %d (op %d) returned priority %d but the minimum is %d"
-                    r.Oplog.node r.Oplog.local_seq (Element.prio got) p
-                else
-                  let b = bucket p in
-                  if not (Hashtbl.mem b (ekey got)) then
-                    fail ~clause ~culprit:(ref_of r)
-                      "delete at node %d (op %d) returned %s which is not in the heap"
-                      r.Oplog.node r.Oplog.local_seq (Element.to_string got)
-                  else begin
-                    Hashtbl.remove b (ekey got);
-                    go rest
-                  end))
-  in
-  go (Oplog.to_list log)
-
-let explain_heap_consistency_clauses log =
-  let records = Oplog.to_list log in
-  let matching = Oplog.matching log in
-  (* Clause (1): Ins ≺ Del for every matched pair. *)
-  let* () =
-    List.fold_left
-      (fun acc ((ins : Oplog.record), (del : Oplog.record)) ->
-        let* () = acc in
-        if ins.Oplog.witness < del.Oplog.witness then Ok ()
-        else
-          fail ~clause:Heap_clause_1 ~culprit:(ref_of del) ~partner:(ref_of ins)
-            "matched insert #%d does not precede its delete #%d" ins.Oplog.witness
-            del.Oplog.witness)
-      (Ok ()) matching
-  in
-  (* Clause (2): no unmatched delete strictly between a matched insert and
-     its delete. *)
-  let unmatched_deletes =
-    List.filter_map
-      (fun (r : Oplog.record) ->
-        match (r.Oplog.kind, r.Oplog.result) with
-        | Oplog.Delete_min, None -> Some r
-        | _ -> None)
-      records
-    |> List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness)
-    |> Array.of_list
-  in
-  let find_between lo hi =
-    (* any unmatched delete with lo < w < hi? *)
-    let n = Array.length unmatched_deletes in
-    let rec bs l r =
-      if l >= r then l
-      else
-        let m = (l + r) / 2 in
-        if unmatched_deletes.(m).Oplog.witness <= lo then bs (m + 1) r else bs l m
-    in
-    let i = bs 0 n in
-    if i < n && unmatched_deletes.(i).Oplog.witness < hi then Some unmatched_deletes.(i)
-    else None
-  in
-  let* () =
-    List.fold_left
-      (fun acc ((ins : Oplog.record), (del : Oplog.record)) ->
-        let* () = acc in
-        match find_between ins.Oplog.witness del.Oplog.witness with
-        | Some bottom ->
-            fail ~clause:Heap_clause_2 ~culprit:(ref_of bottom) ~partner:(ref_of del)
-              "an unmatched ⊥-delete (#%d) lies between matched insert #%d and delete #%d"
-              bottom.Oplog.witness ins.Oplog.witness del.Oplog.witness
-        | None -> Ok ())
-      (Ok ()) matching
-  in
-  (* Clause (3): for a matched (Ins_v, Del_w) there is no unmatched insert
-     with smaller priority preceding Del_w. *)
-  let unmatched_inserts =
-    let matched_ins = Hashtbl.create 64 in
-    List.iter
-      (fun ((ins : Oplog.record), _) -> Hashtbl.replace matched_ins ins.Oplog.witness ())
-      matching;
-    List.filter_map
-      (fun (r : Oplog.record) ->
-        match r.Oplog.kind with
-        | Oplog.Insert e when not (Hashtbl.mem matched_ins r.Oplog.witness) ->
-            Some (r.Oplog.witness, (Element.prio e, r))
-        | _ -> None)
-      records
-  in
-  let sorted_unmatched = List.sort (fun (a, _) (b, _) -> Int.compare a b) unmatched_inserts in
-  let check_pair ((ins : Oplog.record), (del : Oplog.record)) =
-    let prio_ins =
-      match ins.Oplog.kind with Oplog.Insert e -> Element.prio e | _ -> assert false
-    in
-    let rec scan best = function
-      | (w, (p, r)) :: rest when w < del.Oplog.witness ->
-          scan (match best with Some (bp, _) when bp <= p -> best | _ -> Some (p, r)) rest
-      | _ -> best
-    in
-    match scan None sorted_unmatched with
-    | Some (best, smaller) when best < prio_ins ->
-        fail ~clause:Heap_clause_3 ~culprit:(ref_of del) ~partner:(ref_of smaller)
-          "matched delete #%d returned priority %d while an unmatched insert of priority %d \
-           precedes it"
-          del.Oplog.witness prio_ins best
-    | _ -> Ok ()
-  in
-  List.fold_left
-    (fun acc pair ->
-      let* () = acc in
-      check_pair pair)
-    (Ok ()) matching
-
-(* Shared replay against a sequential container: [pop_expected] defines the
-   discipline (FIFO front or LIFO top). *)
-let check_container_replay ~clause ~what ~pop_expected log =
-  let store = ref [] (* newest first *) in
-  let rec go = function
-    | [] -> Ok ()
-    | (r : Oplog.record) :: rest -> (
-        match r.Oplog.kind with
-        | Oplog.Insert e ->
-            store := e :: !store;
-            go rest
-        | Oplog.Delete_min -> (
-            let expected, rest_store = pop_expected !store in
-            match (expected, r.Oplog.result) with
-            | None, None -> go rest
-            | Some e, Some got when Element.equal e got ->
-                store := rest_store;
-                go rest
-            | Some e, Some got ->
-                fail ~clause ~culprit:(ref_of r)
-                  "%s replay: delete at node %d (op %d) returned %s, expected %s" what
-                  r.Oplog.node r.Oplog.local_seq (Element.to_string got) (Element.to_string e)
-            | Some e, None ->
-                fail ~clause ~culprit:(ref_of r) "%s replay: delete returned ⊥ but %s is present"
-                  what (Element.to_string e)
-            | None, Some got ->
-                fail ~clause ~culprit:(ref_of r)
-                  "%s replay: delete returned %s from an empty structure" what
-                  (Element.to_string got)))
-  in
-  go (Oplog.to_list log)
-
-let explain_fifo_queue log =
-  check_container_replay ~clause:Fifo_order ~what:"FIFO"
-    ~pop_expected:(fun store ->
-      match List.rev store with
-      | [] -> (None, [])
-      | oldest :: _ -> (Some oldest, List.rev (List.tl (List.rev store))))
-    log
-
-let explain_lifo_stack log =
-  check_container_replay ~clause:Lifo_order ~what:"LIFO"
-    ~pop_expected:(fun store ->
-      match store with [] -> (None, []) | top :: rest -> (Some top, rest))
-    log
-
-let explain_sequential_consistency log =
-  let* () = explain_serializability log in
-  explain_local_consistency log
-
-let explain_all_skeap log =
-  let* () = explain_well_formed log in
-  let* () = explain_sequential_consistency log in
-  explain_heap_consistency_clauses log
-
-let explain_all_seap log =
-  let* () = explain_well_formed log in
-  let* () = explain_serializability log in
-  explain_heap_consistency_clauses log
-
-let explain_all_skueue log =
-  let* () = explain_well_formed log in
-  let* () = explain_local_consistency log in
-  explain_fifo_queue log
-
-let explain_all_sstack log =
-  let* () = explain_well_formed log in
-  let* () = explain_local_consistency log in
-  explain_lifo_stack log
-
 (* ------------------------------------------------------- online checking *)
 
 module Online = struct
-  (* An incremental re-statement of [explain_all_skeap]/[explain_all_seap]:
-     records are fed one at a time in witness order and four independent
-     machines update their state per record —
+  (* Records are fed one at a time in witness order and three machines
+     update their state per record —
 
-       M1  well-formedness        (mirrors Oplog.check_well_formed)
-       M2  serializability replay (mirrors explain_serializability)
-       M3  local consistency      (mirrors explain_local_consistency)
-       M4  heap-consistency clauses (mirrors explain_heap_consistency_clauses)
+       M1  well-formedness
+       M2  replay against the contract's sequential structure
+       M3  local consistency (every contract but Seap's)
 
-     Each machine latches its first violation (the batch checkers also stop
-     at the first offence, in witness order).  [finish] arbitrates latched
-     violations in the same order the batch composites consult the checkers
-     (wf, then serializability, then local, then clauses), so accept/reject
-     and the reported clause + culprit agree with the batch result.  Once a
-     machine latches, machines of lower arbitration priority stop being fed:
-     their verdict can no longer be consulted.
+     Each machine latches its first violation.  [finish] reports the first
+     latched machine in that order.  Once a machine latches, later machines
+     stop being fed: their verdict can no longer be reported.
 
-     Memory is O(live elements), not O(total ops): a matched insert/delete
-     pair retires as soon as the delete is fed, and every auxiliary
-     structure that could grow with the log (clause-2 bottoms, clause-3
-     candidates) only accumulates on executions that are already doomed to
-     be rejected — on a correct run all of them stay empty (see DESIGN.md,
-     "Streaming semantics checking").
+     Memory is O(live elements + nodes): a returned element leaves the
+     replay structure when its delete is fed, and the duplicate trackers
+     keep only a watermark plus the out-of-order arrivals above it. *)
 
-     Two deliberate divergences from the batch checkers, both outside what
-     correct protocols or the planted corruptions produce (they require a
-     log that re-uses an element identity):
-     - an element returned twice is reported as [Serializability]
-       ("... not in the heap") rather than [Well_formedness], because
-       remembering every retired element would be O(total ops);
-     - duplicate-insert detection keys on [(origin, seq)] rather than the
-       full [(prio, origin, seq)], for the same reason (real backends never
-       reuse an [(origin, seq)] pair). *)
-
-  type contract = Skeap_contract | Seap_contract
+  type contract = Skeap_contract | Seap_contract | Fifo_contract | Lifo_contract
 
   (* Duplicate detection over an eventually-dense integer sequence in
      O(watermark gap) space: everything below [mark] has been seen; the
@@ -368,7 +80,18 @@ module Online = struct
 
   type elt_key = int * int * int
 
-  type live_info = { ins_ref : op_ref; prio : int }
+  (* The reference structure replay runs against.  The heap holds one
+     bucket of live elements per priority; [prios] holds each priority at
+     most once (pushed when it enters [enqueued], lazily popped when its
+     bucket drains), so it is bounded by the distinct live priorities. *)
+  type store =
+    | Heap of {
+        by_prio : (int, (elt_key, unit) Hashtbl.t) Hashtbl.t;
+        prios : int Binheap.t;
+        enqueued : (int, unit) Hashtbl.t;
+      }
+    | Queue of Element.t Queue.t
+    | Stack of Element.t Stack.t
 
   type t = {
     contract : contract;
@@ -378,30 +101,29 @@ module Online = struct
     mutable last_witness : int;
     node_seqs : (int, Dense.t) Hashtbl.t;
     origin_ins_seqs : (int, Dense.t) Hashtbl.t;
-    (* M2: serializability replay on the reference heap *)
-    mutable ser : violation option;
-    by_prio : (int, (elt_key, Element.t) Hashtbl.t) Hashtbl.t;
-    ser_prios : int Binheap.t;
-    ser_enqueued : (int, unit) Hashtbl.t;
+    (* M2: replay *)
+    mutable replay : violation option;
+    store : store;
+    mutable live : int;
+    mutable peak_live : int;
     (* M3: local consistency *)
     mutable local : violation option;
     last_local : (int, Oplog.record) Hashtbl.t;
-    (* M4: heap-consistency clauses *)
-    live : (elt_key, live_info) Hashtbl.t;
-    live_prio_counts : (int, int) Hashtbl.t;
-    live_prios : int Binheap.t;
-    live_enqueued : (int, unit) Hashtbl.t;
-    awaiting_ins : (elt_key, Oplog.record) Hashtbl.t;
-    mutable clause1 : violation option;
-    mutable clause1_del_witness : int;
-    mutable clause2 : violation option;
-    mutable bottoms : op_ref list;  (** ⊥-deletes seen while live ≠ ∅, witness-descending *)
-    mutable clause3_cands : (op_ref * op_ref * int * int) list;
-        (** (ins, del, ins_prio, del_witness), discovery (= delete-witness) order, reversed *)
-    mutable peak_live : int;
   }
 
   let create contract =
+    let store =
+      match contract with
+      | Skeap_contract | Seap_contract ->
+          Heap
+            {
+              by_prio = Hashtbl.create 64;
+              prios = Binheap.create ~cmp:Int.compare;
+              enqueued = Hashtbl.create 16;
+            }
+      | Fifo_contract -> Queue (Queue.create ())
+      | Lifo_contract -> Stack (Stack.create ())
+    in
     {
       contract;
       fed = 0;
@@ -409,27 +131,16 @@ module Online = struct
       last_witness = min_int;
       node_seqs = Hashtbl.create 64;
       origin_ins_seqs = Hashtbl.create 64;
-      ser = None;
-      by_prio = Hashtbl.create 64;
-      ser_prios = Binheap.create ~cmp:Int.compare;
-      ser_enqueued = Hashtbl.create 16;
+      replay = None;
+      store;
+      live = 0;
+      peak_live = 0;
       local = None;
       last_local = Hashtbl.create 64;
-      live = Hashtbl.create 256;
-      live_prio_counts = Hashtbl.create 16;
-      live_prios = Binheap.create ~cmp:Int.compare;
-      live_enqueued = Hashtbl.create 16;
-      awaiting_ins = Hashtbl.create 8;
-      clause1 = None;
-      clause1_del_witness = max_int;
-      clause2 = None;
-      bottoms = [];
-      clause3_cands = [];
-      peak_live = 0;
     }
 
   let records_fed t = t.fed
-  let live_elements t = Hashtbl.length t.live
+  let live_elements t = t.live
   let peak_live t = t.peak_live
   let elt_key (e : Element.t) = (e.Element.prio, e.Element.origin, e.Element.seq)
 
@@ -441,19 +152,16 @@ module Online = struct
         Hashtbl.replace tbl key d;
         d
 
-  let latch_wf t ?culprit ?partner fmt =
+  (* --- M1: well-formedness.  Duplicate witnesses need one integer of
+     state: the feed contract (nondecreasing witness order, which
+     Oplog.to_list guarantees even for corrupted logs) puts a repeat right
+     after its first occurrence. *)
+  let latch_wf t fmt =
     Printf.ksprintf
       (fun detail ->
-        if t.wf = None then
-          t.wf <- Some { clause = Well_formedness; culprit; partner; detail })
+        t.wf <- Some { clause = Well_formedness; culprit = None; partner = None; detail })
       fmt
 
-  (* --- M1: well-formedness.  Same per-record check order as
-     Oplog.check_well_formed: witness, local_seq, then kind-specific.  The
-     batch checker detects duplicate witnesses anywhere via a seen-set; we
-     rely on the feed contract (nondecreasing witness order, which
-     Oplog.to_list guarantees even for corrupted logs) to get the same
-     answer from one integer of state. *)
   let feed_wf t (r : Oplog.record) =
     if r.Oplog.witness <= t.last_witness then
       latch_wf t "duplicate witness position %d" r.Oplog.witness
@@ -472,283 +180,139 @@ module Online = struct
           | Oplog.Delete_min -> ())
     end
 
-  (* --- M2: serializability replay.  Identical oracle to
-     [explain_serializability], with one memory refinement: the priority
-     heap holds each priority at most once (pushed on the 0→nonempty bucket
-     transition, lazily popped when its bucket drains), so it is bounded by
-     the number of distinct live priorities instead of total inserts. *)
-  let ser_bucket t p =
-    match Hashtbl.find_opt t.by_prio p with
+  (* --- M2: replay.  A delete of the heap contracts may return any live
+     element of the minimum priority — Definition 1.2 leaves equal-priority
+     ties unconstrained (Skeap resolves them FIFO-by-position, Seap by the
+     element tiebreaker); the queue and the stack admit exactly one. *)
+  let latch_replay t (r : Oplog.record) fmt =
+    let clause =
+      match t.contract with
+      | Skeap_contract | Seap_contract -> Serializability
+      | Fifo_contract -> Fifo_order
+      | Lifo_contract -> Lifo_order
+    in
+    Printf.ksprintf
+      (fun detail -> t.replay <- Some { clause; culprit = Some (ref_of r); partner = None; detail })
+      fmt
+
+  let bucket by_prio p =
+    match Hashtbl.find_opt by_prio p with
     | Some b -> b
     | None ->
         let b = Hashtbl.create 8 in
-        Hashtbl.replace t.by_prio p b;
+        Hashtbl.replace by_prio p b;
         b
 
-  let rec ser_min_prio t =
-    match Binheap.peek t.ser_prios with
+  let rec min_prio by_prio prios enqueued =
+    match Binheap.peek prios with
     | None -> None
     | Some p ->
-        if Hashtbl.length (ser_bucket t p) = 0 then begin
-          ignore (Binheap.pop t.ser_prios);
-          Hashtbl.remove t.ser_enqueued p;
-          ser_min_prio t
+        if Hashtbl.length (bucket by_prio p) = 0 then begin
+          ignore (Binheap.pop prios);
+          Hashtbl.remove enqueued p;
+          min_prio by_prio prios enqueued
         end
         else Some p
 
-  let feed_ser t (r : Oplog.record) =
-    let clause = Serializability in
-    let latch v = if t.ser = None then t.ser <- Some v in
-    let fail ?culprit ?partner fmt =
-      Printf.ksprintf (fun detail -> latch { clause; culprit; partner; detail }) fmt
-    in
-    match r.Oplog.kind with
-    | Oplog.Insert e ->
+  let replay_insert t e =
+    (match t.store with
+    | Heap { by_prio; prios; enqueued } ->
         let p = Element.prio e in
-        Hashtbl.replace (ser_bucket t p) (elt_key e) e;
-        if not (Hashtbl.mem t.ser_enqueued p) then begin
-          Hashtbl.replace t.ser_enqueued p ();
-          Binheap.push t.ser_prios p
+        Hashtbl.replace (bucket by_prio p) (elt_key e) ();
+        if not (Hashtbl.mem enqueued p) then begin
+          Hashtbl.replace enqueued p ();
+          Binheap.push prios p
         end
-    | Oplog.Delete_min -> (
-        match (ser_min_prio t, r.Oplog.result) with
+    | Queue q -> Queue.push e q
+    | Stack s -> Stack.push e s);
+    t.live <- t.live + 1;
+    if t.live > t.peak_live then t.peak_live <- t.live
+
+  (* Queue/stack delete: [expected] is the front or the top. *)
+  let replay_container t (r : Oplog.record) what expected pop =
+    match (expected, r.Oplog.result) with
+    | None, None -> ()
+    | Some e, Some got when Element.equal e got ->
+        pop ();
+        t.live <- t.live - 1
+    | Some e, Some got ->
+        latch_replay t r "%s replay: delete at node %d (op %d) returned %s, expected %s" what
+          r.Oplog.node r.Oplog.local_seq (Element.to_string got) (Element.to_string e)
+    | Some e, None ->
+        latch_replay t r "%s replay: delete returned ⊥ but %s is present" what (Element.to_string e)
+    | None, Some got ->
+        latch_replay t r "%s replay: delete returned %s from an empty structure" what
+          (Element.to_string got)
+
+  let replay_delete t (r : Oplog.record) =
+    match t.store with
+    | Queue q -> replay_container t r "FIFO" (Queue.peek_opt q) (fun () -> ignore (Queue.pop q))
+    | Stack s -> replay_container t r "LIFO" (Stack.top_opt s) (fun () -> ignore (Stack.pop s))
+    | Heap { by_prio; prios; enqueued } -> (
+        match (min_prio by_prio prios enqueued, r.Oplog.result) with
         | None, None -> ()
         | None, Some got ->
-            fail ~culprit:(ref_of r) "delete at node %d (op %d) returned %s from an empty heap"
-              r.Oplog.node r.Oplog.local_seq (Element.to_string got)
+            latch_replay t r "delete at node %d (op %d) returned %s from an empty heap" r.Oplog.node
+              r.Oplog.local_seq (Element.to_string got)
         | Some p, None ->
-            fail ~culprit:(ref_of r) "delete at node %d (op %d) returned ⊥ but priority %d is present"
+            latch_replay t r "delete at node %d (op %d) returned ⊥ but priority %d is present"
               r.Oplog.node r.Oplog.local_seq p
         | Some p, Some got ->
             if Element.prio got <> p then
-              fail ~culprit:(ref_of r)
-                "delete at node %d (op %d) returned priority %d but the minimum is %d"
-                r.Oplog.node r.Oplog.local_seq (Element.prio got) p
+              latch_replay t r
+                "delete at node %d (op %d) returned priority %d but the minimum is %d" r.Oplog.node
+                r.Oplog.local_seq (Element.prio got) p
             else
-              let b = ser_bucket t p in
-              if not (Hashtbl.mem b (elt_key got)) then
-                fail ~culprit:(ref_of r)
-                  "delete at node %d (op %d) returned %s which is not in the heap" r.Oplog.node
-                  r.Oplog.local_seq (Element.to_string got)
-              else Hashtbl.remove b (elt_key got))
+              let b = bucket by_prio p and k = elt_key got in
+              if not (Hashtbl.mem b k) then
+                latch_replay t r "delete at node %d (op %d) returned %s which is not in the heap"
+                  r.Oplog.node r.Oplog.local_seq (Element.to_string got)
+              else begin
+                Hashtbl.remove b k;
+                t.live <- t.live - 1
+              end)
 
-  (* --- M3: local consistency. *)
+  (* --- M3: local consistency.  [partner] is the node's previous record
+     in witness order. *)
   let feed_local t (r : Oplog.record) =
     (match Hashtbl.find_opt t.last_local r.Oplog.node with
     | Some prev when prev.Oplog.local_seq >= r.Oplog.local_seq ->
-        if t.local = None then
-          t.local <-
-            Some
-              {
-                clause = Local_consistency;
-                culprit = Some (ref_of r);
-                partner = Some (ref_of prev);
-                detail =
-                  Printf.sprintf "node %d: local op %d appears in ≺ after local op %d"
-                    r.Oplog.node r.Oplog.local_seq prev.Oplog.local_seq;
-              }
+        t.local <-
+          Some
+            {
+              clause = Local_consistency;
+              culprit = Some (ref_of r);
+              partner = Some (ref_of prev);
+              detail =
+                Printf.sprintf "node %d: local op %d appears in ≺ after local op %d" r.Oplog.node
+                  r.Oplog.local_seq prev.Oplog.local_seq;
+            }
     | _ -> ());
     Hashtbl.replace t.last_local r.Oplog.node r
 
-  (* --- M4: heap-consistency clauses, with pair retirement.
-
-     Live = inserted, not yet returned.  A matched pair retires at its
-     delete; at that moment every record the batch clauses would compare it
-     against has either been seen (clauses 1 and 2 look strictly left of the
-     delete) or can be summarized (clause 3's "unmatched insert" set is a
-     subset of the elements live right now, confirmed against the final live
-     set at [finish]). *)
-  let live_add t key info =
-    Hashtbl.replace t.live key info;
-    let n = Hashtbl.length t.live in
-    if n > t.peak_live then t.peak_live <- n;
-    let p = info.prio in
-    Hashtbl.replace t.live_prio_counts p
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.live_prio_counts p));
-    if not (Hashtbl.mem t.live_enqueued p) then begin
-      Hashtbl.replace t.live_enqueued p ();
-      Binheap.push t.live_prios p
-    end
-
-  let live_remove t key info =
-    Hashtbl.remove t.live key;
-    let p = info.prio in
-    match Hashtbl.find_opt t.live_prio_counts p with
-    | Some 1 -> Hashtbl.remove t.live_prio_counts p
-    | Some c -> Hashtbl.replace t.live_prio_counts p (c - 1)
-    | None -> ()
-
-  let rec live_min_prio t =
-    match Binheap.peek t.live_prios with
-    | None -> None
-    | Some p ->
-        if Hashtbl.mem t.live_prio_counts p then Some p
-        else begin
-          ignore (Binheap.pop t.live_prios);
-          Hashtbl.remove t.live_enqueued p;
-          live_min_prio t
-        end
-
-  (* Earliest recorded ⊥-delete with witness > lo ([t.bottoms] is
-     witness-descending, so it is the last qualifying entry scanned). *)
-  let first_bottom_after t lo =
-    List.fold_left
-      (fun acc (b : op_ref) -> if b.witness > lo then Some b else acc)
-      None t.bottoms
-
-  let feed_clauses t (r : Oplog.record) =
-    match r.Oplog.kind with
-    | Oplog.Insert e -> (
-        let key = elt_key e in
-        match Hashtbl.find_opt t.awaiting_ins key with
-        | Some (del : Oplog.record) ->
-            (* the pair exists but the insert did not precede its delete:
-               clause 1.  Report the pair with the earliest delete, as the
-               batch clause-1 scan over the matching does. *)
-            Hashtbl.remove t.awaiting_ins key;
-            if del.Oplog.witness < t.clause1_del_witness then begin
-              t.clause1_del_witness <- del.Oplog.witness;
-              t.clause1 <-
-                Some
-                  {
-                    clause = Heap_clause_1;
-                    culprit = Some (ref_of del);
-                    partner = Some (ref_of r);
-                    detail =
-                      Printf.sprintf "matched insert #%d does not precede its delete #%d"
-                        r.Oplog.witness del.Oplog.witness;
-                  }
-            end
-        | None -> live_add t key { ins_ref = ref_of r; prio = Element.prio e })
-    | Oplog.Delete_min -> (
-        match r.Oplog.result with
-        | None ->
-            (* an element live right now would span this ⊥ if it is later
-               deleted — only then can this record violate clause 2, so on a
-               correct run nothing is retained *)
-            if Hashtbl.length t.live > 0 then t.bottoms <- ref_of r :: t.bottoms
-        | Some e -> (
-            let key = elt_key e in
-            match Hashtbl.find_opt t.live key with
-            | None ->
-                (* insert not seen yet: park the delete.  If the insert never
-                   arrives the batch matching would reject the log wholesale
-                   (and replay already latched a serializability violation),
-                   so unresolved entries are ignored at finish. *)
-                Hashtbl.replace t.awaiting_ins key r
-            | Some info ->
-                live_remove t key info;
-                (match first_bottom_after t info.ins_ref.witness with
-                | Some bottom when bottom.witness < r.Oplog.witness ->
-                    if t.clause2 = None then
-                      t.clause2 <-
-                        Some
-                          {
-                            clause = Heap_clause_2;
-                            culprit = Some bottom;
-                            partner = Some (ref_of r);
-                            detail =
-                              Printf.sprintf
-                                "an unmatched ⊥-delete (#%d) lies between matched insert #%d \
-                                 and delete #%d"
-                                bottom.witness info.ins_ref.witness r.Oplog.witness;
-                          }
-                | _ -> ());
-                (match live_min_prio t with
-                | Some m when m < info.prio ->
-                    (* some smaller element is live; if it is still live (=
-                       unmatched) at the end of the log this pair violates
-                       clause 3 — decided at [finish] *)
-                    t.clause3_cands <-
-                      (info.ins_ref, ref_of r, info.prio, r.Oplog.witness) :: t.clause3_cands
-                | _ -> ())))
-
-  (* Arbitration priority: a latched violation in machine i makes machines
-     > i unconsultable, exactly like the short-circuiting [let*] chains in
-     the batch composites. *)
   let feed t (r : Oplog.record) =
     t.fed <- t.fed + 1;
     if t.wf = None then feed_wf t r;
-    if t.wf = None && t.ser = None then begin
-      feed_ser t r;
-      if t.ser = None then begin
-        (match t.contract with
-        | Skeap_contract -> if t.local = None then feed_local t r
-        | Seap_contract -> ());
-        if t.local = None then feed_clauses t r
-      end
+    if t.wf = None && t.replay = None then begin
+      (match r.Oplog.kind with
+      | Oplog.Insert e -> replay_insert t e
+      | Oplog.Delete_min -> replay_delete t r);
+      if t.replay = None && t.local = None && t.contract <> Seap_contract then feed_local t r
     end
 
   let feed_all t rs = List.iter (feed t) rs
 
-  (* Clause-3 confirmation: the final live set is exactly the batch's
-     "unmatched inserts".  For the earliest candidate pair with a smaller
-     unmatched insert before its delete, pick the minimum-priority (then
-     earliest-witness) such insert — the batch scan's choice. *)
-  let clause3_violation t =
-    let confirm (_, del_ref, ins_prio, del_witness) =
-      Hashtbl.fold
-        (fun _ (info : live_info) best ->
-          if info.ins_ref.witness >= del_witness then best
-          else
-            match best with
-            | Some (bp, br) when (bp, br.witness) <= (info.prio, info.ins_ref.witness) -> best
-            | _ -> Some (info.prio, info.ins_ref))
-        t.live None
-      |> function
-      | Some (best, smaller) when best < ins_prio ->
-          Some
-            {
-              clause = Heap_clause_3;
-              culprit = Some del_ref;
-              partner = Some smaller;
-              detail =
-                Printf.sprintf
-                  "matched delete #%d returned priority %d while an unmatched insert of \
-                   priority %d precedes it"
-                  del_witness ins_prio best;
-            }
-      | _ -> None
-    in
-    List.fold_left
-      (fun acc cand -> match acc with Some _ -> acc | None -> confirm cand)
-      None
-      (List.rev t.clause3_cands)
-
   let finish t =
-    let ( <|> ) a b = match a with Some _ -> a | None -> b () in
-    let heap_clauses () =
-      t.clause1 <|> fun () ->
-      t.clause2 <|> fun () -> clause3_violation t
-    in
-    let v =
-      t.wf <|> fun () ->
-      t.ser <|> fun () ->
-      match t.contract with
-      | Skeap_contract -> t.local <|> heap_clauses
-      | Seap_contract -> heap_clauses ()
-    in
-    match v with Some v -> Error v | None -> Ok ()
+    match (t.wf, t.replay, t.local) with
+    | Some v, _, _ | None, Some v, _ | None, None, Some v -> Error v
+    | None, None, None -> Ok ()
 
-  let failed t =
-    t.wf <> None || t.ser <> None
-    || (t.contract = Skeap_contract && t.local <> None)
-    || t.clause1 <> None || t.clause2 <> None
+  let failed t = t.wf <> None || t.replay <> None || t.local <> None
 end
 
-(* ------------------------------------------------- string-result façade *)
+let explain contract log =
+  let t = Online.create contract in
+  Online.feed_all t (Oplog.to_list log);
+  Online.finish t
 
-(* Every [check_*] is its [explain_*] counterpart composed with this one
-   wrapper — there is no second implementation to keep in sync. *)
-let stringify check log = Result.map_error violation_to_string (check log)
-
-let check_local_consistency = stringify explain_local_consistency
-let check_serializability = stringify explain_serializability
-let check_heap_consistency_clauses = stringify explain_heap_consistency_clauses
-let check_sequential_consistency = stringify explain_sequential_consistency
-let check_all_skeap = stringify explain_all_skeap
-let check_all_seap = stringify explain_all_seap
-let check_fifo_queue = stringify explain_fifo_queue
-let check_lifo_stack = stringify explain_lifo_stack
-let check_all_skueue = stringify explain_all_skueue
-let check_all_sstack = stringify explain_all_sstack
+let check contract log = Result.map_error violation_to_string (explain contract log)

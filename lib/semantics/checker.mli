@@ -1,45 +1,51 @@
-(** Verifiers for the paper's semantics (Definitions 1.1 and 1.2).
+(** The verifier for the paper's semantics (Definitions 1.1 and 1.2), and
+    for the FIFO/LIFO contracts of Skueue and Sstack.
 
     A protocol hands over an {!Oplog.t} whose [witness] fields encode the
-    serialization order ≺ the protocol claims.  These checkers decide:
+    serialization order ≺ the protocol claims.  There is one checker,
+    {!Online}, which consumes records in witness order and runs three
+    machines over them:
 
-    - {b serializability} ({!check_serializability}): replaying all
-      operations sequentially in witness order on a reference heap produces
-      exactly the results the distributed execution produced.  Replay
-      equality is the strongest possible certificate — it directly witnesses
-      "the distributed execution is equivalent to the serial execution
-      w.r.t. ≺" and implies heap consistency.
-    - {b local consistency} ({!check_local_consistency}): for every node,
-      witness order restricted to that node equals its issue order
-      (Definition 1.1's extra condition for sequential consistency).
-    - {b heap consistency, clause by clause}
-      ({!check_heap_consistency_clauses}): the three properties of
-      Definition 1.2 verified directly from the matching M — an independent
-      second opinion on the replay check.
+    - {b well-formedness}: witness positions unique, per-node [local_seq]
+      values unique, inserts carry no result, no [(origin, seq)] element
+      identity inserted twice;
+    - {b replay}: replaying every operation sequentially in witness order
+      on a reference structure reproduces exactly the results the
+      distributed execution produced.  The structure is a heap for the
+      Skeap/Seap contracts (any element of the minimum priority may come
+      out, ⊥ exactly on the empty heap), a FIFO queue for Skueue and a
+      LIFO stack for Sstack;
+    - {b local consistency}: for every node, witness order restricted to
+      that node equals its issue order (Definition 1.1's extra condition
+      for sequential consistency).  Every contract except Seap's requires
+      it.
 
-    Skeap must pass all three; Seap must pass serializability and heap
-    consistency but not necessarily local consistency.
+    The verdict is the first violation of the first machine that failed,
+    in that order.
 
-    Every checker exists in two forms: an [explain_*] variant returning a
-    structured {!violation} — which clause failed, on which operation(s) —
-    and a [check_*] variant rendering that violation to a string (the
-    historical API).  The exploration harness ({!Dpq_explore.Explore})
-    shrinks failing schedules while preserving the violated {!clause}, so
-    provenance must survive the check. *)
+    {b Replay implies Definition 1.2.}  Once well-formedness and replay
+    both pass, the matching M is heap-consistent clause by clause:
+    (1) a matched delete returned an element present in the replay heap,
+    so its (unique) insert came first; (2) a ⊥-delete while the matched
+    element is live is rejected by replay; (3) an unmatched insert with a
+    smaller priority is still live at the matched delete, so replay
+    rejects that delete's priority.  Def. 1.2 is therefore not checked
+    separately; the tests state it literally and check the implication.
+
+    Every violation is structured — which clause failed, on which
+    operation(s) — because the exploration harness ({!Dpq_explore.Explore})
+    shrinks failing schedules while preserving the violated {!clause}. *)
 
 (** Which part of the specification a log violated. *)
 type clause =
-  | Well_formedness  (** {!Oplog.check_well_formed} failed. *)
+  | Well_formedness  (** Duplicate witness, local_seq or element; insert with a result. *)
   | Local_consistency  (** Definition 1.1's per-node order condition. *)
   | Serializability  (** Replay divergence from the reference heap. *)
-  | Heap_clause_1  (** Def 1.2 (1): a matched insert after its delete. *)
-  | Heap_clause_2  (** Def 1.2 (2): ⊥-delete inside a matched pair's span. *)
-  | Heap_clause_3  (** Def 1.2 (3): smaller unmatched insert before a matched delete. *)
   | Fifo_order  (** Skueue FIFO replay divergence. *)
   | Lifo_order  (** Sstack LIFO replay divergence. *)
 
 val clause_name : clause -> string
-(** Stable kebab-case name (["heap-clause-2"], ...), used in repro files. *)
+(** Stable kebab-case name (["fifo-order"], ...), used in repro files. *)
 
 type op_ref = { node : int; local_seq : int; witness : int }
 (** Provenance handle for one logged operation. *)
@@ -54,47 +60,29 @@ type violation = {
 val violation_to_string : violation -> string
 val pp_violation : Format.formatter -> violation -> unit
 
-val explain_well_formed : Oplog.t -> (unit, violation) result
-val explain_local_consistency : Oplog.t -> (unit, violation) result
-val explain_serializability : Oplog.t -> (unit, violation) result
-val explain_heap_consistency_clauses : Oplog.t -> (unit, violation) result
-val explain_sequential_consistency : Oplog.t -> (unit, violation) result
-val explain_all_skeap : Oplog.t -> (unit, violation) result
-val explain_all_seap : Oplog.t -> (unit, violation) result
-val explain_fifo_queue : Oplog.t -> (unit, violation) result
-val explain_lifo_stack : Oplog.t -> (unit, violation) result
-val explain_all_skueue : Oplog.t -> (unit, violation) result
-val explain_all_sstack : Oplog.t -> (unit, violation) result
-
-(** {2 Online (incremental) checking}
+(** {2 Incremental checking}
 
     At the scale frontier (n = 4096..65536, 10⁶+ ops) holding the whole
     oplog before verifying is not an option.  {!Online} consumes records
-    {e as they complete}, in witness order, and maintains the reference
-    heap and the Definition 1.1/1.2 clause state incrementally.  A matched
-    insert/delete pair retires the moment the delete is fed, so memory is
-    O(live elements), not O(total ops).
+    {e as they complete}, in witness order.  A returned element leaves the
+    replay structure the moment its delete is fed, so memory is
+    O(live elements + nodes), not O(total ops).
 
-    [Online.finish] agrees with the batch composites —
-    {!explain_all_skeap} for the [Skeap_contract],
-    {!explain_all_seap} for the [Seap_contract] — on accept/reject and on
-    the reported clause, culprit, partner and detail, with two documented
-    exceptions requiring a log that re-uses an element identity (which no
-    backend and no planted corruption produces): a double-returned element
-    surfaces as [Serializability] rather than [Well_formedness], and
-    duplicate-insert detection keys on [(origin, seq)] rather than
-    [(prio, origin, seq)]. *)
+    Two consequences of that memory bound are part of the contract: an
+    element returned twice surfaces as a replay violation ([Serializability]
+    for the heap contracts), not as [Well_formedness], and duplicate-insert
+    detection keys on [(origin, seq)] rather than on the full element. *)
 
 module Online : sig
   type t
 
   type contract =
     | Skeap_contract
-        (** Theorem 3.2: well-formedness, serializability, local
-            consistency, heap clauses — also the contract for the
-            baselines. *)
-    | Seap_contract
-        (** Theorem 5.1: as above minus local consistency. *)
+        (** Theorem 3.2: well-formedness, heap replay, local consistency —
+            also the contract for the baselines. *)
+    | Seap_contract  (** Theorem 5.1: as above minus local consistency. *)
+    | Fifo_contract  (** Skueue: well-formedness, FIFO replay, local consistency. *)
+    | Lifo_contract  (** Sstack: well-formedness, LIFO replay, local consistency. *)
 
   val create : contract -> t
 
@@ -108,66 +96,25 @@ module Online : sig
 
   val finish : t -> (unit, violation) result
   (** The verdict over everything fed so far.  May be called repeatedly;
-      feeding may continue afterwards (heap-clause-3 verdicts can appear or
-      change as inserts retire, everything else only latches). *)
+      feeding may continue afterwards (a violation, once latched, stays). *)
 
   val failed : t -> bool
   (** A violation has already latched — the run is doomed regardless of
-      what is fed later (clause-3 candidates are not included: they stay
-      undecided until {!finish}). *)
+      what is fed later.  Equivalent to [finish t <> Ok ()]. *)
 
   val records_fed : t -> int
 
   val live_elements : t -> int
-  (** Currently live (inserted, not yet returned) elements. *)
+  (** Elements currently in the replay structure (inserted, not yet
+      returned). *)
 
   val peak_live : t -> int
   (** High-water mark of {!live_elements} — the checker's state is O(this),
       the observable for the bench's peak-heap ceiling. *)
 end
 
-(** {2 String-result façade}
+val explain : Online.contract -> Oplog.t -> (unit, violation) result
+(** Feed the whole log to a fresh {!Online.t} and {!Online.finish}. *)
 
-    Every [check_*] below is derived from its [explain_*] counterpart by
-    one shared wrapper ([Result.map_error violation_to_string]) — same
-    acceptance, the violation rendered to the historical string form. *)
-
-val check_local_consistency : Oplog.t -> (unit, string) result
-
-val check_serializability : Oplog.t -> (unit, string) result
-(** Replay in witness order: every [Delete_min] must return exactly what the
-    reference heap's minimum is at that point (⊥ iff empty); implies the
-    matching is heap-consistent. *)
-
-val check_heap_consistency_clauses : Oplog.t -> (unit, string) result
-(** Definition 1.2 verified clause by clause:
-    (1) matched inserts precede their deletes;
-    (2) no unmatched delete lies between a matched insert and its delete;
-    (3) no unmatched insert with smaller priority precedes a matched
-    delete. *)
-
-val check_sequential_consistency : Oplog.t -> (unit, string) result
-(** Serializability + local consistency (Definition 1.1). *)
-
-val check_all_skeap : Oplog.t -> (unit, string) result
-(** Well-formedness + sequential consistency + heap-consistency clauses:
-    everything Theorem 3.2 claims. *)
-
-val check_all_seap : Oplog.t -> (unit, string) result
-(** Well-formedness + serializability + heap-consistency clauses:
-    everything Theorem 5.1 claims. *)
-
-val check_fifo_queue : Oplog.t -> (unit, string) result
-(** Replay against a sequential FIFO queue: every delete must return the
-    {e oldest} present element (Skueue semantics — a heap with one constant
-    priority degenerates to exactly this). *)
-
-val check_lifo_stack : Oplog.t -> (unit, string) result
-(** Replay against a sequential LIFO stack: every delete must return the
-    {e newest} present element (Sstack semantics). *)
-
-val check_all_skueue : Oplog.t -> (unit, string) result
-(** Well-formedness + local consistency + FIFO replay. *)
-
-val check_all_sstack : Oplog.t -> (unit, string) result
-(** Well-formedness + local consistency + LIFO replay. *)
+val check : Online.contract -> Oplog.t -> (unit, string) result
+(** {!explain} with the violation rendered by {!violation_to_string}. *)

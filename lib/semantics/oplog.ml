@@ -12,15 +12,9 @@ type record = {
 
 type t = record list (* kept sorted by witness *)
 
-let empty = []
-let add t r = List.merge (fun a b -> Int.compare a.witness b.witness) t [ r ]
 let of_list rs = List.sort (fun a b -> Int.compare a.witness b.witness) rs
 let to_list t = t
 let length = List.length
-let append a b = List.merge (fun x y -> Int.compare x.witness y.witness) a b
-
-let inserts t = List.filter (fun r -> match r.kind with Insert _ -> true | _ -> false) t
-let deletes t = List.filter (fun r -> r.kind = Delete_min) t
 
 let elt_key (e : Element.t) = (e.Element.prio, e.Element.origin, e.Element.seq)
 
@@ -44,54 +38,3 @@ let matching t =
                    (Element.to_string e)))
       | _ -> None)
     t
-
-let check_well_formed t =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let witness_seen = Hashtbl.create 64 in
-  let local_seen = Hashtbl.create 64 in
-  let inserted = Hashtbl.create 64 in
-  let returned = Hashtbl.create 64 in
-  let rec go = function
-    | [] -> Ok ()
-    | r :: rest ->
-        if Hashtbl.mem witness_seen r.witness then err "duplicate witness position %d" r.witness
-        else begin
-          Hashtbl.replace witness_seen r.witness ();
-          if Hashtbl.mem local_seen (r.node, r.local_seq) then
-            err "duplicate local_seq %d at node %d" r.local_seq r.node
-          else begin
-            Hashtbl.replace local_seen (r.node, r.local_seq) ();
-            match r.kind with
-            | Insert e ->
-                if r.result <> None then err "insert with a result at node %d" r.node
-                else if Hashtbl.mem inserted (elt_key e) then
-                  err "element %s inserted twice" (Element.to_string e)
-                else begin
-                  Hashtbl.replace inserted (elt_key e) ();
-                  go rest
-                end
-            | Delete_min -> (
-                match r.result with
-                | None -> go rest
-                | Some e ->
-                    if Hashtbl.mem returned (elt_key e) then
-                      err "element %s returned twice" (Element.to_string e)
-                    else begin
-                      Hashtbl.replace returned (elt_key e) ();
-                      go rest
-                    end)
-          end
-        end
-  in
-  go t
-
-let pp_record fmt r =
-  let kind_s =
-    match r.kind with
-    | Insert e -> Printf.sprintf "Ins(%s)" (Element.to_string e)
-    | Delete_min -> "Del"
-  in
-  let res_s =
-    match r.result with None -> "" | Some e -> " -> " ^ Element.to_string e
-  in
-  Format.fprintf fmt "@[#%d %s@%d.%d%s@]" r.witness kind_s r.node r.local_seq res_s

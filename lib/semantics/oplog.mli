@@ -3,7 +3,7 @@
     A protocol (Skeap, Seap, or a baseline) records one {!record} per heap
     operation it completed, including the {e witness position} — the place
     the protocol claims the operation occupies in its serialization order
-    [≺].  The checkers in {!Checker} then verify that this claimed order
+    [≺].  The checker in {!Checker} then verifies that this claimed order
     really is a valid serialization with the paper's semantics
     (Definitions 1.1 and 1.2). *)
 
@@ -23,25 +23,13 @@ type record = {
 
 type t
 
-val empty : t
-val add : t -> record -> t
 val of_list : record list -> t
 val to_list : t -> record list
 (** In witness order. *)
 
 val length : t -> int
-val append : t -> t -> t
-
-val inserts : t -> record list
-val deletes : t -> record list
 
 val matching : t -> (record * record) list
 (** The matching M: pairs [(ins, del)] where [del] returned the element
     inserted by [ins] (elements are unique, §1.2).  Raises [Invalid_argument]
     if some delete returned an element that no insert produced. *)
-
-val check_well_formed : t -> (unit, string) result
-(** Witness positions unique; per-node local_seq values unique; inserts have
-    no result; no element inserted twice; no element returned twice. *)
-
-val pp_record : Format.formatter -> record -> unit

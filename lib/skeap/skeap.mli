@@ -17,8 +17,9 @@
       virtual node regardless of message delays.
 
     The run records an operation log whose witness order is the anchor's
-    processing order; {!Dpq_semantics.Checker.check_all_skeap} verifies
-    sequential consistency and heap consistency on it. *)
+    processing order; {!Dpq_semantics.Checker.check} with the
+    [Skeap_contract] verifies sequential consistency (and with it heap
+    consistency) on it. *)
 
 module Element = Dpq_util.Element
 module Phase = Dpq_aggtree.Phase

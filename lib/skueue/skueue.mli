@@ -8,7 +8,7 @@
     FIFO queue — positions are handed out in serialization order and
     dequeues drain them from the front.  All of Skeap's guarantees carry
     over; the specific FIFO behaviour is verified by
-    {!Dpq_semantics.Checker.check_all_skueue}. *)
+    {!Dpq_semantics.Checker.check} with the [Fifo_contract]. *)
 
 module Element = Dpq_util.Element
 

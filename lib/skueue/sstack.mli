@@ -14,8 +14,8 @@
       under — key = h(epoch, pos).  (Skeap never reuses a (priority,
       position) pair, so it needs no epochs.)
 
-    Verified by {!Dpq_semantics.Checker.check_all_sstack}: local
-    consistency plus exact replay against a sequential stack. *)
+    Verified by {!Dpq_semantics.Checker.check} with the [Lifo_contract]:
+    exact replay against a sequential stack plus local consistency. *)
 
 module Element = Dpq_util.Element
 

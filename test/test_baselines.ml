@@ -65,7 +65,7 @@ let test_centralized_roundtrip () =
   in
   checkb "same element" true (E.equal e (Option.get got));
   checkb "coordinator did work" true (r.C.coordinator_load > 0);
-  ok_or_fail (Checker.check_all_skeap (C.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (C.oplog h))
 
 let test_centralized_priority_order () =
   let h = C.create ~n:4 () in
@@ -81,7 +81,7 @@ let test_centralized_priority_order () =
       r.C.completions
   in
   Alcotest.(check (list int)) "heap order" [ 7; 13; 42; 99 ] (List.sort compare prios);
-  ok_or_fail (Checker.check_all_skeap (C.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (C.oplog h))
 
 let test_centralized_empty_heap () =
   let h = C.create ~n:3 () in
@@ -110,7 +110,7 @@ let test_centralized_random_semantics () =
     done;
     ignore (C.process h)
   done;
-  ok_or_fail (Checker.check_all_skeap (C.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (C.oplog h))
 
 (* ------------------------------------------------------------ Unbatched *)
 
@@ -123,7 +123,7 @@ let test_unbatched_roundtrip () =
     List.find_map (fun c -> match c.U.outcome with `Got x -> Some x | _ -> None) r.U.completions
   in
   checkb "same element" true (E.equal e (Option.get got));
-  ok_or_fail (Checker.check_all_skeap (U.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (U.oplog h))
 
 let test_unbatched_priority_order () =
   let h = U.create ~n:4 ~num_prios:5 () in
@@ -139,7 +139,7 @@ let test_unbatched_priority_order () =
       r.U.completions
   in
   Alcotest.(check (list int)) "heap order" [ 1; 2; 4; 5 ] (List.sort compare prios);
-  ok_or_fail (Checker.check_all_skeap (U.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (U.oplog h))
 
 let test_unbatched_bottom () =
   let h = U.create ~n:3 ~num_prios:2 () in
@@ -147,7 +147,7 @@ let test_unbatched_bottom () =
   U.delete_min h ~node:2;
   let r = U.process h in
   checki "two ⊥" 2 (List.length (List.filter (fun c -> c.U.outcome = `Empty) r.U.completions));
-  ok_or_fail (Checker.check_all_skeap (U.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (U.oplog h))
 
 let test_unbatched_anchor_load_grows () =
   let load n =
@@ -170,7 +170,7 @@ let test_unbatched_random_semantics () =
     done;
     ignore (U.process h)
   done;
-  ok_or_fail (Checker.check_all_skeap (U.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (U.oplog h))
 
 (* Cross-implementation agreement: when all inserts are processed before
    any delete is issued, every implementation must return exactly the same

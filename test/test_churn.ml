@@ -30,7 +30,7 @@ let test_skeap_join_preserves_heap () =
     (List.exists
        (fun c -> c.Skeap.node = 4 && match c.Skeap.outcome with `Got _ -> true | _ -> false)
        r.Skeap.completions);
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_leave_preserves_heap () =
   let h = Skeap.create ~seed:5 ~n:5 ~num_prios:2 () in
@@ -56,7 +56,7 @@ let test_skeap_leave_preserves_heap () =
       rs
   in
   checki "all 15 retrieved" 15 (List.length got);
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_leave_guards () =
   let h = Skeap.create ~n:2 ~num_prios:2 () in
@@ -91,7 +91,7 @@ let test_skeap_churn_storm () =
     else if Skeap.n h > 2 then ignore (Skeap.remove_last_node h)
   done;
   ignore (Skeap.drain h);
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_seap_join_preserves_heap () =
   let h = Seap.create ~seed:9 ~n:4 () in
@@ -110,7 +110,7 @@ let test_seap_join_preserves_heap () =
        (fun c -> c.Seap.node = 4 && match c.Seap.outcome with `Got _ -> true | _ -> false)
        r.Seap.completions);
   checki "15 remain" 15 (Seap.heap_size h);
-  ok_or_fail (Checker.check_all_seap (Seap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (Seap.oplog h))
 
 let test_seap_leave_preserves_heap () =
   let h = Seap.create ~seed:11 ~n:4 () in
@@ -136,7 +136,7 @@ let test_seap_leave_preserves_heap () =
   Alcotest.(check (list int)) "all elements retrieved in order"
     (List.init 12 (fun i -> i + 1))
     (List.sort compare prios);
-  ok_or_fail (Checker.check_all_seap (Seap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (Seap.oplog h))
 
 let test_moved_elements_scale () =
   (* a single join moves ~m/n elements in expectation, not ~m *)

@@ -298,12 +298,12 @@ let test_seap_lifo_drop_serializability () =
          h)
   done;
   let log = Heap.oplog h in
-  (match Checker.check_serializability log with
+  (match Checker.check Checker.Online.Seap_contract log with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("honest Seap oplog rejected: " ^ e));
   let forged = Corrupt.apply (Corrupt.Swap_matched_pair 0) log in
   checkb "mis-witnessed oplog rejected" true
-    (Result.is_error (Checker.check_all_seap forged))
+    (Result.is_error (Checker.check Checker.Online.Seap_contract forged))
 
 (* ------------------------------------------------ Serialization specs *)
 

@@ -20,7 +20,7 @@ let test_roundtrip_single_node () =
     List.find_map (fun c -> match c.S.outcome with `Got x -> Some x | _ -> None) r.S.completions
   in
   checkb "same element" true (E.equal e (Option.get got));
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_priority_order_large_universe () =
   let h = S.create ~n:8 () in
@@ -36,7 +36,7 @@ let test_priority_order_large_universe () =
     "ascending order" (List.sort compare prios)
     (List.sort compare (got_prios r.S.completions));
   (* the witness order must drain them smallest-first *)
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_empty_heap_bottom () =
   let h = S.create ~n:4 () in
@@ -44,7 +44,7 @@ let test_empty_heap_bottom () =
   S.delete_min h ~node:3;
   let r = S.process_round h in
   checki "two ⊥" 2 (List.length (List.filter (fun c -> c.S.outcome = `Empty) r.S.completions));
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_excess_deletes () =
   let h = S.create ~n:4 () in
@@ -58,7 +58,7 @@ let test_excess_deletes () =
     (List.length (List.filter (fun c -> match c.S.outcome with `Got _ -> true | _ -> false) r.S.completions));
   checki "two ⊥" 2 (List.length (List.filter (fun c -> c.S.outcome = `Empty) r.S.completions));
   checki "heap empty" 0 (S.heap_size h);
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_inserts_serialize_before_deletes_of_same_round () =
   (* Seap's phase split: a delete buffered before an insert on the same node
@@ -71,7 +71,7 @@ let test_inserts_serialize_before_deletes_of_same_round () =
   (match got_prios r.S.completions with
   | [ 77 ] -> ()
   | _ -> Alcotest.fail "the same-round insert should be visible to the delete");
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_elements_survive_rounds () =
   let h = S.create ~n:6 () in
@@ -84,7 +84,7 @@ let test_elements_survive_rounds () =
   let r = S.process_round h in
   Alcotest.(check (list int)) "older smaller element wins" [ 200 ] (got_prios r.S.completions);
   checki "m = 1" 1 (S.heap_size h);
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_duplicate_priorities () =
   let h = S.create ~n:4 () in
@@ -100,7 +100,7 @@ let test_duplicate_priorities () =
     "all twelve out, ties resolved"
     [ 1; 1; 1; 1; 1; 1; 2; 2; 2; 2; 2; 2 ]
     (List.sort compare (got_prios r.S.completions));
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let random_workload ~seed ~n ~rounds ~ops_per_round ~prio_range ?dht_mode h =
   let rng = Dpq_util.Rng.create ~seed in
@@ -119,7 +119,7 @@ let test_random_semantics_sync () =
     (fun seed ->
       let h = S.create ~seed ~n:10 () in
       random_workload ~seed:(seed * 17) ~n:10 ~rounds:5 ~ops_per_round:24 ~prio_range:1_000_000 h;
-      ok_or_fail (Checker.check_all_seap (S.oplog h)))
+      ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h)))
     [ 1; 2; 3 ]
 
 let test_random_semantics_async () =
@@ -129,7 +129,7 @@ let test_random_semantics_async () =
       random_workload ~seed:55 ~n:8 ~rounds:4 ~ops_per_round:20 ~prio_range:100_000
         ~dht_mode:(S.Dht_async { seed = 3; policy })
         h;
-      ok_or_fail (Checker.check_all_seap (S.oplog h)))
+      ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h)))
     [
       Dpq_simrt.Async_engine.Uniform (1.0, 100.0);
       Dpq_simrt.Async_engine.Exponential 25.0;
@@ -194,7 +194,7 @@ let test_kselect_diagnostics_surface () =
   (match r.S.kselect with
   | Some d -> checki "kselect saw all elements" 64 d.Dpq_kselect.Kselect.initial_candidates
   | None -> Alcotest.fail "expected KSelect diagnostics");
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 let test_invalid_args () =
   let h = S.create ~n:2 () in
@@ -221,7 +221,7 @@ let test_drain () =
   checkb "ran" true (results <> []);
   checki "pending zero" 0 (S.pending_ops h);
   checki "heap holds 20" 20 (S.heap_size h);
-  ok_or_fail (Checker.check_all_seap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h))
 
 (* ------------------------------------ Sequential mode (paper §6 sketch) *)
 
@@ -235,7 +235,7 @@ let test_sequential_mode_local_consistency () =
       Alcotest.(check bool) "mode stored" true (S.consistency h = S.Sequential);
       random_workload ~seed:(seed * 7) ~n:6 ~rounds:5 ~ops_per_round:20 ~prio_range:10_000 h;
       ignore (S.drain h);
-      ok_or_fail (Checker.check_all_skeap (S.oplog h)))
+      ok_or_fail (Checker.check Checker.Online.Skeap_contract (S.oplog h)))
     [ 1; 2; 3 ]
 
 let test_sequential_mode_leading_runs_only () =
@@ -252,7 +252,7 @@ let test_sequential_mode_leading_runs_only () =
   Alcotest.(check bool) "insert completes next round" true
     (List.exists (fun c -> match c.S.outcome with `Inserted _ -> true | _ -> false)
        r2.S.completions);
-  ok_or_fail (Checker.check_all_skeap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (S.oplog h))
 
 let test_serializable_mode_differs () =
   (* Default mode: the same schedule lets the delete see the later insert —
@@ -272,7 +272,7 @@ let test_sequential_mode_drains () =
   let rs = S.drain h in
   Alcotest.(check bool) "terminates" true (List.length rs >= 1);
   Alcotest.(check int) "nothing pending" 0 (S.pending_ops h);
-  ok_or_fail (Checker.check_all_skeap (S.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (S.oplog h))
 
 (* qcheck: sequential mode passes the full sequential-consistency check on
    arbitrary interleavings. *)
@@ -294,7 +294,7 @@ let prop_sequential_mode_semantics =
           if (i + 1) mod 8 = 0 then ignore (S.process_round h))
         ops;
       ignore (S.drain h);
-      match Checker.check_all_skeap (S.oplog h) with Ok () -> true | Error _ -> false)
+      Checker.check Checker.Online.Skeap_contract (S.oplog h) = Ok ())
 
 (* qcheck: the DeleteMin phase's position assignment agrees with a sorted
    reference model.  Internally the k_eff smallest stored elements are
@@ -333,7 +333,7 @@ let prop_delete_positions_match_sorted_reference =
       bots = k - k_eff
       && List.length got = k_eff
       && List.for_all2 E.equal expected (List.sort E.compare got)
-      && Checker.check_all_seap (S.oplog h) = Ok ())
+      && Checker.check Checker.Online.Seap_contract (S.oplog h) = Ok ())
 
 (* ------------------------------------------------------ large-n stream *)
 
@@ -388,7 +388,7 @@ let prop_seap_semantics =
           if (i + 1) mod per_round = 0 then ignore (S.process_round h))
         ops;
       ignore (S.drain h);
-      match Checker.check_all_seap (S.oplog h) with Ok () -> true | Error _ -> false)
+      Checker.check Checker.Online.Seap_contract (S.oplog h) = Ok ())
 
 let () =
   Alcotest.run "dpq_seap"

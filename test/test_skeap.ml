@@ -221,7 +221,7 @@ let test_skeap_single_node_roundtrip () =
       r.Skeap.completions
   in
   checkb "got the inserted element" true (Element.equal e (Option.get got));
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_priority_order () =
   let h = Skeap.create ~n:4 ~num_prios:5 () in
@@ -243,7 +243,7 @@ let test_skeap_priority_order () =
       r.Skeap.completions
   in
   Alcotest.(check (list int)) "ascending priorities" [ 1; 2; 3; 4; 5 ] prios;
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_empty_heap_bottom () =
   let h = Skeap.create ~n:3 ~num_prios:2 () in
@@ -252,7 +252,7 @@ let test_skeap_empty_heap_bottom () =
   let r = Skeap.process_batch h in
   checki "two ⊥" 2
     (List.length (List.filter (fun c -> c.Skeap.outcome = `Empty) r.Skeap.completions));
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_more_deletes_than_elements () =
   let h = Skeap.create ~n:2 ~num_prios:2 () in
@@ -265,7 +265,7 @@ let test_skeap_more_deletes_than_elements () =
   let empty = List.filter (fun c -> c.Skeap.outcome = `Empty) r.Skeap.completions in
   checki "one matched" 1 (List.length got);
   checki "two ⊥" 2 (List.length empty);
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_elements_survive_batches () =
   let h = Skeap.create ~n:3 ~num_prios:3 () in
@@ -282,7 +282,7 @@ let test_skeap_elements_survive_batches () =
       r.Skeap.completions
   in
   Alcotest.(check (list int)) "older lower prio wins" [ 2 ] prios;
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_fifo_within_priority () =
   (* Sequential consistency: same-priority elements come out in the order
@@ -305,7 +305,7 @@ let test_skeap_fifo_within_priority () =
       checkb "first batch's element first" true (Element.equal a e1);
       checkb "second next" true (Element.equal b e2)
   | _ -> Alcotest.fail "expected two results");
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let random_workload ~seed ~n ~num_prios ~rounds ~ops_per_round h =
   let rng = Dpq_util.Rng.create ~seed in
@@ -324,7 +324,7 @@ let test_skeap_random_semantics_sync () =
     (fun seed ->
       let h = Skeap.create ~seed ~n:8 ~num_prios:4 () in
       random_workload ~seed:(seed * 31) ~n:8 ~num_prios:4 ~rounds:6 ~ops_per_round:25 h;
-      ok_or_fail (Checker.check_all_skeap (Skeap.oplog h)))
+      ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h)))
     [ 1; 2; 3; 4; 5 ]
 
 let test_skeap_random_semantics_async () =
@@ -342,7 +342,7 @@ let test_skeap_random_semantics_async () =
         done;
         ignore (Skeap.process_batch ~dht_mode:(Skeap.Dht_async { seed = 5; policy }) h)
       done;
-      ok_or_fail (Checker.check_all_skeap (Skeap.oplog h)))
+      ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h)))
     [
       Dpq_simrt.Async_engine.Uniform (1.0, 100.0);
       Dpq_simrt.Async_engine.Exponential 20.0;
@@ -359,8 +359,7 @@ let test_skeap_local_consistency_witness () =
   Skeap.delete_min h ~node:2;
   ignore (Skeap.insert h ~node:1 ~prio:2);
   ignore (Skeap.process_batch h);
-  ok_or_fail (Checker.check_local_consistency (Skeap.oplog h));
-  ok_or_fail (Checker.check_all_skeap (Skeap.oplog h))
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h))
 
 let test_skeap_drain () =
   let h = Skeap.create ~n:4 ~num_prios:2 () in
@@ -449,7 +448,7 @@ let prop_skeap_semantics =
           if (i + 1) mod per_batch = 0 then ignore (Skeap.process_batch h))
         ops;
       ignore (Skeap.drain h);
-      match Checker.check_all_skeap (Skeap.oplog h) with Ok () -> true | Error _ -> false)
+      Checker.check Checker.Online.Skeap_contract (Skeap.oplog h) = Ok ())
 
 let () =
   Alcotest.run "dpq_skeap"

@@ -27,7 +27,7 @@ let test_queue_fifo_basic () =
       checkb "oldest first" true (E.equal a e1);
       checkb "then second" true (E.equal b e2)
   | _ -> Alcotest.fail "expected two dequeues");
-  ok_or_fail (Checker.check_all_skueue (Q.oplog q))
+  ok_or_fail (Checker.check Checker.Online.Fifo_contract (Q.oplog q))
 
 let test_queue_fifo_across_batches () =
   let q = Q.create ~n:3 () in
@@ -45,14 +45,14 @@ let test_queue_fifo_across_batches () =
   done;
   let seqs = List.rev_map (fun (e : E.t) -> e.E.origin) !order in
   Alcotest.(check (list int)) "insertion-batch order" [ 1; 2; 0 ] seqs;
-  ok_or_fail (Checker.check_all_skueue (Q.oplog q))
+  ok_or_fail (Checker.check Checker.Online.Fifo_contract (Q.oplog q))
 
 let test_queue_empty () =
   let q = Q.create ~n:2 () in
   Q.dequeue q ~node:1;
   let r = Q.process_batch q in
   checki "⊥" 1 (List.length (List.filter (fun c -> c.Q.outcome = `Empty) r.Q.completions));
-  ok_or_fail (Checker.check_all_skueue (Q.oplog q))
+  ok_or_fail (Checker.check Checker.Online.Fifo_contract (Q.oplog q))
 
 let test_queue_length () =
   let q = Q.create ~n:4 () in
@@ -78,7 +78,7 @@ let prop_queue_fifo =
           if (i + 1) mod 9 = 0 then ignore (Q.process_batch q))
         ops;
       ignore (Q.drain q);
-      Checker.check_all_skueue (Q.oplog q) = Ok ())
+      Checker.check Checker.Online.Fifo_contract (Q.oplog q) = Ok ())
 
 (* ---------------------------------------------------------------- Stack *)
 
@@ -100,7 +100,7 @@ let test_stack_lifo_basic () =
       checkb "newest first" true (E.equal a e2);
       checkb "then older" true (E.equal b e1)
   | _ -> Alcotest.fail "expected two pops");
-  ok_or_fail (Checker.check_all_sstack (St.oplog s))
+  ok_or_fail (Checker.check Checker.Online.Lifo_contract (St.oplog s))
 
 let test_stack_position_reuse () =
   (* push, pop, push again: the reused position must carry a fresh epoch so
@@ -125,7 +125,7 @@ let test_stack_position_reuse () =
       checkb "not the first" false (E.equal e e1)
   | _ -> Alcotest.fail "expected one pop");
   checki "empty again" 0 (St.size s);
-  ok_or_fail (Checker.check_all_sstack (St.oplog s))
+  ok_or_fail (Checker.check Checker.Online.Lifo_contract (St.oplog s))
 
 let test_stack_intra_batch_lifo () =
   (* pushes and pops in the same batch: an entry's pops take that entry's
@@ -144,7 +144,7 @@ let test_stack_intra_batch_lifo () =
   | [ e ] -> checkb "pops the just-pushed top" true (E.equal e e2)
   | _ -> Alcotest.fail "expected one pop");
   checki "one remains" 1 (St.size s);
-  ok_or_fail (Checker.check_all_sstack (St.oplog s))
+  ok_or_fail (Checker.check Checker.Online.Lifo_contract (St.oplog s))
 
 let test_stack_empty () =
   let s = St.create ~n:3 () in
@@ -152,7 +152,7 @@ let test_stack_empty () =
   St.pop s ~node:0;
   let r = St.process_batch s in
   checki "two ⊥" 2 (List.length (List.filter (fun c -> c.St.outcome = `Empty) r.St.completions));
-  ok_or_fail (Checker.check_all_sstack (St.oplog s))
+  ok_or_fail (Checker.check Checker.Online.Lifo_contract (St.oplog s))
 
 let test_stack_rounds_logarithmic () =
   let rounds n =
@@ -178,7 +178,7 @@ let prop_stack_lifo =
           if (i + 1) mod 7 = 0 then ignore (St.process_batch s))
         ops;
       ignore (St.drain s);
-      Checker.check_all_sstack (St.oplog s) = Ok ())
+      Checker.check Checker.Online.Lifo_contract (St.oplog s) = Ok ())
 
 (* cross-checker sanity: a FIFO log must fail the LIFO checker when order
    actually matters, and vice versa *)
@@ -191,7 +191,7 @@ let test_checkers_distinguish () =
   Q.dequeue q ~node:1;
   ignore (Q.process_batch q);
   checkb "fifo log fails lifo replay" true
-    (Checker.check_lifo_stack (Q.oplog q) <> Ok ());
+    (Checker.check Checker.Online.Lifo_contract (Q.oplog q) <> Ok ());
   let s = St.create ~n:2 () in
   ignore (St.push s ~node:0 ());
   ignore (St.push s ~node:0 ());
@@ -199,7 +199,8 @@ let test_checkers_distinguish () =
   St.pop s ~node:1;
   St.pop s ~node:1;
   ignore (St.process_batch s);
-  checkb "lifo log fails fifo replay" true (Checker.check_fifo_queue (St.oplog s) <> Ok ())
+  checkb "lifo log fails fifo replay" true
+    (Checker.check Checker.Online.Fifo_contract (St.oplog s) <> Ok ())
 
 let () =
   Alcotest.run "dpq_skueue"
