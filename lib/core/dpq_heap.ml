@@ -55,7 +55,7 @@ let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?
           (Skeap_impl.create ~seed ~replication ~domains ?trace ?faults ?sched ?gossip ~n ~num_prios
              ())
     | Seap ->
-        I_seap (Seap_impl.create ~seed ~replication ~domains ?trace ?faults ?sched ?gossip ~n ())
+        I_seap (Seap_impl.create ~seed ~replication ?trace ?faults ?sched ?gossip ~n ())
     | Centralized ->
         no_replication ();
         no_gossip ();

@@ -78,9 +78,10 @@ val create :
     survives permanent node kills ([kill=NODE\@TICK] in the fault plan) of
     up to [k - 1] replicas of any key with unchanged semantics — lost
     copies are rebuilt by Merkle anti-entropy repair at the next iteration
-    boundary.  [domains] (default 1) runs Skeap's tree phases on that many
-    OCaml domains with bit-identical digests/traces/metrics (DESIGN.md §9);
-    Seap and the baselines accept and ignore it.  With [gossip]
+    boundary.  [domains] (default 1) shards Skeap's rounds over that many
+    OCaml domains with bit-identical digests/traces/metrics (DESIGN.md §9),
+    and is a no-op for the other backends: Seap's KSelect rounds are
+    cross-shard-heavy, so Seap always runs sequentially.  With [gossip]
     (Skeap/Seap only; the baselines raise [Invalid_argument]), every
     {!process} ends with a push-sum load-estimation exchange
     ({!Dpq_gossip.Gossip}) feeding {!load_estimate}; omitting it keeps

@@ -372,8 +372,7 @@ let engine_of_string s =
       (Async.policy_of_string (String.sub s 6 (String.length s - 6)))
   else Error (Printf.sprintf "Explore: bad engine %S" s)
 
-let all_clauses =
-  Checker.[ Well_formedness; Local_consistency; Serializability; Fifo_order; Lifo_order ]
+let all_clauses = Checker.[ Well_formedness; Local_consistency; Serializability ]
 
 let clause_of_string s =
   let s = String.trim s in

@@ -27,7 +27,6 @@ type result = {
   element : Element.t;
   report : Phase.report;
   diagnostics : diagnostics;
-  phase1_window : (int * int) option;
 }
 
 (* Test-only: corrupt the first vote of every multi-item aggregated message
@@ -732,59 +731,7 @@ let phase1_iteration st =
       ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
   in
   st.k <- st.k - !removed_below;
-  st.n_remaining <- st.n_remaining - !removed_below - !removed_above;
-  (pmin, pmax)
-
-(* Sample reuse (the cross-batch hint): the caller ships the [lo, hi]
-   priority window a previous full Phase 1 converged to.  One broadcast +
-   one exact count aggregation verify it against the CURRENT candidate
-   multiset with the same unconditional safety guards the phase-2 pruning
-   uses: prune below [lo] only if fewer than k candidates sit strictly
-   under it, accept the window at all only if it still covers the k-th
-   candidate (count(≤ hi) ≥ k).  A stale window therefore costs two tree
-   traversals and falls back to the full Phase 1 — it can never select the
-   wrong element. *)
-let apply_hint st ~lo ~hi =
-  bcast st (int_bits (max 1 lo) + int_bits (max 1 hi));
-  let local node =
-    List.fold_left
-      (fun (bl, bh) e ->
-        let p = Element.prio e in
-        ((if p < lo then bl + 1 else bl), (if p <= hi then bh + 1 else bh)))
-      (0, 0) st.cands.(node)
-  in
-  let (below_lo, upto_hi), _ =
-    up st
-      ~local:(fun v -> match Ldb.kind v with Ldb.Middle -> local (Ldb.owner v) | _ -> (0, 0))
-      ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
-      ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
-  in
-  if upto_hi < st.k then false
-  else begin
-    let prune_below = below_lo > 0 && below_lo < st.k in
-    let prune_above = upto_hi < st.n_remaining in
-    bcast st 2;
-    let removed_below = ref 0 and removed_above = ref 0 in
-    if prune_below || prune_above then
-      Array.iteri
-        (fun node cs ->
-          let keep =
-            List.filter
-              (fun e ->
-                let p = Element.prio e in
-                let below = prune_below && p < lo in
-                let above = prune_above && p > hi in
-                if below then incr removed_below;
-                if above then incr removed_above;
-                (not below) && not above)
-              cs
-          in
-          st.cands.(node) <- keep)
-        st.cands;
-    st.k <- st.k - !removed_below;
-    st.n_remaining <- st.n_remaining - !removed_below - !removed_above;
-    true
-  end
+  st.n_remaining <- st.n_remaining - !removed_below - !removed_above
 
 (* -------------------------------------------------------------- Phase 2 *)
 
@@ -865,7 +812,7 @@ let prune_between st ~c_l ~c_r ~prune_below ~prune_above =
 (* -------------------------------------------------------------- select  *)
 
 let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
-    ?phase1_hint ?trace ?faults ?sched ~tree ~elements ~k () =
+    ?trace ?faults ?sched ~tree ~elements ~k () =
   let ldb = Aggtree.ldb tree in
   let n = Ldb.n ldb in
   if Array.length elements <> n then
@@ -909,39 +856,21 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
      candidate set is no bigger than the sample Phase 2 would draw, so the
      sampling iterations could not reduce the sorting work they precede. *)
   let skip_direct = aggregated && m <= threshold in
-  let window = ref None in
   let iters1_run = ref 0 in
-  let hint_used = ref false in
   if not skip_direct then begin
-    (match phase1_hint with
-    | Some (lo, hi) when aggregated ->
-        if apply_hint st ~lo ~hi then begin
-          hint_used := true;
-          diag_p1 := [ st.n_remaining ];
-          Dpq_obs.Trace.kselect_round trace ~stage:"phase1-hint" ~iteration:0
-            ~candidates:st.n_remaining ~messages:(msgs ())
-        end
-    | _ -> ());
-    if not !hint_used then begin
-      (* ---------------- Phase 1: log(q)+1 sampling iterations ---------- *)
-      let q =
-        if n < 2 then 1
-        else max 1 (int_of_float (ceil (log (float_of_int (max 2 m)) /. log (float_of_int n))))
-      in
-      let iters1 = Bitsize.log2_ceil (max 1 q) + 1 in
-      iters1_run := iters1;
-      for i = 1 to iters1 do
-        let pmin, pmax = phase1_iteration st in
-        (match pmax with
-        | B hi ->
-            let lo = match pmin with B p -> p | _ -> 0 in
-            window := Some (lo, hi)
-        | _ -> ());
-        diag_p1 := st.n_remaining :: !diag_p1;
-        Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
-          ~candidates:st.n_remaining ~messages:(msgs ())
-      done
-    end;
+    (* ---------------- Phase 1: log(q)+1 sampling iterations ------------ *)
+    let q =
+      if n < 2 then 1
+      else max 1 (int_of_float (ceil (log (float_of_int (max 2 m)) /. log (float_of_int n))))
+    in
+    let iters1 = Bitsize.log2_ceil (max 1 q) + 1 in
+    iters1_run := iters1;
+    for i = 1 to iters1 do
+      phase1_iteration st;
+      diag_p1 := st.n_remaining :: !diag_p1;
+      Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
+        ~candidates:st.n_remaining ~messages:(msgs ())
+    done;
     (* ---------------- Phase 2: shrink to ~sqrt(n) candidates ----------- *)
     (* δ = Θ(√(log n) · n^{1/4}) (Lemma 4.6).  The constant is 1 rather than
        the proof's larger c: the exact-rank guards below make pruning safe
@@ -1024,7 +953,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     {
       initial_candidates = m;
       phase1_iterations = !iters1_run;
-      phase1_skipped = skip_direct || !hint_used;
+      phase1_skipped = skip_direct;
       phase1_candidates = List.rev !diag_p1;
       phase2_candidates = List.rev !diag_p2;
       phase2_rep_counts = List.rev !diag_reps;
@@ -1034,4 +963,4 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
       phase3_candidates = phase3_n;
     }
   in
-  { element; report = st.report; diagnostics; phase1_window = !window }
+  { element; report = st.report; diagnostics }

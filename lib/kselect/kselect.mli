@@ -39,9 +39,8 @@ type diagnostics = {
   initial_candidates : int;
   phase1_iterations : int;  (** full Phase-1 iterations actually run (0 when skipped) *)
   phase1_skipped : bool;
-      (** Phase 1 was skipped entirely — either the whole batch was small
-          enough to go straight to the exact phase, or a [phase1_hint]
-          window verified against the current candidates *)
+      (** Phase 1 was skipped entirely: the whole batch was small enough
+          to go straight to the exact phase *)
   phase1_candidates : int list;  (** N after each Phase-1 iteration *)
   phase2_candidates : int list;  (** N after each Phase-2 iteration *)
   phase2_rep_counts : int list;  (** n' drawn in each Phase-2 iteration *)
@@ -58,19 +57,12 @@ type result = {
   element : Element.t;
   report : Phase.report;
   diagnostics : diagnostics;
-  phase1_window : (int * int) option;
-      (** The last concrete [\[P_min, P_max\]] priority window a FULL Phase 1
-          converged to — the k-th smallest element provably lies inside it.
-          [None] when Phase 1 was skipped (hint or small batch): callers
-          caching the window keep it anchored at the last full run, so a
-          drifting candidate set eventually forces a refresh. *)
 }
 
 val select :
   ?seed:int ->
   ?rep_factor:float ->
   ?impl:impl ->
-  ?phase1_hint:int * int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -98,16 +90,8 @@ val select :
     Phases 1–2 outright for batches no larger than the Phase-2 stopping
     threshold.  [`Pairwise] is the pre-optimization protocol — every payload
     its own hop-by-hop wire word — kept executable as the reference the
-    differential test layer compares against; it ignores [phase1_hint].
-    Both return the exact same element for the same seed.
-
-    [phase1_hint] is the [(lo, hi)] priority window of a previous
-    [phase1_window], offered for cross-batch sample reuse.  It is verified
-    against the current candidate multiset with one broadcast + one exact
-    count aggregation before any pruning (a window that no longer covers
-    the k-th candidate is rejected and the full Phase 1 runs), so a stale
-    hint costs two tree traversals and can never change the selected
-    element. *)
+    differential test layer compares against.  Both return the exact same
+    element for the same seed. *)
 
 val select_seq : Element.t list -> k:int -> Element.t
 (** Sequential oracle: sort and index.  Raises [Invalid_argument] on a bad

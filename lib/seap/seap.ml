@@ -31,12 +31,6 @@ type t = {
   mutable elt_counters : int array;
   mutable m : int; (* v0.m: elements in the heap *)
   mutable phase_no : int;
-  (* KSelect sample reuse across DeleteMin batches: the (lo, hi) priority
-     window the last FULL Phase 1 converged to, plus the heap size m0 it
-     was recorded at.  Offered as a phase1_hint while |m - m0| < m0/2;
-     invalidated on any membership change (kill commit, join, leave) —
-     the overlay resync changes which candidates exist at all. *)
-  mutable ksel_window : (int * int * int) option;
   (* counters of retired node slots, so a reused id resumes its sequence
      numbers and oplog identities stay unique across churn *)
   retired : (int, int * int) Hashtbl.t;
@@ -45,12 +39,8 @@ type t = {
   gossip : Gossip.t option; (* load estimator; exchanges after every round *)
 }
 
-let create ?(seed = 1) ?(replication = 1) ?(consistency = Serializable) ?domains:_ ?trace ?faults
-    ?sched ?gossip ~n () =
-  (* [domains] is accepted for interface parity with Skeap but ignored:
-     Seap's KSelect rounds are cross-shard-heavy (every node talks to the
-     whole tree every round), so the batch-barrier sharding of DESIGN.md §9
-     buys nothing — Seap always runs sequentially. *)
+let create ?(seed = 1) ?(replication = 1) ?(consistency = Serializable) ?trace ?faults ?sched
+    ?gossip ~n () =
   if n < 1 then invalid_arg "Seap.create: need n >= 1";
   let ldb = Ldb.build ~n ~seed in
   {
@@ -70,7 +60,6 @@ let create ?(seed = 1) ?(replication = 1) ?(consistency = Serializable) ?domains
     elt_counters = Array.make n 0;
     m = 0;
     phase_no = 0;
-    ksel_window = None;
     retired = Hashtbl.create 4;
     witness_counter = 0;
     log = [];
@@ -275,18 +264,10 @@ let delete_phase t ~dht_mode =
     if k_eff > 0 then begin
       (* Find the k_eff-th smallest stored element. *)
       let elements = Dht.elements_by_node t.dht in
-      let phase1_hint =
-        match t.ksel_window with
-        | Some (lo, hi, m0) when 2 * abs (t.m - m0) < m0 -> Some (lo, hi)
-        | _ -> None
-      in
       let sel =
-        Kselect.select ~seed:(t.seed + t.phase_no) ?phase1_hint ?trace:t.trace ?faults:t.faults
-          ?sched:t.sched ~tree:t.tree ~elements ~k:k_eff ()
+        Kselect.select ~seed:(t.seed + t.phase_no) ?trace:t.trace ?faults:t.faults ?sched:t.sched
+          ~tree:t.tree ~elements ~k:k_eff ()
       in
-      (match sel.Kselect.phase1_window with
-      | Some (lo, hi) -> t.ksel_window <- Some (lo, hi, t.m)
-      | None -> ());
       add sel.Kselect.report;
       kselect_diag := Some sel.Kselect.diagnostics;
       let e_k = sel.Kselect.element in
@@ -483,8 +464,7 @@ let commit_kills t =
             ignore (Dht.kill_node ?trace:t.trace t.dht ~node);
             t.ldb <- Dht.ldb t.dht;
             t.tree <- Aggtree.of_ldb t.ldb;
-            t.m <- Dht.size t.dht;
-            t.ksel_window <- None
+            t.m <- Dht.size t.dht
           end;
           Dpq_simrt.Fault_plan.commit_kill plan t.trace ~node)
         (Dpq_simrt.Fault_plan.pending_kills plan)
@@ -548,7 +528,6 @@ let add_node t =
   let join_messages = Ldb.join_cost_hops t.ldb in
   let ldb' = Ldb.join t.ldb in
   let moved_elements = retopology t ldb' in
-  t.ksel_window <- None;
   t.n <- t.n + 1;
   t.buffers <-
     Array.init t.n (fun i -> if i < Array.length t.buffers then t.buffers.(i) else Queue.create ());
@@ -569,7 +548,6 @@ let remove_last_node t =
   Hashtbl.replace t.retired leaving (t.seq_counters.(leaving), t.elt_counters.(leaving));
   let ldb' = Ldb.leave t.ldb ~id:leaving in
   let moved_elements = retopology t ldb' in
-  t.ksel_window <- None;
   t.n <- t.n - 1;
   t.buffers <- Array.sub t.buffers 0 t.n;
   t.seq_counters <- Array.sub t.seq_counters 0 t.n;

@@ -46,7 +46,6 @@ val create :
   ?seed:int ->
   ?replication:int ->
   ?consistency:consistency ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -62,9 +61,7 @@ val create :
     unchanged, costs grow.  [replication] is the DHT replica degree [k]
     (default 1 = off); with [k > 1] the heap survives permanent node loss
     of up to [k - 1] replicas of any key with unchanged semantics (see
-    {!Dpq_skeap.Skeap.create}).  [domains] is accepted for interface
-    parity with Skeap but ignored: KSelect rounds are cross-shard-heavy,
-    so Seap always runs sequentially (DESIGN.md §9). *)
+    {!Dpq_skeap.Skeap.create}). *)
 
 val consistency : t -> consistency
 

@@ -3,14 +3,12 @@ module Binheap = Dpq_util.Binheap
 
 (* ------------------------------------------------------------ violations *)
 
-type clause = Well_formedness | Local_consistency | Serializability | Fifo_order | Lifo_order
+type clause = Well_formedness | Local_consistency | Serializability
 
 let clause_name = function
   | Well_formedness -> "well-formedness"
   | Local_consistency -> "local-consistency"
   | Serializability -> "serializability"
-  | Fifo_order -> "fifo-order"
-  | Lifo_order -> "lifo-order"
 
 type op_ref = { node : int; local_seq : int; witness : int }
 
@@ -44,7 +42,7 @@ module Online = struct
      update their state per record —
 
        M1  well-formedness
-       M2  replay against the contract's sequential structure
+       M2  replay against a reference heap
        M3  local consistency (every contract but Seap's)
 
      Each machine latches its first violation.  [finish] reports the first
@@ -52,10 +50,10 @@ module Online = struct
      stop being fed: their verdict can no longer be reported.
 
      Memory is O(live elements + nodes): a returned element leaves the
-     replay structure when its delete is fed, and the duplicate trackers
+     replay heap when its delete is fed, and the duplicate trackers
      keep only a watermark plus the out-of-order arrivals above it. *)
 
-  type contract = Skeap_contract | Seap_contract | Fifo_contract | Lifo_contract
+  type contract = Skeap_contract | Seap_contract
 
   (* Duplicate detection over an eventually-dense integer sequence in
      O(watermark gap) space: everything below [mark] has been seen; the
@@ -80,19 +78,6 @@ module Online = struct
 
   type elt_key = int * int * int
 
-  (* The reference structure replay runs against.  The heap holds one
-     bucket of live elements per priority; [prios] holds each priority at
-     most once (pushed when it enters [enqueued], lazily popped when its
-     bucket drains), so it is bounded by the distinct live priorities. *)
-  type store =
-    | Heap of {
-        by_prio : (int, (elt_key, unit) Hashtbl.t) Hashtbl.t;
-        prios : int Binheap.t;
-        enqueued : (int, unit) Hashtbl.t;
-      }
-    | Queue of Element.t Queue.t
-    | Stack of Element.t Stack.t
-
   type t = {
     contract : contract;
     mutable fed : int;
@@ -101,9 +86,14 @@ module Online = struct
     mutable last_witness : int;
     node_seqs : (int, Dense.t) Hashtbl.t;
     origin_ins_seqs : (int, Dense.t) Hashtbl.t;
-    (* M2: replay *)
+    (* M2: replay.  The reference heap holds one bucket of live elements
+       per priority; [prios] holds each priority at most once (pushed when
+       it enters [enqueued], lazily popped when its bucket drains), so it
+       is bounded by the distinct live priorities. *)
     mutable replay : violation option;
-    store : store;
+    by_prio : (int, (elt_key, unit) Hashtbl.t) Hashtbl.t;
+    prios : int Binheap.t;
+    enqueued : (int, unit) Hashtbl.t;
     mutable live : int;
     mutable peak_live : int;
     (* M3: local consistency *)
@@ -112,18 +102,6 @@ module Online = struct
   }
 
   let create contract =
-    let store =
-      match contract with
-      | Skeap_contract | Seap_contract ->
-          Heap
-            {
-              by_prio = Hashtbl.create 64;
-              prios = Binheap.create ~cmp:Int.compare;
-              enqueued = Hashtbl.create 16;
-            }
-      | Fifo_contract -> Queue (Queue.create ())
-      | Lifo_contract -> Stack (Stack.create ())
-    in
     {
       contract;
       fed = 0;
@@ -132,7 +110,9 @@ module Online = struct
       node_seqs = Hashtbl.create 64;
       origin_ins_seqs = Hashtbl.create 64;
       replay = None;
-      store;
+      by_prio = Hashtbl.create 64;
+      prios = Binheap.create ~cmp:Int.compare;
+      enqueued = Hashtbl.create 16;
       live = 0;
       peak_live = 0;
       local = None;
@@ -180,19 +160,15 @@ module Online = struct
           | Oplog.Delete_min -> ())
     end
 
-  (* --- M2: replay.  A delete of the heap contracts may return any live
-     element of the minimum priority — Definition 1.2 leaves equal-priority
-     ties unconstrained (Skeap resolves them FIFO-by-position, Seap by the
-     element tiebreaker); the queue and the stack admit exactly one. *)
+  (* --- M2: replay.  A delete may return any live element of the minimum
+     priority — Definition 1.2 leaves equal-priority ties unconstrained
+     (Skeap resolves them FIFO-by-position, Seap by the element
+     tiebreaker). *)
   let latch_replay t (r : Oplog.record) fmt =
-    let clause =
-      match t.contract with
-      | Skeap_contract | Seap_contract -> Serializability
-      | Fifo_contract -> Fifo_order
-      | Lifo_contract -> Lifo_order
-    in
     Printf.ksprintf
-      (fun detail -> t.replay <- Some { clause; culprit = Some (ref_of r); partner = None; detail })
+      (fun detail ->
+        t.replay <-
+          Some { clause = Serializability; culprit = Some (ref_of r); partner = None; detail })
       fmt
 
   let bucket by_prio p =
@@ -203,74 +179,49 @@ module Online = struct
         Hashtbl.replace by_prio p b;
         b
 
-  let rec min_prio by_prio prios enqueued =
-    match Binheap.peek prios with
+  let rec min_prio t =
+    match Binheap.peek t.prios with
     | None -> None
     | Some p ->
-        if Hashtbl.length (bucket by_prio p) = 0 then begin
-          ignore (Binheap.pop prios);
-          Hashtbl.remove enqueued p;
-          min_prio by_prio prios enqueued
+        if Hashtbl.length (bucket t.by_prio p) = 0 then begin
+          ignore (Binheap.pop t.prios);
+          Hashtbl.remove t.enqueued p;
+          min_prio t
         end
         else Some p
 
   let replay_insert t e =
-    (match t.store with
-    | Heap { by_prio; prios; enqueued } ->
-        let p = Element.prio e in
-        Hashtbl.replace (bucket by_prio p) (elt_key e) ();
-        if not (Hashtbl.mem enqueued p) then begin
-          Hashtbl.replace enqueued p ();
-          Binheap.push prios p
-        end
-    | Queue q -> Queue.push e q
-    | Stack s -> Stack.push e s);
+    let p = Element.prio e in
+    Hashtbl.replace (bucket t.by_prio p) (elt_key e) ();
+    if not (Hashtbl.mem t.enqueued p) then begin
+      Hashtbl.replace t.enqueued p ();
+      Binheap.push t.prios p
+    end;
     t.live <- t.live + 1;
     if t.live > t.peak_live then t.peak_live <- t.live
 
-  (* Queue/stack delete: [expected] is the front or the top. *)
-  let replay_container t (r : Oplog.record) what expected pop =
-    match (expected, r.Oplog.result) with
-    | None, None -> ()
-    | Some e, Some got when Element.equal e got ->
-        pop ();
-        t.live <- t.live - 1
-    | Some e, Some got ->
-        latch_replay t r "%s replay: delete at node %d (op %d) returned %s, expected %s" what
-          r.Oplog.node r.Oplog.local_seq (Element.to_string got) (Element.to_string e)
-    | Some e, None ->
-        latch_replay t r "%s replay: delete returned ⊥ but %s is present" what (Element.to_string e)
-    | None, Some got ->
-        latch_replay t r "%s replay: delete returned %s from an empty structure" what
-          (Element.to_string got)
-
   let replay_delete t (r : Oplog.record) =
-    match t.store with
-    | Queue q -> replay_container t r "FIFO" (Queue.peek_opt q) (fun () -> ignore (Queue.pop q))
-    | Stack s -> replay_container t r "LIFO" (Stack.top_opt s) (fun () -> ignore (Stack.pop s))
-    | Heap { by_prio; prios; enqueued } -> (
-        match (min_prio by_prio prios enqueued, r.Oplog.result) with
-        | None, None -> ()
-        | None, Some got ->
-            latch_replay t r "delete at node %d (op %d) returned %s from an empty heap" r.Oplog.node
-              r.Oplog.local_seq (Element.to_string got)
-        | Some p, None ->
-            latch_replay t r "delete at node %d (op %d) returned ⊥ but priority %d is present"
-              r.Oplog.node r.Oplog.local_seq p
-        | Some p, Some got ->
-            if Element.prio got <> p then
-              latch_replay t r
-                "delete at node %d (op %d) returned priority %d but the minimum is %d" r.Oplog.node
-                r.Oplog.local_seq (Element.prio got) p
-            else
-              let b = bucket by_prio p and k = elt_key got in
-              if not (Hashtbl.mem b k) then
-                latch_replay t r "delete at node %d (op %d) returned %s which is not in the heap"
-                  r.Oplog.node r.Oplog.local_seq (Element.to_string got)
-              else begin
-                Hashtbl.remove b k;
-                t.live <- t.live - 1
-              end)
+    match (min_prio t, r.Oplog.result) with
+    | None, None -> ()
+    | None, Some got ->
+        latch_replay t r "delete at node %d (op %d) returned %s from an empty heap" r.Oplog.node
+          r.Oplog.local_seq (Element.to_string got)
+    | Some p, None ->
+        latch_replay t r "delete at node %d (op %d) returned ⊥ but priority %d is present"
+          r.Oplog.node r.Oplog.local_seq p
+    | Some p, Some got ->
+        if Element.prio got <> p then
+          latch_replay t r "delete at node %d (op %d) returned priority %d but the minimum is %d"
+            r.Oplog.node r.Oplog.local_seq (Element.prio got) p
+        else
+          let b = bucket t.by_prio p and k = elt_key got in
+          if not (Hashtbl.mem b k) then
+            latch_replay t r "delete at node %d (op %d) returned %s which is not in the heap"
+              r.Oplog.node r.Oplog.local_seq (Element.to_string got)
+          else begin
+            Hashtbl.remove b k;
+            t.live <- t.live - 1
+          end
 
   (* --- M3: local consistency.  [partner] is the node's previous record
      in witness order. *)

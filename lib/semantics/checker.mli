@@ -1,5 +1,4 @@
-(** The verifier for the paper's semantics (Definitions 1.1 and 1.2), and
-    for the FIFO/LIFO contracts of Skueue and Sstack.
+(** The verifier for the paper's semantics (Definitions 1.1 and 1.2).
 
     A protocol hands over an {!Oplog.t} whose [witness] fields encode the
     serialization order ≺ the protocol claims.  There is one checker,
@@ -10,11 +9,9 @@
       values unique, inserts carry no result, no [(origin, seq)] element
       identity inserted twice;
     - {b replay}: replaying every operation sequentially in witness order
-      on a reference structure reproduces exactly the results the
-      distributed execution produced.  The structure is a heap for the
-      Skeap/Seap contracts (any element of the minimum priority may come
-      out, ⊥ exactly on the empty heap), a FIFO queue for Skueue and a
-      LIFO stack for Sstack;
+      on a reference heap reproduces exactly the results the distributed
+      execution produced (any element of the minimum priority may come
+      out, ⊥ exactly on the empty heap);
     - {b local consistency}: for every node, witness order restricted to
       that node equals its issue order (Definition 1.1's extra condition
       for sequential consistency).  Every contract except Seap's requires
@@ -41,11 +38,9 @@ type clause =
   | Well_formedness  (** Duplicate witness, local_seq or element; insert with a result. *)
   | Local_consistency  (** Definition 1.1's per-node order condition. *)
   | Serializability  (** Replay divergence from the reference heap. *)
-  | Fifo_order  (** Skueue FIFO replay divergence. *)
-  | Lifo_order  (** Sstack LIFO replay divergence. *)
 
 val clause_name : clause -> string
-(** Stable kebab-case name (["fifo-order"], ...), used in repro files. *)
+(** Stable kebab-case name (["local-consistency"], ...), used in repro files. *)
 
 type op_ref = { node : int; local_seq : int; witness : int }
 (** Provenance handle for one logged operation. *)
@@ -65,12 +60,12 @@ val pp_violation : Format.formatter -> violation -> unit
     At the scale frontier (n = 4096..65536, 10⁶+ ops) holding the whole
     oplog before verifying is not an option.  {!Online} consumes records
     {e as they complete}, in witness order.  A returned element leaves the
-    replay structure the moment its delete is fed, so memory is
+    replay heap the moment its delete is fed, so memory is
     O(live elements + nodes), not O(total ops).
 
     Two consequences of that memory bound are part of the contract: an
-    element returned twice surfaces as a replay violation ([Serializability]
-    for the heap contracts), not as [Well_formedness], and duplicate-insert
+    element returned twice surfaces as a [Serializability] violation,
+    not as [Well_formedness], and duplicate-insert
     detection keys on [(origin, seq)] rather than on the full element. *)
 
 module Online : sig
@@ -81,8 +76,6 @@ module Online : sig
         (** Theorem 3.2: well-formedness, heap replay, local consistency —
             also the contract for the baselines. *)
     | Seap_contract  (** Theorem 5.1: as above minus local consistency. *)
-    | Fifo_contract  (** Skueue: well-formedness, FIFO replay, local consistency. *)
-    | Lifo_contract  (** Sstack: well-formedness, LIFO replay, local consistency. *)
 
   val create : contract -> t
 
@@ -105,7 +98,7 @@ module Online : sig
   val records_fed : t -> int
 
   val live_elements : t -> int
-  (** Elements currently in the replay structure (inserted, not yet
+  (** Elements currently in the replay heap (inserted, not yet
       returned). *)
 
   val peak_live : t -> int

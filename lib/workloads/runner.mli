@@ -50,7 +50,7 @@ type summary = {
 val protocol_name : summary -> string
 (** {!Dpq_types.Types.backend_name} of the summary's backend. *)
 
-val run_stream :
+val run :
   ?seed:int ->
   ?replication:int ->
   ?domains:int ->
@@ -61,11 +61,11 @@ val run_stream :
   ?sink:(Dpq_semantics.Oplog.record list -> unit) ->
   n:int ->
   Dpq_types.Types.backend ->
-  (unit -> Workload.round option) ->
+  Workload.t ->
   summary
-(** The streaming core: pull rounds from the callback until it yields
-    [None]; inject each round, process it, feed the completed records to
-    the online checker, accumulate the cost measures.  Raises
+(** Closed-loop run over a materialized workload, one round at a time:
+    inject each round, process it, feed the completed records to the
+    online checker, accumulate the cost measures.  Raises
     [Invalid_argument] if the workload contains priorities the backend
     rejects (outside [1..num_prios] for [Skeap]/[Unbatched]).  With
     [trace], the entire run records structured events (see
@@ -85,21 +85,6 @@ val run_stream :
     order, before the online checker sees it — the hook digest and replay
     callers use, as in {!run_open}. *)
 
-val run :
-  ?seed:int ->
-  ?replication:int ->
-  ?domains:int ->
-  ?trace:Dpq_obs.Trace.t ->
-  ?faults:Dpq_simrt.Fault_plan.t ->
-  ?sched:Dpq_simrt.Sched.t ->
-  ?dht_mode:Dpq_types.Types.dht_mode ->
-  ?sink:(Dpq_semantics.Oplog.record list -> unit) ->
-  n:int ->
-  Dpq_types.Types.backend ->
-  Workload.t ->
-  summary
-(** {!run_stream} over a materialized workload, one round at a time. *)
-
 val run_gen :
   ?seed:int ->
   ?replication:int ->
@@ -113,7 +98,7 @@ val run_gen :
   Dpq_types.Types.backend ->
   Workload.Gen.t ->
   summary
-(** {!run_stream} over a streaming generator: the workload is never
+(** {!run} over a streaming generator: the workload is never
     materialized.  [summary.ops] counts the operations actually produced. *)
 
 (** {2 Open-loop driving}

@@ -387,28 +387,6 @@ let test_planted_misaggregation_caught () =
   let r = K.select ~seed:97 ~tree ~elements ~k () in
   checkb "clean run agrees with oracle" true (E.equal r.K.element oracle)
 
-let test_phase1_hint_reuse () =
-  let n = 32 and per_node = 32 in
-  let rng = Dpq_util.Rng.create ~seed:53 in
-  let tree = tree_of ~n ~seed:2 in
-  let elements = uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000 in
-  let k = (n * per_node) / 3 in
-  let full = K.select ~seed:7 ~tree ~elements ~k () in
-  checkb "full run exposes a window" true (full.K.phase1_window <> None);
-  checkb "full run did not skip phase 1" false full.K.diagnostics.K.phase1_skipped;
-  let lo, hi = Option.get full.K.phase1_window in
-  let hinted = K.select ~seed:7 ~phase1_hint:(lo, hi) ~tree ~elements ~k () in
-  checkb "hinted run selects the same element" true
-    (E.equal hinted.K.element full.K.element);
-  checkb "hinted run skipped phase 1" true hinted.K.diagnostics.K.phase1_skipped;
-  checkb "hinted run is cheaper" true
-    (hinted.K.report.Phase.messages < full.K.report.Phase.messages);
-  (* A window that cannot cover the k-th element is rejected, falls back to
-     the full Phase 1, and still selects correctly. *)
-  let stale = K.select ~seed:7 ~phase1_hint:(0, 0) ~tree ~elements ~k () in
-  checkb "stale hint rejected" false stale.K.diagnostics.K.phase1_skipped;
-  checkb "stale hint still correct" true (E.equal stale.K.element full.K.element)
-
 (* T4-style constancy: total rounds divided by log2(n) stays in a constant
    band as n quadruples twice — the Theorem 4.2 round bound, checked as a
    ratio rather than a single-point inequality. *)
@@ -465,6 +443,5 @@ let () =
           Alcotest.test_case "large grid messages drop" `Quick test_differential_large_grid;
           Alcotest.test_case "planted misaggregation caught" `Quick
             test_planted_misaggregation_caught;
-          Alcotest.test_case "phase-1 hint reuse" `Quick test_phase1_hint_reuse;
         ] );
     ]

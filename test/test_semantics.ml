@@ -12,7 +12,7 @@ let expect_clause name clause = function
 
 let skeap = C.explain C.Online.Skeap_contract
 let seap = C.explain C.Online.Seap_contract
-let contracts = C.Online.[ Skeap_contract; Seap_contract; Fifo_contract; Lifo_contract ]
+let contracts = C.Online.[ Skeap_contract; Seap_contract ]
 
 let elt ?(prio = 1) ?(origin = 0) ?(seq = 0) () = E.make ~prio ~origin ~seq ()
 
@@ -84,26 +84,19 @@ let wf_offence earlier (r : O.record) =
         if r.O.result <> None || List.exists same_identity earlier then offence else None
     | O.Delete_min -> None
 
-(* Replay on a plain list of live elements, oldest first. *)
-let replay_offence contract records =
-  let clause, admissible =
-    match contract with
-    | C.Online.Skeap_contract | C.Online.Seap_contract ->
-        ( C.Serializability,
-          fun live got ->
-            let m = List.fold_left (fun m e -> min m (E.prio e)) max_int live in
-            E.prio got = m && List.exists (E.equal got) live )
-    | C.Online.Fifo_contract ->
-        (C.Fifo_order, fun live got -> match live with e :: _ -> E.equal e got | [] -> false)
-    | C.Online.Lifo_contract ->
-        (C.Lifo_order, fun live got -> match List.rev live with e :: _ -> E.equal e got | [] -> false)
+(* Replay on a plain list of live elements: a delete may return any live
+   element of the minimum priority. *)
+let replay_offence records =
+  let admissible live got =
+    let m = List.fold_left (fun m e -> min m (E.prio e)) max_int live in
+    E.prio got = m && List.exists (E.equal got) live
   in
   let rec go live = function
     | [] -> None
     | (r : O.record) :: rest -> (
-        let offence = Some (clause, Some (ref_of r), None) in
+        let offence = Some (C.Serializability, Some (ref_of r), None) in
         match (r.O.kind, r.O.result) with
-        | O.Insert e, _ -> go (live @ [ e ]) rest
+        | O.Insert e, _ -> go (e :: live) rest
         | O.Delete_min, None -> if live = [] then go live rest else offence
         | O.Delete_min, Some got ->
             if admissible live got then go (List.filter (fun e -> not (E.equal e got)) live) rest
@@ -124,7 +117,7 @@ let oracle contract log =
   let records = O.to_list log in
   let ( <|> ) a b = match a with Some _ -> a | None -> b () in
   scan wf_offence records <|> fun () ->
-  replay_offence contract records <|> fun () ->
+  replay_offence records <|> fun () ->
   if contract = C.Online.Seap_contract then None else scan local_offence records
 
 let agrees contract log =
@@ -312,21 +305,7 @@ let test_check_all_composites () =
   ok_or_fail (seap inverted);
   checkb "check renders the violation" true
     (C.check C.Online.Skeap_contract inverted
-    = Result.map_error C.violation_to_string (skeap inverted));
-  (* a queue log: FIFO accepts, LIFO and the heap contracts reject *)
-  let a = elt ~prio:2 ~seq:0 () and b = elt ~prio:1 ~seq:1 () in
-  let fifo =
-    O.of_list
-      [
-        ins ~w:0 ~node:0 ~seq:0 a;
-        ins ~w:1 ~node:0 ~seq:1 b;
-        del ~w:2 ~node:1 ~seq:0 (Some a);
-        del ~w:3 ~node:1 ~seq:1 (Some b);
-      ]
-  in
-  ok_or_fail (C.explain C.Online.Fifo_contract fifo);
-  expect_clause "lifo rejects a queue log" C.Lifo_order (C.explain C.Online.Lifo_contract fifo);
-  expect_clause "heap rejects a queue log" C.Serializability (skeap fifo)
+    = Result.map_error C.violation_to_string (skeap inverted))
 
 (* One hand-written log per message the checker can produce, pinned to
    its exact rendering. *)
@@ -370,31 +349,7 @@ let test_exact_violations () =
   pin heap
     [ ins ~w:0 ~node:0 ~seq:1 e2; ins ~w:1 ~node:0 ~seq:0 e1 ]
     "[local-consistency] node 0: local op 0 appears in ≺ after local op 1 \
-     culprit=op(node=0,seq=0,witness=1) partner=op(node=0,seq=1,witness=0)";
-  List.iter
-    (fun (contract, name, what, wrong, right) ->
-      let two = [ ins ~w:0 ~node:0 ~seq:0 e1; ins ~w:1 ~node:0 ~seq:1 e2 ] in
-      pin contract
-        (two @ [ del ~w:2 ~node:1 ~seq:0 (Some wrong) ])
-        (Printf.sprintf
-           "[%s] %s replay: delete at node 1 (op 0) returned %s, expected %s \
-            culprit=op(node=1,seq=0,witness=2)"
-           name what (E.to_string wrong) (E.to_string right));
-      pin contract
-        (two @ [ del ~w:2 ~node:1 ~seq:0 None ])
-        (Printf.sprintf
-           "[%s] %s replay: delete returned ⊥ but %s is present culprit=op(node=1,seq=0,witness=2)"
-           name what (E.to_string right));
-      pin contract
-        [ del ~w:0 ~node:1 ~seq:0 (Some e1) ]
-        (Printf.sprintf
-           "[%s] %s replay: delete returned e(p=1,0.0) from an empty structure \
-            culprit=op(node=1,seq=0,witness=0)"
-           name what))
-    [
-      (C.Online.Fifo_contract, "fifo-order", "FIFO", e2, e1);
-      (C.Online.Lifo_contract, "lifo-order", "LIFO", e1, e2);
-    ]
+     culprit=op(node=0,seq=0,witness=1) partner=op(node=0,seq=1,witness=0)"
 
 (* -------------------------------------------- failure injection / fuzz *)
 
@@ -505,27 +460,12 @@ let prop_bottom_injection_detected =
 
 module Corrupt = Dpq_explore.Corrupt
 
-(* The sequential structure a correct log is drawn from. *)
-type shape = Heap | Queue | Stack
-
-(* A known-good multi-node log: witness order is issue order, per-node
-   local_seq and per-origin element seq counters advance densely. *)
-let good_log_multi ~shape ~seed ~nodes ~len =
+(* A known-good multi-node log drawn from a sequential heap: witness order
+   is issue order, per-node local_seq and per-origin element seq counters
+   advance densely. *)
+let good_log_multi ~seed ~nodes ~len =
   let rng = Dpq_util.Rng.create ~seed in
   let heap = Dpq_util.Binheap.create ~cmp:E.compare in
-  let queue = Queue.create () and stack = Stack.create () in
-  let push e =
-    match shape with
-    | Heap -> Dpq_util.Binheap.push heap e
-    | Queue -> Queue.push e queue
-    | Stack -> Stack.push e stack
-  in
-  let pop () =
-    match shape with
-    | Heap -> Dpq_util.Binheap.pop heap
-    | Queue -> Queue.take_opt queue
-    | Stack -> Stack.pop_opt stack
-  in
   let seqs = Array.make nodes 0 and elts = Array.make nodes 0 in
   let recs = ref [] in
   for w = 0 to len - 1 do
@@ -536,10 +476,10 @@ let good_log_multi ~shape ~seed ~nodes ~len =
       let es = elts.(node) in
       elts.(node) <- es + 1;
       let e = E.make ~prio:(1 + Dpq_util.Rng.int rng 5) ~origin:node ~seq:es () in
-      push e;
+      Dpq_util.Binheap.push heap e;
       recs := ins ~w ~node ~seq e :: !recs
     end
-    else recs := del ~w ~node ~seq (pop ()) :: !recs
+    else recs := del ~w ~node ~seq (Dpq_util.Binheap.pop heap) :: !recs
   done;
   O.of_list !recs
 
@@ -616,10 +556,9 @@ let prop_online_matches_oracle =
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let rng = Dpq_util.Rng.create ~seed:(seed + 31337) in
-      let shape = [| Heap; Queue; Stack |].(Dpq_util.Rng.int rng 3) in
       let nodes = 1 + Dpq_util.Rng.int rng 4 in
       let len = 10 + Dpq_util.Rng.int rng 70 in
-      let log = good_log_multi ~shape ~seed ~nodes ~len in
+      let log = good_log_multi ~seed ~nodes ~len in
       let mutated = O.of_list (mutate rng (O.to_list log)) in
       agree_all log && agree_all mutated)
 
@@ -631,7 +570,7 @@ let test_online_matches_oracle_on_planted_bugs () =
   List.iter
     (fun bug ->
       for seed = 1 to 10 do
-        let log = good_log_multi ~shape:Heap ~seed ~nodes:3 ~len:40 in
+        let log = good_log_multi ~seed ~nodes:3 ~len:40 in
         let bad = Corrupt.apply bug log in
         checkb (Corrupt.to_string bug) true (agree_all bad);
         if skeap bad <> Ok () then incr rejected
@@ -648,7 +587,7 @@ let test_online_matches_oracle_on_planted_bugs () =
 let test_online_incremental_properties () =
   (* Feeding records one at a time matches feeding them all at once, the
      run's memory observables are sane, and [failed] latches. *)
-  let log = good_log_multi ~shape:Heap ~seed:17 ~nodes:4 ~len:80 in
+  let log = good_log_multi ~seed:17 ~nodes:4 ~len:80 in
   let records = O.to_list log in
   let t = C.Online.create C.Online.Skeap_contract in
   List.iter

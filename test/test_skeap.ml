@@ -450,6 +450,37 @@ let prop_skeap_semantics =
       ignore (Skeap.drain h);
       Checker.check Checker.Online.Skeap_contract (Skeap.oplog h) = Ok ())
 
+(* qcheck: with one priority Skeap is a FIFO queue, the [FSS18a] structure
+   it extends.  Every delete returns the front of a queue replayed in
+   witness order, ⊥ exactly when that queue is empty. *)
+let prop_one_priority_fifo =
+  let gen = QCheck.Gen.(list_size (0 -- 40) (pair (0 -- 3) bool)) in
+  QCheck.Test.make ~name:"one priority is a fifo queue" ~count:30 (QCheck.make gen)
+    (fun ops ->
+      let h = Skeap.create ~seed:7 ~n:4 ~num_prios:1 () in
+      List.iteri
+        (fun i (node, ins) ->
+          if ins then ignore (Skeap.insert h ~node ~prio:1) else Skeap.delete_min h ~node;
+          if (i + 1) mod 9 = 0 then ignore (Skeap.process_batch h))
+        ops;
+      ignore (Skeap.drain h);
+      let q = Queue.create () in
+      let fifo =
+        List.for_all
+          (fun (r : Oplog.record) ->
+            match r.Oplog.kind with
+            | Oplog.Insert e ->
+                Queue.push e q;
+                true
+            | Oplog.Delete_min -> (
+                match (Queue.take_opt q, r.Oplog.result) with
+                | None, None -> true
+                | Some e, Some got -> Element.equal e got
+                | _ -> false))
+          (Oplog.to_list (Skeap.oplog h))
+      in
+      fifo && Checker.check Checker.Online.Skeap_contract (Skeap.oplog h) = Ok ())
+
 let () =
   Alcotest.run "dpq_skeap"
     [
@@ -491,5 +522,6 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_skeap_invalid_args;
           Alcotest.test_case "empty batch noop" `Quick test_skeap_empty_batch_noop;
           QCheck_alcotest.to_alcotest prop_skeap_semantics;
+          QCheck_alcotest.to_alcotest prop_one_priority_fifo;
         ] );
     ]
