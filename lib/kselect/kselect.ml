@@ -6,7 +6,6 @@ module Rng = Dpq_util.Rng
 module Ldb = Dpq_overlay.Ldb
 module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
-module Route_table = Dpq_dht.Route_table
 module Sync = Dpq_simrt.Sync_engine
 module Metrics = Dpq_simrt.Metrics
 
@@ -71,15 +70,6 @@ type spayload =
    of the sorting storm. *)
 type smsg = { path : Ldb.vnode list; pbits : int; payload : spayload }
 
-(* Aggregated wire format: ONE engine message per (src, dst, round) carrying
-   every sorting-stage payload crossing that edge this round.  [adest] is
-   the target virtual node each payload is addressed to (resolved through
-   the per-batch route table at posting time), so the message needs no hop
-   forwarding at all. *)
-type aitem = { adest : Ldb.vnode; apay : spayload }
-type amsg = { aitems : aitem list; abits : int }
-type acell = { mutable citems : aitem list; mutable cbits : int }
-
 type tnode = {
   t_i : int;
   t_mid : int;
@@ -96,20 +86,32 @@ type tnode = {
   mutable t_done : bool;
 }
 
+(* The billed bit-length of each payload kind, shared by both stages:
+   [point_bits] is charged for every point field of the pairwise payload. *)
+let disseminate_bits ~point_bits ~i ~a ~b ~x ~parent_mid ~elt =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int a + Bitsize.bits_of_int b
+  + Bitsize.bits_of_int (abs x) + (2 * point_bits) + Bitsize.bits_of_int (abs parent_mid)
+  + Element.encoded_bits elt
+
+let rendezvous_bits ~point_bits ~i ~j ~elt =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int j + Element.encoded_bits elt + point_bits
+
+let vote_bits ~i ~j ~smaller ~larger =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int j + smaller + larger + 2
+
+let child_sum_bits ~i ~parent_mid ~smaller ~larger =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int parent_mid + Bitsize.bits_of_int smaller
+  + Bitsize.bits_of_int larger
+
 let spayload_bits ldb p =
-  let n = max 2 (Ldb.n ldb) in
-  let point_bits = 2 * Bitsize.log2_ceil n in
+  let point_bits = 2 * Bitsize.log2_ceil (max 2 (Ldb.n ldb)) in
   match p with
   | Disseminate d ->
-      Bitsize.bits_of_int d.i + Bitsize.bits_of_int d.a + Bitsize.bits_of_int d.b
-      + Bitsize.bits_of_int (abs d.x) + (2 * point_bits) + Bitsize.bits_of_int (abs d.parent_mid)
-      + Element.encoded_bits d.elt
-  | Rendezvous r ->
-      Bitsize.bits_of_int r.i + Bitsize.bits_of_int r.j + Element.encoded_bits r.elt + point_bits
-  | Vote v -> Bitsize.bits_of_int v.i + Bitsize.bits_of_int v.j + v.smaller + v.larger + 2
+      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid ~elt:d.elt
+  | Rendezvous r -> rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt:r.elt
+  | Vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
   | Child_sum c ->
-      Bitsize.bits_of_int c.i + Bitsize.bits_of_int c.parent_mid + Bitsize.bits_of_int c.smaller
-      + Bitsize.bits_of_int c.larger
+      child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger
 
 let report_of_engine rounds m =
   Phase.
@@ -362,227 +364,344 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
     ~total_bits:stage_report.Phase.total_bits;
   (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
 
+(* Aggregated payloads name virtual nodes where the pairwise ones carry
+   points: a copy's Disseminate carries the vnode of the tree node it
+   creates and of that node's parent (-1 at a root), a Rendezvous the vnode
+   its vote returns to.  Votes and child sums therefore go straight to a
+   known vnode, and only copy and pair points need a manager lookup.  The
+   billed bits still charge [point_bits] for every point field of the
+   pairwise twin. *)
+type apayload =
+  | A_disseminate of {
+      i : int;
+      a : int;
+      b : int;
+      x : int;  (** -1 at a root: derived from the root's label *)
+      vnode : Ldb.vnode;  (** the tree node this copy creates *)
+      parent : Ldb.vnode;  (** -1 at a root *)
+      parent_mid : int;
+      elt : Element.t;
+    }
+  | A_rendezvous of { i : int; j : int; elt : Element.t; back : Ldb.vnode }
+  | A_vote of { i : int; j : int; smaller : int; larger : int }
+  | A_child_sum of { i : int; parent_mid : int; smaller : int; larger : int }
+
+(* An item posted to its own sender is delivered at once as [Local] (free,
+   never billed); every other busy (src, dst) edge carries one [Combined]
+   message per activation, billed [bits]. *)
+type amsg = Local of apayload | Combined of { items : apayload array; bits : int }
+
+(* [spayload_bits] of the pairwise twin, plus the destination vnode address
+   every aggregated item ships ([point_bits + 2]). *)
+let apayload_bits ~point_bits p =
+  (match p with
+  | A_disseminate d ->
+      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid ~elt:d.elt
+  | A_rendezvous r -> rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt:r.elt
+  | A_vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
+  | A_child_sum c ->
+      child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger)
+  + point_bits + 2
+
+(* The stage's buffered items: one column store for the whole stage.  Each
+   source's items are chained newest first from [head] through [next].
+   [pending_take] walks one source's chain and pushes every item onto its
+   destination's chain at [first], which reverses it back into post order:
+   one stable pass groups the items by destination.  Outside a take every
+   [first] is -1 and every [count] 0.  The columns grow on demand and
+   rewind to empty whenever nothing is buffered. *)
+type pending = {
+  mutable dst : int array;
+  mutable next : int array;
+  mutable pay : apayload array;
+  mutable len : int;
+  mutable live : int;  (** items buffered and not yet taken *)
+  head : int array;  (** per source *)
+  first : int array;  (** per destination, during a take *)
+  count : int array;
+  mutable dsts : int array;  (** the running take's destinations, ascending *)
+}
+
+let pending_create ~n =
+  {
+    dst = [||];
+    next = [||];
+    pay = [||];
+    len = 0;
+    live = 0;
+    head = Array.make n (-1);
+    first = Array.make n (-1);
+    count = Array.make n 0;
+    dsts = Array.make 16 0;
+  }
+
+let grow a len fill =
+  let a' = Array.make (max 64 (2 * len)) fill in
+  Array.blit a 0 a' 0 len;
+  a'
+
+let pending_push pb ~src ~dst payload =
+  if pb.live = 0 then pb.len <- 0;
+  let q = pb.len in
+  if q = Array.length pb.dst then begin
+    pb.dst <- grow pb.dst q 0;
+    pb.next <- grow pb.next q 0;
+    pb.pay <- grow pb.pay q payload
+  end;
+  pb.dst.(q) <- dst;
+  pb.pay.(q) <- payload;
+  pb.next.(q) <- pb.head.(src);
+  pb.head.(src) <- q;
+  pb.len <- q + 1;
+  pb.live <- pb.live + 1
+
+(* Insertion sort: an activation's destinations are few (on seap-closed
+   and seap-deep the median is 0, the 99th percentile about 20 and the
+   maximum 162: 12.1M shifts over a whole seap-closed instance).  The
+   [int array] annotation keeps the comparison off polymorphic [compare]. *)
+let sort_prefix (a : int array) k =
+  for i = 1 to k - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Unchain [src]'s items and group them by destination; returns the number
+   of destinations, listed ascending in [pb.dsts]. *)
+let pending_take pb ~src =
+  let q = ref pb.head.(src) in
+  pb.head.(src) <- -1;
+  let ndst = ref 0 in
+  while !q >= 0 do
+    let i = !q in
+    q := pb.next.(i);
+    let d = pb.dst.(i) in
+    if pb.first.(d) < 0 then begin
+      if !ndst = Array.length pb.dsts then pb.dsts <- grow pb.dsts !ndst 0;
+      pb.dsts.(!ndst) <- d;
+      incr ndst
+    end;
+    pb.next.(i) <- pb.first.(d);
+    pb.first.(d) <- i;
+    pb.count.(d) <- pb.count.(d) + 1;
+    pb.live <- pb.live - 1
+  done;
+  sort_prefix pb.dsts !ndst;
+  !ndst
+
+(* The running take's items for [dst], in post order; closes its group. *)
+let pending_items pb ~dst =
+  let q = ref pb.first.(dst) in
+  let items = Array.make pb.count.(dst) pb.pay.(!q) in
+  for slot = 0 to pb.count.(dst) - 1 do
+    items.(slot) <- pb.pay.(!q);
+    q := pb.next.(!q)
+  done;
+  pb.first.(dst) <- -1;
+  pb.count.(dst) <- 0;
+  items
+
 (* The aggregated sorting stage: same copy trees, same hashed pair points,
-   same vote algebra — but every payload is addressed directly to its
-   destination's manager (resolved through the per-batch route table) and
-   buffered in a per-node outbox; each node's activation flushes ONE
-   combined vector message per destination per round.  Messages per stage
-   drop from Θ(n'² log n) wire words to the number of busy (src, dst)
-   edges per round, while every O(log n)-bit payload invariant survives:
-   a combined message carries the per-node constant number of comparisons
-   that previously travelled as separate words. *)
-let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
+   same vote algebra as the pairwise reference, but every payload goes
+   directly to its destination's manager.  Items buffer in the stage's
+   [pending] store; each node's activation sends ONE combined vector
+   message per destination, in ascending destination order with items in
+   post order, and an item posted to its own sender is delivered at once.
+   Messages per stage drop from Θ(n'² log n) wire words to the number of
+   busy (src, dst) edges per round, while every O(log n)-bit payload
+   invariant survives: a combined message carries the per-node constant
+   number of comparisons that previously travelled as separate words.
+
+   All simulation state is flat and int-indexed: managers of copy points
+   by bitstring x and of pair points by slot min·(n'+1) + max, each looked
+   up once per stage; tree node c_{i,j} and the rendezvous of {i, j} in
+   columns indexed i·(n'+1) + j. *)
+let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
     ~(reps : (int * Element.t) list array) ~n' ~(add_report : Phase.report -> unit) =
   let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
-  let ldb = Route_table.ldb rt in
   let n = Ldb.n ldb in
   let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
-  let point_of_bits x = float_of_int x /. float_of_int (1 lsl d') in
-  let pos_point i = Hashing.to_unit_interval hash_pos i in
-  let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
   let side = n' + 1 in
+  let cells = side * side in
   let elt_of_pos = elts_by_position ~n' reps in
-  (* Tree node c_{i,j} of T(v_i) lives at [tnodes.(i * side + j)]. *)
-  let tnodes : tnode option array = Array.make (side * side) None in
-  (* Rendezvous point of the pair {i, j}, i < j, at slot [i * side + j]:
-     the first copy to arrive parks its (i, element, return point) here;
-     [rz_i = 0] means nobody is waiting. *)
-  let rz_i = Array.make (side * side) 0 in
-  let rz_elt = Array.make (side * side) elt_of_pos.(1) in
-  let rz_return = Array.make (side * side) 0.0 in
-  let orders = Array.make side 0 in
   let point_bits = 2 * Bitsize.log2_ceil (max 2 n) in
   let routing_header = point_bits + Bitsize.log2_ceil (max 2 n) in
-  (* Each item additionally ships its destination vnode address. *)
-  let item_bits payload = spayload_bits ldb payload + point_bits + 2 in
-  let boxes : (int, acell) Hashtbl.t array = Array.init n (fun _ -> Hashtbl.create 8) in
-  let boxed = ref 0 in
-  (* full (src,dst) cells awaiting a flush *)
-  let post eng ~src ~point payload =
-    let dest = Route_table.manager rt ~point in
+  let copy_vnode = Array.make (1 lsl d') (-1) in
+  let copy_manager x =
+    if copy_vnode.(x) < 0 then
+      copy_vnode.(x) <- Ldb.manager_of_point ldb (float_of_int x /. float_of_int (1 lsl d'));
+    copy_vnode.(x)
+  in
+  let pair_vnode = Array.make cells (-1) in
+  let pair_manager i j =
+    let lo = min i j and hi = max i j in
+    let slot = (lo * side) + hi in
+    if pair_vnode.(slot) < 0 then
+      pair_vnode.(slot) <-
+        Ldb.manager_of_point ldb (Hashing.pair_to_unit_interval hash_pair lo hi);
+    pair_vnode.(slot)
+  in
+  (* Tree node c_{i,j}: its vnode (-1 until its copy arrives), its parent's
+     vnode (-1 at a root) and mid, its vote sums, and how many of its own
+     vote and child sums are still outstanding. *)
+  let tn_vnode = Array.make cells (-1) in
+  let tn_parent = Array.make cells (-1) in
+  let tn_parent_mid = Array.make cells 0 in
+  let tn_smaller = Array.make cells 0 in
+  let tn_larger = Array.make cells 0 in
+  let tn_waiting = Array.make cells 0 in
+  (* Rendezvous of the pair {i, j}, i < j: the first copy to arrive parks
+     its tree, element and return vnode; [rz_i = 0] means nobody waits. *)
+  let rz_i = Array.make cells 0 in
+  let rz_elt = Array.make cells elt_of_pos.(1) in
+  let rz_back = Array.make cells 0 in
+  let orders = Array.make side 0 in
+  let pb = pending_create ~n in
+  let post eng ~src dest payload =
     let dst = Ldb.owner dest in
-    let it = { adest = dest; apay = payload } in
-    if dst = src then
-      (* Free virtual edge: deliver within the same activation. *)
-      Sync.send eng ~src ~dst { aitems = [ it ]; abits = routing_header + item_bits payload }
-    else begin
-      let buf = boxes.(src) in
-      match Hashtbl.find_opt buf dst with
-      | Some cell ->
-          cell.citems <- it :: cell.citems;
-          cell.cbits <- cell.cbits + item_bits payload
-      | None ->
-          Hashtbl.replace buf dst { citems = [ it ]; cbits = item_bits payload };
-          incr boxed
-    end
+    if dst = src then Sync.send eng ~src ~dst (Local payload)
+    else pending_push pb ~src ~dst payload
   in
-  let try_complete eng post tn =
-    if (not tn.t_done) && tn.t_has_own_vote && tn.t_child_sums = tn.t_expected_children then begin
-      tn.t_done <- true;
-      if tn.t_parent_point < 0.0 then orders.(tn.t_i) <- tn.t_smaller + 1
+  let credit eng self ~what i s ~smaller ~larger =
+    if tn_vnode.(s) < 0 then failwith ("Kselect.sorting_stage: " ^ what ^ " for unknown tree node");
+    tn_smaller.(s) <- tn_smaller.(s) + smaller;
+    tn_larger.(s) <- tn_larger.(s) + larger;
+    tn_waiting.(s) <- tn_waiting.(s) - 1;
+    if tn_waiting.(s) = 0 then
+      if tn_parent.(s) < 0 then orders.(i) <- tn_smaller.(s) + 1
       else
-        post eng ~src:(Ldb.owner tn.t_vnode) ~point:tn.t_parent_point
-          (Child_sum
+        post eng ~src:self tn_parent.(s)
+          (A_child_sum
              {
-               i = tn.t_i;
-               parent_mid = tn.t_parent_mid;
-               smaller = tn.t_smaller;
-               larger = tn.t_larger;
+               i;
+               parent_mid = tn_parent_mid.(s);
+               smaller = tn_smaller.(s);
+               larger = tn_larger.(s);
              })
-    end
   in
-  let handle_payload eng final payload =
-    let self = Ldb.owner final in
-    match payload with
-    | Disseminate d ->
+  let handle eng self = function
+    | A_disseminate d ->
         let x =
           if d.x >= 0 then d.x
           else
-            min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb final *. float_of_int (1 lsl d')))
+            min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb d.vnode *. float_of_int (1 lsl d')))
         in
         let mid = (d.a + d.b) / 2 in
         let left = d.a <= mid - 1 and right = mid + 1 <= d.b in
-        let tn =
-          {
-            t_i = d.i;
-            t_mid = mid;
-            t_elt = d.elt;
-            t_vnode = final;
-            t_point = d.point;
-            t_parent_point = d.parent_point;
-            t_parent_mid = d.parent_mid;
-            t_expected_children = (if left then 1 else 0) + (if right then 1 else 0);
-            t_smaller = 0;
-            t_larger = 0;
-            t_has_own_vote = false;
-            t_child_sums = 0;
-            t_done = false;
-          }
-        in
-        tnodes.((d.i * side) + mid) <- Some tn;
+        let s = (d.i * side) + mid in
+        tn_vnode.(s) <- d.vnode;
+        tn_parent.(s) <- d.parent;
+        tn_parent_mid.(s) <- d.parent_mid;
+        tn_waiting.(s) <- 1 + Bool.to_int left + Bool.to_int right;
+        (* Spread the copies: prepend 0 / 1 to the bitstring (Phase 2b). *)
         let shifted = x lsr 1 in
-        let hi = 1 lsl (d' - 1) in
         if left then begin
-          let xl = shifted in
-          post eng ~src:self ~point:(point_of_bits xl)
-            (Disseminate
+          let dest = copy_manager shifted in
+          post eng ~src:self dest
+            (A_disseminate
                {
                  i = d.i;
                  a = d.a;
                  b = mid - 1;
-                 x = xl;
-                 point = point_of_bits xl;
-                 parent_point = d.point;
+                 x = shifted;
+                 vnode = dest;
+                 parent = d.vnode;
                  parent_mid = mid;
                  elt = d.elt;
                })
         end;
         if right then begin
-          let xr = shifted lor hi in
-          post eng ~src:self ~point:(point_of_bits xr)
-            (Disseminate
+          let xr = shifted lor (1 lsl (d' - 1)) in
+          let dest = copy_manager xr in
+          post eng ~src:self dest
+            (A_disseminate
                {
                  i = d.i;
                  a = mid + 1;
                  b = d.b;
                  x = xr;
-                 point = point_of_bits xr;
-                 parent_point = d.point;
+                 vnode = dest;
+                 parent = d.vnode;
                  parent_mid = mid;
                  elt = d.elt;
                })
         end;
-        post eng ~src:self ~point:(pair_point d.i mid)
-          (Rendezvous { i = d.i; j = mid; elt = d.elt; return_point = d.point })
-    | Rendezvous r ->
+        (* This node holds copy c_{i,mid}: rendezvous with c_{mid,i}. *)
+        post eng ~src:self (pair_manager d.i mid)
+          (A_rendezvous { i = d.i; j = mid; elt = d.elt; back = d.vnode })
+    | A_rendezvous r ->
         if r.i = r.j then
-          post eng ~src:self ~point:r.return_point
-            (Vote { i = r.i; j = r.j; smaller = 0; larger = 0 })
+          (* A copy paired with itself contributes nothing to the order. *)
+          post eng ~src:self r.back (A_vote { i = r.i; j = r.j; smaller = 0; larger = 0 })
         else begin
           let slot = (min r.i r.j * side) + max r.i r.j in
           let i0 = rz_i.(slot) in
           if i0 = 0 then begin
             rz_i.(slot) <- r.i;
             rz_elt.(slot) <- r.elt;
-            rz_return.(slot) <- r.return_point
+            rz_back.(slot) <- r.back
           end
           else begin
             rz_i.(slot) <- 0;
-            let elt0 = rz_elt.(slot) and rp0 = rz_return.(slot) in
-            let first_smaller = Element.compare elt0 r.elt < 0 in
-            let s0, l0 = if first_smaller then (0, 1) else (1, 0) in
-            let s1, l1 = if first_smaller then (1, 0) else (0, 1) in
-            post eng ~src:self ~point:rp0 (Vote { i = i0; j = r.i; smaller = s0; larger = l0 });
-            post eng ~src:self ~point:r.return_point
-              (Vote { i = r.i; j = i0; smaller = s1; larger = l1 })
+            (* [s0] = 1 iff the parked copy's element is the larger one. *)
+            let s0 = Bool.to_int (Element.compare rz_elt.(slot) r.elt >= 0) in
+            post eng ~src:self rz_back.(slot)
+              (A_vote { i = i0; j = r.i; smaller = s0; larger = 1 - s0 });
+            post eng ~src:self r.back (A_vote { i = r.i; j = i0; smaller = 1 - s0; larger = s0 })
           end
         end
-    | Vote v -> (
-        match tnodes.((v.i * side) + v.j) with
-        | None -> failwith "Kselect.sorting_stage: vote for unknown tree node"
-        | Some tn ->
-            tn.t_smaller <- tn.t_smaller + v.smaller;
-            tn.t_larger <- tn.t_larger + v.larger;
-            tn.t_has_own_vote <- true;
-            try_complete eng post tn)
-    | Child_sum c -> (
-        match tnodes.((c.i * side) + c.parent_mid) with
-        | None -> failwith "Kselect.sorting_stage: child sum for unknown tree node"
-        | Some tn ->
-            tn.t_smaller <- tn.t_smaller + c.smaller;
-            tn.t_larger <- tn.t_larger + c.larger;
-            tn.t_child_sums <- tn.t_child_sums + 1;
-            try_complete eng post tn)
+    | A_vote v ->
+        credit eng self ~what:"vote" v.i ((v.i * side) + v.j) ~smaller:v.smaller ~larger:v.larger
+    | A_child_sum c ->
+        credit eng self ~what:"child sum" c.i
+          ((c.i * side) + c.parent_mid)
+          ~smaller:c.smaller ~larger:c.larger
   in
-  let handler eng ~dst:_ ~src:_ msg = List.iter (fun it -> handle_payload eng it.adest it.apay) msg.aitems in
+  let handler eng ~dst ~src:_ = function
+    | Local p -> handle eng dst p
+    | Combined { items; _ } ->
+        for k = 0 to Array.length items - 1 do
+          handle eng dst items.(k)
+        done
+  in
   let activate eng node =
-    let buf = boxes.(node) in
-    if Hashtbl.length buf > 0 then begin
-      let cells = Hashtbl.fold (fun dst cell acc -> (dst, cell) :: acc) buf [] in
-      let cells = List.sort (fun (a, _) (b, _) -> Int.compare a b) cells in
-      Hashtbl.reset buf;
-      List.iter
-        (fun (dst, cell) ->
-          decr boxed;
-          let items = List.rev cell.citems in
-          let items =
-            if !unsafe_misaggregate_votes then
-              match items with
-              | { adest; apay = Vote { i; j; smaller; larger } } :: (_ :: _ as rest) ->
-                  { adest; apay = Vote { i; j; smaller = larger; larger = smaller } } :: rest
-              | _ -> items
-            else items
-          in
-          Sync.send eng ~src:node ~dst { aitems = items; abits = routing_header + cell.cbits })
-        cells
-    end
+    for g = 0 to pending_take pb ~src:node - 1 do
+      let dst = pb.dsts.(g) in
+      let items = pending_items pb ~dst in
+      let bits = ref routing_header in
+      for k = 0 to Array.length items - 1 do
+        bits := !bits + apayload_bits ~point_bits items.(k)
+      done;
+      (if !unsafe_misaggregate_votes && Array.length items >= 2 then
+         match items.(0) with
+         | A_vote v -> items.(0) <- A_vote { v with smaller = v.larger; larger = v.smaller }
+         | _ -> ());
+      Sync.send eng ~src:node ~dst (Combined { items; bits = !bits })
+    done
   in
-  let eng =
-    Sync.create ~n ~size_bits:(fun m -> m.abits) ~handler ~activate ?trace ?faults ?sched ()
-  in
+  let size_bits = function Combined c -> c.bits | Local _ -> 0 in
+  let eng = Sync.create ~n ~size_bits ~handler ~activate ?trace ?faults ?sched () in
+  (* Kick off: every chosen representative goes to the manager of its
+     position, which becomes the root v_i of copy tree T(v_i). *)
   Array.iteri
     (fun node pairs ->
       List.iter
         (fun (pos, elt) ->
-          post eng ~src:node ~point:(pos_point pos)
-            (Disseminate
-               {
-                 i = pos;
-                 a = 1;
-                 b = n';
-                 x = -1;
-                 point = pos_point pos;
-                 parent_point = -1.0;
-                 parent_mid = -1;
-                 elt;
-               }))
+          let root = Ldb.manager_of_point ldb (Hashing.to_unit_interval hash_pos pos) in
+          post eng ~src:node root
+            (A_disseminate
+               { i = pos; a = 1; b = n'; x = -1; vnode = root; parent = -1; parent_mid = -1; elt }))
         pairs)
     reps;
-  (* [run_to_quiescence] would stop while combined messages still sit in the
-     outboxes (they are not in flight until an activation flushes them), so
-     the stage drives rounds itself. *)
+  (* [run_to_quiescence] would stop while items still sit in [pb] (they
+     are not in flight until an activation sends them; a down node's
+     skipped activation keeps them), so the stage drives rounds itself. *)
   let rounds = ref 0 in
-  while !boxed > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
+  while pb.live > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
     if !rounds >= 200_000 then failwith "Kselect.sorting_stage: exceeded round budget";
     Sync.step eng;
     incr rounds
@@ -600,14 +719,11 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos ~hash_pair
   let stamp = Array.make n 0 in
   for i = 1 to n' do
     for j = 1 to n' do
-      match tnodes.((i * side) + j) with
-      | Some tn ->
-          let owner = Ldb.owner tn.t_vnode in
-          if stamp.(owner) <> i then begin
-            stamp.(owner) <- i;
-            incr participations
-          end
-      | None -> ()
+      let v = tn_vnode.((i * side) + j) in
+      if v >= 0 && stamp.(Ldb.owner v) <> i then begin
+        stamp.(Ldb.owner v) <- i;
+        incr participations
+      end
     done
   done;
   (orders_to_array ~n' ~elt_of_pos orders, !participations)
@@ -837,10 +953,9 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     }
   in
   let aggregated = impl = `Aggregated in
-  let rt = Route_table.create ldb in
   let sorting_stage ~reps ~n' =
     if aggregated then
-      sorting_stage_aggregated ~trace ~faults ~sched ~rt ~hash_pos:st.hash_pos
+      sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
         ~hash_pair:st.hash_pair ~reps ~n' ~add_report:(add_report st)
     else
       sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos

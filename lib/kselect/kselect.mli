@@ -85,7 +85,7 @@ val select :
 
     [impl] selects the sorting-stage wire format.  [`Aggregated] (default)
     addresses every copy-tree / rendezvous / vote payload directly to its
-    destination's manager through a per-run route table and flushes ONE
+    destination's manager (looked up once per stage) and sends ONE
     combined vector message per (src, dst) pair per round; it also skips
     Phases 1–2 outright for batches no larger than the Phase-2 stopping
     threshold.  [`Pairwise] is the pre-optimization protocol — every payload
@@ -102,7 +102,7 @@ val kth_statistics : Element.t list -> k:int -> Element.t * int * int
     below/above it. *)
 
 val unsafe_misaggregate_votes : bool ref
-(** Test-only: when set, flushing an aggregated outbox swaps the
+(** Test-only: when set, an activation's aggregated send swaps the
     smaller/larger counts of the first vote in every multi-item combined
     message — a planted wrong-aggregation bug.  The differential test layer
     flips this to prove the oracle comparison actually catches aggregation

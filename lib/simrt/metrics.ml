@@ -7,11 +7,17 @@ type t = {
   mutable max_message_bits : int;
   mutable max_congestion : int;
   node_load : int array;
-  (* congestion tracking: per-node count for the round currently being
-     filled; flushed whenever the round advances. *)
+  (* congestion tracking: [cur.(i)] packs node [i]'s delivery count in
+     the round being filled (low [count_bits] bits) under the epoch it was
+     stamped in; a count from an older epoch reads as 0.  The epoch
+     advances whenever the round changes, so nothing is ever scanned or
+     cleared per round. *)
   mutable cur_round : int;
-  cur_counts : int array;
+  mutable epoch : int;
+  cur : int array;
 }
+
+let count_bits = 31
 
 let create ~n =
   {
@@ -24,22 +30,15 @@ let create ~n =
     max_congestion = 0;
     node_load = Array.make n 0;
     cur_round = -1;
-    cur_counts = Array.make n 0;
+    epoch = 0;
+    cur = Array.make n 0;
   }
 
 let n t = t.n
 
-let flush_round t =
-  Array.iteri
-    (fun i c ->
-      if c > t.max_congestion then t.max_congestion <- c;
-      t.cur_counts.(i) <- 0;
-      ignore i)
-    t.cur_counts
-
 let record_delivery t ~round ~dst ~bits =
   if round <> t.cur_round then begin
-    flush_round t;
+    t.epoch <- t.epoch + 1;
     t.cur_round <- round
   end;
   if round + 1 > t.rounds then t.rounds <- round + 1;
@@ -47,7 +46,10 @@ let record_delivery t ~round ~dst ~bits =
   t.total_bits <- t.total_bits + bits;
   if bits > t.max_message_bits then t.max_message_bits <- bits;
   t.node_load.(dst) <- t.node_load.(dst) + 1;
-  t.cur_counts.(dst) <- t.cur_counts.(dst) + 1
+  let v = t.cur.(dst) in
+  let c = if v lsr count_bits = t.epoch then (v land ((1 lsl count_bits) - 1)) + 1 else 1 in
+  t.cur.(dst) <- (t.epoch lsl count_bits) lor c;
+  if c > t.max_congestion then t.max_congestion <- c
 
 let record_local t = t.local_deliveries <- t.local_deliveries + 1
 let record_locals t ~count = t.local_deliveries <- t.local_deliveries + count
@@ -58,9 +60,7 @@ let total_bits t = t.total_bits
 let local_deliveries t = t.local_deliveries
 let max_message_bits t = t.max_message_bits
 
-let max_congestion t =
-  flush_round t;
-  t.max_congestion
+let max_congestion t = t.max_congestion
 
 let node_load t = Array.copy t.node_load
 
@@ -72,8 +72,9 @@ let reset t =
   t.max_message_bits <- 0;
   t.max_congestion <- 0;
   t.cur_round <- -1;
+  t.epoch <- 0;
   Array.fill t.node_load 0 t.n 0;
-  Array.fill t.cur_counts 0 t.n 0
+  Array.fill t.cur 0 t.n 0
 
 let merge_max acc t =
   acc.rounds <- acc.rounds + rounds t;

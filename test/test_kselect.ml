@@ -387,6 +387,108 @@ let test_planted_misaggregation_caught () =
   let r = K.select ~seed:97 ~tree ~elements ~k () in
   checkb "clean run agrees with oracle" true (E.equal r.K.element oracle)
 
+(* ------------------------------------------------------ golden reports *)
+
+(* Everything a [`Aggregated] selection reports, on one line: the element,
+   the full cost report and the diagnostics (the float exactly, in hex). *)
+let golden_line (r : K.result) =
+  let p = r.K.report and d = r.K.diagnostics in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf
+    "%s rounds=%d msgs=%d cong=%d maxbits=%d bits=%d local=%d busiest=%d | m=%d p1it=%d \
+     skip=%b p1=[%s] p2=[%s] reps=[%s] trees=%h p3=%d"
+    (E.to_string r.K.element) p.Phase.rounds p.Phase.messages p.Phase.max_congestion
+    p.Phase.max_message_bits p.Phase.total_bits p.Phase.local_deliveries
+    p.Phase.busiest_node_load d.K.initial_candidates d.K.phase1_iterations d.K.phase1_skipped
+    (ints d.K.phase1_candidates) (ints d.K.phase2_candidates) (ints d.K.phase2_rep_counts)
+    d.K.mean_trees_per_node d.K.phase3_candidates
+
+let golden_instance ~n ~per_node =
+  let rng = Dpq_util.Rng.create ~seed:(41 + n) in
+  (tree_of ~n ~seed:7, uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000)
+
+(* n=64, k=m/2 under 5% drops, 2% duplicates and node 33 down for ticks
+   680-689, which falls inside the third sorting stage: the node holds
+   buffered items through ten skipped activations and flushes them when it
+   comes back. *)
+let golden_fault_plan () =
+  Dpq_simrt.Fault_plan.create ~drop:0.05 ~duplicate:0.02
+    ~crashes:[ { Dpq_simrt.Fault_plan.node = 33; from_tick = 680; until_tick = 690 } ]
+    ~seed:5 ()
+
+(* Recorded on the flat stage's predecessor (per-node hashtable outboxes,
+   float-keyed route memo); the rewrite must reproduce every field. *)
+let golden_expected =
+  [
+    ("n=16 k=1",
+     "e(p=1770,11.3) rounds=132 msgs=982 cong=15 maxbits=1604 bits=114601 local=700 busiest=92 | m=128 p1it=2 skip=false p1=[27,27] p2=[] reps=[] trees=0x1.2cp+4 p3=27");
+    ("n=16 k=64",
+     "e(p=506076,8.0) rounds=224 msgs=1497 cong=15 maxbits=2157 bits=171094 local=1075 busiest=147 | m=128 p1it=2 skip=false p1=[75,69] p2=[28] reps=[16] trees=0x1.bbp+3 p3=28");
+    ("n=16 k=128",
+     "e(p=992254,14.1) rounds=216 msgs=823 cong=10 maxbits=879 bits=55766 local=722 busiest=92 | m=128 p1it=2 skip=false p1=[63,43] p2=[9] reps=[15] trees=0x1.4ep+2 p3=9");
+    ("n=64 k=1",
+     "e(p=682,56.1) rounds=466 msgs=5666 cong=36 maxbits=2304 bits=473403 local=4044 busiest=263 | m=512 p1it=2 skip=false p1=[216,216] p2=[74,12] reps=[28,33] trees=0x1.76p+2 p3=12");
+    ("n=64 k=256",
+     "e(p=522014,4.7) rounds=474 msgs=7916 cong=34 maxbits=2298 bits=771836 local=4778 busiest=378 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+    ("n=64 k=512",
+     "e(p=999177,24.5) rounds=458 msgs=5027 cong=34 maxbits=1808 bits=429274 local=4012 busiest=251 | m=512 p1it=2 skip=false p1=[336,215] p2=[38,6] reps=[28,31] trees=0x1.3d55555555555p+2 p3=6");
+    ("n=256 k=1",
+     "e(p=757,140.1) rounds=778 msgs=22686 cong=84 maxbits=3821 bits=2376171 local=15200 busiest=530 | m=1024 p1it=2 skip=false p1=[824,824] p2=[127,19] reps=[60,64] trees=0x1.3caaaaaaaaaabp+2 p3=19");
+    ("n=256 k=512",
+     "e(p=506791,232.3) rounds=1004 msgs=36224 cong=80 maxbits=3922 bits=4004325 local=20564 busiest=786 | m=1024 p1it=2 skip=false p1=[887,887] p2=[327,83,24] reps=[56,76,64] trees=0x1.a6cp+2 p3=24");
+    ("n=256 k=1024",
+     "e(p=998417,15.3) rounds=774 msgs=23251 cong=69 maxbits=3661 bits=2401694 local=15254 busiest=492 | m=1024 p1it=2 skip=false p1=[771,716] p2=[114,15] reps=[68,55] trees=0x1.558p+2 p3=15");
+    ("faults",
+     "e(p=522014,4.7) rounds=778 msgs=9062 cong=24 maxbits=1794 bits=1091510 local=4778 busiest=462 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+    ("shuffle",
+     "e(p=522014,4.7) rounds=532 msgs=9115 cong=22 maxbits=1682 bits=793418 local=4778 busiest=461 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+  ]
+
+let golden_actual () =
+  let plain =
+    List.concat_map
+      (fun (n, per_node) ->
+        let tree, elements = golden_instance ~n ~per_node in
+        let m = n * per_node in
+        List.map
+          (fun k ->
+            ( Printf.sprintf "n=%d k=%d" n k,
+              golden_line (K.select ~seed:3 ~tree ~elements ~k ()) ))
+          [ 1; m / 2; m ])
+      [ (16, 8); (64, 8); (256, 4) ]
+  in
+  let tree, elements = golden_instance ~n:64 ~per_node:8 in
+  let faults = golden_fault_plan () in
+  let trace = Dpq_obs.Trace.create () in
+  let faulty = K.select ~seed:3 ~trace ~faults ~tree ~elements ~k:256 () in
+  let sched = Dpq_simrt.Sched.create ~seed:9 (Shuffle { burst = 1; starvation = 0.1 }) in
+  let shuffled = K.select ~seed:3 ~sched ~tree ~elements ~k:256 () in
+  ( plain @ [ ("faults", golden_line faulty); ("shuffle", golden_line shuffled) ],
+    faults,
+    trace )
+
+let test_golden_aggregated_reports () =
+  let actual, faults, trace = golden_actual () in
+  (* The crash window must really overlap a sorting stage and cost
+     deliveries, or the fault case would not exercise held items. *)
+  let in_sort = ref false and down_in_sort = ref false in
+  List.iter
+    (function
+      | Dpq_obs.Trace.Phase_start { name = "kselect-sort"; _ } -> in_sort := true
+      | Dpq_obs.Trace.Phase_end { name = "kselect-sort"; _ } -> in_sort := false
+      | Dpq_obs.Trace.Node_crashed { node = 33; kind = "down"; _ } -> down_in_sort := !in_sort
+      | _ -> ())
+    (Dpq_obs.Trace.events trace);
+  checkb "crash window starts inside a sorting stage" true !down_in_sort;
+  checkb "crash window drops deliveries" true
+    ((Dpq_simrt.Fault_plan.stats faults).Dpq_simrt.Fault_plan.crash_drops > 0);
+  checki "cases" (List.length golden_expected) (List.length actual);
+  List.iter2
+    (fun (label, want) (label', got) ->
+      Alcotest.(check string) "case" label label';
+      Alcotest.(check string) label want got)
+    golden_expected actual
+
 (* T4-style constancy: total rounds divided by log2(n) stays in a constant
    band as n quadruples twice — the Theorem 4.2 round bound, checked as a
    ratio rather than a single-point inequality. *)
@@ -443,5 +545,6 @@ let () =
           Alcotest.test_case "large grid messages drop" `Quick test_differential_large_grid;
           Alcotest.test_case "planted misaggregation caught" `Quick
             test_planted_misaggregation_caught;
+          Alcotest.test_case "golden aggregated reports" `Quick test_golden_aggregated_reports;
         ] );
     ]

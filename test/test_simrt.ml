@@ -333,7 +333,19 @@ let test_metrics_congestion_per_round () =
   Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
   Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
   Metrics.record_delivery m ~round:1 ~dst:0 ~bits:1;
-  checki "congestion" 2 (Metrics.max_congestion m)
+  checki "congestion" 2 (Metrics.max_congestion m);
+  (* A round number that comes back counts afresh; reading the maximum
+     does not restart the round in flight; [reset] forgets it. *)
+  Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
+  checki "revisited round" 2 (Metrics.max_congestion m);
+  Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
+  Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
+  checki "busier revisit" 3 (Metrics.max_congestion m);
+  Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
+  checki "same round after a read" 4 (Metrics.max_congestion m);
+  Metrics.reset m;
+  Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
+  checki "nothing survives reset" 1 (Metrics.max_congestion m)
 
 let test_metrics_merge () =
   let a = Metrics.create ~n:2 and b = Metrics.create ~n:2 in
