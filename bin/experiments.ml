@@ -788,7 +788,7 @@ let trace_file =
 let faults =
   let doc =
     "Run the Runner-driven experiments (t6) over a faulty network, e.g. \
-     $(b,drop=0.1,dup=0.05,crash=3\\@100-200); messages ride the reliable \
+     $(b,drop=0.1,dup=0.05,crash=3@100-200); messages ride the reliable \
      ack/retransmit layer."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"SPEC" ~doc)

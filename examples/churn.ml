@@ -45,4 +45,6 @@ let () =
   Printf.printf "\nfinal: n=%d heap=%d\n" (H.n h) (H.heap_size h);
   match H.verify h with
   | Ok () -> print_endline "entire churned history verified: serializable + heap consistent ✓"
-  | Error e -> Printf.printf "semantics check FAILED: %s\n" e
+  | Error e ->
+      Printf.printf "semantics check FAILED: %s\n" e;
+      exit 1

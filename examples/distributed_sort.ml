@@ -58,6 +58,9 @@ let () =
   Printf.printf "output is globally sorted:            %b\n" (is_sorted sorted_out);
   Printf.printf "first five: %s\n"
     (String.concat ", " (List.map string_of_int (List.filteri (fun i _ -> i < 5) out_keys)));
+  if not (ok_perm && is_sorted sorted_out) then exit 1;
   match Dpq_semantics.Checker.(check Online.Seap_contract) (S.oplog h) with
   | Ok () -> print_endline "run verified: serializable + heap consistent ✓"
-  | Error e -> Printf.printf "semantics check FAILED: %s\n" e
+  | Error e ->
+      Printf.printf "semantics check FAILED: %s\n" e;
+      exit 1

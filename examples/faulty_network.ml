@@ -45,4 +45,6 @@ let () =
     s.Fp.retransmits s.Fp.acks_sent s.Fp.dups_suppressed;
   match H.verify h with
   | Ok () -> print_endline "entire faulty history verified: serializable + heap consistent ✓"
-  | Error e -> Printf.printf "semantics check FAILED: %s\n" e
+  | Error e ->
+      Printf.printf "semantics check FAILED: %s\n" e;
+      exit 1

@@ -64,4 +64,6 @@ let () =
   (* The executed stream must be sequentially consistent: verify. *)
   match Dpq_semantics.Checker.(check Online.Skeap_contract) (S.oplog h) with
   | Ok () -> print_endline "\nscheduler history verified: sequentially consistent ✓"
-  | Error e -> Printf.printf "\nsemantics check FAILED: %s\n" e
+  | Error e ->
+      Printf.printf "\nsemantics check FAILED: %s\n" e;
+      exit 1

@@ -44,7 +44,9 @@ let () =
   (* The library can prove its own run correct. *)
   (match H.verify h with
   | Ok () -> print_endline "semantics check: serializable + heap consistent ✓"
-  | Error e -> Printf.printf "semantics check FAILED: %s\n" e);
+  | Error e ->
+      Printf.printf "semantics check FAILED: %s\n" e;
+      exit 1);
 
   (* Same API, Skeap backend (constant priorities, sequential consistency) —
      this time with a structured trace recording every protocol phase and
@@ -64,7 +66,9 @@ let () =
     r2.H.completions;
   (match H.verify h2 with
   | Ok () -> print_endline "semantics check: sequentially consistent + heap consistent ✓"
-  | Error e -> Printf.printf "semantics check FAILED: %s\n" e);
+  | Error e ->
+      Printf.printf "semantics check FAILED: %s\n" e;
+      exit 1);
 
   (* The trace is an independent record of what the run cost: its derived
      tallies equal the report sums, and it serializes to replayable JSONL

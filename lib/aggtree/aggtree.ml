@@ -8,7 +8,6 @@ type t = {
   depth : int array;
   height : int;
   bottom_up : Ldb.vnode list;
-  top_down : Ldb.vnode list;
 }
 
 let compute_parent ldb root v =
@@ -45,11 +44,11 @@ let of_ldb ldb =
   depth.(root) <- 0;
   let q = Queue.create () in
   Queue.add root q;
-  let top_down = ref [] in
+  let bottom_up = ref [] in (* BFS order, reversed *)
   let height = ref 0 in
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    top_down := v :: !top_down;
+    bottom_up := v :: !bottom_up;
     if depth.(v) > !height then height := depth.(v);
     List.iter
       (fun c ->
@@ -57,9 +56,7 @@ let of_ldb ldb =
         Queue.add c q)
       children.(v)
   done;
-  let top_down = List.rev !top_down in
-  let bottom_up = List.rev top_down in
-  { ldb; root; parent; children; depth; height = !height; bottom_up; top_down }
+  { ldb; root; parent; children; depth; height = !height; bottom_up = !bottom_up }
 
 let ldb t = t.ldb
 let n t = Ldb.n t.ldb
@@ -73,7 +70,6 @@ let in_tree t v = t.depth.(v) >= 0
 let height t = t.height
 let vnodes t = Array.init (3 * Ldb.n t.ldb) (fun v -> v)
 let bottom_up_order t = t.bottom_up
-let top_down_order t = t.top_down
 
 let check_invariants t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

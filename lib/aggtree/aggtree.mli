@@ -45,9 +45,6 @@ val bottom_up_order : t -> Dpq_overlay.Ldb.vnode list
 (** Every node appears after all of its children — the order a pure
     (non-message-level) aggregation oracle can fold in. *)
 
-val top_down_order : t -> Dpq_overlay.Ldb.vnode list
-(** Every node appears before all of its children. *)
-
 val check_invariants : t -> (unit, string) result
 (** Tree well-formedness: single root, parent/child mutual consistency,
     every vnode reachable from the root, ≤ 2 children each. *)

@@ -34,12 +34,6 @@ let add_report a b =
     busiest_node_load = a.busiest_node_load + b.busiest_node_load;
   }
 
-let pp_report fmt r =
-  Format.fprintf fmt
-    "{rounds=%d; messages=%d; max_congestion=%d; max_message_bits=%d; total_bits=%d; local=%d}"
-    r.rounds r.messages r.max_congestion r.max_message_bits r.total_bits
-    r.local_deliveries
-
 module Trace = Dpq_obs.Trace
 
 (* Close a trace span with the exact numbers the phase reports — the

@@ -31,7 +31,13 @@ val add_report : report -> report -> report
 (** Sequential composition: rounds/messages/bits add, congestion and
     max-message-size take the max. *)
 
-val pp_report : Format.formatter -> report -> unit
+val report_of_metrics : Dpq_simrt.Metrics.t -> int -> report
+(** [report_of_metrics m rounds]: the report of one engine run that took
+    [rounds] rounds and recorded [m]. *)
+
+val trace_phase_end : Dpq_obs.Trace.t option -> Dpq_obs.Trace.span -> string -> report -> unit
+(** [trace_phase_end trace span name r] closes [span] with exactly [r]'s
+    numbers — the equality the trace-vs-report cross-check relies on. *)
 
 type 'a memo
 (** What every virtual node memorizes during an up pass: its own

@@ -5,74 +5,44 @@ module Metrics = Dpq_simrt.Metrics
 module Phase = Dpq_aggtree.Phase
 module Oplog = Dpq_semantics.Oplog
 
-type pending = { local_seq : int; kind : [ `Ins of Element.t | `Del ] }
+module Clients = Dpq_types.Clients
 
 type t = {
-  n : int;
   ldb : Ldb.t;
   trace : Dpq_obs.Trace.t option;
   faults : Dpq_simrt.Fault_plan.t option;
   sched : Dpq_simrt.Sched.t option;
-  buffers : pending Queue.t array;
-  seq_counters : int array;
-  elt_counters : int array;
+  clients : Clients.t;
   mutable heap : Element.t Pairing_heap.t;
-  mutable witness : int;
-  mutable log : Oplog.record list;
 }
 
 let create ?(seed = 1) ?trace ?faults ?sched ~n () =
   if n < 1 then invalid_arg "Centralized.create: need n >= 1";
   {
-    n;
     ldb = Ldb.build ~n ~seed;
     trace;
     faults;
     sched;
-    buffers = Array.init n (fun _ -> Queue.create ());
-    seq_counters = Array.make n 0;
-    elt_counters = Array.make n 0;
+    clients = Clients.create ~name:"Centralized" ~n ();
     heap = Pairing_heap.empty ~cmp:Element.compare;
-    witness = 0;
-    log = [];
   }
 
-let n t = t.n
+let clients t = t.clients
+
+include Clients.Make (struct
+  type nonrec t = t
+
+  let clients = clients
+end)
+
 let heap_size t = Pairing_heap.size t.heap
 let trace t = t.trace
 
 let stored_per_node t =
   (* The whole heap lives at the coordinator. *)
-  let a = Array.make t.n 0 in
+  let a = Array.make (n t) 0 in
   a.(0) <- Pairing_heap.size t.heap;
   a
-
-let check_node t node =
-  if node < 0 || node >= t.n then invalid_arg "Centralized: node out of range"
-
-let insert t ~node ~prio =
-  check_node t node;
-  let seq = t.elt_counters.(node) in
-  t.elt_counters.(node) <- seq + 1;
-  let elt = Element.make ~prio ~origin:node ~seq () in
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; kind = `Ins elt } t.buffers.(node);
-  elt
-
-let delete_min t ~node =
-  check_node t node;
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; kind = `Del } t.buffers.(node)
-
-let pending_ops t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.buffers
-
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
 
 type result = {
   completions : completion list;
@@ -129,9 +99,7 @@ let process t =
                   (`Got e, Some e, Oplog.Delete_min)
               | None -> (`Empty, None, Oplog.Delete_min))
         in
-        let w = t.witness in
-        t.witness <- w + 1;
-        t.log <- Oplog.{ node = origin; local_seq; witness = w; kind = okind; result } :: t.log;
+        Clients.serialize t.clients ~node:origin ~local_seq okind result;
         route eng ~from:(Ldb.owner final)
           ~point:(Ldb.label t.ldb (Ldb.vnode ~owner:origin Ldb.Middle))
           (Reply { origin; local_seq; outcome })
@@ -147,51 +115,21 @@ let process t =
           { path = rest; payload = msg.payload }
   in
   let eng =
-    Sync.create ~n:t.n
+    Sync.create ~n:(n t)
       ~size_bits:(fun m -> 64 + payload_bits m.payload)
       ~handler ?trace:t.trace ?faults:t.faults ?sched:t.sched ()
   in
-  for node = 0 to t.n - 1 do
-    Queue.iter
-      (fun (p : pending) ->
-        route eng ~from:node ~point:coord_point
-          (Request { origin = node; local_seq = p.local_seq; kind = p.kind }))
-      t.buffers.(node);
-    Queue.clear t.buffers.(node)
-  done;
+  Array.iteri
+    (fun node ops ->
+      List.iter
+        (fun (p : Clients.pending) ->
+          route eng ~from:node ~point:coord_point
+            (Request { origin = node; local_seq = p.local_seq; kind = p.kind }))
+        ops)
+    (Clients.snapshot t.clients All);
   let rounds = Sync.run_to_quiescence eng in
   let m = Sync.metrics eng in
   let load = (Metrics.node_load m).(coordinator) in
-  let report =
-    Phase.
-      {
-        rounds;
-        messages = Metrics.total_messages m;
-        max_congestion = Metrics.max_congestion m;
-        max_message_bits = Metrics.max_message_bits m;
-        total_bits = Metrics.total_bits m;
-        local_deliveries = Metrics.local_deliveries m;
-        busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
-      }
-  in
-  let completions =
-    List.sort
-      (fun a b ->
-        let c = Int.compare a.node b.node in
-        if c <> 0 then c else Int.compare a.local_seq b.local_seq)
-      !completions
-  in
-  Dpq_obs.Trace.phase_end t.trace ~span ~name:"centralized" ~rounds:report.Phase.rounds
-    ~messages:report.Phase.messages ~max_congestion:report.Phase.max_congestion
-    ~max_message_bits:report.Phase.max_message_bits ~total_bits:report.Phase.total_bits;
-  { completions; report; coordinator_load = load }
-
-let oplog t = Oplog.of_list t.log
-
-let take_log t =
-  let l = t.log in
-  t.log <- [];
-  (* witnesses are assigned when an operation serializes, which can precede
-     the moment its record is logged (e.g. matched deletes complete after
-     the DHT round), so the retained list is not witness-sorted *)
-  List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness) l
+  let report = Phase.report_of_metrics m rounds in
+  Phase.trace_phase_end t.trace span "centralized" report;
+  { completions = Clients.sort_completions !completions; report; coordinator_load = load }

@@ -24,10 +24,12 @@ val create :
 (** With [trace], each {!process} opens a ["centralized"] span, traces every
     delivery, and closes the span with the returned report. *)
 
-val n : t -> int
-val insert : t -> node:int -> prio:int -> Element.t
-val delete_min : t -> node:int -> unit
-val pending_ops : t -> int
+include Dpq_types.Clients.S with type t := t
+(** Priorities only need to be [>= 1]. *)
+
+val clients : t -> Dpq_types.Clients.t
+(** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
+
 val heap_size : t -> int
 
 val trace : t -> Dpq_obs.Trace.t option
@@ -35,12 +37,6 @@ val trace : t -> Dpq_obs.Trace.t option
 val stored_per_node : t -> int array
 (** Element count per node: everything sits at the coordinator (node 0) —
     the degenerate storage balance the DHT-based designs avoid. *)
-
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
 
 type result = {
   completions : completion list;  (** sorted by (node, local_seq) *)
@@ -50,11 +46,5 @@ type result = {
 
 val process : t -> result
 (** Execute everything buffered: requests in, sequential processing,
-    replies out — all at message level on the synchronous engine. *)
-
-val oplog : t -> Dpq_semantics.Oplog.t
-(** The baseline is honest: its log passes the same checkers. *)
-
-val take_log : t -> Dpq_semantics.Oplog.record list
-(** Drain the retained log: records completed since the previous take, in
-    witness order (see {!Dpq_skeap.Skeap.take_log}). *)
+    replies out — all at message level on the synchronous engine.  The
+    baseline is honest: its log passes the same checkers. *)

@@ -10,10 +10,9 @@ module Anchor = Dpq_skeap.Anchor
 module Batch = Dpq_skeap.Batch
 module Oplog = Dpq_semantics.Oplog
 
-type pending = { local_seq : int; kind : [ `Ins of Element.t | `Del ] }
+module Clients = Dpq_types.Clients
 
 type t = {
-  n : int;
   num_prios : int;
   ldb : Ldb.t;
   trace : Dpq_obs.Trace.t option;
@@ -22,19 +21,14 @@ type t = {
   tree : Aggtree.t;
   dht : Dht.t;
   key_hash : Dpq_util.Hashing.t;
-  buffers : pending Queue.t array;
-  seq_counters : int array;
-  elt_counters : int array;
+  clients : Clients.t;
   anchor : Anchor.t;
-  mutable witness : int;
-  mutable log : Oplog.record list;
 }
 
 let create ?(seed = 1) ?trace ?faults ?sched ~n ~num_prios () =
   if n < 1 then invalid_arg "Unbatched.create: need n >= 1";
   let ldb = Ldb.build ~n ~seed in
   {
-    n;
     num_prios;
     ldb;
     trace;
@@ -43,46 +37,21 @@ let create ?(seed = 1) ?trace ?faults ?sched ~n ~num_prios () =
     tree = Aggtree.of_ldb ldb;
     dht = Dht.create ~ldb ~seed:(seed + 7919) ();
     key_hash = Dpq_util.Hashing.create ~seed:(seed + 104729);
-    buffers = Array.init n (fun _ -> Queue.create ());
-    seq_counters = Array.make n 0;
-    elt_counters = Array.make n 0;
+    clients = Clients.create ~name:"Unbatched" ~max_prio:num_prios ~n ();
     anchor = Anchor.create ~num_prios;
-    witness = 0;
-    log = [];
   }
 
-let n t = t.n
+let clients t = t.clients
+
+include Clients.Make (struct
+  type nonrec t = t
+
+  let clients = clients
+end)
+
 let heap_size t = Anchor.total_occupied t.anchor
 let trace t = t.trace
 let stored_per_node t = Dht.stored_counts t.dht
-
-let check_node t node =
-  if node < 0 || node >= t.n then invalid_arg "Unbatched: node out of range"
-
-let insert t ~node ~prio =
-  check_node t node;
-  if prio < 1 || prio > t.num_prios then invalid_arg "Unbatched.insert: bad priority";
-  let seq = t.elt_counters.(node) in
-  t.elt_counters.(node) <- seq + 1;
-  let elt = Element.make ~prio ~origin:node ~seq () in
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; kind = `Ins elt } t.buffers.(node);
-  elt
-
-let delete_min t ~node =
-  check_node t node;
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; kind = `Del } t.buffers.(node)
-
-let pending_ops t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.buffers
-
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
 
 type result = {
   completions : completion list;
@@ -140,16 +109,12 @@ let process t =
           | (prio, iv) :: _ -> (Some (prio, Interval.lo iv), None, Oplog.Delete_min)
           | [] -> (None, None, Oplog.Delete_min))
     in
-    let w = t.witness in
-    t.witness <- w + 1;
+    let w = Clients.next_witness t.clients in
     (* matched delete results are filled in after the DHT round; record the
        insert/⊥ cases now *)
     (match (kind, slot) with
-    | `Ins e, _ ->
-        t.log <- Oplog.{ node = origin; local_seq; witness = w; kind = okind; result } :: t.log;
-        ignore e
-    | `Del, None ->
-        t.log <- Oplog.{ node = origin; local_seq; witness = w; kind = okind; result = None } :: t.log
+    | `Ins _, _ | `Del, None ->
+        Clients.record t.clients { Oplog.node = origin; local_seq; witness = w; kind = okind; result }
     | `Del, Some _ -> ());
     let reply = Assign { origin; local_seq; kind; slot } in
     send_along eng
@@ -194,27 +159,26 @@ let process t =
           { path = rest; payload = msg.payload }
   in
   let eng =
-    Sync.create ~n:t.n
+    Sync.create ~n:(n t)
       ~size_bits:(fun m -> 64 + payload_bits m.payload)
       ~handler ?trace:t.trace ?faults:t.faults ?sched:t.sched ()
   in
-  for node = 0 to t.n - 1 do
-    Queue.iter
-      (fun (p : pending) ->
-        let at = Ldb.vnode ~owner:node Ldb.Middle in
-        Sync.send eng ~src:node ~dst:node
-          { path = [ at ]; payload = Climb { origin = node; local_seq = p.local_seq; kind = p.kind; at } })
-      t.buffers.(node);
-    Queue.clear t.buffers.(node)
-  done;
+  Array.iteri
+    (fun node ops ->
+      List.iter
+        (fun (p : Clients.pending) ->
+          let at = Ldb.vnode ~owner:node Ldb.Middle in
+          Sync.send eng ~src:node ~dst:node
+            { path = [ at ]; payload = Climb { origin = node; local_seq = p.local_seq; kind = p.kind; at } })
+        ops)
+    (Clients.snapshot t.clients All);
   let rounds = Sync.run_to_quiescence eng in
   let m = Sync.metrics eng in
   let anchor_load = (Metrics.node_load m).(Ldb.owner root) in
   (* Close the climb span before the DHT batch opens its own ["dht"] span;
      the DHT report is added separately below. *)
-  Dpq_obs.Trace.phase_end t.trace ~span ~name:"unbatched" ~rounds
-    ~messages:(Metrics.total_messages m) ~max_congestion:(Metrics.max_congestion m)
-    ~max_message_bits:(Metrics.max_message_bits m) ~total_bits:(Metrics.total_bits m);
+  let climb_report = Phase.report_of_metrics m rounds in
+  Phase.trace_phase_end t.trace span "unbatched" climb_report;
   (* Phase 4: the DHT rendezvous. *)
   let dht_cs, dht_report = Dht.run_batch_sync ?trace:t.trace ?faults:t.faults ?sched:t.sched t.dht (List.rev !dht_ops) in
   List.iter
@@ -226,42 +190,14 @@ let process t =
           | Some local_seq ->
               Hashtbl.remove get_index (origin, key);
               completions := { node = origin; local_seq; outcome = `Got elt } :: !completions;
-              let w = Hashtbl.find del_witness (origin, local_seq) in
-              t.log <-
-                Oplog.
-                  { node = origin; local_seq; witness = w; kind = Oplog.Delete_min; result = Some elt }
-                :: t.log)
+              let witness = Hashtbl.find del_witness (origin, local_seq) in
+              Clients.record t.clients
+                { Oplog.node = origin; local_seq; witness; kind = Oplog.Delete_min; result = Some elt })
       | Dht.Put_confirmed _ -> ())
     dht_cs;
   if Hashtbl.length get_index > 0 then failwith "Unbatched: unmatched DeleteMin";
-  let report =
-    Phase.add_report dht_report
-      Phase.
-        {
-          rounds;
-          messages = Metrics.total_messages m;
-          max_congestion = Metrics.max_congestion m;
-          max_message_bits = Metrics.max_message_bits m;
-          total_bits = Metrics.total_bits m;
-          local_deliveries = Metrics.local_deliveries m;
-          busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
-        }
-  in
-  let completions =
-    List.sort
-      (fun a b ->
-        let c = Int.compare a.node b.node in
-        if c <> 0 then c else Int.compare a.local_seq b.local_seq)
-      !completions
-  in
-  { completions; report; anchor_load }
-
-let oplog t = Oplog.of_list t.log
-
-let take_log t =
-  let l = t.log in
-  t.log <- [];
-  (* witnesses are assigned when an operation serializes, which can precede
-     the moment its record is logged (e.g. matched deletes complete after
-     the DHT round), so the retained list is not witness-sorted *)
-  List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness) l
+  {
+    completions = Clients.sort_completions !completions;
+    report = Phase.add_report dht_report climb_report;
+    anchor_load;
+  }

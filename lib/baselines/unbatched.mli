@@ -25,22 +25,18 @@ val create :
     climb/assign traffic (closed before the DHT batch's own ["dht"] span)
     and traces every delivery. *)
 
-val n : t -> int
-val insert : t -> node:int -> prio:int -> Element.t
-val delete_min : t -> node:int -> unit
-val pending_ops : t -> int
+include Dpq_types.Clients.S with type t := t
+(** Priorities lie in [[1, num_prios]]. *)
+
+val clients : t -> Dpq_types.Clients.t
+(** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
+
 val heap_size : t -> int
 
 val trace : t -> Dpq_obs.Trace.t option
 
 val stored_per_node : t -> int array
 (** Elements stored per node in the DHT (Lemma 2.2(iv) balance). *)
-
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
 
 type result = {
   completions : completion list;
@@ -49,8 +45,3 @@ type result = {
 }
 
 val process : t -> result
-val oplog : t -> Dpq_semantics.Oplog.t
-
-val take_log : t -> Dpq_semantics.Oplog.record list
-(** Drain the retained log: records completed since the previous take, in
-    witness order (see {!Dpq_skeap.Skeap.take_log}). *)

@@ -1,6 +1,7 @@
 module Element = Dpq_util.Element
 module Phase = Dpq_aggtree.Phase
 module Types = Dpq_types.Types
+module Clients = Dpq_types.Clients
 module Skeap_impl = Dpq_skeap.Skeap
 module Seap_impl = Dpq_seap.Seap
 module Centralized_impl = Dpq_baselines.Centralized
@@ -31,6 +32,7 @@ type t = {
   faults : Dpq_simrt.Fault_plan.t option;
   sched : Dpq_simrt.Sched.t option;
   impl : impl;
+  clients : Clients.t;  (* the backend's own client side *)
 }
 
 let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?gossip ~n backend =
@@ -65,19 +67,21 @@ let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?
         no_gossip ();
         I_unbatched (Unbatched_impl.create ~seed ?trace ?faults ?sched ~n ~num_prios ())
   in
-  { backend; trace; faults; sched; impl }
+  let clients =
+    match impl with
+    | I_skeap h -> Skeap_impl.clients h
+    | I_seap h -> Seap_impl.clients h
+    | I_centralized h -> Centralized_impl.clients h
+    | I_unbatched h -> Unbatched_impl.clients h
+  in
+  { backend; trace; faults; sched; impl; clients }
 
 let backend t = t.backend
 let trace t = t.trace
 let faults t = t.faults
 let sched t = t.sched
 
-let n t =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.n h
-  | I_seap h -> Seap_impl.n h
-  | I_centralized h -> Centralized_impl.n h
-  | I_unbatched h -> Unbatched_impl.n h
+let n t = Clients.n t.clients
 
 let replication t =
   match t.impl with
@@ -85,33 +89,10 @@ let replication t =
   | I_seap h -> Seap_impl.replication h
   | I_centralized _ | I_unbatched _ -> 1
 
-let live t ~node =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.live h ~node
-  | I_seap h -> Seap_impl.live h ~node
-  | I_centralized h -> node >= 0 && node < Centralized_impl.n h
-  | I_unbatched h -> node >= 0 && node < Unbatched_impl.n h
-
-let insert t ~node ~prio =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.insert h ~node ~prio
-  | I_seap h -> Seap_impl.insert h ~node ~prio
-  | I_centralized h -> Centralized_impl.insert h ~node ~prio
-  | I_unbatched h -> Unbatched_impl.insert h ~node ~prio
-
-let delete_min t ~node =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.delete_min h ~node
-  | I_seap h -> Seap_impl.delete_min h ~node
-  | I_centralized h -> Centralized_impl.delete_min h ~node
-  | I_unbatched h -> Unbatched_impl.delete_min h ~node
-
-let pending_ops t =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.pending_ops h
-  | I_seap h -> Seap_impl.pending_ops h
-  | I_centralized h -> Centralized_impl.pending_ops h
-  | I_unbatched h -> Unbatched_impl.pending_ops h
+let live t ~node = Clients.live t.clients ~node
+let insert t ~node ~prio = Clients.insert t.clients ~node ~prio
+let delete_min t ~node = Clients.delete_min t.clients ~node
+let pending_ops t = Clients.pending_ops t.clients
 
 let heap_size t =
   match t.impl with
@@ -174,11 +155,7 @@ let process ?dht_mode t =
       let r = Unbatched_impl.process h in
       of_report r.Unbatched_impl.report r.Unbatched_impl.completions
 
-let drain ?dht_mode t =
-  let rec go acc =
-    if pending_ops t = 0 then List.rev acc else go (process ?dht_mode t :: acc)
-  in
-  go []
+let drain ?dht_mode t = Clients.drain t.clients (fun () -> process ?dht_mode t)
 
 type churn_cost = Types.churn_cost = { join_messages : int; moved_elements : int }
 
@@ -199,19 +176,8 @@ let remove_last_node t =
   | I_seap h -> Seap_impl.remove_last_node h
   | I_centralized _ | I_unbatched _ -> no_churn t.backend
 
-let oplog t =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.oplog h
-  | I_seap h -> Seap_impl.oplog h
-  | I_centralized h -> Centralized_impl.oplog h
-  | I_unbatched h -> Unbatched_impl.oplog h
-
-let take_oplog t =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.take_log h
-  | I_seap h -> Seap_impl.take_log h
-  | I_centralized h -> Centralized_impl.take_log h
-  | I_unbatched h -> Unbatched_impl.take_log h
+let oplog t = Clients.oplog t.clients
+let take_oplog t = Clients.take_log t.clients
 
 let online_contract t =
   match t.impl with

@@ -5,6 +5,9 @@
     against the paper's semantics.  All four implementations — the two
     paper protocols and the two baselines they are measured against — sit
     behind the same API, so experiment drivers and tests are written once.
+    The client calls ({!n}, {!live}, {!insert}, {!delete_min},
+    {!pending_ops}, {!oplog}, {!take_oplog}) go straight to the backend's
+    {!Dpq_types.Clients} and are documented there.
     For anything protocol-specific (phase reports, KSelect diagnostics,
     batch internals) drop down to {!Dpq_skeap.Skeap} / {!Dpq_seap.Seap} /
     {!Dpq_baselines.Centralized} / {!Dpq_baselines.Unbatched} directly.
@@ -97,9 +100,7 @@ val replication : t -> int
 (** The DHT replica degree [k] (1 on the baselines). *)
 
 val live : t -> node:int -> bool
-(** Whether [node] is a valid id that has not been permanently killed.
-    Buffering an operation at a dead node raises [Invalid_argument]; a
-    workload driver consults this before injecting (kills commit at
+(** A workload driver consults this before injecting (kills commit at
     iteration boundaries). *)
 
 val insert : t -> node:int -> prio:int -> Element.t
@@ -160,10 +161,7 @@ val verify : t -> (unit, string) Stdlib.result
 val oplog : t -> Dpq_semantics.Oplog.t
 
 val take_oplog : t -> Dpq_semantics.Oplog.record list
-(** Drain the backend's retained log: the records completed since the
-    previous take, in witness order.  The streaming runner drains after
-    every processed round and feeds the records to an online checker, so no
-    component ever holds the whole run.  Mixing {!take_oplog} with end-of-run
+(** {!Dpq_types.Clients.S.take_log}.  Mixing {!take_oplog} with end-of-run
     {!oplog}/{!verify} sees only the un-drained suffix. *)
 
 val online_contract : t -> Dpq_semantics.Checker.Online.contract

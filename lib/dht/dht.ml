@@ -342,22 +342,8 @@ let run_batch_sync ?trace ?faults ?sched t ops =
   send_ref := (fun ~src ~dst m -> Sync.send eng ~src ~dst m);
   List.iter (fun op -> launch t b ~send op) ops;
   let rounds = Sync.run_to_quiescence eng in
-  let m = Sync.metrics eng in
-  let report =
-    Phase.
-      {
-        rounds;
-        messages = Dpq_simrt.Metrics.total_messages m;
-        max_congestion = Dpq_simrt.Metrics.max_congestion m;
-        max_message_bits = Dpq_simrt.Metrics.max_message_bits m;
-        total_bits = Dpq_simrt.Metrics.total_bits m;
-        local_deliveries = Dpq_simrt.Metrics.local_deliveries m;
-        busiest_node_load = Array.fold_left max 0 (Dpq_simrt.Metrics.node_load m);
-      }
-  in
-  Dpq_obs.Trace.phase_end trace ~span ~name:"dht" ~rounds:report.Phase.rounds
-    ~messages:report.Phase.messages ~max_congestion:report.Phase.max_congestion
-    ~max_message_bits:report.Phase.max_message_bits ~total_bits:report.Phase.total_bits;
+  let report = Phase.report_of_metrics (Sync.metrics eng) rounds in
+  Phase.trace_phase_end trace span "dht" report;
   (List.rev !completions, report)
 
 let run_batch_async ?trace ?faults ?sched t ~seed ?(policy = Dpq_simrt.Async_engine.Uniform (1.0, 10.0)) ops =
@@ -375,8 +361,7 @@ let run_batch_async ?trace ?faults ?sched t ~seed ?(policy = Dpq_simrt.Async_eng
   send_ref := (fun ~src ~dst m -> Async.send eng ~src ~dst m);
   List.iter (fun op -> launch t b ~send op) ops;
   ignore (Async.run_to_quiescence eng);
-  Dpq_obs.Trace.phase_end trace ~span ~name:"dht-async" ~rounds:0 ~messages:0 ~max_congestion:0
-    ~max_message_bits:0 ~total_bits:0;
+  Phase.trace_phase_end trace span "dht-async" Phase.empty_report;
   List.rev !completions
 
 let set_topology t ldb' =

@@ -139,20 +139,9 @@ let exchange ?trace ?faults ?sched ?par t ~live ~cumulative ~anchor () =
       for v = 0 to n - 1 do
         if live v && w.(v) > 0.0 then absorb t ~alpha:t.config.alpha ~node:v ~value:(s.(v) /. w.(v))
       done;
-      let m = Sync.metrics eng in
-      let open Dpq_simrt in
-      ( {
-          (* rounds = 0: exchanges piggyback on the protocol's own batch
-             delivery, so they cost wire traffic but no extra rounds. *)
-          Phase.rounds = 0;
-          messages = Metrics.total_messages m;
-          max_congestion = Metrics.max_congestion m;
-          max_message_bits = Metrics.max_message_bits m;
-          total_bits = Metrics.total_bits m;
-          local_deliveries = Metrics.local_deliveries m;
-          busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
-        },
-        rounds )
+      (* rounds = 0: exchanges piggyback on the protocol's own batch
+         delivery, so they cost wire traffic but no extra rounds. *)
+      (Phase.report_of_metrics (Sync.metrics eng) 0, rounds)
     end
   in
   t.exchanges <- t.exchanges + 1;
@@ -163,7 +152,5 @@ let exchange ?trace ?faults ?sched ?par t ~live ~cumulative ~anchor () =
   in
   Trace.gossip_round trace ~exchange:(t.exchanges - 1) ~rounds:engine_rounds
     ~messages:report.Phase.messages ~est_milli;
-  Trace.phase_end trace ~span ~name:"gossip" ~rounds:report.Phase.rounds
-    ~messages:report.Phase.messages ~max_congestion:report.Phase.max_congestion
-    ~max_message_bits:report.Phase.max_message_bits ~total_bits:report.Phase.total_bits;
+  Phase.trace_phase_end trace span "gossip" report;
   report

@@ -113,18 +113,6 @@ let spayload_bits ldb p =
   | Child_sum c ->
       child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger
 
-let report_of_engine rounds m =
-  Phase.
-    {
-      rounds;
-      messages = Metrics.total_messages m;
-      max_congestion = Metrics.max_congestion m;
-      max_message_bits = Metrics.max_message_bits m;
-      total_bits = Metrics.total_bits m;
-      local_deliveries = Metrics.local_deliveries m;
-      busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
-    }
-
 (* Flat per-stage state.  Positions run 1..n', so per-position state is an
    array of length n' + 1 (slot 0 unused) and per-pair state a square of
    side n' + 1 indexed [i * (n' + 1) + j]. *)
@@ -355,13 +343,9 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
         pairs)
     reps;
   let rounds = Sync.run_to_quiescence ~max_rounds:200_000 eng in
-  let stage_report = report_of_engine rounds (Sync.metrics eng) in
+  let stage_report = Phase.report_of_metrics (Sync.metrics eng) rounds in
   add_report stage_report;
-  Dpq_obs.Trace.phase_end trace ~span ~name:"kselect-sort"
-    ~rounds:stage_report.Phase.rounds ~messages:stage_report.Phase.messages
-    ~max_congestion:stage_report.Phase.max_congestion
-    ~max_message_bits:stage_report.Phase.max_message_bits
-    ~total_bits:stage_report.Phase.total_bits;
+  Phase.trace_phase_end trace span "kselect-sort" stage_report;
   (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
 
 (* Aggregated payloads name virtual nodes where the pairwise ones carry
@@ -706,13 +690,9 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
     Sync.step eng;
     incr rounds
   done;
-  let stage_report = report_of_engine !rounds (Sync.metrics eng) in
+  let stage_report = Phase.report_of_metrics (Sync.metrics eng) !rounds in
   add_report stage_report;
-  Dpq_obs.Trace.phase_end trace ~span ~name:"kselect-sort"
-    ~rounds:stage_report.Phase.rounds ~messages:stage_report.Phase.messages
-    ~max_congestion:stage_report.Phase.max_congestion
-    ~max_message_bits:stage_report.Phase.max_message_bits
-    ~total_bits:stage_report.Phase.total_bits;
+  Phase.trace_phase_end trace span "kselect-sort" stage_report;
   (* (node, tree) participations: the distinct owners of each tree's
      nodes, counted with one stamp per real node. *)
   let participations = ref 0 in

@@ -223,21 +223,6 @@ let crash_windows t =
 
 let recovery_latencies t = List.map (fun (_, a, b) -> b - a) (crash_windows t)
 
-let repair_sessions t =
-  List.fold_left
-    (fun acc ev -> match ev with Repair_session _ -> acc + 1 | _ -> acc)
-    0 (events t)
-
-let repair_keys_pulled t =
-  List.fold_left
-    (fun acc ev -> match ev with Repair_end r -> acc + r.keys_pulled | _ -> acc)
-    0 (events t)
-
-let repair_elements_shipped t =
-  List.fold_left
-    (fun acc ev -> match ev with Repair_end r -> acc + r.elements_shipped | _ -> acc)
-    0 (events t)
-
 let gossip_exchanges t =
   List.fold_left
     (fun acc ev -> match ev with Gossip_round _ -> acc + 1 | _ -> acc)

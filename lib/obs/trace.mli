@@ -197,16 +197,6 @@ val crash_windows : t -> (int * int * int) list
 val recovery_latencies : t -> int list
 (** Window lengths of {!crash_windows}, in fault-plan ticks. *)
 
-val repair_sessions : t -> int
-(** Number of [Repair_session] events. *)
-
-val repair_keys_pulled : t -> int
-(** Sum of [Repair_end] key totals: diverged keys re-replicated. *)
-
-val repair_elements_shipped : t -> int
-(** Sum of [Repair_end] element totals: elements copied to close the
-    divergence. *)
-
 val repair_messages : t -> int
 (** Deliveries inside ["repair"] spans — the message count of the
     anti-entropy protocol (Merkle exchange + shipped entries). *)

@@ -63,23 +63,18 @@ val create :
     of up to [k - 1] replicas of any key with unchanged semantics (see
     {!Dpq_skeap.Skeap.create}). *)
 
-val consistency : t -> consistency
+include Dpq_types.Clients.S with type t := t
+(** Priorities only need to be [>= 1]. *)
 
-val n : t -> int
+val clients : t -> Dpq_types.Clients.t
+(** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
+
+val consistency : t -> consistency
 val tree : t -> Dpq_aggtree.Aggtree.t
 
 val replication : t -> int
 (** The DHT replica degree [k]. *)
 
-val live : t -> node:int -> bool
-(** Whether [node] is a valid id that has not been permanently lost. *)
-
-val insert : t -> node:int -> prio:int -> Element.t
-(** Buffer an [Insert]; priorities only need to be >= 1. *)
-
-val delete_min : t -> node:int -> unit
-
-val pending_ops : t -> int
 val heap_size : t -> int
 (** The anchor's element count m. *)
 
@@ -95,12 +90,6 @@ type dht_mode = Dpq_types.Types.dht_mode =
   | Dht_sync
   | Dht_async of { seed : int; policy : Dpq_simrt.Async_engine.delay_policy }
 
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
-
 type round_result = {
   completions : completion list;  (** sorted by (node, local_seq) *)
   report : Phase.report;  (** both phases, including KSelect *)
@@ -114,12 +103,6 @@ val process_round : ?dht_mode:dht_mode -> t -> round_result
 
 val drain : ?dht_mode:dht_mode -> t -> round_result list
 (** Rounds until nothing is pending. *)
-
-val oplog : t -> Dpq_semantics.Oplog.t
-
-val take_log : t -> Dpq_semantics.Oplog.record list
-(** Drain the retained log: records completed since the previous take, in
-    witness order (see {!Dpq_skeap.Skeap.take_log}). *)
 
 val stored_per_node : t -> int array
 

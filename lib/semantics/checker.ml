@@ -33,8 +33,6 @@ let violation_to_string v =
   Printf.sprintf "[%s] %s%s%s" (clause_name v.clause) v.detail (opt "culprit" v.culprit)
     (opt "partner" v.partner)
 
-let pp_violation fmt v = Format.pp_print_string fmt (violation_to_string v)
-
 (* ------------------------------------------------------- online checking *)
 
 module Online = struct

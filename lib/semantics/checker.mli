@@ -53,7 +53,6 @@ type violation = {
 }
 
 val violation_to_string : violation -> string
-val pp_violation : Format.formatter -> violation -> unit
 
 (** {2 Incremental checking}
 

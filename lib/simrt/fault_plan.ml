@@ -302,9 +302,3 @@ let to_string t =
   List.iter (fun (k : kill) -> add (Printf.sprintf "kill=%d@%d" k.node k.at_tick)) t.kills;
   String.concat "," (List.rev !items)
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "{drops=%d dups=%d spikes=%d crash_drops=%d retransmits=%d acks=%d suppressed=%d \
-     dead_letters=%d}"
-    s.drops s.duplicates s.delay_spikes s.crash_drops s.retransmits s.acks_sent s.dups_suppressed
-    s.dead_letters

@@ -147,4 +147,3 @@ val note_retransmit : t -> unit
 val note_ack : t -> unit
 val note_dup_suppressed : t -> unit
 
-val pp_stats : Format.formatter -> stats -> unit

@@ -27,8 +27,6 @@ let policy t = t.policy
 let seed t = t.seed
 let rng t = t.rng
 
-let is_fifo t = t.policy = Fifo
-
 let max_defers = 8
 let starvation_factor = 16.0
 

@@ -49,8 +49,6 @@ val rng : t -> Dpq_util.Rng.t
 (** The scheduler's own draw stream (shared by every engine of a run so the
     whole run's schedule derives from one seed). *)
 
-val is_fifo : t -> bool
-
 val biased : t -> src:int -> dst:int -> bool
 (** Does a [Channel_bias] policy target this channel?  [false] for every
     other policy. *)

@@ -136,34 +136,3 @@ let assignment_bits assignment =
       + Dpq_util.Bitsize.bits_of_int ea.bot)
     0 assignment
 
-let entry_positions ea =
-  let ins =
-    Array.to_list ea.ins
-    |> List.mapi (fun i iv -> List.map (fun pos -> (i + 1, pos)) (Interval.positions iv))
-    |> List.concat
-  in
-  let dels =
-    List.concat_map (fun (p, iv) -> List.map (fun pos -> (p, pos)) (Interval.positions iv)) ea.dels
-  in
-  (ins, dels)
-
-let pp_assignment fmt assignment =
-  Format.fprintf fmt "[";
-  List.iteri
-    (fun j ea ->
-      if j > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "entry%d ins=(" j;
-      Array.iteri
-        (fun i iv ->
-          if i > 0 then Format.fprintf fmt ",";
-          Interval.pp fmt iv)
-        ea.ins;
-      Format.fprintf fmt ") dels=(";
-      List.iteri
-        (fun i (p, iv) ->
-          if i > 0 then Format.fprintf fmt ",";
-          Format.fprintf fmt "p%d:%a" p Interval.pp iv)
-        ea.dels;
-      Format.fprintf fmt ") bot=%d" ea.bot)
-    assignment;
-  Format.fprintf fmt "]"

@@ -57,9 +57,3 @@ val split : num_prios:int -> assignment -> parts:Batch.t list -> assignment list
 val assignment_bits : assignment -> int
 (** Wire size of an assignment message (interval endpoints). *)
 
-val entry_positions : entry_assign -> (int * int) list * (int * int) list
-(** Flattened (priority, position) pairs of an entry: insert positions per
-    ascending priority and delete positions in draw order — convenience for
-    Phase 4 and tests. *)
-
-val pp_assignment : Format.formatter -> assignment -> unit

@@ -5,43 +5,25 @@ module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
 module Dht = Dpq_dht.Dht
 module Oplog = Dpq_semantics.Oplog
-module Gossip = Dpq_gossip.Gossip
-
-type pending = { local_seq : int; op : Batch.op; elt : Element.t option }
+module Clients = Dpq_types.Clients
+module Host = Dpq_dht.Host
 
 type t = {
-  mutable n : int;
+  host : Host.t;
   num_prios : int;
-  seed : int;
-  trace : Dpq_obs.Trace.t option;
-  faults : Dpq_simrt.Fault_plan.t option;
-  sched : Dpq_simrt.Sched.t option;
   par : Dpq_simrt.Domain_pool.par option;
       (* domain-parallel tree phases (DESIGN.md §9); DHT stays sequential *)
-  mutable ldb : Ldb.t;
-  mutable tree : Aggtree.t;
-  dht : Dht.t;
   key_hash : Dpq_util.Hashing.t; (* (prio, pos) -> DHT key *)
-  mutable buffers : pending Queue.t array;
-  mutable seq_counters : int array; (* per-node local operation counter *)
-  mutable elt_counters : int array; (* per-node element tiebreaker counter *)
   anchor : Anchor.t;
   mutable preorder_rank : int array; (* per middle-vnode owner: traversal rank *)
-  (* counters of retired node slots, so a reused id resumes its sequence
-     numbers and oplog identities stay unique across churn *)
-  retired : (int, int * int) Hashtbl.t;
-  mutable witness_counter : int;
-  mutable batches_processed : int;
-  mutable log : Oplog.record list;
-  gossip : Gossip.t option; (* load estimator; exchanges after every batch *)
 }
 
-let compute_preorder_ranks tree n =
+let compute_preorder_ranks tree =
   (* DFS pre-order: own first, then children in label order — the exact
      order up-combine folds and down-split decomposes.  Killed nodes are
      not in the tree and keep rank -1; they never issue operations. *)
   let ldb = Aggtree.ldb tree in
-  let rank = Array.make n (-1) in
+  let rank = Array.make (Ldb.n ldb) (-1) in
   let counter = ref 0 in
   let rec dfs v =
     let r = !counter in
@@ -61,15 +43,12 @@ let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?
   if n < 1 then invalid_arg "Skeap.create: need n >= 1";
   if num_prios < 1 then invalid_arg "Skeap.create: need num_prios >= 1";
   if domains < 1 then invalid_arg "Skeap.create: need domains >= 1";
-  let ldb = Ldb.build ~n ~seed in
-  let tree = Aggtree.of_ldb ldb in
+  let host =
+    Host.create ~name:"Skeap" ~max_prio:num_prios ?trace ?faults ?sched ?gossip ~seed ~replication ~n ()
+  in
   {
-    n;
+    host;
     num_prios;
-    seed;
-    trace;
-    faults;
-    sched;
     par =
       (if domains > 1 then
          Some
@@ -78,69 +57,29 @@ let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?
              shards = domains;
            }
        else None);
-    ldb;
-    tree;
-    dht = Dht.create ~k:replication ~ldb ~seed:(seed + 7919) ();
     key_hash = Dpq_util.Hashing.create ~seed:(seed + 104729);
-    buffers = Array.init n (fun _ -> Queue.create ());
-    seq_counters = Array.make n 0;
-    elt_counters = Array.make n 0;
     anchor = Anchor.create ~num_prios;
-    preorder_rank = compute_preorder_ranks tree n;
-    retired = Hashtbl.create 4;
-    witness_counter = 0;
-    batches_processed = 0;
-    log = [];
-    gossip = Option.map (fun config -> Gossip.create ~config ~seed ~n ()) gossip;
+    preorder_rank = compute_preorder_ranks host.tree;
   }
 
-let n t = t.n
+let clients t = t.host.clients
+
+include Clients.Make (struct
+  type nonrec t = t
+
+  let clients = clients
+end)
+
 let num_prios t = t.num_prios
-let tree t = t.tree
-let replication t = Dht.replication t.dht
-let live t ~node = node >= 0 && node < t.n && Ldb.is_present t.ldb ~id:node
-
-let check_node t node =
-  if node < 0 || node >= t.n then invalid_arg (Printf.sprintf "Skeap: node %d out of range" node);
-  if not (Ldb.is_present t.ldb ~id:node) then
-    invalid_arg (Printf.sprintf "Skeap: node %d was permanently lost" node)
-
-let insert t ~node ~prio =
-  check_node t node;
-  if prio < 1 || prio > t.num_prios then
-    invalid_arg (Printf.sprintf "Skeap.insert: priority %d outside [1,%d]" prio t.num_prios);
-  let seq = t.elt_counters.(node) in
-  t.elt_counters.(node) <- seq + 1;
-  let elt = Element.make ~prio ~origin:node ~seq () in
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; op = Batch.Ins prio; elt = Some elt } t.buffers.(node);
-  elt
-
-let delete_min t ~node =
-  check_node t node;
-  let local_seq = t.seq_counters.(node) in
-  t.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; op = Batch.Del; elt = None } t.buffers.(node)
-
-let pending_ops t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.buffers
+let tree t = t.host.tree
+let replication t = Dht.replication t.host.dht
 let heap_size t = Anchor.total_occupied t.anchor
-let trace t = t.trace
-
-let load_estimate t =
-  match t.gossip with
-  | None -> None
-  | Some g -> Gossip.estimate g ~node:(Ldb.owner (Aggtree.root t.tree))
+let trace t = t.host.trace
+let load_estimate t = Host.load_estimate t.host
 
 type dht_mode = Dpq_types.Types.dht_mode =
   | Dht_sync
   | Dht_async of { seed : int; policy : Dpq_simrt.Async_engine.delay_policy }
-
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
 
 type batch_result = {
   completions : completion list;
@@ -157,42 +96,21 @@ let dht_key t prio pos = Dpq_util.Hashing.pair t.key_hash prio pos
    ascending priority then position), 2 = ⊥ deletes (node, local order). *)
 type wkey = int * int * int * int
 
-(* Kills commit at batch boundaries — the only quiescent points, so no
-   in-flight traffic references the dead node.  The host destroys the
-   node's replica copies, drops its buffered operations, re-homes its key
-   range (Ldb.remove keeps survivor ids stable) and runs anti-entropy
-   repair; only then is the plan told the kill happened. *)
-let commit_kills t =
-  match t.faults with
-  | None -> ()
-  | Some plan ->
-      List.iter
-        (fun node ->
-          if node >= t.n then
-            invalid_arg
-              (Printf.sprintf "Skeap: fault plan kills node %d but the heap has %d nodes" node t.n);
-          if Ldb.is_present t.ldb ~id:node then begin
-            Queue.clear t.buffers.(node);
-            ignore (Dht.kill_node ?trace:t.trace t.dht ~node);
-            t.ldb <- Dht.ldb t.dht;
-            t.tree <- Aggtree.of_ldb t.ldb;
-            t.preorder_rank <- compute_preorder_ranks t.tree t.n
-          end;
-          Dpq_simrt.Fault_plan.commit_kill plan t.trace ~node)
-        (Dpq_simrt.Fault_plan.pending_kills plan)
+(* Traversal ranks follow the tree, so every topology change recomputes
+   them. *)
+let rerank t () = t.preorder_rank <- compute_preorder_ranks t.host.tree
+
+let batch_op (p : Clients.pending) =
+  match p.kind with `Ins e -> Batch.Ins (Element.prio e) | `Del -> Batch.Del
 
 let process_batch ?(dht_mode = Dht_sync) t =
-  commit_kills t;
+  let h = t.host in
+  Host.commit_kills h ~step:(rerank t);
+  let trace = h.trace and faults = h.faults and sched = h.sched and tree = h.tree in
   (* ---- snapshot buffers ---------------------------------------------- *)
-  let node_ops =
-    Array.init t.n (fun v ->
-        let ops = List.of_seq (Queue.to_seq t.buffers.(v)) in
-        Queue.clear t.buffers.(v);
-        ops)
-  in
-  let node_batches =
-    Array.map (fun ops -> Batch.of_ops ~num_prios:t.num_prios (List.map (fun p -> p.op) ops)) node_ops
-  in
+  let node_ops = Clients.snapshot h.clients All in
+  let node_bops = Array.map (List.map batch_op) node_ops in
+  let node_batches = Array.map (Batch.of_ops ~num_prios:t.num_prios) node_bops in
   (* ---- Phase 1: aggregate batches to the anchor ----------------------- *)
   let local v =
     match Ldb.kind v with
@@ -200,23 +118,23 @@ let process_batch ?(dht_mode = Dht_sync) t =
     | _ -> Batch.empty ~num_prios:t.num_prios
   in
   let combined, memo, up_report =
-    Phase.up ?trace:t.trace ?faults:t.faults ?sched:t.sched ?par:t.par ~tree:t.tree ~local ~combine:Batch.combine
+    Phase.up ?trace ?faults ?sched ?par:t.par ~tree ~local ~combine:Batch.combine
       ~size_bits:Batch.encoded_bits ()
   in
   (* ---- Phase 2: anchor assigns position intervals (local) ------------- *)
   let assignment = Anchor.assign t.anchor combined in
-  Dpq_obs.Trace.anchor_assign t.trace ~batch_inserts:(Batch.total_inserts combined)
+  Dpq_obs.Trace.anchor_assign trace ~batch_inserts:(Batch.total_inserts combined)
     ~batch_deletes:(Batch.total_deletes combined)
     ~heap_size:(Anchor.total_occupied t.anchor);
   (* ---- Phase 3: decompose intervals down the tree --------------------- *)
   let retained, down_report =
-    Phase.down ?trace:t.trace ?faults:t.faults ?sched:t.sched ?par:t.par ~tree:t.tree ~memo ~root_payload:assignment
+    Phase.down ?trace ?faults ?sched ?par:t.par ~tree ~memo ~root_payload:assignment
       ~split:(fun ~parts a -> Anchor.split ~num_prios:t.num_prios a ~parts)
       ~size_bits:Anchor.assignment_bits ()
   in
   (* Announce the phase switch (anchor-driven broadcast). *)
   let announce_report =
-    Phase.broadcast ?trace:t.trace ?faults:t.faults ?sched:t.sched ?par:t.par ~tree:t.tree ~payload:()
+    Phase.broadcast ?trace ?faults ?sched ?par:t.par ~tree ~payload:()
       ~size_bits:(fun () -> 1) ()
   in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
@@ -225,13 +143,19 @@ let process_batch ?(dht_mode = Dht_sync) t =
   let get_index : (int * int, int * wkey) Hashtbl.t = Hashtbl.create 64 in
   let records : (wkey * Oplog.record) list ref = ref [] in
   let completions = ref [] in
-  for node = 0 to t.n - 1 do
+  (* Log a completed operation under its sort key (its witness is set once
+     the batch is sorted) and report its outcome. *)
+  let complete wkey node local_seq kind result outcome =
+    records := (wkey, { Oplog.node; local_seq; witness = 0; kind; result }) :: !records;
+    completions := { node; local_seq; outcome } :: !completions
+  in
+  for node = 0 to Clients.n h.clients - 1 do
     let mv = Ldb.vnode ~owner:node Ldb.Middle in
     match retained.(mv) with
     | None ->
         if node_ops.(node) <> [] then failwith "Skeap: node with ops received no assignment"
     | Some (entry_assigns : Anchor.assignment) ->
-        let groups = Batch.group_ops (List.map (fun p -> p.op) node_ops.(node)) in
+        let groups = Batch.group_ops node_bops.(node) in
         let pendings = ref node_ops.(node) in
         let next_pending () =
           match !pendings with
@@ -252,10 +176,11 @@ let process_batch ?(dht_mode = Dht_sync) t =
                    ea.Anchor.dels)
             in
             List.iter
-              (fun op ->
+              (fun _ ->
                 let pending = next_pending () in
-                match op with
-                | Batch.Ins prio ->
+                match pending.kind with
+                | `Ins elt ->
+                    let prio = Element.prio elt in
                     let pos =
                       match !(ins_cursor.(prio - 1)) with
                       | [] -> failwith "Skeap: insert positions exhausted"
@@ -263,25 +188,12 @@ let process_batch ?(dht_mode = Dht_sync) t =
                           ins_cursor.(prio - 1) := tl;
                           p
                     in
-                    let elt = Option.get pending.elt in
                     let key = dht_key t prio pos in
                     dht_ops := Dht.Put { origin = node; key; elt; confirm = false } :: !dht_ops;
-                    let wkey = (j, 0, t.preorder_rank.(node), pending.local_seq) in
-                    records :=
-                      ( wkey,
-                        Oplog.
-                          {
-                            node;
-                            local_seq = pending.local_seq;
-                            witness = 0;
-                            kind = Oplog.Insert elt;
-                            result = None;
-                          } )
-                      :: !records;
-                    completions :=
-                      { node; local_seq = pending.local_seq; outcome = `Inserted elt }
-                      :: !completions
-                | Batch.Del -> (
+                    complete
+                      (j, 0, t.preorder_rank.(node), pending.local_seq)
+                      node pending.local_seq (Oplog.Insert elt) None (`Inserted elt)
+                | `Del -> (
                     match !del_cursor with
                     | (prio, pos) :: tl ->
                         del_cursor := tl;
@@ -291,32 +203,13 @@ let process_batch ?(dht_mode = Dht_sync) t =
                         Hashtbl.replace get_index (node, key) (pending.local_seq, wkey)
                     | [] ->
                         (* ⊥: the heap ran dry for this entry. *)
-                        let wkey = (j, 2, node, pending.local_seq) in
-                        records :=
-                          ( wkey,
-                            Oplog.
-                              {
-                                node;
-                                local_seq = pending.local_seq;
-                                witness = 0;
-                                kind = Oplog.Delete_min;
-                                result = None;
-                              } )
-                          :: !records;
-                        completions :=
-                          { node; local_seq = pending.local_seq; outcome = `Empty }
-                          :: !completions))
+                        complete (j, 2, node, pending.local_seq) node pending.local_seq
+                          Oplog.Delete_min None `Empty))
               group)
           groups
   done;
   let dht_ops = List.rev !dht_ops in
-  let dht_completions, dht_report =
-    match dht_mode with
-    | Dht_sync -> Dht.run_batch_sync ?trace:t.trace ?faults:t.faults ?sched:t.sched t.dht dht_ops
-    | Dht_async { seed; policy } ->
-        let cs = Dht.run_batch_async ?trace:t.trace ?faults:t.faults ?sched:t.sched t.dht ~seed ~policy dht_ops in
-        (cs, Phase.empty_report)
-  in
+  let dht_completions, dht_report = Host.run_dht h ~dht_mode dht_ops in
   List.iter
     (fun c ->
       match c with
@@ -325,18 +218,7 @@ let process_batch ?(dht_mode = Dht_sync) t =
           | None -> failwith "Skeap: DHT returned an element nobody asked for"
           | Some (local_seq, wkey) ->
               Hashtbl.remove get_index (origin, key);
-              records :=
-                ( wkey,
-                  Oplog.
-                    {
-                      node = origin;
-                      local_seq;
-                      witness = 0;
-                      kind = Oplog.Delete_min;
-                      result = Some elt;
-                    } )
-                :: !records;
-              completions := { node = origin; local_seq; outcome = `Got elt } :: !completions)
+              complete wkey origin local_seq Oplog.Delete_min (Some elt) (`Got elt))
       | Dht.Put_confirmed _ -> ())
     dht_completions;
   if Hashtbl.length get_index > 0 then
@@ -344,94 +226,23 @@ let process_batch ?(dht_mode = Dht_sync) t =
   (* ---- assign witness positions in anchor processing order ------------ *)
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !records) in
   List.iter
-    (fun (_, r) ->
-      let w = t.witness_counter in
-      t.witness_counter <- w + 1;
-      t.log <- { r with Oplog.witness = w } :: t.log)
+    (fun (_, r) -> Clients.record h.clients { r with Oplog.witness = Clients.next_witness h.clients })
     sorted;
-  t.batches_processed <- t.batches_processed + 1;
   (* ---- gossip exchange: load estimation rides the batch boundary ------- *)
-  let gossip_report =
-    match t.gossip with
-    | None -> Phase.empty_report
-    | Some g ->
-        Gossip.exchange ?trace:t.trace ?faults:t.faults ?sched:t.sched ?par:t.par g
-          ~live:(fun v -> v < t.n && Ldb.is_present t.ldb ~id:v)
-          ~cumulative:(fun v -> t.seq_counters.(v))
-          ~anchor:(Ldb.owner (Aggtree.root t.tree))
-          ()
-  in
+  let gossip_report = Host.exchange_gossip ?par:t.par h in
   let report =
     List.fold_left Phase.add_report Phase.empty_report
       [ up_report; down_report; announce_report; dht_report; gossip_report ]
   in
-  let completions =
-    List.sort
-      (fun a b ->
-        let c = Int.compare a.node b.node in
-        if c <> 0 then c else Int.compare a.local_seq b.local_seq)
-      !completions
-  in
-  { completions; report; batch = combined; assignment }
+  { completions = Clients.sort_completions !completions; report; batch = combined; assignment }
 
-let drain ?(dht_mode = Dht_sync) t =
-  let rec go acc =
-    if pending_ops t = 0 then List.rev acc
-    else go (process_batch ~dht_mode t :: acc)
-  in
-  go []
+let drain ?(dht_mode = Dht_sync) t = Clients.drain t.host.clients (fun () -> process_batch ~dht_mode t)
 
-let oplog t = Oplog.of_list t.log
-
-let take_log t =
-  let l = t.log in
-  t.log <- [];
-  (* witnesses are assigned when an operation serializes, which can precede
-     the moment its record is logged (e.g. matched deletes complete after
-     the DHT round), so the retained list is not witness-sorted *)
-  List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness) l
-let stored_per_node t = Dht.stored_counts t.dht
+let stored_per_node t = Dht.stored_counts t.host.dht
 
 (* ------------------------------------------------- membership changes *)
 
 type churn_cost = Dpq_types.Types.churn_cost = { join_messages : int; moved_elements : int }
 
-let retopology t ldb' =
-  let moved = Dht.set_topology t.dht ldb' in
-  t.ldb <- ldb';
-  t.tree <- Aggtree.of_ldb ldb';
-  t.preorder_rank <- compute_preorder_ranks t.tree (Ldb.n ldb');
-  moved
-
-let grow_array a len zero = Array.init len (fun i -> if i < Array.length a then a.(i) else zero)
-
-let add_node t =
-  let join_messages = Ldb.join_cost_hops t.ldb in
-  let ldb' = Ldb.join t.ldb in
-  let moved_elements = retopology t ldb' in
-  t.n <- t.n + 1;
-  t.buffers <- Array.init t.n (fun i -> if i < Array.length t.buffers then t.buffers.(i) else Queue.create ());
-  let seq0, elt0 =
-    match Hashtbl.find_opt t.retired (t.n - 1) with Some c -> c | None -> (0, 0)
-  in
-  t.seq_counters <- grow_array t.seq_counters t.n seq0;
-  t.elt_counters <- grow_array t.elt_counters t.n elt0;
-  Option.iter (fun g -> Gossip.grow g t.n) t.gossip;
-  Dpq_obs.Trace.churn t.trace ~kind:"join" ~n:t.n ~join_messages ~moved_elements;
-  { join_messages; moved_elements }
-
-let remove_last_node t =
-  if t.n <= 1 then invalid_arg "Skeap.remove_last_node: cannot empty the heap";
-  let leaving = t.n - 1 in
-  if not (Queue.is_empty t.buffers.(leaving)) then
-    invalid_arg "Skeap.remove_last_node: leaving node still has buffered operations";
-  Hashtbl.replace t.retired leaving (t.seq_counters.(leaving), t.elt_counters.(leaving));
-  let ldb' = Ldb.leave t.ldb ~id:leaving in
-  let moved_elements = retopology t ldb' in
-  t.n <- t.n - 1;
-  t.buffers <- Array.sub t.buffers 0 t.n;
-  t.seq_counters <- Array.sub t.seq_counters 0 t.n;
-  t.elt_counters <- Array.sub t.elt_counters 0 t.n;
-  let join_messages = Ldb.join_cost_hops ldb' in
-  Dpq_obs.Trace.churn t.trace ~kind:"leave" ~n:t.n ~join_messages ~moved_elements;
-  { join_messages; moved_elements }
+let add_node t = Host.add_node t.host ~step:(rerank t)
+let remove_last_node t = Host.remove_last_node t.host ~step:(rerank t)

@@ -59,27 +59,17 @@ val create :
     report (zero rounds — it piggybacks on batch delivery); without it,
     behavior and costs are bit-identical to before the estimator existed. *)
 
-val n : t -> int
+include Dpq_types.Clients.S with type t := t
+(** Priorities lie in [[1, num_prios]]. *)
+
+val clients : t -> Dpq_types.Clients.t
+(** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
+
 val num_prios : t -> int
 val tree : t -> Dpq_aggtree.Aggtree.t
 
 val replication : t -> int
 (** The DHT replica degree [k]. *)
-
-val live : t -> node:int -> bool
-(** Whether [node] is a valid id that has not been permanently lost.
-    Operations on a killed node raise [Invalid_argument]. *)
-
-val insert : t -> node:int -> prio:int -> Element.t
-(** Buffer an [Insert] at [node]; returns the element that will be inserted
-    (priority tagged with origin/sequence tiebreaker).  Raises
-    [Invalid_argument] on a bad node or priority. *)
-
-val delete_min : t -> node:int -> unit
-(** Buffer a [DeleteMin] at [node]. *)
-
-val pending_ops : t -> int
-(** Buffered operations not yet processed. *)
 
 val heap_size : t -> int
 (** Elements logically in the heap (anchor's interval cardinalities). *)
@@ -98,12 +88,6 @@ type dht_mode = Dpq_types.Types.dht_mode =
       (** adversarially delayed/reordered delivery; used to demonstrate
           order-independence of the rendezvous *)
 
-type completion = Dpq_types.Types.completion = {
-  node : int;
-  local_seq : int;
-  outcome : [ `Inserted of Element.t | `Got of Element.t | `Empty ];
-}
-
 type batch_result = {
   completions : completion list;  (** sorted by (node, local_seq) *)
   report : Phase.report;  (** summed over all four phases *)
@@ -118,15 +102,6 @@ val process_batch : ?dht_mode:dht_mode -> t -> batch_result
 
 val drain : ?dht_mode:dht_mode -> t -> batch_result list
 (** Process batches until no operations are pending. *)
-
-val oplog : t -> Dpq_semantics.Oplog.t
-(** Everything completed so far, in witness (serialization) order. *)
-
-val take_log : t -> Dpq_semantics.Oplog.record list
-(** Drain the retained log: the records completed since the previous take,
-    in witness order.  Streaming callers drain after every processed batch
-    and feed an online checker, so the backend never holds more than one
-    batch worth of records. *)
 
 val stored_per_node : t -> int array
 (** DHT elements per node — fairness measure. *)

@@ -6,7 +6,9 @@
     {!dht_mode}, the {!churn_cost} of a membership change, and the
     {!backend} naming the four implementations.  This module is the single
     definition; the protocol modules re-export the types as equations so
-    existing call sites (e.g. [Dpq_skeap.Skeap.Dht_sync]) keep compiling. *)
+    existing call sites (e.g. [Dpq_skeap.Skeap.Dht_sync]) keep compiling.
+    The client side that produces completions — buffers, issue numbers,
+    element identities, the operation log — is {!Clients}. *)
 
 module Element = Dpq_util.Element
 

@@ -76,11 +76,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let shuffle_list t l =
-  let a = Array.of_list l in
-  shuffle t a;
-  Array.to_list a
-
 let sample_without_replacement t ~k ~n =
   if k < 0 || n < 0 || k > n then
     invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";

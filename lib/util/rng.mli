@@ -55,9 +55,6 @@ val geometric : t -> p:float -> int
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val shuffle_list : t -> 'a list -> 'a list
-(** Shuffled copy of a list. *)
-
 val sample_without_replacement : t -> k:int -> n:int -> int list
 (** [sample_without_replacement t ~k ~n] draws [k] distinct indices from
     [0, n); raises [Invalid_argument] if [k > n] or arguments are negative. *)

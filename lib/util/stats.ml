@@ -12,8 +12,6 @@ let variance xs =
       let n = float_of_int (List.length xs) in
       List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs /. n
 
-let stddev xs = sqrt (variance xs)
-
 let percentile xs ~p =
   if xs = [] then invalid_arg "Stats.percentile: empty list";
   if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";

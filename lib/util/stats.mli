@@ -6,8 +6,6 @@ val mean : float list -> float
 val variance : float list -> float
 (** Population variance; 0. on lists shorter than 2. *)
 
-val stddev : float list -> float
-
 val percentile : float list -> p:float -> float
 (** [percentile xs ~p] with [p] in [0,100], nearest-rank method.
     Raises [Invalid_argument] on the empty list. *)

@@ -16,9 +16,6 @@ let add_row t cells =
   t.rows <- cells :: t.rows
 
 let fmt_float ?(dec = 2) v = Printf.sprintf "%.*f" dec v
-let fmt_int = string_of_int
-
-let add_float_row t ?(dec = 2) cells = add_row t (List.map (fmt_float ~dec) cells)
 
 let pad align width s =
   let len = String.length s in

@@ -13,13 +13,9 @@ val create : title:string -> columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on arity mismatch. *)
 
-val add_float_row : t -> ?dec:int -> float list -> unit
-(** Convenience: formats every cell with [dec] decimals (default 2). *)
-
 val render : t -> string
 (** Full table with title, header, separator and rows. *)
 
 val print : t -> unit
 
 val fmt_float : ?dec:int -> float -> string
-val fmt_int : int -> string

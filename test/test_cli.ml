@@ -110,6 +110,19 @@ let test_trace_written () =
   checki (Printf.sprintf "exit code (stderr: %s)" err) 0 code;
   checkb "trace written" true (String.starts_with ~prefix:"{\"ev\":" trace)
 
+(* The --faults doc shows its example verbatim; a stray escape in the doc
+   string makes cmdliner print an error and drop the '@'. *)
+let test_experiments_help () =
+  let code, out, err = run_exe experiments_exe [ "--help=plain" ] in
+  checki "exit code" 0 code;
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  checkb "example rendered" true (contains out "crash=3@100-200");
+  checkb "no cmdliner error" false (contains (out ^ err) "cmdliner error")
+
 let () =
   Alcotest.run "dpq_cli"
     [
@@ -125,4 +138,5 @@ let () =
           Alcotest.test_case "dpq_sim exits 1 naming the flag" `Quick test_sim_rejects_bad_values;
           Alcotest.test_case "bench exits 2 naming the flag" `Quick test_bench_rejects_bad_values;
         ] );
+      ("help", [ Alcotest.test_case "experiments --help renders" `Quick test_experiments_help ]);
     ]

@@ -130,6 +130,50 @@ let test_all_backends_unified () =
       checkb (Printf.sprintf "%s verifies" (H.backend_name backend)) true (H.verify h = Ok ()))
     all_backends
 
+(* Every backend runs the same client-side checks: a node outside [0, n),
+   a priority below 1, one above [num_prios] where the universe is bounded,
+   and (Skeap/Seap) a node a fault plan has killed. *)
+let test_client_checks () =
+  let raises what f =
+    checkb what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun backend ->
+      let name = H.backend_name backend in
+      let h = H.create ~n:4 backend in
+      List.iter
+        (fun node ->
+          raises (Printf.sprintf "%s: insert at node %d" name node) (fun () ->
+              ignore (H.insert h ~node ~prio:1));
+          raises (Printf.sprintf "%s: delete at node %d" name node) (fun () ->
+              H.delete_min h ~node))
+        [ -1; 4 ];
+      List.iter
+        (fun prio ->
+          raises (Printf.sprintf "%s: priority %d" name prio) (fun () ->
+              ignore (H.insert h ~node:1 ~prio)))
+        (match backend with
+        | H.Skeap { num_prios } | H.Unbatched { num_prios } -> [ 0; -3; num_prios + 1 ]
+        | H.Seap | H.Centralized -> [ 0; -3 ]);
+      checki (name ^ ": nothing buffered") 0 (H.pending_ops h))
+    all_backends;
+  List.iter
+    (fun backend ->
+      let name = H.backend_name backend in
+      let faults = Dpq_simrt.Fault_plan.of_string ~seed:1 "kill=1@0" in
+      let h = H.create ~replication:3 ~faults ~n:4 backend in
+      ignore (H.insert h ~node:0 ~prio:1);
+      ignore (H.process h);
+      checkb (name ^ ": killed node not live") false (H.live h ~node:1);
+      raises (name ^ ": insert at killed node") (fun () -> ignore (H.insert h ~node:1 ~prio:1));
+      raises (name ^ ": delete at killed node") (fun () -> H.delete_min h ~node:1);
+      checki (name ^ ": nothing buffered") 0 (H.pending_ops h))
+    [ H.Skeap { num_prios = 3 }; H.Seap ]
+
 let test_backend_names () =
   Alcotest.(check (list string))
     "names"
@@ -190,6 +234,7 @@ let () =
           Alcotest.test_case "all four backends, one API" `Quick test_all_backends_unified;
           Alcotest.test_case "backend names" `Quick test_backend_names;
           Alcotest.test_case "baselines reject async dht" `Quick test_baselines_reject_async_dht;
+          Alcotest.test_case "client checks on every backend" `Quick test_client_checks;
           QCheck_alcotest.to_alcotest prop_facade_verifies_random_runs;
         ] );
     ]
