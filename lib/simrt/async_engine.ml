@@ -166,6 +166,13 @@ let transmit t ~src ~dst ~tag payload =
         push_event t ~src ~dst ~tag payload
       done
 
+(* Virtual time moves forward only; the reliable layer's clock follows. *)
+let advance_to t time =
+  if time > t.now then begin
+    t.now <- time;
+    match t.rel with Some rel -> (Reliable.clock rel).now <- time | None -> ()
+  end
+
 let check_id t id =
   if id < 0 || id >= t.n then invalid_arg (Printf.sprintf "Async_engine: node id %d out of range" id)
 
@@ -177,10 +184,9 @@ let send t ~src ~dst msg =
   else
     match t.rel with
     | None -> push_event t ~src ~dst ~tag:tag_plain msg
-    | Some rel -> (
-        match Reliable.register rel ~src ~dst ~now:t.now msg with
-        | Reliable.Data { sn; payload } -> transmit t ~src ~dst ~tag:(tag_data sn) payload
-        | Reliable.Ack _ -> assert false (* register always issues Data *))
+    | Some rel ->
+        let sn = Reliable.register rel ~src ~dst msg in
+        transmit t ~src ~dst ~tag:(tag_data sn) msg
 
 let deliver t ~src ~dst payload =
   t.delivered <- t.delivered + 1;
@@ -203,7 +209,7 @@ let is_down t node = match t.faults with None -> false | Some p -> Fault_plan.is
 let process t ~src ~dst ~tag payload =
   (* One fault-plan tick per delivered wire event: the async engine's
      stand-in for the round clock, so crash windows elapse with traffic. *)
-  Option.iter (fun plan -> Fault_plan.tick plan t.trace) t.faults;
+  (match t.faults with Some plan -> Fault_plan.tick plan t.trace | None -> ());
   if tag = tag_plain then deliver t ~src ~dst payload
   else if tag land 1 = 0 then begin
     (* Data packet. *)
@@ -216,7 +222,9 @@ let process t ~src ~dst ~tag payload =
          carrying the data payload as an inert dummy. *)
       Fault_plan.note_ack plan;
       transmit t ~src:dst ~dst:src ~tag:(tag_ack sn) payload;
-      List.iter (fun p -> deliver t ~src ~dst p) (Reliable.receive_data rel ~src ~dst ~sn payload)
+      for k = 0 to Reliable.receive_data rel ~src ~dst ~sn payload - 1 do
+        deliver t ~src ~dst (Reliable.released rel k)
+      done
     end
   end
   else begin
@@ -235,12 +243,11 @@ let retransmit_due t =
   match t.rel with
   | None -> ()
   | Some rel ->
-      List.iter
-        (fun (src, dst, pkt) ->
-          match pkt with
-          | Reliable.Data { sn; payload } -> transmit t ~src ~dst ~tag:(tag_data sn) payload
-          | Reliable.Ack _ -> assert false (* only data packets are registered *))
-        (Reliable.due rel ~now:t.now t.trace)
+      for i = 0 to Reliable.due rel t.trace - 1 do
+        transmit t ~src:(Reliable.due_src rel i) ~dst:(Reliable.due_dst rel i)
+          ~tag:(tag_data (Reliable.due_sn rel i))
+          (Reliable.due_payload rel i)
+      done
 
 let quiescence_diag t reason ~events =
   Quiesce.diag ~engine:"Async_engine" ~reason
@@ -261,8 +268,7 @@ let run_to_quiescence ?(max_events = 10_000_000) ?(stall_events = 200_000) t =
         failwith (quiescence_diag t "exceeded max_events (livelock?)" ~events:!count);
       (* Adversarial pseudo-times can be negative and decreasing; virtual
          time only moves forward for well-behaved policies. *)
-      let time = Eventq.popped_time t.queue in
-      if time > t.now then t.now <- time;
+      advance_to t (Eventq.popped_time t.queue);
       process t ~src:(Eventq.popped_src t.queue) ~dst:(Eventq.popped_dst t.queue)
         ~tag:(Eventq.popped_tag t.queue)
         (Eventq.popped_payload t.queue);
@@ -280,7 +286,7 @@ let run_to_quiescence ?(max_events = 10_000_000) ?(stall_events = 200_000) t =
       | Some rel when Reliable.unacked rel > 0 -> (
           match Reliable.next_deadline rel with
           | Some d ->
-              if d > t.now then t.now <- d;
+              advance_to t d;
               retransmit_due t
           | None -> continue := false)
       | _ -> continue := false

@@ -1,5 +1,6 @@
 module Rng = Dpq_util.Rng
 module Trace = Dpq_obs.Trace
+module Itbl = Hashtbl.Make (Int)
 
 type crash_window = { node : int; from_tick : int; until_tick : int }
 type kill = { node : int; at_tick : int }
@@ -42,8 +43,8 @@ type t = {
      delivery order — poison for any engine (parallel or optimized) that
      wants to reproduce a run bit-for-bit while processing it in a
      different internal order.  One counter per (channel, purpose). *)
-  transmit_counts : (int, int) Hashtbl.t;
-  delay_counts : (int, int) Hashtbl.t;
+  transmit_counts : int Itbl.t;
+  delay_counts : int Itbl.t;
   stats : stats;
   mutable tick : int;
   (* nodes currently inside a crash window, for edge-triggered trace events *)
@@ -52,8 +53,9 @@ type t = {
   killed : (int, unit) Hashtbl.t;
 }
 
+(* Written so that NaN fails too. *)
 let check_prob name p =
-  if p < 0.0 || p > 1.0 then
+  if not (p >= 0.0 && p <= 1.0) then
     invalid_arg (Printf.sprintf "Fault_plan: %s probability %g outside [0,1]" name p)
 
 let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor = 8.0)
@@ -61,7 +63,8 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor 
   check_prob "drop" drop;
   check_prob "duplicate" duplicate;
   check_prob "delay_spike" delay_spike;
-  if delay_factor < 1.0 then invalid_arg "Fault_plan: delay_factor must be >= 1";
+  if not (Float.is_finite delay_factor && delay_factor >= 1.0) then
+    invalid_arg (Printf.sprintf "Fault_plan: delay_factor %g must be finite and >= 1" delay_factor);
   List.iter
     (fun (w : crash_window) ->
       if w.node < 0 then invalid_arg "Fault_plan: crash window names a negative node";
@@ -85,8 +88,8 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor 
     crashes;
     kills;
     seed;
-    transmit_counts = Hashtbl.create 64;
-    delay_counts = Hashtbl.create 16;
+    transmit_counts = Itbl.create 64;
+    delay_counts = Itbl.create 16;
     stats = empty_stats ();
     tick = 0;
     down_now = Hashtbl.create 4;
@@ -102,11 +105,16 @@ let delay_factor t = t.delay_factor
 let crash_windows t = t.crashes
 let kills t = t.kills
 
-let scheduled_down t node =
-  List.exists (fun (w : crash_window) -> w.node = node && w.from_tick <= t.tick && t.tick < w.until_tick) t.crashes
+(* A direct recursion rather than [List.exists]: the engines ask this on
+   every delivery, and a closure over [node] would be allocated each time. *)
+let rec in_window tick node = function
+  | [] -> false
+  | (w : crash_window) :: rest ->
+      (w.node = node && w.from_tick <= tick && tick < w.until_tick) || in_window tick node rest
 
 let is_killed t ~node = Hashtbl.mem t.killed node
-let is_down t ~node = Hashtbl.mem t.killed node || scheduled_down t node
+let is_down t ~node = Hashtbl.mem t.killed node || in_window t.tick node t.crashes
+let killed_count t = Hashtbl.length t.killed
 
 (* Kills whose tick has arrived but which the host has not yet committed,
    in plan order (deterministic). *)
@@ -152,30 +160,38 @@ let tick t trace =
       (Hashtbl.copy t.down_now)
   end
 
-(* A fresh single-use SplitMix64 stream for one fault decision, keyed by
-   (master seed, purpose salt, channel, per-channel event count).  The
-   xor-multiply fold spreads the identity over the seed; Rng's own
-   finalizer does the avalanche on every draw. *)
-let channel_rng t counters ~salt ~src ~dst =
+(* Fault draws are keyed by (master seed, purpose salt, channel,
+   per-channel event count): the xor-multiply fold spreads that identity
+   over the seed, and the draw is the [index]-th value of the SplitMix64
+   stream [Rng.create ~seed:key] would give, computed directly
+   ({!Rng.bernoulli_at}).  Nothing is allocated per draw. *)
+let draw_key t counters ~salt ~src ~dst =
   let chan = (src lsl 24) lor dst in
-  let count = match Hashtbl.find_opt counters chan with Some c -> c | None -> 0 in
-  Hashtbl.replace counters chan (count + 1);
-  let h = ref (t.seed lxor (salt * 0x9E3779B9)) in
-  let fold x = h := (!h lxor x) * 0x2545F4914F6CDD1D in
-  fold src;
-  fold dst;
-  fold count;
-  Rng.create ~seed:!h
+  let count =
+    match Itbl.find counters chan with
+    | c ->
+        Itbl.replace counters chan (c + 1);
+        c
+    | exception Not_found ->
+        Itbl.add counters chan 1;
+        0
+  in
+  let fold h x = (h lxor x) * 0x2545F4914F6CDD1D in
+  fold (fold (fold (t.seed lxor (salt * 0x9E3779B9)) src) dst) count
 
 let transmit_copies t trace ~src ~dst =
   if t.drop > 0.0 || t.duplicate > 0.0 then begin
-    let rng = channel_rng t t.transmit_counts ~salt:1 ~src ~dst in
-    if t.drop > 0.0 && Rng.bernoulli rng ~p:t.drop then begin
+    let key = draw_key t t.transmit_counts ~salt:1 ~src ~dst in
+    if t.drop > 0.0 && Rng.bernoulli_at ~seed:key ~index:1 ~p:t.drop then begin
       t.stats.drops <- t.stats.drops + 1;
       Trace.fault_injected trace ~kind:"drop" ~src ~dst;
       0
     end
-    else if t.duplicate > 0.0 && Rng.bernoulli rng ~p:t.duplicate then begin
+    else if
+      t.duplicate > 0.0
+      (* a drop probability in (0,1) used the first draw; >= 1 never gets here *)
+      && Rng.bernoulli_at ~seed:key ~index:(if t.drop > 0.0 then 2 else 1) ~p:t.duplicate
+    then begin
       t.stats.duplicates <- t.stats.duplicates + 1;
       Trace.fault_injected trace ~kind:"dup" ~src ~dst;
       2
@@ -187,7 +203,9 @@ let transmit_copies t trace ~src ~dst =
 let delay_multiplier t trace ~src ~dst =
   if
     t.delay_spike > 0.0
-    && Rng.bernoulli (channel_rng t t.delay_counts ~salt:2 ~src ~dst) ~p:t.delay_spike
+    && Rng.bernoulli_at
+         ~seed:(draw_key t t.delay_counts ~salt:2 ~src ~dst)
+         ~index:1 ~p:t.delay_spike
   then begin
     t.stats.delay_spikes <- t.stats.delay_spikes + 1;
     Trace.fault_injected trace ~kind:"delay" ~src ~dst;

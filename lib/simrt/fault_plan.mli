@@ -68,8 +68,8 @@ val create :
   seed:int ->
   unit ->
   t
-(** All probabilities default to 0 (and must lie in [0,1]);
-    [delay_factor] defaults to 8 and must be >= 1.  Raises
+(** All probabilities default to 0 (and must lie in [0,1]; NaN is
+    rejected); [delay_factor] defaults to 8 and must be finite and >= 1.  Raises
     [Invalid_argument] on malformed windows ([until_tick <= from_tick]),
     negative kill nodes/ticks, or a node killed twice. *)
 
@@ -115,6 +115,10 @@ val is_down : t -> node:int -> bool
 
 val is_killed : t -> node:int -> bool
 (** Has the host committed a kill of [node]? *)
+
+val killed_count : t -> int
+(** How many kills the host has committed so far.  It only grows, so a
+    change tells {!Reliable} that a reap may find something. *)
 
 val pending_kills : t -> int list
 (** Scheduled kills whose tick has arrived ([at_tick <= tick_count]) but

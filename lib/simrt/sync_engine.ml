@@ -161,6 +161,12 @@ let tag_plain = -1
 let tag_data sn = 2 * sn
 let tag_ack sn = (2 * sn) + 1
 
+(* The reliable layer reads its clock from a float-only record; keeping it
+   on the round counter here costs no allocation. *)
+let set_round t r =
+  t.round <- r;
+  match t.rel with Some rel -> (Reliable.clock rel).now <- float_of_int r | None -> ()
+
 let check_id t id name =
   if id < 0 || id >= t.n then invalid_arg (Printf.sprintf "Sync_engine.%s: node id %d out of range" name id)
 
@@ -213,10 +219,9 @@ let send t ~src ~dst msg =
         match t.par with
         | Some ps when t.par_active -> stage_parallel ps ~src ~dst ~tag:tag_plain msg
         | _ -> enqueue t ~src ~dst ~tag:tag_plain ~defers:0 msg)
-    | Some rel -> (
-        match Reliable.register rel ~src ~dst ~now:(float_of_int t.round) msg with
-        | Reliable.Data { sn; payload } -> transmit t ~src ~dst ~tag:(tag_data sn) payload
-        | Reliable.Ack _ -> assert false (* register always issues Data *))
+    | Some rel ->
+        let sn = Reliable.register rel ~src ~dst msg in
+        transmit t ~src ~dst ~tag:(tag_data sn) msg
 
 (* ---------------------------------------------------- schedule adversary *)
 
@@ -425,13 +430,13 @@ let step t =
       | None -> ());
       parallel_step t ps b;
       Roundq.recycle t.q b;
-      t.round <- t.round + 1;
+      set_round t (t.round + 1);
       t.in_step <- false
   | _ ->
   let nord = apply_sched t b in
   (* One fault-plan tick per synchronous round: crash windows open/close on
      round boundaries, shared across all engines of the run. *)
-  Option.iter (fun plan -> Fault_plan.tick plan t.trace) t.faults;
+  (match t.faults with Some plan -> Fault_plan.tick plan t.trace | None -> ());
   (match t.activate with
   | Some f ->
       for i = 0 to t.n - 1 do
@@ -459,9 +464,10 @@ let step t =
            the data payload as an inert dummy. *)
         Fault_plan.note_ack plan;
         transmit t ~src:dst ~dst:src ~tag:(tag_ack sn) payload;
-        List.iter
-          (fun p -> deliver t ~this_round ~src ~dst ~bits:(t.size_bits p + Reliable.header_bits) p)
-          (Reliable.receive_data rel ~src ~dst ~sn payload)
+        for k = 0 to Reliable.receive_data rel ~src ~dst ~sn payload - 1 do
+          let p = Reliable.released rel k in
+          deliver t ~this_round ~src ~dst ~bits:(t.size_bits p + Reliable.header_bits) p
+        done
       end
     end
     else begin
@@ -477,19 +483,18 @@ let step t =
     end
   done;
   Roundq.recycle t.q b;
-  t.round <- t.round + 1;
+  set_round t (t.round + 1);
   t.in_step <- false;
   (* Timeout-driven retransmission: anything overdue goes back on the wire
      (and through the fault plan again) for delivery next round. *)
   match t.rel with
   | None -> ()
   | Some rel ->
-      List.iter
-        (fun (src, dst, pkt) ->
-          match pkt with
-          | Reliable.Data { sn; payload } -> transmit t ~src ~dst ~tag:(tag_data sn) payload
-          | Reliable.Ack _ -> assert false (* only data packets are registered *))
-        (Reliable.due rel ~now:(float_of_int t.round) t.trace)
+      for i = 0 to Reliable.due rel t.trace - 1 do
+        transmit t ~src:(Reliable.due_src rel i) ~dst:(Reliable.due_dst rel i)
+          ~tag:(tag_data (Reliable.due_sn rel i))
+          (Reliable.due_payload rel i)
+      done
 
 let quiescence_diag t reason =
   Quiesce.diag ~engine:"Sync_engine" ~reason
@@ -517,6 +522,6 @@ let run_to_quiescence ?(max_rounds = 1_000_000) ?(stall_rounds = 10_000) t =
 let reset_clock t =
   if not (Roundq.is_empty t.q) then invalid_arg "Sync_engine.reset_clock: messages in flight";
   if unacked t <> 0 then invalid_arg "Sync_engine.reset_clock: unacknowledged messages outstanding";
-  t.round <- 0;
+  set_round t 0;
   Roundq.reset t.q;
   Metrics.reset t.metrics

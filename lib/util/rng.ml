@@ -4,12 +4,17 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let next_raw t =
-  let z = Int64.add t.state golden_gamma in
-  t.state <- z;
+(* SplitMix64's output finalizer.  Inlined, so the pure draw below keeps
+   its Int64 values unboxed. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let next_raw t =
+  let z = Int64.add t.state golden_gamma in
+  t.state <- z;
+  mix z
 
 let int64 = next_raw
 
@@ -49,15 +54,25 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
-  (* 53 random bits into the mantissa. *)
-  let r = Int64.to_int (Int64.shift_right_logical (next_raw t) 11) in
-  float_of_int r *. (1.0 /. 9007199254740992.0)
+(* 53 random bits into the mantissa. *)
+let[@inline] unit_float raw =
+  float_of_int (Int64.to_int (Int64.shift_right_logical raw 11)) *. (1.0 /. 9007199254740992.0)
+
+let float t = unit_float (next_raw t)
 
 let bool t = Int64.logand (next_raw t) 1L = 1L
 
 let bernoulli t ~p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p
+
+(* The state after [index] steps of [create ~seed] is seed + index * gamma,
+   so any one draw of that stream is a pure function of (seed, index). *)
+let bernoulli_at ~seed ~index ~p =
+  if p <= 0.0 then false
+  else if p >= 1.0 then true
+  else
+    let state = Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int index) golden_gamma) in
+    unit_float (mix state) < p
 
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";

@@ -48,6 +48,13 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is true with probability [p]. *)
 
+val bernoulli_at : seed:int -> index:int -> p:float -> bool
+(** [bernoulli_at ~seed ~index ~p] is what [bernoulli ~p] returns when it
+    makes the [index]-th draw (counting from 1) of [create ~seed], computed
+    directly from [(seed, index)]: no generator, no allocation.  Like
+    [bernoulli], it is [false] for [p <= 0] and [true] for [p >= 1] without
+    looking at the draw. *)
+
 val geometric : t -> p:float -> int
 (** [geometric t ~p] is the number of failures before the first success of a
     Bernoulli(p); 0-based. Requires [0 < p <= 1]. *)

@@ -76,6 +76,8 @@ let test_sim_rejects_bad_values () =
       ([ "--prios"; "0" ], "dpq_sim: --prios ");
       ([ "--nodes"; "32"; "--faults"; "kill=99@5" ], "dpq_sim: --faults kills node 99 ");
       ([ "--faults"; "garbage" ], "dpq_sim: --faults");
+      (* NaN once passed the range check: the run went ahead fault-free *)
+      ([ "--faults"; "drop=nan" ], "dpq_sim: --faults: ");
     ]
 
 (* Malformed grid flags exit 2 naming the flag, before any cell runs. *)

@@ -31,6 +31,43 @@ let test_plan_determinism () =
   in
   Alcotest.(check (list int)) "same seed, same decisions" (run ()) (run ())
 
+(* The first 200 fault decisions of a plan, one digit each (copies put on
+   the wire, 0..2), spread over 28 channels (src 0..3, dst 0..6). *)
+let copies spec =
+  let plan = Fault_plan.of_string ~seed:42 spec in
+  String.init 200 (fun i ->
+      Char.chr (48 + Fault_plan.transmit_copies plan None ~src:(i mod 4) ~dst:(i mod 7)))
+
+(* Every draw is a pure function of (seed, purpose, channel, per-channel
+   count); these strings pin the values themselves, not just their
+   repeatability.  A probability >= 1 takes no draw, so with a certain drop
+   the duplicate coin is never tossed; without a drop probability the
+   duplicate coin takes the first draw of its stream. *)
+let test_plan_pinned_decisions () =
+  let check = Alcotest.(check string) in
+  check "drop=0.3,dup=0.2"
+    ("11111011111010111111021011112211110110101112111011"
+      ^ "01011022012010111110010200010010000111012011110120"
+      ^ "11110101111201111011111110101110121001021111021110"
+      ^ "10102111110121111122111011111110202210112021111111")
+    (copies "drop=0.3,dup=0.2");
+  check "drop=1,dup=0.5" (String.make 200 '0') (copies "drop=1,dup=0.5");
+  check "dup=0.3"
+    ("11111211111212111111211211111111112112121111111211"
+      ^ "21211211211212111112212122212212222111211211112112"
+      ^ "11112121111121111211111112121112111221211111211112"
+      ^ "12121111112111111111111211111112121112111211111111")
+    (copies "dup=0.3");
+  let plan = Fault_plan.of_string ~seed:42 "spike=0.25x4" in
+  check "spike=0.25x4"
+    ("11111111114111111411141114114114414441111411111111"
+      ^ "41411141441411111141114111141111111111114111144114")
+    (String.init 100 (fun i ->
+         match Fault_plan.delay_multiplier plan None ~src:(i mod 4) ~dst:(i mod 7) with
+         | 1.0 -> '1'
+         | 4.0 -> '4'
+         | _ -> '?'))
+
 let test_crash_window_ticks () =
   let plan = Fault_plan.create ~crashes:[ { node = 2; from_tick = 2; until_tick = 4 } ] ~seed:1 () in
   let trace = Trace.create () in
@@ -150,6 +187,201 @@ let test_quiescence_diagnostics () =
       checkb "mentions round" true (contains m "round=");
       checkb "mentions last delivery" true (contains m "last_delivered=")
   | _ -> Alcotest.fail "ping-pong should exceed max_rounds"
+
+(* ----------------------------------- retransmission order and reaping *)
+
+let stats_line plan =
+  let s = Fault_plan.stats plan in
+  Printf.sprintf
+    "drops=%d dups=%d spikes=%d crash_drops=%d retransmits=%d acks=%d suppressed=%d dead=%d"
+    s.drops s.duplicates s.delay_spikes s.crash_drops s.retransmits s.acks_sent s.dups_suppressed
+    s.dead_letters
+
+(* The trace's schedule slice: msg, fault and retransmit events in order. *)
+let trace_digest trace = Dpq_explore.Run_digest.finish ~trace (Dpq_explore.Run_digest.start ())
+
+(* n = 6 has 30 directed channels; channel [c] is (c / 5, the (c mod 5)-th
+   other node). *)
+let channel_of c =
+  let src = c / 5 and d = c mod 5 in
+  (src, if d >= src then d + 1 else d)
+
+(* 300 sends, ten per channel: one per channel up front, and each delivery
+   of message m sends m + 30 on the same channel, so new registrations
+   interleave with retransmissions. *)
+let relay send eng m =
+  if m + 30 < 300 then begin
+    let src, dst = channel_of (m mod 30) in
+    send eng ~src ~dst (m + 30)
+  end
+
+(* The order in which [Reliable.due] visits outstanding packets decides
+   every later per-channel fault draw and the next round's delivery order.
+   The counters and digests below were recorded before the reliable layer
+   stopped allocating, and pin that order. *)
+let test_sync_retransmit_order () =
+  let plan = Fault_plan.create ~drop:0.3 ~duplicate:0.1 ~seed:8 () in
+  let trace = Trace.create () in
+  let got = ref 0 in
+  let eng =
+    Sync_engine.create ~n:6 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun eng ~dst:_ ~src:_ m ->
+        incr got;
+        relay Sync_engine.send eng m)
+      ()
+  in
+  for c = 0 to 29 do
+    let src, dst = channel_of c in
+    Sync_engine.send eng ~src ~dst c
+  done;
+  checki "rounds" 326 (Sync_engine.run_to_quiescence eng);
+  checki "delivered" 300 !got;
+  Alcotest.(check string)
+    "stats"
+    "drops=290 dups=77 spikes=0 crash_drops=0 retransmits=273 acks=461 suppressed=161 dead=0"
+    (stats_line plan);
+  Alcotest.(check string) "digest" "396ab989b9efa7dd" (trace_digest trace)
+
+let async_relay_run ~drop =
+  let plan = Fault_plan.create ~drop ~duplicate:0.1 ~seed:8 () in
+  let trace = Trace.create () in
+  let got = ref 0 in
+  let eng =
+    Async_engine.create ~n:6 ~seed:9 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun eng ~dst:_ ~src:_ m ->
+        incr got;
+        relay Async_engine.send eng m)
+      ()
+  in
+  for c = 0 to 29 do
+    let src, dst = channel_of c in
+    Async_engine.send eng ~src ~dst c
+  done;
+  let outcome =
+    match Async_engine.run_to_quiescence eng with
+    | events -> Printf.sprintf "events=%d" events
+    | exception Reliable.Delivery_failed m -> m
+  in
+  (!got, Printf.sprintf "%g" (Async_engine.now eng), outcome, stats_line plan, trace_digest trace)
+
+let test_async_retransmit_order () =
+  let got, now, outcome, stats, digest = async_relay_run ~drop:0.3 in
+  checki "delivered" 300 got;
+  Alcotest.(check string) "clock" "290.791" now;
+  Alcotest.(check string) "outcome" "events=1171" outcome;
+  Alcotest.(check string)
+    "stats"
+    "drops=407 dups=107 spikes=0 crash_drops=0 retransmits=508 acks=663 suppressed=363 dead=0"
+    stats;
+  Alcotest.(check string) "digest" "aaf033b7e7e46c12" digest
+
+(* At drop 0.9 the event queue keeps draining with packets unacked, so
+   [next_deadline] drives the clock, until one packet runs out of
+   attempts: which one, and when, pins the scan order too. *)
+let test_async_next_deadline_drives_clock () =
+  let got, now, outcome, stats, digest = async_relay_run ~drop:0.9 in
+  checki "delivered before the failure" 248 got;
+  Alcotest.(check string) "clock" "4044.49" now;
+  Alcotest.(check string)
+    "outcome"
+    "Reliable: message 2->4 sn=0 still unacknowledged after 64 retransmissions (rto=64, \
+     now=4044.49) — channel permanently down?"
+    outcome;
+  Alcotest.(check string)
+    "stats"
+    "drops=8709 dups=97 spikes=0 crash_drops=0 retransmits=8464 acks=982 suppressed=734 dead=0"
+    stats;
+  Alcotest.(check string) "digest" "856abe857940f43b" digest
+
+(* Reaping runs only after a kill is committed or a packet is registered
+   on a channel with a killed endpoint.  This is the second trigger: the
+   kill has already been reaped (an idle round ran after it) when a packet
+   is sent to the dead node. *)
+let test_reap_send_to_killed () =
+  let plan = Fault_plan.create ~kills:[ { node = 1; at_tick = 0 } ] ~seed:3 () in
+  let trace = Trace.create () in
+  let got = ref 0 in
+  let eng =
+    Sync_engine.create ~n:3 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun _ ~dst:_ ~src:_ _ -> incr got)
+      ()
+  in
+  Fault_plan.commit_kill plan (Some trace) ~node:1;
+  Sync_engine.step eng;
+  Sync_engine.send eng ~src:0 ~dst:1 "to the dead node";
+  Sync_engine.send eng ~src:0 ~dst:2 "to a live node";
+  Sync_engine.step eng;
+  let stats = Fault_plan.stats plan in
+  checki "one dead letter at the next round" 1 stats.Fault_plan.dead_letters;
+  checki "only the live node's packet outstanding" 1 (Sync_engine.unacked eng);
+  ignore (Sync_engine.run_to_quiescence eng);
+  checki "never retransmitted" 0 stats.Fault_plan.retransmits;
+  checki "still one dead letter" 1 stats.Fault_plan.dead_letters;
+  checki "the live node got its message" 1 !got;
+  Alcotest.(check string) "digest" "072077f0e8e8435c" (trace_digest trace)
+
+(* The first trigger: a kill committed between two rounds reaps every
+   outstanding packet on the dead node's channels, and nothing else. *)
+let test_reap_kill_between_rounds () =
+  let plan = Fault_plan.create ~drop:1.0 ~kills:[ { node = 2; at_tick = 0 } ] ~seed:3 () in
+  let trace = Trace.create () in
+  let eng =
+    Sync_engine.create ~n:4 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun _ ~dst:_ ~src:_ _ -> ())
+      ()
+  in
+  for src = 0 to 3 do
+    for dst = 0 to 3 do
+      if src <> dst then
+        for k = 0 to 2 do
+          Sync_engine.send eng ~src ~dst ((10 * src) + dst + (100 * k))
+        done
+    done
+  done;
+  Sync_engine.step eng;
+  checki "everything dropped, all outstanding" 36 (Sync_engine.unacked eng);
+  Fault_plan.commit_kill plan (Some trace) ~node:2;
+  Sync_engine.step eng;
+  checki "node 2's 6 channels x 3 packets reaped" 18
+    (Fault_plan.stats plan).Fault_plan.dead_letters;
+  checki "the rest still outstanding" 18 (Sync_engine.unacked eng);
+  List.iter
+    (function
+      | Trace.Fault_injected { kind = "dead_letter"; src; dst; _ } ->
+          checkb "dead letter on a channel of node 2" true (src = 2 || dst = 2)
+      | _ -> ())
+    (Trace.events trace);
+  Alcotest.(check string) "digest" "db94d8d56891ab63" (trace_digest trace)
+
+(* Allocation guard: a bare engine under drop + dup, one send per node per
+   round for 800 rounds.  Apart from one sequence-number table entry per
+   send, the fault path allocates nothing per message or per round; a
+   closure or a boxed float back on it shows up here as words per
+   delivered message (about 340 before the reliable layer was made flat,
+   about 11 after). *)
+let test_fault_path_allocation () =
+  let plan = Fault_plan.create ~drop:0.05 ~duplicate:0.02 ~seed:5 () in
+  let delivered = ref 0 in
+  let eng =
+    Sync_engine.create ~n:16 ~size_bits:(fun _ -> 8) ~faults:plan
+      ~handler:(fun _ ~dst:_ ~src:_ _ -> incr delivered)
+      ()
+  in
+  let before = Gc.minor_words () in
+  for r = 0 to 799 do
+    for src = 0 to 15 do
+      Sync_engine.send eng ~src ~dst:((src + 1 + (r mod 15)) mod 16) r
+    done;
+    Sync_engine.step eng
+  done;
+  ignore (Sync_engine.run_to_quiescence eng);
+  let words = Gc.minor_words () -. before in
+  checki "delivered" 12800 !delivered;
+  checki "retransmits" 1339 (Fault_plan.stats plan).Fault_plan.retransmits;
+  let per_msg = words /. float_of_int !delivered in
+  checkb
+    (Printf.sprintf "%.1f minor words per delivered message <= 24" per_msg)
+    true (per_msg <= 24.0)
 
 (* --------------------------------------------- full-protocol fault matrix *)
 
@@ -379,7 +611,23 @@ let test_plan_error_messages () =
     "Fault_plan.of_string: \"crash=3@20-10\" (Fault_plan: crash window must satisfy from_tick < \
      until_tick)";
   expect_invalid "drop=1.5"
-    "Fault_plan.of_string: \"drop=1.5\" (Fault_plan: drop probability 1.5 outside [0,1])"
+    "Fault_plan.of_string: \"drop=1.5\" (Fault_plan: drop probability 1.5 outside [0,1])";
+  (* NaN passes a [p < 0 || p > 1] test, and a NaN or infinite spike
+     factor would become a NaN or infinite event time in the asynchronous
+     engine. *)
+  expect_invalid "drop=nan"
+    "Fault_plan.of_string: \"drop=nan\" (Fault_plan: drop probability nan outside [0,1])";
+  expect_invalid "dup=nan"
+    "Fault_plan.of_string: \"dup=nan\" (Fault_plan: duplicate probability nan outside [0,1])";
+  expect_invalid "spike=nan"
+    "Fault_plan.of_string: \"spike=nan\" (Fault_plan: delay_spike probability nan outside \
+     [0,1])";
+  expect_invalid "spike=0.1xnan"
+    "Fault_plan.of_string: \"spike=0.1xnan\" (Fault_plan: delay_factor nan must be finite and \
+     >= 1)";
+  expect_invalid "spike=0.1xinf"
+    "Fault_plan.of_string: \"spike=0.1xinf\" (Fault_plan: delay_factor inf must be finite and \
+     >= 1)"
 
 (* --------------------------------------- permanent loss, end to end (k=3) *)
 
@@ -409,6 +657,7 @@ let () =
         [
           Alcotest.test_case "of_string parses and validates" `Quick test_plan_of_string;
           Alcotest.test_case "seeded determinism" `Quick test_plan_determinism;
+          Alcotest.test_case "pinned fault decisions" `Quick test_plan_pinned_decisions;
           Alcotest.test_case "crash windows tick open/closed" `Quick test_crash_window_ticks;
           QCheck_alcotest.to_alcotest plan_roundtrip;
           Alcotest.test_case "of_string error messages are precise" `Quick
@@ -423,6 +672,16 @@ let () =
           Alcotest.test_case "crash stalls, does not lose" `Quick test_sync_crash_stall_and_recover;
           Alcotest.test_case "dead channel fails bounded" `Quick test_dead_channel_fails_bounded;
           Alcotest.test_case "quiescence failure diagnostics" `Quick test_quiescence_diagnostics;
+          Alcotest.test_case "sync retransmission order pinned" `Quick test_sync_retransmit_order;
+          Alcotest.test_case "async retransmission order pinned" `Quick
+            test_async_retransmit_order;
+          Alcotest.test_case "async next_deadline drives the clock" `Quick
+            test_async_next_deadline_drives_clock;
+          Alcotest.test_case "send to a killed node: one dead letter" `Quick
+            test_reap_send_to_killed;
+          Alcotest.test_case "kill between rounds reaps its channels" `Quick
+            test_reap_kill_between_rounds;
+          Alcotest.test_case "fault path allocation guard" `Quick test_fault_path_allocation;
         ] );
       ( "protocol_matrix",
         [
