@@ -108,14 +108,14 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
     match W.arrival_of_string arrival_spec with
     | Ok a -> a
     | Error e ->
-        Printf.eprintf "--arrival: %s\n" e;
+        Printf.eprintf "dpq_sim: --arrival: %s\n" e;
         exit 1
   in
   let adaptive =
     match Batch_ctl.spec_of_string adaptive_spec with
     | Ok s -> s
     | Error e ->
-        Printf.eprintf "--adaptive: %s\n" e;
+        Printf.eprintf "dpq_sim: --adaptive: %s\n" e;
         exit 1
   in
   (* Out-of-range values fail here with the flag's name, not as a library

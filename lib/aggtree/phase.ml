@@ -57,10 +57,11 @@ let report_of_metrics m rounds =
 let header_bits tree =
   2 * Dpq_util.Bitsize.bits_of_nat_bound (max 1 ((3 * Aggtree.n tree) - 1))
 
-type 'a memo = { own : 'a array; child_aggs : (Ldb.vnode * 'a) list array }
+(* [parts.(v)] is filled when [v] completes; vnodes outside the tree never
+   complete and have only their own value. *)
+type 'a memo = { own : 'a array; parts : 'a list array }
 
-let memo_parts memo v =
-  memo.own.(v) :: List.map snd memo.child_aggs.(v)
+let memo_parts memo v = match memo.parts.(v) with [] -> [ memo.own.(v) ] | parts -> parts
 
 type 'a tree_msg = { to_v : Ldb.vnode; from_v : Ldb.vnode; value : 'a }
 
@@ -71,33 +72,30 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
   let nv = 3 * n in
   let header = header_bits tree in
   let own = Array.init nv (fun v -> local v) in
-  let expected = Array.init nv (fun v -> List.length (Aggtree.children tree v)) in
-  let received = Array.make nv [] in
+  (* Every vnode has one parent, so a child's sub-aggregate has a slot of
+     its own, indexed by the child. *)
+  let child_agg = Array.make nv own.(0) in
+  let received = Array.make nv 0 in
+  let parts = Array.make nv [] in
   let result = ref None in
-  let complete = Array.make nv false in
-  let rec on_complete eng v =
+  let rec child_aggs = function [] -> [] | c :: cs -> child_agg.(c) :: child_aggs cs in
+  let on_complete eng v =
     (* All child sub-aggregates are in: combine in deterministic order
        (own value first, then children by label) and pass upward. *)
-    complete.(v) <- true;
-    let ordered =
-      List.map
-        (fun c ->
-          match List.assoc_opt c received.(v) with
-          | Some x -> x
-          | None -> failwith "Phase.up: missing child aggregate")
-        (Aggtree.children tree v)
-    in
-    let total = List.fold_left combine own.(v) ordered in
+    let aggs = child_aggs (Aggtree.children tree v) in
+    parts.(v) <- own.(v) :: aggs;
+    let total = List.fold_left combine own.(v) aggs in
     match Aggtree.parent tree v with
     | None -> result := Some total
     | Some p ->
         Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner p)
           { to_v = p; from_v = v; value = total }
-  and handler eng ~dst:_ ~src:_ msg =
+  in
+  let handler eng ~dst:_ ~src:_ msg =
     let v = msg.to_v in
-    received.(v) <- (msg.from_v, msg.value) :: received.(v);
-    if (not complete.(v)) && List.length received.(v) = expected.(v) then
-      on_complete eng v
+    child_agg.(msg.from_v) <- msg.value;
+    received.(v) <- received.(v) + 1;
+    if received.(v) = List.length (Aggtree.children tree v) then on_complete eng v
   in
   let eng =
     Sync.create ~n
@@ -108,7 +106,7 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
      have no children but are not in the tree — skipping them keeps the
      root's result the only one written. *)
   for v = 0 to nv - 1 do
-    if expected.(v) = 0 && Aggtree.in_tree tree v then on_complete eng v
+    if Aggtree.is_leaf tree v && Aggtree.in_tree tree v then on_complete eng v
   done;
   let rounds = Sync.run_to_quiescence eng in
   let value =
@@ -116,12 +114,9 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
     | Some v -> v
     | None -> failwith "Phase.up: aggregation did not reach the anchor"
   in
-  let memo = { own; child_aggs = Array.init nv (fun v ->
-      List.map (fun c -> (c, List.assoc c received.(v))) (Aggtree.children tree v)) }
-  in
   let report = report_of_metrics (Sync.metrics eng) rounds in
   trace_phase_end trace span "up" report;
-  (value, memo, report)
+  (value, { own; parts }, report)
 
 let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits () =
   let span = Trace.phase_start trace "down" in
@@ -130,22 +125,22 @@ let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits 
   let nv = 3 * n in
   let header = header_bits tree in
   let retained = Array.make nv None in
-  let rec handle eng v payload =
-    let children = Aggtree.children tree v in
-    let parts = memo_parts memo v in
-    let pieces = split ~parts payload in
-    if List.length pieces <> List.length parts then
-      failwith "Phase.down: split returned wrong arity";
-    (match pieces with
-    | [] -> failwith "Phase.down: empty split"
+  let rec forward eng v children pieces =
+    match (children, pieces) with
+    | [], [] -> ()
+    | c :: children, piece :: pieces ->
+        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) { to_v = c; from_v = v; value = piece };
+        forward eng v children pieces
+    | _ -> failwith "Phase.down: split returned wrong arity"
+  in
+  let handle eng v payload =
+    match split ~parts:(memo_parts memo v) payload with
+    | [] -> failwith "Phase.down: split returned wrong arity"
     | mine :: rest ->
         retained.(v) <- Some mine;
-        List.iter2
-          (fun c piece ->
-            Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c)
-              { to_v = c; from_v = v; value = piece })
-          children rest)
-  and handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
+        forward eng v (Aggtree.children tree v) rest
+  in
+  let handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
   let eng =
     Sync.create ~n
       ~size_bits:(fun m -> header + size_bits m.value)

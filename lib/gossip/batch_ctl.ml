@@ -10,9 +10,10 @@ let default_config = { w_min = 1; w_max = 64; headroom = 0.8; hysteresis = 0.25 
 let check_config c =
   if c.w_min < 1 then invalid_arg "Batch_ctl: w_min must be >= 1";
   if c.w_max < c.w_min then invalid_arg "Batch_ctl: w_max must be >= w_min";
-  if c.headroom <= 0.0 || c.headroom > 1.0 then
+  (* Written so that NaN, which fails every comparison, fails the check. *)
+  if not (c.headroom > 0.0 && c.headroom <= 1.0) then
     invalid_arg "Batch_ctl: headroom must be in (0, 1]";
-  if c.hysteresis < 0.0 then invalid_arg "Batch_ctl: hysteresis must be >= 0"
+  if not (c.hysteresis >= 0.0) then invalid_arg "Batch_ctl: hysteresis must be >= 0"
 
 (* Forgetting factor of the running least-squares fit of T(b) = F + c*b:
    old batches decay geometrically so the fit tracks regime changes. *)

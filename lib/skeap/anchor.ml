@@ -62,66 +62,119 @@ let assign t batch =
 
 (* --------------------------------------------------------------- split *)
 
-(* Split a tagged delete collection into chunks of the given sizes; sizes
-   may exceed what is available — the shortage becomes ⊥ counts. *)
-let split_dels dels sizes =
-  let rest = ref dels in
-  List.map
-    (fun want ->
-      let got = ref [] in
-      let need = ref want in
-      let continue = ref true in
-      while !need > 0 && !continue do
-        match !rest with
-        | [] -> continue := false
-        | (prio, iv) :: tl ->
-            let front, back = Interval.take iv !need in
-            need := !need - Interval.cardinality front;
-            got := (prio, front) :: !got;
-            rest := (if Interval.is_empty back then tl else (prio, back) :: tl)
+(* The parts are served in order, each entry by entry, from cursors into
+   the assignment: per entry, how many insert positions of each priority
+   and how many delete positions earlier parts took.  A piece that covers a
+   whole interval, the whole rest of the delete list or the whole entry
+   reuses it as is, and the parts that demand nothing share one empty
+   piece; assignments are never mutated, so the sharing is invisible.  All
+   state is local to the call, since [split] runs inside domain shards
+   (DESIGN.md §9). *)
+
+type split_state = {
+  np : int;
+  taken : int array;
+      (* entry [j]: [taken.(j * (np + 1) + i)] insert positions of priority
+         [i + 1], then at offset [np] the delete positions *)
+  mutable zero : entry_assign;  (* [no_piece] until a part demands nothing *)
+}
+
+let no_piece = { ins = [||]; dels = []; bot = 0 }
+
+let zero_piece st =
+  if st.zero == no_piece then
+    st.zero <- { ins = Array.make st.np Interval.empty; dels = []; bot = 0 };
+  st.zero
+
+(* The [want > 0] delete positions after the first [skip] of [dels], in
+   draw order; [left] positions of [dels] follow the skipped ones.  Draws
+   are never empty. *)
+let rec take_dels dels ~skip ~want ~left =
+  if skip = 0 && want >= left then dels
+  else
+    match dels with
+    | [] -> []
+    | ((prio, iv) as draw) :: tl ->
+        let card = Interval.cardinality iv in
+        if skip >= card then take_dels tl ~skip:(skip - card) ~want ~left
+        else
+          let avail = card - skip in
+          let first = Interval.lo iv + skip in
+          if want > avail then
+            (if skip = 0 then draw else (prio, Interval.of_first_card ~first ~card:avail))
+            :: take_dels tl ~skip:0 ~want:(want - avail) ~left:(left - avail)
+          else if want = card then [ draw ]
+          else [ (prio, Interval.of_first_card ~first ~card:want) ]
+
+let serve st j (ea : entry_assign) (pe : Batch.entry) =
+  let base = j * (st.np + 1) in
+  let none = ref true and whole = ref true in
+  for i = 0 to st.np - 1 do
+    let want = pe.Batch.ins.(i) in
+    let card = Interval.cardinality ea.ins.(i) in
+    if want < 0 || st.taken.(base + i) + want > card then
+      invalid_arg "Anchor.split: insert demand exceeds the interval";
+    if want <> 0 then none := false;
+    if want <> card then whole := false
+  done;
+  let ins =
+    if !none then (zero_piece st).ins
+    else if !whole then ea.ins
+    else begin
+      let a = Array.make st.np Interval.empty in
+      for i = 0 to st.np - 1 do
+        let want = pe.Batch.ins.(i) and iv = ea.ins.(i) in
+        if want > 0 then
+          a.(i) <-
+            (if want = Interval.cardinality iv then iv
+             else Interval.of_first_card ~first:(Interval.lo iv + st.taken.(base + i)) ~card:want)
       done;
-      (List.rev !got, !need))
-    sizes
-
-let split_entry ~num_prios (ea : entry_assign) (part_entries : Batch.entry list) =
-  (* Per priority, split the insert interval by the parts' demands. *)
-  let ins_parts =
-    Array.init num_prios (fun i ->
-        let sizes = List.map (fun (pe : Batch.entry) -> pe.Batch.ins.(i)) part_entries in
-        Interval.split_sizes ea.ins.(i) sizes)
+      a
+    end
   in
-  let del_sizes = List.map (fun (pe : Batch.entry) -> pe.Batch.del) part_entries in
-  let del_parts = split_dels ea.dels del_sizes in
-  List.mapi
-    (fun k _ ->
-      let dels, bot = List.nth del_parts k in
-      {
-        ins = Array.init num_prios (fun i -> List.nth ins_parts.(i) k);
-        dels;
-        bot;
-      })
-    part_entries
+  for i = 0 to st.np - 1 do
+    st.taken.(base + i) <- st.taken.(base + i) + pe.Batch.ins.(i)
+  done;
+  let want = pe.Batch.del in
+  let skip = st.taken.(base + st.np) in
+  if want <= 0 then
+    if !none && want = 0 then zero_piece st
+    else if ins == ea.ins && ea.dels = [] && ea.bot = want then ea
+    else { ins; dels = []; bot = want }
+  else begin
+    let total = List.fold_left (fun acc (_, iv) -> acc + Interval.cardinality iv) 0 ea.dels in
+    let left = max 0 (total - skip) in
+    let dels = take_dels ea.dels ~skip ~want ~left in
+    let bot = max 0 (want - left) in
+    st.taken.(base + st.np) <- skip + want;
+    if ins == ea.ins && dels == ea.dels && bot = ea.bot then ea else { ins; dels; bot }
+  end
 
-let zero_entry num_prios : Batch.entry = { Batch.ins = Array.make num_prios 0; del = 0 }
+(* One part's pieces, entry by entry; a part with fewer entries than the
+   assignment demands nothing of the rest. *)
+let rec serve_part st j assignment part_entries =
+  match (assignment, part_entries) with
+  | [], _ -> []
+  | _ :: rest, [] -> zero_piece st :: serve_part st (j + 1) rest []
+  | ea :: rest, pe :: pes ->
+      let piece = serve st j ea pe in
+      piece :: serve_part st (j + 1) rest pes
+
+let rec serve_parts st assignment = function
+  | [] -> []
+  | part :: parts ->
+      let pieces = serve_part st 0 assignment (Batch.entries part) in
+      pieces :: serve_parts st assignment parts
 
 let split ~num_prios assignment ~parts =
-  let part_entry_lists = List.map Batch.entries parts in
-  let nparts = List.length parts in
-  (* Pad every part to the assignment's entry count with zero entries. *)
-  let rec nth_or_zero lst j =
-    match lst with
-    | [] -> zero_entry num_prios
-    | x :: tl -> if j = 0 then x else nth_or_zero tl (j - 1)
+  let st =
+    {
+      np = num_prios;
+      taken = Array.make (List.length assignment * (num_prios + 1)) 0;
+      zero = no_piece;
+    }
   in
-  let per_entry =
-    List.mapi
-      (fun j ea ->
-        let part_entries = List.map (fun pl -> nth_or_zero pl j) part_entry_lists in
-        split_entry ~num_prios ea part_entries)
-      assignment
-  in
-  (* Transpose: per part, the list of its entry assignments. *)
-  List.init nparts (fun k -> List.map (fun entry_parts -> List.nth entry_parts k) per_entry)
+  serve_parts st assignment parts
 
 let assignment_bits assignment =
   let iv_bits iv =

@@ -52,7 +52,11 @@ val split : num_prios:int -> assignment -> parts:Batch.t list -> assignment list
     aggregates — the same order {!Dpq_aggtree.Phase.memo_parts} uses):
     part [k] receives, per entry and per priority, the next
     [i_{j,p}^{(k)}] insert positions, the next [d_j^{(k)}] delete positions
-    (and the trailing ⊥s once positions run out). *)
+    (and the trailing ⊥s once positions run out).  Pieces may share
+    intervals, delete lists and whole entries with [assignment]; the delete
+    intervals must be non-empty, as {!assign} makes them.  Raises
+    [Invalid_argument] if the parts demand more insert positions of a
+    priority than an entry holds. *)
 
 val assignment_bits : assignment -> int
 (** Wire size of an assignment message (interval endpoints). *)

@@ -39,24 +39,24 @@ let length t = List.length t.entries
 let is_empty t = t.entries = []
 
 let combine_entry num_prios a b =
-  {
-    ins = Array.init num_prios (fun i -> a.ins.(i) + b.ins.(i));
-    del = a.del + b.del;
-  }
+  let ins = Array.make num_prios 0 in
+  for i = 0 to num_prios - 1 do
+    ins.(i) <- a.ins.(i) + b.ins.(i)
+  done;
+  { ins; del = a.del + b.del }
 
-let zero_entry num_prios = { ins = Array.make num_prios 0; del = 0 }
+(* Entries are never mutated, so the longer batch's tail is shared. *)
+let rec zip np xs ys =
+  match (xs, ys) with
+  | [], rest | rest, [] -> rest
+  | x :: xs, y :: ys -> combine_entry np x y :: zip np xs ys
 
 let combine a b =
   if a.num_prios <> b.num_prios then invalid_arg "Batch.combine: differing priority universes";
-  let np = a.num_prios in
-  let rec zip xs ys =
-    match (xs, ys) with
-    | [], [] -> []
-    | x :: xs, [] -> combine_entry np x (zero_entry np) :: zip xs []
-    | [], y :: ys -> combine_entry np (zero_entry np) y :: zip [] ys
-    | x :: xs, y :: ys -> combine_entry np x y :: zip xs ys
-  in
-  { num_prios = np; entries = zip a.entries b.entries }
+  match (a.entries, b.entries) with
+  | [], _ -> b
+  | _, [] -> a
+  | xs, ys -> { num_prios = a.num_prios; entries = zip a.num_prios xs ys }
 
 let total_inserts t =
   List.fold_left (fun acc e -> acc + Array.fold_left ( + ) 0 e.ins) 0 t.entries

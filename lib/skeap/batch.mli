@@ -26,7 +26,9 @@ val of_ops : num_prios:int -> op list -> t
 val group_ops : op list -> op list list
 (** The grouping [of_ops] uses: maximal runs of inserts followed by the
     deletes that trail them.  Mapping positions back to concrete operations
-    (Phase 4) iterates these groups in step with the batch entries. *)
+    (Phase 4) walks the operations in step with the batch entries by the
+    same rule: an entry starts with the first operation and with every
+    insert that follows a delete. *)
 
 val num_prios : t -> int
 val entries : t -> entry list
@@ -35,7 +37,8 @@ val length : t -> int
 
 val is_empty : t -> bool
 val combine : t -> t -> t
-(** Raises [Invalid_argument] on differing priority universes. *)
+(** Raises [Invalid_argument] on differing priority universes.  The result
+    may share entries with its arguments; entries are never mutated. *)
 
 val total_inserts : t -> int
 val total_deletes : t -> int

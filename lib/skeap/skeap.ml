@@ -90,18 +90,144 @@ type batch_result = {
 
 let dht_key t prio pos = Dpq_util.Hashing.pair t.key_hash prio pos
 
-(* A witness sort key; ordered lexicographically.  Layout:
-   (entry_j, phase, a, b) with phase 0 = inserts (ordered by traversal rank
-   then local issue order), 1 = matched deletes (ordered by draw order:
-   ascending priority then position), 2 = ⊥ deletes (node, local order). *)
-type wkey = int * int * int * int
-
 (* Traversal ranks follow the tree, so every topology change recomputes
    them. *)
 let rerank t () = t.preorder_rank <- compute_preorder_ranks t.host.tree
 
+module Itbl = Hashtbl.Make (Int)
+
 let batch_op (p : Clients.pending) =
   match p.kind with `Ins e -> Batch.Ins (Element.prio e) | `Del -> Batch.Del
+
+(* Phase 4 keeps one slot per operation of the batch, numbered in
+   (node, local_seq) order.  A slot's witness sort key is
+   (entry * 3 + phase, a, b), ordered lexicographically: phase 0 = inserts
+   (a = traversal rank, b = local issue order), 1 = matched deletes (draw
+   order: a = priority, b = position), 2 = ⊥ deletes (a = node, b = local
+   order).  The phase also says which outcome the slot gets. *)
+type slots = {
+  s_node : int array;
+  s_seq : int array;
+  s_key : int array;  (* DHT key; unused for ⊥ *)
+  s_elt : Element.t array;  (* inserted or returned element; unused for ⊥ *)
+  k_jp : int array;
+  k_a : int array;
+  k_b : int array;
+}
+
+let no_element = Element.make ~prio:0 ~origin:(-1) ~seq:(-1) ()
+
+let create_slots total =
+  {
+    s_node = Array.make total 0;
+    s_seq = Array.make total 0;
+    s_key = Array.make total 0;
+    s_elt = Array.make total no_element;
+    k_jp = Array.make total 0;
+    k_a = Array.make total 0;
+    k_b = Array.make total 0;
+  }
+
+(* Fill the slots from [first] on with [node]'s ops, walking them in step
+   with its entry assignments: a new entry starts with the first op and
+   with every insert that follows a delete ([Batch.group_ops]).  Per entry,
+   [ins_used] counts the insert positions taken per priority and
+   [dels]/[del_off] point at the next delete position.  Returns the next
+   free slot. *)
+let map_positions t sl ~first ~node ~ins_used (ops : Clients.pending list)
+    (entry_assigns : Anchor.assignment) =
+  let entries = ref entry_assigns and j = ref (-1) in
+  let ins = ref [||] and dels = ref [] and del_off = ref 0 in
+  let in_dels = ref true in
+  let ops = ref ops and slot = ref first and more = ref true in
+  while !more do
+    match !ops with
+    | [] -> more := false
+    | pending :: rest ->
+        ops := rest;
+        let s = !slot in
+        incr slot;
+        let is_ins = match pending.kind with `Ins _ -> true | `Del -> false in
+        if !j < 0 || (is_ins && !in_dels) then begin
+          match !entries with
+          | [] -> failwith "Skeap: assignment/ops length mismatch"
+          | ea :: tl ->
+              entries := tl;
+              incr j;
+              ins := ea.Anchor.ins;
+              dels := ea.Anchor.dels;
+              del_off := 0;
+              Array.fill ins_used 0 t.num_prios 0
+        end;
+        in_dels := not is_ins;
+        sl.s_node.(s) <- node;
+        sl.s_seq.(s) <- pending.local_seq;
+        match pending.kind with
+        | `Ins elt ->
+            let prio = Element.prio elt in
+            let iv = !ins.(prio - 1) in
+            let used = ins_used.(prio - 1) in
+            if used >= Interval.cardinality iv then failwith "Skeap: insert positions exhausted";
+            ins_used.(prio - 1) <- used + 1;
+            sl.s_key.(s) <- dht_key t prio (Interval.lo iv + used);
+            sl.s_elt.(s) <- elt;
+            sl.k_jp.(s) <- 3 * !j;
+            sl.k_a.(s) <- t.preorder_rank.(node);
+            sl.k_b.(s) <- pending.local_seq
+        | `Del -> (
+            match !dels with
+            | (prio, iv) :: tl ->
+                let pos = Interval.lo iv + !del_off in
+                if pos = Interval.hi iv then begin
+                  dels := tl;
+                  del_off := 0
+                end
+                else incr del_off;
+                sl.s_key.(s) <- dht_key t prio pos;
+                sl.k_jp.(s) <- (3 * !j) + 1;
+                sl.k_a.(s) <- prio;
+                sl.k_b.(s) <- pos
+            | [] ->
+                (* ⊥: the heap ran dry for this entry. *)
+                sl.k_jp.(s) <- (3 * !j) + 2;
+                sl.k_a.(s) <- node;
+                sl.k_b.(s) <- pending.local_seq)
+  done;
+  !slot
+
+(* Log every slot's operation in witness order.  Sort keys are distinct,
+   so any sort gives the one order. *)
+let record_witnesses clients sl =
+  let order = Array.init (Array.length sl.k_jp) (fun s -> s) in
+  Array.sort
+    (fun x y ->
+      let c = Int.compare sl.k_jp.(x) sl.k_jp.(y) in
+      if c <> 0 then c
+      else
+        let c = Int.compare sl.k_a.(x) sl.k_a.(y) in
+        if c <> 0 then c else Int.compare sl.k_b.(x) sl.k_b.(y))
+    order;
+  Array.iter
+    (fun s ->
+      let node = sl.s_node.(s) and local_seq = sl.s_seq.(s) in
+      let witness = Clients.next_witness clients in
+      Clients.record clients
+        (match sl.k_jp.(s) mod 3 with
+        | 0 -> { Oplog.node; local_seq; witness; kind = Insert sl.s_elt.(s); result = None }
+        | 1 -> { node; local_seq; witness; kind = Delete_min; result = Some sl.s_elt.(s) }
+        | _ -> { node; local_seq; witness; kind = Delete_min; result = None }))
+    order
+
+(* Slots are in (node, local_seq) order, the order completions report. *)
+let completions_of sl =
+  let acc = ref [] in
+  for s = Array.length sl.k_jp - 1 downto 0 do
+    let outcome =
+      match sl.k_jp.(s) mod 3 with 0 -> `Inserted sl.s_elt.(s) | 1 -> `Got sl.s_elt.(s) | _ -> `Empty
+    in
+    acc := { node = sl.s_node.(s); local_seq = sl.s_seq.(s); outcome } :: !acc
+  done;
+  !acc
 
 let process_batch ?(dht_mode = Dht_sync) t =
   let h = t.host in
@@ -138,103 +264,53 @@ let process_batch ?(dht_mode = Dht_sync) t =
       ~size_bits:(fun () -> 1) ()
   in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
-  let dht_ops = ref [] in
-  (* (origin, key) -> (local_seq, wkey) for deletes in flight *)
-  let get_index : (int * int, int * wkey) Hashtbl.t = Hashtbl.create 64 in
-  let records : (wkey * Oplog.record) list ref = ref [] in
-  let completions = ref [] in
-  (* Log a completed operation under its sort key (its witness is set once
-     the batch is sorted) and report its outcome. *)
-  let complete wkey node local_seq kind result outcome =
-    records := (wkey, { Oplog.node; local_seq; witness = 0; kind; result }) :: !records;
-    completions := { node; local_seq; outcome } :: !completions
-  in
+  let sl = create_slots (Array.fold_left (fun acc ops -> acc + List.length ops) 0 node_ops) in
+  let ins_used = Array.make t.num_prios 0 in
+  let next = ref 0 in
   for node = 0 to Clients.n h.clients - 1 do
-    let mv = Ldb.vnode ~owner:node Ldb.Middle in
-    match retained.(mv) with
+    match retained.(Ldb.vnode ~owner:node Ldb.Middle) with
     | None ->
         if node_ops.(node) <> [] then failwith "Skeap: node with ops received no assignment"
-    | Some (entry_assigns : Anchor.assignment) ->
-        let groups = Batch.group_ops node_bops.(node) in
-        let pendings = ref node_ops.(node) in
-        let next_pending () =
-          match !pendings with
-          | [] -> failwith "Skeap: assignment/ops length mismatch"
-          | p :: tl ->
-              pendings := tl;
-              p
-        in
-        List.iteri
-          (fun j group ->
-            let ea = List.nth entry_assigns j in
-            (* cursors over this entry's per-priority insert intervals *)
-            let ins_cursor = Array.map (fun iv -> ref (Interval.positions iv)) ea.Anchor.ins in
-            let del_cursor =
-              ref
-                (List.concat_map
-                   (fun (p, iv) -> List.map (fun pos -> (p, pos)) (Interval.positions iv))
-                   ea.Anchor.dels)
-            in
-            List.iter
-              (fun _ ->
-                let pending = next_pending () in
-                match pending.kind with
-                | `Ins elt ->
-                    let prio = Element.prio elt in
-                    let pos =
-                      match !(ins_cursor.(prio - 1)) with
-                      | [] -> failwith "Skeap: insert positions exhausted"
-                      | p :: tl ->
-                          ins_cursor.(prio - 1) := tl;
-                          p
-                    in
-                    let key = dht_key t prio pos in
-                    dht_ops := Dht.Put { origin = node; key; elt; confirm = false } :: !dht_ops;
-                    complete
-                      (j, 0, t.preorder_rank.(node), pending.local_seq)
-                      node pending.local_seq (Oplog.Insert elt) None (`Inserted elt)
-                | `Del -> (
-                    match !del_cursor with
-                    | (prio, pos) :: tl ->
-                        del_cursor := tl;
-                        let key = dht_key t prio pos in
-                        dht_ops := Dht.Get { origin = node; key } :: !dht_ops;
-                        let wkey = (j, 1, prio, pos) in
-                        Hashtbl.replace get_index (node, key) (pending.local_seq, wkey)
-                    | [] ->
-                        (* ⊥: the heap ran dry for this entry. *)
-                        complete (j, 2, node, pending.local_seq) node pending.local_seq
-                          Oplog.Delete_min None `Empty))
-              group)
-          groups
+    | Some entry_assigns ->
+        next := map_positions t sl ~first:!next ~node ~ins_used node_ops.(node) entry_assigns
   done;
-  let dht_ops = List.rev !dht_ops in
-  let dht_completions, dht_report = Host.run_dht h ~dht_mode dht_ops in
+  (* The DHT requests in slot order; deletes in flight are indexed by key
+     and answer only to the node that asked. *)
+  let get_index = Itbl.create 64 in
+  let dht_ops = ref [] in
+  for s = !next - 1 downto 0 do
+    let origin = sl.s_node.(s) and key = sl.s_key.(s) in
+    match sl.k_jp.(s) mod 3 with
+    | 0 -> dht_ops := Dht.Put { origin; key; elt = sl.s_elt.(s); confirm = false } :: !dht_ops
+    | 1 ->
+        if Itbl.mem get_index key then failwith "Skeap: two DeleteMin requests share a DHT key";
+        Itbl.add get_index key s;
+        dht_ops := Dht.Get { origin; key } :: !dht_ops
+    | _ -> ()
+  done;
+  let dht_completions, dht_report = Host.run_dht h ~dht_mode !dht_ops in
   List.iter
     (fun c ->
       match c with
       | Dht.Got { origin; key; elt } -> (
-          match Hashtbl.find_opt get_index (origin, key) with
-          | None -> failwith "Skeap: DHT returned an element nobody asked for"
-          | Some (local_seq, wkey) ->
-              Hashtbl.remove get_index (origin, key);
-              complete wkey origin local_seq Oplog.Delete_min (Some elt) (`Got elt))
+          match Itbl.find get_index key with
+          | s when sl.s_node.(s) = origin ->
+              Itbl.remove get_index key;
+              sl.s_elt.(s) <- elt
+          | _ | (exception Not_found) -> failwith "Skeap: DHT returned an element nobody asked for")
       | Dht.Put_confirmed _ -> ())
     dht_completions;
-  if Hashtbl.length get_index > 0 then
+  if Itbl.length get_index > 0 then
     failwith "Skeap: some DeleteMin requests never met their element";
   (* ---- assign witness positions in anchor processing order ------------ *)
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (List.rev !records) in
-  List.iter
-    (fun (_, r) -> Clients.record h.clients { r with Oplog.witness = Clients.next_witness h.clients })
-    sorted;
+  record_witnesses h.clients sl;
   (* ---- gossip exchange: load estimation rides the batch boundary ------- *)
   let gossip_report = Host.exchange_gossip ?par:t.par h in
   let report =
     List.fold_left Phase.add_report Phase.empty_report
       [ up_report; down_report; announce_report; dht_report; gossip_report ]
   in
-  { completions = Clients.sort_completions !completions; report; batch = combined; assignment }
+  { completions = completions_of sl; report; batch = combined; assignment }
 
 let drain ?(dht_mode = Dht_sync) t = Clients.drain t.host.clients (fun () -> process_batch ~dht_mode t)
 

@@ -64,47 +64,3 @@ let to_string = function
   | Range r -> Printf.sprintf "[%d,%d]" r.lo r.hi
 
 let pp fmt iv = Format.pp_print_string fmt (to_string iv)
-
-module Set = struct
-  type interval = t
-  type nonrec t = interval list (* non-empty members, in order *)
-
-  let iv_card = cardinality
-  let iv_is_empty = is_empty
-  let empty = []
-  let of_list l = List.filter (fun iv -> not (iv_is_empty iv)) l
-  let to_list t = t
-  let cardinality t = List.fold_left (fun acc iv -> acc + iv_card iv) 0 t
-  let is_empty t = t = []
-  let append = ( @ )
-  let add t iv = if iv_is_empty iv then t else t @ [ iv ]
-
-  let split_sizes t sizes =
-    List.iter (fun s -> if s < 0 then invalid_arg "Interval.Set.split_sizes: negative size") sizes;
-    let total = List.fold_left ( + ) 0 sizes in
-    if total > cardinality t then
-      invalid_arg "Interval.Set.split_sizes: sizes exceed cardinality";
-    let rest = ref t in
-    List.map
-      (fun s ->
-        let need = ref s in
-        let acc = ref [] in
-        while !need > 0 do
-          match !rest with
-          | [] -> invalid_arg "Interval.Set.split_sizes: exhausted"
-          | iv :: tl ->
-              let front, back = take iv !need in
-              need := !need - iv_card front;
-              acc := front :: !acc;
-              rest := if iv_is_empty back then tl else back :: tl
-        done;
-        of_list (List.rev !acc))
-      sizes
-
-  let positions t = List.concat_map positions t
-
-  let to_string t =
-    "{" ^ String.concat ", " (List.map to_string t) ^ "}"
-
-  let pp fmt t = Format.pp_print_string fmt (to_string t)
-end

@@ -1,4 +1,4 @@
-(** Closed integer intervals [\[a, b\]] and ordered collections thereof.
+(** Closed integer intervals [\[a, b\]].
 
     Skeap's anchor assigns each batch entry an interval of positions
     (§3.2.2), Phase 3 recursively decomposes such intervals over the
@@ -53,28 +53,3 @@ val to_string : t -> string
 (** ["[a,b]"] or ["∅"]. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** Ordered collections of disjoint intervals, e.g. a DeleteMin entry that
-    spans several priorities' position ranges. *)
-module Set : sig
-  type interval := t
-  type t
-
-  val empty : t
-  val of_list : interval list -> t
-  (** Drops empty members, keeps order. *)
-
-  val to_list : t -> interval list
-  val cardinality : t -> int
-  val is_empty : t -> bool
-  val append : t -> t -> t
-  val add : t -> interval -> t
-
-  val split_sizes : t -> int list -> t list
-  (** Like {!val:split_sizes} but across the concatenation of the member
-      intervals: each returned collection covers the next [size] positions. *)
-
-  val positions : t -> int list
-  val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
-end

@@ -79,7 +79,8 @@ let arrival_to_string = function
 
 let arrival_of_string s =
   let fail () = Error (Printf.sprintf "Workload.arrival_of_string: bad arrival %S" s) in
-  let non_neg f = match f with Some v when v >= 0.0 -> f | _ -> None in
+  (* Rates are finite: an infinite one sizes an arrival round without bound. *)
+  let non_neg f = match f with Some v when v >= 0.0 && Float.is_finite v -> f | _ -> None in
   match String.split_on_char ':' s with
   | [ "closed" ] -> Ok Closed
   | [ "poisson"; r ] -> (

@@ -78,6 +78,12 @@ let test_sim_rejects_bad_values () =
       ([ "--faults"; "garbage" ], "dpq_sim: --faults");
       (* NaN once passed the range check: the run went ahead fault-free *)
       ([ "--faults"; "drop=nan" ], "dpq_sim: --faults: ");
+      (* an infinite rate once overflowed the stack sizing the first round *)
+      ([ "--arrival"; "poisson:inf"; "--window"; "4" ], "dpq_sim: --arrival: ");
+      ([ "--arrival"; "poisson:1e400"; "--window"; "4" ], "dpq_sim: --arrival: ");
+      (* NaN once passed the controller's range checks *)
+      ([ "--adaptive"; "on:1:256:nan:0.25" ], "dpq_sim: --adaptive: ");
+      ([ "--adaptive"; "on:1:256:0.8:nan" ], "dpq_sim: --adaptive: ");
     ]
 
 (* Malformed grid flags exit 2 naming the flag, before any cell runs. *)

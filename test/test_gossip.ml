@@ -170,7 +170,17 @@ let test_ctl_spec_rejects () =
       match Batch_ctl.spec_of_string s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
-    [ ""; "maybe"; "on:0:4:0.8:0.2"; "on:4:2:0.8:0.2"; "on:1:4:1.5:0.2"; "on:1:4:0.8"; "on:x:4:0.8:0.2" ]
+    [
+      "";
+      "maybe";
+      "on:0:4:0.8:0.2";
+      "on:4:2:0.8:0.2";
+      "on:1:4:1.5:0.2";
+      "on:1:4:0.8";
+      "on:x:4:0.8:0.2";
+      "on:1:256:nan:0.25";
+      "on:1:256:0.8:nan";
+    ]
 
 (* ------------------------------------------------------------- run_open *)
 

@@ -207,6 +207,165 @@ let prop_anchor_conservation =
       matched + bots = Batch.total_deletes b
       && Anchor.total_occupied a = Batch.total_inserts b - matched)
 
+(* The list-transpose [Anchor.split] the cursor split replaced, kept as a
+   reference: pad every part to the assignment's entry count with zero
+   entries, split each entry's intervals by [Interval.split_sizes] and the
+   tagged delete list chunk by chunk, then transpose. *)
+let oracle_split ~num_prios (assignment : Anchor.assignment) ~parts =
+  let split_dels dels sizes =
+    let rest = ref dels in
+    List.map
+      (fun want ->
+        let got = ref [] in
+        let need = ref want in
+        let continue = ref true in
+        while !need > 0 && !continue do
+          match !rest with
+          | [] -> continue := false
+          | (prio, iv) :: tl ->
+              let front, back = Interval.take iv !need in
+              need := !need - Interval.cardinality front;
+              got := (prio, front) :: !got;
+              rest := if Interval.is_empty back then tl else (prio, back) :: tl
+        done;
+        (List.rev !got, !need))
+      sizes
+  in
+  let split_entry (ea : Anchor.entry_assign) (part_entries : Batch.entry list) =
+    let ins_parts =
+      Array.init num_prios (fun i ->
+          Interval.split_sizes ea.Anchor.ins.(i)
+            (List.map (fun (pe : Batch.entry) -> pe.Batch.ins.(i)) part_entries))
+    in
+    let del_parts =
+      split_dels ea.Anchor.dels (List.map (fun (pe : Batch.entry) -> pe.Batch.del) part_entries)
+    in
+    List.mapi
+      (fun k _ ->
+        let dels, bot = List.nth del_parts k in
+        { Anchor.ins = Array.init num_prios (fun i -> List.nth ins_parts.(i) k); dels; bot })
+      part_entries
+  in
+  let zero : Batch.entry = { Batch.ins = Array.make num_prios 0; del = 0 } in
+  let part_entry_lists = List.map Batch.entries parts in
+  let per_entry =
+    List.mapi
+      (fun j ea ->
+        split_entry ea
+          (List.map (fun pl -> Option.value (List.nth_opt pl j) ~default:zero) part_entry_lists))
+      assignment
+  in
+  List.init (List.length parts) (fun k -> List.map (fun pieces -> List.nth pieces k) per_entry)
+
+(* The zero-padding [Batch.combine] the tail-sharing one replaced. *)
+let oracle_combine_entries num_prios xs ys =
+  let zero : Batch.entry = { Batch.ins = Array.make num_prios 0; del = 0 } in
+  let add (x : Batch.entry) (y : Batch.entry) : Batch.entry =
+    { Batch.ins = Array.init num_prios (fun i -> x.ins.(i) + y.ins.(i)); del = x.del + y.del }
+  in
+  let rec zip xs ys =
+    match (xs, ys) with
+    | [], [] -> []
+    | x :: xs, [] -> add x zero :: zip xs []
+    | [], y :: ys -> add zero y :: zip [] ys
+    | x :: xs, y :: ys -> add x y :: zip xs ys
+  in
+  zip xs ys
+
+let gen_ops_over num_prios max_len =
+  QCheck.Gen.(
+    list_size (0 -- max_len)
+      (frequency
+         [ (3, map (fun p -> Batch.Ins (1 + (p mod num_prios))) small_nat); (2, return Batch.Del) ]))
+
+(* An anchor state left by earlier batches (several priorities occupied, so
+   deletes spill across them and may run dry), then a vnode's parts: each
+   a batch of sub-parts, some empty, some with fewer entries than others. *)
+let gen_split_case =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun num_prios ->
+    let part = frequency [ (1, return []); (4, gen_ops_over num_prios 10) ] in
+    triple (list_size (0 -- 3) (gen_ops_over num_prios 14))
+      (list_size (1 -- 4) (list_size (1 -- 3) part))
+      bool
+    >|= fun (history, parts, drop_last) -> (num_prios, history, parts, drop_last))
+
+let print_split_case (num_prios, history, parts, drop_last) =
+  let ops_s ops =
+    String.concat "" (List.map (function Batch.Ins p -> string_of_int p | Batch.Del -> "d") ops)
+  in
+  Printf.sprintf "num_prios=%d history=[%s] parts=[%s] drop_last=%b" num_prios
+    (String.concat ";" (List.map ops_s history))
+    (String.concat ";" (List.map (fun subs -> String.concat "|" (List.map ops_s subs)) parts))
+    drop_last
+
+(* Run the case: assign the combined parts at the anchor, then split the
+   assignment among the parts (one part dropped when [drop_last], so the
+   demands fall short of the intervals), and each part's piece among its
+   sub-parts, as the tree does one level down. *)
+let split_case_outputs split (num_prios, history, part_ops, drop_last) =
+  let a = Anchor.create ~num_prios in
+  List.iter (fun ops -> ignore (Anchor.assign a (Batch.of_ops ~num_prios ops))) history;
+  let subs = List.map (List.map (Batch.of_ops ~num_prios)) part_ops in
+  let combine_all = List.fold_left Batch.combine (Batch.empty ~num_prios) in
+  let parts = List.map combine_all subs in
+  let asg = Anchor.assign a (combine_all parts) in
+  let parts, subs =
+    if drop_last && List.length parts > 1 then
+      let keep = List.length parts - 1 in
+      (List.filteri (fun k _ -> k < keep) parts, List.filteri (fun k _ -> k < keep) subs)
+    else (parts, subs)
+  in
+  let pieces = split ~num_prios asg ~parts in
+  pieces :: List.map2 (fun piece sub -> split ~num_prios piece ~parts:sub) pieces subs
+
+let prop_split_matches_oracle =
+  QCheck.Test.make ~name:"cursor split equals the list-transpose split" ~count:500
+    (QCheck.make ~print:print_split_case gen_split_case) (fun case ->
+      let got = split_case_outputs Anchor.split case in
+      let want = split_case_outputs oracle_split case in
+      let bits = List.map (List.map Anchor.assignment_bits) in
+      got = want && bits got = bits want)
+
+let prop_split_rejects_excess_inserts =
+  QCheck.Test.make ~name:"split rejects insert demand beyond the interval" ~count:200
+    (QCheck.make ~print:print_split_case gen_split_case) (fun (num_prios, history, part_ops, _) ->
+      let a = Anchor.create ~num_prios in
+      List.iter (fun ops -> ignore (Anchor.assign a (Batch.of_ops ~num_prios ops))) history;
+      let parts = List.map (fun subs -> Batch.of_ops ~num_prios (List.concat subs)) part_ops in
+      let asg = Anchor.assign a (List.fold_left Batch.combine (Batch.empty ~num_prios) parts) in
+      QCheck.assume (asg <> []);
+      (* One insert more than was assigned, in the first entry. *)
+      let parts = parts @ [ Batch.of_ops ~num_prios [ Batch.Ins num_prios ] ] in
+      let raises split =
+        match split ~num_prios asg ~parts with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      raises Anchor.split && raises oracle_split)
+
+let test_anchor_split_excess_insert_raises () =
+  let a = Anchor.create ~num_prios:2 in
+  let b = Batch.of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 2; Batch.Del ] in
+  let asg = Anchor.assign a b in
+  checkb "raises" true
+    (match Anchor.split ~num_prios:2 asg ~parts:[ b; b ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let prop_combine_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun np ->
+      pair (gen_ops_over np 12) (gen_ops_over np 12) >|= fun (o1, o2) -> (np, o1, o2))
+  in
+  QCheck.Test.make ~name:"tail-sharing combine equals the zero-padding combine" ~count:300
+    (QCheck.make gen) (fun (np, o1, o2) ->
+      let b1 = Batch.of_ops ~num_prios:np o1 and b2 = Batch.of_ops ~num_prios:np o2 in
+      let c = Batch.combine b1 b2 in
+      Batch.num_prios c = np
+      && Batch.entries c = oracle_combine_entries np (Batch.entries b1) (Batch.entries b2))
+
 (* ---------------------------------------------------------- Full Skeap *)
 
 let test_skeap_single_node_roundtrip () =
@@ -493,6 +652,7 @@ let () =
           Alcotest.test_case "bad priority" `Quick test_batch_bad_priority;
           QCheck_alcotest.to_alcotest prop_batch_combine_associative;
           QCheck_alcotest.to_alcotest prop_batch_counts_preserved;
+          QCheck_alcotest.to_alcotest prop_combine_matches_oracle;
         ] );
       ( "anchor",
         [
@@ -503,6 +663,9 @@ let () =
           Alcotest.test_case "figure 1" `Quick test_anchor_figure1;
           Alcotest.test_case "split bot late parts" `Quick test_anchor_split_bot_goes_to_late_parts;
           QCheck_alcotest.to_alcotest prop_anchor_conservation;
+          Alcotest.test_case "split excess insert raises" `Quick test_anchor_split_excess_insert_raises;
+          QCheck_alcotest.to_alcotest prop_split_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_split_rejects_excess_inserts;
         ] );
       ( "skeap",
         [

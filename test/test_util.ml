@@ -275,19 +275,6 @@ let test_interval_positions () =
   Alcotest.(check (list int)) "positions" [ 4; 5; 6 ] (Interval.positions (Interval.make 4 6));
   Alcotest.(check (list int)) "empty positions" [] (Interval.positions Interval.empty)
 
-let test_interval_set_split () =
-  let s = Interval.Set.of_list [ Interval.make 1 3; Interval.make 10 12 ] in
-  checki "card" 6 (Interval.Set.cardinality s);
-  let parts = Interval.Set.split_sizes s [ 2; 2; 2 ] in
-  Alcotest.(check (list (list int)))
-    "positions per part"
-    [ [ 1; 2 ]; [ 3; 10 ]; [ 11; 12 ] ]
-    (List.map Interval.Set.positions parts)
-
-let test_interval_set_drops_empty () =
-  let s = Interval.Set.of_list [ Interval.empty; Interval.make 1 2; Interval.empty ] in
-  checki "members" 1 (List.length (Interval.Set.to_list s))
-
 (* qcheck: splitting an interval by any size list that fits partitions it. *)
 let prop_interval_split_partition =
   QCheck.Test.make ~name:"interval split_sizes partitions positions" ~count:200
@@ -303,36 +290,6 @@ let prop_interval_split_partition =
         List.filteri (fun i _ -> i < total) (Interval.positions iv)
       in
       got = expected)
-
-(* qcheck: assigning position ranges out of a set of disjoint intervals
-   (the anchor's batch-entry assignment, §3.2.2) never overlaps, hands each
-   part exactly its requested cardinality, and covers exactly the first
-   [sum sizes] positions. *)
-let prop_interval_set_assign_no_overlap =
-  QCheck.Test.make ~name:"interval set assignment disjoint and exactly covering" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(1 -- 4) (pair small_nat small_nat))
-        (list_of_size Gen.(0 -- 5) small_nat))
-    (fun (spans, sizes) ->
-      let _, members =
-        List.fold_left
-          (fun (base, acc) (gap, len) ->
-            let lo = base + (gap mod 5) + 1 in
-            let card = len mod 6 in
-            (lo + card, Interval.of_first_card ~first:lo ~card :: acc))
-          (0, []) spans
-      in
-      let set = Interval.Set.of_list (List.rev members) in
-      let sizes = List.map (fun s -> s mod 4) sizes in
-      let total = List.fold_left ( + ) 0 sizes in
-      QCheck.assume (total <= Interval.Set.cardinality set);
-      let parts = Interval.Set.split_sizes set sizes in
-      let poss = List.map Interval.Set.positions parts in
-      let all = List.concat poss in
-      List.for_all2 (fun p s -> List.length p = s) poss sizes
-      && List.length (List.sort_uniq Int.compare all) = List.length all
-      && all = List.filteri (fun i _ -> i < total) (Interval.Set.positions set))
 
 (* ------------------------------------------------------------- Binheap *)
 
@@ -502,10 +459,7 @@ let () =
           Alcotest.test_case "split sizes" `Quick test_interval_split_sizes;
           Alcotest.test_case "split too much" `Quick test_interval_split_too_much;
           Alcotest.test_case "positions" `Quick test_interval_positions;
-          Alcotest.test_case "set split" `Quick test_interval_set_split;
-          Alcotest.test_case "set drops empty" `Quick test_interval_set_drops_empty;
           QCheck_alcotest.to_alcotest prop_interval_split_partition;
-          QCheck_alcotest.to_alcotest prop_interval_set_assign_no_overlap;
         ] );
       ( "binheap",
         [

@@ -119,6 +119,31 @@ let test_gen_spec_roundtrip () =
       | Error e -> Alcotest.fail e)
     [ W.Constant_set 4; W.Uniform (3, 17); W.Zipf { s = 1.2; n = 100 }; W.Increasing ]
 
+(* Arrival rates must be finite: an infinite Poisson rate once overflowed
+   the stack sizing the first round. *)
+let test_arrival_rejects_non_finite () =
+  List.iter
+    (fun spec ->
+      match W.arrival_of_string spec with
+      | Ok _ -> Alcotest.failf "accepted %S" spec
+      | Error _ -> ())
+    [
+      "poisson:inf";
+      "poisson:1e400";
+      "poisson:nan";
+      "poisson:-1";
+      "burst:5:15:inf:0.2";
+      "burst:5:15:3:infinity";
+      "diurnal:64:inf:0.1";
+      "diurnal:64:2:1e999";
+    ];
+  List.iter
+    (fun spec ->
+      match W.arrival_of_string spec with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ "closed"; "poisson:0"; "poisson:1.5"; "burst:5:15:3:0.2"; "diurnal:64:2:0.1" ]
+
 let test_gen_workload_of_string () =
   let line = "gen: " ^ W.Gen.spec_to_string gen_spec in
   (match W.of_string line with
@@ -253,6 +278,7 @@ let () =
           Alcotest.test_case "next / exhaustion" `Quick test_gen_next_exhaustion;
           Alcotest.test_case "spec round-trip" `Quick test_gen_spec_roundtrip;
           Alcotest.test_case "gen: workload line" `Quick test_gen_workload_of_string;
+          Alcotest.test_case "arrival rates are finite" `Quick test_arrival_rejects_non_finite;
         ] );
       ( "runner",
         [
