@@ -31,12 +31,6 @@
                        whose oplog-only digests cannot see wire traffic.
        --max-n N       skip cells with n > N (CI smoke caps at 4096 to
                        bound wall-clock).
-       --domains N     re-run every cell on N OCaml domains instead of the
-                       recorded value; digests must still match bit-for-bit
-                       — the cross-domain-count identity gate (DESIGN.md
-                       §9).  The recorded grid itself also carries explicit
-                       domains=4 stream cells whose digests equal their
-                       domains=1 twins.
        --out FILE      also write the freshly measured rows to FILE (CI
                        uploads them as an artifact).
 
@@ -69,21 +63,16 @@ let grid =
    process-global and monotonic, so each cell's reading is only meaningful
    if nothing larger ran before it. *)
 let stream_grid =
-  (* domains > 1 cells sit next to their domains = 1 twin at the same n so
-     the ascending-n ordering (and thus the top_heap_words reading) holds;
-     their digests must equal the twin's bit-for-bit.  The seap cells are
-     2^18 ops each (vs skeap's 2^20): a Seap round costs a KSelect run plus
-     two DHT storms, so op-for-op parity would put minutes-long cells into
-     the smoke gate for no added coverage. *)
+  (* The seap cells are 2^18 ops each (vs skeap's 2^20): a Seap round
+     costs a KSelect run plus two DHT storms, so op-for-op parity would put
+     minutes-long cells into the smoke gate for no added coverage. *)
   let skeap = Dpq_types.Types.Skeap { num_prios = 4 } in
   [
-    (skeap, 4096, 1, 256, 1);
-    (skeap, 4096, 1, 256, 4);
-    (Dpq_types.Types.Seap, 4096, 1, 64, 1);
-    (skeap, 16384, 1, 64, 1);
-    (Dpq_types.Types.Seap, 16384, 1, 16, 1);
-    (skeap, 65536, 1, 16, 1);
-    (skeap, 65536, 1, 16, 4);
+    (skeap, 4096, 1, 256);
+    (Dpq_types.Types.Seap, 4096, 1, 64);
+    (skeap, 16384, 1, 64);
+    (Dpq_types.Types.Seap, 16384, 1, 16);
+    (skeap, 65536, 1, 16);
   ]
 
 let cell_workload ?(wl_rounds = 4) ~n ~lambda () =
@@ -124,7 +113,6 @@ type cell_stats = {
   c_lambda : int;
   c_mode : string; (* "eager" | "stream" | "open" *)
   c_wl_rounds : int; (* injection rounds of the cell's workload *)
-  c_domains : int; (* OCaml domains the cell ran on (1 = sequential) *)
   c_faults : string; (* fault-plan spec, "" when fault-free *)
   c_ops : int;
   c_rounds : int;
@@ -133,7 +121,7 @@ type cell_stats = {
   c_wall : float; (* best of the timed repetitions, protocol only *)
   c_eps : float; (* delivered messages ("events") per second *)
   c_minor_words_per_op : float;
-  c_peak_heap_words : int; (* max top_heap_words over all domains after the run *)
+  c_peak_heap_words : int; (* process top_heap_words after the run *)
   c_peak_live : int; (* online checker's live-element high-water mark; 0 for eager *)
   c_digest : string;
   c_ok : bool;
@@ -155,8 +143,8 @@ let fault_plan faults_spec =
    and it stays a hand-rolled loop on purpose: the eager cells' recorded
    events/sec time protocol work only, so moving them onto Runner would
    shift every recorded eager throughput. *)
-let drive ?trace ?faults ?domains ~backend ~n wl =
-  let h = Heap.create ~seed:1 ?domains ?trace ?faults ~n backend in
+let drive ?trace ?faults ~backend ~n wl =
+  let h = Heap.create ~seed:1 ?trace ?faults ~n backend in
   let rounds = ref 0 and messages = ref 0 and total_bits = ref 0 in
   List.iter
     (fun round ->
@@ -183,15 +171,13 @@ let measure f =
 
 (* The row of a single-pass Runner cell (stream or open): costs and the
    checker verdict straight from the summary. *)
-let summary_row ~mode ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor ~digest
-    (s : R.summary) =
+let summary_row ~mode ~lambda ~wl_rounds ~faults_spec ~wall ~minor ~digest (s : R.summary) =
   {
     c_backend = R.protocol_name s;
     c_n = s.R.n;
     c_lambda = lambda;
     c_mode = mode;
     c_wl_rounds = wl_rounds;
-    c_domains = domains;
     c_faults = faults_spec;
     c_ops = s.R.ops;
     c_rounds = s.R.rounds;
@@ -200,8 +186,6 @@ let summary_row ~mode ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor ~dig
     c_wall = wall;
     c_eps = (if wall > 0.0 then float_of_int s.R.messages /. wall else 0.0);
     c_minor_words_per_op = minor /. float_of_int (max 1 s.R.ops);
-    (* max over every domain's major heap, not just the coordinator's: a
-       worker ballooning its own heap must not slip past the gate *)
     c_peak_heap_words = Dpq_simrt.Domain_pool.peak_heap_words ();
     c_peak_live = s.R.peak_live;
     c_digest = digest;
@@ -221,16 +205,16 @@ let summary_row ~mode ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor ~dig
    n=65536 cell fit in one process.  A single timed pass: at 2²⁰ ops per
    cell the run is long enough that warmup and repetition buy nothing, and
    the eager grid already ran. *)
-let run_stream_cell ?(faults_spec = "") ?(domains = 1) (backend, n, lambda, wl_rounds) =
+let run_stream_cell ?(faults_spec = "") (backend, n, lambda, wl_rounds) =
   let spec = stream_spec ~n ~lambda ~wl_rounds in
   let faults = fault_plan faults_spec in
   let acc = Run_digest.start () in
   let s, wall, minor =
     measure (fun () ->
-        R.run_gen ~seed:1 ?faults ~domains ~sink:(Run_digest.feed_records acc) ~n backend
+        R.run_gen ~seed:1 ?faults ~sink:(Run_digest.feed_records acc) ~n backend
           (W.Gen.create spec))
   in
-  summary_row ~mode:"stream" ~lambda ~wl_rounds ~domains ~faults_spec ~wall ~minor
+  summary_row ~mode:"stream" ~lambda ~wl_rounds ~faults_spec ~wall ~minor
     ~digest:(Run_digest.finish acc) s
 
 let parse_window window_s =
@@ -247,7 +231,7 @@ let parse_window window_s =
    oplog records digested incrementally through the sink, latency
    percentiles straight from the summary.  Single timed pass like the
    stream cells — the digest, not the clock, is the hard gate here. *)
-let run_open_cell ?(faults_spec = "") ?(domains = 1) (backend, n, ticks, arrival_s, window_s) =
+let run_open_cell ?(faults_spec = "") (backend, n, ticks, arrival_s, window_s) =
   let arrival =
     match W.arrival_of_string arrival_s with Ok a -> a | Error e -> failwith ("bench: " ^ e)
   in
@@ -261,12 +245,12 @@ let run_open_cell ?(faults_spec = "") ?(domains = 1) (backend, n, ticks, arrival
   let acc = Run_digest.start () in
   let s, wall, minor =
     measure (fun () ->
-        R.run_open ~seed:1 ?faults ~domains ~trace ~sink:(Run_digest.feed_records acc) ~window ~n
+        R.run_open ~seed:1 ?faults ~trace ~sink:(Run_digest.feed_records acc) ~window ~n
           backend (W.Gen.create spec))
   in
   {
-    (summary_row ~mode:"open" ~lambda:spec.W.Gen.lambda ~wl_rounds:ticks ~domains ~faults_spec
-       ~wall ~minor ~digest:(Run_digest.finish ~trace acc) s)
+    (summary_row ~mode:"open" ~lambda:spec.W.Gen.lambda ~wl_rounds:ticks ~faults_spec ~wall
+       ~minor ~digest:(Run_digest.finish ~trace acc) s)
     with
     c_arrival = arrival_s;
     c_window = window_s;
@@ -277,12 +261,12 @@ let run_open_cell ?(faults_spec = "") ?(domains = 1) (backend, n, ticks, arrival
     c_ops_per_tick = R.open_throughput s;
   }
 
-let run_cell ?(faults_spec = "") ?(wl_rounds = 4) ?(domains = 1) (backend, n, lambda) =
+let run_cell ?(faults_spec = "") ?(wl_rounds = 4) (backend, n, lambda) =
   let wl = cell_workload ~wl_rounds ~n ~lambda () in
   let timed () =
     let faults = fault_plan faults_spec in
     let (_, _, messages, total_bits), wall, minor =
-      measure (fun () -> drive ?faults ~domains ~backend ~n wl)
+      measure (fun () -> drive ?faults ~backend ~n wl)
     in
     (wall, messages, total_bits, minor)
   in
@@ -300,7 +284,7 @@ let run_cell ?(faults_spec = "") ?(wl_rounds = 4) ?(domains = 1) (backend, n, la
      bit-for-bit stable across any engine optimisation. *)
   let trace = Dpq_obs.Trace.create () in
   let h, rounds, messages', total_bits' =
-    drive ~trace ?faults:(fault_plan faults_spec) ~domains ~backend ~n wl
+    drive ~trace ?faults:(fault_plan faults_spec) ~backend ~n wl
   in
   assert (messages' = messages && total_bits' = total_bits);
   let ops = W.total_ops wl in
@@ -310,7 +294,6 @@ let run_cell ?(faults_spec = "") ?(wl_rounds = 4) ?(domains = 1) (backend, n, la
     c_lambda = lambda;
     c_mode = "eager";
     c_wl_rounds = wl_rounds;
-    c_domains = domains;
     c_faults = faults_spec;
     c_ops = ops;
     c_rounds = rounds;
@@ -347,12 +330,12 @@ let row_to_json c =
         c.c_arrival c.c_window c.c_p50 c.c_p99 c.c_p999 c.c_makespan c.c_ops_per_tick
   in
   Printf.sprintf
-    "{\"backend\": %S, \"n\": %d, \"lambda\": %d, \"mode\": %S, \"wl_rounds\": %d, \"domains\": %d, \
+    "{\"backend\": %S, \"n\": %d, \"lambda\": %d, \"mode\": %S, \"wl_rounds\": %d, \
      \"faults\": %S, \"ops\": %d, \"rounds\": %d, \"messages\": %d, \"messages_per_op\": %.2f, \
      \"total_bits\": %d, \
      \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, \"minor_words_per_op\": %.1f, \
      \"peak_heap_words\": %d, \"peak_live\": %d%s, \"digest\": %S, \"semantics_ok\": %b}"
-    c.c_backend c.c_n c.c_lambda c.c_mode c.c_wl_rounds c.c_domains c.c_faults c.c_ops c.c_rounds
+    c.c_backend c.c_n c.c_lambda c.c_mode c.c_wl_rounds c.c_faults c.c_ops c.c_rounds
     c.c_messages (messages_per_op c) c.c_total_bits c.c_wall c.c_eps c.c_minor_words_per_op
     c.c_peak_heap_words c.c_peak_live open_fields c.c_digest c.c_ok
 
@@ -430,10 +413,9 @@ let spinup () =
   done
 
 let pp_row c =
-  Printf.printf "%-12s n=%-5d lambda=%-2d %-6s%s %9d msgs %9.4fs %8.2fM ev/s %8.1f w/op%s ok=%b\n%!"
-    c.c_backend c.c_n c.c_lambda c.c_mode
-    (if c.c_domains > 1 then Printf.sprintf " d=%d" c.c_domains else "")
-    c.c_messages c.c_wall (c.c_eps /. 1e6) c.c_minor_words_per_op
+  Printf.printf "%-12s n=%-5d lambda=%-2d %-6s %9d msgs %9.4fs %8.2fM ev/s %8.1f w/op%s ok=%b\n%!"
+    c.c_backend c.c_n c.c_lambda c.c_mode c.c_messages c.c_wall (c.c_eps /. 1e6)
+    c.c_minor_words_per_op
     (match c.c_mode with
     | "stream" -> Printf.sprintf " live<=%d" c.c_peak_live
     | "open" ->
@@ -466,10 +448,7 @@ let record_grid ?faults_spec () =
   let open_rows = run_all (run_open_cell ?faults_spec) open_grid in
   (* Stream cells last, ascending n (see the comment on [stream_grid]). *)
   let stream =
-    run_all
-      (fun (backend, n, lambda, wl_rounds, domains) ->
-        run_stream_cell ?faults_spec ~domains (backend, n, lambda, wl_rounds))
-      stream_grid
+    run_all (run_stream_cell ?faults_spec) stream_grid
   in
   let rows = eager @ open_rows @ stream in
   write_rows grid_file rows;
@@ -496,7 +475,7 @@ let read_lines file =
   in
   go []
 
-let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_override ~out () =
+let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~out () =
   if not (Sys.file_exists grid_file) then begin
     Printf.eprintf "bench --compare: no %s baseline; run `bench -- --record` first\n" grid_file;
     exit 2
@@ -516,19 +495,7 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
         let wl_rounds =
           match List.assoc_opt "wl_rounds" base with Some r -> int_of_string r | None -> 4
         in
-        (* Pre-parallelism baselines carry no domains field: all sequential.
-           --domains overrides every cell — digests must still match, which
-           is exactly the cross-domain-count identity check CI leans on. *)
-        let recorded_domains =
-          match List.assoc_opt "domains" base with Some d -> int_of_string d | None -> 1
-        in
-        let domains = Option.value domains_override ~default:recorded_domains in
-        (* A cell re-run on a different domain count than its baseline is a
-           different configuration: its digest, heap ceiling and semantics
-           still gate, but its wall clock does not — on few-core hosts the
-           barrier overhead would fail every cell for a reason the gate is
-           not about. *)
-        let same_config = domains = recorded_domains in
+        (* Old rows' "domains" field (always 1 now) is ignored. *)
         let faults_spec = field base "faults" in
         if n > max_n then begin
           incr skipped;
@@ -539,11 +506,11 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
         else begin
           let c =
             if mode = "stream" then
-              run_stream_cell ~faults_spec ~domains (backend, n, lambda, wl_rounds)
+              run_stream_cell ~faults_spec (backend, n, lambda, wl_rounds)
             else if mode = "open" then
-              run_open_cell ~faults_spec ~domains
+              run_open_cell ~faults_spec
                 (backend, n, wl_rounds, field base "arrival", field base "window")
-            else run_cell ~faults_spec ~wl_rounds ~domains (backend, n, lambda)
+            else run_cell ~faults_spec ~wl_rounds (backend, n, lambda)
           in
           let base_eps = float_of_string (field base "events_per_sec") in
           let base_digest = field base "digest" in
@@ -552,7 +519,7 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
           (* Open-loop cells are single ~tens-of-ms passes recorded without
              warmup or repetition: their wall clock is scheduler noise, so
              they gate on digest and semantics only. *)
-          let eps_ok = (not same_config) || mode = "open" || ratio >= 1.0 -. tolerance in
+          let eps_ok = mode = "open" || ratio >= 1.0 -. tolerance in
           (* The memory half of the gate, stream cells only: eager cells are
              too small for top_heap_words to move, and a streamed run whose
              peak heap grows past the ceiling has lost its O(live) bound. *)
@@ -590,11 +557,9 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~domains_overr
           in
           if not (digest_ok && eps_ok && heap_ok && msg_ok && c.c_ok) then incr failures;
           Printf.printf
-            "%-4s %-12s n=%-5d lambda=%-2d %-6s%s %8.2fM ev/s vs %8.2fM baseline (%.2fx)  digest %s%s%s%s\n%!"
+            "%-4s %-12s n=%-5d lambda=%-2d %-6s %8.2fM ev/s vs %8.2fM baseline (%.2fx)  digest %s%s%s%s\n%!"
             (if digest_ok && eps_ok && heap_ok && msg_ok && c.c_ok then "ok" else "FAIL")
-            c.c_backend c.c_n c.c_lambda c.c_mode
-            (if c.c_domains > 1 then Printf.sprintf " d=%d" c.c_domains else "")
-            (c.c_eps /. 1e6) (base_eps /. 1e6) ratio
+            c.c_backend c.c_n c.c_lambda c.c_mode (c.c_eps /. 1e6) (base_eps /. 1e6) ratio
             (if digest_ok then "unchanged"
              else Printf.sprintf "CHANGED (%s -> %s)" base_digest c.c_digest)
             (if heap_ok then heap_note else heap_note ^ "  peak heap OVER CEILING")
@@ -624,15 +589,14 @@ let usage =
   "usage: bench --record [--faults SPEC]\n\
   \       bench --record-open [--faults SPEC]\n\
   \       bench --compare [--tolerance F] [--heap-tolerance F] [--msg-tolerance F]\n\
-  \                       [--max-n N] [--domains N] [--out FILE]\n"
+  \                       [--max-n N] [--out FILE]\n"
 
 (* Each mode and the value flags it takes. *)
 let modes =
   [
     ("--record", [ "--faults" ]);
     ("--record-open", [ "--faults" ]);
-    ( "--compare",
-      [ "--tolerance"; "--heap-tolerance"; "--msg-tolerance"; "--max-n"; "--domains"; "--out" ] );
+    ("--compare", [ "--tolerance"; "--heap-tolerance"; "--msg-tolerance"; "--max-n"; "--out" ]);
   ]
 
 let usage_error msg =
@@ -693,7 +657,4 @@ let () =
         ~heap_tolerance:(tolerance "--heap-tolerance" ~default:0.5)
         ~msg_tolerance:(tolerance "--msg-tolerance" ~default:0.25)
         ~max_n:(flag_value flags "--max-n" ~expects:"a positive integer" ~default:max_int positive_int)
-        ~domains_override:
-          (flag_value flags "--domains" ~expects:"a positive integer" ~default:None (fun v ->
-               Option.map Option.some (positive_int v)))
         ~out:(List.assoc_opt "--out" flags) ()

@@ -101,8 +101,8 @@ let do_replay file =
       Printf.printf "  clause matches expectation : %b\n" rep.Explore.clause_matches;
       if rep.Explore.digest_matches && rep.Explore.clause_matches then exit 0 else exit 2
 
-let run protocol nodes rounds lambda prios dist insert_ratio seed replication domains stream
-    trace_file faults_spec drop dup crash arrival_spec adaptive_spec window replay =
+let run protocol nodes rounds lambda prios dist insert_ratio seed replication stream trace_file
+    faults_spec drop dup crash arrival_spec adaptive_spec window replay =
   (match replay with Some file -> do_replay file | None -> ());
   let arrival =
     match W.arrival_of_string arrival_spec with
@@ -130,7 +130,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
   (match window with Some w when w < 1 -> bad "--window" "must be >= 1, got %d" w | _ -> ());
   List.iter
     (fun (flag, v) -> if v < 1 then bad flag "must be >= 1, got %d" v)
-    [ ("--nodes", nodes); ("--domains", domains); ("--replication", replication); ("--prios", prios) ];
+    [ ("--nodes", nodes); ("--replication", replication); ("--prios", prios) ];
   List.iter
     (fun (flag, p) -> if not (p >= 0.0 && p <= 1.0) then bad flag "must be in [0,1], got %g" p)
     [ ("--drop", drop); ("--dup", dup) ];
@@ -205,7 +205,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         | Batch_ctl.Off -> R.Fixed (Option.value window ~default:1)
       in
       let s =
-        R.run_open ?trace ?faults ~seed ~replication ~domains ~window:wdw ~n:nodes backend
+        R.run_open ?trace ?faults ~seed ~replication ~window:wdw ~n:nodes backend
           (W.Gen.create spec)
       in
       (s, s.R.ops, s.R.inserted, s.R.got + s.R.empty)
@@ -218,7 +218,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
           { n = nodes; rounds; lambda; insert_ratio; dist = prio_dist; seed; arrival = W.Closed }
       in
       let s =
-        R.run_gen ?trace ?faults ~seed ~replication ~domains ~n:nodes backend (W.Gen.create spec)
+        R.run_gen ?trace ?faults ~seed ~replication ~n:nodes backend (W.Gen.create spec)
       in
       (s, s.R.ops, s.R.inserted, s.R.got + s.R.empty)
     end
@@ -227,7 +227,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
         W.generate ~rng:(Rng.create ~seed) ~n:nodes ~rounds ~lambda ~insert_ratio ~prio:prio_dist
           ()
       in
-      let s = R.run ~seed ~replication ~domains ?trace ?faults ~n:nodes backend wl in
+      let s = R.run ~seed ~replication ?trace ?faults ~n:nodes backend wl in
       (s, W.total_ops wl, W.inserts wl, W.deletes wl)
   in
   Printf.printf "workload : %d nodes x %d rounds x Λ=%d  (%d ops: %d ins / %d del, %s priorities)%s\n"
@@ -300,14 +300,14 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication do
   | _ -> ());
   if not summary.R.semantics_ok then exit 2
 
-let explore_run num_seeds start nodes rounds lambda domains repro_dir no_shrink =
+let explore_run num_seeds start nodes rounds lambda repro_dir no_shrink =
   let seeds = List.init num_seeds (fun i -> start + i) in
-  let res = Explore.sweep ~n:nodes ~rounds ~lambda ~domains ~seeds () in
+  let res = Explore.sweep ~n:nodes ~rounds ~lambda ~seeds () in
   Printf.printf "explored  : %d runs over %d combos x %d scheduler policies\n" res.Explore.runs
     (List.length Explore.default_combos)
     (List.length Explore.default_policies);
-  (* One line pinning every run's (digest, verdict, ops): byte-identical
-     across --domains values, which the CI domains matrix diffs. *)
+  (* One line pinning every run's (digest, verdict, ops): tests and CI pin
+     it for fixed seed ranges. *)
   Printf.printf "sweep digest: %s\n" res.Explore.digest;
   match res.Explore.failures with
   | [] ->
@@ -450,17 +450,10 @@ let replay_file =
           "Re-execute the repro file $(docv) written by $(b,explore) and verify that the run \
            digests and violates identically. Exits 0 on an exact match, 2 otherwise.")
 
-let domains =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Run skeap's tree phases on $(docv) OCaml domains, sharded by node id. Digests,            traces and cost metrics are bit-identical to $(docv)=1 at every value (the            differential test layer proves it); runs under a fault plan or adversarial            scheduler fall back to sequential delivery. Seap and the baselines accept and            ignore the flag.")
-
 let run_term =
   Term.(
     const run $ protocol $ nodes $ rounds $ lambda $ prios $ dist $ insert_ratio $ seed
-    $ replication $ domains $ stream $ trace_file $ faults_spec $ drop $ dup $ crash
+    $ replication $ stream $ trace_file $ faults_spec $ drop $ dup $ crash
     $ arrival_spec $ adaptive_spec $ window $ replay_file)
 
 let explore_cmd =
@@ -480,18 +473,11 @@ let explore_cmd =
   let no_shrink =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Write failing configs without minimizing them.")
   in
-  let ex_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Run every sweep cell at $(docv) OCaml domains. Outcomes must be identical to              $(docv)=1 — CI sweeps the same seeds at 1, 2 and 4 domains.")
-  in
   let doc = "Sweep seeded adversarial schedules over the protocol grid and check semantics" in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const explore_run $ num_seeds $ start $ ex_nodes $ ex_rounds $ ex_lambda $ ex_domains
-      $ repro_dir $ no_shrink)
+      const explore_run $ num_seeds $ start $ ex_nodes $ ex_rounds $ ex_lambda $ repro_dir
+      $ no_shrink)
 
 let cmd =
   let doc = "Simulate a distributed priority queue under a configurable workload" in

@@ -65,7 +65,7 @@ let memo_parts memo v = match memo.parts.(v) with [] -> [ memo.own.(v) ] | parts
 
 type 'a tree_msg = { to_v : Ldb.vnode; from_v : Ldb.vnode; value : 'a }
 
-let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
+let up ?trace ?faults ?sched ~tree ~local ~combine ~size_bits () =
   let span = Trace.phase_start trace "up" in
   let ldb = Aggtree.ldb tree in
   let n = Ldb.n ldb in
@@ -100,7 +100,7 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
   let eng =
     Sync.create ~n
       ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+      ~handler ?trace ?faults ?sched ()
   in
   (* Kick off: leaves complete immediately.  Vnodes of removed nodes also
      have no children but are not in the tree — skipping them keeps the
@@ -118,7 +118,7 @@ let up ?trace ?faults ?sched ?par ~tree ~local ~combine ~size_bits () =
   trace_phase_end trace span "up" report;
   (value, { own; parts }, report)
 
-let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits () =
+let down ?trace ?faults ?sched ~tree ~memo ~root_payload ~split ~size_bits () =
   let span = Trace.phase_start trace "down" in
   let ldb = Aggtree.ldb tree in
   let n = Ldb.n ldb in
@@ -144,7 +144,7 @@ let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits 
   let eng =
     Sync.create ~n
       ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+      ~handler ?trace ?faults ?sched ()
   in
   handle eng (Aggtree.root tree) root_payload;
   let rounds = Sync.run_to_quiescence eng in
@@ -152,7 +152,7 @@ let down ?trace ?faults ?sched ?par ~tree ~memo ~root_payload ~split ~size_bits 
   trace_phase_end trace span "down" report;
   (retained, report)
 
-let broadcast ?trace ?faults ?sched ?par ~tree ~payload ~size_bits () =
+let broadcast ?trace ?faults ?sched ~tree ~payload ~size_bits () =
   let span = Trace.phase_start trace "broadcast" in
   let ldb = Aggtree.ldb tree in
   let n = Ldb.n ldb in
@@ -167,7 +167,7 @@ let broadcast ?trace ?faults ?sched ?par ~tree ~payload ~size_bits () =
   let eng =
     Sync.create ~n
       ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ?par ()
+      ~handler ?trace ?faults ?sched ()
   in
   handle eng (Aggtree.root tree) payload;
   let rounds = Sync.run_to_quiescence eng in

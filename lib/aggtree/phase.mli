@@ -51,7 +51,6 @@ val up :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
-  ?par:Dpq_simrt.Domain_pool.par ->
   tree:Aggtree.t ->
   local:(Dpq_overlay.Ldb.vnode -> 'a) ->
   combine:('a -> 'a -> 'a) ->
@@ -69,7 +68,6 @@ val down :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
-  ?par:Dpq_simrt.Domain_pool.par ->
   tree:Aggtree.t ->
   memo:'a memo ->
   root_payload:'b ->
@@ -88,7 +86,6 @@ val broadcast :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
-  ?par:Dpq_simrt.Domain_pool.par ->
   tree:Aggtree.t ->
   payload:'b ->
   size_bits:('b -> int) ->

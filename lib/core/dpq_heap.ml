@@ -35,9 +35,8 @@ type t = {
   clients : Clients.t;  (* the backend's own client side *)
 }
 
-let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?gossip ~n backend =
+let create ?(seed = 1) ?(replication = 1) ?trace ?faults ?sched ?gossip ~n backend =
   if replication < 1 then invalid_arg "Dpq_heap.create: replication must be >= 1";
-  if domains < 1 then invalid_arg "Dpq_heap.create: domains must be >= 1";
   let no_replication () =
     if replication > 1 then
       invalid_arg
@@ -54,8 +53,7 @@ let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?
     match backend with
     | Skeap { num_prios } ->
         I_skeap
-          (Skeap_impl.create ~seed ~replication ~domains ?trace ?faults ?sched ?gossip ~n ~num_prios
-             ())
+          (Skeap_impl.create ~seed ~replication ?trace ?faults ?sched ?gossip ~n ~num_prios ())
     | Seap ->
         I_seap (Seap_impl.create ~seed ~replication ?trace ?faults ?sched ?gossip ~n ())
     | Centralized ->

@@ -57,7 +57,6 @@ type t
 val create :
   ?seed:int ->
   ?replication:int ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -81,14 +80,11 @@ val create :
     survives permanent node kills ([kill=NODE\@TICK] in the fault plan) of
     up to [k - 1] replicas of any key with unchanged semantics — lost
     copies are rebuilt by Merkle anti-entropy repair at the next iteration
-    boundary.  [domains] (default 1) shards Skeap's rounds over that many
-    OCaml domains with bit-identical digests/traces/metrics (DESIGN.md §9),
-    and is a no-op for the other backends: Seap's KSelect rounds are
-    cross-shard-heavy, so Seap always runs sequentially.  With [gossip]
-    (Skeap/Seap only; the baselines raise [Invalid_argument]), every
-    {!process} ends with a push-sum load-estimation exchange
-    ({!Dpq_gossip.Gossip}) feeding {!load_estimate}; omitting it keeps
-    behavior and costs bit-identical to the pre-gossip protocol. *)
+    boundary.  With [gossip] (Skeap/Seap only; the baselines raise
+    [Invalid_argument]), every {!process} ends with a push-sum
+    load-estimation exchange ({!Dpq_gossip.Gossip}) feeding
+    {!load_estimate}; omitting it keeps behavior and costs bit-identical
+    to the pre-gossip protocol. *)
 
 val backend : t -> backend
 val trace : t -> Dpq_obs.Trace.t option
@@ -154,9 +150,9 @@ val remove_last_node : t -> churn_cost
 (** Remove node [n-1]; same contract as {!add_node}. *)
 
 val verify : t -> (unit, string) Stdlib.result
-(** Check the whole run so far against {!online_contract}: serializability
-    for Seap, sequential consistency for the rest (both imply heap
-    consistency). *)
+(** Check the whole run so far against the backend's contract:
+    serializability for Seap, sequential consistency for the rest (both
+    imply heap consistency). *)
 
 val oplog : t -> Dpq_semantics.Oplog.t
 
@@ -164,12 +160,9 @@ val take_oplog : t -> Dpq_semantics.Oplog.record list
 (** {!Dpq_types.Clients.S.take_log}.  Mixing {!take_oplog} with end-of-run
     {!oplog}/{!verify} sees only the un-drained suffix. *)
 
-val online_contract : t -> Dpq_semantics.Checker.Online.contract
-(** The contract {!verify} holds this backend to, for online checking:
-    [Seap_contract] for Seap, [Skeap_contract] for everything else. *)
-
 val online_checker : t -> Dpq_semantics.Checker.Online.t
-(** Fresh online checker for this backend's contract. *)
+(** Fresh online checker for the contract {!verify} holds this backend
+    to. *)
 
 val stored_per_node : t -> int array
 (** Element count per node: DHT balance for Skeap/Seap/Unbatched, all-at-

@@ -45,11 +45,11 @@ let run_dht h ~dht_mode ops =
 
 (* The local observation diffs the monotone per-node issue counters, so
    operations still buffered count once, when issued. *)
-let exchange_gossip ?par h =
+let exchange_gossip h =
   match h.gossip with
   | None -> Phase.empty_report
   | Some g ->
-      Gossip.exchange ?trace:h.trace ?faults:h.faults ?sched:h.sched ?par g
+      Gossip.exchange ?trace:h.trace ?faults:h.faults ?sched:h.sched g
         ~live:(fun v -> Clients.live h.clients ~node:v)
         ~cumulative:(Clients.issued h.clients) ~anchor:(anchor h) ()
 

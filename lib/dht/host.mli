@@ -45,7 +45,7 @@ val run_dht :
 (** One DHT batch, synchronous or asynchronous; the asynchronous model
     reports no cost (empty report). *)
 
-val exchange_gossip : ?par:Dpq_simrt.Domain_pool.par -> t -> Dpq_aggtree.Phase.report
+val exchange_gossip : t -> Dpq_aggtree.Phase.report
 (** One push-sum exchange among the live nodes at the iteration boundary;
     the empty report when gossip is off. *)
 

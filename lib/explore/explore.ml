@@ -17,7 +17,6 @@ type config = {
   backend : Types.backend;
   n : int;
   replication : int;
-  domains : int;
   engine : engine;
   sched : Sched.policy;
   faults : string option;
@@ -75,8 +74,8 @@ let run cfg =
   let (_ : Runner.summary) =
     match cfg.adaptive with
     | Batch_ctl.Off ->
-        Runner.run ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains ~trace
-          ?faults ?sched ~dht_mode ~sink ~n:cfg.n cfg.backend cfg.workload
+        Runner.run ~seed:cfg.seed ~replication:cfg.replication ~trace ?faults ?sched ~dht_mode ~sink
+          ~n:cfg.n cfg.backend cfg.workload
     | Batch_ctl.On ctl ->
         (* Adaptive runs are open-loop: the gossip-fed controller needs the
            tick stream, so only generator-spec workloads qualify (a
@@ -86,9 +85,8 @@ let run cfg =
           | Some spec -> spec
           | None -> invalid_arg "Explore.run: adaptive configs need a generator-spec workload"
         in
-        Runner.run_open ~seed:cfg.seed ~replication:cfg.replication ~domains:cfg.domains ~trace
-          ?faults ?sched ~dht_mode ~sink ~window:(Runner.Adaptive ctl) ~n:cfg.n cfg.backend
-          (Workload.Gen.create spec)
+        Runner.run_open ~seed:cfg.seed ~replication:cfg.replication ~trace ?faults ?sched ~dht_mode
+          ~sink ~window:(Runner.Adaptive ctl) ~n:cfg.n cfg.backend (Workload.Gen.create spec)
   in
   let log = Oplog.of_list (List.rev !chunks) in
   let log = match cfg.corrupt with None -> log | Some c -> Corrupt.apply c log in
@@ -225,7 +223,7 @@ let gen_spec ~seed ~n ~rounds ~lambda backend =
 let gen_workload ~seed ~n ~rounds ~lambda backend =
   Workload.of_gen (gen_spec ~seed ~n ~rounds ~lambda backend)
 
-let config_of_combo ?(n = 6) ?(rounds = 2) ?(lambda = 2) ?(domains = 1) ~seed ~policy combo =
+let config_of_combo ?(n = 6) ?(rounds = 2) ?(lambda = 2) ~seed ~policy combo =
   let n = match combo.n_override with Some n' -> n' | None -> n in
   let spec = gen_spec ~seed ~n ~rounds ~lambda combo.backend in
   let spec =
@@ -245,7 +243,6 @@ let config_of_combo ?(n = 6) ?(rounds = 2) ?(lambda = 2) ?(domains = 1) ~seed ~p
     backend = combo.backend;
     n;
     replication = combo.replication;
-    domains;
     engine = combo.engine;
     sched = policy;
     faults = combo.faults;
@@ -258,8 +255,7 @@ let config_of_combo ?(n = 6) ?(rounds = 2) ?(lambda = 2) ?(domains = 1) ~seed ~p
 type failure = { config : config; violation : Checker.violation }
 type sweep_result = { runs : int; failures : failure list; digest : string }
 
-let sweep ?n ?rounds ?lambda ?domains ?(combos = default_combos) ?(policies = default_policies)
-    ~seeds () =
+let sweep ?n ?rounds ?lambda ?(combos = default_combos) ?(policies = default_policies) ~seeds () =
   if combos = [] then invalid_arg "Explore.sweep: empty combo list";
   if policies = [] then invalid_arg "Explore.sweep: empty policy list";
   let ncombos = List.length combos and npolicies = List.length policies in
@@ -271,7 +267,7 @@ let sweep ?n ?rounds ?lambda ?domains ?(combos = default_combos) ?(policies = de
          consecutive seeds hit different (combo, policy) cells. *)
       let combo = List.nth combos (i mod ncombos) in
       let policy = List.nth policies (i / ncombos mod npolicies) in
-      let cfg = config_of_combo ?n ?rounds ?lambda ?domains ~seed ~policy combo in
+      let cfg = config_of_combo ?n ?rounds ?lambda ~seed ~policy combo in
       incr runs;
       let out = run cfg in
       Buffer.add_string fp
@@ -313,11 +309,8 @@ let shrink_candidates cfg =
   let sched_cands = if cfg.sched = Sched.Fifo then [] else [ { cfg with sched = Sched.Fifo } ] in
   let fault_cands = if cfg.faults = None then [] else [ { cfg with faults = None } ] in
   let repl_cands = if cfg.replication = 1 then [] else [ { cfg with replication = 1 } ] in
-  (* domains never changes the digest, but a 1-domain replay is easier to
-     step through; shrink it away like any other axis *)
-  let dom_cands = if cfg.domains = 1 then [] else [ { cfg with domains = 1 } ] in
   (* Axis simplifications first: they cut the most replay state at once. *)
-  adaptive_cands @ sched_cands @ fault_cands @ repl_cands @ dom_cands @ workload_cands
+  adaptive_cands @ sched_cands @ fault_cands @ repl_cands @ workload_cands
 
 let shrink ?(max_attempts = 400) cfg clause =
   let attempts = ref 0 in
@@ -392,7 +385,6 @@ let repro_to_string cfg (o : outcome) =
   line "backend %s" (backend_to_string cfg.backend);
   line "nodes %d" cfg.n;
   line "replication %d" cfg.replication;
-  line "domains %d" cfg.domains;
   line "engine %s" (engine_to_string cfg.engine);
   line "sched %s" (Sched.policy_to_string cfg.sched);
   line "faults %s" (match cfg.faults with None -> "none" | Some s -> s);
@@ -494,8 +486,9 @@ let repro_of_string text =
       let* seed = int_field "seed" in
       let* n = int_field "nodes" in
       let* replication = pos_int_field "replication" ~default:1 in
-      (* domains never affects the expected digest either way *)
-      let* domains = pos_int_field "domains" ~default:1 in
+      (* [domains] (the removed parallel engine's shard count) never
+         affected a digest: still validated, otherwise ignored *)
+      let* (_ : int) = pos_int_field "domains" ~default:1 in
       let* backend = sub_parse "backend" backend_of_string in
       let* engine = sub_parse "engine" engine_of_string in
       let* sched = sub_parse "sched" Sched.policy_of_string in
@@ -552,7 +545,6 @@ let repro_of_string text =
             backend;
             n;
             replication;
-            domains;
             engine;
             sched;
             faults;

@@ -35,10 +35,6 @@ type config = {
   backend : Dpq_types.Types.backend;
   n : int;  (** node count *)
   replication : int;  (** DHT replica degree (1 = off; Skeap/Seap only) *)
-  domains : int;
-      (** OCaml domains for Skeap's tree phases (1 = sequential).  Never
-          affects the outcome — digests are bit-identical at every value
-          (DESIGN.md §9); present so sweeps can cross-check that claim. *)
   engine : engine;
   sched : Dpq_simrt.Sched.policy;
   faults : string option;  (** {!Dpq_simrt.Fault_plan.of_string} spec *)
@@ -121,12 +117,11 @@ val config_of_combo :
   ?n:int ->
   ?rounds:int ->
   ?lambda:int ->
-  ?domains:int ->
   seed:int ->
   policy:Dpq_simrt.Sched.policy ->
   combo ->
   config
-(** Defaults: [n = 6], [rounds = 2], [lambda = 2], [domains = 1].  A
+(** Defaults: [n = 6], [rounds = 2], [lambda = 2].  A
     combo's [n_override] beats the [?n] argument. *)
 
 type failure = { config : config; violation : Dpq_semantics.Checker.violation }
@@ -136,16 +131,13 @@ type sweep_result = {
   failures : failure list;
   digest : string;
       (** MD5 over every run's (digest, verdict, ops) in sweep order: one
-          line that pins the whole sweep's observable behaviour.  The CI
-          domains matrix diffs it across [--domains] values (DESIGN.md
-          §9). *)
+          line that pins the whole sweep's observable behaviour. *)
 }
 
 val sweep :
   ?n:int ->
   ?rounds:int ->
   ?lambda:int ->
-  ?domains:int ->
   ?combos:combo list ->
   ?policies:Dpq_simrt.Sched.policy list ->
   seeds:int list ->
@@ -182,9 +174,11 @@ val shrink : ?max_attempts:int -> config -> Dpq_semantics.Checker.clause -> conf
     The parser is strict: an unknown or duplicate header key, or a header
     line that isn't ["key value"], is rejected with its line number —
     fields a parser doesn't understand are never silently dropped.
-    Optional keys ([replication], [domains], [adaptive]) may be absent,
-    which parses to the feature's off value, so files written before a
-    feature existed still replay. *)
+    Optional keys ([replication], [adaptive]) may be absent, which parses
+    to the feature's off value, so files written before a feature existed
+    still replay.  The [domains] key of files written while a
+    domain-parallel engine existed must still be a positive integer, and
+    is otherwise ignored: it never affected a digest. *)
 
 type expectation = {
   expect_clause : Dpq_semantics.Checker.clause option;
@@ -195,7 +189,6 @@ val repro_to_string : config -> outcome -> string
 val repro_of_string : string -> (config * expectation, string) result
 
 val write_repro : path:string -> config -> outcome -> unit
-val read_repro : string -> (config * expectation, string) result
 
 type replay_report = {
   config : config;
@@ -216,4 +209,3 @@ val backend_to_string : Dpq_types.Types.backend -> string
 val backend_of_string : string -> (Dpq_types.Types.backend, string) result
 val engine_to_string : engine -> string
 val engine_of_string : string -> (engine, string) result
-val clause_of_string : string -> (Dpq_semantics.Checker.clause, string) result

@@ -69,7 +69,7 @@ let absorb t ~alpha ~node ~value =
     t.have.(node) <- true
   end
 
-let exchange ?trace ?faults ?sched ?par t ~live ~cumulative ~anchor () =
+let exchange ?trace ?faults ?sched t ~live ~cumulative ~anchor () =
   let n = t.n in
   let span = Trace.phase_start trace "gossip" in
   (* Local observation: ops injected at this node since the last exchange.
@@ -102,8 +102,8 @@ let exchange ?trace ?faults ?sched ?par t ~live ~cumulative ~anchor () =
         lg 1 0 + t.config.extra_rounds
       in
       (* Peer tables drawn up front from the dedicated gossip stream: the
-         engine never touches the RNG mid-round, so the schedule is
-         bit-identical under any shard count. *)
+         engine never touches the RNG mid-round, so the schedule does not
+         depend on delivery order within a round. *)
       let peers =
         Array.init kmax (fun _ ->
             Array.init n (fun v ->
@@ -129,8 +129,7 @@ let exchange ?trace ?faults ?sched ?par t ~live ~cumulative ~anchor () =
         if k < kmax && live v then halve_and_send eng k v
       in
       let eng =
-        Sync.create ~n ~size_bits:(fun _ -> msg_bits) ~handler ~activate ?trace ?faults ?sched ?par
-          ()
+        Sync.create ~n ~size_bits:(fun _ -> msg_bits) ~handler ~activate ?trace ?faults ?sched ()
       in
       for v = 0 to n - 1 do
         if live v then halve_and_send eng 0 v

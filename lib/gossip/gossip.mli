@@ -11,13 +11,14 @@
     Cost model: exchanges piggyback on the protocol's own batch delivery,
     so they report {b zero rounds} but their real message/bit traffic
     (each share is two 64-bit words).  The exchange runs on a fresh
-    {!Dpq_simrt.Sync_engine} with the caller's trace/fault/sched/par
+    {!Dpq_simrt.Sync_engine} with the caller's trace/fault/sched
     machinery threaded through, like every other protocol phase.
 
     Determinism: peer targets for all waves are drawn {e up front} from the
     dedicated [Rng.named ~seed "gossip"] stream, before the engine steps,
     and the handler only touches destination-local state — so the schedule
-    (and any run digest) is bit-identical under any [?par] shard count. *)
+    (and any run digest) depends on the seed alone, never on how a round's
+    deliveries are ordered. *)
 
 type config = {
   extra_rounds : int;  (** waves beyond ceil(log₂ n); default 12 (~5% error) *)
@@ -48,7 +49,6 @@ val exchange :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
-  ?par:Dpq_simrt.Domain_pool.par ->
   t ->
   live:(int -> bool) ->
   cumulative:(int -> int) ->

@@ -22,13 +22,11 @@
     drivers charge for them).
 
     Traces serialize to JSONL — one flat JSON object per event — and read
-    back losslessly ({!to_channel} / {!of_channel}). *)
+    back losslessly ({!to_file} / {!of_file}). *)
 
 type span = int
 (** Identifier of a phase span, unique within one trace.  The pseudo-span
-    [no_span] marks events emitted outside any open span. *)
-
-val no_span : span
+    [-1] marks events emitted outside any open span. *)
 
 type event =
   | Phase_start of { span : span; name : string }
@@ -108,7 +106,7 @@ val clear : t -> unit
     All no-ops on [None]. *)
 
 val phase_start : t option -> string -> span
-(** Open a span (returns [no_span] on [None]). *)
+(** Open a span (returns [-1] on [None]). *)
 
 val phase_end :
   t option ->
@@ -183,9 +181,6 @@ val retransmits : t -> int
 val faults_injected : t -> int
 (** Number of [Fault_injected] events (all kinds). *)
 
-val fault_counts : t -> (string * int) list
-(** Injected faults grouped by kind, sorted by kind name. *)
-
 val retransmit_amplification : t -> float
 (** (fresh deliveries + retransmissions) / fresh deliveries — 1.0 on a
     fault-free run.  The reliable layer's traffic overhead factor. *)
@@ -193,9 +188,6 @@ val retransmit_amplification : t -> float
 val crash_windows : t -> (int * int * int) list
 (** [(node, down_at, up_at)] per completed crash window, in trace order
     (fault-plan ticks). *)
-
-val recovery_latencies : t -> int list
-(** Window lengths of {!crash_windows}, in fault-plan ticks. *)
 
 val repair_messages : t -> int
 (** Deliveries inside ["repair"] spans — the message count of the
@@ -222,12 +214,9 @@ val event_to_json : event -> string
 
 val event_of_json : string -> (event, string) result
 
-val to_channel : t -> out_channel -> unit
+val to_file : t -> string -> unit
 (** One event per line, emission order. *)
 
-val of_channel : in_channel -> (t, string) result
+val of_file : string -> (t, string) result
 (** Reads until EOF; blank lines are skipped.  [Error] names the first
     offending line. *)
-
-val to_file : t -> string -> unit
-val of_file : string -> (t, string) result

@@ -1,162 +1,1 @@
-(* A tiny persistent pool of worker domains for the parallel sync engine.
-
-   One global pool per process: domains are expensive to spawn (~ms) and the
-   engine dispatches thousands of rounds per run, so workers are created
-   once, parked on a condition variable between rounds, and reused by every
-   engine in the process.  Shard 0 of every dispatch runs on the calling
-   domain — a pool sized for [domains] parallelism holds [domains - 1]
-   workers.
-
-   The per-worker mutex handshake is also the memory fence the engine's
-   determinism argument leans on: everything the coordinator wrote before
-   posting a job happens-before the worker's execution, and everything the
-   worker wrote happens-before the coordinator observes [Done].  No other
-   synchronization exists — workers must touch disjoint state (the engine
-   guarantees this by sharding on destination node). *)
-
-type cell =
-  | Idle
-  | Job of (unit -> unit)
-  | Done of exn option
-  | Quit
-
-type worker = {
-  m : Mutex.t;
-  cv : Condition.t;
-  mutable cell : cell;
-  mutable peak_heap_words : int;
-  mutable dom : unit Domain.t option;
-}
-
-type t = { mutable workers : worker array }
-type par = { pool : t; shards : int }
-
-(* Which shard the current domain is executing, so engine code deep inside a
-   protocol handler (e.g. [Sync_engine.send]) can find its outbox without
-   threading a shard id through every handler signature. *)
-let shard_key = Domain.DLS.new_key (fun () -> 0)
-let current_shard () = Domain.DLS.get shard_key
-
-let worker_loop w () =
-  let rec loop () =
-    Mutex.lock w.m;
-    let rec await () =
-      match w.cell with
-      | Idle | Done _ ->
-          Condition.wait w.cv w.m;
-          await ()
-      | Job f ->
-          Mutex.unlock w.m;
-          Some f
-      | Quit ->
-          Mutex.unlock w.m;
-          None
-    in
-    match await () with
-    | None -> ()
-    | Some f ->
-        let err = (try f (); None with e -> Some e) in
-        (* Gc peaks are sampled per job completion: cheap (quick_stat), and
-           bench's memory gate wants the max over every domain that did work,
-           not just whatever the main domain last observed. *)
-        let peak = (Gc.quick_stat ()).Gc.top_heap_words in
-        Mutex.lock w.m;
-        if peak > w.peak_heap_words then w.peak_heap_words <- peak;
-        w.cell <- Done err;
-        Condition.broadcast w.cv;
-        Mutex.unlock w.m;
-        loop ()
-  in
-  loop ()
-
-let spawn_worker () =
-  let w =
-    { m = Mutex.create (); cv = Condition.create (); cell = Idle; peak_heap_words = 0; dom = None }
-  in
-  w.dom <- Some (Domain.spawn (worker_loop w));
-  w
-
-let the_pool = { workers = [||] }
-
-let shutdown () =
-  let ws = the_pool.workers in
-  the_pool.workers <- [||];
-  Array.iter
-    (fun w ->
-      Mutex.lock w.m;
-      w.cell <- Quit;
-      Condition.broadcast w.cv;
-      Mutex.unlock w.m)
-    ws;
-  Array.iter (fun w -> Option.iter Domain.join w.dom) ws
-
-let shutdown_registered = ref false
-
-let ensure ~domains =
-  let need = domains - 1 in
-  if need > Array.length the_pool.workers then begin
-    if not !shutdown_registered then begin
-      shutdown_registered := true;
-      (* Parked domains would keep the process alive past the main domain's
-         exit; join them from at_exit instead of leaking them. *)
-      at_exit shutdown
-    end;
-    let cur = the_pool.workers in
-    the_pool.workers <-
-      Array.init need (fun i -> if i < Array.length cur then cur.(i) else spawn_worker ())
-  end
-
-let get ~domains =
-  if domains < 1 then invalid_arg "Domain_pool.get: domains must be >= 1";
-  ensure ~domains;
-  the_pool
-
-let run pool ~shards f =
-  if shards <= 1 then begin
-    Domain.DLS.set shard_key 0;
-    f 0
-  end
-  else begin
-    ensure ~domains:shards;
-    let workers = pool.workers in
-    for s = 1 to shards - 1 do
-      let w = workers.(s - 1) in
-      Mutex.lock w.m;
-      (match w.cell with
-      | Idle -> ()
-      | _ -> invalid_arg "Domain_pool.run: worker already busy (nested run?)");
-      w.cell <-
-        Job
-          (fun () ->
-            Domain.DLS.set shard_key s;
-            f s);
-      Condition.broadcast w.cv;
-      Mutex.unlock w.m
-    done;
-    Domain.DLS.set shard_key 0;
-    let first_err = ref (try f 0; None with e -> Some e) in
-    (* Barrier: every worker must be drained even if one failed, or a stale
-       Done would poison the next dispatch. *)
-    for s = 1 to shards - 1 do
-      let w = workers.(s - 1) in
-      Mutex.lock w.m;
-      while (match w.cell with Done _ -> false | _ -> true) do
-        Condition.wait w.cv w.m
-      done;
-      (match w.cell with
-      | Done e -> if !first_err = None then first_err := e
-      | _ -> assert false);
-      w.cell <- Idle;
-      Mutex.unlock w.m
-    done;
-    match !first_err with None -> () | Some e -> raise e
-  end
-
-let peak_heap_words () =
-  Array.fold_left
-    (fun acc w ->
-      Mutex.lock w.m;
-      let p = w.peak_heap_words in
-      Mutex.unlock w.m;
-      max acc p)
-    (Gc.quick_stat ()).Gc.top_heap_words the_pool.workers
+let peak_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words

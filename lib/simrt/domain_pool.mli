@@ -1,48 +1,11 @@
-(** Persistent worker-domain pool behind the parallel sync engine.
+(** Process heap peak.
 
-    The process holds one global pool; {!get} grows it on demand and returns
-    it.  A dispatch of [shards] shards runs shard 0 on the calling domain
-    and shards [1..shards-1] on parked workers, so a pool serving [domains]
-    of parallelism owns [domains - 1] OS-level domains.  Workers survive
-    between dispatches (spawning a domain costs milliseconds; the engine
-    dispatches one job set per simulated round) and are joined from an
-    [at_exit] hook.
-
-    The mutex/condvar handshake around each job is the only synchronization
-    offered: writes made by the coordinator before {!run} are visible to the
-    workers, and worker writes are visible to the coordinator after {!run}
-    returns.  Jobs must partition their mutable state — the engine shards by
-    destination node to guarantee it. *)
-
-type t
-
-type par = { pool : t; shards : int }
-(** A parallelism request as carried through protocol constructors: which
-    pool to dispatch on and how many shards to split each round into. *)
-
-val get : domains:int -> t
-(** The global pool, grown to serve [domains]-way dispatches (i.e. at least
-    [domains - 1] parked workers).  Raises [Invalid_argument] if
-    [domains < 1]. *)
-
-val run : t -> shards:int -> (int -> unit) -> unit
-(** [run pool ~shards f] executes [f 0 .. f (shards-1)] concurrently — [f 0]
-    on the calling domain — and returns once all have finished (a barrier).
-    During [f s], {!current_shard} answers [s] on that domain.  If any job
-    raised, the first exception observed (the caller's own, else the lowest
-    worker's) is re-raised after the barrier.  [shards <= 1] degenerates to
-    a plain call of [f 0]. *)
-
-val current_shard : unit -> int
-(** The shard index the calling domain is currently executing (0 outside
-    {!run}). *)
+    This module once held the worker-domain pool of a domain-parallel sync
+    engine (removed; DESIGN.md §9).  Only the heap-peak reader survives,
+    under the old name, because the repository benchmark reads it as
+    [Domain_pool.peak_heap_words]. *)
 
 val peak_heap_words : unit -> int
-(** Max of [Gc.(quick_stat ()).top_heap_words] over the calling domain (now)
-    and every pool worker (sampled after each completed job) — the
-    process-wide major-heap peak even when the work happened off the main
-    domain.  The memory half of bench's regression gate reads this. *)
-
-val shutdown : unit -> unit
-(** Quit and join all workers.  Registered [at_exit] automatically; exposed
-    for tests that want a clean slate. *)
+(** [Gc.(quick_stat ()).top_heap_words]: the major-heap peak of the
+    process so far.  The memory half of bench's regression gate reads
+    this. *)

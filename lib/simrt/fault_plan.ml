@@ -40,9 +40,9 @@ type t = {
      transmission on channel (src, dst) always sees the same randomness, no
      matter how deliveries interleave with other channels.  A shared
      sequential stream would make every fault decision depend on the global
-     delivery order — poison for any engine (parallel or optimized) that
-     wants to reproduce a run bit-for-bit while processing it in a
-     different internal order.  One counter per (channel, purpose). *)
+     delivery order — poison for any engine optimisation that wants to
+     reproduce a run bit-for-bit while processing it in a different
+     internal order.  One counter per (channel, purpose). *)
   transmit_counts : int Itbl.t;
   delay_counts : int Itbl.t;
   stats : stats;
@@ -97,7 +97,6 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor 
   }
 
 let stats t = t.stats
-let tick_count t = t.tick
 let drop t = t.drop
 let duplicate t = t.duplicate
 let delay_spike t = t.delay_spike

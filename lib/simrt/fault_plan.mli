@@ -23,8 +23,8 @@
     never from a shared sequential stream.  A faulty run is therefore not
     just reproducible but order-robust: the k-th transmission on a channel
     draws the same fate regardless of how deliveries on other channels
-    interleave with it, so engine-internal reorderings (parallel rounds,
-    delivery-loop optimisations) cannot silently reshuffle every subsequent
+    interleave with it, so engine-internal reorderings (delivery-loop
+    optimisations) cannot silently reshuffle every subsequent
     fault decision.  The plan keeps a global {e tick} clock advanced
     by the engines (one tick per synchronous round / per asynchronous
     delivery) — crash windows and kills are expressed in ticks and
@@ -98,8 +98,6 @@ val tick : t -> Dpq_obs.Trace.t option -> unit
 (** Advance the global fault clock; emits edge-triggered [Node_crashed]
     ["down"]/["up"] events for windows entered/left. *)
 
-val tick_count : t -> int
-
 (** {2 Plan introspection} — the knobs [create] was given, for canonical
     printing and round-trip tests. *)
 
@@ -121,7 +119,8 @@ val killed_count : t -> int
     change tells {!Reliable} that a reap may find something. *)
 
 val pending_kills : t -> int list
-(** Scheduled kills whose tick has arrived ([at_tick <= tick_count]) but
+(** Scheduled kills whose tick has arrived ([at_tick] <= the current
+    {!tick}) but
     which the host has not yet committed, in plan order.  The host calls
     {!commit_kill} after destroying the node's state. *)
 

@@ -52,7 +52,6 @@ let record_delivery t ~round ~dst ~bits =
   if c > t.max_congestion then t.max_congestion <- c
 
 let record_local t = t.local_deliveries <- t.local_deliveries + 1
-let record_locals t ~count = t.local_deliveries <- t.local_deliveries + count
 
 let rounds t = t.rounds
 let total_messages t = t.total_messages

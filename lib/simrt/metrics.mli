@@ -20,11 +20,6 @@ val record_local : t -> unit
 (** A free co-located (virtual-edge) delivery; counted separately, charged
     neither to congestion nor to message totals. *)
 
-val record_locals : t -> count:int -> unit
-(** [count] local deliveries at once — the parallel engine counts locals in
-    per-shard scratch during a round and folds them in at the barrier
-    (worker domains must not touch the shared counters mid-round). *)
-
 val rounds : t -> int
 (** Highest round in which a delivery was recorded + 1 (0 if none). *)
 

@@ -43,12 +43,6 @@ val add_packed : 'msg t -> round:int -> meta:int -> tag:int -> 'msg -> unit
     deferral path re-enqueues an entry with [meta + 1], which increments
     the deferral count in place. *)
 
-val pack : src:int -> dst:int -> defers:int -> int
-(** The metadata word [(src lsl 32) lor (dst lsl 8) lor defers].  Callers
-    that stage entries outside the queue (the parallel engine's per-shard
-    outboxes) pack here and enqueue later via {!add_packed}.  Bounds are
-    {e not} checked — use {!add} when the inputs are untrusted. *)
-
 val take : 'msg t -> round:int -> 'msg bucket
 (** Detach [round]'s bucket for delivery and advance {!base} past it.  The
     bucket stays valid (its entries are no longer counted by {!pending})

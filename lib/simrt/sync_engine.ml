@@ -4,52 +4,7 @@
    integer-tagged column entries instead of allocated envelopes: tag -1 is
    the zero-overhead plain fast path, even tags are Data packets, odd tags
    are Acks (see Roundq's header).  Without faults nothing is wrapped and
-   behavior/costs are bit-identical to the fault-free engine.
-
-   Domain-parallel rounds (the [?par] path, DESIGN.md §9): a fault-free,
-   unscheduled round's deliveries touch disjoint per-destination protocol
-   state, so the handler work shards by destination across domains.  The
-   observable schedule stays bit-identical to the sequential engine by
-   construction:
-
-   - the coordinator records every delivery's metrics/trace in bucket order
-     BEFORE dispatching (without a scheduler the delivery order IS the
-     bucket order, and the aggregates don't depend on handler effects);
-   - each shard processes its destinations in ascending bucket index, and
-     every send a handler issues is staged in a per-shard outbox keyed by
-     the generating delivery's bucket index;
-   - at the round barrier the outboxes merge into the next round's bucket
-     by ascending key — reproducing exactly the enqueue order a sequential
-     round would have produced, which by induction keeps every later
-     round's bucket (and therefore trace, digest and cost stream)
-     bit-identical at any shard count. *)
-
-(* Per-shard staging buffer for sends issued during parallel delivery.
-   [okeys] carries the generating delivery's bucket index (the merge key);
-   entries are appended in delivery order, so each outbox is already
-   key-sorted and the barrier merge is a linear k-way run merge. *)
-type 'msg outbox = {
-  mutable okeys : int array;
-  mutable ometas : int array;
-  mutable otags : int array;
-  mutable opays : 'msg array;
-  mutable olen : int;
-  mutable olocals : int; (* virtual-edge deliveries this shard performed *)
-}
-
-type 'msg par_state = {
-  pool : Domain_pool.t;
-  nshards : int;
-  shard_of : int -> int; (* destination node -> shard *)
-  outs : 'msg outbox array;
-  cur_keys : int array; (* per shard: bucket index of the delivery running *)
-}
-
-(* Test-only: corrupt the deterministic barrier merge (concatenate outboxes
-   in reverse shard order instead of merging by key).  Exists so the
-   differential test layer can prove it CATCHES merge-order bugs — a real
-   digest divergence, planted on demand.  Never set outside tests. *)
-let unsafe_perturb_parallel_merge = ref false
+   behavior/costs are bit-identical to the fault-free engine. *)
 
 type 'msg t = {
   n : int;
@@ -73,58 +28,9 @@ type 'msg t = {
   mutable last_round : int;
   mutable last_src : int;
   mutable last_dst : int;
-  par : 'msg par_state option;
-  mutable par_active : bool; (* a parallel delivery phase is in flight *)
 }
 
-let new_outbox () = { okeys = [||]; ometas = [||]; otags = [||]; opays = [||]; olen = 0; olocals = 0 }
-
-let outbox_grow ob payload =
-  let cap = Array.length ob.okeys in
-  let cap' = if cap = 0 then 16 else 2 * cap in
-  let copy a fill =
-    let a' = Array.make cap' fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  in
-  ob.okeys <- copy ob.okeys 0;
-  ob.ometas <- copy ob.ometas 0;
-  ob.otags <- copy ob.otags 0;
-  ob.opays <- copy ob.opays payload
-
-let outbox_push ob ~key ~meta ~tag payload =
-  if ob.olen = Array.length ob.okeys then outbox_grow ob payload;
-  let i = ob.olen in
-  ob.okeys.(i) <- key;
-  ob.ometas.(i) <- meta;
-  ob.otags.(i) <- tag;
-  ob.opays.(i) <- payload;
-  ob.olen <- i + 1
-
-let make_par ~n ~par ~shard_of =
-  match par with
-  | None -> None
-  | Some { Domain_pool.pool; shards } ->
-      let nshards = max 1 (min shards n) in
-      if nshards <= 1 then None
-      else
-        let shard_of =
-          match shard_of with
-          | Some f -> f
-          (* Contiguous id ranges: the LDB places a node's key range by its
-             id, so equal id slices are equal key-range slices. *)
-          | None -> fun id -> id * nshards / n
-        in
-        Some
-          {
-            pool;
-            nshards;
-            shard_of;
-            outs = Array.init nshards (fun _ -> new_outbox ());
-            cur_keys = Array.make nshards 0;
-          }
-
-let create ~n ~size_bits ~handler ?activate ?trace ?faults ?sched ?par ?shard_of () =
+let create ~n ~size_bits ~handler ?activate ?trace ?faults ?sched () =
   {
     n;
     size_bits;
@@ -144,8 +50,6 @@ let create ~n ~size_bits ~handler ?activate ?trace ?faults ?sched ?par ?shard_of
     last_round = -1;
     last_src = 0;
     last_dst = 0;
-    par = make_par ~n ~par ~shard_of;
-    par_active = false;
   }
 
 let n t = t.n
@@ -190,35 +94,18 @@ let transmit t ~src ~dst ~tag payload =
         enqueue t ~src ~dst ~tag ~defers:0 payload
       done
 
-(* During a parallel delivery phase sends are staged in the executing
-   shard's outbox under the key of the delivery being handled; the round
-   barrier merges them into the queue in sequential-equivalent order. *)
-let stage_parallel ps ~src ~dst ~tag msg =
-  let s = Domain_pool.current_shard () in
-  outbox_push ps.outs.(s) ~key:ps.cur_keys.(s)
-    ~meta:(Roundq.pack ~src ~dst ~defers:0)
-    ~tag msg
-
 let send t ~src ~dst msg =
   check_id t src "send";
   check_id t dst "send";
   if src = dst then begin
     (* Virtual edge between co-located virtual nodes: free, immediate, and
        exempt from faults (it never touches the network). *)
-    (match t.par with
-    | Some ps when t.par_active ->
-        (* shared counters are off-limits mid-round; fold in at the barrier *)
-        let ob = ps.outs.(Domain_pool.current_shard ()) in
-        ob.olocals <- ob.olocals + 1
-    | _ -> Metrics.record_local t.metrics);
+    Metrics.record_local t.metrics;
     t.handler t ~dst ~src msg
   end
   else
     match t.rel with
-    | None -> (
-        match t.par with
-        | Some ps when t.par_active -> stage_parallel ps ~src ~dst ~tag:tag_plain msg
-        | _ -> enqueue t ~src ~dst ~tag:tag_plain ~defers:0 msg)
+    | None -> enqueue t ~src ~dst ~tag:tag_plain ~defers:0 msg
     | Some rel ->
         let sn = Reliable.register rel ~src ~dst msg in
         transmit t ~src ~dst ~tag:(tag_data sn) msg
@@ -324,115 +211,12 @@ let deliver t ~this_round ~src ~dst ~bits payload =
 
 let is_down t node = match t.faults with None -> false | Some p -> Fault_plan.is_down p ~node
 
-(* Fold the round's staged sends into the queue in sequential-equivalent
-   order: ascending generating-delivery key, one delivery's sends staying
-   contiguous.  Keys are unique per shard (a bucket index is handled by
-   exactly one shard), so each merge step drains a whole same-key run. *)
-let merge_outboxes t ps ~round =
-  (if !unsafe_perturb_parallel_merge then
-     (* planted determinism bug (test-only): reverse-order concatenation *)
-     for s = ps.nshards - 1 downto 0 do
-       let ob = ps.outs.(s) in
-       for j = 0 to ob.olen - 1 do
-         Roundq.add_packed t.q ~round ~meta:ob.ometas.(j) ~tag:ob.otags.(j) ob.opays.(j)
-       done
-     done
-   else
-     let idx = Array.make ps.nshards 0 in
-     let exhausted = ref false in
-     while not !exhausted do
-       let best = ref (-1) and best_key = ref max_int in
-       for s = 0 to ps.nshards - 1 do
-         let ob = ps.outs.(s) in
-         if idx.(s) < ob.olen && ob.okeys.(idx.(s)) < !best_key then begin
-           best := s;
-           best_key := ob.okeys.(idx.(s))
-         end
-       done;
-       if !best < 0 then exhausted := true
-       else begin
-         let ob = ps.outs.(!best) in
-         let j = ref idx.(!best) in
-         while !j < ob.olen && ob.okeys.(!j) = !best_key do
-           Roundq.add_packed t.q ~round ~meta:ob.ometas.(!j) ~tag:ob.otags.(!j) ob.opays.(!j);
-           incr j
-         done;
-         idx.(!best) <- !j
-       end
-     done);
-  for s = 0 to ps.nshards - 1 do
-    let ob = ps.outs.(s) in
-    if ob.olocals > 0 then begin
-      Metrics.record_locals t.metrics ~count:ob.olocals;
-      ob.olocals <- 0
-    end;
-    ob.olen <- 0
-  done
-
-(* One parallel round: observation pre-pass on the coordinator (without a
-   scheduler the delivery order is the bucket order, and the cost/trace
-   aggregates don't depend on handler effects), then handlers sharded by
-   destination, then the deterministic barrier merge. *)
-let parallel_step t ps (b : 'msg Roundq.bucket) =
-  let this_round = t.round in
-  let len = b.Roundq.len in
-  for i = 0 to len - 1 do
-    let m = b.Roundq.metas.(i) in
-    let src = Roundq.meta_src m and dst = Roundq.meta_dst m in
-    let bits = t.size_bits b.Roundq.pays.(i) in
-    Metrics.record_delivery t.metrics ~round:this_round ~dst ~bits;
-    match t.trace with
-    | None -> ()
-    | Some tr -> Dpq_obs.Trace.msg_delivered_direct tr ~round:this_round ~src ~dst ~bits
-  done;
-  if len > 0 then begin
-    t.fresh_delivered <- t.fresh_delivered + len;
-    let m = b.Roundq.metas.(len - 1) in
-    t.last_round <- this_round;
-    t.last_src <- Roundq.meta_src m;
-    t.last_dst <- Roundq.meta_dst m
-  end;
-  t.par_active <- true;
-  Fun.protect
-    ~finally:(fun () -> t.par_active <- false)
-    (fun () ->
-      Domain_pool.run ps.pool ~shards:ps.nshards (fun s ->
-          let shard_of = ps.shard_of in
-          for i = 0 to len - 1 do
-            let m = b.Roundq.metas.(i) in
-            let dst = Roundq.meta_dst m in
-            if shard_of dst = s then begin
-              ps.cur_keys.(s) <- i;
-              t.handler t ~dst ~src:(Roundq.meta_src m) b.Roundq.pays.(i)
-            end
-          done));
-  merge_outboxes t ps ~round:(this_round + 1)
-
 let step t =
   (* Deliveries of this round are the messages sent in previous rounds;
      anything sent during activation or during a delivery handler is
      processed in round [t.round + 1]. *)
   let b = Roundq.take t.q ~round:t.round in
   t.in_step <- true;
-  match t.par with
-  | Some ps when t.faults = None && t.sched = None ->
-      (* Parallel-eligible round: no fault plan (the reliable layer's
-         shared RNG/ack state is inherently sequential) and no adversarial
-         scheduler (its permutation is a serial fold).  Activations run on
-         the coordinator first, exactly as the sequential engine orders
-         them — their sends enqueue directly, ahead of the merged delivery
-         sends, matching sequential enqueue order. *)
-      (match t.activate with
-      | Some f ->
-          for i = 0 to t.n - 1 do
-            f t i
-          done
-      | None -> ());
-      parallel_step t ps b;
-      Roundq.recycle t.q b;
-      set_round t (t.round + 1);
-      t.in_step <- false
-  | _ ->
   let nord = apply_sched t b in
   (* One fault-plan tick per synchronous round: crash windows open/close on
      round boundaries, shared across all engines of the run. *)

@@ -27,8 +27,6 @@ val create :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Fault_plan.t ->
   ?sched:Sched.t ->
-  ?par:Domain_pool.par ->
-  ?shard_of:(int -> int) ->
   unit ->
   'msg t
 (** [create ~n ~size_bits ~handler ()] builds an engine for nodes
@@ -40,19 +38,7 @@ val create :
     mirroring the cost model).  With [faults], messages ride the reliable
     layer under that plan.  With [sched], the adversarial scheduler permutes
     each round's delivery batch and may defer messages a bounded number of
-    rounds ({!Sched.max_defers}); quiescence is still always reached.
-
-    With [par] (and [par.shards > 1]), fault-free unscheduled rounds run
-    their delivery handlers in parallel across domains, sharded by
-    destination node over contiguous id ranges (equal LDB key-range
-    slices); [shard_of] overrides the shard map (tests use adversarial
-    assignments).  The observable schedule — delivery order, trace events,
-    cost metrics, and therefore any run digest — is bit-identical to the
-    sequential engine at every shard count: see DESIGN.md §9 for the
-    determinism argument.  Handlers dispatched in parallel must only touch
-    state owned by the destination node ([dst] and the virtual nodes
-    co-located with it); rounds under a fault plan or scheduler fall back
-    to the sequential path automatically. *)
+    rounds ({!Sched.max_defers}); quiescence is still always reached. *)
 
 val n : 'msg t -> int
 
@@ -93,10 +79,3 @@ val reset_clock : 'msg t -> unit
 (** Zero the round counter and metrics (in-flight messages must be none and
     nothing unacked); used between protocol phases to measure them
     separately.  Raises [Invalid_argument] if messages are pending. *)
-
-val unsafe_perturb_parallel_merge : bool ref
-(** Test-only: when set, the parallel round barrier concatenates the
-    per-shard outboxes in reverse shard order instead of merging them by
-    generating-delivery key — a planted determinism bug.  The differential
-    test layer flips this to prove a digest comparison actually catches
-    merge-order mistakes.  Never set outside tests. *)

@@ -68,8 +68,9 @@ let assign t batch =
    whole interval, the whole rest of the delete list or the whole entry
    reuses it as is, and the parts that demand nothing share one empty
    piece; assignments are never mutated, so the sharing is invisible.  All
-   state is local to the call, since [split] runs inside domain shards
-   (DESIGN.md §9). *)
+   state is local to the call: a virtual-edge delivery in [Phase.down]
+   re-enters [split] while the caller's pieces are still being forwarded
+   (DESIGN.md §12). *)
 
 type split_state = {
   np : int;

@@ -11,8 +11,6 @@ module Host = Dpq_dht.Host
 type t = {
   host : Host.t;
   num_prios : int;
-  par : Dpq_simrt.Domain_pool.par option;
-      (* domain-parallel tree phases (DESIGN.md §9); DHT stays sequential *)
   key_hash : Dpq_util.Hashing.t; (* (prio, pos) -> DHT key *)
   anchor : Anchor.t;
   mutable preorder_rank : int array; (* per middle-vnode owner: traversal rank *)
@@ -39,24 +37,15 @@ let compute_preorder_ranks tree =
     rank;
   rank
 
-let create ?(seed = 1) ?(replication = 1) ?(domains = 1) ?trace ?faults ?sched ?gossip ~n ~num_prios () =
+let create ?(seed = 1) ?(replication = 1) ?trace ?faults ?sched ?gossip ~n ~num_prios () =
   if n < 1 then invalid_arg "Skeap.create: need n >= 1";
   if num_prios < 1 then invalid_arg "Skeap.create: need num_prios >= 1";
-  if domains < 1 then invalid_arg "Skeap.create: need domains >= 1";
   let host =
     Host.create ~name:"Skeap" ~max_prio:num_prios ?trace ?faults ?sched ?gossip ~seed ~replication ~n ()
   in
   {
     host;
     num_prios;
-    par =
-      (if domains > 1 then
-         Some
-           {
-             Dpq_simrt.Domain_pool.pool = Dpq_simrt.Domain_pool.get ~domains;
-             shards = domains;
-           }
-       else None);
     key_hash = Dpq_util.Hashing.create ~seed:(seed + 104729);
     anchor = Anchor.create ~num_prios;
     preorder_rank = compute_preorder_ranks host.tree;
@@ -244,7 +233,7 @@ let process_batch ?(dht_mode = Dht_sync) t =
     | _ -> Batch.empty ~num_prios:t.num_prios
   in
   let combined, memo, up_report =
-    Phase.up ?trace ?faults ?sched ?par:t.par ~tree ~local ~combine:Batch.combine
+    Phase.up ?trace ?faults ?sched ~tree ~local ~combine:Batch.combine
       ~size_bits:Batch.encoded_bits ()
   in
   (* ---- Phase 2: anchor assigns position intervals (local) ------------- *)
@@ -254,13 +243,13 @@ let process_batch ?(dht_mode = Dht_sync) t =
     ~heap_size:(Anchor.total_occupied t.anchor);
   (* ---- Phase 3: decompose intervals down the tree --------------------- *)
   let retained, down_report =
-    Phase.down ?trace ?faults ?sched ?par:t.par ~tree ~memo ~root_payload:assignment
+    Phase.down ?trace ?faults ?sched ~tree ~memo ~root_payload:assignment
       ~split:(fun ~parts a -> Anchor.split ~num_prios:t.num_prios a ~parts)
       ~size_bits:Anchor.assignment_bits ()
   in
   (* Announce the phase switch (anchor-driven broadcast). *)
   let announce_report =
-    Phase.broadcast ?trace ?faults ?sched ?par:t.par ~tree ~payload:()
+    Phase.broadcast ?trace ?faults ?sched ~tree ~payload:()
       ~size_bits:(fun () -> 1) ()
   in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
@@ -305,7 +294,7 @@ let process_batch ?(dht_mode = Dht_sync) t =
   (* ---- assign witness positions in anchor processing order ------------ *)
   record_witnesses h.clients sl;
   (* ---- gossip exchange: load estimation rides the batch boundary ------- *)
-  let gossip_report = Host.exchange_gossip ?par:t.par h in
+  let gossip_report = Host.exchange_gossip h in
   let report =
     List.fold_left Phase.add_report Phase.empty_report
       [ up_report; down_report; announce_report; dht_report; gossip_report ]

@@ -29,7 +29,6 @@ type t
 val create :
   ?seed:int ->
   ?replication:int ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -49,15 +48,11 @@ val create :
     the heap survives the permanent loss of up to [k - 1] replicas of any
     key with unchanged semantics (kills scheduled in the fault plan commit
     at batch boundaries; see {!Dpq_simrt.Fault_plan} and
-    {!Dpq_dht.Dht.kill_node}).  [domains] (default 1) runs the three tree
-    phases of every batch on [domains] OCaml domains, sharded by node id —
-    digests, traces and metrics are bit-identical to [domains = 1] (see
-    DESIGN.md §9); the DHT phase stays sequential.  Runs under a fault
-    plan or scheduler automatically fall back to sequential delivery.
-    With [gossip], every batch boundary runs one push-sum load-estimation
-    exchange ({!Dpq_gossip.Gossip}) whose traffic is added to the batch
-    report (zero rounds — it piggybacks on batch delivery); without it,
-    behavior and costs are bit-identical to before the estimator existed. *)
+    {!Dpq_dht.Dht.kill_node}).  With [gossip], every batch boundary runs
+    one push-sum load-estimation exchange ({!Dpq_gossip.Gossip}) whose
+    traffic is added to the batch report (zero rounds — it piggybacks on
+    batch delivery); without it, behavior and costs are bit-identical to
+    before the estimator existed. *)
 
 include Dpq_types.Clients.S with type t := t
 (** Priorities lie in [[1, num_prios]]. *)

@@ -71,8 +71,3 @@ let log2_fit points =
       (0.0, 0.0) points
   in
   if den = 0.0 then 0.0 else num /. den
-
-let ratio_spread xs =
-  let lo, hi = min_max xs in
-  if lo <= 0.0 then invalid_arg "Stats.ratio_spread: needs positive values";
-  hi /. lo

@@ -26,6 +26,3 @@ val linear_fit : (float * float) list -> float * float
 val log2_fit : (int * float) list -> float
 (** [log2_fit points] fits [y ≈ c * log2 x] through the origin and returns
     [c] — used to check "O(log n)" shapes in experiments. *)
-
-val ratio_spread : float list -> float
-(** max/min of a list of positive numbers — a quick flatness check. *)

@@ -140,9 +140,8 @@ let acc_finish acc ~backend ~n checker =
    workload, the oplog or the outcome list, so memory is O(live elements) +
    one round.  Closed-loop latency: every op completes in the batch it was
    injected into, so its completion latency is that batch's round cost. *)
-let run_stream ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend
-    next =
-  let h = Heap.create ~seed ?replication ?domains ?trace ?faults ?sched ~n backend in
+let run_stream ?(seed = 1) ?replication ?trace ?faults ?sched ?dht_mode ?sink ~n backend next =
+  let h = Heap.create ~seed ?replication ?trace ?faults ?sched ~n backend in
   let checker = Heap.online_checker h in
   let acc = acc_create () in
   let rec loop () =
@@ -173,17 +172,17 @@ let run_stream ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode
   acc.a_makespan <- acc.a_rounds;
   acc_finish acc ~backend ~n checker
 
-let run ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend workload =
+let run ?seed ?replication ?trace ?faults ?sched ?dht_mode ?sink ~n backend workload =
   let remaining = ref workload in
-  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
+  run_stream ?seed ?replication ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
       match !remaining with
       | [] -> None
       | round :: rest ->
           remaining := rest;
           Some round)
 
-let run_gen ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend gen =
-  run_stream ?seed ?replication ?domains ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
+let run_gen ?seed ?replication ?trace ?faults ?sched ?dht_mode ?sink ~n backend gen =
+  run_stream ?seed ?replication ?trace ?faults ?sched ?dht_mode ?sink ~n backend (fun () ->
       Workload.Gen.next gen)
 
 (* --------------------------------------------------------- open loop *)
@@ -197,7 +196,7 @@ type window = Fixed of int | Adaptive of Batch_ctl.config
    max(t, busy_until) and runs for its reported round cost, so offered
    load beyond the service capacity shows up as queueing delay — exactly
    the Lemma 3.7/3.8 trade-off the adaptive controller navigates. *)
-let run_open ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode ?gossip ?sink
+let run_open ?(seed = 1) ?replication ?trace ?faults ?sched ?dht_mode ?gossip ?sink
     ~window ~n backend gen =
   let ctl, gossip =
     match window with
@@ -208,7 +207,7 @@ let run_open ?(seed = 1) ?replication ?domains ?trace ?faults ?sched ?dht_mode ?
         (* Adaptive control needs the load signal: default the estimator on. *)
         (Some (Batch_ctl.create cfg), Some (Option.value gossip ~default:Gossip.default_config))
   in
-  let h = Heap.create ~seed ?replication ?domains ?trace ?faults ?sched ?gossip ~n backend in
+  let h = Heap.create ~seed ?replication ?trace ?faults ?sched ?gossip ~n backend in
   let checker = Heap.online_checker h in
   let acc = acc_create () in
   (* (node, local_seq) -> arrival tick; entries die at completion, so the

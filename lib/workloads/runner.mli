@@ -53,7 +53,6 @@ val protocol_name : summary -> string
 val run :
   ?seed:int ->
   ?replication:int ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -78,17 +77,13 @@ val run :
     default 1): under a fault plan with [kill=] schedules, operations the
     workload addresses to a dead node are skipped and counted in
     [lost_ops], and with [replication > kills] the online verdict matches
-    the fault-free run.  [domains] (default 1) is the domain-parallel
-    execution knob of {!Dpq.Dpq_heap.create}: summaries — including the
-    run digest — are bit-identical at every value (DESIGN.md §9).
-    [sink], when given, receives every drained oplog batch in witness
-    order, before the online checker sees it — the hook digest and replay
-    callers use, as in {!run_open}. *)
+    the fault-free run.  [sink], when given, receives every drained oplog
+    batch in witness order, before the online checker sees it — the hook
+    digest and replay callers use, as in {!run_open}. *)
 
 val run_gen :
   ?seed:int ->
   ?replication:int ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
@@ -121,7 +116,6 @@ type window =
 val run_open :
   ?seed:int ->
   ?replication:int ->
-  ?domains:int ->
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->

@@ -32,12 +32,6 @@ val generate :
     per node per round, each an insert with probability [insert_ratio]
     (default 0.5). *)
 
-val dist_to_string : prio_dist -> string
-(** Compact textual form ([uniform:lo:hi], [zipf:s:n], [const:c],
-    [increasing]); round-trips with {!dist_of_string}. *)
-
-val dist_of_string : string -> (prio_dist, string) result
-
 (** {2 Open-loop arrival processes}
 
     Closed-loop generation (the paper's model) injects exactly λ ops per
@@ -56,10 +50,6 @@ type arrival =
   | Diurnal of { period : int; peak : float; base : float }
       (** sinusoidal day curve: rate [base] at tick 0 rising to [peak] at
           half-period *)
-
-val arrival_rate : arrival -> tick:int -> float
-(** The per-node expected injection rate at [tick]; raises
-    [Invalid_argument] on [Closed]. *)
 
 val arrival_to_string : arrival -> string
 (** Compact textual form ([closed], [poisson:r], [burst:on:off:high:low],
@@ -114,7 +104,8 @@ module Gen : sig
   val spec_to_string : spec -> string
   (** Single-line [k=v] form, e.g.
       [n=4096 rounds=256 lambda=1 ratio=0.5 dist=const:4 seed=3]; round-trips
-      with {!spec_of_string}.  The [arrival=] key is only emitted for
+      with {!spec_of_string}.  [dist=] takes [uniform:lo:hi], [zipf:s:n],
+      [const:c] or [increasing].  The [arrival=] key is only emitted for
       open-loop specs, so pre-arrival spec strings are reproduced
       byte-identically. *)
 
@@ -148,9 +139,6 @@ val deletes : t -> int
     round, ops space-separated as [node:Iprio] / [node:D], a lone ["."] for
     an empty round (round boundaries decide what batches together, so they
     must survive the trip). *)
-
-val op_to_string : op -> string
-val op_of_string : string -> (op, string) result
 
 val round_to_string : round -> string
 val round_of_string : string -> (round, string) result

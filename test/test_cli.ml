@@ -71,7 +71,6 @@ let test_sim_rejects_bad_values () =
       ([ "--drop"; "2" ], "dpq_sim: --drop ");
       ([ "--dup=-0.5" ], "dpq_sim: --dup ");
       ([ "--nodes"; "0" ], "dpq_sim: --nodes ");
-      ([ "--domains"; "0" ], "dpq_sim: --domains ");
       ([ "--replication"; "0" ], "dpq_sim: --replication ");
       ([ "--prios"; "0" ], "dpq_sim: --prios ");
       ([ "--nodes"; "32"; "--faults"; "kill=99@5" ], "dpq_sim: --faults kills node 99 ");
@@ -101,13 +100,34 @@ let test_bench_rejects_bad_values () =
       ([ "--compare"; "--heap-tolerance"; "x" ], "bench: --heap-tolerance expects ");
       ([ "--compare"; "--msg-tolerance"; "-1" ], "bench: --msg-tolerance expects ");
       ([ "--compare"; "--max-n"; "x" ], "bench: --max-n expects a positive integer, got \"x\"");
-      ([ "--compare"; "--domains"; "q" ], "bench: --domains expects a positive integer, got \"q\"");
       ([ "--record"; "--faults"; "garbage" ], "bench: --faults expects ");
       ([ "--record-open"; "--faults"; "drop=2" ], "bench: --faults expects ");
       ([ "--compare"; "--faults"; "drop=0.1" ], "bench: --compare does not take \"--faults\"");
       ([ "--compare"; "--max-n" ], "bench: --max-n needs a value");
       ([], "bench: no mode given");
       ([ "--trace"; "t.jsonl" ], "bench: unknown mode \"--trace\"");
+    ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* The domain-parallel engine and its --domains flag are gone: passing the
+   flag is a usage error, not a silently ignored option. *)
+let test_domains_flag_rejected () =
+  List.iter
+    (fun (prog, args, usage) ->
+      let what = String.concat " " (Filename.basename prog :: args) in
+      let code, out, err = run_exe prog args in
+      checkb (Printf.sprintf "%s: non-zero exit (got %d)" what code) true (code <> 0);
+      checkb (what ^ ": no run") true (out = "");
+      checkb (Printf.sprintf "%s: names the flag in %S" what err) true (contains err "--domains");
+      checkb (Printf.sprintf "%s: usage message in %S" what err) true (contains err usage))
+    [
+      (sim_exe, [ "--rounds"; "1"; "--domains"; "2" ], "Usage: dpq_sim");
+      (sim_exe, [ "explore"; "--seeds"; "1"; "--domains"; "2" ], "Usage: dpq_sim explore");
+      (bench_exe, [ "--compare"; "--domains"; "2" ], "usage: bench");
     ]
 
 let test_trace_written () =
@@ -123,11 +143,6 @@ let test_trace_written () =
 let test_experiments_help () =
   let code, out, err = run_exe experiments_exe [ "--help=plain" ] in
   checki "exit code" 0 code;
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   checkb "example rendered" true (contains out "crash=3@100-200");
   checkb "no cmdliner error" false (contains (out ^ err) "cmdliner error")
 
@@ -145,6 +160,7 @@ let () =
         [
           Alcotest.test_case "dpq_sim exits 1 naming the flag" `Quick test_sim_rejects_bad_values;
           Alcotest.test_case "bench exits 2 naming the flag" `Quick test_bench_rejects_bad_values;
+          Alcotest.test_case "--domains is a usage error" `Quick test_domains_flag_rejected;
         ] );
       ("help", [ Alcotest.test_case "experiments --help renders" `Quick test_experiments_help ]);
     ]

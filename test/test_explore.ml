@@ -23,7 +23,6 @@ let base_config ?(backend = Types.Skeap { num_prios = 4 }) ?(engine = E.Sync)
     backend;
     n = 5;
     replication = 1;
-    domains = 1;
     engine;
     sched;
     faults;
@@ -98,11 +97,11 @@ let test_mini_sweep_clean () =
            (Checker.violation_to_string f.E.violation))
 
 (* The sweep `dpq_sim explore --seeds 64` runs (seeds 0..63, n=6, 2 rounds,
-   Λ=2, one domain), pinned by its digest: a refactor that claims the same
+   Λ=2), pinned by its digest: a refactor that claims the same
    behaviour must leave it unchanged.  A change that alters schedules on
    purpose updates this pin in the same diff. *)
 let test_sweep_digest_pinned () =
-  let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~domains:1 ~seeds:(List.init 64 Fun.id) () in
+  let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~seeds:(List.init 64 Fun.id) () in
   checki "no violations" 0 (List.length r.E.failures);
   checks "64-seed sweep digest" "5d0ef2ebd1f5adbe6893d5c25d5da225" r.E.digest
 
@@ -276,6 +275,42 @@ let test_repro_absent_adaptive_defaults_off () =
   | Error e -> Alcotest.fail e
   | Ok (cfg', _) -> checkb "absent key parses as Off" true (cfg'.E.adaptive = Dpq_gossip.Batch_ctl.Off)
 
+(* Files written while the domain-parallel engine existed carry a
+   [domains N] line right after [replication].  The value never affected
+   the digest: a positive one is accepted and ignored, anything else is
+   still rejected at its line. *)
+let with_domains_line value text =
+  String.split_on_char '\n' text
+  |> List.concat_map (fun l ->
+         if String.starts_with ~prefix:"replication " l then [ l; "domains " ^ value ] else [ l ])
+  |> String.concat "\n"
+
+let test_repro_legacy_domains_key () =
+  let cfg = base_config ~faults:"drop=0.2,dup=0.05" ~seed:9 () in
+  let out = E.run cfg in
+  let text = E.repro_to_string cfg out in
+  checkb "domains line no longer written" false
+    (String.split_on_char '\n' text |> List.exists (String.starts_with ~prefix:"domains"));
+  let legacy = with_domains_line "4" text in
+  (match E.repro_of_string legacy with
+  | Error e -> Alcotest.fail e
+  | Ok (cfg', exp) ->
+      checkb "domains 4 parses to the same config" true (cfg' = cfg);
+      checks "expected digest kept" out.E.digest exp.E.expect_digest);
+  with_temp_file (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc legacy);
+      match E.replay path with
+      | Error e -> Alcotest.fail e
+      | Ok rep ->
+          checkb "domains 4 file replays to its digest" true rep.E.digest_matches;
+          checkb "domains 4 file replays to its clause" true rep.E.clause_matches);
+  (* magic, seed, backend, nodes, replication: the spliced line is line 6 *)
+  match E.repro_of_string (with_domains_line "0" text) with
+  | Ok _ -> Alcotest.fail "domains 0 accepted"
+  | Error e ->
+      checkb (Printf.sprintf "error %S names line 6" e) true
+        (String.starts_with ~prefix:"Explore: line 6: bad domains" e)
+
 (* --------------------------- Seap under adversarial delivery and drops *)
 
 (* Satellite regression: Seap on Adversarial_lifo with 20% drops still
@@ -360,6 +395,7 @@ let () =
           Alcotest.test_case "adaptive round-trip and replay" `Quick test_repro_adaptive_roundtrip;
           Alcotest.test_case "absent adaptive key means off" `Quick
             test_repro_absent_adaptive_defaults_off;
+          Alcotest.test_case "legacy domains key ignored" `Quick test_repro_legacy_domains_key;
         ] );
       ( "regressions",
         [

@@ -650,6 +650,36 @@ let test_kill_verdict_matches_fault_free backend () =
   checkb "the kill actually cost ops" true (killed.Dpq_workloads.Runner.lost_ops > 0);
   checki "fault-free run loses nothing" 0 clean.Dpq_workloads.Runner.lost_ops
 
+(* Exploration cells with a kill, k = 3: node 1 and node 4 killed at tick
+   8, with and without wire noise, on the sync engine under FIFO.  The
+   loss is at most k - 1 replicas of every key, so each verdict must be
+   clean. *)
+let test_kill_cells_verdict_clean () =
+  let module E = Dpq_explore.Explore in
+  List.iter
+    (fun (backend, spec) ->
+      let combo =
+        {
+          E.backend;
+          engine = E.Sync;
+          faults = Some spec;
+          replication = 3;
+          adaptive = Dpq_gossip.Batch_ctl.Off;
+          n_override = None;
+        }
+      in
+      let o = E.run (E.config_of_combo ~n:6 ~rounds:3 ~lambda:2 ~seed:7 ~policy:Sched.Fifo combo) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s %s: verdict" (Heap.backend_name backend) spec)
+        "none"
+        (Option.fold ~none:"none" ~some:Dpq_semantics.Checker.violation_to_string o.E.violation))
+    [
+      (Heap.Skeap { num_prios = 4 }, "kill=1@8");
+      (Heap.Skeap { num_prios = 4 }, "kill=4@8");
+      (Heap.Skeap { num_prios = 4 }, "drop=0.2,dup=0.05,kill=4@8");
+      (Heap.Seap, "kill=4@8");
+    ]
+
 let () =
   Alcotest.run "dpq_faults"
     [
@@ -700,5 +730,6 @@ let () =
             (test_kill_verdict_matches_fault_free (Heap.Skeap { num_prios = 6 }));
           Alcotest.test_case "seap k=3 kill: verdict = fault-free" `Quick
             (test_kill_verdict_matches_fault_free Heap.Seap);
+          Alcotest.test_case "k=3 kill cells: verdict clean" `Quick test_kill_cells_verdict_clean;
         ] );
     ]
