@@ -25,10 +25,11 @@
                        regressed more than --tolerance (default 0.4), a
                        stream cell's peak heap exceeded the recorded value
                        by more than --heap-tolerance (default 0.5, i.e. a
-                       1.5x ceiling), or messages_per_op grew past the
-                       recorded value by more than --msg-tolerance (default
-                       0.25) — the message gate is what pins stream cells,
-                       whose oplog-only digests cannot see wire traffic.
+                       1.5x ceiling), or messages, total bits or rounds
+                       differ at all from the recorded row — they repeat
+                       exactly for a given binary, and they are what pins
+                       stream cells, whose oplog-only digests cannot see
+                       wire traffic.
        --max-n N       skip cells with n > N (CI smoke caps at 4096 to
                        bound wall-clock).
        --out FILE      also write the freshly measured rows to FILE (CI
@@ -475,7 +476,7 @@ let read_lines file =
   in
   go []
 
-let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~out () =
+let compare_grid ~tolerance ~heap_tolerance ~max_n ~out () =
   if not (Sys.file_exists grid_file) then begin
     Printf.eprintf "bench --compare: no %s baseline; run `bench -- --record` first\n" grid_file;
     exit 2
@@ -534,36 +535,31 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~out () =
                   Printf.sprintf "  heap %dw (ceiling %dw)" c.c_peak_heap_words ceiling )
             | _ -> (true, "")
           in
-          (* The message-count half of the gate.  Eager and open cells pin
-             their message schedule through the digest already; stream
-             digests are oplog-only, so without this gate a message-count
-             regression there would ride through unnoticed.  Old baselines
-             lack the explicit field but always carried messages and ops,
-             so the ratio is derivable for every row ever recorded. *)
-          let msg_ok, msg_note =
-            let base_mpo =
-              match List.assoc_opt "messages_per_op" base with
-              | Some v -> float_of_string v
-              | None ->
-                  float_of_string (field base "messages")
-                  /. float_of_int (max 1 (int_of_string (field base "ops")))
+          (* The cost half of the gate: messages, total bits and rounds are
+             deterministic, so they must equal the recorded row.  Eager and
+             open cells pin their message schedule through the digest too;
+             stream digests are oplog-only, so without this gate a cost
+             change there would ride through unnoticed. *)
+          let costs_ok, costs_note =
+            let base_counts =
+              ( int_of_string (field base "messages"),
+                int_of_string (field base "total_bits"),
+                int_of_string (field base "rounds") )
             in
-            if base_mpo <= 0.0 then (true, "")
-            else
-              let cur = messages_per_op c in
-              let ceiling = base_mpo *. (1.0 +. msg_tolerance) in
-              ( cur <= ceiling,
-                Printf.sprintf "  %.1f msg/op (ceiling %.1f)" cur ceiling )
+            let counts = (c.c_messages, c.c_total_bits, c.c_rounds) in
+            let show (m, b, r) = Printf.sprintf "%d msgs / %d bits / %d rounds" m b r in
+            ( base_counts = counts,
+              Printf.sprintf "  %s (recorded %s)" (show counts) (show base_counts) )
           in
-          if not (digest_ok && eps_ok && heap_ok && msg_ok && c.c_ok) then incr failures;
+          if not (digest_ok && eps_ok && heap_ok && costs_ok && c.c_ok) then incr failures;
           Printf.printf
             "%-4s %-12s n=%-5d lambda=%-2d %-6s %8.2fM ev/s vs %8.2fM baseline (%.2fx)  digest %s%s%s%s\n%!"
-            (if digest_ok && eps_ok && heap_ok && msg_ok && c.c_ok then "ok" else "FAIL")
+            (if digest_ok && eps_ok && heap_ok && costs_ok && c.c_ok then "ok" else "FAIL")
             c.c_backend c.c_n c.c_lambda c.c_mode (c.c_eps /. 1e6) (base_eps /. 1e6) ratio
             (if digest_ok then "unchanged"
              else Printf.sprintf "CHANGED (%s -> %s)" base_digest c.c_digest)
             (if heap_ok then heap_note else heap_note ^ "  peak heap OVER CEILING")
-            (if msg_ok then msg_note else msg_note ^ "  messages OVER CEILING")
+            (if costs_ok then "" else costs_note ^ "  COSTS DIFFER")
             (if c.c_ok then "" else "  semantics BROKEN");
           Some c
         end)
@@ -581,22 +577,22 @@ let compare_grid ~tolerance ~heap_tolerance ~msg_tolerance ~max_n ~out () =
   end
   else
     Printf.printf
-      "bench --compare: all %d cells within tolerance (%.0f%%), digests bit-identical%s\n"
+      "bench --compare: all %d cells within tolerance (%.0f%%), digests bit-identical, \
+       messages/bits/rounds exact%s\n"
       (List.length current) (tolerance *. 100.0)
       (if !skipped > 0 then Printf.sprintf " (%d skipped over --max-n)" !skipped else "")
 
 let usage =
   "usage: bench --record [--faults SPEC]\n\
   \       bench --record-open [--faults SPEC]\n\
-  \       bench --compare [--tolerance F] [--heap-tolerance F] [--msg-tolerance F]\n\
-  \                       [--max-n N] [--out FILE]\n"
+  \       bench --compare [--tolerance F] [--heap-tolerance F] [--max-n N] [--out FILE]\n"
 
 (* Each mode and the value flags it takes. *)
 let modes =
   [
     ("--record", [ "--faults" ]);
     ("--record-open", [ "--faults" ]);
-    ("--compare", [ "--tolerance"; "--heap-tolerance"; "--msg-tolerance"; "--max-n"; "--out" ]);
+    ("--compare", [ "--tolerance"; "--heap-tolerance"; "--max-n"; "--out" ]);
   ]
 
 let usage_error msg =
@@ -655,6 +651,5 @@ let () =
       compare_grid
         ~tolerance:(tolerance "--tolerance" ~default:0.4)
         ~heap_tolerance:(tolerance "--heap-tolerance" ~default:0.5)
-        ~msg_tolerance:(tolerance "--msg-tolerance" ~default:0.25)
         ~max_n:(flag_value flags "--max-n" ~expects:"a positive integer" ~default:max_int positive_int)
         ~out:(List.assoc_opt "--out" flags) ()

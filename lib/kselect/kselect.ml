@@ -712,12 +712,26 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
 (* The full protocol.                                                        *)
 (* ------------------------------------------------------------------------ *)
 
+(* A Phase-2 prune the anchor has decided but not yet announced: prune at
+   or below [c_l] (when [below]) and above [c_r] (when [above]).  The
+   anchor derives what that removes from the exact ranks, and each node
+   checks its local count against [removed_below] / [removed_above]. *)
+type prune = {
+  c_l : Element.t;
+  c_r : Element.t;
+  below : bool;
+  above : bool;
+  removed_below : int;
+  removed_above : int;
+}
+
 type state = {
   tree : Aggtree.t;
   ldb : Ldb.t;
   cands : Element.t list array; (* v.C per real node *)
   mutable n_remaining : int; (* v0.N *)
   mutable k : int; (* v0.k *)
+  mutable prune : prune option; (* decided, rides on the next broadcast *)
   mutable report : Phase.report;
   rng : Rng.t;
   hash_pos : Hashing.t;
@@ -755,6 +769,10 @@ let combine_bound pick a b =
   | Neutral, x | x, Neutral -> x
   | B x, B y -> B (pick x y)
 
+(* One Phase-1 iteration; returns [true] when it was void.  A void
+   iteration can prune nothing, so the anchor skips its prune broadcast and
+   count: P_max is unbounded, and P_min is unbounded or, with ⌊k/live⌋ = 1,
+   the global minimum (pruning is strict). *)
 let phase1_iteration st =
   let n = Ldb.n st.ldb in
   let k = st.k in
@@ -801,33 +819,38 @@ let phase1_iteration st =
       ~combine
       ~size_bits:(fun _ -> 2 * int_bits st.n_remaining)
   in
-  bcast st (2 * int_bits st.n_remaining);
-  (* Prune strictly outside [P_min, P_max]; count per side. *)
-  let removed_below = ref 0 and removed_above = ref 0 in
-  Array.iteri
-    (fun node cs ->
-      let keep =
-        List.filter
-          (fun e ->
-            let p = Element.prio e in
-            let below = match pmin with B b -> p < b | _ -> false in
-            let above = match pmax with B b -> p > b | _ -> false in
-            if below then incr removed_below;
-            if above then incr removed_above;
-            (not below) && not above)
-          cs
-      in
-      st.cands.(node) <- keep)
-    st.cands;
-  (* Charge the (k', k'') count aggregation. *)
-  let _, _ =
-    up st
-      ~local:(fun _ -> (0, 0))
-      ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
-      ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
-  in
-  st.k <- st.k - !removed_below;
-  st.n_remaining <- st.n_remaining - !removed_below - !removed_above
+  let is_bound = function B _ -> true | Neutral | Unbounded -> false in
+  if (not (is_bound pmax)) && ((not (is_bound pmin)) || k_lo <= 1) then true
+  else begin
+    bcast st (2 * int_bits st.n_remaining);
+    (* Prune strictly outside [P_min, P_max]; count per side. *)
+    let removed_below = ref 0 and removed_above = ref 0 in
+    Array.iteri
+      (fun node cs ->
+        let keep =
+          List.filter
+            (fun e ->
+              let p = Element.prio e in
+              let below = match pmin with B b -> p < b | _ -> false in
+              let above = match pmax with B b -> p > b | _ -> false in
+              if below then incr removed_below;
+              if above then incr removed_above;
+              (not below) && not above)
+            cs
+        in
+        st.cands.(node) <- keep)
+      st.cands;
+    (* Charge the (k', k'') count aggregation. *)
+    let _, _ =
+      up st
+        ~local:(fun _ -> (0, 0))
+        ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
+        ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
+    in
+    st.k <- st.k - !removed_below;
+    st.n_remaining <- st.n_remaining - !removed_below - !removed_above;
+    false
+  end
 
 (* -------------------------------------------------------------- Phase 2 *)
 
@@ -879,31 +902,48 @@ let exact_ranks st c_l c_r =
   in
   (bl + 1, br + 1)
 
-let prune_between st ~c_l ~c_r ~prune_below ~prune_above =
-  bcast st (2 * Element.encoded_bits c_r);
-  let removed_below = ref 0 and removed_above = ref 0 in
-  Array.iteri
-    (fun node cs ->
-      let keep =
-        List.filter
-          (fun e ->
-            let below = prune_below && Element.compare e c_l <= 0 in
-            let above = prune_above && Element.compare e c_r > 0 in
-            if below then incr removed_below;
-            if above && not below then incr removed_above;
-            (not below) && not above)
-          cs
-      in
-      st.cands.(node) <- keep)
-    st.cands;
-  let _ =
-    up st
-      ~local:(fun _ -> 0)
-      ~combine:( + )
-      ~size_bits:(fun _ -> int_bits (max 1 st.n_remaining))
-  in
-  st.k <- st.k - !removed_below;
-  st.n_remaining <- st.n_remaining - !removed_below - !removed_above
+(* The anchor's prune decision from the exact ranks, with no count
+   convergecast: candidates are totally ordered, so pruning at or below c_l
+   removes rank(c_l) of them and pruning above c_r removes N - rank(c_r).
+   The nodes apply it when the next broadcast delivers it. *)
+let decide_prune st ~c_l ~c_r ~rank_l ~rank_r =
+  let below = rank_l < st.k and above = rank_r >= st.k in
+  if below || above then begin
+    let removed_below = if below then rank_l else 0 in
+    let removed_above = if above then st.n_remaining - rank_r else 0 in
+    st.prune <- Some { c_l; c_r; below; above; removed_below; removed_above };
+    st.k <- st.k - removed_below;
+    st.n_remaining <- st.n_remaining - removed_below - removed_above
+  end
+
+(* Broadcast [payload_bits] plus the pending prune decision, if any, and
+   apply that decision at every node, which counts what it removed. *)
+let bcast_with_prune st payload_bits =
+  match st.prune with
+  | None -> bcast st payload_bits
+  | Some p ->
+      st.prune <- None;
+      bcast st (payload_bits + (2 * Element.encoded_bits p.c_r) + 2);
+      let removed_below = ref 0 and removed_above = ref 0 in
+      Array.iteri
+        (fun node cs ->
+          let keep =
+            List.filter
+              (fun e ->
+                let below = p.below && Element.compare e p.c_l <= 0 in
+                let above = p.above && Element.compare e p.c_r > 0 in
+                if below then incr removed_below;
+                if above && not below then incr removed_above;
+                (not below) && not above)
+              cs
+          in
+          st.cands.(node) <- keep)
+        st.cands;
+      if !removed_below <> p.removed_below || !removed_above <> p.removed_above then
+        failwith
+          (Printf.sprintf
+             "Kselect: prune removed %d below and %d above, but the ranks predicted %d and %d"
+             !removed_below !removed_above p.removed_below p.removed_above)
 
 (* -------------------------------------------------------------- select  *)
 
@@ -923,6 +963,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
       cands = Array.map (fun l -> l) elements;
       n_remaining = m;
       k;
+      prune = None;
       report = Phase.empty_report;
       rng = Rng.create ~seed;
       hash_pos = Hashing.create ~seed:(seed + 31337);
@@ -959,13 +1000,19 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
       else max 1 (int_of_float (ceil (log (float_of_int (max 2 m)) /. log (float_of_int n))))
     in
     let iters1 = Bitsize.log2_ceil (max 1 q) + 1 in
-    iters1_run := iters1;
-    for i = 1 to iters1 do
-      phase1_iteration st;
-      diag_p1 := st.n_remaining :: !diag_p1;
-      Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
-        ~candidates:st.n_remaining ~messages:(msgs ())
-    done;
+    (* A void iteration ends Phase 1: the remaining ones would see the same
+       k, N and candidates and reach the same verdict. *)
+    let rec phase1 i =
+      if i <= iters1 then begin
+        let void = phase1_iteration st in
+        iters1_run := i;
+        diag_p1 := st.n_remaining :: !diag_p1;
+        Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
+          ~candidates:st.n_remaining ~messages:(msgs ());
+        if not void then phase1 (i + 1)
+      end
+    in
+    phase1 1;
     (* ---------------- Phase 2: shrink to ~sqrt(n) candidates ----------- *)
     (* δ = Θ(√(log n) · n^{1/4}) (Lemma 4.6).  The constant is 1 rather than
        the proof's larger c: the exact-rank guards below make pruning safe
@@ -981,7 +1028,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     while st.n_remaining > threshold && !no_progress < 3 && !iter2 < 30 do
       incr iter2;
       let before = st.n_remaining in
-      bcast st (2 * int_bits (max n st.n_remaining));
+      bcast_with_prune st (2 * int_bits (max n st.n_remaining));
       (* n' = Θ(√n) representatives; the constant 4 keeps n' comfortably above
          δ at practical n (the paper's asymptotics assume n' ≫ δ, which for
          √n vs n^{1/4}·√log n only holds at very large n). *)
@@ -998,12 +1045,10 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
         let r = max 1 (min n' (int_of_float (ceil (ideal +. float_of_int delta)))) in
         let c_l = by_order.(l - 1) and c_r = by_order.(max l r - 1) in
         (* One aggregation for the exact ranks, then prune with the safety
-           guards: below only if rank(c_l) < k, above only if rank(c_r) >= k. *)
+           guards: below only if rank(c_l) < k, above only if rank(c_r) >= k.
+           The decision rides on the next iteration's start broadcast. *)
         let rank_l, rank_r = exact_ranks st c_l c_r in
-        let prune_below = rank_l < st.k in
-        let prune_above = rank_r >= st.k in
-        if prune_below || prune_above then
-          prune_between st ~c_l ~c_r ~prune_below ~prune_above
+        decide_prune st ~c_l ~c_r ~rank_l ~rank_r
       end;
       diag_p2 := st.n_remaining :: !diag_p2;
       Dpq_obs.Trace.kselect_round trace ~stage:"phase2" ~iteration:!iter2
@@ -1012,6 +1057,8 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     done
   end;
   (* ---------------- Phase 3: exact computation ------------------------- *)
+  (* Phase 2's last prune decision goes out in a broadcast of its own. *)
+  if Option.is_some st.prune then bcast_with_prune st 0;
   let phase3_n = st.n_remaining in
   Dpq_obs.Trace.kselect_round trace ~stage:"phase3" ~iteration:0 ~candidates:phase3_n
     ~messages:(msgs ());

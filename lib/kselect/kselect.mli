@@ -9,6 +9,9 @@
       local candidates; the tree aggregates their min/max [P_min]/[P_max];
       candidates outside [\[P_min, P_max\]] are discarded and [k], [N]
       updated.  Cuts N from n^q to O(n^{3/2} log n) w.h.p. (Lemma 4.4).
+      An iteration whose bounds cannot prune anything (P_max unbounded,
+      and P_min unbounded or the global minimum) ends Phase 1: the next
+      would see the same k, N and candidates.
     + {b Phase 2 — representatives} (§4.2–4.4): each surviving candidate is
       sampled with probability √n/N into a representative set C' of size
       n' = Θ(√n); C' is {e distributively sorted} (Algorithm 3): every
@@ -19,7 +22,9 @@
       the copy tree, giving each representative its order in C'.  The anchor
       then picks c_l, c_r at orders k·n'/N ∓ δ, δ = Θ(√(log n)·n^{1/4}),
       computes their exact ranks with one more aggregation, and discards
-      candidates outside (c_l, c_r].  Repeats until N ≤ √n (Lemma 4.7).
+      candidates outside (c_l, c_r].  The ranks tell the anchor how many
+      candidates that removes, so no count is aggregated; the decision
+      rides on the next broadcast.  Repeats until N ≤ √n (Lemma 4.7).
     + {b Phase 3 — exact} (§4.5): one sorting round over {e all} remaining
       candidates; the element ordered k-th is the answer.
 
@@ -37,7 +42,9 @@ module Phase = Dpq_aggtree.Phase
 
 type diagnostics = {
   initial_candidates : int;
-  phase1_iterations : int;  (** full Phase-1 iterations actually run (0 when skipped) *)
+  phase1_iterations : int;
+      (** Phase-1 iterations actually run, up to and including the first
+          void one (0 when skipped) *)
   phase1_skipped : bool;
       (** Phase 1 was skipped entirely: the whole batch was small enough
           to go straight to the exact phase *)

@@ -69,19 +69,34 @@ let snapshot t keep =
   Clients.snapshot t.host.clients
     (match t.consistency with Serializable -> Matching keep | Sequential -> Leading keep)
 
-(* Aggregate per-node list lengths to the anchor; the memo drives a later
-   decomposition over the same nodes. *)
-let count_up (h : Host.t) per_node =
+(* Aggregate a pair of per-node list lengths to the anchor; the memo
+   drives a later decomposition over the same nodes. *)
+let count_pairs_up (h : Host.t) fst_per_node snd_per_node =
   Phase.up ?trace:h.trace ?faults:h.faults ?sched:h.sched ~tree:h.tree
     ~local:(fun v ->
-      match Ldb.kind v with Ldb.Middle -> List.length per_node.(Ldb.owner v) | _ -> 0)
-    ~combine:( + )
-    ~size_bits:(fun c -> int_bits (max 1 c))
+      match Ldb.kind v with
+      | Ldb.Middle ->
+          let node = Ldb.owner v in
+          (List.length fst_per_node.(node), List.length snd_per_node.(node))
+      | _ -> (0, 0))
+    ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
+    ~size_bits:(fun (a, b) -> int_bits (max 1 a) + int_bits (max 1 b))
     ()
 
 let interval_bits iv =
   if Interval.is_empty iv then 2
   else Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
+
+(* Like [Interval.split_sizes] but tolerating shortage: the parts that find
+   no positions left get empty intervals. *)
+let take_sizes iv parts =
+  let rest = ref iv in
+  List.map
+    (fun want ->
+      let front, back = Interval.take !rest want in
+      rest := back;
+      front)
+    parts
 
 (* ------------------------------------------------------------- inserts *)
 
@@ -98,11 +113,9 @@ let insert_phase t ~dht_mode =
      paper's §6 sketch of how to restore local consistency, at the cost of
      queues that can lag behind high injection rates. *)
   let pending_inserts = snapshot t (fun k -> k <> `Del) in
-  (* Aggregate the insert count; the anchor updates m (§5.1). *)
-  let total, _memo, up_r = count_up h pending_inserts in
-  add up_r;
-  t.m <- t.m + total;
-  (* Anchor's go-ahead broadcast, then the Put storm. *)
+  (* Anchor's go-ahead broadcast, then the Put storm.  The insert count
+     reaches the anchor on the delete phase's convergecast, which each node
+     sends only once its own Puts are confirmed (§5.1's m update). *)
   add (Phase.broadcast ?trace ?faults ?sched ~tree ~payload:() ~size_bits:(fun () -> 1) ());
   let ops = ref [] in
   let by_key = Hashtbl.create 64 in
@@ -148,23 +161,26 @@ let insert_phase t ~dht_mode =
   List.iter
     (fun (node, local_seq, elt) -> Clients.serialize h.clients ~node ~local_seq (Oplog.Insert elt) None)
     sorted;
-  (!completions, !report)
+  (!completions, !report, pending_inserts)
 
 (* ------------------------------------------------------------- deletes *)
 
 let pos_key t pos = Hashing.pair t.pos_key_hash t.phase_no pos
 
-let delete_phase t ~dht_mode =
+let delete_phase t ~dht_mode ~pending_inserts =
   let h = t.host in
   let trace = h.trace and faults = h.faults and sched = h.sched and tree = h.tree in
   t.phase_no <- t.phase_no + 1;
   let report = ref Phase.empty_report in
   let add r = report := Phase.add_report !report r in
   let pending_deletes = snapshot t (fun k -> k = `Del) in
-  (* Aggregate the delete count k (memo drives the position decomposition
-     for the deleters later). *)
-  let k, del_memo, up_r = count_up h pending_deletes in
+  (* The batch's one count convergecast, (inserts, deletes) per subtree:
+     the anchor adds the inserts to m, then learns k.  A node sends it after
+     its own confirmed Puts, so it is the barrier between the phase's
+     inserts and its deletes (Lemma 5.2). *)
+  let (inserts, k), _memo, up_r = count_pairs_up h pending_inserts pending_deletes in
   add up_r;
+  t.m <- t.m + inserts;
   let completions = ref [] in
   let kselect_diag = ref None in
   let bots = ref [] in
@@ -195,50 +211,41 @@ let delete_phase t ~dht_mode =
         failwith
           (Printf.sprintf "Seap: expected %d elements at or below e_k, found %d" k_eff
              taken_total);
-      let total_chk, taken_memo, up2 = count_up h taken in
+      let (taken_chk, del_chk), memo, up2 = count_pairs_up h taken pending_deletes in
       add up2;
-      assert (total_chk = k_eff);
-      let elt_positions, down1 =
-        Phase.down ?trace ?faults ?sched ~tree ~memo:taken_memo
-          ~root_payload:(Interval.make 1 k_eff)
-          ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
-          ~size_bits:interval_bits ()
+      assert (taken_chk = k_eff && del_chk = k);
+      (* One down-pass decomposes [1, k_eff] over the taken elements and
+         over the deleters; the deleters' shortage (k - k_eff) turns into ⊥
+         answers at the traversal-last deleters. *)
+      let positions, down_r =
+        Phase.down ?trace ?faults ?sched ~tree ~memo
+          ~root_payload:(Interval.make 1 k_eff, Interval.make 1 k_eff)
+          ~split:(fun ~parts (elt_iv, del_iv) ->
+            List.combine
+              (Interval.split_sizes elt_iv (List.map fst parts))
+              (take_sizes del_iv (List.map snd parts)))
+          ~size_bits:(fun (a, b) -> interval_bits a + interval_bits b)
+          ()
       in
-      add down1;
-      (* Decompose [1, k_eff] over the deleters as well; the shortage
-         (k - k_eff) turns into ⊥ answers at the traversal-last deleters. *)
-      let del_positions, down2 =
-        Phase.down ?trace ?faults ?sched ~tree ~memo:del_memo
-          ~root_payload:(Interval.make 1 k_eff)
-          ~split:(fun ~parts iv ->
-            (* like Interval.split_sizes but tolerating shortage *)
-            let rest = ref iv in
-            List.map
-              (fun want ->
-                let front, back = Interval.take !rest want in
-                rest := back;
-                front)
-              parts)
-          ~size_bits:interval_bits ()
-      in
-      add down2;
+      add down_r;
       (* Phase 4-style DHT traffic: re-store the k smallest under h(pos),
          fetch per assigned deleter position. *)
       let ops = ref [] in
       let get_index = Hashtbl.create 64 in
       for node = 0 to Clients.n h.clients - 1 do
         let mv = Ldb.vnode ~owner:node Ldb.Middle in
-        (match elt_positions.(mv) with
-        | None -> if taken.(node) <> [] then failwith "Seap: stored elements got no positions"
-        | Some iv ->
-            List.iter2
-              (fun pos elt ->
-                ops := Dht.Put { origin = node; key = pos_key t pos; elt; confirm = false } :: !ops)
-              (Interval.positions iv) taken.(node));
-        let dels = pending_deletes.(node) in
-        let positions =
-          match del_positions.(mv) with None -> [] | Some iv -> Interval.positions iv
+        let elt_positions, del_positions =
+          match positions.(mv) with
+          | None ->
+              if taken.(node) <> [] then failwith "Seap: stored elements got no positions";
+              ([], [])
+          | Some (elt_iv, del_iv) -> (Interval.positions elt_iv, Interval.positions del_iv)
         in
+        List.iter2
+          (fun pos elt ->
+            ops := Dht.Put { origin = node; key = pos_key t pos; elt; confirm = false } :: !ops)
+          elt_positions taken.(node);
+        let dels = pending_deletes.(node) in
         let rec assign (dels : Clients.pending list) positions =
           match (dels, positions) with
           | [], _ -> ()
@@ -253,7 +260,7 @@ let delete_phase t ~dht_mode =
               bots := (node, d.local_seq) :: !bots;
               assign dtl []
         in
-        assign dels positions
+        assign dels del_positions
       done;
       let dht_cs, dht_r = Host.run_dht h ~dht_mode (List.rev !ops) in
       add dht_r;
@@ -330,8 +337,8 @@ let resync_m t () = t.m <- Dht.size t.host.dht
 
 let process_round ?(dht_mode = Dht_sync) t =
   Host.commit_kills t.host ~step:(resync_m t);
-  let ins_cs, ins_r = insert_phase t ~dht_mode in
-  let del_cs, del_r, kdiag = delete_phase t ~dht_mode in
+  let ins_cs, ins_r, pending_inserts = insert_phase t ~dht_mode in
+  let del_cs, del_r, kdiag = delete_phase t ~dht_mode ~pending_inserts in
   (* Gossip exchange at the round boundary (Sequential mode's retained
      deletes count once, when issued). *)
   let gossip_r = Host.exchange_gossip t.host in

@@ -7,17 +7,18 @@
     {e Insert phases} and {e DeleteMin phases}, and a node's buffered
     inserts all serialize before its buffered deletes of the same round.
 
-    {b Insert phase} (§5.1): the number of pending inserts is aggregated to
-    the anchor (which updates its element count m); after the anchor's
-    go-ahead broadcast every element is stored in the DHT under a fresh
-    pseudorandom key and confirmed back to the inserter.
+    {b Insert phase} (§5.1): after the anchor's go-ahead broadcast every
+    element is stored in the DHT under a fresh pseudorandom key and
+    confirmed back to the inserter.
 
-    {b DeleteMin phase} (§5.2): the number k of pending deletes is
-    aggregated; {!Dpq_kselect.Kselect} finds the element of rank k; every
+    {b DeleteMin phase} (§5.2): once its Puts are confirmed, each node
+    joins one convergecast of (inserts, deletes): the anchor adds the
+    inserts to its element count m and learns the number k of pending
+    deletes; {!Dpq_kselect.Kselect} finds the element of rank k; every
     node pulls its stored elements ≤ e_k out of their random-key homes and
-    re-stores them under position keys h(1..k) assigned by interval
-    decomposition; the deleters receive position sub-intervals the same way
-    and fetch their elements.  Deletes beyond the current heap size get ⊥.
+    re-stores them under position keys h(1..k), and the deleters fetch
+    from positions 1..k; one down-pass assigns both position sets by
+    interval decomposition.  Deletes beyond the current heap size get ⊥.
 
     The run records an operation log whose witness order places each
     phase's inserts (in element order) before its deletes (in rank order);

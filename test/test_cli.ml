@@ -98,7 +98,8 @@ let test_bench_rejects_bad_values () =
     [
       ([ "--compare"; "--tolerance"; "abc" ], "bench: --tolerance expects a number >= 0, got \"abc\"");
       ([ "--compare"; "--heap-tolerance"; "x" ], "bench: --heap-tolerance expects ");
-      ([ "--compare"; "--msg-tolerance"; "-1" ], "bench: --msg-tolerance expects ");
+      (* messages, bits and rounds are gated exactly: there is no tolerance knob *)
+      ([ "--compare"; "--msg-tolerance"; "0.25" ], "bench: --compare does not take \"--msg-tolerance\"");
       ([ "--compare"; "--max-n"; "x" ], "bench: --max-n expects a positive integer, got \"x\"");
       ([ "--record"; "--faults"; "garbage" ], "bench: --faults expects ");
       ([ "--record-open"; "--faults"; "drop=2" ], "bench: --faults expects ");

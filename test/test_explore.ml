@@ -103,7 +103,20 @@ let test_mini_sweep_clean () =
 let test_sweep_digest_pinned () =
   let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~seeds:(List.init 64 Fun.id) () in
   checki "no violations" 0 (List.length r.E.failures);
-  checks "64-seed sweep digest" "5d0ef2ebd1f5adbe6893d5c25d5da225" r.E.digest
+  checks "64-seed sweep digest" "a0bad5dc06ea7dcc6a0f7ecb941edb4c" r.E.digest
+
+(* The same sweep over the Skeap cells of the default grid only: a change
+   that re-pins the combined digest for a Seap reason must leave this one
+   fixed, so it cannot hide a Skeap change. *)
+let test_skeap_sweep_digest_pinned () =
+  let combos =
+    List.filter
+      (fun (c : E.combo) -> match c.E.backend with Types.Skeap _ -> true | _ -> false)
+      E.default_combos
+  in
+  let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~combos ~seeds:(List.init 64 Fun.id) () in
+  checki "no violations" 0 (List.length r.E.failures);
+  checks "64-seed Skeap-only sweep digest" "d92e294279d9548b0b98484c9e6b7d2a" r.E.digest
 
 (* ------------------------------------------- Planted bugs and shrinking *)
 
@@ -379,6 +392,8 @@ let () =
         [
           Alcotest.test_case "64-seed skeap+seap mini-sweep" `Quick test_mini_sweep_clean;
           Alcotest.test_case "64-seed default sweep digest pinned" `Quick test_sweep_digest_pinned;
+          Alcotest.test_case "64-seed Skeap-only sweep digest pinned" `Quick
+            test_skeap_sweep_digest_pinned;
         ] );
       ( "shrink",
         [

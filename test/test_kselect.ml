@@ -150,6 +150,27 @@ let test_phase1_reduces_candidates () =
   let bound = 4.0 *. (float_of_int n ** 1.5) *. log (float_of_int n) in
   checkb "within O(n^1.5 log n)" true (float_of_int after_p1 < bound)
 
+(* Every Phase-1 iteration is void here: k < n makes ⌊k/n⌋ = 0, so P_min
+   is unbounded, and the eight empty nodes poison P_max.  The anchor sees
+   that after the first (P_min, P_max) convergecast and ends Phase 1, since
+   the later iterations would see the same k, N and candidates. *)
+let test_void_phase1_cut_short () =
+  let rng = Dpq_util.Rng.create ~seed:23 in
+  let n = 16 in
+  let tree = tree_of ~n ~seed:2 in
+  let elements =
+    Array.init n (fun v ->
+        if v mod 2 = 1 then []
+        else
+          List.init 20 (fun s ->
+              E.make ~prio:(1 + Dpq_util.Rng.int rng 1_000_000) ~origin:v ~seq:s ()))
+  in
+  let r = run_and_check ~tree ~elements 10 in
+  let d = r.K.diagnostics in
+  checkb "phase 1 not skipped" false d.K.phase1_skipped;
+  checki "one phase-1 iteration" 1 d.K.phase1_iterations;
+  Alcotest.(check (list int)) "nothing pruned" [ 160 ] d.K.phase1_candidates
+
 let test_phase2_reaches_threshold () =
   let rng = Dpq_util.Rng.create ~seed:19 in
   let n = 64 in
@@ -408,40 +429,41 @@ let golden_instance ~n ~per_node =
   (tree_of ~n ~seed:7, uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000)
 
 (* n=64, k=m/2 under 5% drops, 2% duplicates and node 33 down for ticks
-   680-689, which falls inside the third sorting stage: the node holds
+   610-619, which falls inside the third sorting stage: the node holds
    buffered items through ten skipped activations and flushes them when it
    comes back. *)
 let golden_fault_plan () =
   Dpq_simrt.Fault_plan.create ~drop:0.05 ~duplicate:0.02
-    ~crashes:[ { Dpq_simrt.Fault_plan.node = 33; from_tick = 680; until_tick = 690 } ]
+    ~crashes:[ { Dpq_simrt.Fault_plan.node = 33; from_tick = 610; until_tick = 620 } ]
     ~seed:5 ()
 
-(* Recorded on the flat stage's predecessor (per-node hashtable outboxes,
-   float-keyed route memo); the rewrite must reproduce every field. *)
+(* Recorded with prune decisions riding on the next broadcast and void
+   Phase-1 iterations cut short; a change that claims the same protocol
+   must reproduce every field. *)
 let golden_expected =
   [
     ("n=16 k=1",
      "e(p=1770,11.3) rounds=132 msgs=982 cong=15 maxbits=1604 bits=114601 local=700 busiest=92 | m=128 p1it=2 skip=false p1=[27,27] p2=[] reps=[] trees=0x1.2cp+4 p3=27");
     ("n=16 k=64",
-     "e(p=506076,8.0) rounds=224 msgs=1497 cong=15 maxbits=2157 bits=171094 local=1075 busiest=147 | m=128 p1it=2 skip=false p1=[75,69] p2=[28] reps=[16] trees=0x1.bbp+3 p3=28");
+     "e(p=506076,8.0) rounds=214 msgs=1482 cong=15 maxbits=2157 bits=170839 local=1043 busiest=145 | m=128 p1it=2 skip=false p1=[75,69] p2=[28] reps=[16] trees=0x1.bbp+3 p3=28");
     ("n=16 k=128",
-     "e(p=992254,14.1) rounds=216 msgs=823 cong=10 maxbits=879 bits=55766 local=722 busiest=92 | m=128 p1it=2 skip=false p1=[63,43] p2=[9] reps=[15] trees=0x1.4ep+2 p3=9");
+     "e(p=992254,14.1) rounds=206 msgs=808 cong=10 maxbits=879 bits=55526 local=690 busiest=90 | m=128 p1it=2 skip=false p1=[63,43] p2=[9] reps=[15] trees=0x1.4ep+2 p3=9");
     ("n=64 k=1",
-     "e(p=682,56.1) rounds=466 msgs=5666 cong=36 maxbits=2304 bits=473403 local=4044 busiest=263 | m=512 p1it=2 skip=false p1=[216,216] p2=[74,12] reps=[28,33] trees=0x1.76p+2 p3=12");
+     "e(p=682,56.1) rounds=418 msgs=5477 cong=36 maxbits=2304 bits=469686 local=3660 busiest=258 | m=512 p1it=2 skip=false p1=[216,216] p2=[74,12] reps=[28,33] trees=0x1.76p+2 p3=12");
     ("n=64 k=256",
-     "e(p=522014,4.7) rounds=474 msgs=7916 cong=34 maxbits=2298 bits=771836 local=4778 busiest=378 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+     "e(p=522014,4.7) rounds=426 msgs=7727 cong=34 maxbits=2298 bits=768056 local=4394 busiest=373 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
     ("n=64 k=512",
-     "e(p=999177,24.5) rounds=458 msgs=5027 cong=34 maxbits=1808 bits=429274 local=4012 busiest=251 | m=512 p1it=2 skip=false p1=[336,215] p2=[38,6] reps=[28,31] trees=0x1.3d55555555555p+2 p3=6");
+     "e(p=999177,24.5) rounds=410 msgs=4838 cong=34 maxbits=1808 bits=425620 local=3628 busiest=246 | m=512 p1it=2 skip=false p1=[336,215] p2=[38,6] reps=[28,31] trees=0x1.3d55555555555p+2 p3=6");
     ("n=256 k=1",
-     "e(p=757,140.1) rounds=778 msgs=22686 cong=84 maxbits=3821 bits=2376171 local=15200 busiest=530 | m=1024 p1it=2 skip=false p1=[824,824] p2=[127,19] reps=[60,64] trees=0x1.3caaaaaaaaaabp+2 p3=19");
+     "e(p=757,140.1) rounds=694 msgs=21921 cong=84 maxbits=3821 bits=2357556 local=13664 busiest=525 | m=1024 p1it=2 skip=false p1=[824,824] p2=[127,19] reps=[60,64] trees=0x1.3caaaaaaaaaabp+2 p3=19");
     ("n=256 k=512",
-     "e(p=506791,232.3) rounds=1004 msgs=36224 cong=80 maxbits=3922 bits=4004325 local=20564 busiest=786 | m=1024 p1it=2 skip=false p1=[887,887] p2=[327,83,24] reps=[56,76,64] trees=0x1.a6cp+2 p3=24");
+     "e(p=506791,232.3) rounds=864 msgs=34949 cong=80 maxbits=3922 bits=3973725 local=18004 busiest=778 | m=1024 p1it=2 skip=false p1=[887,887] p2=[327,83,24] reps=[56,76,64] trees=0x1.a6cp+2 p3=24");
     ("n=256 k=1024",
-     "e(p=998417,15.3) rounds=774 msgs=23251 cong=69 maxbits=3661 bits=2401694 local=15254 busiest=492 | m=1024 p1it=2 skip=false p1=[771,716] p2=[114,15] reps=[68,55] trees=0x1.558p+2 p3=15");
+     "e(p=998417,15.3) rounds=690 msgs=22486 cong=69 maxbits=3661 bits=2383079 local=13718 busiest=487 | m=1024 p1it=2 skip=false p1=[771,716] p2=[114,15] reps=[68,55] trees=0x1.558p+2 p3=15");
     ("faults",
-     "e(p=522014,4.7) rounds=778 msgs=9062 cong=24 maxbits=1794 bits=1091510 local=4778 busiest=462 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+     "e(p=522014,4.7) rounds=667 msgs=8745 cong=25 maxbits=1794 bits=1074965 local=4394 busiest=449 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
     ("shuffle",
-     "e(p=522014,4.7) rounds=532 msgs=9115 cong=22 maxbits=1682 bits=793418 local=4778 busiest=461 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
+     "e(p=522014,4.7) rounds=481 msgs=8911 cong=27 maxbits=1938 bits=789368 local=4394 busiest=457 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
   ]
 
 let golden_actual () =
@@ -538,6 +560,7 @@ let () =
           Alcotest.test_case "rounds logarithmic" `Slow test_rounds_logarithmic;
           Alcotest.test_case "message bits logarithmic" `Quick test_message_bits_logarithmic;
           Alcotest.test_case "rounds per log2(n) constant" `Slow test_rounds_per_log_constant;
+          Alcotest.test_case "void phase 1 cut short" `Quick test_void_phase1_cut_short;
         ] );
       ( "differential",
         [

@@ -335,6 +335,77 @@ let prop_delete_positions_match_sorted_reference =
       && List.for_all2 E.equal expected (List.sort E.compare got)
       && Checker.check Checker.Online.Seap_contract (S.oplog h) = Ok ())
 
+(* ------------------------------------------------- pinned executions *)
+
+(* A fixed closed Seap run: n=16, eight rounds of four operations per node,
+   70% inserts, so the heap grows past KSelect's direct-sort threshold and
+   later selections run Phases 1 and 2.  Drains, checks the oplog, and
+   returns its operations-only digest. *)
+let pinned_closed_run ?faults ?(replication = 1) ?dht_mode () =
+  let n = 16 in
+  let h = S.create ~seed:3 ~replication ?faults ~n () in
+  let rng = Dpq_util.Rng.create ~seed:33 in
+  for _ = 1 to 8 do
+    for node = 0 to n - 1 do
+      for _ = 1 to 4 do
+        if Dpq_util.Rng.float rng < 0.7 then
+          ignore (S.insert h ~node ~prio:(1 + Dpq_util.Rng.int rng 1_000_000))
+        else S.delete_min h ~node
+      done
+    done;
+    ignore (S.process_round ?dht_mode h)
+  done;
+  ignore (S.drain ?dht_mode h);
+  ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h));
+  Dpq_explore.Run_digest.of_oplog (S.oplog h)
+
+(* Which element each operation got, and where it sits in the witness
+   order, must not depend on how many aggregation-tree passes a batch
+   makes: these digests cover the operations alone (no schedule), so a
+   change that only removes or merges tree messages leaves them fixed. *)
+let test_oplog_digests_pinned () =
+  let pin = Alcotest.(check string) in
+  pin "fault-free" "978700b31f44d202" (pinned_closed_run ());
+  pin "drop=0.1,dup=0.05, k=3" "978700b31f44d202"
+    (pinned_closed_run
+       ~faults:(Dpq_simrt.Fault_plan.of_string ~seed:5 "drop=0.1,dup=0.05")
+       ~replication:3 ());
+  pin "async DHT" "978700b31f44d202"
+    (pinned_closed_run
+       ~dht_mode:(S.Dht_async { seed = 7; policy = Dpq_simrt.Async_engine.Exponential 25.0 })
+       ())
+
+(* Aggregation-tree passes of one traced Seap batch, by kind, counted from
+   the trace's phase spans: n=16, 64 elements stored, then a batch of 32
+   inserts and 16 deletes, whose KSelect runs Phases 1 and 2. *)
+let test_pass_counts_pinned () =
+  let n = 16 in
+  let trace = Dpq_obs.Trace.create () in
+  let h = S.create ~seed:3 ~trace ~n () in
+  let rng = Dpq_util.Rng.create ~seed:44 in
+  let prio () = 1 + Dpq_util.Rng.int rng 1_000_000 in
+  for i = 0 to 63 do
+    ignore (S.insert h ~node:(i mod n) ~prio:(prio ()))
+  done;
+  ignore (S.process_round h);
+  Dpq_obs.Trace.clear trace;
+  for node = 0 to n - 1 do
+    ignore (S.insert h ~node ~prio:(prio ()));
+    ignore (S.insert h ~node ~prio:(prio ()));
+    S.delete_min h ~node
+  done;
+  ignore (S.process_round h);
+  let count kind =
+    List.length
+      (List.filter
+         (function Dpq_obs.Trace.Phase_start { name; _ } -> name = kind | _ -> false)
+         (Dpq_obs.Trace.events trace))
+  in
+  Alcotest.(check (list (pair string int)))
+    "passes by kind"
+    [ ("up", 9); ("down", 4); ("broadcast", 8) ]
+    (List.map (fun k -> (k, count k)) [ "up"; "down"; "broadcast" ])
+
 (* ------------------------------------------------------ large-n stream *)
 
 module W = Dpq_workloads.Workload
@@ -411,6 +482,8 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "drain" `Quick test_drain;
           Alcotest.test_case "stream n=4096, 2^18 ops" `Slow test_stream_large_n;
+          Alcotest.test_case "oplog digests pinned" `Quick test_oplog_digests_pinned;
+          Alcotest.test_case "pass counts pinned" `Quick test_pass_counts_pinned;
           QCheck_alcotest.to_alcotest prop_delete_positions_match_sorted_reference;
           QCheck_alcotest.to_alcotest prop_seap_semantics;
         ] );
