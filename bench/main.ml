@@ -25,11 +25,14 @@
                        regressed more than --tolerance (default 0.4), a
                        stream cell's peak heap exceeded the recorded value
                        by more than --heap-tolerance (default 0.5, i.e. a
-                       1.5x ceiling), or messages, total bits or rounds
+                       1.5x ceiling), messages, total bits or rounds
                        differ at all from the recorded row — they repeat
                        exactly for a given binary, and they are what pins
                        stream cells, whose oplog-only digests cannot see
-                       wire traffic.
+                       wire traffic — or minor words per op exceed the
+                       recorded value by more than 5% (they too repeat
+                       for a given binary; the margin absorbs compiler
+                       versions).
        --max-n N       skip cells with n > N (CI smoke caps at 4096 to
                        bound wall-clock).
        --out FILE      also write the freshly measured rows to FILE (CI
@@ -476,6 +479,9 @@ let read_lines file =
   in
   go []
 
+(* How far above its recorded row a cell's minor words per op may go. *)
+let minor_words_slack = 0.05
+
 let compare_grid ~tolerance ~heap_tolerance ~max_n ~out () =
   if not (Sys.file_exists grid_file) then begin
     Printf.eprintf "bench --compare: no %s baseline; run `bench -- --record` first\n" grid_file;
@@ -551,15 +557,26 @@ let compare_grid ~tolerance ~heap_tolerance ~max_n ~out () =
             ( base_counts = counts,
               Printf.sprintf "  %s (recorded %s)" (show counts) (show base_counts) )
           in
-          if not (digest_ok && eps_ok && heap_ok && costs_ok && c.c_ok) then incr failures;
+          (* The allocation half: minor words repeat for a given binary
+             too, so a cell may allocate at most [minor_words_slack] more
+             per op than its recorded row. *)
+          let words_ok, words_note =
+            let base_words = float_of_string (field base "minor_words_per_op") in
+            let ceiling = base_words *. (1.0 +. minor_words_slack) in
+            ( c.c_minor_words_per_op <= ceiling,
+              Printf.sprintf "  %.1f minor words/op (ceiling %.1f)" c.c_minor_words_per_op ceiling )
+          in
+          let ok = digest_ok && eps_ok && heap_ok && costs_ok && words_ok && c.c_ok in
+          if not ok then incr failures;
           Printf.printf
-            "%-4s %-12s n=%-5d lambda=%-2d %-6s %8.2fM ev/s vs %8.2fM baseline (%.2fx)  digest %s%s%s%s\n%!"
-            (if digest_ok && eps_ok && heap_ok && costs_ok && c.c_ok then "ok" else "FAIL")
+            "%-4s %-12s n=%-5d lambda=%-2d %-6s %8.2fM ev/s vs %8.2fM baseline (%.2fx)  digest %s%s%s%s%s\n%!"
+            (if ok then "ok" else "FAIL")
             c.c_backend c.c_n c.c_lambda c.c_mode (c.c_eps /. 1e6) (base_eps /. 1e6) ratio
             (if digest_ok then "unchanged"
              else Printf.sprintf "CHANGED (%s -> %s)" base_digest c.c_digest)
             (if heap_ok then heap_note else heap_note ^ "  peak heap OVER CEILING")
             (if costs_ok then "" else costs_note ^ "  COSTS DIFFER")
+            (if words_ok then "" else words_note ^ "  ALLOCATION GREW")
             (if c.c_ok then "" else "  semantics BROKEN");
           Some c
         end)
@@ -578,8 +595,8 @@ let compare_grid ~tolerance ~heap_tolerance ~max_n ~out () =
   else
     Printf.printf
       "bench --compare: all %d cells within tolerance (%.0f%%), digests bit-identical, \
-       messages/bits/rounds exact%s\n"
-      (List.length current) (tolerance *. 100.0)
+       messages/bits/rounds exact, minor words within %.0f%%%s\n"
+      (List.length current) (tolerance *. 100.0) (minor_words_slack *. 100.0)
       (if !skipped > 0 then Printf.sprintf " (%d skipped over --max-n)" !skipped else "")
 
 let usage =

@@ -133,7 +133,7 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication st
     [ ("--nodes", nodes); ("--replication", replication); ("--prios", prios) ];
   List.iter
     (fun (flag, p) -> if not (p >= 0.0 && p <= 1.0) then bad flag "must be in [0,1], got %g" p)
-    [ ("--drop", drop); ("--dup", dup) ];
+    [ ("--drop", drop); ("--dup", dup); ("--insert-ratio", insert_ratio) ];
   (* any open-loop knob switches to the open-loop driver; with all three at
      their defaults the run takes the legacy closed-loop path bit-for-bit *)
   let open_mode = arrival <> W.Closed || adaptive <> Batch_ctl.Off || window <> None in

@@ -56,23 +56,32 @@ let key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
    is recomputed against the current overlay on every use, so copies
    re-spread automatically after a kill re-homes the circle.  Replica 0 is
    exactly the unreplicated placement, so k = 1 runs are bit-identical to
-   the historical behavior. *)
-let rec replica_point t r key =
-  if r = 0 then key_point t key
-  else begin
-    let p = key_point t key +. (float_of_int r /. float_of_int t.k) in
+   the historical behavior.  [replica_points t r key] places replicas
+   0..r in order, each walk checking the owners of the ones before it. *)
+let replica_points t r key =
+  let owner_at p = Ldb.owner (Ldb.manager_of_point t.ldb p) in
+  let points = Array.make (r + 1) (key_point t key) in
+  let owners = Array.make (r + 1) (owner_at points.(0)) in
+  for r' = 1 to r do
+    let p = points.(0) +. (float_of_int r' /. float_of_int t.k) in
     let p = if p >= 1.0 then p -. 1.0 else p in
-    let used = List.init r (fun r' -> Ldb.owner (Ldb.manager_of_point t.ldb (replica_point t r' key))) in
+    let used o =
+      let rec scan j = j < r' && (owners.(j) = o || scan (j + 1)) in
+      scan 0
+    in
     (* Cap the walk at one full lap: with fewer live nodes than replicas a
        fresh owner does not exist, and the base point is the honest answer. *)
     let rec walk p steps =
       let m = Ldb.manager_of_point t.ldb p in
-      if steps > 3 * Ldb.n t.ldb || not (List.mem (Ldb.owner m) used) then p
+      if steps > 3 * Ldb.n t.ldb || not (used (Ldb.owner m)) then p
       else walk (Ldb.label t.ldb (Ldb.succ t.ldb m)) (steps + 1)
     in
-    walk p 0
-  end
+    points.(r') <- walk p 0;
+    owners.(r') <- owner_at points.(r')
+  done;
+  points
 
+let replica_point t r key = (replica_points t r key).(r)
 let manager_of_key t k = Ldb.manager_of_point t.ldb (key_point t k)
 let replica_owner t r key = Ldb.owner (Ldb.manager_of_point t.ldb (replica_point t r key))
 
@@ -251,9 +260,12 @@ let reply_point t origin = Ldb.label t.ldb (Ldb.vnode ~owner:origin Ldb.Middle)
 
 (* Primary-side replica maintenance fan-out (no-ops at k = 1). *)
 let backups_send t b ~send ~src_vnode ~key mk =
-  for r = 1 to t.k - 1 do
-    route_via t b ~send ~src_vnode ~point:(replica_point t r key) (mk r)
-  done
+  if t.k > 1 then begin
+    let points = replica_points t (t.k - 1) key in
+    for r = 1 to t.k - 1 do
+      route_via t b ~send ~src_vnode ~point:points.(r) (mk r)
+    done
+  end
 
 (* Engine-agnostic message handler.  [send] enqueues a message; [complete]
    records a finished operation. *)

@@ -49,6 +49,18 @@ let kth_statistics elements ~k =
 (* The distributed sorting stage (Algorithm 3, Phase 2b).                    *)
 (* ------------------------------------------------------------------------ *)
 
+(* One stage's representatives, flat: [elt_of_pos.(p)] is the element at
+   position p (1..n'), and node v holds positions [pos_lo.(v)] ..
+   [pos_lo.(v) + pos_count.(v) - 1].  [drawn] is the draw's scratch: the
+   chosen candidates node by node, in candidate order.  One record serves
+   every stage of a selection. *)
+type reps = {
+  elt_of_pos : Element.t array;
+  drawn : Element.t array;
+  pos_lo : int array;
+  pos_count : int array;
+}
+
 type spayload =
   | Disseminate of {
       i : int;  (** which representative / copy tree *)
@@ -87,14 +99,15 @@ type tnode = {
 }
 
 (* The billed bit-length of each payload kind, shared by both stages:
-   [point_bits] is charged for every point field of the pairwise payload. *)
-let disseminate_bits ~point_bits ~i ~a ~b ~x ~parent_mid ~elt =
+   [point_bits] is charged for every point field of the pairwise payload,
+   [elt_bits] is the carried element's [Element.encoded_bits]. *)
+let disseminate_bits ~point_bits ~i ~a ~b ~x ~parent_mid ~elt_bits =
   Bitsize.bits_of_int i + Bitsize.bits_of_int a + Bitsize.bits_of_int b
   + Bitsize.bits_of_int (abs x) + (2 * point_bits) + Bitsize.bits_of_int (abs parent_mid)
-  + Element.encoded_bits elt
+  + elt_bits
 
-let rendezvous_bits ~point_bits ~i ~j ~elt =
-  Bitsize.bits_of_int i + Bitsize.bits_of_int j + Element.encoded_bits elt + point_bits
+let rendezvous_bits ~point_bits ~i ~j ~elt_bits =
+  Bitsize.bits_of_int i + Bitsize.bits_of_int j + elt_bits + point_bits
 
 let vote_bits ~i ~j ~smaller ~larger =
   Bitsize.bits_of_int i + Bitsize.bits_of_int j + smaller + larger + 2
@@ -107,42 +120,31 @@ let spayload_bits ldb p =
   let point_bits = 2 * Bitsize.log2_ceil (max 2 (Ldb.n ldb)) in
   match p with
   | Disseminate d ->
-      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid ~elt:d.elt
-  | Rendezvous r -> rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt:r.elt
+      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid
+        ~elt_bits:(Element.encoded_bits d.elt)
+  | Rendezvous r ->
+      rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt_bits:(Element.encoded_bits r.elt)
   | Vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
   | Child_sum c ->
       child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger
 
-(* Flat per-stage state.  Positions run 1..n', so per-position state is an
-   array of length n' + 1 (slot 0 unused) and per-pair state a square of
-   side n' + 1 indexed [i * (n' + 1) + j]. *)
-let elts_by_position ~n' (reps : (int * Element.t) list array) =
-  match Array.find_map (function (_, e) :: _ -> Some e | [] -> None) reps with
-  | None -> invalid_arg "Kselect.sorting_stage: no representatives"
-  | Some e0 ->
-      let by_pos = Array.make (n' + 1) e0 in
-      Array.iter (List.iter (fun (pos, elt) -> by_pos.(pos) <- elt)) reps;
-      by_pos
-
-(* [orders.(i)]: the order the root of T(v_i) computed, 0 while unknown. *)
-let orders_to_array ~n' ~elt_of_pos orders =
+(* [orders.(i)]: the order the root of T(v_i) computed, 0 while unknown.
+   Returns the position of each order 1..n' (slot 0 unused). *)
+let positions_by_order ~n' orders =
   let got = Array.fold_left (fun acc o -> if o <> 0 then acc + 1 else acc) 0 orders in
   if got <> n' then
     failwith
       (Printf.sprintf "Kselect.sorting_stage: got %d orders for %d representatives" got n');
-  let by_order = Array.make (n' + 1) None in
+  let by_order = Array.make (n' + 1) 0 in
   for i = 1 to n' do
     let order = orders.(i) in
     if order < 1 || order > n' then failwith "Kselect.sorting_stage: order out of range";
-    (match by_order.(order) with
-    | Some _ -> failwith "Kselect.sorting_stage: duplicate order"
-    | None -> ());
-    by_order.(order) <- Some elt_of_pos.(i)
+    if by_order.(order) <> 0 then failwith "Kselect.sorting_stage: duplicate order";
+    by_order.(order) <- i
   done;
-  Array.map Option.get (Array.sub by_order 1 n')
+  by_order
 
-(* [reps]: for each real node, the (position, element) pairs it contributed.
-   Returns the element of each order (index 1..n') plus the number of
+(* Returns the position of each order (index 1..n') plus the number of
    (node, tree) participations, and adds the engine costs to [reports].
 
    The pre-optimization protocol: every copy-tree edge is a de Bruijn hop,
@@ -150,8 +152,8 @@ let orders_to_array ~n' ~elt_of_pos orders =
    and every payload is its own wire message.  Kept executable as the
    reference the differential test layer runs the aggregated rewrite
    against. *)
-let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
-    ~(reps : (int * Element.t) list array) ~n' ~(add_report : Phase.report -> unit) =
+let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(reps : reps) ~n'
+    ~(add_report : Phase.report -> unit) =
   let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
   let n = Ldb.n ldb in
   let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
@@ -162,7 +164,6 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
   let orders = Array.make (n' + 1) 0 in
   let participations : (int * int, unit) Hashtbl.t = Hashtbl.create (4 * n') in
-  let elt_of_pos = elts_by_position ~n' reps in
   let routing_header =
     let nn = max 2 n in
     (2 * Bitsize.log2_ceil nn) + Bitsize.log2_ceil nn
@@ -323,121 +324,155 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let eng = Sync.create ~n ~size_bits ~handler ?trace ?faults ?sched () in
   (* Kick off: every chosen representative is routed to the node responsible
      for its position; that node becomes the root v_i of copy tree T(v_i). *)
-  Array.iteri
-    (fun node pairs ->
-      List.iter
-        (fun (pos, elt) ->
-          let src_vnode = Ldb.vnode ~owner:node Ldb.Middle in
-          route_from eng ~src_vnode ~point:(pos_point pos)
-            (Disseminate
-               {
-                 i = pos;
-                 a = 1;
-                 b = n';
-                 x = -1;
-                 point = pos_point pos;
-                 parent_point = -1.0;
-                 parent_mid = -1;
-                 elt;
-               }))
-        pairs)
-    reps;
+  for node = 0 to n - 1 do
+    for pos = reps.pos_lo.(node) to reps.pos_lo.(node) + reps.pos_count.(node) - 1 do
+      let src_vnode = Ldb.vnode ~owner:node Ldb.Middle in
+      route_from eng ~src_vnode ~point:(pos_point pos)
+        (Disseminate
+           {
+             i = pos;
+             a = 1;
+             b = n';
+             x = -1;
+             point = pos_point pos;
+             parent_point = -1.0;
+             parent_mid = -1;
+             elt = reps.elt_of_pos.(pos);
+           })
+    done
+  done;
   let rounds = Sync.run_to_quiescence ~max_rounds:200_000 eng in
   let stage_report = Phase.report_of_metrics (Sync.metrics eng) rounds in
   add_report stage_report;
   Phase.trace_phase_end trace span "kselect-sort" stage_report;
-  (orders_to_array ~n' ~elt_of_pos orders, Hashtbl.length participations)
+  (positions_by_order ~n' orders, Hashtbl.length participations)
 
-(* Aggregated payloads name virtual nodes where the pairwise ones carry
-   points: a copy's Disseminate carries the vnode of the tree node it
-   creates and of that node's parent (-1 at a root), a Rendezvous the vnode
-   its vote returns to.  Votes and child sums therefore go straight to a
-   known vnode, and only copy and pair points need a manager lookup.  The
-   billed bits still charge [point_bits] for every point field of the
-   pairwise twin. *)
-type apayload =
-  | A_disseminate of {
-      i : int;
-      a : int;
-      b : int;
-      x : int;  (** -1 at a root: derived from the root's label *)
-      vnode : Ldb.vnode;  (** the tree node this copy creates *)
-      parent : Ldb.vnode;  (** -1 at a root *)
-      parent_mid : int;
-      elt : Element.t;
-    }
-  | A_rendezvous of { i : int; j : int; elt : Element.t; back : Ldb.vnode }
-  | A_vote of { i : int; j : int; smaller : int; larger : int }
-  | A_child_sum of { i : int; parent_mid : int; smaller : int; larger : int }
+(* The aggregated stage's items, one row each in int columns.  An item is
+   one payload of the pairwise twin, with vnodes where the pairwise one
+   carries points: a copy's disseminate names the vnode of the tree node
+   it creates and of that node's parent (-1 at a root), a rendezvous the
+   vnode its vote returns to.  Votes and child sums therefore go straight
+   to a known vnode, and only copy and pair points need a manager lookup.
+   No element is carried: every disseminate and rendezvous of copy tree i
+   holds the element at position i.  Column use by kind:
 
-(* An item posted to its own sender is delivered at once as [Local] (free,
-   never billed); every other busy (src, dst) edge carries one [Combined]
-   message per activation, billed [bits]. *)
-type amsg = Local of apayload | Combined of { items : apayload array; bits : int }
+     kind         i  a       b        x       v      parent  pmid
+     disseminate  i  a       b        x       vnode  parent  parent_mid
+     rendezvous   i  j       -        -       back   -       -
+     vote         i  j       smaller  larger  -      -       -
+     child sum    i  -       smaller  larger  -      -       parent_mid
 
-(* [spayload_bits] of the pairwise twin, plus the destination vnode address
-   every aggregated item ships ([point_bits + 2]). *)
-let apayload_bits ~point_bits p =
-  (match p with
-  | A_disseminate d ->
-      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid ~elt:d.elt
-  | A_rendezvous r -> rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt:r.elt
-  | A_vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
-  | A_child_sum c ->
-      child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger)
-  + point_bits + 2
+   A disseminate's x is -1 at a root: derived from the root's label. *)
+let k_disseminate = 0
+let k_rendezvous = 1
+let k_vote = 2
+let k_child_sum = 3
 
-(* The stage's buffered items: one column store for the whole stage.  Each
-   source's items are chained newest first from [head] through [next].
-   [pending_take] walks one source's chain and pushes every item onto its
-   destination's chain at [first], which reverses it back into post order:
-   one stable pass groups the items by destination.  Outside a take every
-   [first] is -1 and every [count] 0.  The columns grow on demand and
-   rewind to empty whenever nothing is buffered. *)
-type pending = {
+(* The item and message store of one selection, reused by all its
+   aggregated stages.  A live row is an item posted and not yet handled.
+   While buffered, a row sits on its source's chain ([head], then [next],
+   newest first) with its destination in [dst].  An activation's [take]
+   walks one source's chain and pushes every row onto its destination's
+   chain at [first], which reverses it back into post order: one stable
+   pass groups the items by destination, summing each group's bits.  Each
+   group becomes one message, named on the wire by its first row, an
+   immediate int; that row's [m_count] and [m_bits] hold the message's
+   item count and billed bits.  An item posted to its own sender travels
+   as [lnot row] and is handled at once.  The rows of a handled message or
+   local item go back on a free list ([free_row] through [next]), so no
+   row is reused while an undelivered message (dropped, awaiting
+   retransmission, deferred, or held by a down node) still names it; the
+   columns grow on demand and rewind to empty whenever no row is live. *)
+type store = {
+  mutable kind : int array;
+  mutable f_i : int array;
+  mutable f_a : int array;
+  mutable f_b : int array;
+  mutable f_x : int array;
+  mutable f_v : int array;
+  mutable f_parent : int array;
+  mutable f_pmid : int array;
   mutable dst : int array;
   mutable next : int array;
-  mutable pay : apayload array;
-  mutable len : int;
-  mutable live : int;  (** items buffered and not yet taken *)
+  mutable m_count : int array;
+  mutable m_bits : int array;
+  mutable rows : int;  (** rows in use since the last rewind *)
+  mutable free_row : int;
+  mutable live_rows : int;
+  mutable buffered : int;  (** rows on a source chain *)
   head : int array;  (** per source *)
   first : int array;  (** per destination, during a take *)
   count : int array;
+  bits : int array;
   mutable dsts : int array;  (** the running take's destinations, ascending *)
 }
 
-let pending_create ~n =
+let store_create ~n =
   {
+    kind = [||];
+    f_i = [||];
+    f_a = [||];
+    f_b = [||];
+    f_x = [||];
+    f_v = [||];
+    f_parent = [||];
+    f_pmid = [||];
     dst = [||];
     next = [||];
-    pay = [||];
-    len = 0;
-    live = 0;
+    m_count = [||];
+    m_bits = [||];
+    rows = 0;
+    free_row = -1;
+    live_rows = 0;
+    buffered = 0;
     head = Array.make n (-1);
     first = Array.make n (-1);
     count = Array.make n 0;
+    bits = Array.make n 0;
     dsts = Array.make 16 0;
   }
 
-let grow a len fill =
-  let a' = Array.make (max 64 (2 * len)) fill in
+let grow a len =
+  let a' = Array.make (max 64 (2 * len)) 0 in
   Array.blit a 0 a' 0 len;
   a'
 
-let pending_push pb ~src ~dst payload =
-  if pb.live = 0 then pb.len <- 0;
-  let q = pb.len in
-  if q = Array.length pb.dst then begin
-    pb.dst <- grow pb.dst q 0;
-    pb.next <- grow pb.next q 0;
-    pb.pay <- grow pb.pay q payload
+let alloc_row s =
+  if s.live_rows = 0 then begin
+    s.rows <- 0;
+    s.free_row <- -1
   end;
-  pb.dst.(q) <- dst;
-  pb.pay.(q) <- payload;
-  pb.next.(q) <- pb.head.(src);
-  pb.head.(src) <- q;
-  pb.len <- q + 1;
-  pb.live <- pb.live + 1
+  s.live_rows <- s.live_rows + 1;
+  if s.free_row >= 0 then begin
+    let q = s.free_row in
+    s.free_row <- s.next.(q);
+    q
+  end
+  else begin
+    let q = s.rows in
+    if q = Array.length s.kind then begin
+      s.kind <- grow s.kind q;
+      s.f_i <- grow s.f_i q;
+      s.f_a <- grow s.f_a q;
+      s.f_b <- grow s.f_b q;
+      s.f_x <- grow s.f_x q;
+      s.f_v <- grow s.f_v q;
+      s.f_parent <- grow s.f_parent q;
+      s.f_pmid <- grow s.f_pmid q;
+      s.dst <- grow s.dst q;
+      s.next <- grow s.next q;
+      s.m_count <- grow s.m_count q;
+      s.m_bits <- grow s.m_bits q
+    end;
+    s.rows <- q + 1;
+    q
+  end
+
+(* Return the [len] rows chained from [first] to [last] through [next]. *)
+let free_rows s ~first ~last ~len =
+  s.next.(last) <- s.free_row;
+  s.free_row <- first;
+  s.live_rows <- s.live_rows - len
 
 (* Insertion sort: an activation's destinations are few (on seap-closed
    and seap-deep the median is 0, the 99th percentile about 20 and the
@@ -454,66 +489,74 @@ let sort_prefix (a : int array) k =
     a.(!j + 1) <- v
   done
 
-(* Unchain [src]'s items and group them by destination; returns the number
-   of destinations, listed ascending in [pb.dsts]. *)
-let pending_take pb ~src =
-  let q = ref pb.head.(src) in
-  pb.head.(src) <- -1;
+(* Unchain [src]'s items, group them by destination and sum each group's
+   [item_bits]; returns the number of destinations, listed ascending in
+   [s.dsts]. *)
+let take s ~src ~item_bits =
+  let q = ref s.head.(src) in
+  s.head.(src) <- -1;
   let ndst = ref 0 in
   while !q >= 0 do
     let i = !q in
-    q := pb.next.(i);
-    let d = pb.dst.(i) in
-    if pb.first.(d) < 0 then begin
-      if !ndst = Array.length pb.dsts then pb.dsts <- grow pb.dsts !ndst 0;
-      pb.dsts.(!ndst) <- d;
+    q := s.next.(i);
+    let d = s.dst.(i) in
+    if s.first.(d) < 0 then begin
+      if !ndst = Array.length s.dsts then s.dsts <- grow s.dsts !ndst;
+      s.dsts.(!ndst) <- d;
       incr ndst
     end;
-    pb.next.(i) <- pb.first.(d);
-    pb.first.(d) <- i;
-    pb.count.(d) <- pb.count.(d) + 1;
-    pb.live <- pb.live - 1
+    s.next.(i) <- s.first.(d);
+    s.first.(d) <- i;
+    s.count.(d) <- s.count.(d) + 1;
+    s.bits.(d) <- s.bits.(d) + item_bits i;
+    s.buffered <- s.buffered - 1
   done;
-  sort_prefix pb.dsts !ndst;
+  sort_prefix s.dsts !ndst;
   !ndst
-
-(* The running take's items for [dst], in post order; closes its group. *)
-let pending_items pb ~dst =
-  let q = ref pb.first.(dst) in
-  let items = Array.make pb.count.(dst) pb.pay.(!q) in
-  for slot = 0 to pb.count.(dst) - 1 do
-    items.(slot) <- pb.pay.(!q);
-    q := pb.next.(!q)
-  done;
-  pb.first.(dst) <- -1;
-  pb.count.(dst) <- 0;
-  items
 
 (* The aggregated sorting stage: same copy trees, same hashed pair points,
    same vote algebra as the pairwise reference, but every payload goes
-   directly to its destination's manager.  Items buffer in the stage's
-   [pending] store; each node's activation sends ONE combined vector
-   message per destination, in ascending destination order with items in
-   post order, and an item posted to its own sender is delivered at once.
-   Messages per stage drop from Θ(n'² log n) wire words to the number of
-   busy (src, dst) edges per round, while every O(log n)-bit payload
-   invariant survives: a combined message carries the per-node constant
-   number of comparisons that previously travelled as separate words.
+   directly to its destination's manager.  Items buffer in the [store];
+   each node's activation sends ONE combined vector message per
+   destination, in ascending destination order with items in post order,
+   and an item posted to its own sender is delivered at once.  Messages
+   per stage drop from Θ(n'² log n) wire words to the number of busy
+   (src, dst) edges per round, while every O(log n)-bit payload invariant
+   survives: a combined message carries the per-node constant number of
+   comparisons that previously travelled as separate words.
 
    All simulation state is flat and int-indexed: managers of copy points
    by bitstring x and of pair points by slot min·(n'+1) + max, each looked
    up once per stage; tree node c_{i,j} and the rendezvous of {i, j} in
    columns indexed i·(n'+1) + j. *)
-let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
-    ~(reps : (int * Element.t) list array) ~n' ~(add_report : Phase.report -> unit) =
+let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(store : store)
+    ~(reps : reps) ~n' ~(add_report : Phase.report -> unit) =
   let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
+  let s = store in
   let n = Ldb.n ldb in
   let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
   let side = n' + 1 in
   let cells = side * side in
-  let elt_of_pos = elts_by_position ~n' reps in
+  let elt_of_pos = reps.elt_of_pos in
+  let elt_bits = Array.make side 0 in
+  for p = 1 to n' do
+    elt_bits.(p) <- Element.encoded_bits elt_of_pos.(p)
+  done;
   let point_bits = 2 * Bitsize.log2_ceil (max 2 n) in
   let routing_header = point_bits + Bitsize.log2_ceil (max 2 n) in
+  (* [apayload_bits]: the pairwise twin's bits plus the destination vnode
+     address every aggregated item ships ([point_bits + 2]). *)
+  let item_bits q =
+    let i = s.f_i.(q) in
+    let k = s.kind.(q) in
+    (if k = k_disseminate then
+       disseminate_bits ~point_bits ~i ~a:s.f_a.(q) ~b:s.f_b.(q) ~x:s.f_x.(q)
+         ~parent_mid:s.f_pmid.(q) ~elt_bits:elt_bits.(i)
+     else if k = k_rendezvous then rendezvous_bits ~point_bits ~i ~j:s.f_a.(q) ~elt_bits:elt_bits.(i)
+     else if k = k_vote then vote_bits ~i ~j:s.f_a.(q) ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
+     else child_sum_bits ~i ~parent_mid:s.f_pmid.(q) ~smaller:s.f_b.(q) ~larger:s.f_x.(q))
+    + point_bits + 2
+  in
   let copy_vnode = Array.make (1 lsl d') (-1) in
   let copy_manager x =
     if copy_vnode.(x) < 0 then
@@ -539,153 +582,155 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
   let tn_larger = Array.make cells 0 in
   let tn_waiting = Array.make cells 0 in
   (* Rendezvous of the pair {i, j}, i < j: the first copy to arrive parks
-     its tree, element and return vnode; [rz_i = 0] means nobody waits. *)
+     its tree and return vnode; [rz_i = 0] means nobody waits. *)
   let rz_i = Array.make cells 0 in
-  let rz_elt = Array.make cells elt_of_pos.(1) in
   let rz_back = Array.make cells 0 in
   let orders = Array.make side 0 in
-  let pb = pending_create ~n in
-  let post eng ~src dest payload =
+  let post eng ~src dest ~kind ~i ~a ~b ~x ~v ~parent ~pmid =
     let dst = Ldb.owner dest in
-    if dst = src then Sync.send eng ~src ~dst (Local payload)
-    else pending_push pb ~src ~dst payload
+    let q = alloc_row s in
+    s.kind.(q) <- kind;
+    s.f_i.(q) <- i;
+    s.f_a.(q) <- a;
+    s.f_b.(q) <- b;
+    s.f_x.(q) <- x;
+    s.f_v.(q) <- v;
+    s.f_parent.(q) <- parent;
+    s.f_pmid.(q) <- pmid;
+    if dst = src then Sync.send eng ~src ~dst (lnot q)
+    else begin
+      s.dst.(q) <- dst;
+      s.next.(q) <- s.head.(src);
+      s.head.(src) <- q;
+      s.buffered <- s.buffered + 1
+    end
   in
-  let credit eng self ~what i s ~smaller ~larger =
-    if tn_vnode.(s) < 0 then failwith ("Kselect.sorting_stage: " ^ what ^ " for unknown tree node");
-    tn_smaller.(s) <- tn_smaller.(s) + smaller;
-    tn_larger.(s) <- tn_larger.(s) + larger;
-    tn_waiting.(s) <- tn_waiting.(s) - 1;
-    if tn_waiting.(s) = 0 then
-      if tn_parent.(s) < 0 then orders.(i) <- tn_smaller.(s) + 1
+  let vote eng self dest ~i ~j ~smaller ~larger =
+    post eng ~src:self dest ~kind:k_vote ~i ~a:j ~b:smaller ~x:larger ~v:0 ~parent:0 ~pmid:0
+  in
+  let credit eng self ~what i c ~smaller ~larger =
+    if tn_vnode.(c) < 0 then failwith ("Kselect.sorting_stage: " ^ what ^ " for unknown tree node");
+    tn_smaller.(c) <- tn_smaller.(c) + smaller;
+    tn_larger.(c) <- tn_larger.(c) + larger;
+    tn_waiting.(c) <- tn_waiting.(c) - 1;
+    if tn_waiting.(c) = 0 then
+      if tn_parent.(c) < 0 then orders.(i) <- tn_smaller.(c) + 1
       else
-        post eng ~src:self tn_parent.(s)
-          (A_child_sum
-             {
-               i;
-               parent_mid = tn_parent_mid.(s);
-               smaller = tn_smaller.(s);
-               larger = tn_larger.(s);
-             })
+        post eng ~src:self tn_parent.(c) ~kind:k_child_sum ~i ~a:0 ~b:tn_smaller.(c)
+          ~x:tn_larger.(c) ~v:0 ~parent:0 ~pmid:tn_parent_mid.(c)
   in
-  let handle eng self = function
-    | A_disseminate d ->
-        let x =
-          if d.x >= 0 then d.x
-          else
-            min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb d.vnode *. float_of_int (1 lsl d')))
-        in
-        let mid = (d.a + d.b) / 2 in
-        let left = d.a <= mid - 1 and right = mid + 1 <= d.b in
-        let s = (d.i * side) + mid in
-        tn_vnode.(s) <- d.vnode;
-        tn_parent.(s) <- d.parent;
-        tn_parent_mid.(s) <- d.parent_mid;
-        tn_waiting.(s) <- 1 + Bool.to_int left + Bool.to_int right;
-        (* Spread the copies: prepend 0 / 1 to the bitstring (Phase 2b). *)
-        let shifted = x lsr 1 in
-        if left then begin
-          let dest = copy_manager shifted in
-          post eng ~src:self dest
-            (A_disseminate
-               {
-                 i = d.i;
-                 a = d.a;
-                 b = mid - 1;
-                 x = shifted;
-                 vnode = dest;
-                 parent = d.vnode;
-                 parent_mid = mid;
-                 elt = d.elt;
-               })
-        end;
-        if right then begin
-          let xr = shifted lor (1 lsl (d' - 1)) in
-          let dest = copy_manager xr in
-          post eng ~src:self dest
-            (A_disseminate
-               {
-                 i = d.i;
-                 a = mid + 1;
-                 b = d.b;
-                 x = xr;
-                 vnode = dest;
-                 parent = d.vnode;
-                 parent_mid = mid;
-                 elt = d.elt;
-               })
-        end;
-        (* This node holds copy c_{i,mid}: rendezvous with c_{mid,i}. *)
-        post eng ~src:self (pair_manager d.i mid)
-          (A_rendezvous { i = d.i; j = mid; elt = d.elt; back = d.vnode })
-    | A_rendezvous r ->
-        if r.i = r.j then
-          (* A copy paired with itself contributes nothing to the order. *)
-          post eng ~src:self r.back (A_vote { i = r.i; j = r.j; smaller = 0; larger = 0 })
-        else begin
-          let slot = (min r.i r.j * side) + max r.i r.j in
-          let i0 = rz_i.(slot) in
-          if i0 = 0 then begin
-            rz_i.(slot) <- r.i;
-            rz_elt.(slot) <- r.elt;
-            rz_back.(slot) <- r.back
-          end
-          else begin
-            rz_i.(slot) <- 0;
-            (* [s0] = 1 iff the parked copy's element is the larger one. *)
-            let s0 = Bool.to_int (Element.compare rz_elt.(slot) r.elt >= 0) in
-            post eng ~src:self rz_back.(slot)
-              (A_vote { i = i0; j = r.i; smaller = s0; larger = 1 - s0 });
-            post eng ~src:self r.back (A_vote { i = r.i; j = i0; smaller = 1 - s0; larger = s0 })
-          end
+  (* Every field is read before the first post: a post may grow the
+     columns. *)
+  let handle eng self q =
+    let kind = s.kind.(q) and i = s.f_i.(q) in
+    if kind = k_disseminate then begin
+      let a = s.f_a.(q) and b = s.f_b.(q) and vnode = s.f_v.(q) in
+      let x =
+        if s.f_x.(q) >= 0 then s.f_x.(q)
+        else min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb vnode *. float_of_int (1 lsl d')))
+      in
+      let mid = (a + b) / 2 in
+      let left = a <= mid - 1 and right = mid + 1 <= b in
+      let c = (i * side) + mid in
+      tn_vnode.(c) <- vnode;
+      tn_parent.(c) <- s.f_parent.(q);
+      tn_parent_mid.(c) <- s.f_pmid.(q);
+      tn_waiting.(c) <- 1 + Bool.to_int left + Bool.to_int right;
+      (* Spread the copies: prepend 0 / 1 to the bitstring (Phase 2b). *)
+      let shifted = x lsr 1 in
+      if left then begin
+        let dest = copy_manager shifted in
+        post eng ~src:self dest ~kind:k_disseminate ~i ~a ~b:(mid - 1) ~x:shifted ~v:dest
+          ~parent:vnode ~pmid:mid
+      end;
+      if right then begin
+        let xr = shifted lor (1 lsl (d' - 1)) in
+        let dest = copy_manager xr in
+        post eng ~src:self dest ~kind:k_disseminate ~i ~a:(mid + 1) ~b ~x:xr ~v:dest
+          ~parent:vnode ~pmid:mid
+      end;
+      (* This node holds copy c_{i,mid}: rendezvous with c_{mid,i}. *)
+      post eng ~src:self (pair_manager i mid) ~kind:k_rendezvous ~i ~a:mid ~b:0 ~x:0 ~v:vnode
+        ~parent:0 ~pmid:0
+    end
+    else if kind = k_rendezvous then begin
+      let j = s.f_a.(q) and back = s.f_v.(q) in
+      if i = j then
+        (* A copy paired with itself contributes nothing to the order. *)
+        vote eng self back ~i ~j ~smaller:0 ~larger:0
+      else begin
+        let slot = (min i j * side) + max i j in
+        let i0 = rz_i.(slot) in
+        if i0 = 0 then begin
+          rz_i.(slot) <- i;
+          rz_back.(slot) <- back
         end
-    | A_vote v ->
-        credit eng self ~what:"vote" v.i ((v.i * side) + v.j) ~smaller:v.smaller ~larger:v.larger
-    | A_child_sum c ->
-        credit eng self ~what:"child sum" c.i
-          ((c.i * side) + c.parent_mid)
-          ~smaller:c.smaller ~larger:c.larger
+        else begin
+          rz_i.(slot) <- 0;
+          (* [s0] = 1 iff the parked copy's element is the larger one. *)
+          let s0 = Bool.to_int (Element.compare elt_of_pos.(i0) elt_of_pos.(i) >= 0) in
+          vote eng self rz_back.(slot) ~i:i0 ~j:i ~smaller:s0 ~larger:(1 - s0);
+          vote eng self back ~i ~j:i0 ~smaller:(1 - s0) ~larger:s0
+        end
+      end
+    end
+    else if kind = k_vote then
+      credit eng self ~what:"vote" i ((i * side) + s.f_a.(q)) ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
+    else
+      credit eng self ~what:"child sum" i
+        ((i * side) + s.f_pmid.(q))
+        ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
   in
-  let handler eng ~dst ~src:_ = function
-    | Local p -> handle eng dst p
-    | Combined { items; _ } ->
-        for k = 0 to Array.length items - 1 do
-          handle eng dst items.(k)
-        done
+  let handler eng ~dst ~src:_ w =
+    if w < 0 then begin
+      let q = lnot w in
+      handle eng dst q;
+      free_rows s ~first:q ~last:q ~len:1
+    end
+    else begin
+      let len = s.m_count.(w) in
+      let q = ref w and last = ref w in
+      for _ = 1 to len do
+        handle eng dst !q;
+        last := !q;
+        q := s.next.(!q)
+      done;
+      free_rows s ~first:w ~last:!last ~len
+    end
   in
   let activate eng node =
-    for g = 0 to pending_take pb ~src:node - 1 do
-      let dst = pb.dsts.(g) in
-      let items = pending_items pb ~dst in
-      let bits = ref routing_header in
-      for k = 0 to Array.length items - 1 do
-        bits := !bits + apayload_bits ~point_bits items.(k)
-      done;
-      (if !unsafe_misaggregate_votes && Array.length items >= 2 then
-         match items.(0) with
-         | A_vote v -> items.(0) <- A_vote { v with smaller = v.larger; larger = v.smaller }
-         | _ -> ());
-      Sync.send eng ~src:node ~dst (Combined { items; bits = !bits })
+    for g = 0 to take s ~src:node ~item_bits - 1 do
+      let d = s.dsts.(g) in
+      let first = s.first.(d) in
+      s.m_count.(first) <- s.count.(d);
+      s.m_bits.(first) <- routing_header + s.bits.(d);
+      s.first.(d) <- -1;
+      s.count.(d) <- 0;
+      s.bits.(d) <- 0;
+      if !unsafe_misaggregate_votes && s.m_count.(first) >= 2 && s.kind.(first) = k_vote then begin
+        let smaller = s.f_b.(first) in
+        s.f_b.(first) <- s.f_x.(first);
+        s.f_x.(first) <- smaller
+      end;
+      Sync.send eng ~src:node ~dst:d first
     done
   in
-  let size_bits = function Combined c -> c.bits | Local _ -> 0 in
+  let size_bits w = if w < 0 then 0 else s.m_bits.(w) in
   let eng = Sync.create ~n ~size_bits ~handler ~activate ?trace ?faults ?sched () in
   (* Kick off: every chosen representative goes to the manager of its
      position, which becomes the root v_i of copy tree T(v_i). *)
-  Array.iteri
-    (fun node pairs ->
-      List.iter
-        (fun (pos, elt) ->
-          let root = Ldb.manager_of_point ldb (Hashing.to_unit_interval hash_pos pos) in
-          post eng ~src:node root
-            (A_disseminate
-               { i = pos; a = 1; b = n'; x = -1; vnode = root; parent = -1; parent_mid = -1; elt }))
-        pairs)
-    reps;
-  (* [run_to_quiescence] would stop while items still sit in [pb] (they
-     are not in flight until an activation sends them; a down node's
+  for node = 0 to n - 1 do
+    for pos = reps.pos_lo.(node) to reps.pos_lo.(node) + reps.pos_count.(node) - 1 do
+      let root = Ldb.manager_of_point ldb (Hashing.to_unit_interval hash_pos pos) in
+      post eng ~src:node root ~kind:k_disseminate ~i:pos ~a:1 ~b:n' ~x:(-1) ~v:root ~parent:(-1)
+        ~pmid:(-1)
+    done
+  done;
+  (* [run_to_quiescence] would stop while items still sit on source chains
+     (they are not in flight until an activation sends them; a down node's
      skipped activation keeps them), so the stage drives rounds itself. *)
   let rounds = ref 0 in
-  while pb.live > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
+  while s.buffered > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
     if !rounds >= 200_000 then failwith "Kselect.sorting_stage: exceeded round budget";
     Sync.step eng;
     incr rounds
@@ -706,7 +751,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair
       end
     done
   done;
-  (orders_to_array ~n' ~elt_of_pos orders, !participations)
+  (positions_by_order ~n' orders, !participations)
 
 (* ------------------------------------------------------------------------ *)
 (* The full protocol.                                                        *)
@@ -728,7 +773,11 @@ type prune = {
 type state = {
   tree : Aggtree.t;
   ldb : Ldb.t;
-  cands : Element.t list array; (* v.C per real node *)
+  cands : Element.t array array; (* v.C per real node: the first [cand_len] *)
+  cand_len : int array;
+  scratch : Element.t array; (* Phase 1's local selection *)
+  reps : reps;
+  store : store;
   mutable n_remaining : int; (* v0.N *)
   mutable k : int; (* v0.k *)
   mutable prune : prune option; (* decided, rides on the next broadcast *)
@@ -769,6 +818,37 @@ let combine_bound pick a b =
   | Neutral, x | x, Neutral -> x
   | B x, B y -> B (pick x y)
 
+(* The [r]-th smallest (1-based) of [node]'s candidates, selected in
+   [st.scratch] by Wirth's in-place quickselect, so the candidate order
+   the representative draw depends on is left alone. *)
+let local_kth st node r =
+  let a = st.scratch in
+  Array.blit st.cands.(node) 0 a 0 st.cand_len.(node);
+  let r = r - 1 in
+  let lo = ref 0 and hi = ref (st.cand_len.(node) - 1) in
+  while !lo < !hi do
+    let pivot = a.(r) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while Element.compare a.(!i) pivot < 0 do
+        incr i
+      done;
+      while Element.compare pivot a.(!j) < 0 do
+        decr j
+      done;
+      if !i <= !j then begin
+        let e = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- e;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < r then lo := !i;
+    if r < !i then hi := !j
+  done;
+  a.(r)
+
 (* One Phase-1 iteration; returns [true] when it was void.  A void
    iteration can prune nothing, so the anchor skips its prune broadcast and
    count: P_max is unbounded, and P_min is unbounded or, with ⌊k/live⌋ = 1,
@@ -794,16 +874,14 @@ let phase1_iteration st =
   let live = Ldb.live_count st.ldb in
   let k_lo = k / live and k_hi = (k + live - 1) / live in
   let local_minmax node =
-    let sorted = List.sort Element.compare st.cands.(node) in
-    let len = List.length sorted in
+    let len = st.cand_len.(node) in
     let pmin =
       if k_lo < 1 then Unbounded
-      else if len >= k_lo then B (Element.prio (List.nth sorted (k_lo - 1)))
+      else if len >= k_lo then B (Element.prio (local_kth st node k_lo))
       else Neutral
     in
     let pmax =
-      if len >= k_hi && k_hi >= 1 then B (Element.prio (List.nth sorted (k_hi - 1)))
-      else Unbounded
+      if len >= k_hi && k_hi >= 1 then B (Element.prio (local_kth st node k_hi)) else Unbounded
     in
     (pmin, pmax)
   in
@@ -824,22 +902,24 @@ let phase1_iteration st =
   else begin
     bcast st (2 * int_bits st.n_remaining);
     (* Prune strictly outside [P_min, P_max]; count per side. *)
+    let lo = match pmin with B b -> b | Neutral | Unbounded -> min_int in
+    let hi = match pmax with B b -> b | Neutral | Unbounded -> max_int in
     let removed_below = ref 0 and removed_above = ref 0 in
-    Array.iteri
-      (fun node cs ->
-        let keep =
-          List.filter
-            (fun e ->
-              let p = Element.prio e in
-              let below = match pmin with B b -> p < b | _ -> false in
-              let above = match pmax with B b -> p > b | _ -> false in
-              if below then incr removed_below;
-              if above then incr removed_above;
-              (not below) && not above)
-            cs
-        in
-        st.cands.(node) <- keep)
-      st.cands;
+    for node = 0 to Array.length st.cands - 1 do
+      let cs = st.cands.(node) in
+      let kept = ref 0 in
+      for t = 0 to st.cand_len.(node) - 1 do
+        let e = cs.(t) in
+        let p = Element.prio e in
+        if p < lo then incr removed_below
+        else if p > hi then incr removed_above
+        else begin
+          cs.(!kept) <- e;
+          incr kept
+        end
+      done;
+      st.cand_len.(node) <- !kept
+    done;
     (* Charge the (k', k'') count aggregation. *)
     let _, _ =
       up st
@@ -854,18 +934,28 @@ let phase1_iteration st =
 
 (* -------------------------------------------------------------- Phase 2 *)
 
-(* Draw representatives, assign positions 1..n' via interval decomposition,
-   and return them per node. *)
+(* Draw representatives (one Bernoulli trial per candidate, nodes
+   ascending, each node's candidates in order), assign positions 1..n' via
+   interval decomposition, and lay them out in [st.reps]; returns n'. *)
 let draw_representatives st ~prob =
-  let chosen = Array.map (fun cs -> List.filter (fun _ -> Rng.bernoulli st.rng ~p:prob) cs) st.cands in
-  let counts v =
-    match Ldb.kind v with Ldb.Middle -> List.length chosen.(Ldb.owner v) | _ -> 0
-  in
+  let r = st.reps in
+  let ndrawn = ref 0 in
+  for node = 0 to Array.length st.cands - 1 do
+    let cs = st.cands.(node) in
+    r.pos_lo.(node) <- !ndrawn;
+    for t = 0 to st.cand_len.(node) - 1 do
+      if Rng.bernoulli st.rng ~p:prob then begin
+        r.drawn.(!ndrawn) <- cs.(t);
+        incr ndrawn
+      end
+    done;
+    r.pos_count.(node) <- !ndrawn - r.pos_lo.(node)
+  done;
+  let counts v = match Ldb.kind v with Ldb.Middle -> r.pos_count.(Ldb.owner v) | _ -> 0 in
   let (n' : int), memo =
     up st ~local:counts ~combine:( + ) ~size_bits:(fun _ -> int_bits (max 1 st.n_remaining))
   in
-  if n' = 0 then (0, [||])
-  else begin
+  if n' > 0 then begin
     let retained, down_r =
       Phase.down ?trace:st.trace ?faults:st.faults ?sched:st.sched ~tree:st.tree ~memo ~root_payload:(Interval.make 1 n')
         ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
@@ -875,24 +965,32 @@ let draw_representatives st ~prob =
         ()
     in
     add_report st down_r;
-    let reps =
-      Array.init (Ldb.n st.ldb) (fun node ->
-          let mv = Ldb.vnode ~owner:node Ldb.Middle in
-          match retained.(mv) with
-          | None -> []
-          | Some iv -> List.combine (Interval.positions iv) chosen.(node) |> List.map (fun (p, e) -> (p, e)))
-    in
-    (n', reps)
-  end
+    (* [pos_lo] still holds each node's offset into [drawn]. *)
+    for node = 0 to Array.length st.cands - 1 do
+      let first = r.pos_lo.(node) and count = r.pos_count.(node) in
+      match retained.(Ldb.vnode ~owner:node Ldb.Middle) with
+      | Some iv when not (Interval.is_empty iv) ->
+          if Interval.cardinality iv <> count then
+            invalid_arg "Kselect: a node's positions differ from its representative count";
+          Array.blit r.drawn first r.elt_of_pos (Interval.lo iv) count;
+          r.pos_lo.(node) <- Interval.lo iv
+      | _ -> r.pos_count.(node) <- 0
+    done
+  end;
+  n'
 
 (* Exact ranks of [c_l] and [c_r] among all candidates via one aggregation:
    per node, the counts of candidates strictly below each. *)
 let exact_ranks st c_l c_r =
   bcast st (2 * Element.encoded_bits c_l);
   let local node =
-    let below_l = List.length (List.filter (fun e -> Element.compare e c_l < 0) st.cands.(node)) in
-    let below_r = List.length (List.filter (fun e -> Element.compare e c_r < 0) st.cands.(node)) in
-    (below_l, below_r)
+    let cs = st.cands.(node) in
+    let below_l = ref 0 and below_r = ref 0 in
+    for t = 0 to st.cand_len.(node) - 1 do
+      if Element.compare cs.(t) c_l < 0 then incr below_l;
+      if Element.compare cs.(t) c_r < 0 then incr below_r
+    done;
+    (!below_l, !below_r)
   in
   let (bl, br), _ =
     up st
@@ -925,20 +1023,20 @@ let bcast_with_prune st payload_bits =
       st.prune <- None;
       bcast st (payload_bits + (2 * Element.encoded_bits p.c_r) + 2);
       let removed_below = ref 0 and removed_above = ref 0 in
-      Array.iteri
-        (fun node cs ->
-          let keep =
-            List.filter
-              (fun e ->
-                let below = p.below && Element.compare e p.c_l <= 0 in
-                let above = p.above && Element.compare e p.c_r > 0 in
-                if below then incr removed_below;
-                if above && not below then incr removed_above;
-                (not below) && not above)
-              cs
-          in
-          st.cands.(node) <- keep)
-        st.cands;
+      for node = 0 to Array.length st.cands - 1 do
+        let cs = st.cands.(node) in
+        let kept = ref 0 in
+        for t = 0 to st.cand_len.(node) - 1 do
+          let e = cs.(t) in
+          if p.below && Element.compare e p.c_l <= 0 then incr removed_below
+          else if p.above && Element.compare e p.c_r > 0 then incr removed_above
+          else begin
+            cs.(!kept) <- e;
+            incr kept
+          end
+        done;
+        st.cand_len.(node) <- !kept
+      done;
       if !removed_below <> p.removed_below || !removed_above <> p.removed_above then
         failwith
           (Printf.sprintf
@@ -953,14 +1051,26 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
   let n = Ldb.n ldb in
   if Array.length elements <> n then
     invalid_arg "Kselect.select: elements array length differs from node count";
-  let m = Array.fold_left (fun acc l -> acc + List.length l) 0 elements in
+  let cands = Array.map Array.of_list elements in
+  let m = Array.fold_left (fun acc cs -> acc + Array.length cs) 0 cands in
   if k < 1 || k > m then
     invalid_arg (Printf.sprintf "Kselect.select: k=%d outside [1,%d]" k m);
+  let some_elt = (Option.get (Array.find_opt (fun cs -> cs <> [||]) cands)).(0) in
   let st =
     {
       tree;
       ldb;
-      cands = Array.map (fun l -> l) elements;
+      cands;
+      cand_len = Array.map Array.length cands;
+      scratch = Array.make (Array.fold_left (fun acc cs -> max acc (Array.length cs)) 0 cands) some_elt;
+      reps =
+        {
+          elt_of_pos = Array.make (m + 1) some_elt;
+          drawn = Array.make m some_elt;
+          pos_lo = Array.make n 0;
+          pos_count = Array.make n 0;
+        };
+      store = store_create ~n;
       n_remaining = m;
       k;
       prune = None;
@@ -974,13 +1084,17 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     }
   in
   let aggregated = impl = `Aggregated in
-  let sorting_stage ~reps ~n' =
-    if aggregated then
-      sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
-        ~hash_pair:st.hash_pair ~reps ~n' ~add_report:(add_report st)
-    else
-      sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
-        ~hash_pair:st.hash_pair ~reps ~n' ~add_report:(add_report st)
+  (* The element of each order 1..n' of the representatives just drawn. *)
+  let sorting_stage ~n' =
+    let by_order, parts =
+      if aggregated then
+        sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
+          ~hash_pair:st.hash_pair ~store:st.store ~reps:st.reps ~n' ~add_report:(add_report st)
+      else
+        sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
+          ~hash_pair:st.hash_pair ~reps:st.reps ~n' ~add_report:(add_report st)
+    in
+    ((fun order -> st.reps.elt_of_pos.(by_order.(order))), parts)
   in
   let diag_p1 = ref [] and diag_p2 = ref [] and diag_reps = ref [] in
   let participations = ref 0 and stages = ref 0 in
@@ -1034,16 +1148,16 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
          √n vs n^{1/4}·√log n only holds at very large n). *)
       let prob = rep_factor *. sqrt (float_of_int n) /. float_of_int st.n_remaining in
       let prob = min 1.0 prob in
-      let n', reps = draw_representatives st ~prob in
+      let n' = draw_representatives st ~prob in
       if n' >= 2 then begin
         diag_reps := n' :: !diag_reps;
-        let by_order, parts = sorting_stage ~reps ~n' in
+        let by_order, parts = sorting_stage ~n' in
         participations := !participations + parts;
         incr stages;
         let ideal = float_of_int st.k *. float_of_int n' /. float_of_int st.n_remaining in
         let l = max 1 (min n' (int_of_float (floor (ideal -. float_of_int delta)))) in
         let r = max 1 (min n' (int_of_float (ceil (ideal +. float_of_int delta)))) in
-        let c_l = by_order.(l - 1) and c_r = by_order.(max l r - 1) in
+        let c_l = by_order l and c_r = by_order (max l r) in
         (* One aggregation for the exact ranks, then prune with the safety
            guards: below only if rank(c_l) < k, above only if rank(c_r) >= k.
            The decision rides on the next iteration's start broadcast. *)
@@ -1066,7 +1180,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
     if phase3_n = 1 then (
       (* route the single survivor to the anchor *)
       let survivor = ref None in
-      Array.iter (fun cs -> match cs with [] -> () | e :: _ -> survivor := Some e) st.cands;
+      Array.iteri (fun node cs -> if st.cand_len.(node) > 0 then survivor := Some cs.(0)) st.cands;
       let (_ : int), _ =
         up st
           ~local:(fun _ -> 0)
@@ -1075,13 +1189,13 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
       in
       Option.get !survivor)
     else begin
-      let n', reps = draw_representatives st ~prob:1.0 in
+      let n' = draw_representatives st ~prob:1.0 in
       assert (n' = phase3_n);
-      let by_order, parts = sorting_stage ~reps ~n' in
+      let by_order, parts = sorting_stage ~n' in
       participations := !participations + parts;
       incr stages;
       (* the k-th smallest survivor is the answer; ship it to the anchor *)
-      let answer = by_order.(st.k - 1) in
+      let answer = by_order st.k in
       let (_ : int), _ =
         up st
           ~local:(fun _ -> 0)

@@ -2,12 +2,16 @@ type t = { key : int64 }
 
 let create ~seed = { key = Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L }
 
-let mix64 z =
+(* The helpers below are inlined, like [Rng.mix]: a call boxes every
+   Int64 or float it passes or returns, and a pair-point lookup
+   (KSelect's sorting stage makes one per pair per stage) allocated 14
+   minor words through them. *)
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let raw t x = mix64 (Int64.add (Int64.logxor (Int64.of_int x) t.key) 0x9E3779B97F4A7C15L)
+let[@inline] raw t x = mix64 (Int64.add (Int64.logxor (Int64.of_int x) t.key) 0x9E3779B97F4A7C15L)
 
 let int t x = Int64.to_int (Int64.shift_right_logical (raw t x) 2)
 
@@ -18,12 +22,12 @@ let pair t i j =
 
 let pair_sym t i j = if i <= j then pair t i j else pair t j i
 
-let float_of_raw r =
+let[@inline] float_of_raw r =
   let m = Int64.to_int (Int64.shift_right_logical r 11) in
   float_of_int m *. (1.0 /. 9007199254740992.0)
 
-let to_unit_interval t x = float_of_raw (raw t x)
+let[@inline] to_unit_interval t x = float_of_raw (raw t x)
 
-let pair_to_unit_interval t i j =
+let[@inline] pair_to_unit_interval t i j =
   let h1 = raw t i in
   float_of_raw (mix64 (Int64.add h1 (Int64.of_int j)))

@@ -208,16 +208,20 @@ module Gen = struct
     let int_field k = Option.bind (get k) int_of_string_opt in
     match (int_field "n", int_field "rounds", int_field "lambda", int_field "seed") with
     | Some n, Some rounds, Some lambda, Some seed -> (
+        (* NaN fails both comparisons, so it is rejected with the rest. *)
         let ratio =
           match get "ratio" with
           | None -> Some 0.5
-          | Some r -> float_of_string_opt r
+          | Some r -> (
+              match float_of_string_opt r with
+              | Some x when x >= 0.0 && x <= 1.0 -> Some x
+              | _ -> None)
         in
         let arrival =
           match get "arrival" with None -> Ok Closed | Some a -> arrival_of_string a
         in
         match (ratio, get "dist", arrival) with
-        | None, _, _ -> fail "Workload.Gen.spec_of_string: bad ratio in %S" str
+        | None, _, _ -> fail "Workload.Gen.spec_of_string: ratio must be a number in [0,1] in %S" str
         | _, None, _ -> fail "Workload.Gen.spec_of_string: missing dist in %S" str
         | _, _, Error e -> Error e
         | Some insert_ratio, Some d, Ok arrival -> (

@@ -70,6 +70,10 @@ let test_sim_rejects_bad_values () =
     [
       ([ "--drop"; "2" ], "dpq_sim: --drop ");
       ([ "--dup=-0.5" ], "dpq_sim: --dup ");
+      (* 1.5 once ran as all inserts, and NaN as all deletes *)
+      ([ "--insert-ratio"; "1.5" ], "dpq_sim: --insert-ratio must be in [0,1], got 1.5");
+      ([ "--insert-ratio"; "nan" ], "dpq_sim: --insert-ratio must be in [0,1], got nan");
+      ([ "--insert-ratio=-0.1" ], "dpq_sim: --insert-ratio ");
       ([ "--nodes"; "0" ], "dpq_sim: --nodes ");
       ([ "--replication"; "0" ], "dpq_sim: --replication ");
       ([ "--prios"; "0" ], "dpq_sim: --prios ");

@@ -192,6 +192,58 @@ let test_replica_zero_is_legacy_placement () =
     checki "manager unchanged" (Dht.manager_of_key d1 key) (Dht.manager_of_key d3 key)
   done
 
+(* The recursive definition replica placement had before it was computed
+   in one ordered pass: each replica recomputes every lower one, 2^r calls
+   for replica r.  Kept here as the oracle the pass must reproduce. *)
+let rec recursive_replica_point d r key =
+  let ldb = Dht.ldb d in
+  if r = 0 then Dht.key_point d key
+  else begin
+    let p = Dht.key_point d key +. (float_of_int r /. float_of_int (Dht.replication d)) in
+    let p = if p >= 1.0 then p -. 1.0 else p in
+    let used =
+      List.init r (fun r' ->
+          Ldb.owner (Ldb.manager_of_point ldb (recursive_replica_point d r' key)))
+    in
+    let rec walk p steps =
+      let m = Ldb.manager_of_point ldb p in
+      if steps > 3 * Ldb.n ldb || not (List.mem (Ldb.owner m) used) then p
+      else walk (Ldb.label ldb (Ldb.succ ldb m)) (steps + 1)
+    in
+    walk p 0
+  end
+
+let test_replica_points_match_recursive_definition () =
+  List.iter
+    (fun (n, seed) ->
+      let d = mk_repl ~n ~k:3 ~seed in
+      for key = 0 to 199 do
+        for r = 0 to 2 do
+          checkb
+            (Printf.sprintf "n=%d key=%d replica %d" n key r)
+            true
+            (Dht.replica_point d r key = recursive_replica_point d r key)
+        done
+      done)
+    [ (4, 7); (5, 3); (16, 31) ]
+
+(* Replica 31 of 32 took 2^31 placement calls under the recursive
+   definition.  Placing all 32 replicas of 64 keys, and a batch that
+   stores and takes them, must be quick; it runs in milliseconds. *)
+let test_k32_placement_is_fast () =
+  let t0 = Sys.time () in
+  let d = mk_repl ~n:4 ~k:32 ~seed:5 in
+  for key = 0 to 63 do
+    ignore (Dht.replica_point d 31 key)
+  done;
+  let puts = List.init 8 (fun key -> Dht.Put { origin = key mod 4; key; elt = elt ~seq:key (); confirm = false }) in
+  ignore (Dht.run_batch_sync d puts);
+  let gets = List.init 8 (fun key -> Dht.Get { origin = key mod 4; key }) in
+  let cs, _ = Dht.run_batch_sync d gets in
+  checki "every get answered" 8 (List.length cs);
+  let cpu = Sys.time () -. t0 in
+  checkb (Printf.sprintf "k=32, n=4 took %.3f s of CPU, < 1 s" cpu) true (cpu < 1.0)
+
 let test_parked_get_survives_crash_window () =
   let dht = mk_dht ~n:8 ~seed:41 in
   let key = 42 in
@@ -422,6 +474,9 @@ let () =
           Alcotest.test_case "clean repair ships nothing" `Quick test_repair_clean_ships_nothing;
           Alcotest.test_case "repair traffic O(delta log m)" `Quick
             test_repair_traffic_delta_log_m;
+          Alcotest.test_case "k=3 placement = recursive definition" `Quick
+            test_replica_points_match_recursive_definition;
+          Alcotest.test_case "k=32 placement on 4 nodes is fast" `Quick test_k32_placement_is_fast;
         ] );
       ( "by-node",
         [

@@ -529,6 +529,35 @@ let test_rounds_per_log_constant () =
     true
     (mx <= 2.5 *. mn)
 
+(* Items one sorting stage over n' representatives posts: each of the n'
+   copy trees has n' nodes, each made by one disseminate, sending one
+   rendezvous, answered by one vote, and, below the root, sending one
+   child sum. *)
+let stage_items n' = (4 * n' * n') - n'
+
+(* Allocation guard for the sorting stage: it keeps its items and messages
+   in int columns and allocates nothing per item.  One fixed aggregated
+   selection at n=256, m=4n runs Phase 2 and Phase 3 sorting stages (54 116
+   items); its minor words, tree passes included, divided by those items
+   bound the stage's words per item from above.  Measured 6.73 words per
+   item, of which the sorting stages take about 0.7 (per-stage tables and
+   one boxed float per pair point); with one boxed payload record per item
+   and a fresh item array per message it was 18.8. *)
+let test_sorting_stage_allocation () =
+  let tree, elements = golden_instance ~n:256 ~per_node:4 in
+  let before = Gc.minor_words () in
+  let r = K.select ~seed:3 ~tree ~elements ~k:512 () in
+  let words = Gc.minor_words () -. before in
+  let d = r.K.diagnostics in
+  let reps = d.K.phase2_rep_counts @ [ d.K.phase3_candidates ] in
+  Alcotest.(check (list int)) "stage sizes" [ 56; 76; 64; 24 ] reps;
+  let items = List.fold_left (fun acc n' -> acc + stage_items n') 0 reps in
+  checki "sorting-stage items" 54_116 items;
+  let per_item = words /. float_of_int items in
+  checkb
+    (Printf.sprintf "%.2f minor words per sorting-stage item <= 8" per_item)
+    true (per_item <= 8.0)
+
 let () =
   Alcotest.run "dpq_kselect"
     [
@@ -569,5 +598,6 @@ let () =
           Alcotest.test_case "planted misaggregation caught" `Quick
             test_planted_misaggregation_caught;
           Alcotest.test_case "golden aggregated reports" `Quick test_golden_aggregated_reports;
+          Alcotest.test_case "sorting stage allocation guard" `Quick test_sorting_stage_allocation;
         ] );
     ]

@@ -159,6 +159,29 @@ let test_gen_workload_of_string () =
   | Ok _ -> Alcotest.fail "invalid spec accepted"
   | Error _ -> ()
 
+(* An insert ratio must be a probability: 1.5 once generated all inserts
+   and NaN all deletes.  Both the spec parser and a gen: line refuse it. *)
+let test_gen_rejects_bad_ratio () =
+  List.iter
+    (fun ratio ->
+      let spec = Printf.sprintf "n=4 rounds=2 lambda=1 ratio=%s dist=increasing seed=1" ratio in
+      (match W.Gen.spec_of_string spec with
+      | Ok _ -> Alcotest.failf "ratio=%s accepted" ratio
+      | Error e ->
+          checkb (Printf.sprintf "ratio=%s: %S names the ratio" ratio e) true
+            (String.starts_with ~prefix:"Workload.Gen.spec_of_string: ratio must be a number in [0,1]" e));
+      match W.of_string ("gen: " ^ spec) with
+      | Ok _ -> Alcotest.failf "gen: line with ratio=%s accepted" ratio
+      | Error _ -> ())
+    [ "nan"; "1.5"; "-0.1"; "inf"; "x" ];
+  List.iter
+    (fun ratio ->
+      let spec = Printf.sprintf "n=4 rounds=2 lambda=1 ratio=%s dist=increasing seed=1" ratio in
+      match W.Gen.spec_of_string spec with
+      | Ok s -> checkb (Printf.sprintf "ratio=%s kept" ratio) true (s.W.Gen.insert_ratio = float_of_string ratio)
+      | Error e -> Alcotest.fail e)
+    [ "0"; "1"; "0.6" ]
+
 (* -------------------------------------------------------------- Runner *)
 
 module T = Dpq_types.Types
@@ -279,6 +302,7 @@ let () =
           Alcotest.test_case "spec round-trip" `Quick test_gen_spec_roundtrip;
           Alcotest.test_case "gen: workload line" `Quick test_gen_workload_of_string;
           Alcotest.test_case "arrival rates are finite" `Quick test_arrival_rejects_non_finite;
+          Alcotest.test_case "insert ratio must be in [0,1]" `Quick test_gen_rejects_bad_ratio;
         ] );
       ( "runner",
         [
