@@ -152,7 +152,7 @@ let t4 ~seed ~full =
           List.init per_node (fun s -> E.make ~prio:(1 + Rng.int rng (m * 10)) ~origin:v ~seq:s ()))
     in
     let k = m / 2 in
-    let r = K.select ~seed ~tree ~elements ~k () in
+    let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
     let expect = K.select_seq (List.concat (Array.to_list elements)) ~k in
     Table.add_row tab
       [
@@ -466,7 +466,7 @@ let f2 ~seed ~full =
       let elements =
         Array.init n (fun v -> List.init 16 (fun s -> E.make ~prio:(1 + Rng.int rng 1_000_000) ~origin:v ~seq:s ()))
       in
-      let r = K.select ~seed ~tree ~elements ~k:(8 * n) () in
+      let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k:(8 * n) () in
       Table.add_row tab [ string_of_int n; Table.fmt_float r.K.diagnostics.K.mean_trees_per_node ])
     sizes;
   Table.print tab
@@ -485,7 +485,7 @@ let f3 ~seed ~full =
         List.init per_node (fun s -> E.make ~prio:(1 + Rng.int rng 100_000_000) ~origin:v ~seq:s ()))
   in
   let m = n * per_node in
-  let r = K.select ~seed ~tree ~elements ~k:(m / 2) () in
+  let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k:(m / 2) () in
   let d = r.K.diagnostics in
   let tab =
     Table.create
@@ -633,7 +633,7 @@ let a1 ~seed ~full =
   let tree = Aggtree.of_ldb (Ldb.build ~n ~seed) in
   List.iter
     (fun c ->
-      let r = K.select ~seed ~rep_factor:c ~tree ~elements ~k () in
+      let r = K.select ~seed ~rep_factor:c ~net:(Phase.net tree) ~elements ~k () in
       Table.add_row tab
         [
           Table.fmt_float ~dec:0 c;

@@ -7,7 +7,6 @@ type t = {
   children : Ldb.vnode list array;
   depth : int array;
   height : int;
-  bottom_up : Ldb.vnode list;
 }
 
 let compute_parent ldb root v =
@@ -39,16 +38,14 @@ let of_ldb ldb =
       children.(p) <-
         List.sort (fun a b -> Float.compare (Ldb.label ldb a) (Ldb.label ldb b)) cs)
     children;
-  (* BFS from the root for depths and orders. *)
+  (* BFS from the root for depths. *)
   let depth = Array.make nv (-1) in
   depth.(root) <- 0;
   let q = Queue.create () in
   Queue.add root q;
-  let bottom_up = ref [] in (* BFS order, reversed *)
   let height = ref 0 in
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
-    bottom_up := v :: !bottom_up;
     if depth.(v) > !height then height := depth.(v);
     List.iter
       (fun c ->
@@ -56,7 +53,7 @@ let of_ldb ldb =
         Queue.add c q)
       children.(v)
   done;
-  { ldb; root; parent; children; depth; height = !height; bottom_up = !bottom_up }
+  { ldb; root; parent; children; depth; height = !height }
 
 let ldb t = t.ldb
 let n t = Ldb.n t.ldb
@@ -64,12 +61,9 @@ let root t = t.root
 let parent t v = t.parent.(v)
 let children t v = t.children.(v)
 let is_leaf t v = t.children.(v) = []
-let leaves t = List.filter (is_leaf t) (Array.to_list (Ldb.vnodes_in_cycle_order t.ldb))
-let depth t v = t.depth.(v)
 let in_tree t v = t.depth.(v) >= 0
 let height t = t.height
 let vnodes t = Array.init (3 * Ldb.n t.ldb) (fun v -> v)
-let bottom_up_order t = t.bottom_up
 
 let check_invariants t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

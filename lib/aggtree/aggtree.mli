@@ -26,10 +26,6 @@ val children : t -> Dpq_overlay.Ldb.vnode -> Dpq_overlay.Ldb.vnode list
 (** In deterministic order (ascending label); at most two (Lemma 2.2(i)). *)
 
 val is_leaf : t -> Dpq_overlay.Ldb.vnode -> bool
-val leaves : t -> Dpq_overlay.Ldb.vnode list
-
-val depth : t -> Dpq_overlay.Ldb.vnode -> int
-(** Root has depth 0; -1 for vnodes of removed nodes (not in the tree). *)
 
 val in_tree : t -> Dpq_overlay.Ldb.vnode -> bool
 (** Is [v] part of the tree?  False exactly for vnodes of nodes removed
@@ -40,10 +36,6 @@ val height : t -> int
 
 val vnodes : t -> Dpq_overlay.Ldb.vnode array
 (** All virtual nodes. *)
-
-val bottom_up_order : t -> Dpq_overlay.Ldb.vnode list
-(** Every node appears after all of its children — the order a pure
-    (non-message-level) aggregation oracle can fold in. *)
 
 val check_invariants : t -> (unit, string) result
 (** Tree well-formedness: single root, parent/child mutual consistency,

@@ -51,126 +51,213 @@ let report_of_metrics m rounds =
     max_message_bits = Metrics.max_message_bits m;
     total_bits = Metrics.total_bits m;
     local_deliveries = Metrics.local_deliveries m;
-    busiest_node_load = Array.fold_left max 0 (Metrics.node_load m);
+    busiest_node_load = Metrics.max_node_load m;
   }
 
+(* Wire overhead of a tree message: source and destination vnode ids. *)
 let header_bits tree =
   2 * Dpq_util.Bitsize.bits_of_nat_bound (max 1 ((3 * Aggtree.n tree) - 1))
 
-(* [parts.(v)] is filled when [v] completes; vnodes outside the tree never
-   complete and have only their own value. *)
-type 'a memo = { own : 'a array; parts : 'a list array }
+(* Every tree message is one vnode id; the pass running on the net says
+   what its delivery does and what its payload costs on the wire. *)
+type hooks = {
+  mutable deliver : Ldb.vnode Sync.t -> Ldb.vnode -> unit;
+  mutable bits : Ldb.vnode -> int;
+}
 
-let memo_parts memo v = match memo.parts.(v) with [] -> [ memo.own.(v) ] | parts -> parts
+type net = {
+  tree : Aggtree.t;
+  trace : Trace.t option;
+  faults : Dpq_simrt.Fault_plan.t option;
+  sched : Dpq_simrt.Sched.t option;
+  eng : Ldb.vnode Sync.t;
+  hooks : hooks;
+  received : int array; (* up-pass scratch: children heard from, per vnode *)
+  mutable busy : bool;
+}
 
-type 'a tree_msg = { to_v : Ldb.vnode; from_v : Ldb.vnode; value : 'a }
+let idle_deliver _ _ = failwith "Phase: tree message delivered outside a pass"
+let idle_bits _ = 0
 
-let up ?trace ?faults ?sched ~tree ~local ~combine ~size_bits () =
-  let span = Trace.phase_start trace "up" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
-  let nv = 3 * n in
+let net ?trace ?faults ?sched tree =
+  let n = Aggtree.n tree in
   let header = header_bits tree in
-  let own = Array.init nv (fun v -> local v) in
-  (* Every vnode has one parent, so a child's sub-aggregate has a slot of
-     its own, indexed by the child. *)
-  let child_agg = Array.make nv own.(0) in
-  let received = Array.make nv 0 in
-  let parts = Array.make nv [] in
-  let result = ref None in
-  let rec child_aggs = function [] -> [] | c :: cs -> child_agg.(c) :: child_aggs cs in
-  let on_complete eng v =
-    (* All child sub-aggregates are in: combine in deterministic order
-       (own value first, then children by label) and pass upward. *)
-    let aggs = child_aggs (Aggtree.children tree v) in
-    parts.(v) <- own.(v) :: aggs;
-    let total = List.fold_left combine own.(v) aggs in
-    match Aggtree.parent tree v with
-    | None -> result := Some total
-    | Some p ->
-        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner p)
-          { to_v = p; from_v = v; value = total }
-  in
-  let handler eng ~dst:_ ~src:_ msg =
-    let v = msg.to_v in
-    child_agg.(msg.from_v) <- msg.value;
-    received.(v) <- received.(v) + 1;
-    if received.(v) = List.length (Aggtree.children tree v) then on_complete eng v
-  in
+  let hooks = { deliver = idle_deliver; bits = idle_bits } in
   let eng =
     Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ()
+      ~size_bits:(fun v -> header + hooks.bits v)
+      ~handler:(fun eng ~dst:_ ~src:_ v -> hooks.deliver eng v)
+      ?trace ?faults ?sched ()
   in
+  { tree; trace; faults; sched; eng; hooks; received = Array.make (3 * n) 0; busy = false }
+
+let tree net = net.tree
+let trace net = net.trace
+let faults net = net.faults
+let sched net = net.sched
+
+(* Open a pass: the engine is quiescent between passes, and its reset
+   makes this pass cost and draw faults exactly as on a fresh engine. *)
+let start net name =
+  if net.busy then
+    invalid_arg "Phase: the net is running a pass (re-entered, or an earlier pass failed)";
+  net.busy <- true;
+  Sync.reset_clock net.eng;
+  Trace.phase_start net.trace name
+
+let install net ~deliver ~bits =
+  net.hooks.deliver <- deliver;
+  net.hooks.bits <- bits
+
+let finish net span name =
+  let rounds = Sync.run_to_quiescence net.eng in
+  let report = report_of_metrics (Sync.metrics net.eng) rounds in
+  trace_phase_end net.trace span name report;
+  net.hooks.deliver <- idle_deliver;
+  net.hooks.bits <- idle_bits;
+  net.busy <- false;
+  report
+
+(* Send each of [v]'s children its own id, in label order. *)
+let rec send_children eng v = function
+  | [] -> ()
+  | c :: cs ->
+      Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) c;
+      send_children eng v cs
+
+(* [sub.(v)] is [v]'s sub-aggregate once [v] completes; vnodes outside the
+   tree never complete and have only their own value. *)
+type 'a memo = { mtree : Aggtree.t; own : 'a array; sub : 'a array }
+
+let rec subs sub = function [] -> [] | c :: cs -> sub.(c) :: subs sub cs
+
+let memo_parts memo v = memo.own.(v) :: subs memo.sub (Aggtree.children memo.mtree v)
+
+let rec fold_subs combine sub acc = function
+  | [] -> acc
+  | c :: cs -> fold_subs combine sub (combine acc sub.(c)) cs
+
+let up net ~local ~combine ~size_bits =
+  let span = start net "up" in
+  let tree = net.tree in
+  let nv = Array.length net.received in
+  let own = Array.init nv local in
+  let sub = Array.make nv own.(0) in
+  let received = net.received in
+  Array.fill received 0 nv 0;
+  let result = ref None in
+  (* All child sub-aggregates are in: combine in deterministic order (own
+     value first, then children by label), store the total and send the
+     parent this vnode's id. *)
+  let complete eng v =
+    let total = fold_subs combine sub own.(v) (Aggtree.children tree v) in
+    sub.(v) <- total;
+    match Aggtree.parent tree v with
+    | None -> result := Some total
+    | Some p -> Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner p) v
+  in
+  install net
+    ~deliver:(fun eng c ->
+      let v = Option.get (Aggtree.parent tree c) in
+      received.(v) <- received.(v) + 1;
+      if received.(v) = List.length (Aggtree.children tree v) then complete eng v)
+    ~bits:(fun c -> size_bits sub.(c));
   (* Kick off: leaves complete immediately.  Vnodes of removed nodes also
      have no children but are not in the tree — skipping them keeps the
      root's result the only one written. *)
   for v = 0 to nv - 1 do
-    if Aggtree.is_leaf tree v && Aggtree.in_tree tree v then on_complete eng v
+    if Aggtree.is_leaf tree v && Aggtree.in_tree tree v then complete net.eng v
   done;
-  let rounds = Sync.run_to_quiescence eng in
-  let value =
-    match !result with
-    | Some v -> v
-    | None -> failwith "Phase.up: aggregation did not reach the anchor"
-  in
-  let report = report_of_metrics (Sync.metrics eng) rounds in
-  trace_phase_end trace span "up" report;
-  (value, { own; parts }, report)
+  let report = finish net span "up" in
+  match !result with
+  | Some value -> (value, { mtree = tree; own; sub }, report)
+  | None -> failwith "Phase.up: aggregation did not reach the anchor"
 
-let down ?trace ?faults ?sched ~tree ~memo ~root_payload ~split ~size_bits () =
-  let span = Trace.phase_start trace "down" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
-  let nv = 3 * n in
-  let header = header_bits tree in
+let rec forward eng inbox v children pieces =
+  match (children, pieces) with
+  | [], [] -> ()
+  | c :: children, piece :: pieces ->
+      inbox.(c) <- piece;
+      Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) c;
+      forward eng inbox v children pieces
+  | _ -> failwith "Phase.down: split returned wrong arity"
+
+let check_memo net memo name =
+  if memo.mtree != net.tree then invalid_arg (name ^ ": the memo is from another tree")
+
+let down net ~memo ~root_payload ~split ~size_bits =
+  check_memo net memo "Phase.down";
+  let span = start net "down" in
+  let tree = net.tree in
+  let nv = Array.length net.received in
+  (* [inbox.(c)] is the piece the message to child [c] carries. *)
+  let inbox = Array.make nv root_payload in
   let retained = Array.make nv None in
-  let rec forward eng v children pieces =
-    match (children, pieces) with
-    | [], [] -> ()
-    | c :: children, piece :: pieces ->
-        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) { to_v = c; from_v = v; value = piece };
-        forward eng v children pieces
-    | _ -> failwith "Phase.down: split returned wrong arity"
-  in
   let handle eng v payload =
     match split ~parts:(memo_parts memo v) payload with
     | [] -> failwith "Phase.down: split returned wrong arity"
     | mine :: rest ->
         retained.(v) <- Some mine;
-        forward eng v (Aggtree.children tree v) rest
+        forward eng inbox v (Aggtree.children tree v) rest
   in
-  let handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
-  let eng =
-    Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ()
-  in
-  handle eng (Aggtree.root tree) root_payload;
-  let rounds = Sync.run_to_quiescence eng in
-  let report = report_of_metrics (Sync.metrics eng) rounds in
-  trace_phase_end trace span "down" report;
+  install net
+    ~deliver:(fun eng c -> handle eng c inbox.(c))
+    ~bits:(fun c -> size_bits inbox.(c));
+  handle net.eng (Aggtree.root tree) root_payload;
+  let report = finish net span "down" in
   (retained, report)
 
-let broadcast ?trace ?faults ?sched ~tree ~payload ~size_bits () =
-  let span = Trace.phase_start trace "broadcast" in
-  let ldb = Aggtree.ldb tree in
-  let n = Ldb.n ldb in
-  let header = header_bits tree in
-  let rec handle eng v payload =
-    List.iter
-      (fun c ->
-        Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c)
-          { to_v = c; from_v = v; value = payload })
-      (Aggtree.children tree v)
-  and handler eng ~dst:_ ~src:_ msg = handle eng msg.to_v msg.value in
-  let eng =
-    Sync.create ~n
-      ~size_bits:(fun m -> header + size_bits m.value)
-      ~handler ?trace ?faults ?sched ()
+(* Column [j]'s start for each child of a vnode: the vnode's own piece
+   comes first, then the children's in label order. *)
+let rec deal size sub starts next = function
+  | [] -> ()
+  | c :: cs ->
+      starts.(c) <- next;
+      deal size sub starts (next + size sub.(c)) cs
+
+(* The piece [start, start + size - 1] cut at [limit], charged as an
+   interval payload: 2 bits when empty. *)
+let piece_bits ~start ~size ~limit =
+  let hi = min (start + size - 1) limit in
+  if hi < start then 2 else Dpq_util.Bitsize.interval_bits ~lo:start ~hi
+
+let positions net ~memo ~sizes ~limits =
+  check_memo net memo "Phase.positions";
+  let span = start net "down" in
+  let tree = net.tree in
+  let nv = Array.length net.received in
+  let ncols = Array.length sizes in
+  if Array.length limits <> ncols then
+    invalid_arg "Phase.positions: sizes and limits differ in length";
+  let starts = Array.init ncols (fun _ -> Array.make nv (-1)) in
+  let handle eng v =
+    let children = Aggtree.children tree v in
+    for j = 0 to ncols - 1 do
+      let size = sizes.(j) in
+      deal size memo.sub starts.(j) (starts.(j).(v) + size memo.own.(v)) children
+    done;
+    send_children eng v children
   in
-  handle eng (Aggtree.root tree) payload;
-  let rounds = Sync.run_to_quiescence eng in
-  let report = report_of_metrics (Sync.metrics eng) rounds in
-  trace_phase_end trace span "broadcast" report;
-  report
+  install net ~deliver:handle ~bits:(fun c ->
+      let b = ref 0 in
+      for j = 0 to ncols - 1 do
+        b := !b + piece_bits ~start:starts.(j).(c) ~size:(sizes.(j) memo.sub.(c)) ~limit:limits.(j)
+      done;
+      !b);
+  let root = Aggtree.root tree in
+  for j = 0 to ncols - 1 do
+    starts.(j).(root) <- 1
+  done;
+  handle net.eng root;
+  let report = finish net span "down" in
+  (starts, report)
+
+let broadcast net ~bits =
+  let span = start net "broadcast" in
+  let tree = net.tree in
+  install net
+    ~deliver:(fun eng c -> send_children eng c (Aggtree.children tree c))
+    ~bits:(fun _ -> bits);
+  let root = Aggtree.root tree in
+  send_children net.eng root (Aggtree.children tree root);
+  finish net span "broadcast"

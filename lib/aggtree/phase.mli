@@ -5,11 +5,14 @@
     §3.2.3) moves a value from the anchor down, splitting it at every node
     with respect to the sub-aggregates memorized on the way up.
 
-    Each phase runs on a fresh synchronous engine ({!Dpq_simrt.Sync_engine})
-    to completion; the returned {!report} carries the paper's three cost
-    measures.  Protocol drivers sequence phases and sum the reports — the
-    anchor-initiated "start next phase" broadcast is charged explicitly by
-    the drivers via {!broadcast}. *)
+    Every phase runs on a {!net}: the tree plus one synchronous engine
+    ({!Dpq_simrt.Sync_engine}) that is reset between phases, so each phase
+    costs exactly what it would on a fresh engine.  A tree message is the id
+    of one virtual node; its payload lives in the phase's per-vnode arrays,
+    so a message allocates nothing.  The returned {!report} carries the
+    paper's three cost measures.  Protocol drivers sequence phases and sum
+    the reports — the anchor-initiated "start next phase" broadcast is
+    charged explicitly by the drivers via {!broadcast}. *)
 
 type report = {
   rounds : int;
@@ -39,61 +42,83 @@ val trace_phase_end : Dpq_obs.Trace.t option -> Dpq_obs.Trace.span -> string -> 
 (** [trace_phase_end trace span name r] closes [span] with exactly [r]'s
     numbers — the equality the trace-vs-report cross-check relies on. *)
 
-type 'a memo
-(** What every virtual node memorizes during an up pass: its own
-    contribution and each child's sub-aggregate, in combine order
-    (own first, then children in label order). *)
+type net
+(** One tree's message layer: the tree, its trace, fault plan and
+    scheduler, and the engine every phase on the tree runs on.  Build a new
+    one whenever the tree is rebuilt.  Phases on one net run one at a time:
+    starting a phase while another runs on the same net (or after one
+    raised) raises [Invalid_argument]. *)
 
-val memo_parts : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a list
-(** The ordered parts at a vnode (own value first). *)
-
-val up :
+val net :
   ?trace:Dpq_obs.Trace.t ->
   ?faults:Dpq_simrt.Fault_plan.t ->
   ?sched:Dpq_simrt.Sched.t ->
-  tree:Aggtree.t ->
+  Aggtree.t ->
+  net
+(** With [trace], every phase opens a span (["up"], ["down"] or
+    ["broadcast"]), traces every delivery, and closes the span with exactly
+    the returned report's numbers.  With [faults], phases run over the
+    faulty network with reliable delivery; with [sched], under that
+    adversarial scheduler. *)
+
+val tree : net -> Aggtree.t
+val trace : net -> Dpq_obs.Trace.t option
+val faults : net -> Dpq_simrt.Fault_plan.t option
+val sched : net -> Dpq_simrt.Sched.t option
+
+type 'a memo
+(** What every virtual node memorizes during an up pass: its own
+    contribution and its sub-aggregate (own combined with its children's
+    sub-aggregates). *)
+
+val memo_parts : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a list
+(** The ordered parts at a vnode, built on demand: own value first, then
+    each child's sub-aggregate in label order. *)
+
+val up :
+  net ->
   local:(Dpq_overlay.Ldb.vnode -> 'a) ->
   combine:('a -> 'a -> 'a) ->
   size_bits:('a -> int) ->
-  unit ->
   'a * 'a memo * report
 (** Run one aggregation phase; returns the combined value at the anchor.
-    With [trace], the phase opens an ["up"] span, traces every delivery,
-    and closes the span with exactly the returned report's numbers (same
-    for {!down} / {!broadcast} with spans ["down"] / ["broadcast"]).  With
-    [faults], the phase's engine runs over the faulty network with reliable
-    delivery (same for {!down} / {!broadcast}). *)
+    A vnode sends its parent once all its children have, and the message
+    is charged [size_bits] of the vnode's sub-aggregate. *)
 
 val down :
-  ?trace:Dpq_obs.Trace.t ->
-  ?faults:Dpq_simrt.Fault_plan.t ->
-  ?sched:Dpq_simrt.Sched.t ->
-  tree:Aggtree.t ->
+  net ->
   memo:'a memo ->
   root_payload:'b ->
   split:(parts:'a list -> 'b -> 'b list) ->
   size_bits:('b -> int) ->
-  unit ->
   'b option array * report
-(** Run one decomposition phase.  At a vnode with memorized [parts]
-    (length [1 + #children]), [split ~parts payload] must return one payload
-    per part: the first is retained at the vnode, the rest are forwarded to
-    the children in order.  The result array maps each vnode to its
-    retained payload ([None] if the phase never produced one).
-    Raises [Failure] if [split] returns the wrong arity. *)
+(** Run one decomposition phase.  At a vnode with memorized parts
+    ({!memo_parts}, length [1 + #children]), [split ~parts payload] must
+    return one payload per part: the first is retained at the vnode, the
+    rest are forwarded to the children in order.  The result array maps
+    each vnode to its retained payload ([None] if the phase never produced
+    one).  Raises [Failure] if [split] returns the wrong arity, and
+    [Invalid_argument] if [memo] comes from another tree's up pass. *)
 
-val broadcast :
-  ?trace:Dpq_obs.Trace.t ->
-  ?faults:Dpq_simrt.Fault_plan.t ->
-  ?sched:Dpq_simrt.Sched.t ->
-  tree:Aggtree.t ->
-  payload:'b ->
-  size_bits:('b -> int) ->
-  unit ->
-  report
-(** Flood one value from the anchor to every virtual node: the phase-change
-    announcement of the protocol drivers. *)
+val positions :
+  net ->
+  memo:'a memo ->
+  sizes:('a -> int) array ->
+  limits:int array ->
+  int array array * report
+(** A decomposition phase that hands out consecutive positions by count:
+    column [j] decomposes the interval [\[1, limits.(j)\]] by the counts
+    [sizes.(j)] of the memo, each vnode's own piece first, then its
+    children's in label order, and a piece is cut at [limits.(j)], so the
+    traversal-last demand goes short when the counts exceed it.  The
+    result maps column [j] and vnode [v] to the first position of [v]'s own
+    piece, [starts.(j).(v)] (the piece is [\[s, min (s + size - 1)
+    limits.(j)\]], empty past the limit), and -1 where the phase never
+    reached [v].  A message to a child is charged, per column, what an
+    interval payload would: 2 bits for an empty piece, else
+    {!Dpq_util.Bitsize.interval_bits}.  Raises [Invalid_argument] if the
+    arrays differ in length or [memo] comes from another tree's up pass. *)
 
-val header_bits : Aggtree.t -> int
-(** Wire overhead charged per tree message (source and destination virtual
-    node ids). *)
+val broadcast : net -> bits:int -> report
+(** Flood a [bits]-bit value from the anchor to every virtual node: the
+    phase-change announcement of the protocol drivers. *)

@@ -13,7 +13,7 @@ type t = {
   dht : Dht.t;
   clients : Clients.t;
   gossip : Gossip.t option;
-  mutable tree : Aggtree.t;
+  mutable net : Phase.net;
 }
 
 let create ~name ?max_prio ?trace ?faults ?sched ?gossip ~seed ~replication ~n () =
@@ -26,12 +26,15 @@ let create ~name ?max_prio ?trace ?faults ?sched ?gossip ~seed ~replication ~n (
     dht = Dht.create ~k:replication ~ldb ~seed:(seed + 7919) ();
     clients = Clients.create ~name ?max_prio ~n ();
     gossip = Option.map (fun config -> Gossip.create ~config ~seed ~n ()) gossip;
-    tree = Aggtree.of_ldb ldb;
+    net = Phase.net ?trace ?faults ?sched (Aggtree.of_ldb ldb);
   }
 
+let tree h = Phase.tree h.net
 let ldb h = Dht.ldb h.dht
 let n h = Clients.n h.clients
-let anchor h = Ldb.owner (Aggtree.root h.tree)
+let anchor h = Ldb.owner (Aggtree.root (tree h))
+
+let set_tree h ldb = h.net <- Phase.net ?trace:h.trace ?faults:h.faults ?sched:h.sched (Aggtree.of_ldb ldb)
 
 let load_estimate h =
   match h.gossip with None -> None | Some g -> Gossip.estimate g ~node:(anchor h)
@@ -65,7 +68,7 @@ let commit_kills h ~step =
           if Ldb.is_present (ldb h) ~id:node then begin
             Clients.kill h.clients ~node;
             ignore (Dht.kill_node ?trace:h.trace h.dht ~node);
-            h.tree <- Aggtree.of_ldb (ldb h);
+            set_tree h (ldb h);
             step ()
           end;
           Dpq_simrt.Fault_plan.commit_kill plan h.trace ~node)
@@ -73,7 +76,7 @@ let commit_kills h ~step =
 
 let retopology h ldb' ~step =
   let moved = Dht.set_topology h.dht ldb' in
-  h.tree <- Aggtree.of_ldb ldb';
+  set_tree h ldb';
   step ();
   moved
 

@@ -1,7 +1,8 @@
 (** The node population a DHT-backed heap runs on, shared by Skeap and
-    Seap: the overlay's aggregation tree, the DHT, the {!Dpq_types.Clients}
-    buffers and the optional gossip estimator, together with the two
-    protocols' common membership skeleton.
+    Seap: the overlay's aggregation tree with its message layer
+    ({!Dpq_aggtree.Phase.net}), the DHT, the {!Dpq_types.Clients} buffers
+    and the optional gossip estimator, together with the two protocols'
+    common membership skeleton.
 
     Kills (from the fault plan) commit at iteration boundaries, the only
     quiescent points, so no in-flight traffic references the dead node;
@@ -18,8 +19,12 @@ type t = {
   dht : Dht.t;
   clients : Dpq_types.Clients.t;
   gossip : Dpq_gossip.Gossip.t option;
-  mutable tree : Dpq_aggtree.Aggtree.t;  (** always the tree of [Dht.ldb dht] *)
+  mutable net : Dpq_aggtree.Phase.net;
+      (** the tree of [Dht.ldb dht] and its message layer, rebuilt with the
+          tree on every kill, join and leave *)
 }
+
+val tree : t -> Dpq_aggtree.Aggtree.t
 
 val create :
   name:string ->

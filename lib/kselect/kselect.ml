@@ -1,5 +1,4 @@
 module Element = Dpq_util.Element
-module Interval = Dpq_util.Interval
 module Bitsize = Dpq_util.Bitsize
 module Hashing = Dpq_util.Hashing
 module Rng = Dpq_util.Rng
@@ -771,7 +770,7 @@ type prune = {
 }
 
 type state = {
-  tree : Aggtree.t;
+  net : Phase.net;
   ldb : Ldb.t;
   cands : Element.t array array; (* v.C per real node: the first [cand_len] *)
   cand_len : int array;
@@ -785,9 +784,6 @@ type state = {
   rng : Rng.t;
   hash_pos : Hashing.t;
   hash_pair : Hashing.t;
-  trace : Dpq_obs.Trace.t option;
-  faults : Dpq_simrt.Fault_plan.t option;
-  sched : Dpq_simrt.Sched.t option;
 }
 
 let add_report st r = st.report <- Phase.add_report st.report r
@@ -795,12 +791,10 @@ let add_report st r = st.report <- Phase.add_report st.report r
 let int_bits = Bitsize.bits_of_int
 
 (* Aggregation-phase helpers, all charged to the report. *)
-let bcast st payload_bits =
-  add_report st
-    (Phase.broadcast ?trace:st.trace ?faults:st.faults ?sched:st.sched ~tree:st.tree ~payload:() ~size_bits:(fun () -> payload_bits) ())
+let bcast st payload_bits = add_report st (Phase.broadcast st.net ~bits:payload_bits)
 
 let up st ~local ~combine ~size_bits =
-  let v, memo, r = Phase.up ?trace:st.trace ?faults:st.faults ?sched:st.sched ~tree:st.tree ~local ~combine ~size_bits () in
+  let v, memo, r = Phase.up st.net ~local ~combine ~size_bits in
   add_report st r;
   (v, memo)
 
@@ -935,8 +929,8 @@ let phase1_iteration st =
 (* -------------------------------------------------------------- Phase 2 *)
 
 (* Draw representatives (one Bernoulli trial per candidate, nodes
-   ascending, each node's candidates in order), assign positions 1..n' via
-   interval decomposition, and lay them out in [st.reps]; returns n'. *)
+   ascending, each node's candidates in order), assign positions 1..n' by a
+   positions pass, and lay them out in [st.reps]; returns n'. *)
 let draw_representatives st ~prob =
   let r = st.reps in
   let ndrawn = ref 0 in
@@ -956,25 +950,20 @@ let draw_representatives st ~prob =
     up st ~local:counts ~combine:( + ) ~size_bits:(fun _ -> int_bits (max 1 st.n_remaining))
   in
   if n' > 0 then begin
-    let retained, down_r =
-      Phase.down ?trace:st.trace ?faults:st.faults ?sched:st.sched ~tree:st.tree ~memo ~root_payload:(Interval.make 1 n')
-        ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
-        ~size_bits:(fun iv ->
-          if Interval.is_empty iv then 2
-          else Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv))
-        ()
-    in
+    let starts, down_r = Phase.positions st.net ~memo ~sizes:[| Fun.id |] ~limits:[| n' |] in
     add_report st down_r;
-    (* [pos_lo] still holds each node's offset into [drawn]. *)
+    (* [pos_lo] still holds each node's offset into [drawn].  A node's
+       piece is [lo, lo + count - 1] unless the pass cut it at n'. *)
     for node = 0 to Array.length st.cands - 1 do
       let first = r.pos_lo.(node) and count = r.pos_count.(node) in
-      match retained.(Ldb.vnode ~owner:node Ldb.Middle) with
-      | Some iv when not (Interval.is_empty iv) ->
-          if Interval.cardinality iv <> count then
-            invalid_arg "Kselect: a node's positions differ from its representative count";
-          Array.blit r.drawn first r.elt_of_pos (Interval.lo iv) count;
-          r.pos_lo.(node) <- Interval.lo iv
-      | _ -> r.pos_count.(node) <- 0
+      let lo = starts.(0).(Ldb.vnode ~owner:node Ldb.Middle) in
+      if lo > 0 && count > 0 then begin
+        if lo + count - 1 > n' then
+          invalid_arg "Kselect: a node's positions differ from its representative count";
+        Array.blit r.drawn first r.elt_of_pos lo count;
+        r.pos_lo.(node) <- lo
+      end
+      else r.pos_count.(node) <- 0
     done
   end;
   n'
@@ -1045,9 +1034,9 @@ let bcast_with_prune st payload_bits =
 
 (* -------------------------------------------------------------- select  *)
 
-let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
-    ?trace ?faults ?sched ~tree ~elements ~k () =
-  let ldb = Aggtree.ldb tree in
+let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~elements ~k () =
+  let trace = Phase.trace net and faults = Phase.faults net and sched = Phase.sched net in
+  let ldb = Aggtree.ldb (Phase.tree net) in
   let n = Ldb.n ldb in
   if Array.length elements <> n then
     invalid_arg "Kselect.select: elements array length differs from node count";
@@ -1058,7 +1047,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
   let some_elt = (Option.get (Array.find_opt (fun cs -> cs <> [||]) cands)).(0) in
   let st =
     {
-      tree;
+      net;
       ldb;
       cands;
       cand_len = Array.map Array.length cands;
@@ -1078,9 +1067,6 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated)
       rng = Rng.create ~seed;
       hash_pos = Hashing.create ~seed:(seed + 31337);
       hash_pair = Hashing.create ~seed:(seed + 65537);
-      trace;
-      faults;
-      sched;
     }
   in
   let aggregated = impl = `Aggregated in

@@ -70,18 +70,17 @@ val select :
   ?seed:int ->
   ?rep_factor:float ->
   ?impl:impl ->
-  ?trace:Dpq_obs.Trace.t ->
-  ?faults:Dpq_simrt.Fault_plan.t ->
-  ?sched:Dpq_simrt.Sched.t ->
-  tree:Dpq_aggtree.Aggtree.t ->
+  net:Phase.net ->
   elements:Element.t list array ->
   k:int ->
   unit ->
   result
-(** [select ~tree ~elements ~k ()] runs the full protocol; [elements.(v)] is
-    node [v]'s initial candidate set.  Raises [Invalid_argument] if [k] is
-    not within [1 .. total number of elements] or the array length differs
-    from the tree's node count.
+(** [select ~net ~elements ~k ()] runs the full protocol over [net]'s tree
+    (its tree passes on [net], the sorting stages on engines of their own
+    with [net]'s trace, fault plan and scheduler); [elements.(v)] is node
+    [v]'s initial candidate set.  Raises [Invalid_argument] if [k] is not
+    within [1 .. total number of elements] or the array length differs from
+    the tree's node count.
 
     [rep_factor] (default 4) scales the representative count n' =
     rep_factor·√n of Phase 2a.  A larger n' prunes faster per iteration

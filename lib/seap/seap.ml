@@ -1,5 +1,4 @@
 module Element = Dpq_util.Element
-module Interval = Dpq_util.Interval
 module Bitsize = Dpq_util.Bitsize
 module Hashing = Dpq_util.Hashing
 module Ldb = Dpq_overlay.Ldb
@@ -44,7 +43,7 @@ include Clients.Make (struct
   let clients = clients
 end)
 
-let tree t = t.host.tree
+let tree t = Host.tree t.host
 let consistency t = t.consistency
 let heap_size t = t.m
 let replication t = Dht.replication t.host.dht
@@ -72,7 +71,7 @@ let snapshot t keep =
 (* Aggregate a pair of per-node list lengths to the anchor; the memo
    drives a later decomposition over the same nodes. *)
 let count_pairs_up (h : Host.t) fst_per_node snd_per_node =
-  Phase.up ?trace:h.trace ?faults:h.faults ?sched:h.sched ~tree:h.tree
+  Phase.up h.net
     ~local:(fun v ->
       match Ldb.kind v with
       | Ldb.Middle ->
@@ -81,28 +80,11 @@ let count_pairs_up (h : Host.t) fst_per_node snd_per_node =
       | _ -> (0, 0))
     ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
     ~size_bits:(fun (a, b) -> int_bits (max 1 a) + int_bits (max 1 b))
-    ()
-
-let interval_bits iv =
-  if Interval.is_empty iv then 2
-  else Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
-
-(* Like [Interval.split_sizes] but tolerating shortage: the parts that find
-   no positions left get empty intervals. *)
-let take_sizes iv parts =
-  let rest = ref iv in
-  List.map
-    (fun want ->
-      let front, back = Interval.take !rest want in
-      rest := back;
-      front)
-    parts
 
 (* ------------------------------------------------------------- inserts *)
 
 let insert_phase t ~dht_mode =
   let h = t.host in
-  let trace = h.trace and faults = h.faults and sched = h.sched and tree = h.tree in
   t.phase_no <- t.phase_no + 1;
   let report = ref Phase.empty_report in
   let add r = report := Phase.add_report !report r in
@@ -116,7 +98,7 @@ let insert_phase t ~dht_mode =
   (* Anchor's go-ahead broadcast, then the Put storm.  The insert count
      reaches the anchor on the delete phase's convergecast, which each node
      sends only once its own Puts are confirmed (§5.1's m update). *)
-  add (Phase.broadcast ?trace ?faults ?sched ~tree ~payload:() ~size_bits:(fun () -> 1) ());
+  add (Phase.broadcast h.net ~bits:1);
   let ops = ref [] in
   let by_key = Hashtbl.create 64 in
   Array.iteri
@@ -169,7 +151,6 @@ let pos_key t pos = Hashing.pair t.pos_key_hash t.phase_no pos
 
 let delete_phase t ~dht_mode ~pending_inserts =
   let h = t.host in
-  let trace = h.trace and faults = h.faults and sched = h.sched and tree = h.tree in
   t.phase_no <- t.phase_no + 1;
   let report = ref Phase.empty_report in
   let add r = report := Phase.add_report !report r in
@@ -190,16 +171,13 @@ let delete_phase t ~dht_mode ~pending_inserts =
       (* Find the k_eff-th smallest stored element. *)
       let elements = Dht.elements_by_node h.dht in
       let sel =
-        Kselect.select ~seed:(t.seed + t.phase_no) ?trace ?faults ?sched
-          ~tree ~elements ~k:k_eff ()
+        Kselect.select ~seed:(t.seed + t.phase_no) ~net:h.net ~elements ~k:k_eff ()
       in
       add sel.Kselect.report;
       kselect_diag := Some sel.Kselect.diagnostics;
       let e_k = sel.Kselect.element in
       (* Broadcast e_k so every node can pick out its rank-<=k elements. *)
-      add
-        (Phase.broadcast ?trace ?faults ?sched ~tree ~payload:e_k
-           ~size_bits:Element.encoded_bits ());
+      add (Phase.broadcast h.net ~bits:(Element.encoded_bits e_k));
       (* Pull those elements out of their random-key homes and assign them
          positions 1..k_eff by interval decomposition. *)
       let taken =
@@ -214,18 +192,12 @@ let delete_phase t ~dht_mode ~pending_inserts =
       let (taken_chk, del_chk), memo, up2 = count_pairs_up h taken pending_deletes in
       add up2;
       assert (taken_chk = k_eff && del_chk = k);
-      (* One down-pass decomposes [1, k_eff] over the taken elements and
-         over the deleters; the deleters' shortage (k - k_eff) turns into ⊥
-         answers at the traversal-last deleters. *)
-      let positions, down_r =
-        Phase.down ?trace ?faults ?sched ~tree ~memo
-          ~root_payload:(Interval.make 1 k_eff, Interval.make 1 k_eff)
-          ~split:(fun ~parts (elt_iv, del_iv) ->
-            List.combine
-              (Interval.split_sizes elt_iv (List.map fst parts))
-              (take_sizes del_iv (List.map snd parts)))
-          ~size_bits:(fun (a, b) -> interval_bits a + interval_bits b)
-          ()
+      (* One positions pass decomposes [1, k_eff] over the taken elements
+         and over the deleters.  The deleter column is cut at k_eff, so its
+         shortage (k - k_eff) turns into ⊥ answers at the traversal-last
+         deleters. *)
+      let starts, down_r =
+        Phase.positions h.net ~memo ~sizes:[| fst; snd |] ~limits:[| k_eff; k_eff |]
       in
       add down_r;
       (* Phase 4-style DHT traffic: re-store the k smallest under h(pos),
@@ -234,33 +206,28 @@ let delete_phase t ~dht_mode ~pending_inserts =
       let get_index = Hashtbl.create 64 in
       for node = 0 to Clients.n h.clients - 1 do
         let mv = Ldb.vnode ~owner:node Ldb.Middle in
-        let elt_positions, del_positions =
-          match positions.(mv) with
-          | None ->
-              if taken.(node) <> [] then failwith "Seap: stored elements got no positions";
-              ([], [])
-          | Some (elt_iv, del_iv) -> (Interval.positions elt_iv, Interval.positions del_iv)
-        in
-        List.iter2
-          (fun pos elt ->
-            ops := Dht.Put { origin = node; key = pos_key t pos; elt; confirm = false } :: !ops)
-          elt_positions taken.(node);
-        let dels = pending_deletes.(node) in
-        let rec assign (dels : Clients.pending list) positions =
-          match (dels, positions) with
-          | [], _ -> ()
-          | d :: dtl, pos :: ptl ->
+        let elt_start = starts.(0).(mv) and del_start = starts.(1).(mv) in
+        if elt_start < 0 && taken.(node) <> [] then
+          failwith "Seap: stored elements got no positions";
+        List.iteri
+          (fun i elt ->
+            ops :=
+              Dht.Put { origin = node; key = pos_key t (elt_start + i); elt; confirm = false }
+              :: !ops)
+          taken.(node);
+        List.iteri
+          (fun i (d : Clients.pending) ->
+            let pos = del_start + i in
+            if del_start > 0 && pos <= k_eff then begin
               let key = pos_key t pos in
               Hashtbl.replace get_index (node, key) d.local_seq;
-              ops := Dht.Get { origin = node; key } :: !ops;
-              assign dtl ptl
-          | d :: dtl, [] ->
+              ops := Dht.Get { origin = node; key } :: !ops
+            end
+            else
               (* ⊥: more deletes than elements (clause 2 of Def. 1.2 is
                  preserved: the heap really is empty for these). *)
-              bots := (node, d.local_seq) :: !bots;
-              assign dtl []
-        in
-        assign dels del_positions
+              bots := (node, d.local_seq) :: !bots)
+          pending_deletes.(node)
       done;
       let dht_cs, dht_r = Host.run_dht h ~dht_mode (List.rev !ops) in
       add dht_r;

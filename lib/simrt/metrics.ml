@@ -63,6 +63,13 @@ let max_congestion t = t.max_congestion
 
 let node_load t = Array.copy t.node_load
 
+let max_node_load t =
+  let m = ref 0 in
+  for i = 0 to t.n - 1 do
+    if t.node_load.(i) > !m then m := t.node_load.(i)
+  done;
+  !m
+
 let reset t =
   t.rounds <- 0;
   t.total_messages <- 0;

@@ -34,7 +34,10 @@ val max_congestion : t -> int
 (** max over (node, round) of delivered messages. *)
 
 val node_load : t -> int array
-(** Total messages delivered per node over the whole run. *)
+(** Total messages delivered per node over the whole run (a copy). *)
+
+val max_node_load : t -> int
+(** The largest entry of {!node_load}, read without copying. *)
 
 val reset : t -> unit
 

@@ -201,6 +201,23 @@ let release_slot t ch sn slot =
 
 let clock t = t.clock
 
+(* Hashtbl.reset (not clear) shrinks the tables to their initial size, so
+   [due] and the reaper visit channels in the order a fresh layer would. *)
+let reset t =
+  if t.unacked_total <> 0 then invalid_arg "Reliable.reset: unacknowledged packets outstanding";
+  Hashtbl.reset t.channels;
+  Itbl.reset t.by_key;
+  t.clock.now <- 0.0;
+  t.bound.lower <- infinity;
+  t.bound.scan_min <- infinity;
+  t.nfree <- 0;
+  t.slots <- 0;
+  t.ndue <- 0;
+  t.nreleased <- 0;
+  t.reaped_kills <- 0;
+  t.reap_pending <- false;
+  t.scan_trace <- None
+
 let register t ~src ~dst payload =
   let ch = channel t ~src ~dst in
   let sn = ch.next_sn in

@@ -47,6 +47,11 @@ type clock = { mutable now : float }
 
 val clock : 'msg t -> clock
 
+val reset : 'msg t -> unit
+(** Forget every channel and sequence number and zero the clock, keeping
+    the buffers: afterwards the layer behaves exactly as a fresh one from
+    {!create}.  Raises [Invalid_argument] if packets are unacknowledged. *)
+
 val register : 'msg t -> src:int -> dst:int -> 'msg -> int
 (** Allocate the next sequence number on channel [(src, dst)], remember the
     payload for retransmission (first deadline [now + base_rto]), and

@@ -306,6 +306,12 @@ let run_to_quiescence ?(max_rounds = 1_000_000) ?(stall_rounds = 10_000) t =
 let reset_clock t =
   if not (Roundq.is_empty t.q) then invalid_arg "Sync_engine.reset_clock: messages in flight";
   if unacked t <> 0 then invalid_arg "Sync_engine.reset_clock: unacknowledged messages outstanding";
+  Option.iter Reliable.reset t.rel;
   set_round t 0;
   Roundq.reset t.q;
-  Metrics.reset t.metrics
+  Metrics.reset t.metrics;
+  t.fresh_delivered <- 0;
+  t.acks_received <- 0;
+  t.last_round <- -1;
+  t.last_src <- 0;
+  t.last_dst <- 0

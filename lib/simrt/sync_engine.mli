@@ -76,6 +76,10 @@ val round : 'msg t -> int
 val metrics : 'msg t -> Metrics.t
 
 val reset_clock : 'msg t -> unit
-(** Zero the round counter and metrics (in-flight messages must be none and
-    nothing unacked); used between protocol phases to measure them
-    separately.  Raises [Invalid_argument] if messages are pending. *)
+(** Return a quiescent engine to the state {!create} left it in: round 0,
+    zeroed metrics, no deliveries or acks counted (so a later quiescence
+    diagnostic names only what came after the reset), and a reliable layer
+    with fresh channels and sequence numbers.  A run after the reset
+    delivers, costs and draws faults exactly as on a fresh engine with the
+    same arguments; the queue's buffers are kept, so it allocates less.
+    Raises [Invalid_argument] if messages are in flight or unacked. *)

@@ -48,8 +48,9 @@ val assign : t -> Batch.t -> assignment
     Raises [Invalid_argument] if the batch priority universe mismatches. *)
 
 val split : num_prios:int -> assignment -> parts:Batch.t list -> assignment list
-(** Decompose an assignment among sub-batches (own batch first, then child
-    aggregates — the same order {!Dpq_aggtree.Phase.memo_parts} uses):
+(** Decompose an assignment among sub-batches (own batch first, then the
+    children's sub-batches in label order — the list
+    {!Dpq_aggtree.Phase.memo_parts} builds for [Phase.down]):
     part [k] receives, per entry and per priority, the next
     [i_{j,p}^{(k)}] insert positions, the next [d_j^{(k)}] delete positions
     (and the trailing ⊥s once positions run out).  Pieces may share

@@ -48,7 +48,7 @@ let create ?(seed = 1) ?(replication = 1) ?trace ?faults ?sched ?gossip ~n ~num_
     num_prios;
     key_hash = Dpq_util.Hashing.create ~seed:(seed + 104729);
     anchor = Anchor.create ~num_prios;
-    preorder_rank = compute_preorder_ranks host.tree;
+    preorder_rank = compute_preorder_ranks (Host.tree host);
   }
 
 let clients t = t.host.clients
@@ -60,7 +60,7 @@ include Clients.Make (struct
 end)
 
 let num_prios t = t.num_prios
-let tree t = t.host.tree
+let tree t = Host.tree t.host
 let replication t = Dht.replication t.host.dht
 let heap_size t = Anchor.total_occupied t.anchor
 let trace t = t.host.trace
@@ -81,7 +81,7 @@ let dht_key t prio pos = Dpq_util.Hashing.pair t.key_hash prio pos
 
 (* Traversal ranks follow the tree, so every topology change recomputes
    them. *)
-let rerank t () = t.preorder_rank <- compute_preorder_ranks t.host.tree
+let rerank t () = t.preorder_rank <- compute_preorder_ranks (Host.tree t.host)
 
 module Itbl = Hashtbl.Make (Int)
 
@@ -221,7 +221,7 @@ let completions_of sl =
 let process_batch ?(dht_mode = Dht_sync) t =
   let h = t.host in
   Host.commit_kills h ~step:(rerank t);
-  let trace = h.trace and faults = h.faults and sched = h.sched and tree = h.tree in
+  let trace = h.trace in
   (* ---- snapshot buffers ---------------------------------------------- *)
   let node_ops = Clients.snapshot h.clients All in
   let node_bops = Array.map (List.map batch_op) node_ops in
@@ -233,8 +233,7 @@ let process_batch ?(dht_mode = Dht_sync) t =
     | _ -> Batch.empty ~num_prios:t.num_prios
   in
   let combined, memo, up_report =
-    Phase.up ?trace ?faults ?sched ~tree ~local ~combine:Batch.combine
-      ~size_bits:Batch.encoded_bits ()
+    Phase.up h.net ~local ~combine:Batch.combine ~size_bits:Batch.encoded_bits
   in
   (* ---- Phase 2: anchor assigns position intervals (local) ------------- *)
   let assignment = Anchor.assign t.anchor combined in
@@ -243,15 +242,12 @@ let process_batch ?(dht_mode = Dht_sync) t =
     ~heap_size:(Anchor.total_occupied t.anchor);
   (* ---- Phase 3: decompose intervals down the tree --------------------- *)
   let retained, down_report =
-    Phase.down ?trace ?faults ?sched ~tree ~memo ~root_payload:assignment
+    Phase.down h.net ~memo ~root_payload:assignment
       ~split:(fun ~parts a -> Anchor.split ~num_prios:t.num_prios a ~parts)
-      ~size_bits:Anchor.assignment_bits ()
+      ~size_bits:Anchor.assignment_bits
   in
   (* Announce the phase switch (anchor-driven broadcast). *)
-  let announce_report =
-    Phase.broadcast ?trace ?faults ?sched ~tree ~payload:()
-      ~size_bits:(fun () -> 1) ()
-  in
+  let announce_report = Phase.broadcast h.net ~bits:1 in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
   let sl = create_slots (Array.fold_left (fun acc ops -> acc + List.length ops) 0 node_ops) in
   let ins_used = Array.make t.num_prios 0 in

@@ -42,9 +42,12 @@ val take_back : t -> int -> t * t
     distributed stack. *)
 
 val split_sizes : t -> int list -> t list
-(** [split_sizes iv sizes] decomposes [iv] into consecutive sub-intervals of
-    the given cardinalities, in order.  Raises [Invalid_argument] if
-    [sizes] sums to more than [cardinality iv] or contains negatives. *)
+(** Test seam: no protocol calls this; the tests keep it as the oracle for
+    the cursor split of [Anchor.split] and the positions pass
+    [Dpq_aggtree.Phase.positions].  [split_sizes iv sizes] decomposes [iv]
+    into consecutive sub-intervals of the given cardinalities, in order.
+    Raises [Invalid_argument] if [sizes] sums to more than [cardinality iv]
+    or contains negatives. *)
 
 val positions : t -> int list
 (** All positions, ascending; [\[\]] for empty.  Linear in cardinality. *)

@@ -1,5 +1,8 @@
 open Dpq_aggtree
 module Ldb = Dpq_overlay.Ldb
+module Interval = Dpq_util.Interval
+module Trace = Dpq_obs.Trace
+module Fault_plan = Dpq_simrt.Fault_plan
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -104,6 +107,18 @@ let test_figure2_structure () =
   checkb "r(u) leaf" true (Aggtree.is_leaf tree (l Ldb.Right 0));
   checkb "r(v) leaf" true (Aggtree.is_leaf tree (l Ldb.Right 1))
 
+(* Reversed BFS order: every vnode after all of its children — the order a
+   pure (non-message-level) aggregation oracle can fold in. *)
+let bottom_up_order tree =
+  let q = Queue.create () and order = ref [] in
+  Queue.add (Aggtree.root tree) q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    order := v :: !order;
+    List.iter (fun c -> Queue.add c q) (Aggtree.children tree v)
+  done;
+  !order
+
 let test_bottom_up_order_property () =
   let tree = tree_of ~n:30 ~seed:6 in
   let seen = Hashtbl.create 90 in
@@ -113,7 +128,7 @@ let test_bottom_up_order_property () =
         (fun c -> checkb "children before parents" true (Hashtbl.mem seen c))
         (Aggtree.children tree v);
       Hashtbl.replace seen v ())
-    (Aggtree.bottom_up_order tree);
+    (bottom_up_order tree);
   checki "all vnodes present" 90 (Hashtbl.length seen)
 
 let test_single_node_tree () =
@@ -130,7 +145,7 @@ let test_up_counts_nodes () =
     (fun n ->
       let tree = tree_of ~n ~seed:4 in
       let total, _memo, report =
-        Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 32) ()
+        Phase.up (Phase.net tree) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 32)
       in
       checki "3n" (3 * n) total;
       checkb "rounds bounded by height+1" true (report.Phase.rounds <= Aggtree.height tree + 1))
@@ -139,13 +154,17 @@ let test_up_counts_nodes () =
 let test_up_memo_parts () =
   let tree = tree_of ~n:10 ~seed:4 in
   let _total, memo, _ =
-    Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) ()
+    Phase.up (Phase.net tree) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1)
   in
   Array.iter
     (fun v ->
       let parts = Phase.memo_parts memo v in
       checki "1 + #children parts" (1 + List.length (Aggtree.children tree v)) (List.length parts);
-      checki "own part first" 1 (List.hd parts))
+      checki "own part first" 1 (List.hd parts);
+      (* Then each child's sub-aggregate: here, its subtree's size. *)
+      let rec size c = List.fold_left (fun acc c -> acc + size c) 1 (Aggtree.children tree c) in
+      Alcotest.(check (list int))
+        "children's sub-aggregates" (List.map size (Aggtree.children tree v)) (List.tl parts))
     (Aggtree.vnodes tree)
 
 let test_up_respects_order () =
@@ -154,11 +173,10 @@ let test_up_respects_order () =
      label). *)
   let tree = tree_of ~n:12 ~seed:9 in
   let all, _memo, _ =
-    Phase.up ~tree
+    Phase.up (Phase.net tree)
       ~local:(fun v -> [ v ])
       ~combine:(fun a b -> a @ b)
       ~size_bits:(fun l -> 16 * List.length l)
-      ()
   in
   let rec expected v =
     v :: List.concat_map expected (Aggtree.children tree v)
@@ -171,39 +189,35 @@ let test_down_decomposes_intervals () =
      singleton. *)
   let n = 20 in
   let tree = tree_of ~n ~seed:13 in
-  let total, memo, _ =
-    Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 8) ()
-  in
-  let iv = Dpq_util.Interval.make 1 total in
+  let net = Phase.net tree in
+  let total, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 8) in
+  let iv = Interval.make 1 total in
   let retained, _report =
-    Phase.down ~tree ~memo ~root_payload:iv
-      ~split:(fun ~parts iv -> Dpq_util.Interval.split_sizes iv parts)
+    Phase.down net ~memo ~root_payload:iv
+      ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
       ~size_bits:(fun _ -> 64)
-      ()
   in
   let positions = ref [] in
   Array.iter
     (function
       | None -> Alcotest.fail "vnode missed its share"
       | Some iv ->
-          checki "cardinality 1" 1 (Dpq_util.Interval.cardinality iv);
-          positions := Dpq_util.Interval.lo iv :: !positions)
+          checki "cardinality 1" 1 (Interval.cardinality iv);
+          positions := Interval.lo iv :: !positions)
     retained;
   let sorted = List.sort compare !positions in
   Alcotest.(check (list int)) "all positions exactly once" (List.init (3 * n) (fun i -> i + 1)) sorted
 
 let test_down_split_arity_enforced () =
   let tree = tree_of ~n:4 ~seed:1 in
-  let _, memo, _ =
-    Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) ()
-  in
+  let net = Phase.net tree in
+  let _, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
   checkb "raises on bad arity" true
     (try
        ignore
-         (Phase.down ~tree ~memo ~root_payload:0
+         (Phase.down net ~memo ~root_payload:0
             ~split:(fun ~parts:_ _ -> [])
-            ~size_bits:(fun _ -> 1)
-            ());
+            ~size_bits:(fun _ -> 1));
        false
      with Failure _ -> true)
 
@@ -212,14 +226,12 @@ let test_broadcast_reaches_all () =
   let tree = tree_of ~n ~seed:17 in
   (* broadcast + down with copying split should mark everyone; use down to
      observe retained values. *)
-  let _, memo, _ =
-    Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) ()
-  in
+  let net = Phase.net tree in
+  let _, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
   let retained, report =
-    Phase.down ~tree ~memo ~root_payload:"go"
+    Phase.down net ~memo ~root_payload:"go"
       ~split:(fun ~parts payload -> List.map (fun _ -> payload) parts)
       ~size_bits:(fun s -> 8 * String.length s)
-      ()
   in
   Array.iter
     (function Some "go" -> () | _ -> Alcotest.fail "missed broadcast")
@@ -228,7 +240,7 @@ let test_broadcast_reaches_all () =
 
 let test_broadcast_report () =
   let tree = tree_of ~n:16 ~seed:21 in
-  let report = Phase.broadcast ~tree ~payload:42 ~size_bits:(fun _ -> 32) () in
+  let report = Phase.broadcast (Phase.net tree) ~bits:32 in
   checkb "messages < 3n (virtual edges free)" true (report.Phase.messages < 48);
   checkb "some messages" true (report.Phase.messages > 0)
 
@@ -248,13 +260,171 @@ let test_up_rounds_scale_logarithmically () =
          (fun seed ->
            let tree = tree_of ~n ~seed in
            let _, _, r =
-             Phase.up ~tree ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 32) ()
+             Phase.up (Phase.net tree) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 32)
            in
            float_of_int r.Phase.rounds)
          [ 29; 30; 31; 32 ])
   in
   let r64 = rounds 64 and r4096 = rounds 4096 in
   checkb "log-like growth" true (r4096 < r64 *. 3.5)
+
+(* ------------------------------------------------------ positions pass *)
+
+(* The list splits the positions pass replaced, kept here as its oracle:
+   [Interval.split_sizes] for an exact column, and the shortage-tolerant
+   take (parts that find no positions left get empty intervals). *)
+let take_sizes iv parts =
+  let rest = ref iv in
+  List.map
+    (fun want ->
+      let front, back = Interval.take !rest want in
+      rest := back;
+      front)
+    parts
+
+let interval_bits iv =
+  if Interval.is_empty iv then 2
+  else Dpq_util.Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
+
+let deliveries trace =
+  List.filter_map
+    (function
+      | Trace.Msg_delivered { round; src; dst; bits; _ } -> Some (round, src, dst, bits)
+      | _ -> None)
+    (Trace.events trace)
+
+(* A random overlay, some of its nodes removed, with per-vnode counts in
+   two columns, about half of them zero. *)
+let random_counts rng ~n ~seed =
+  let ldb = ref (Ldb.build ~n ~seed) in
+  for id = 0 to n - 1 do
+    if Ldb.live_count !ldb > 1 && Random.State.int rng 5 = 0 then ldb := Ldb.remove !ldb ~id
+  done;
+  let tree = Aggtree.of_ldb !ldb in
+  let count () = if Random.State.bool rng then 0 else Random.State.int rng 4 in
+  let counts = Array.init (3 * n) (fun _ -> (count (), count ())) in
+  (tree, counts)
+
+let test_positions_match_list_split () =
+  let rng = Random.State.make [| 24 |] in
+  for trial = 1 to 60 do
+    let n = 1 + Random.State.int rng 40 in
+    let tree, counts = random_counts rng ~n ~seed:trial in
+    let (total_a, total_b), memo, _ =
+      Phase.up (Phase.net tree)
+        ~local:(fun v -> counts.(v))
+        ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
+        ~size_bits:(fun _ -> 8)
+    in
+    (* Column a is exact; column b is cut short (or not) at a random limit. *)
+    let limit_a = total_a and limit_b = Random.State.int rng (total_b + 1) in
+    let trace_old = Trace.create () and trace_new = Trace.create () in
+    let retained, old_report =
+      Phase.down (Phase.net ~trace:trace_old tree) ~memo
+        ~root_payload:(Interval.make 1 limit_a, Interval.make 1 limit_b)
+        ~split:(fun ~parts (a, b) ->
+          List.combine
+            (Interval.split_sizes a (List.map fst parts))
+            (take_sizes b (List.map snd parts)))
+        ~size_bits:(fun (a, b) -> interval_bits a + interval_bits b)
+    in
+    let starts, new_report =
+      Phase.positions (Phase.net ~trace:trace_new tree) ~memo ~sizes:[| fst; snd |]
+        ~limits:[| limit_a; limit_b |]
+    in
+    let what = Printf.sprintf "trial %d (n=%d)" trial n in
+    Array.iteri
+      (fun v r ->
+        let piece j size limit =
+          let s = starts.(j).(v) in
+          Interval.make s (min (s + size - 1) limit)
+        in
+        match r with
+        | None ->
+            checki (what ^ ": unreached a") (-1) starts.(0).(v);
+            checki (what ^ ": unreached b") (-1) starts.(1).(v)
+        | Some (a, b) ->
+            let own_a, own_b = counts.(v) in
+            checkb (what ^ ": column a") true (Interval.equal a (piece 0 own_a limit_a));
+            checkb (what ^ ": column b") true (Interval.equal b (piece 1 own_b limit_b)))
+      retained;
+    checkb (what ^ ": same report") true (old_report = new_report);
+    checkb (what ^ ": same deliveries and bits") true (deliveries trace_old = deliveries trace_new)
+  done
+
+let test_reused_net_equals_fresh () =
+  (* Every kind of pass, twice over, on one net and on a fresh net each,
+     under drops and duplicates: the reset engine must deliver, cost and
+     draw faults exactly as fresh ones do. *)
+  let tree = Aggtree.of_ldb (Ldb.remove (Ldb.build ~n:24 ~seed:5) ~id:7) in
+  let run next =
+    let pass () =
+      let total, memo, up_r =
+        Phase.up (next ()) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 12)
+      in
+      let bcast_r = Phase.broadcast (next ()) ~bits:5 in
+      let retained, down_r =
+        Phase.down (next ()) ~memo ~root_payload:(Interval.make 1 total)
+          ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
+          ~size_bits:interval_bits
+      in
+      let starts, pos_r = Phase.positions (next ()) ~memo ~sizes:[| Fun.id |] ~limits:[| total |] in
+      ([ up_r; bcast_r; down_r; pos_r ], retained, starts)
+    in
+    let first = pass () in
+    let second = pass () in
+    (first, second)
+  in
+  let plan () = Fault_plan.create ~drop:0.2 ~duplicate:0.1 ~seed:11 () in
+  let plan_r = plan () and trace_r = Trace.create () in
+  let net = Phase.net ~trace:trace_r ~faults:plan_r tree in
+  let reused = run (fun () -> net) in
+  let plan_f = plan () and trace_f = Trace.create () in
+  let fresh = run (fun () -> Phase.net ~trace:trace_f ~faults:plan_f tree) in
+  checkb "same reports and results" true (reused = fresh);
+  checkb "same deliveries" true (deliveries trace_r = deliveries trace_f);
+  checkb "same fault-plan stats" true (Fault_plan.stats plan_r = Fault_plan.stats plan_f);
+  checkb "faults were injected" true ((Fault_plan.stats plan_r).Fault_plan.drops > 0)
+
+let test_reentry_fails () =
+  let tree = tree_of ~n:8 ~seed:2 in
+  let net = Phase.net tree in
+  checkb "a pass started inside a pass raises" true
+    (try
+       ignore
+         (Phase.up net
+            ~local:(fun _ -> Phase.broadcast net ~bits:1)
+            ~combine:(fun a _ -> a)
+            ~size_bits:(fun _ -> 1));
+       false
+     with Invalid_argument _ -> true)
+
+(* Allocation guard for the tree passes: a message is a vnode id and the
+   engine is reused, so an int up pass and a broadcast allocate nothing per
+   message; what is left is per pass (closures, the span, the report) and
+   [local]'s values.  At n=1024 (3 072 vnodes; per pass 1 023 network
+   messages and 2 048 virtual-edge deliveries) the up pass measured 0.016
+   minor words per vnode and the broadcast 0.008.  With a boxed message
+   record, a closure per forwarding vnode, a parts list per up vnode and a
+   fresh engine per pass they measured 11.5 and 10.5. *)
+let test_pass_allocation () =
+  let n = 1024 in
+  let tree = tree_of ~n ~seed:3 in
+  let net = Phase.net tree in
+  (* Warm up: the engine grows its round queue once, on its first pass. *)
+  ignore (Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 11));
+  ignore (Phase.broadcast net ~bits:1);
+  let per_vnode f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Gc.minor_words () -. before) /. float_of_int (3 * n)
+  in
+  let up_w =
+    per_vnode (fun () -> Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 11))
+  in
+  let bcast_w = per_vnode (fun () -> Phase.broadcast net ~bits:1) in
+  checkb (Printf.sprintf "up: %.3f minor words per vnode <= 0.5" up_w) true (up_w <= 0.5);
+  checkb (Printf.sprintf "broadcast: %.3f minor words per vnode <= 0.5" bcast_w) true (bcast_w <= 0.5)
 
 let () =
   Alcotest.run "dpq_aggtree"
@@ -281,5 +451,9 @@ let () =
           Alcotest.test_case "broadcast report" `Quick test_broadcast_report;
           Alcotest.test_case "report addition" `Quick test_report_addition;
           Alcotest.test_case "up rounds log" `Quick test_up_rounds_scale_logarithmically;
+          Alcotest.test_case "positions match the list split" `Quick test_positions_match_list_split;
+          Alcotest.test_case "reused net equals fresh engines" `Quick test_reused_net_equals_fresh;
+          Alcotest.test_case "re-entry fails" `Quick test_reentry_fails;
+          Alcotest.test_case "allocation per vnode" `Quick test_pass_allocation;
         ] );
     ]

@@ -16,7 +16,7 @@ let uniform_elements ~rng ~n ~per_node ~prio_range =
 
 let run_and_check ?(seed = 3) ~tree ~elements k =
   let all = Array.to_list elements |> List.concat in
-  let r = K.select ~seed ~tree ~elements ~k () in
+  let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
   let expect = K.select_seq all ~k in
   checkb
     (Printf.sprintf "k=%d selects the right element" k)
@@ -111,17 +111,17 @@ let test_invalid_args () =
   let elements = Array.make 4 [ E.make ~prio:1 ~origin:0 ~seq:0 () ] in
   checkb "k=0 rejected" true
     (try
-       ignore (K.select ~tree ~elements ~k:0 ());
+       ignore (K.select ~net:(Phase.net tree) ~elements ~k:0 ());
        false
      with Invalid_argument _ -> true);
   checkb "k too big rejected" true
     (try
-       ignore (K.select ~tree ~elements ~k:5 ());
+       ignore (K.select ~net:(Phase.net tree) ~elements ~k:5 ());
        false
      with Invalid_argument _ -> true);
   checkb "wrong array length rejected" true
     (try
-       ignore (K.select ~tree ~elements:(Array.make 3 []) ~k:1 ());
+       ignore (K.select ~net:(Phase.net tree) ~elements:(Array.make 3 []) ~k:1 ());
        false
      with Invalid_argument _ -> true)
 
@@ -130,8 +130,8 @@ let test_deterministic_given_seed () =
   let n = 12 in
   let tree = tree_of ~n ~seed:3 in
   let elements = uniform_elements ~rng ~n ~per_node:10 ~prio_range:500 in
-  let r1 = K.select ~seed:99 ~tree ~elements ~k:60 () in
-  let r2 = K.select ~seed:99 ~tree ~elements ~k:60 () in
+  let r1 = K.select ~seed:99 ~net:(Phase.net tree) ~elements ~k:60 () in
+  let r2 = K.select ~seed:99 ~net:(Phase.net tree) ~elements ~k:60 () in
   checkb "same element" true (E.equal r1.K.element r2.K.element);
   checki "same rounds" r1.K.report.Phase.rounds r2.K.report.Phase.rounds
 
@@ -283,7 +283,7 @@ let test_message_bits_logarithmic () =
     let tree = tree_of ~n ~seed:2 in
     let elements = uniform_elements ~rng ~n ~per_node:8 ~prio_range:(n * 80) in
     let all = Array.to_list elements |> List.concat in
-    let r = K.select ?impl ~seed:3 ~tree ~elements ~k:(2 * n) () in
+    let r = K.select ?impl ~seed:3 ~net:(Phase.net tree) ~elements ~k:(2 * n) () in
     checkb "selects the right element" true (E.equal r.K.element (K.select_seq all ~k:(2 * n)));
     float_of_int r.K.report.Phase.max_message_bits
   in
@@ -308,7 +308,7 @@ let prop_kselect_matches_oracle =
       let tree = tree_of ~n ~seed:2 in
       let elements = uniform_elements ~rng ~n ~per_node ~prio_range:50 in
       let all = Array.to_list elements |> List.concat in
-      let r = K.select ~seed:(prio_seed + 1) ~tree ~elements ~k () in
+      let r = K.select ~seed:(prio_seed + 1) ~net:(Phase.net tree) ~elements ~k () in
       E.equal r.K.element (K.select_seq all ~k))
 
 (* -------------------------------------------------- differential layer *)
@@ -324,8 +324,8 @@ let diff_point ~n ~per_node ~prio_range ~seed k =
   let elements = uniform_elements ~rng ~n ~per_node ~prio_range in
   let all = Array.to_list elements |> List.concat in
   let oracle = K.select_seq all ~k in
-  let opt = K.select ~seed ~tree ~elements ~k () in
-  let refr = K.select ~seed ~impl:`Pairwise ~tree ~elements ~k () in
+  let opt = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
+  let refr = K.select ~seed ~impl:`Pairwise ~net:(Phase.net tree) ~elements ~k () in
   checkb
     (Printf.sprintf "n=%d m=%d k=%d: optimized matches oracle" n (List.length all) k)
     true
@@ -399,13 +399,13 @@ let test_planted_misaggregation_caught () =
       (fun () ->
         K.unsafe_misaggregate_votes := true;
         try
-          let r = K.select ~seed:97 ~tree ~elements ~k () in
+          let r = K.select ~seed:97 ~net:(Phase.net tree) ~elements ~k () in
           not (E.equal r.K.element oracle)
         with Failure _ -> true)
   in
   checkb "differential catches the planted bug" true caught;
   (* And the same instance passes clean with the flag off. *)
-  let r = K.select ~seed:97 ~tree ~elements ~k () in
+  let r = K.select ~seed:97 ~net:(Phase.net tree) ~elements ~k () in
   checkb "clean run agrees with oracle" true (E.equal r.K.element oracle)
 
 (* ------------------------------------------------------ golden reports *)
@@ -475,16 +475,16 @@ let golden_actual () =
         List.map
           (fun k ->
             ( Printf.sprintf "n=%d k=%d" n k,
-              golden_line (K.select ~seed:3 ~tree ~elements ~k ()) ))
+              golden_line (K.select ~seed:3 ~net:(Phase.net tree) ~elements ~k ()) ))
           [ 1; m / 2; m ])
       [ (16, 8); (64, 8); (256, 4) ]
   in
   let tree, elements = golden_instance ~n:64 ~per_node:8 in
   let faults = golden_fault_plan () in
   let trace = Dpq_obs.Trace.create () in
-  let faulty = K.select ~seed:3 ~trace ~faults ~tree ~elements ~k:256 () in
+  let faulty = K.select ~seed:3 ~net:(Phase.net ~trace ~faults tree) ~elements ~k:256 () in
   let sched = Dpq_simrt.Sched.create ~seed:9 (Shuffle { burst = 1; starvation = 0.1 }) in
-  let shuffled = K.select ~seed:3 ~sched ~tree ~elements ~k:256 () in
+  let shuffled = K.select ~seed:3 ~net:(Phase.net ~sched tree) ~elements ~k:256 () in
   ( plain @ [ ("faults", golden_line faulty); ("shuffle", golden_line shuffled) ],
     faults,
     trace )
@@ -539,14 +539,16 @@ let stage_items n' = (4 * n' * n') - n'
    in int columns and allocates nothing per item.  One fixed aggregated
    selection at n=256, m=4n runs Phase 2 and Phase 3 sorting stages (54 116
    items); its minor words, tree passes included, divided by those items
-   bound the stage's words per item from above.  Measured 6.73 words per
+   bound the stage's words per item from above.  Measured 1.47 words per
    item, of which the sorting stages take about 0.7 (per-stage tables and
-   one boxed float per pair point); with one boxed payload record per item
-   and a fresh item array per message it was 18.8. *)
+   one boxed float per pair point); it was 6.73 while the tree passes
+   allocated per message, and 18.8 with one boxed payload record per item
+   and a fresh item array per message. *)
 let test_sorting_stage_allocation () =
   let tree, elements = golden_instance ~n:256 ~per_node:4 in
+  let net = Phase.net tree in
   let before = Gc.minor_words () in
-  let r = K.select ~seed:3 ~tree ~elements ~k:512 () in
+  let r = K.select ~seed:3 ~net ~elements ~k:512 () in
   let words = Gc.minor_words () -. before in
   let d = r.K.diagnostics in
   let reps = d.K.phase2_rep_counts @ [ d.K.phase3_candidates ] in

@@ -125,6 +125,79 @@ let test_sync_livelock_guard () =
        false
      with Failure _ -> true)
 
+(* A relay of [k] hops for a positive payload; a negative payload
+   ping-pongs forever. *)
+let relay_handler eng ~dst ~src payload =
+  if payload > 0 then Sync_engine.send eng ~src:dst ~dst:((dst + 1) mod 3) (payload - 1)
+  else if payload < 0 then Sync_engine.send eng ~src:dst ~dst:src payload
+
+let test_sync_reset_forgets_deliveries () =
+  let eng = Sync_engine.create ~n:3 ~size_bits:(fun _ -> 1) ~handler:relay_handler () in
+  Sync_engine.send eng ~src:0 ~dst:1 30;
+  checki "first phase: 31 rounds" 31 (Sync_engine.run_to_quiescence eng);
+  Sync_engine.reset_clock eng;
+  Sync_engine.send eng ~src:1 ~dst:2 (-1);
+  (* The diagnostic names the four deliveries since the reset, not the
+     first phase's 31 or its last delivery in round 30. *)
+  Alcotest.check_raises "livelock after a reset"
+    (Failure
+       "Sync_engine.run_to_quiescence: exceeded max_rounds (livelock?): round=4 pending=1 \
+        unacked=0 delivered=4 last_delivered=round 3: 2->1")
+    (fun () -> ignore (Sync_engine.run_to_quiescence ~max_rounds:3 eng))
+
+(* Two phases of all-to-all traffic, five messages per channel, under
+   drops and duplicates: on one engine reset between them, and on two
+   fresh engines.  Everything observable must be the same. *)
+let test_sync_reset_equals_fresh_under_faults () =
+  let n = 4 in
+  let run ~reuse =
+    let plan = Fault_plan.create ~drop:0.2 ~duplicate:0.1 ~seed:17 () in
+    let log = ref [] and phase = ref 0 in
+    let create () =
+      Sync_engine.create ~n ~size_bits:(fun _ -> 16) ~faults:plan
+        ~handler:(fun eng ~dst ~src payload ->
+          log := (!phase, Sync_engine.round eng, src, dst, payload) :: !log)
+        ()
+    in
+    let shared = lazy (create ()) in
+    let run_phase p =
+      phase := p;
+      let eng =
+        if not reuse then create ()
+        else begin
+          let e = Lazy.force shared in
+          if p > 1 then Sync_engine.reset_clock e;
+          e
+        end
+      in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if src <> dst then
+            for i = 1 to 5 do
+              Sync_engine.send eng ~src ~dst ((100 * p) + i)
+            done
+        done
+      done;
+      let rounds = Sync_engine.run_to_quiescence eng in
+      let m = Sync_engine.metrics eng in
+      ( rounds,
+        Metrics.total_messages m,
+        Metrics.total_bits m,
+        Metrics.max_congestion m,
+        Metrics.node_load m )
+    in
+    let first = run_phase 1 in
+    let second = run_phase 2 in
+    let st = Fault_plan.stats plan in
+    ( [ first; second ],
+      List.rev !log,
+      (st.drops, st.duplicates, st.retransmits, st.acks_sent, st.dups_suppressed) )
+  in
+  let fresh = run ~reuse:false and reused = run ~reuse:true in
+  let _, _, (drops, _, retransmits, _, _) = fresh in
+  checkb "faults injected and repaired" true (drops > 0 && retransmits > 0);
+  checkb "same costs, deliveries and fault stats" true (fresh = reused)
+
 (* ------------------------------------------------------- Async engine *)
 
 let test_async_delivers_everything () =
@@ -371,6 +444,8 @@ let () =
           Alcotest.test_case "out of range" `Quick test_sync_out_of_range;
           Alcotest.test_case "reset clock" `Quick test_sync_reset_clock;
           Alcotest.test_case "livelock guard" `Quick test_sync_livelock_guard;
+          Alcotest.test_case "reset forgets deliveries" `Quick test_sync_reset_forgets_deliveries;
+          Alcotest.test_case "reset equals fresh under faults" `Quick test_sync_reset_equals_fresh_under_faults;
         ] );
       ( "async",
         [
