@@ -31,7 +31,6 @@
 module W = Dpq_workloads.Workload
 module R = Dpq_workloads.Runner
 module Batch_ctl = Dpq_gossip.Batch_ctl
-module Rng = Dpq_util.Rng
 module Trace = Dpq_obs.Trace
 module Explore = Dpq_explore.Explore
 module Checker = Dpq_semantics.Checker
@@ -101,7 +100,7 @@ let do_replay file =
       Printf.printf "  clause matches expectation : %b\n" rep.Explore.clause_matches;
       if rep.Explore.digest_matches && rep.Explore.clause_matches then exit 0 else exit 2
 
-let run protocol nodes rounds lambda prios dist insert_ratio seed replication stream trace_file
+let run protocol nodes rounds lambda prios dist insert_ratio seed replication trace_file
     faults_spec drop dup crash arrival_spec adaptive_spec window replay =
   (match replay with Some file -> do_replay file | None -> ());
   let arrival =
@@ -189,50 +188,32 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication st
   let trace =
     if trace_file <> None || adaptive <> Batch_ctl.Off then Some (Trace.create ()) else None
   in
-  let summary, ops, ins, del =
+  let spec = W.Gen.{ n = nodes; rounds; lambda; insert_ratio; dist = prio_dist; seed; arrival } in
+  let summary =
     if open_mode then begin
       (match (backend, adaptive) with
       | (Dpq_types.Types.Centralized | Dpq_types.Types.Unbatched _), Batch_ctl.On _ ->
           Printf.eprintf "--adaptive needs a gossip-capable protocol (skeap|seap)\n";
           exit 1
       | _ -> ());
-      let spec =
-        W.Gen.{ n = nodes; rounds; lambda; insert_ratio; dist = prio_dist; seed; arrival }
-      in
       let wdw =
         match adaptive with
         | Batch_ctl.On c -> R.Adaptive c
         | Batch_ctl.Off -> R.Fixed (Option.value window ~default:1)
       in
-      let s =
-        R.run_open ?trace ?faults ~seed ~replication ~window:wdw ~n:nodes backend
-          (W.Gen.create spec)
-      in
-      (s, s.R.ops, s.R.inserted, s.R.got + s.R.empty)
-    end
-    else if stream then begin
-      (* never materialize the workload: rounds are generated on demand and
-         checked online, so memory stays O(live elements) even at n=65536 *)
-      let spec =
-        W.Gen.
-          { n = nodes; rounds; lambda; insert_ratio; dist = prio_dist; seed; arrival = W.Closed }
-      in
-      let s =
-        R.run_gen ?trace ?faults ~seed ~replication ~n:nodes backend (W.Gen.create spec)
-      in
-      (s, s.R.ops, s.R.inserted, s.R.got + s.R.empty)
+      R.run_open ?trace ?faults ~seed ~replication ~window:wdw ~n:nodes backend
+        (W.Gen.create spec)
     end
     else
-      let wl =
-        W.generate ~rng:(Rng.create ~seed) ~n:nodes ~rounds ~lambda ~insert_ratio ~prio:prio_dist
-          ()
-      in
-      let s = R.run ~seed ~replication ?trace ?faults ~n:nodes backend wl in
-      (s, W.total_ops wl, W.inserts wl, W.deletes wl)
+      (* rounds are generated on demand and checked online, so memory stays
+         O(live elements) even at n=65536 *)
+      R.run_gen ?trace ?faults ~seed ~replication ~n:nodes backend (W.Gen.create spec)
   in
   Printf.printf "workload : %d nodes x %d rounds x Λ=%d  (%d ops: %d ins / %d del, %s priorities)%s\n"
-    nodes rounds lambda ops ins del dist
-    (if open_mode then "  [open-loop]" else if stream then "  [streamed]" else "");
+    nodes rounds lambda summary.R.ops summary.R.inserted
+    (summary.R.got + summary.R.empty)
+    dist
+    (if open_mode then "  [open-loop]" else "");
   Printf.printf "protocol : %s\n\n" (R.protocol_name summary);
   Printf.printf "  simulated rounds        %d\n" summary.R.rounds;
   Printf.printf "  messages                %d  (%d bits total)\n" summary.R.messages
@@ -364,15 +345,6 @@ let replication =
            permanent $(b,kill=) losses of up to $(docv)-1 replicas of any key: lost copies \
            are rebuilt by Merkle anti-entropy repair.")
 
-let stream =
-  Arg.(
-    value & flag
-    & info [ "stream" ]
-        ~doc:
-          "Generate the workload on demand instead of materializing it: rounds come from a \
-           $(b,Workload.Gen) spec and semantics are checked online, so memory stays \
-           O(live elements).  Required territory for $(b,--nodes) in the thousands.")
-
 let trace_file =
   Arg.(
     value
@@ -453,7 +425,7 @@ let replay_file =
 let run_term =
   Term.(
     const run $ protocol $ nodes $ rounds $ lambda $ prios $ dist $ insert_ratio $ seed
-    $ replication $ stream $ trace_file $ faults_spec $ drop $ dup $ crash
+    $ replication $ trace_file $ faults_spec $ drop $ dup $ crash
     $ arrival_spec $ adaptive_spec $ window $ replay_file)
 
 let explore_cmd =

@@ -225,15 +225,24 @@ let t6 ~seed ~full =
   in
   List.iter
     (fun n ->
-      let mk_wl s =
-        W.generate ~rng:(Rng.create ~seed:s) ~n ~rounds:3 ~lambda:2 ~prio:(W.Constant_set 4) ()
+      let spec =
+        W.Gen.
+          {
+            n;
+            rounds = 3;
+            lambda = 2;
+            insert_ratio = 0.5;
+            dist = W.Constant_set 4;
+            seed = seed * 3;
+            arrival = W.Closed;
+          }
       in
       let rows =
         List.map
           (fun backend ->
-            R.run ~seed ?trace:!trace_sink
+            R.run_gen ~seed ?trace:!trace_sink
               ?faults:(make_faults ~seed:(seed + n))
-              ~n backend (mk_wl (seed * 3)))
+              ~n backend (W.Gen.create spec))
           [
             Dpq_types.Types.Skeap { num_prios = 4 };
             Dpq_types.Types.Seap;

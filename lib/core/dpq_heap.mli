@@ -150,15 +150,22 @@ val remove_last_node : t -> churn_cost
 (** Remove node [n-1]; same contract as {!add_node}. *)
 
 val verify : t -> (unit, string) Stdlib.result
-(** Check the whole run so far against the backend's contract:
-    serializability for Seap, sequential consistency for the rest (both
-    imply heap consistency). *)
+(** Check the whole run so far against {!contract} for the heap's backend
+    and scheduler (both contracts imply heap consistency). *)
 
 val oplog : t -> Dpq_semantics.Oplog.t
 
 val take_oplog : t -> Dpq_semantics.Oplog.record list
 (** {!Dpq_types.Clients.S.take_log}.  Mixing {!take_oplog} with end-of-run
     {!oplog}/{!verify} sees only the un-drained suffix. *)
+
+val contract : sched:Dpq_simrt.Sched.policy -> backend -> Dpq_semantics.Checker.Online.contract
+(** The contract a run of [backend] under scheduler policy [sched] is held
+    to: sequential consistency for Skeap and serializability for Seap,
+    always; sequential consistency for the baselines under [Fifo], and
+    serializability under any perturbing policy, since they keep local
+    consistency only with FIFO delivery.  {!verify}, {!online_checker} and
+    the exploration harness all use it. *)
 
 val online_checker : t -> Dpq_semantics.Checker.Online.t
 (** Fresh online checker for the contract {!verify} holds this backend

@@ -34,22 +34,6 @@ type outcome = { digest : string; violation : Checker.violation option; ops : in
    another. *)
 let sub_seed seed name = Rng.bits (Rng.named ~seed name)
 
-(* Which contract a run is held to.  Skeap claims sequential consistency
-   under arbitrary reordering (Theorem 3.2) and Seap serializability
-   (Theorem 5.1) — always.  The baselines serialize at a single point but
-   only promise local consistency under FIFO delivery (see the
-   "baselines need FIFO release" regression in test_faults): under a
-   perturbing scheduler they are held to serializability instead. *)
-let explain ~sched backend log =
-  let contract =
-    match backend with
-    | Types.Seap -> Checker.Online.Seap_contract
-    | Types.Skeap _ -> Checker.Online.Skeap_contract
-    | Types.Centralized | Types.Unbatched _ ->
-        if sched = Sched.Fifo then Checker.Online.Skeap_contract else Checker.Online.Seap_contract
-  in
-  Checker.explain contract log
-
 let run cfg =
   (match (cfg.backend, cfg.engine) with
   | (Types.Centralized | Types.Unbatched _), Async _ ->
@@ -91,7 +75,9 @@ let run cfg =
   let log = Oplog.of_list (List.rev !chunks) in
   let log = match cfg.corrupt with None -> log | Some c -> Corrupt.apply c log in
   let violation =
-    match explain ~sched:cfg.sched cfg.backend log with Ok () -> None | Error v -> Some v
+    match Checker.explain (Dpq.Dpq_heap.contract ~sched:cfg.sched cfg.backend) log with
+    | Ok () -> None
+    | Error v -> Some v
   in
   { digest = Run_digest.of_run ~oplog:log ~trace; violation; ops = Oplog.length log }
 

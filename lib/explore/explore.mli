@@ -63,12 +63,11 @@ val run : config -> outcome
     configs produce equal outcomes (including the digest).  Raises
     [Invalid_argument] for a baseline backend with an [Async] engine.
 
-    Contracts: Skeap is always held to sequential consistency and Seap to
-    serializability (their adversarial guarantees).  The baselines promise
-    local consistency only under FIFO delivery, so under a perturbing
-    scheduler they are checked for serializability instead — reordering a
-    node's in-flight requests to the coordinator legitimately breaks their
-    per-node order. *)
+    The run is checked against {!Dpq.Dpq_heap.contract} for its backend
+    and scheduler policy, the contract {!Dpq_workloads.Runner}'s online
+    checker uses too: under a perturbing scheduler the baselines are held
+    to serializability, since reordering a node's in-flight requests to the
+    coordinator legitimately breaks their per-node order. *)
 
 (** {2 Sweeps} *)
 

@@ -73,7 +73,7 @@ module Online : sig
   type contract =
     | Skeap_contract
         (** Theorem 3.2: well-formedness, heap replay, local consistency —
-            also the contract for the baselines. *)
+            also the baselines' contract under FIFO delivery. *)
     | Seap_contract  (** Theorem 5.1: as above minus local consistency. *)
 
   val create : contract -> t

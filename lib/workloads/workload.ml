@@ -10,32 +10,6 @@ type prio_dist =
   | Constant_set of int
   | Increasing
 
-let increasing_counter = ref 0
-
-let sample_prio rng = function
-  | Uniform (lo, hi) -> Rng.int_in rng lo hi
-  | Zipf { s; n } -> Rng.zipf rng ~s ~n
-  | Constant_set c -> Rng.int_in rng 1 c
-  | Increasing ->
-      incr increasing_counter;
-      !increasing_counter
-
-(* One round of the λ-injection model.  Kept as the single definition both
-   the eager [generate] and the streaming [Gen] build on, so the two paths
-   consume the rng in exactly the same order and produce identical rounds
-   from identical generator state. *)
-let gen_round ~rng ~n ~lambda ~insert_ratio ~prio =
-  List.concat_map
-    (fun node ->
-      List.init lambda (fun _ ->
-          if Rng.bernoulli rng ~p:insert_ratio then
-            { node; action = `Ins (sample_prio rng prio) }
-          else { node; action = `Del }))
-    (List.init n (fun v -> v))
-
-let generate ~rng ~n ~rounds ~lambda ?(insert_ratio = 0.5) ~prio () =
-  List.init rounds (fun _ -> gen_round ~rng ~n ~lambda ~insert_ratio ~prio)
-
 (* ----------------------------------------------------- open-loop arrivals *)
 
 type arrival =
@@ -56,20 +30,6 @@ let arrival_rate arrival ~tick =
       +. (peak -. base)
          *. (1.0 -. cos (2.0 *. pi *. float_of_int (tick mod period) /. float_of_int period))
          /. 2.0
-
-(* One tick of an open-loop arrival process: each node's op count is drawn
-   Poisson(λ(tick)) instead of being exactly [lambda].  The per-op draws are
-   the same two the closed-loop [gen_round] makes, in the same order. *)
-let gen_round_open ~rng ~n ~arrival ~tick ~insert_ratio ~prio =
-  let rate = arrival_rate arrival ~tick in
-  List.concat_map
-    (fun node ->
-      let k = Rng.poisson rng ~mean:rate in
-      List.init k (fun _ ->
-          if Rng.bernoulli rng ~p:insert_ratio then
-            { node; action = `Ins (sample_prio rng prio) }
-          else { node; action = `Del }))
-    (List.init n (fun v -> v))
 
 let arrival_to_string = function
   | Closed -> "closed"
@@ -142,10 +102,14 @@ module Gen = struct
 
   (* The rng is the same named stream the exploration harness draws its
      workloads from, so a [gen:] line in a repro file reproduces the sweep's
-     workload bit for bit. *)
-  type t = { spec : spec; rng : Rng.t; mutable produced : int }
+     workload bit for bit.  [increasing] is the last priority an
+     [Increasing] distribution handed out; it lives here, not in a global,
+     so one spec materializes the same way every time. *)
+  type t = { spec : spec; rng : Rng.t; mutable produced : int; mutable increasing : int }
 
-  let create spec = { spec; rng = Rng.named ~seed:spec.seed "workload"; produced = 0 }
+  let create spec =
+    { spec; rng = Rng.named ~seed:spec.seed "workload"; produced = 0; increasing = 0 }
+
   let spec t = t.spec
   let produced t = t.produced
 
@@ -160,28 +124,41 @@ module Gen = struct
         done;
         int_of_float (Float.round (float_of_int spec.n *. !mean))
 
+  let sample_prio t =
+    match t.spec.dist with
+    | Uniform (lo, hi) -> Rng.int_in t.rng lo hi
+    | Zipf { s; n } -> Rng.zipf t.rng ~s ~n
+    | Constant_set c -> Rng.int_in t.rng 1 c
+    | Increasing ->
+        t.increasing <- t.increasing + 1;
+        t.increasing
+
+  (* One tick of the λ-injection model, node by node: the node's op count
+     (exactly λ closed-loop, Poisson(λ(tick)) under an open-loop arrival),
+     then for each op an insert coin and, for an insert, its priority. *)
+  let round t ~tick =
+    let s = t.spec in
+    let count =
+      match s.arrival with
+      | Closed -> fun () -> s.lambda
+      | arrival ->
+          let rate = arrival_rate arrival ~tick in
+          fun () -> Rng.poisson t.rng ~mean:rate
+    in
+    List.concat_map
+      (fun node ->
+        List.init (count ()) (fun _ ->
+            if Rng.bernoulli t.rng ~p:s.insert_ratio then { node; action = `Ins (sample_prio t) }
+            else { node; action = `Del }))
+      (List.init s.n (fun v -> v))
+
   let next t =
     if t.produced >= t.spec.rounds then None
     else begin
       let tick = t.produced in
-      t.produced <- t.produced + 1;
-      Some
-        (match t.spec.arrival with
-        | Closed ->
-            gen_round ~rng:t.rng ~n:t.spec.n ~lambda:t.spec.lambda
-              ~insert_ratio:t.spec.insert_ratio ~prio:t.spec.dist
-        | arrival ->
-            gen_round_open ~rng:t.rng ~n:t.spec.n ~arrival ~tick
-              ~insert_ratio:t.spec.insert_ratio ~prio:t.spec.dist)
+      t.produced <- tick + 1;
+      Some (round t ~tick)
     end
-
-  let iter f t =
-    let rec go () = match next t with None -> () | Some r -> f r; go () in
-    go ()
-
-  let fold f acc t =
-    let rec go acc = match next t with None -> acc | Some r -> go (f acc r) in
-    go acc
 
   (* The [arrival=] key is emitted only for open-loop specs, so every spec
      string (and [gen:] repro line) written before arrivals existed parses
@@ -236,40 +213,8 @@ end
 
 let of_gen spec =
   let g = Gen.create spec in
-  List.rev (Gen.fold (fun acc r -> r :: acc) [] g)
-
-let sorting_workload ~rng ~n ~m ~prio =
-  let insert_round =
-    List.init m (fun i -> { node = i mod n; action = `Ins (sample_prio rng prio) })
-  in
-  let delete_rounds =
-    let full, rest = (m / n, m mod n) in
-    let mk count = List.init count (fun i -> { node = i mod n; action = `Del }) in
-    List.init full (fun _ -> mk n) @ if rest > 0 then [ mk rest ] else []
-  in
-  insert_round :: delete_rounds
-
-let producer_consumer ~rng ~n ~rounds ~rate ~prio =
-  let split = max 1 (n / 2) in
-  List.init rounds (fun _ ->
-      List.concat_map
-        (fun node ->
-          List.init rate (fun _ ->
-              if node < split then { node; action = `Ins (sample_prio rng prio) }
-              else { node; action = `Del }))
-        (List.init n (fun v -> v)))
-
-let burst ~rng ~n ~quiet_rounds ~burst_size ~prio =
-  let quiet =
-    List.init quiet_rounds (fun _ ->
-        [ { node = Rng.int rng n; action = `Ins (sample_prio rng prio) } ])
-  in
-  let boom =
-    List.init burst_size (fun i ->
-        if i mod 2 = 0 then { node = i mod n; action = `Ins (sample_prio rng prio) }
-        else { node = i mod n; action = `Del })
-  in
-  quiet @ [ boom ]
+  let rec go acc = match Gen.next g with None -> List.rev acc | Some r -> go (r :: acc) in
+  go []
 
 (* ---------------------------------------------------------- serialization *)
 
@@ -373,12 +318,3 @@ let shrink_candidates t =
   drop_rounds @ halve_rounds @ drop_ops
 
 let total_ops t = List.fold_left (fun acc r -> acc + List.length r) 0 t
-let num_rounds = List.length
-
-let inserts t =
-  List.fold_left
-    (fun acc r ->
-      acc + List.length (List.filter (fun o -> match o.action with `Ins _ -> true | _ -> false) r))
-    0 t
-
-let deletes t = total_ops t - inserts t

@@ -2,7 +2,7 @@
 
     A workload is a sequence of {e rounds}; in each round every node injects
     up to λ(v) operations (the paper's injection-rate model, §1.1), then the
-    protocol under test processes one batch/round.  Generators control the
+    protocol under test processes one batch/round.  The generator controls the
     per-node rate, the insert/delete mix and the priority distribution. *)
 
 type op = { node : int; action : [ `Ins of int | `Del ] }
@@ -16,21 +16,6 @@ type prio_dist =
   | Zipf of { s : float; n : int }  (** skewed toward rank 1 *)
   | Constant_set of int  (** uniform over [{1..c}] — Skeap's regime *)
   | Increasing  (** monotonically increasing — pathological for pruning *)
-
-val sample_prio : Dpq_util.Rng.t -> prio_dist -> int
-
-val generate :
-  rng:Dpq_util.Rng.t ->
-  n:int ->
-  rounds:int ->
-  lambda:int ->
-  ?insert_ratio:float ->
-  prio:prio_dist ->
-  unit ->
-  t
-(** [generate ~rng ~n ~rounds ~lambda ~prio ()] draws [lambda] operations
-    per node per round, each an insert with probability [insert_ratio]
-    (default 0.5). *)
 
 (** {2 Open-loop arrival processes}
 
@@ -57,16 +42,14 @@ val arrival_to_string : arrival -> string
 
 val arrival_of_string : string -> (arrival, string) result
 
-(** {2 Streaming generation}
+(** {2 Generation}
 
-    The scale frontier (n = 4096..65536, 10⁶+ ops) cannot afford a
-    materialized [round list]: a {!Gen.t} produces rounds on demand from a
-    serializable {!Gen.spec}, so the runner and benches hold one round at a
-    time.  A spec names the same RNG stream the exploration harness draws
-    workloads from ([Rng.named ~seed "workload"]), so materializing a spec
-    with {!of_gen} is bit-identical to the eager {!generate} call on that
-    stream — the eager path survives as a thin materialization for
-    explore/shrink. *)
+    {!Gen} is the only generator.  A {!Gen.t} produces rounds on demand from
+    a serializable {!Gen.spec}, so the runner and benches hold one round at
+    a time even at n = 4096..65536 with 10⁶+ ops.  A spec names the same RNG
+    stream the exploration harness draws workloads from
+    ([Rng.named ~seed "workload"]); {!of_gen} materializes it for
+    exploration, shrinking and repro files. *)
 
 module Gen : sig
   type spec = {
@@ -98,9 +81,6 @@ module Gen : sig
   val next : t -> round option
   (** The next round, or [None] after [spec.rounds] rounds. *)
 
-  val iter : (round -> unit) -> t -> unit
-  val fold : ('a -> round -> 'a) -> 'a -> t -> 'a
-
   val spec_to_string : spec -> string
   (** Single-line [k=v] form, e.g.
       [n=4096 rounds=256 lambda=1 ratio=0.5 dist=const:4 seed=3]; round-trips
@@ -113,25 +93,10 @@ module Gen : sig
 end
 
 val of_gen : Gen.spec -> t
-(** Materialize a spec eagerly.  [of_gen spec] equals
-    [generate ~rng:(Dpq_util.Rng.named ~seed:spec.seed "workload") ...] with
-    the spec's parameters. *)
-
-val sorting_workload : rng:Dpq_util.Rng.t -> n:int -> m:int -> prio:prio_dist -> t
-(** Distributed sorting (§1's application): one round inserting [m] random
-    elements spread over the nodes, then rounds of n deletes each until all
-    [m] are drained — the outputs come back in sorted order. *)
-
-val producer_consumer : rng:Dpq_util.Rng.t -> n:int -> rounds:int -> rate:int -> prio:prio_dist -> t
-(** Half the nodes insert (producers), half delete (consumers). *)
-
-val burst : rng:Dpq_util.Rng.t -> n:int -> quiet_rounds:int -> burst_size:int -> prio:prio_dist -> t
-(** Mostly-idle rounds with one huge burst — exercises Λ spikes. *)
+(** Materialize a spec eagerly.  The result depends on the spec alone:
+    [of_gen spec = of_gen spec] for every distribution. *)
 
 val total_ops : t -> int
-val num_rounds : t -> int
-val inserts : t -> int
-val deletes : t -> int
 
 (** {2 Serialization}
 

@@ -106,7 +106,7 @@ let test_bench_rejects_bad_values () =
       ([ "--compare"; "--msg-tolerance"; "0.25" ], "bench: --compare does not take \"--msg-tolerance\"");
       ([ "--compare"; "--max-n"; "x" ], "bench: --max-n expects a positive integer, got \"x\"");
       ([ "--record"; "--faults"; "garbage" ], "bench: --faults expects ");
-      ([ "--record-open"; "--faults"; "drop=2" ], "bench: --faults expects ");
+      ([ "--record"; "--faults"; "drop=2" ], "bench: --faults expects ");
       ([ "--compare"; "--faults"; "drop=0.1" ], "bench: --compare does not take \"--faults\"");
       ([ "--compare"; "--max-n" ], "bench: --max-n needs a value");
       ([], "bench: no mode given");

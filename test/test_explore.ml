@@ -379,6 +379,34 @@ let test_workload_roundtrip () =
   let wl = E.gen_workload ~seed:31 ~n:4 ~rounds:3 ~lambda:2 Types.Seap in
   checkb "workload round-trips" true (W.of_string (W.to_string wl) = Ok wl)
 
+(* Runner's online checker and Explore's batch check take the contract
+   from one place, so they agree on every run.  They once disagreed on the
+   baselines under a perturbing scheduler: Explore held them to
+   serializability while Runner still demanded local consistency, and
+   flagged every one of these runs. *)
+let test_runner_explore_agree () =
+  List.iter
+    (fun (backend, sched) ->
+      for seed = 1 to 8 do
+        let cfg = base_config ~backend ~sched ~seed () in
+        let s =
+          Dpq_workloads.Runner.run ~seed ~sched:(Sched.create ~seed sched) ~n:cfg.E.n backend
+            cfg.E.workload
+        in
+        let verdict v = Option.fold ~none:"none" ~some:Checker.violation_to_string v in
+        checks
+          (Printf.sprintf "%s %s seed %d" (Heap.backend_name backend)
+             (Sched.policy_to_string sched) seed)
+          (verdict (E.run cfg).E.violation)
+          (verdict s.Dpq_workloads.Runner.violation)
+      done)
+    [
+      (Types.Centralized, Sched.Shuffle { burst = 4; starvation = 0.3 });
+      (Types.Unbatched { num_prios = 4 }, Sched.Shuffle { burst = 4; starvation = 0.3 });
+      (Types.Centralized, Sched.Crossing_pairs);
+      (Types.Unbatched { num_prios = 4 }, Sched.Crossing_pairs);
+    ]
+
 let () =
   Alcotest.run "dpq_explore"
     [
@@ -418,5 +446,7 @@ let () =
             test_seap_lifo_drop_serializability;
           Alcotest.test_case "spec round-trips" `Quick test_spec_roundtrips;
           Alcotest.test_case "workload round-trip" `Quick test_workload_roundtrip;
+          Alcotest.test_case "runner and explore agree on the contract" `Quick
+            test_runner_explore_agree;
         ] );
     ]

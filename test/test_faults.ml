@@ -635,14 +635,24 @@ let test_plan_error_messages () =
    with the same online-checker verdict as the fault-free run. *)
 let test_kill_verdict_matches_fault_free backend () =
   let n = 6 and seed = 97 in
-  let wl =
-    Dpq_workloads.Workload.generate
-      ~rng:(Dpq_util.Rng.create ~seed:31)
-      ~n ~rounds:8 ~lambda:5 ~prio:(Dpq_workloads.Workload.Constant_set 6) ()
+  let module W = Dpq_workloads.Workload in
+  let spec =
+    W.Gen.
+      {
+        n;
+        rounds = 8;
+        lambda = 5;
+        insert_ratio = 0.5;
+        dist = W.Constant_set 6;
+        seed = 31;
+        arrival = W.Closed;
+      }
   in
-  let clean = Dpq_workloads.Runner.run ~seed ~replication:3 ~n backend wl in
-  let faults = Fault_plan.of_string ~seed:7 "kill=2@25" in
-  let killed = Dpq_workloads.Runner.run ~seed ~replication:3 ~faults ~n backend wl in
+  let run ?faults () =
+    Dpq_workloads.Runner.run_gen ~seed ~replication:3 ?faults ~n backend (W.Gen.create spec)
+  in
+  let clean = run () in
+  let killed = run ~faults:(Fault_plan.of_string ~seed:7 "kill=2@25") () in
   checkb "fault-free run verifies" true clean.Dpq_workloads.Runner.semantics_ok;
   checkb "killed run verifies" true killed.Dpq_workloads.Runner.semantics_ok;
   checkb "identical verdicts" true

@@ -286,9 +286,6 @@ let test_gen_spec_arrival_roundtrip =
    small eager cell exactly as bench's traced pass does and compares against
    the recorded digest — the tier-1 guard behind the CI bench-smoke gate. *)
 
-module Heap = Dpq.Dpq_heap
-module Rng = Dpq_util.Rng
-
 (* Minimal flat-JSONL field extractor for the grid rows (quoted strings and
    bare scalars only — exactly what bench emits). *)
 let json_field line key =
@@ -328,7 +325,7 @@ let test_recorded_digests_unchanged () =
   List.iter
     (fun line ->
       let get key = json_field line key in
-      let mode = Option.value (get "mode") ~default:"eager" in
+      let mode = Option.get (get "mode") in
       let n = int_of_string (Option.get (get "n")) in
       let faults = Option.value (get "faults") ~default:"" in
       (* Stream/open cells are replayed by bench --compare; here we only
@@ -343,29 +340,29 @@ let test_recorded_digests_unchanged () =
           | s -> Alcotest.failf "unknown backend %S in BENCH_grid.jsonl" s
         in
         let lambda = int_of_string (Option.get (get "lambda")) in
-        let wl_rounds =
-          match get "wl_rounds" with Some v -> int_of_string v | None -> 4
-        in
+        let wl_rounds = int_of_string (Option.get (get "wl_rounds")) in
         let recorded = Option.get (get "digest") in
-        (* Exactly bench run_cell's traced pass: seed-1 heap, seed-3
-           workload, constant priority set, digest over oplog + trace. *)
-        let wl =
-          W.generate ~rng:(Rng.create ~seed:3) ~n ~rounds:wl_rounds ~lambda
-            ~prio:(W.Constant_set 4) ()
+        (* Exactly bench's eager pass: seed-1 heap, seed-3 generator,
+           constant priority set, digest over oplog + trace. *)
+        let spec =
+          W.Gen.
+            {
+              n;
+              rounds = wl_rounds;
+              lambda;
+              insert_ratio = 0.5;
+              dist = W.Constant_set 4;
+              seed = 3;
+              arrival = W.Closed;
+            }
         in
         let trace = Trace.create () in
-        let h = Heap.create ~seed:1 ~trace ~n backend in
-        List.iter
-          (fun round ->
-            List.iter
-              (fun (op : W.op) ->
-                match op.W.action with
-                | `Ins p -> ignore (Heap.insert h ~node:op.W.node ~prio:p)
-                | `Del -> Heap.delete_min h ~node:op.W.node)
-              round;
-            ignore (Heap.process h : Heap.result))
-          wl;
-        let digest = Run_digest.of_run ~oplog:(Heap.oplog h) ~trace in
+        let acc = Run_digest.start () in
+        ignore
+          (R.run_gen ~seed:1 ~trace ~sink:(Run_digest.feed_records acc) ~n backend
+             (W.Gen.create spec)
+            : R.summary);
+        let digest = Run_digest.finish ~trace acc in
         checks
           (Printf.sprintf "digest of %s n=%d lambda=%d" (T.backend_name backend) n lambda)
           recorded digest;

@@ -1,75 +1,8 @@
 module W = Dpq_workloads.Workload
 module R = Dpq_workloads.Runner
-module Rng = Dpq_util.Rng
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
-
-(* ------------------------------------------------------------ Workload *)
-
-let test_generate_counts () =
-  let wl = W.generate ~rng:(Rng.create ~seed:1) ~n:8 ~rounds:5 ~lambda:3 ~prio:(W.Constant_set 4) () in
-  checki "rounds" 5 (W.num_rounds wl);
-  checki "ops" (8 * 5 * 3) (W.total_ops wl);
-  checki "split" (W.total_ops wl) (W.inserts wl + W.deletes wl);
-  List.iter
-    (fun round ->
-      List.iter
-        (fun (op : W.op) ->
-          checkb "node in range" true (op.W.node >= 0 && op.W.node < 8);
-          match op.W.action with
-          | `Ins p -> checkb "prio in constant set" true (p >= 1 && p <= 4)
-          | `Del -> ())
-        round)
-    wl
-
-let test_generate_insert_ratio () =
-  let wl =
-    W.generate ~rng:(Rng.create ~seed:2) ~n:16 ~rounds:10 ~lambda:4 ~insert_ratio:1.0
-      ~prio:(W.Uniform (1, 100)) ()
-  in
-  checki "all inserts" (W.total_ops wl) (W.inserts wl);
-  let wl0 =
-    W.generate ~rng:(Rng.create ~seed:2) ~n:16 ~rounds:10 ~lambda:4 ~insert_ratio:0.0
-      ~prio:(W.Uniform (1, 100)) ()
-  in
-  checki "all deletes" (W.total_ops wl0) (W.deletes wl0)
-
-let test_prio_distributions () =
-  let rng = Rng.create ~seed:3 in
-  for _ = 1 to 200 do
-    let u = W.sample_prio rng (W.Uniform (10, 20)) in
-    checkb "uniform in range" true (u >= 10 && u <= 20);
-    let z = W.sample_prio rng (W.Zipf { s = 1.2; n = 30 }) in
-    checkb "zipf in range" true (z >= 1 && z <= 30);
-    let c = W.sample_prio rng (W.Constant_set 3) in
-    checkb "constant set" true (c >= 1 && c <= 3)
-  done;
-  let a = W.sample_prio rng W.Increasing in
-  let b = W.sample_prio rng W.Increasing in
-  checkb "increasing" true (b > a)
-
-let test_sorting_workload_shape () =
-  let wl = W.sorting_workload ~rng:(Rng.create ~seed:4) ~n:4 ~m:10 ~prio:(W.Uniform (1, 1000)) in
-  checki "inserts" 10 (W.inserts wl);
-  checki "deletes" 10 (W.deletes wl);
-  (* first round is all inserts *)
-  checkb "first round inserts" true
-    (List.for_all (fun (o : W.op) -> match o.W.action with `Ins _ -> true | _ -> false) (List.hd wl))
-
-let test_producer_consumer () =
-  let wl = W.producer_consumer ~rng:(Rng.create ~seed:5) ~n:8 ~rounds:3 ~rate:2 ~prio:(W.Constant_set 2) in
-  List.iter
-    (List.iter (fun (o : W.op) ->
-         match o.W.action with
-         | `Ins _ -> checkb "producers are the low nodes" true (o.W.node < 4)
-         | `Del -> checkb "consumers are the high nodes" true (o.W.node >= 4)))
-    wl
-
-let test_burst () =
-  let wl = W.burst ~rng:(Rng.create ~seed:6) ~n:4 ~quiet_rounds:5 ~burst_size:40 ~prio:(W.Constant_set 2) in
-  checki "rounds" 6 (W.num_rounds wl);
-  checki "last round is the burst" 40 (List.length (List.nth wl 5))
 
 (* ----------------------------------------------------------------- Gen *)
 
@@ -85,16 +18,71 @@ let gen_spec : W.Gen.spec =
       arrival = W.Closed;
     }
 
-let test_gen_matches_eager () =
-  (* The streaming generator draws from the same named RNG stream as the
-     sweep's eager path, so materializing it must be bit-for-bit the
-     workload [generate] builds. *)
-  let eager =
-    W.generate
-      ~rng:(Rng.named ~seed:11 "workload")
-      ~n:6 ~rounds:4 ~lambda:3 ~insert_ratio:0.5 ~prio:(W.Constant_set 4) ()
+let inserts wl =
+  List.fold_left
+    (List.fold_left (fun acc (o : W.op) ->
+         match o.W.action with `Ins _ -> acc + 1 | `Del -> acc))
+    0 wl
+
+let test_generate_counts () =
+  let wl = W.of_gen { gen_spec with W.Gen.n = 8; rounds = 5; seed = 1 } in
+  checki "rounds" 5 (List.length wl);
+  checki "ops" (8 * 5 * 3) (W.total_ops wl);
+  List.iter
+    (fun round ->
+      List.iter
+        (fun (op : W.op) ->
+          checkb "node in range" true (op.W.node >= 0 && op.W.node < 8);
+          match op.W.action with
+          | `Ins p -> checkb "prio in constant set" true (p >= 1 && p <= 4)
+          | `Del -> ())
+        round)
+    wl
+
+let test_generate_insert_ratio () =
+  let wl insert_ratio =
+    W.of_gen
+      { gen_spec with W.Gen.n = 16; rounds = 10; lambda = 4; insert_ratio; dist = W.Uniform (1, 100) }
   in
-  checkb "of_gen = generate" true (W.of_gen gen_spec = eager)
+  checki "all inserts" (W.total_ops (wl 1.0)) (inserts (wl 1.0));
+  checki "all deletes" 0 (inserts (wl 0.0))
+
+let prios wl =
+  List.concat_map
+    (List.filter_map (fun (o : W.op) -> match o.W.action with `Ins p -> Some p | `Del -> None))
+    wl
+
+let test_prio_distributions () =
+  let draw dist = prios (W.of_gen { gen_spec with W.Gen.rounds = 20; insert_ratio = 1.0; dist }) in
+  List.iter
+    (fun (name, dist, lo, hi) ->
+      List.iter
+        (fun p -> checkb (Printf.sprintf "%s in [%d,%d]" name lo hi) true (p >= lo && p <= hi))
+        (draw dist))
+    [
+      ("uniform", W.Uniform (10, 20), 10, 20);
+      ("zipf", W.Zipf { s = 1.2; n = 30 }, 1, 30);
+      ("constant set", W.Constant_set 3, 1, 3);
+    ];
+  let rec increasing = function a :: (b :: _ as rest) -> a < b && increasing rest | _ -> true in
+  checkb "increasing" true (increasing (draw W.Increasing))
+
+(* A spec alone decides the workload: materializing it twice gives the
+   same rounds for every distribution.  [Increasing] once drew from a
+   process-wide counter, so its second materialization continued where
+   the first stopped and a [gen:] repro line did not replay. *)
+let test_of_gen_reproducible () =
+  List.iter
+    (fun dist ->
+      let spec = { gen_spec with W.Gen.dist } in
+      checkb
+        (Printf.sprintf "dist=%s" (W.Gen.spec_to_string spec))
+        true
+        (W.of_gen spec = W.of_gen spec))
+    [ W.Constant_set 4; W.Uniform (3, 17); W.Zipf { s = 1.2; n = 100 }; W.Increasing ];
+  match W.of_string "gen: n=2 rounds=2 lambda=2 ratio=1 dist=increasing seed=1" with
+  | Error e -> Alcotest.fail e
+  | Ok wl -> checkb "first priority is 1" true (List.hd (prios wl) = 1)
 
 let test_gen_next_exhaustion () =
   let g = W.Gen.create gen_spec in
@@ -187,7 +175,7 @@ let test_gen_rejects_bad_ratio () =
 module T = Dpq_types.Types
 
 let small_wl seed n =
-  W.generate ~rng:(Rng.create ~seed) ~n ~rounds:2 ~lambda:2 ~prio:(W.Constant_set 3) ()
+  W.of_gen { gen_spec with W.Gen.n; rounds = 2; lambda = 2; dist = W.Constant_set 3; seed }
 
 let test_runner_skeap () =
   let s = R.run ~n:8 (T.Skeap { num_prios = 3 }) (small_wl 7 8) in
@@ -291,13 +279,10 @@ let () =
           Alcotest.test_case "generate counts" `Quick test_generate_counts;
           Alcotest.test_case "insert ratio" `Quick test_generate_insert_ratio;
           Alcotest.test_case "prio distributions" `Quick test_prio_distributions;
-          Alcotest.test_case "sorting workload" `Quick test_sorting_workload_shape;
-          Alcotest.test_case "producer consumer" `Quick test_producer_consumer;
-          Alcotest.test_case "burst" `Quick test_burst;
         ] );
       ( "gen",
         [
-          Alcotest.test_case "matches eager generate" `Quick test_gen_matches_eager;
+          Alcotest.test_case "of_gen is reproducible" `Quick test_of_gen_reproducible;
           Alcotest.test_case "next / exhaustion" `Quick test_gen_next_exhaustion;
           Alcotest.test_case "spec round-trip" `Quick test_gen_spec_roundtrip;
           Alcotest.test_case "gen: workload line" `Quick test_gen_workload_of_string;
