@@ -5,6 +5,24 @@ module Phase = Dpq_aggtree.Phase
 module Element = Dpq_util.Element
 module Bitsize = Dpq_util.Bitsize
 
+type op =
+  | Put of { origin : int; key : int; elt : Element.t; confirm : bool }
+  | Get of { origin : int; key : int }
+
+type completion =
+  | Put_confirmed of { origin : int; key : int }
+  | Got of { origin : int; key : int; elt : Element.t }
+
+(* The synchronous engine every batch runs on, with the arguments it was
+   built with; [sync_send] is its send, built once with it. *)
+type engine = {
+  eng : int Sync.t;
+  etrace : Dpq_obs.Trace.t option;
+  efaults : Dpq_simrt.Fault_plan.t option;
+  esched : Dpq_simrt.Sched.t option;
+  sync_send : src:int -> dst:int -> int -> unit;
+}
+
 type t = {
   mutable ldb : Ldb.t;
   mutable header_bits : int; (* routing header for the current n, cached *)
@@ -12,8 +30,8 @@ type t = {
   k : int; (* replication degree; 1 = no replication *)
   (* Replica r's copy of the key space: replica 0 is the primary copy every
      rendezvous decision is made on; copies r >= 1 are maintained by the
-     primary with P_bset/P_brm/P_bpark/P_bunpark messages and only read by
-     anti-entropy repair. *)
+     primary with backup-kind messages and only read by anti-entropy
+     repair. *)
   stores : (int, Element.t Queue.t) Hashtbl.t array; (* key -> stored elements *)
   parkeds : (int, int Queue.t) Hashtbl.t array; (* key -> waiting requesters *)
   (* Transient tombstones: a backup removal that overtook its matching
@@ -21,12 +39,34 @@ type t = {
      Provably empty whenever a batch has quiesced. *)
   neg_elts : (int, Element.t list ref) Hashtbl.t array;
   neg_parks : (int, int list ref) Hashtbl.t array;
+  (* Replica placement scratch: points and owners of replicas 0 .. k-1. *)
+  rpoints : float array;
+  rowners : int array;
+  (* The in-flight batch.  Route [rid]'s visited-vnode path is
+     [arena.(r_start.(rid)) ..] of length [r_len.(rid)]; its payload is one
+     entry of each column.  Every route of a batch shares them; they grow
+     geometrically during the batch and are dropped at its end. *)
+  mutable arena : Ldb.path_buf;
+  mutable nroutes : int;
+  mutable r_start : int array;
+  mutable r_len : int array;
+  mutable r_bits : int array; (* payload bits, computed at launch *)
+  mutable r_kind : int array;
+  mutable r_origin : int array;
+  mutable r_key : int array;
+  mutable r_elt : Element.t array;
+  mutable r_rep : int array; (* replica index of a backup message *)
+  mutable completions : completion list; (* newest first *)
+  mutable engine : engine option;
 }
 
 let compute_header_bits ldb =
   (* target point (≈ 2 log n bits at the needed resolution) + hop counter *)
   let n = max 2 (Ldb.n ldb) in
   (2 * Bitsize.log2_ceil n) + Bitsize.log2_ceil n
+
+(* Filler for the element column and "no element" from [store_pop]. *)
+let no_elt = Element.make ~prio:0 ~origin:(-1) ~seq:(-1) ()
 
 let create ?(k = 1) ~ldb ~seed () =
   if k < 1 then invalid_arg "Dht.create: replication degree must be >= 1";
@@ -39,11 +79,25 @@ let create ?(k = 1) ~ldb ~seed () =
     parkeds = Array.init k (fun _ -> Hashtbl.create 16);
     neg_elts = Array.init k (fun _ -> Hashtbl.create 4);
     neg_parks = Array.init k (fun _ -> Hashtbl.create 4);
+    rpoints = Array.make k 0.0;
+    rowners = Array.make k 0;
+    arena = Ldb.path_buf ();
+    nroutes = 0;
+    r_start = [||];
+    r_len = [||];
+    r_bits = [||];
+    r_kind = [||];
+    r_origin = [||];
+    r_key = [||];
+    r_elt = [||];
+    r_rep = [||];
+    completions = [];
+    engine = None;
   }
 
 let ldb t = t.ldb
 let replication t = t.k
-let key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
+let[@inline] key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
 
 (* Successor points: replica r of a key starts at h(x) + r/k (mod 1), then
    walks forward one managed arc at a time past every node that already
@@ -56,113 +110,150 @@ let key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
    is recomputed against the current overlay on every use, so copies
    re-spread automatically after a kill re-homes the circle.  Replica 0 is
    exactly the unreplicated placement, so k = 1 runs are bit-identical to
-   the historical behavior.  [replica_points t r key] places replicas
-   0..r in order, each walk checking the owners of the ones before it. *)
-let replica_points t r key =
-  let owner_at p = Ldb.owner (Ldb.manager_of_point t.ldb p) in
-  let points = Array.make (r + 1) (key_point t key) in
-  let owners = Array.make (r + 1) (owner_at points.(0)) in
+   the historical behavior.  [place_replicas t r key] places replicas
+   0..r in order into [t.rpoints] and [t.rowners], each walk checking the
+   owners of the ones before it.  It builds no array or closure (only the
+   floats it passes into [Ldb] are boxed), and the next call overwrites
+   the result. *)
+let owner_used t r o =
+  let used = ref false in
+  for j = 0 to r - 1 do
+    if t.rowners.(j) = o then used := true
+  done;
+  !used
+
+let place_replicas t r key =
+  let p0 = key_point t key in
+  t.rpoints.(0) <- p0;
+  t.rowners.(0) <- Ldb.owner (Ldb.manager_of_point t.ldb p0);
   for r' = 1 to r do
-    let p = points.(0) +. (float_of_int r' /. float_of_int t.k) in
-    let p = if p >= 1.0 then p -. 1.0 else p in
-    let used o =
-      let rec scan j = j < r' && (owners.(j) = o || scan (j + 1)) in
-      scan 0
-    in
+    let p = p0 +. (float_of_int r' /. float_of_int t.k) in
+    let p = ref (if p >= 1.0 then p -. 1.0 else p) in
+    let m = ref (Ldb.manager_of_point t.ldb !p) in
     (* Cap the walk at one full lap: with fewer live nodes than replicas a
        fresh owner does not exist, and the base point is the honest answer. *)
-    let rec walk p steps =
-      let m = Ldb.manager_of_point t.ldb p in
-      if steps > 3 * Ldb.n t.ldb || not (used (Ldb.owner m)) then p
-      else walk (Ldb.label t.ldb (Ldb.succ t.ldb m)) (steps + 1)
-    in
-    points.(r') <- walk p 0;
-    owners.(r') <- owner_at points.(r')
-  done;
-  points
+    let steps = ref 0 in
+    while !steps <= 3 * Ldb.n t.ldb && owner_used t r' (Ldb.owner !m) do
+      p := Ldb.label t.ldb (Ldb.succ t.ldb !m);
+      m := Ldb.manager_of_point t.ldb !p;
+      incr steps
+    done;
+    t.rpoints.(r') <- !p;
+    t.rowners.(r') <- Ldb.owner !m
+  done
 
-let replica_point t r key = (replica_points t r key).(r)
+let replica_point t r key =
+  place_replicas t r key;
+  t.rpoints.(r)
+
 let manager_of_key t k = Ldb.manager_of_point t.ldb (key_point t k)
-let replica_owner t r key = Ldb.owner (Ldb.manager_of_point t.ldb (replica_point t r key))
 
-type op =
-  | Put of { origin : int; key : int; elt : Element.t; confirm : bool }
-  | Get of { origin : int; key : int }
-
-type completion =
-  | Put_confirmed of { origin : int; key : int }
-  | Got of { origin : int; key : int; elt : Element.t }
+let replica_owner t r key =
+  place_replicas t r key;
+  t.rowners.(r)
 
 (* In-flight wire format: an immediate integer [(rid lsl 16) lor idx]
-   naming a route in the batch's route table and the hop position of the
-   message's current holder on that route's vnode path.  The modelled wire
-   cost is the O(log n)-bit target point + hop counter of de Bruijn routing
-   (a fixed routing header) plus the payload's encoded size, computed once
-   at launch; the table keeps both.  Forwarding a hop is then [w + 1] — no
-   allocation at all on the per-hop fast path, which carries ~99% of a
-   priority-queue run's messages. *)
-type payload =
-  | P_put of { origin : int; key : int; elt : Element.t; confirm : bool }
-  | P_get of { origin : int; key : int }
-  | P_reply of { origin : int; key : int; elt : Element.t }
-  | P_confirm of { origin : int; key : int }
-  (* Primary -> backup replica maintenance (never sent when k = 1). *)
-  | P_bset of { key : int; elt : Element.t; r : int }
-  | P_brm of { key : int; elt : Element.t; r : int }
-  | P_bpark of { key : int; origin : int; r : int }
-  | P_bunpark of { key : int; origin : int; r : int }
+   naming a route of the batch and the hop position of the message's
+   current holder on that route's vnode path.  The modelled wire cost is
+   the O(log n)-bit target point + hop counter of de Bruijn routing (a
+   fixed routing header) plus the payload's encoded size, computed once at
+   launch.  Forwarding a hop is then [w + 1], and launching a route walks
+   it into the arena and writes one entry per payload column: a batch
+   allocates nothing per route or per hop once its buffers have grown. *)
+let kind_put = 0
+let kind_put_confirm = 1
+let kind_get = 2
+let kind_reply = 3
+let kind_confirm = 4
 
-type batch = {
-  mutable bpaths : Ldb.vnode array array; (* rid -> visited-vnode path *)
-  mutable bpbits : int array; (* rid -> payload bits *)
-  mutable bpay : payload array; (* rid -> payload *)
-  mutable nroutes : int;
-  brt : Route_table.t; (* per-batch route memo: reply/replica paths repeat *)
-}
+(* Primary -> backup replica maintenance (never sent when k = 1). *)
+let kind_bset = 5
+let kind_brm = 6
+let kind_bpark = 7
+let kind_bunpark = 8
 
-let dummy_payload = P_confirm { origin = 0; key = 0 }
-
-let batch_create ~ldb () =
-  {
-    bpaths = Array.make 64 [||];
-    bpbits = Array.make 64 0;
-    bpay = Array.make 64 dummy_payload;
-    nroutes = 0;
-    brt = Route_table.create ldb;
-  }
+let payload_bits ~kind ~origin ~key ~elt ~rep =
+  let ob = Bitsize.bits_of_int origin and kb = Bitsize.bits_of_int key in
+  if kind = kind_put || kind = kind_put_confirm then ob + kb + Element.encoded_bits elt + 1
+  else if kind = kind_get || kind = kind_confirm then ob + kb
+  else if kind = kind_reply then ob + kb + Element.encoded_bits elt
+  else if kind = kind_bset || kind = kind_brm then
+    kb + Element.encoded_bits elt + Bitsize.bits_of_int rep
+  else kb + ob + Bitsize.bits_of_int rep
 
 let grow a fill =
-  let a' = Array.make (2 * Array.length a) fill in
+  let a' = Array.make (max 64 (2 * Array.length a)) fill in
   Array.blit a 0 a' 0 (Array.length a);
   a'
 
-let batch_add b path pbits payload =
-  if Array.length path > 0x10000 then invalid_arg "Dht: route too long for the wire encoding";
-  if b.nroutes = Array.length b.bpaths then begin
-    b.bpaths <- grow b.bpaths [||];
-    b.bpbits <- grow b.bpbits 0;
-    b.bpay <- grow b.bpay dummy_payload
+(* Start a batch on empty buffers: an earlier batch may have raised
+   before [end_batch]. *)
+let start_batch t =
+  Ldb.path_clear t.arena;
+  t.nroutes <- 0;
+  t.completions <- []
+
+(* Drop the batch's storage.  Keeping the arena and the columns for the
+   next batch would save only their regrowth, a few dozen allocations per
+   batch, but it held the largest batch's buffers through every other
+   phase: at 20 s, 1.47x the parent's peak heap on skeap-open, against
+   0.96x when they are dropped (EXPERIMENTS.md §S15). *)
+let end_batch t =
+  t.arena <- Ldb.path_buf ();
+  t.nroutes <- 0;
+  t.r_start <- [||];
+  t.r_len <- [||];
+  t.r_bits <- [||];
+  t.r_kind <- [||];
+  t.r_origin <- [||];
+  t.r_key <- [||];
+  t.r_elt <- [||];
+  t.r_rep <- [||];
+  t.completions <- []
+
+(* Walk a route from [src_vnode] to the manager of [point] into the arena
+   and record its payload; returns its route id.  Sends nothing. *)
+let add_route t ~src_vnode ~point ~kind ~origin ~key ~elt ~rep =
+  let start = Ldb.path_length t.arena in
+  let len = Ldb.walk_route t.ldb t.arena ~src:src_vnode ~point in
+  if len > 0x10000 then invalid_arg "Dht: route too long for the wire encoding";
+  let rid = t.nroutes in
+  if rid = Array.length t.r_start then begin
+    t.r_start <- grow t.r_start 0;
+    t.r_len <- grow t.r_len 0;
+    t.r_bits <- grow t.r_bits 0;
+    t.r_kind <- grow t.r_kind 0;
+    t.r_origin <- grow t.r_origin 0;
+    t.r_key <- grow t.r_key 0;
+    t.r_elt <- grow t.r_elt no_elt;
+    t.r_rep <- grow t.r_rep 0
   end;
-  let rid = b.nroutes in
-  b.bpaths.(rid) <- path;
-  b.bpbits.(rid) <- pbits;
-  b.bpay.(rid) <- payload;
-  b.nroutes <- rid + 1;
+  t.r_start.(rid) <- start;
+  t.r_len.(rid) <- len;
+  t.r_bits.(rid) <- payload_bits ~kind ~origin ~key ~elt ~rep;
+  t.r_kind.(rid) <- kind;
+  t.r_origin.(rid) <- origin;
+  t.r_key.(rid) <- key;
+  t.r_elt.(rid) <- elt;
+  t.r_rep.(rid) <- rep;
+  t.nroutes <- rid + 1;
   rid
 
-let payload_bits t = function
-  | P_put p -> Bitsize.bits_of_int p.origin + Bitsize.bits_of_int p.key + Element.encoded_bits p.elt + 1
-  | P_get g -> Bitsize.bits_of_int g.origin + Bitsize.bits_of_int g.key
-  | P_reply r -> Bitsize.bits_of_int r.origin + Bitsize.bits_of_int r.key + Element.encoded_bits r.elt
-  | P_confirm c -> Bitsize.bits_of_int c.origin + Bitsize.bits_of_int c.key
-  | P_bset p -> Bitsize.bits_of_int p.key + Element.encoded_bits p.elt + Bitsize.bits_of_int p.r
-  | P_brm p -> Bitsize.bits_of_int p.key + Element.encoded_bits p.elt + Bitsize.bits_of_int p.r
-  | P_bpark p -> Bitsize.bits_of_int p.key + Bitsize.bits_of_int p.origin + Bitsize.bits_of_int p.r
-  | P_bunpark p ->
-      Bitsize.bits_of_int p.key + Bitsize.bits_of_int p.origin + Bitsize.bits_of_int p.r
-  [@@warning "-27"]
+let hop_owner t rid idx = Ldb.owner (Ldb.path_get t.arena (t.r_start.(rid) + idx))
 
-let size_bits t b w = t.header_bits + b.bpbits.(w lsr 16)
+(* Put route [rid]'s first message on the wire.  [send] abstracts over the
+   engine. *)
+let send_route t ~send rid =
+  let src = hop_owner t rid 0 in
+  if t.r_len.(rid) <= 1 then
+    (* Already at the manager: local handling via a self-send. *)
+    send ~src ~dst:src (rid lsl 16)
+  else send ~src ~dst:(hop_owner t rid 1) ((rid lsl 16) lor 1)
+
+let route_via t ~send ~src_vnode ~point ~kind ~origin ~key ~elt ~rep =
+  send_route t ~send (add_route t ~src_vnode ~point ~kind ~origin ~key ~elt ~rep)
+
+let size_bits t w = t.header_bits + t.r_bits.(w lsr 16)
 
 (* ------------------------------------------------- per-replica table ops *)
 
@@ -176,16 +267,6 @@ let tbl_push tbl key v =
         q
   in
   Queue.push v q
-
-let tbl_pop tbl key =
-  match Hashtbl.find_opt tbl key with
-  | None -> None
-  | Some q ->
-      if Queue.is_empty q then None
-      else
-        let e = Queue.pop q in
-        if Queue.is_empty q then Hashtbl.remove tbl key;
-        Some e
 
 (* Remove the first entry of [key]'s queue satisfying [eq]; false if none. *)
 let tbl_remove tbl key eq =
@@ -223,9 +304,22 @@ let neg_cancel tbl key eq =
           true)
 
 let store_push t key elt = tbl_push t.stores.(0) key elt
-let store_pop t key = tbl_pop t.stores.(0) key
 let park t key requester = tbl_push t.parkeds.(0) key requester
-let unpark t key = tbl_pop t.parkeds.(0) key
+
+(* Pop the oldest entry of [key]'s queue, or [none]; no option is built. *)
+let tbl_pop tbl key none =
+  match Hashtbl.find tbl key with
+  | exception Not_found -> none
+  | q ->
+      if Queue.is_empty q then none
+      else begin
+        let e = Queue.pop q in
+        if Queue.is_empty q then Hashtbl.remove tbl key;
+        e
+      end
+
+let store_pop t key = tbl_pop t.stores.(0) key no_elt
+let unpark t key = tbl_pop t.parkeds.(0) key (-1)
 
 (* Backup apply: a set/park whose removal already arrived cancels against
    the tombstone instead of landing. *)
@@ -245,83 +339,84 @@ let backup_unpark t r key origin =
 
 (* ------------------------------------------------------------- routing *)
 
-(* Route a payload from [src_vnode] to the manager of [point].  [send]
-   abstracts over the engine. *)
-let route_via t b ~send ~src_vnode ~point payload =
-  let path = Route_table.path b.brt ~src:src_vnode ~point in
-  let pbits = payload_bits t payload in
-  let rid = batch_add b path pbits payload in
-  if Array.length path <= 1 then
-    (* Already at the manager: local handling via a self-send. *)
-    send ~src:(Ldb.owner src_vnode) ~dst:(Ldb.owner src_vnode) (rid lsl 16)
-  else send ~src:(Ldb.owner path.(0)) ~dst:(Ldb.owner path.(1)) ((rid lsl 16) lor 1)
+let[@inline] reply_point t origin = Ldb.label t.ldb (Ldb.vnode ~owner:origin Ldb.Middle)
 
-let reply_point t origin = Ldb.label t.ldb (Ldb.vnode ~owner:origin Ldb.Middle)
-
-(* Primary-side replica maintenance fan-out (no-ops at k = 1). *)
-let backups_send t b ~send ~src_vnode ~key mk =
+(* Primary-side replica maintenance fan-out (no-op at k = 1): one message
+   of backup [kind] to each replica 1 .. k-1.  Every route is walked before
+   the first is sent, because a send may deliver locally at once and
+   re-enter [handle], which overwrites the placement scratch. *)
+let backups_send t ~send ~src_vnode ~key ~kind ~origin ~elt =
   if t.k > 1 then begin
-    let points = replica_points t (t.k - 1) key in
+    place_replicas t (t.k - 1) key;
+    let first = t.nroutes in
     for r = 1 to t.k - 1 do
-      route_via t b ~send ~src_vnode ~point:points.(r) (mk r)
+      ignore (add_route t ~src_vnode ~point:t.rpoints.(r) ~kind ~origin ~key ~elt ~rep:r)
+    done;
+    for r = 1 to t.k - 1 do
+      send_route t ~send (first + r - 1)
     done
   end
 
-(* Engine-agnostic message handler.  [send] enqueues a message; [complete]
-   records a finished operation. *)
-let handle t b ~send ~complete w =
+let complete t c = t.completions <- c :: t.completions
+
+(* Engine-agnostic message handler.  [send] enqueues a message. *)
+let handle t ~send w =
   let rid = w lsr 16 in
   let idx = w land 0xffff in
-  let path = b.bpaths.(rid) in
-  let last = Array.length path - 1 in
+  let last = t.r_len.(rid) - 1 in
   if idx < last then
     (* Still in transit: forward one hop. *)
-    send ~src:(Ldb.owner path.(idx)) ~dst:(Ldb.owner path.(idx + 1)) (w + 1)
+    send ~src:(hop_owner t rid idx) ~dst:(hop_owner t rid (idx + 1)) (w + 1)
   else begin
     if last < 0 then failwith "Dht: empty routing path";
-    let final = path.(last) in
-    match b.bpay.(rid) with
-    | P_put { origin; key; elt; confirm } ->
-        (match unpark t key with
-        | Some requester ->
-            (* A Get was already waiting: rendezvous complete. *)
-            backups_send t b ~send ~src_vnode:final ~key (fun r ->
-                P_bunpark { key; origin = requester; r });
-            route_via t b ~send ~src_vnode:final ~point:(reply_point t requester)
-              (P_reply { origin = requester; key; elt })
-        | None ->
-            store_push t key elt;
-            backups_send t b ~send ~src_vnode:final ~key (fun r -> P_bset { key; elt; r }));
-        if confirm then
-          route_via t b ~send ~src_vnode:final ~point:(reply_point t origin)
-            (P_confirm { origin; key })
-    | P_get { origin; key } -> (
-        match store_pop t key with
-        | Some elt ->
-            backups_send t b ~send ~src_vnode:final ~key (fun r -> P_brm { key; elt; r });
-            route_via t b ~send ~src_vnode:final ~point:(reply_point t origin)
-              (P_reply { origin; key; elt })
-        | None ->
-            park t key origin;
-            backups_send t b ~send ~src_vnode:final ~key (fun r -> P_bpark { key; origin; r }))
-    | P_reply { origin; key; elt } -> complete (Got { origin; key; elt })
-    | P_confirm { origin; key } -> complete (Put_confirmed { origin; key })
-    | P_bset { key; elt; r } -> backup_set t r key elt
-    | P_brm { key; elt; r } -> backup_rm t r key elt
-    | P_bpark { key; origin; r } -> backup_park t r key origin
-    | P_bunpark { key; origin; r } -> backup_unpark t r key origin
+    let final = Ldb.path_get t.arena (t.r_start.(rid) + last) in
+    let kind = t.r_kind.(rid) and origin = t.r_origin.(rid) and key = t.r_key.(rid) in
+    let elt = t.r_elt.(rid) and r = t.r_rep.(rid) in
+    if kind = kind_put || kind = kind_put_confirm then begin
+      let requester = unpark t key in
+      if requester >= 0 then begin
+        (* A Get was already waiting: rendezvous complete. *)
+        backups_send t ~send ~src_vnode:final ~key ~kind:kind_bunpark ~origin:requester ~elt:no_elt;
+        route_via t ~send ~src_vnode:final ~point:(reply_point t requester) ~kind:kind_reply
+          ~origin:requester ~key ~elt ~rep:0
+      end
+      else begin
+        store_push t key elt;
+        backups_send t ~send ~src_vnode:final ~key ~kind:kind_bset ~origin:0 ~elt
+      end;
+      if kind = kind_put_confirm then
+        route_via t ~send ~src_vnode:final ~point:(reply_point t origin) ~kind:kind_confirm ~origin
+          ~key ~elt:no_elt ~rep:0
+    end
+    else if kind = kind_get then begin
+      let elt = store_pop t key in
+      if elt != no_elt then begin
+        backups_send t ~send ~src_vnode:final ~key ~kind:kind_brm ~origin:0 ~elt;
+        route_via t ~send ~src_vnode:final ~point:(reply_point t origin) ~kind:kind_reply ~origin
+          ~key ~elt ~rep:0
+      end
+      else begin
+        park t key origin;
+        backups_send t ~send ~src_vnode:final ~key ~kind:kind_bpark ~origin ~elt:no_elt
+      end
+    end
+    else if kind = kind_reply then complete t (Got { origin; key; elt })
+    else if kind = kind_confirm then complete t (Put_confirmed { origin; key })
+    else if kind = kind_bset then backup_set t r key elt
+    else if kind = kind_brm then backup_rm t r key elt
+    else if kind = kind_bpark then backup_park t r key origin
+    else backup_unpark t r key origin
   end
 
-let launch t b ~send op =
+let launch t ~send op =
   match op with
   | Put { origin; key; elt; confirm } ->
-      route_via t b ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle)
-        ~point:(key_point t key)
-        (P_put { origin; key; elt; confirm })
+      route_via t ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle) ~point:(key_point t key)
+        ~kind:(if confirm then kind_put_confirm else kind_put)
+        ~origin ~key ~elt ~rep:0
   | Get { origin; key } ->
-      route_via t b ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle)
-        ~point:(key_point t key)
-        (P_get { origin; key })
+      route_via t ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle) ~point:(key_point t key)
+        ~kind:kind_get ~origin ~key ~elt:no_elt ~rep:0
 
 (* One trace event per launched operation, tagged with the manager node the
    key rendezvouses at. *)
@@ -338,43 +433,64 @@ let trace_ops trace t ops =
               Dpq_obs.Trace.dht_get trace ~origin ~key ~manager:(Ldb.owner (manager_of_key t key)))
         ops
 
+let same a b = match (a, b) with None, None -> true | Some x, Some y -> x == y | _ -> false
+
+(* The DHT's synchronous engine, reset to the state [Sync.create] leaves
+   (so a batch costs and draws faults exactly as on a fresh engine), or
+   rebuilt when the overlay changed ([kill_node] and [set_topology] drop
+   it), the call's trace, fault plan or scheduler differ from the ones it
+   was built with, or an earlier batch raised and left it busy. *)
+let sync_engine ?trace ?faults ?sched t =
+  match t.engine with
+  | Some e
+    when same e.etrace trace && same e.efaults faults && same e.esched sched
+         && Sync.pending e.eng = 0
+         && Sync.unacked e.eng = 0 ->
+      Sync.reset_clock e.eng;
+      e
+  | _ ->
+      let send_ref = ref (fun ~src:_ ~dst:_ _ -> assert false) in
+      let send ~src ~dst m = !send_ref ~src ~dst m in
+      let eng =
+        Sync.create ~n:(Ldb.n t.ldb) ~size_bits:(size_bits t)
+          ~handler:(fun _eng ~dst:_ ~src:_ w -> handle t ~send w)
+          ?trace ?faults ?sched ()
+      in
+      send_ref := (fun ~src ~dst m -> Sync.send eng ~src ~dst m);
+      let e = { eng; etrace = trace; efaults = faults; esched = sched; sync_send = send } in
+      t.engine <- Some e;
+      e
+
 let run_batch_sync ?trace ?faults ?sched t ops =
   let span = Dpq_obs.Trace.phase_start trace "dht" in
   trace_ops trace t ops;
-  let completions = ref [] in
-  let complete c = completions := c :: !completions in
-  let b = batch_create ~ldb:t.ldb () in
-  (* One [send] closure for the whole batch (routed through a ref to break
-     the engine/handler cycle): the old per-delivery lambda was a
-     measurable allocation on every forwarded hop. *)
-  let send_ref = ref (fun ~src:_ ~dst:_ _ -> assert false) in
-  let send ~src ~dst m = !send_ref ~src ~dst m in
-  let handler _eng ~dst:_ ~src:_ w = handle t b ~send ~complete w in
-  let eng = Sync.create ~n:(Ldb.n t.ldb) ~size_bits:(size_bits t b) ~handler ?trace ?faults ?sched () in
-  send_ref := (fun ~src ~dst m -> Sync.send eng ~src ~dst m);
-  List.iter (fun op -> launch t b ~send op) ops;
-  let rounds = Sync.run_to_quiescence eng in
-  let report = Phase.report_of_metrics (Sync.metrics eng) rounds in
+  let e = sync_engine ?trace ?faults ?sched t in
+  start_batch t;
+  List.iter (fun op -> launch t ~send:e.sync_send op) ops;
+  let rounds = Sync.run_to_quiescence e.eng in
+  let report = Phase.report_of_metrics (Sync.metrics e.eng) rounds in
   Phase.trace_phase_end trace span "dht" report;
-  (List.rev !completions, report)
+  let cs = List.rev t.completions in
+  end_batch t;
+  (cs, report)
 
 let run_batch_async ?trace ?faults ?sched t ~seed ?(policy = Dpq_simrt.Async_engine.Uniform (1.0, 10.0)) ops =
   (* The asynchronous model reports no synchronous cost, so the span closes
      with zeros even though delivery events are traced inside it. *)
   let span = Dpq_obs.Trace.phase_start trace "dht-async" in
   trace_ops trace t ops;
-  let completions = ref [] in
-  let complete c = completions := c :: !completions in
-  let b = batch_create ~ldb:t.ldb () in
+  start_batch t;
   let send_ref = ref (fun ~src:_ ~dst:_ _ -> assert false) in
   let send ~src ~dst m = !send_ref ~src ~dst m in
-  let handler _eng ~dst:_ ~src:_ w = handle t b ~send ~complete w in
-  let eng = Async.create ~n:(Ldb.n t.ldb) ~seed ~policy ?trace ?faults ?sched ~size_bits:(size_bits t b) ~handler () in
+  let handler _eng ~dst:_ ~src:_ w = handle t ~send w in
+  let eng = Async.create ~n:(Ldb.n t.ldb) ~seed ~policy ?trace ?faults ?sched ~size_bits:(size_bits t) ~handler () in
   send_ref := (fun ~src ~dst m -> Async.send eng ~src ~dst m);
-  List.iter (fun op -> launch t b ~send op) ops;
+  List.iter (fun op -> launch t ~send op) ops;
   ignore (Async.run_to_quiescence eng);
   Phase.trace_phase_end trace span "dht-async" Phase.empty_report;
-  List.rev !completions
+  let cs = List.rev t.completions in
+  end_batch t;
+  cs
 
 let set_topology t ldb' =
   (* Count the elements (and parked requests) whose manager moved to a
@@ -389,6 +505,7 @@ let set_topology t ldb' =
     t.parkeds.(0);
   t.ldb <- ldb';
   t.header_bits <- compute_header_bits ldb';
+  t.engine <- None;
   !moved
 
 let stored_counts t =
@@ -838,6 +955,7 @@ let kill_node ?trace t ~node =
   (* 2. Re-home its key-range: survivors' cycle positions absorb it. *)
   t.ldb <- Ldb.remove t.ldb ~id:node;
   t.header_bits <- compute_header_bits t.ldb;
+  t.engine <- None;
   Dpq_obs.Trace.repair_start trace ~node ~reason:"kill" ~entries_lost:!destroyed;
   (* 3. Anti-entropy repair rebuilds the lost copies from the survivors. *)
   let stats = repair ?trace t in

@@ -20,7 +20,24 @@
     bit-identical to the unreplicated DHT); the primary maintains the
     backup copies with replica-update messages inside each batch.  After a
     permanent node loss ({!kill_node}) the dead node's copies are rebuilt
-    on the survivors by Merkle anti-entropy {!repair}. *)
+    on the survivors by Merkle anti-entropy {!repair}.
+
+    {b Wire format.}  An in-flight DHT message is one immediate integer
+    [(rid lsl 16) lor idx]: route [rid] of the running batch, held by the
+    vnode at hop [idx] of that route's path.  Launching a route walks its
+    visited-vnode path ({!Dpq_overlay.Ldb.walk_route}) into an arena — one
+    growable buffer shared by every route of the batch and dropped when the
+    batch ends — and writes its payload (kind, origin, key, element,
+    replica, encoded bits) into per-route columns; forwarding a hop sends
+    [w + 1].  Routes are not memoized: a
+    reply re-walks its path to the requester.  A message's modelled size
+    is the fixed routing header (target point + hop counter) plus the
+    payload's encoded bits.  Every synchronous batch runs on one engine per
+    DHT, reset between batches so that a batch costs and draws faults
+    exactly as on a fresh engine; it is rebuilt when the overlay changes
+    ({!kill_node}, {!set_topology}) or a call passes a different trace,
+    fault plan or scheduler.  A batch allocates nothing per route or per
+    hop beyond its buffers' geometric growth. *)
 
 module Element = Dpq_util.Element
 

@@ -11,7 +11,6 @@ type t = {
   d : int; (* emulated de Bruijn dimension *)
   pidx : int array; (* bucket index for [manager_of_point]: greatest cycle
                        position whose label <= b/256, or -1 *)
-  mutable scratch : int array; (* reusable path buffer for [route_array] *)
 }
 
 let kind_code = function Left -> 0 | Middle -> 1 | Right -> 2
@@ -72,7 +71,7 @@ let build_from_middles ?present ~seed middles =
     while !pos + 1 < len && labels.(cycle.(!pos + 1)) <= lim do incr pos done;
     pidx.(b) <- !pos
   done;
-  { n; seed; present; labels; cycle; cycle_pos; d; pidx; scratch = Array.make 64 0 }
+  { n; seed; present; labels; cycle; cycle_pos; d; pidx }
 
 let middle_label ~seed id =
   let h = Dpq_util.Hashing.create ~seed in
@@ -93,21 +92,25 @@ let pred t v =
   let pos = t.cycle_pos.(v) in
   t.cycle.((pos + len - 1) mod len)
 
-let manager_of_point t p =
-  (* Greatest label <= p; wraps to the maximum label if p is below all
-     labels.  The bucket index jumps to the last position at or below the
-     enclosing 1/256 bucket's start; a short forward scan (expected O(1):
-     labels are hash-uniform) finishes the job.  This sits on every routing
-     step, where it replaced a full binary search over the cycle. *)
+(* The cycle position of the manager of [p]: the greatest label <= p,
+   wrapping to the maximum label if p is below all labels.  The bucket
+   index jumps to the last position at or below the enclosing 1/256
+   bucket's start; a short forward scan (expected O(1): labels are
+   hash-uniform) finishes the job.  This sits on every routing step, where
+   it replaced a full binary search over the cycle; it is inlined, so the
+   walk below never boxes its float argument. *)
+let[@inline] manager_pos t p =
   let len = Array.length t.cycle in
-  if p < 0.0 then t.cycle.(len - 1)
+  if p < 0.0 then len - 1
   else begin
     let b = int_of_float (p *. 256.0) in
     let b = if b > 255 then 255 else b in
     let i = ref t.pidx.(b) in
     while !i + 1 < len && t.labels.(t.cycle.(!i + 1)) <= p do incr i done;
-    if !i < 0 then t.cycle.(len - 1) else t.cycle.(!i)
+    if !i < 0 then len - 1 else !i
   end
+
+let manager_of_point t p = t.cycle.(manager_pos t p)
 
 let min_vnode t = t.cycle.(0)
 
@@ -203,89 +206,100 @@ let route t ~src ~point =
   (List.rev !visited, List.rev !hops)
 
 (* [route] above materializes every hop constructor for diagnostics; the
-   DHT's forwarding loop only ever uses the visited-node path, so this
-   variant produces exactly the same node sequence with index arithmetic on
-   the sorted cycle instead of per-step hop allocation — equal, bit for
-   bit, to [fst (route t ~src ~point)].  The scratch buffer is reused
-   across calls; the returned array is a fresh exact-length copy. *)
-let route_array t ~src ~point =
-  if point < 0.0 || point >= 1.0 then invalid_arg "Ldb.route: point must be in [0,1)";
+   DHT's forwarding loop only ever uses the visited-node path, so
+   [walk_route] produces exactly the same node sequence — equal, bit for
+   bit, to [fst (route t ~src ~point)] — with index arithmetic on the sorted
+   cycle, appending to a caller-owned buffer.  Every helper below is a
+   top-level function of ints, so a walk allocates no closure, no hop and
+   no boxed float; only the buffer's growth allocates.  The buffer stores
+   vnode ids as 32-bit ints: half the footprint of an int array, in bytes
+   the major GC does not scan.  It grows by half its size, so its slack
+   stays small. *)
+type path_buf = { mutable nodes : Bytes.t; mutable len : int }
+
+let path_buf () = { nodes = Bytes.empty; len = 0 }
+let path_clear b = b.len <- 0
+let path_length b = b.len
+let[@inline] path_get b i = Int32.to_int (Bytes.get_int32_ne b.nodes (4 * i))
+
+let path_push b v =
+  let i = b.len in
+  if 4 * i = Bytes.length b.nodes then begin
+    let a = Bytes.create (4 * max 256 (i + (i / 2))) in
+    Bytes.blit b.nodes 0 a 0 (4 * i);
+    b.nodes <- a
+  end;
+  Bytes.set_int32_ne b.nodes (4 * i) (Int32.of_int v);
+  b.len <- i + 1
+
+(* Cycle position [pos] offset by [i] steps in direction [dir]; valid for
+   [i <= len], so one conditional correction replaces the double mod. *)
+let cycle_at t pos i dir =
   let len = Array.length t.cycle in
-  let blen = ref 0 in
-  let push v =
-    let b = t.scratch in
-    let cap = Array.length b in
-    if !blen = cap then begin
-      let b' = Array.make (2 * cap) 0 in
-      Array.blit b 0 b' 0 cap;
-      t.scratch <- b'
-    end;
-    t.scratch.(!blen) <- v;
-    incr blen
-  in
-  push src;
-  (* Cycle position [pos] offset by [i] steps in direction [dir]; valid for
-     [i <= len], so one conditional correction replaces the double mod. *)
-  let at pos i dir =
-    let j = pos + (dir * i) in
-    let j = if j >= len then j - len else if j < 0 then j + len else j in
-    t.cycle.(j)
-  in
-  (* Append the [steps] nodes walked from [v]'s cycle position in [dir]. *)
-  let walk_from v steps dir =
-    let pos = t.cycle_pos.(v) in
-    for i = 1 to steps do
-      push (at pos i dir)
-    done
-  in
-  (* Linear walk to [target], shorter direction, forward on ties — the same
-     choice [linear_walk] makes. *)
-  let walk_to v target =
-    let pv = t.cycle_pos.(v) and pt = t.cycle_pos.(target) in
-    let fwd = pt - pv in
-    let fwd = if fwd < 0 then fwd + len else fwd in
-    let bwd = if fwd = 0 then 0 else len - fwd in
-    if fwd <= bwd then walk_from v fwd 1 else walk_from v bwd (-1);
-    target
-  in
-  (* The middle vnode real-nearest to [p], walking at most a full cycle in
-     each direction and preferring forward on distance ties, exactly like
-     [seek_kind_near] — but scanning by index with direct middle tests
-     (vnode code 1 mod 3), allocating nothing. *)
-  let seek_middle v p =
-    let pos = t.cycle_pos.(v) in
-    let f = ref (-1) in
-    let i = ref 0 in
-    while !f < 0 && !i <= len do
-      if at pos !i 1 mod 3 = 1 then f := !i else incr i
-    done;
-    let b = ref (-1) in
-    let i = ref 0 in
-    while !b < 0 && !i <= len do
-      if at pos !i (-1) mod 3 = 1 then b := !i else incr i
-    done;
-    let df = if !f < 0 then infinity else abs_float (t.labels.(at pos !f 1) -. p) in
-    let db = if !b < 0 then infinity else abs_float (t.labels.(at pos !b (-1)) -. p) in
-    if df = infinity && db = infinity then
-      failwith "Ldb.seek_kind_near: no virtual node of the requested kind";
-    let steps, dir = if df <= db then (!f, 1) else (!b, -1) in
-    walk_from v steps dir;
-    at pos steps dir
-  in
+  let j = pos + (dir * i) in
+  let j = if j >= len then j - len else if j < 0 then j + len else j in
+  t.cycle.(j)
+
+(* Append the [steps] nodes walked from cycle position [pos] in [dir]. *)
+let walk_steps t b pos steps dir =
+  for i = 1 to steps do
+    path_push b (cycle_at t pos i dir)
+  done
+
+(* Linear walk from [v] to [target], shorter direction, forward on ties —
+   the same choice [linear_walk] makes. *)
+let walk_to t b v target =
+  let len = Array.length t.cycle in
+  let pv = t.cycle_pos.(v) and pt = t.cycle_pos.(target) in
+  let fwd = pt - pv in
+  let fwd = if fwd < 0 then fwd + len else fwd in
+  let bwd = if fwd = 0 then 0 else len - fwd in
+  if fwd <= bwd then walk_steps t b pv fwd 1 else walk_steps t b pv bwd (-1)
+
+(* Steps from cycle position [pos] in [dir] to the first middle vnode
+   (vnode code 1 mod 3), scanning at most a full cycle; -1 if none. *)
+let middle_steps t pos dir =
+  let len = Array.length t.cycle in
+  let found = ref (-1) and i = ref 0 in
+  while !found < 0 && !i <= len do
+    if cycle_at t pos !i dir mod 3 = 1 then found := !i else incr i
+  done;
+  !found
+
+let walk_route t b ~src ~point =
+  if point < 0.0 || point >= 1.0 then invalid_arg "Ldb.route: point must be in [0,1)";
+  let start = b.len in
+  path_push b src;
   let cur = ref src in
-  let p = ref (label t src) in
+  let p = ref t.labels.(src) in
   for j = 1 to t.d do
     let c = bit_of_point point (t.d - j + 1) in
-    let m = seek_middle !cur !p in
+    (* The middle vnode real-nearest to the ideal point, preferring forward
+       on distance ties, exactly like [seek_kind_near]. *)
+    let pos = t.cycle_pos.(!cur) in
+    let f = middle_steps t pos 1 and bk = middle_steps t pos (-1) in
+    let df = if f < 0 then infinity else abs_float (t.labels.(cycle_at t pos f 1) -. !p) in
+    let db = if bk < 0 then infinity else abs_float (t.labels.(cycle_at t pos bk (-1)) -. !p) in
+    if df = infinity && db = infinity then
+      failwith "Ldb.seek_kind_near: no virtual node of the requested kind";
+    let fwd = df <= db in
+    let steps = if fwd then f else bk and dir = if fwd then 1 else -1 in
+    walk_steps t b pos steps dir;
+    let m = cycle_at t pos steps dir in
     let dst = vnode ~owner:(owner m) (if c = 0 then Left else Right) in
-    push dst;
+    path_push b dst;
     p := (!p +. Float.of_int c) /. 2.0;
-    cur := walk_to dst (manager_of_point t !p)
+    let target = t.cycle.(manager_pos t !p) in
+    walk_to t b dst target;
+    cur := target
   done;
-  ignore (walk_to !cur (manager_of_point t point));
-  Array.sub t.scratch 0 !blen
+  walk_to t b !cur t.cycle.(manager_pos t point);
+  b.len - start
 
-let route_path t ~src ~point = Array.to_list (route_array t ~src ~point)
+let route_path t ~src ~point =
+  let b = path_buf () in
+  let len = walk_route t b ~src ~point in
+  List.init len (path_get b)
 
 let collect_walk push hops =
   List.iter (fun h -> match h with Linear (_, v) | Virtual (_, v) -> push h v) hops

@@ -67,15 +67,31 @@ val route : t -> src:vnode -> point:float -> vnode list * hop list
     [point]; returns the visited virtual nodes (first = [src], last =
     [manager_of_point t point]) and the hop list. *)
 
-val route_array : t -> src:vnode -> point:float -> vnode array
-(** The visited-vnode sequence of {!route} ([fst], bit for bit) as a fresh
-    exactly-sized array, computed with index arithmetic on the sorted cycle
-    and a reusable scratch buffer — the forwarding hot path for the DHT,
-    which never looks at the hop constructors and indexes the path by hop
-    position. *)
+type path_buf
+(** A growable buffer that routing walks append visited vnodes to, each
+    stored in 32 bits.  It starts empty and grows geometrically;
+    {!path_clear} keeps its capacity, so a buffer reused across walks stops
+    allocating once it has reached its working size. *)
+
+val path_buf : unit -> path_buf
+val path_clear : path_buf -> unit
+
+val path_length : path_buf -> int
+(** How many vnodes the buffer holds: the sum of every walk's length since
+    the last {!path_clear}. *)
+
+val path_get : path_buf -> int -> vnode
+
+val walk_route : t -> path_buf -> src:vnode -> point:float -> int
+(** [walk_route t b ~src ~point] appends the visited-vnode sequence of
+    {!route} ([fst], bit for bit) to [b] and returns its length; the walk
+    occupies positions [path_length b - len .. path_length b - 1].  It
+    uses index arithmetic on the sorted cycle and allocates nothing but
+    the buffer's growth — the forwarding hot path of the DHT, which never
+    looks at the hop constructors and indexes the path by hop position. *)
 
 val route_path : t -> src:vnode -> point:float -> vnode list
-(** [route_array] as a list; [route_path t ~src ~point = fst (route t ~src ~point)]. *)
+(** [fst (route t ~src ~point)], computed with {!walk_route}. *)
 
 val route_message_hops : t -> src:vnode -> point:float -> int
 (** Number of costed (linear) hops of {!route} — the dilation of one

@@ -2,6 +2,8 @@ module Itbl = Hashtbl.Make (Int)
 module Trace = Dpq_obs.Trace
 
 type 'msg channel = {
+  key : int * int; (* (src, dst), the channel's key in [channels] *)
+  mutable epoch : int; (* the [reset] generation the fields below belong to *)
   mutable next_sn : int; (* sender side: next sequence number to allocate *)
   mutable next_deliver : int; (* receiver side: next sn to release in order *)
   buffered : 'msg Itbl.t; (* receiver side: out-of-order arrivals *)
@@ -26,7 +28,11 @@ type 'msg t = {
   (* (src, dst) -> channel, only for iteration: [due] and the reaper visit
      channels in this table's order, which the digests pin. *)
   channels : (int * int, 'msg channel) Hashtbl.t;
-  by_key : 'msg channel Itbl.t; (* the same channels, keyed by [chan_key] *)
+  (* Every channel ever opened, keyed by [chan_key]: a pool kept across
+     [reset].  A channel whose [epoch] is not the layer's is stale — it is
+     absent from [channels] and is reset when next touched. *)
+  by_key : 'msg channel Itbl.t;
+  mutable epoch : int;
   base_rto : float;
   max_rto : float;
   max_attempts : int;
@@ -70,8 +76,8 @@ exception Delivery_failed of string
    every data packet; an ack is just this header. *)
 let header_bits = 33
 
-let new_channel () =
-  { next_sn = 0; next_deliver = 0; buffered = Itbl.create 8; unacked = Itbl.create 8 }
+let new_channel key epoch =
+  { key; epoch; next_sn = 0; next_deliver = 0; buffered = Itbl.create 8; unacked = Itbl.create 8 }
 
 let chan_key ~src ~dst = (src lsl 31) lor dst
 
@@ -132,6 +138,7 @@ let create ?(base_rto = 4.0) ?(max_rto = 64.0) ?(max_attempts = 64) ~plan () =
       plan;
       channels = Hashtbl.create 64;
       by_key = Itbl.create 64;
+      epoch = 0;
       base_rto;
       max_rto;
       max_attempts;
@@ -163,14 +170,26 @@ let create ?(base_rto = 4.0) ?(max_rto = 64.0) ?(max_attempts = 64) ~plan () =
   in
   t
 
+(* A channel is entered in [channels] when first touched in an epoch, so
+   that table sees the insertions a fresh layer's would.  A pooled channel
+   is reset then: [Itbl.reset] returns its tables to their initial size,
+   so they iterate exactly like fresh ones. *)
 let channel t ~src ~dst =
   let key = chan_key ~src ~dst in
   match Itbl.find t.by_key key with
-  | ch -> ch
+  | ch when ch.epoch = t.epoch -> ch
+  | ch ->
+      ch.epoch <- t.epoch;
+      ch.next_sn <- 0;
+      ch.next_deliver <- 0;
+      Itbl.reset ch.buffered;
+      Itbl.reset ch.unacked;
+      Hashtbl.replace t.channels ch.key ch;
+      ch
   | exception Not_found ->
-      let ch = new_channel () in
+      let ch = new_channel (src, dst) t.epoch in
       Itbl.add t.by_key key ch;
-      Hashtbl.replace t.channels (src, dst) ch;
+      Hashtbl.replace t.channels ch.key ch;
       ch
 
 let alloc_slot t payload =
@@ -201,12 +220,14 @@ let release_slot t ch sn slot =
 
 let clock t = t.clock
 
-(* Hashtbl.reset (not clear) shrinks the tables to their initial size, so
-   [due] and the reaper visit channels in the order a fresh layer would. *)
+(* Hashtbl.reset (not clear) shrinks [channels] to its initial size, so
+   [due] and the reaper visit channels in the order a fresh layer would.
+   The channel records stay pooled in [by_key]; the new epoch marks them
+   all stale. *)
 let reset t =
   if t.unacked_total <> 0 then invalid_arg "Reliable.reset: unacknowledged packets outstanding";
   Hashtbl.reset t.channels;
-  Itbl.reset t.by_key;
+  t.epoch <- t.epoch + 1;
   t.clock.now <- 0.0;
   t.bound.lower <- infinity;
   t.bound.scan_min <- infinity;

@@ -50,7 +50,11 @@ val clock : 'msg t -> clock
 val reset : 'msg t -> unit
 (** Forget every channel and sequence number and zero the clock, keeping
     the buffers: afterwards the layer behaves exactly as a fresh one from
-    {!create}.  Raises [Invalid_argument] if packets are unacknowledged. *)
+    {!create}.  Channel records are pooled, not rebuilt: a channel is
+    reset, with its tables back at their initial size, when it is next
+    used, and only then does it rejoin the table {!due} and the reaper
+    visit, so they visit channels and packets in a fresh layer's order.
+    Raises [Invalid_argument] if packets are unacknowledged. *)
 
 val register : 'msg t -> src:int -> dst:int -> 'msg -> int
 (** Allocate the next sequence number on channel [(src, dst)], remember the

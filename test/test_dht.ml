@@ -445,6 +445,91 @@ let test_take_drops_every_replica () =
            (List.exists (Element.equal e) stored)))
     taken
 
+(* 1 024 Put+Get pairs on a warmed n = 256 DHT: routes are walked into the
+   batch's arena, payloads go into its columns and the batch runs on the
+   DHT's one engine, so what is left per operation is the store's queues,
+   the completions the caller receives and the buffers' growth. *)
+let test_batch_allocation () =
+  let n = 256 in
+  let dht = mk_dht ~n ~seed:81 in
+  let pairs base =
+    List.concat
+      (List.init 1024 (fun i ->
+           let key = base + i in
+           [
+             Dht.Put { origin = i mod n; key; elt = elt ~seq:key (); confirm = false };
+             Dht.Get { origin = (7 * i) mod n; key };
+           ]))
+  in
+  (* Warm up: the engine's queue and the store's table grow to their
+     working size on the first batch. *)
+  ignore (Dht.run_batch_sync dht (pairs 0));
+  let ops = pairs 1024 in
+  let before = Gc.minor_words () in
+  let cs, _ = Sys.opaque_identity (Dht.run_batch_sync dht ops) in
+  let per_op = (Gc.minor_words () -. before) /. float_of_int (List.length ops) in
+  checki "every get met its put" 1024 (List.length cs);
+  checkb (Printf.sprintf "%.2f minor words per op <= 20" per_op) true (per_op <= 20.0)
+
+(* A DHT reuses one engine across batches; it must answer exactly as one
+   that builds a fresh engine for every batch.  The reference passes a new
+   FIFO scheduler on each call — FIFO delivers exactly as no scheduler, and
+   a different scheduler forces a new engine — while the DHT under test
+   passes none, so it reuses its engine except where the overlay or the
+   fault plan changed.  Both see the same operations, kills, joins and
+   (separate, identically seeded) fault plans. *)
+let test_reused_engine_equals_fresh () =
+  let n = 24 in
+  let mk () = mk_repl ~n ~k:3 ~seed:71 in
+  let reused = mk () and fresh = mk () in
+  let fifo () = Dpq_simrt.Sched.create ~seed:0 Dpq_simrt.Sched.Fifo in
+  let plan seed = Dpq_simrt.Fault_plan.of_string ~seed "drop=0.2,dup=0.1" in
+  let batch ~tag ~origins =
+    let m = Array.length origins in
+    List.concat
+      (List.init 40 (fun i ->
+           let key = (tag * 1000) + (i mod 30) in
+           let o j = origins.((i + j) mod m) in
+           [
+             Dht.Get { origin = o 0; key };
+             Dht.Put { origin = o 5; key; elt = elt ~seq:((tag * 100) + i) (); confirm = i mod 3 = 0 };
+           ]
+           @ if i mod 4 = 0 then [ Dht.Get { origin = o 9; key = key + 500 } ] else []))
+  in
+  let live dht =
+    let ldb = Dht.ldb dht in
+    Array.of_list (List.filter (fun id -> Ldb.is_present ldb ~id) (List.init (Ldb.n ldb) Fun.id))
+  in
+  let step name ?faults_r ?faults_f tag =
+    let ops = batch ~tag ~origins:(live reused) in
+    let cs, rep = Dht.run_batch_sync ?faults:faults_r reused ops in
+    let cs', rep' = Dht.run_batch_sync ?faults:faults_f ~sched:(fifo ()) fresh ops in
+    checkb (name ^ ": completions") true (cs = cs');
+    checkb (name ^ ": report") true (rep = rep');
+    checki (name ^ ": stored") (Dht.size fresh) (Dht.size reused);
+    checki (name ^ ": parked") (Dht.pending_gets fresh) (Dht.pending_gets reused);
+    checkb (name ^ ": elements") true (Dht.elements_by_node reused = Dht.elements_by_node fresh)
+  in
+  step "first batch" 1;
+  step "reused engine" 2;
+  let kr = Dht.kill_node reused ~node:5 and kf = Dht.kill_node fresh ~node:5 in
+  checkb "kill reports" true (kr = kf);
+  step "after kill_node" 3;
+  step "reused after kill" 4;
+  checki "join moves the same share"
+    (Dht.set_topology fresh (Ldb.join (Dht.ldb fresh)))
+    (Dht.set_topology reused (Ldb.join (Dht.ldb reused)));
+  step "after a join" 5;
+  let r1 = plan 7 and f1 = plan 7 in
+  step "faults added" ~faults_r:r1 ~faults_f:f1 6;
+  step "same faults again" ~faults_r:r1 ~faults_f:f1 7;
+  let r2 = plan 8 and f2 = plan 8 in
+  step "faults changed" ~faults_r:r2 ~faults_f:f2 8;
+  step "faults removed" 9;
+  checkb "fault draws match" true
+    (Dpq_simrt.Fault_plan.stats r1 = Dpq_simrt.Fault_plan.stats f1
+    && Dpq_simrt.Fault_plan.stats r2 = Dpq_simrt.Fault_plan.stats f2)
+
 let () =
   Alcotest.run "dpq_dht"
     [
@@ -462,6 +547,8 @@ let () =
           Alcotest.test_case "async = sync matching" `Quick test_async_matches_sync_results;
           Alcotest.test_case "set_topology" `Quick test_set_topology_counts_moves;
           Alcotest.test_case "single node" `Quick test_single_node_dht;
+          Alcotest.test_case "batch allocation per op" `Quick test_batch_allocation;
+          Alcotest.test_case "reused engine equals fresh" `Quick test_reused_engine_equals_fresh;
         ] );
       ( "replication",
         [

@@ -172,6 +172,76 @@ let test_ldb_route_uses_only_local_edges () =
       hops
   done
 
+(* [walk_route] must give exactly [fst (route …)].  Every walk of one
+   overlay appends to one shared buffer that starts empty, so the buffer
+   grows many times mid-test, and each segment is checked only after all
+   walks: growth must keep what was already walked.  Sources are vnodes of
+   every kind (DHT routes start wherever the last one ended), and the
+   points include both ends of [0, 1). *)
+let walks_match_route ldb ~seed ~pairs =
+  let r = Dpq_util.Rng.create ~seed in
+  let live = List.filter (fun id -> Ldb.is_present ldb ~id) (List.init (Ldb.n ldb) Fun.id) in
+  let live = Array.of_list live in
+  let buf = Ldb.path_buf () in
+  let walks =
+    List.init pairs (fun i ->
+        let owner = live.(Dpq_util.Rng.int r (Array.length live)) in
+        let src = (owner * 3) + Dpq_util.Rng.int r 3 in
+        let point =
+          match i with 0 -> 0.0 | 1 -> Float.pred 1.0 | _ -> Dpq_util.Rng.float r
+        in
+        let start = Ldb.path_length buf in
+        let len = Ldb.walk_route ldb buf ~src ~point in
+        (src, point, start, len))
+  in
+  checkb "the buffer grew past its first size" true (Ldb.path_length buf > 256);
+  List.iter
+    (fun (src, point, start, len) ->
+      let want = fst (Ldb.route ldb ~src ~point) in
+      let got = List.init len (fun i -> Ldb.path_get buf (start + i)) in
+      Alcotest.(check (list int)) (Printf.sprintf "walk %d -> %h" src point) want got)
+    walks
+
+let test_ldb_walk_equals_route () =
+  List.iter
+    (fun n ->
+      let ldb = Ldb.build ~n ~seed:(17 + n) in
+      walks_match_route ldb ~seed:n ~pairs:500;
+      (* Remove a third of the nodes, keeping ids stable. *)
+      let r = Dpq_util.Rng.create ~seed:(n + 1) in
+      let ldb = ref ldb in
+      for _ = 1 to n / 3 do
+        let live =
+          List.filter (fun id -> Ldb.is_present !ldb ~id) (List.init n Fun.id) |> Array.of_list
+        in
+        ldb := Ldb.remove !ldb ~id:live.(Dpq_util.Rng.int r (Array.length live))
+      done;
+      checki "a third removed" (n - (n / 3)) (Ldb.live_count !ldb);
+      walks_match_route !ldb ~seed:(n + 2) ~pairs:500)
+    [ 1; 2; 3; 5; 64; 1000 ]
+
+(* A buffer that has reached its working size is reused with
+   [path_clear]: walking then allocates nothing at all. *)
+let test_ldb_walk_allocates_nothing () =
+  let ldb = Ldb.build ~n:1024 ~seed:5 in
+  let r = Dpq_util.Rng.create ~seed:9 in
+  (* Pairs hold their points boxed, so the calls below box nothing. *)
+  let pairs =
+    List.init 1000 (fun _ ->
+        let src = Dpq_util.Rng.int r (3 * 1024) in
+        (src, Dpq_util.Rng.float r))
+  in
+  let buf = Ldb.path_buf () in
+  let walk_all () =
+    Ldb.path_clear buf;
+    List.iter (fun (src, point) -> ignore (Ldb.walk_route ldb buf ~src ~point)) pairs
+  in
+  walk_all ();
+  let before = Gc.minor_words () in
+  walk_all ();
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "1000 walks: %.0f minor words < 100" words) true (words < 100.0)
+
 let test_ldb_debruijn_hop () =
   (* One emulated de Bruijn edge lands at the manager of (p + bit)/2 and
      costs O(1)-ish messages. *)
@@ -287,6 +357,8 @@ let () =
           Alcotest.test_case "route reaches manager" `Quick test_ldb_route_reaches_manager;
           Alcotest.test_case "route hops logarithmic" `Quick test_ldb_route_hops_logarithmic;
           Alcotest.test_case "route local edges only" `Quick test_ldb_route_uses_only_local_edges;
+          Alcotest.test_case "walk equals route" `Quick test_ldb_walk_equals_route;
+          Alcotest.test_case "walk allocates nothing" `Quick test_ldb_walk_allocates_nothing;
           Alcotest.test_case "debruijn hop" `Quick test_ldb_debruijn_hop;
           Alcotest.test_case "debruijn hop back" `Quick test_ldb_debruijn_hop_back;
           Alcotest.test_case "hop near wrap" `Quick test_ldb_hop_near_wrap;
