@@ -283,12 +283,9 @@ let run_to_quiescence ?(max_events = 10_000_000) ?(stall_events = 200_000) t =
          if those retransmissions are dropped too, the deadlines move and
          we jump again — bounded by the reliable layer's max_attempts. *)
       match t.rel with
-      | Some rel when Reliable.unacked rel > 0 -> (
-          match Reliable.next_deadline rel with
-          | Some d ->
-              advance_to t d;
-              retransmit_due t
-          | None -> continue := false)
+      | Some rel when Reliable.unacked rel > 0 ->
+          advance_to t (Reliable.next_deadline rel);
+          retransmit_due t
       | _ -> continue := false
   done;
   !count

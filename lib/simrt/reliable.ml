@@ -1,16 +1,185 @@
-module Itbl = Hashtbl.Make (Int)
 module Trace = Dpq_obs.Trace
 
-type 'msg channel = {
-  key : int * int; (* (src, dst), the channel's key in [channels] *)
+(* Int-keyed chained hash tables held in flat int arrays.  Every table
+   draws its nodes from a [store] shared by all the tables of one layer;
+   a table owns only its bucket heads.  The layout is [Hashtbl]'s, so the
+   visit order is too: bucket [hash key land (buckets - 1)], a new key at
+   the head of its bucket, doubling once size exceeds twice the buckets
+   with each bucket split in order, and [reset] back to the initial
+   bucket count. *)
+module Int_table = struct
+  type store = {
+    mutable next : int array; (* next node in the bucket, or -1 *)
+    mutable keys : int array;
+    mutable vals : int array;
+    mutable free : int; (* free nodes, chained through [next]; -1 if none *)
+    mutable used : int; (* nodes ever handed out *)
+  }
+
+  (* [heads] has [nb] buckets, or is empty until the first insert. *)
+  type t = {
+    hash : int -> int;
+    initial : int;
+    mutable nb : int;
+    mutable heads : int array;
+    mutable size : int;
+  }
+
+  let store () = { next = [||]; keys = [||]; vals = [||]; free = -1; used = 0 }
+
+  (* [Hashtbl.create n]'s bucket count. *)
+  let create ?(hash = Int.hash) n =
+    let rec pow2 x = if x >= n then x else pow2 (2 * x) in
+    let b = pow2 16 in
+    { hash; initial = b; nb = b; heads = [||]; size = 0 }
+
+  let length t = t.size
+
+  let grow a fill =
+    let a' = Array.make (max 16 (2 * Array.length a)) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
+  let alloc st =
+    if st.free >= 0 then begin
+      let node = st.free in
+      st.free <- st.next.(node);
+      node
+    end
+    else begin
+      let node = st.used in
+      if node = Array.length st.next then begin
+        st.next <- grow st.next (-1);
+        st.keys <- grow st.keys 0;
+        st.vals <- grow st.vals 0
+      end;
+      st.used <- node + 1;
+      node
+    end
+
+  (* Split every bucket [i] into [i] and [i + nb], each keeping the order
+     its nodes had, as [Hashtbl]'s in-place resize does. *)
+  let resize st t =
+    let nb = t.nb in
+    let heads = Array.make (2 * nb) (-1) in
+    for i = 0 to nb - 1 do
+      let node = ref t.heads.(i) in
+      let lo = ref (-1) and hi = ref (-1) in
+      while !node >= 0 do
+        let n = !node in
+        node := st.next.(n);
+        st.next.(n) <- -1;
+        if t.hash st.keys.(n) land nb = 0 then begin
+          if !lo < 0 then heads.(i) <- n else st.next.(!lo) <- n;
+          lo := n
+        end
+        else begin
+          if !hi < 0 then heads.(i + nb) <- n else st.next.(!hi) <- n;
+          hi := n
+        end
+      done
+    done;
+    t.heads <- heads;
+    t.nb <- 2 * nb
+
+  let add st t key v =
+    if Array.length t.heads < t.nb then t.heads <- Array.make t.nb (-1);
+    let node = alloc st in
+    let b = t.hash key land (t.nb - 1) in
+    st.keys.(node) <- key;
+    st.vals.(node) <- v;
+    st.next.(node) <- t.heads.(b);
+    t.heads.(b) <- node;
+    t.size <- t.size + 1;
+    if t.size > 2 * t.nb then resize st t
+
+  (* The node holding [key], or -1. *)
+  let find_node st t key =
+    if t.size = 0 then -1
+    else begin
+      let node = ref t.heads.(t.hash key land (t.nb - 1)) in
+      while !node >= 0 && st.keys.(!node) <> key do
+        node := st.next.(!node)
+      done;
+      !node
+    end
+
+  let find st t key =
+    let node = find_node st t key in
+    if node < 0 then -1 else st.vals.(node)
+
+  let replace st t key v =
+    let node = find_node st t key in
+    if node >= 0 then st.vals.(node) <- v else add st t key v
+
+  let remove st t key =
+    if t.size = 0 then -1
+    else begin
+      let b = t.hash key land (t.nb - 1) in
+      let prev = ref (-1) and node = ref t.heads.(b) in
+      while !node >= 0 && st.keys.(!node) <> key do
+        prev := !node;
+        node := st.next.(!node)
+      done;
+      let n = !node in
+      if n < 0 then -1
+      else begin
+        if !prev < 0 then t.heads.(b) <- st.next.(n) else st.next.(!prev) <- st.next.(n);
+        st.next.(n) <- st.free;
+        st.free <- n;
+        t.size <- t.size - 1;
+        st.vals.(n)
+      end
+    end
+
+  (* Empty the table, keeping its bucket count, as [Hashtbl.clear]. *)
+  let clear st t =
+    if t.size > 0 then begin
+      for b = 0 to t.nb - 1 do
+        let node = ref t.heads.(b) in
+        while !node >= 0 do
+          let n = !node in
+          node := st.next.(n);
+          st.next.(n) <- st.free;
+          st.free <- n
+        done;
+        t.heads.(b) <- -1
+      done;
+      t.size <- 0
+    end
+
+  let reset st t =
+    clear st t;
+    if t.nb > t.initial then begin
+      t.heads <- [||];
+      t.nb <- t.initial
+    end
+
+  let fold st t f acc =
+    let acc = ref acc in
+    if t.size > 0 then
+      for b = 0 to t.nb - 1 do
+        let node = ref t.heads.(b) in
+        while !node >= 0 do
+          acc := f st.keys.(!node) st.vals.(!node) !acc;
+          node := st.next.(!node)
+        done
+      done;
+    !acc
+end
+
+type channel = {
+  id : int; (* index in the layer's [chans] *)
+  src : int;
+  dst : int;
+  hash : int; (* [Hashtbl.hash (src, dst)], its key in [order] *)
   mutable epoch : int; (* the [reset] generation the fields below belong to *)
   mutable next_sn : int; (* sender side: next sequence number to allocate *)
   mutable next_deliver : int; (* receiver side: next sn to release in order *)
-  buffered : 'msg Itbl.t; (* receiver side: out-of-order arrivals *)
-  (* sender side: sn -> pool slot of the outstanding packet.  Its Hashtbl
-     iteration order is the order [due] visits the channel's packets, so
-     it must see exactly the insertions and removals it always has. *)
-  unacked : int Itbl.t;
+  (* sender side: sn -> pool slot of the outstanding packet, in [nodes].
+     Its visit order is the order [due] visits the channel's packets. *)
+  unacked : Int_table.t;
+  mutable nheld : int; (* receiver side: out-of-order arrivals held *)
 }
 
 (* Both float-only, so their fields are stored flat and writing them
@@ -25,13 +194,21 @@ type bound = { mutable lower : float; mutable scan_min : float }
 
 type 'msg t = {
   plan : Fault_plan.t;
-  (* (src, dst) -> channel, only for iteration: [due] and the reaper visit
-     channels in this table's order, which the digests pin. *)
-  channels : (int * int, 'msg channel) Hashtbl.t;
-  (* Every channel ever opened, keyed by [chan_key]: a pool kept across
-     [reset].  A channel whose [epoch] is not the layer's is stale — it is
-     absent from [channels] and is reset when next touched. *)
-  by_key : 'msg channel Itbl.t;
+  nodes : Int_table.store; (* the nodes of every table below *)
+  (* Every channel ever opened, by id: a pool kept across [reset].  A
+     channel whose [epoch] is not the layer's is stale — it is absent from
+     [order] and is reset when next touched. *)
+  mutable chans : channel array;
+  mutable nchans : int;
+  by_key : Int_table.t; (* [chan_key] -> channel id *)
+  (* The channels of this epoch, placed as a [(src, dst)]-keyed
+     [Hashtbl.create 64] would hold them (key [Hashtbl.hash (src, dst)],
+     hashed by identity; value the channel id): [due] and the reaper
+     visit channels in its order, which the digests pin. *)
+  order : Int_table.t;
+  (* Out-of-order arrivals of every channel: [held_key] -> pool slot.
+     Its order is never observed. *)
+  held : Int_table.t;
   mutable epoch : int;
   base_rto : float;
   max_rto : float;
@@ -39,8 +216,10 @@ type 'msg t = {
   mutable unacked_total : int;
   clock : clock;
   bound : bound;
-  (* Outstanding packets live in a slot pool of parallel arrays; a free
-     slot has attempts = -1 and sits on the [free] stack. *)
+  (* Outstanding packets and held arrivals live in a slot pool of
+     parallel arrays.  A held arrival's slot has only its payload and
+     attempts = -1, as a free slot has; a free slot also sits on the
+     [free] stack. *)
   mutable pays : 'msg array;
   mutable attempts : int array; (* retransmissions so far *)
   mutable deadlines : float array;
@@ -61,13 +240,6 @@ type 'msg t = {
      channel with a killed endpoint *)
   mutable reaped_kills : int;
   mutable reap_pending : bool;
-  (* scan state and the callbacks [Hashtbl.iter] runs during a scan, built
-     once in [create] so a scan allocates no closure *)
-  mutable scan_trace : Trace.t option;
-  mutable cur_src : int; (* the channel being scanned *)
-  mutable cur_dst : int;
-  on_channel : int * int -> 'msg channel -> unit;
-  on_packet : int -> int -> unit;
 }
 
 exception Delivery_failed of string
@@ -76,17 +248,12 @@ exception Delivery_failed of string
    every data packet; an ack is just this header. *)
 let header_bits = 33
 
-let new_channel key epoch =
-  { key; epoch; next_sn = 0; next_deliver = 0; buffered = Itbl.create 8; unacked = Itbl.create 8 }
-
 let chan_key ~src ~dst = (src lsl 31) lor dst
+let grow = Int_table.grow
 
-let grow a fill =
-  let a' = Array.make (max 16 (2 * Array.length a)) fill in
-  Array.blit a 0 a' 0 (Array.length a);
-  a'
+let held_key ch sn = (ch.id lsl 31) lor sn
 
-let push_due t sn slot =
+let push_due t ch sn slot =
   let i = t.ndue in
   if i = Array.length t.due_sns then begin
     t.due_srcs <- grow t.due_srcs 0;
@@ -94,14 +261,14 @@ let push_due t sn slot =
     t.due_sns <- grow t.due_sns 0;
     t.due_slots <- grow t.due_slots 0
   end;
-  t.due_srcs.(i) <- t.cur_src;
-  t.due_dsts.(i) <- t.cur_dst;
+  t.due_srcs.(i) <- ch.src;
+  t.due_dsts.(i) <- ch.dst;
   t.due_sns.(i) <- sn;
   t.due_slots.(i) <- slot;
   t.ndue <- i + 1
 
-(* One outstanding packet of the channel being scanned. *)
-let scan_packet t sn slot =
+(* One outstanding packet of channel [ch]. *)
+let scan_packet t trace ch sn slot =
   let c = t.clock and b = t.bound in
   if t.deadlines.(slot) <= c.now then begin
     let attempts = t.attempts.(slot) + 1 in
@@ -112,85 +279,114 @@ let scan_packet t sn slot =
            (Printf.sprintf
               "Reliable: message %d->%d sn=%d still unacknowledged after %d retransmissions \
                (rto=%g, now=%g) — channel permanently down?"
-              t.cur_src t.cur_dst sn t.max_attempts t.rtos.(slot) c.now));
+              ch.src ch.dst sn t.max_attempts t.rtos.(slot) c.now));
     let rto = t.rtos.(slot) *. 2.0 in
     let rto = if rto < t.max_rto then rto else t.max_rto in
     t.rtos.(slot) <- rto;
     t.deadlines.(slot) <- c.now +. rto;
     Fault_plan.note_retransmit t.plan;
-    Trace.retransmit t.scan_trace ~src:t.cur_src ~dst:t.cur_dst ~attempt:attempts;
-    push_due t sn slot
+    Trace.retransmit trace ~src:ch.src ~dst:ch.dst ~attempt:attempts;
+    push_due t ch sn slot
   end;
   if t.deadlines.(slot) < b.scan_min then b.scan_min <- t.deadlines.(slot)
 
-let scan_channel t (src, dst) ch =
-  if Itbl.length ch.unacked > 0 then begin
-    t.cur_src <- src;
-    t.cur_dst <- dst;
-    Itbl.iter t.on_packet ch.unacked
-  end
+let scan_channel t trace ch =
+  let st = t.nodes and u = ch.unacked in
+  if u.size > 0 then
+    for b = 0 to u.nb - 1 do
+      let node = ref u.heads.(b) in
+      while !node >= 0 do
+        scan_packet t trace ch st.keys.(!node) st.vals.(!node);
+        node := st.next.(!node)
+      done
+    done
+
+(* Visit this epoch's channels in [order]'s order.  [f] is a top-level
+   function, so passing it allocates nothing. *)
+let iter_channels t trace f =
+  let st = t.nodes and o = t.order in
+  if o.size > 0 then
+    for b = 0 to o.nb - 1 do
+      let node = ref o.heads.(b) in
+      while !node >= 0 do
+        f t trace t.chans.(st.vals.(!node));
+        node := st.next.(!node)
+      done
+    done
 
 let create ?(base_rto = 4.0) ?(max_rto = 64.0) ?(max_attempts = 64) ~plan () =
   if base_rto <= 0.0 then invalid_arg "Reliable.create: base_rto must be positive";
   if max_attempts < 1 then invalid_arg "Reliable.create: max_attempts must be >= 1";
-  let rec t =
+  {
+    plan;
+    nodes = Int_table.store ();
+    chans = [||];
+    nchans = 0;
+    by_key = Int_table.create 64;
+    order = Int_table.create ~hash:Fun.id 64;
+    held = Int_table.create 16;
+    epoch = 0;
+    base_rto;
+    max_rto;
+    max_attempts;
+    unacked_total = 0;
+    clock = { now = 0.0 };
+    bound = { lower = infinity; scan_min = infinity };
+    pays = [||];
+    attempts = [||];
+    deadlines = [||];
+    rtos = [||];
+    free = [||];
+    nfree = 0;
+    slots = 0;
+    due_srcs = [||];
+    due_dsts = [||];
+    due_sns = [||];
+    due_slots = [||];
+    ndue = 0;
+    released = [||];
+    nreleased = 0;
+    reaped_kills = 0;
+    reap_pending = false;
+  }
+
+let new_channel t ~src ~dst key =
+  let ch =
     {
-      plan;
-      channels = Hashtbl.create 64;
-      by_key = Itbl.create 64;
-      epoch = 0;
-      base_rto;
-      max_rto;
-      max_attempts;
-      unacked_total = 0;
-      clock = { now = 0.0 };
-      bound = { lower = infinity; scan_min = infinity };
-      pays = [||];
-      attempts = [||];
-      deadlines = [||];
-      rtos = [||];
-      free = [||];
-      nfree = 0;
-      slots = 0;
-      due_srcs = [||];
-      due_dsts = [||];
-      due_sns = [||];
-      due_slots = [||];
-      ndue = 0;
-      released = [||];
-      nreleased = 0;
-      reaped_kills = 0;
-      reap_pending = false;
-      scan_trace = None;
-      cur_src = 0;
-      cur_dst = 0;
-      on_channel = (fun key ch -> scan_channel t key ch);
-      on_packet = (fun sn slot -> scan_packet t sn slot);
+      id = t.nchans;
+      src;
+      dst;
+      hash = Hashtbl.hash (src, dst);
+      epoch = -1;
+      next_sn = 0;
+      next_deliver = 0;
+      unacked = Int_table.create 8;
+      nheld = 0;
     }
   in
-  t
+  if t.nchans = Array.length t.chans then t.chans <- grow t.chans ch;
+  t.chans.(t.nchans) <- ch;
+  t.nchans <- t.nchans + 1;
+  Int_table.replace t.nodes t.by_key key ch.id;
+  ch
 
-(* A channel is entered in [channels] when first touched in an epoch, so
-   that table sees the insertions a fresh layer's would.  A pooled channel
-   is reset then: [Itbl.reset] returns its tables to their initial size,
-   so they iterate exactly like fresh ones. *)
+(* A channel is entered in [order] when first touched in an epoch, so
+   that table sees the insertions a fresh layer's would.  A new or pooled
+   channel is reset then, its packet table back at its initial size, so
+   it iterates exactly like a fresh one. *)
 let channel t ~src ~dst =
   let key = chan_key ~src ~dst in
-  match Itbl.find t.by_key key with
-  | ch when ch.epoch = t.epoch -> ch
-  | ch ->
-      ch.epoch <- t.epoch;
-      ch.next_sn <- 0;
-      ch.next_deliver <- 0;
-      Itbl.reset ch.buffered;
-      Itbl.reset ch.unacked;
-      Hashtbl.replace t.channels ch.key ch;
-      ch
-  | exception Not_found ->
-      let ch = new_channel (src, dst) t.epoch in
-      Itbl.add t.by_key key ch;
-      Hashtbl.replace t.channels ch.key ch;
-      ch
+  let id = Int_table.find t.nodes t.by_key key in
+  let ch = if id >= 0 then t.chans.(id) else new_channel t ~src ~dst key in
+  if ch.epoch <> t.epoch then begin
+    ch.epoch <- t.epoch;
+    ch.next_sn <- 0;
+    ch.next_deliver <- 0;
+    ch.nheld <- 0;
+    Int_table.reset t.nodes ch.unacked;
+    Int_table.add t.nodes t.order ch.hash ch.id
+  end;
+  ch
 
 let alloc_slot t payload =
   if t.nfree > 0 then begin
@@ -210,23 +406,27 @@ let alloc_slot t payload =
     s
   end
 
-(* Forget an outstanding packet (acked or abandoned). *)
-let release_slot t ch sn slot =
-  Itbl.remove ch.unacked sn;
-  t.attempts.(slot) <- -1;
+let recycle_slot t slot =
   t.free.(t.nfree) <- slot;
-  t.nfree <- t.nfree + 1;
+  t.nfree <- t.nfree + 1
+
+(* Forget an outstanding packet (acked or abandoned) whose table entry is
+   already gone. *)
+let free_slot t slot =
+  t.attempts.(slot) <- -1;
+  recycle_slot t slot;
   t.unacked_total <- t.unacked_total - 1
 
 let clock t = t.clock
 
-(* Hashtbl.reset (not clear) shrinks [channels] to its initial size, so
-   [due] and the reaper visit channels in the order a fresh layer would.
-   The channel records stay pooled in [by_key]; the new epoch marks them
-   all stale. *)
+(* [order] goes back to its initial size, so [due] and the reaper visit
+   channels in the order a fresh layer would.  The channel records stay
+   pooled; the new epoch marks them all stale.  Arrivals still held (behind
+   a reaped packet) are dropped with the slot pool. *)
 let reset t =
   if t.unacked_total <> 0 then invalid_arg "Reliable.reset: unacknowledged packets outstanding";
-  Hashtbl.reset t.channels;
+  Int_table.reset t.nodes t.order;
+  Int_table.reset t.nodes t.held;
   t.epoch <- t.epoch + 1;
   t.clock.now <- 0.0;
   t.bound.lower <- infinity;
@@ -236,8 +436,7 @@ let reset t =
   t.ndue <- 0;
   t.nreleased <- 0;
   t.reaped_kills <- 0;
-  t.reap_pending <- false;
-  t.scan_trace <- None
+  t.reap_pending <- false
 
 let register t ~src ~dst payload =
   let ch = channel t ~src ~dst in
@@ -250,7 +449,7 @@ let register t ~src ~dst payload =
   t.deadlines.(slot) <- deadline;
   t.rtos.(slot) <- t.base_rto;
   if deadline < t.bound.lower then t.bound.lower <- deadline;
-  Itbl.replace ch.unacked sn slot;
+  Int_table.replace t.nodes ch.unacked sn slot;
   t.unacked_total <- t.unacked_total + 1;
   if
     Fault_plan.killed_count t.plan > 0
@@ -264,27 +463,40 @@ let release t payload =
   t.released.(i) <- payload;
   t.nreleased <- i + 1
 
+(* Release the held arrival next in order on [ch], if there is one. *)
+let release_held t ch =
+  let slot = Int_table.remove t.nodes t.held (held_key ch ch.next_deliver) in
+  slot >= 0
+  && begin
+       release t t.pays.(slot);
+       recycle_slot t slot;
+       ch.nheld <- ch.nheld - 1;
+       ch.next_deliver <- ch.next_deliver + 1;
+       true
+     end
+
 (* Per-channel FIFO release: a retransmission that overtakes a later send
    must not reorder the application stream, so out-of-order arrivals are
-   buffered until the gap closes.  An arrival that is next in order and
-   finds nothing buffered (the common case) never touches the buffer
-   table. *)
+   held until the gap closes.  An arrival that is next in order on a
+   channel with nothing held (the common case) never touches [held]. *)
 let receive_data t ~src ~dst ~sn payload =
-  let ch = channel t ~src ~dst in
+  let ch = channel t ~src ~dst and st = t.nodes in
   t.nreleased <- 0;
-  let buffering = Itbl.length ch.buffered > 0 in
-  if sn < ch.next_deliver || (buffering && Itbl.mem ch.buffered sn) then
+  if sn < ch.next_deliver || (ch.nheld > 0 && Int_table.find st t.held (held_key ch sn) >= 0) then
     Fault_plan.note_dup_suppressed t.plan
-  else if sn > ch.next_deliver then Itbl.replace ch.buffered sn payload
+  else if sn > ch.next_deliver then begin
+    let slot = alloc_slot t payload in
+    t.pays.(slot) <- payload;
+    t.attempts.(slot) <- -1;
+    Int_table.replace st t.held (held_key ch sn) slot;
+    ch.nheld <- ch.nheld + 1
+  end
   else begin
     release t payload;
     ch.next_deliver <- sn + 1;
-    if buffering then
-      while Itbl.mem ch.buffered ch.next_deliver do
-        release t (Itbl.find ch.buffered ch.next_deliver);
-        Itbl.remove ch.buffered ch.next_deliver;
-        ch.next_deliver <- ch.next_deliver + 1
-      done
+    while ch.nheld > 0 && release_held t ch do
+      ()
+    done
   end;
   t.nreleased
 
@@ -293,46 +505,45 @@ let released t i = t.released.(i)
 let receive_ack t ~src ~dst ~sn =
   (* [src -> dst] names the DATA direction; the ack travelled dst -> src. *)
   let ch = channel t ~src ~dst in
-  match Itbl.find ch.unacked sn with
-  | slot -> release_slot t ch sn slot
-  | exception Not_found -> ()
+  let slot = Int_table.remove t.nodes ch.unacked sn in
+  if slot >= 0 then free_slot t slot
 
 let unacked t = t.unacked_total
 
 let next_deadline t =
-  if t.unacked_total = 0 then None
-  else begin
-    let d = ref infinity in
+  let d = ref infinity in
+  if t.unacked_total > 0 then
     for slot = 0 to t.slots - 1 do
       if t.attempts.(slot) >= 0 && t.deadlines.(slot) < !d then d := t.deadlines.(slot)
     done;
-    Some !d
-  end
+  !d
 
 (* A killed peer never acks: retransmitting at it forever would end in
    [Delivery_failed].  Abandon every outstanding packet on a channel whose
-   endpoint is dead, counting each as a dead letter. *)
-let reap_dead t trace =
-  Hashtbl.iter
-    (fun (src, dst) ch ->
-      if
-        Itbl.length ch.unacked > 0
-        && (Fault_plan.is_killed t.plan ~node:dst || Fault_plan.is_killed t.plan ~node:src)
-      then begin
-        let sns = Itbl.fold (fun sn _ acc -> sn :: acc) ch.unacked [] in
-        List.iter
-          (fun sn ->
-            release_slot t ch sn (Itbl.find ch.unacked sn);
-            Fault_plan.note_dead_letter t.plan trace ~src ~dst)
-          (List.sort Int.compare sns)
-      end)
-    t.channels
+   endpoint is dead, counting each as a dead letter.  A dead letter names
+   only its channel, so the order within one channel is not observable. *)
+let reap_channel t trace ch =
+  let st = t.nodes and u = ch.unacked in
+  if
+    u.size > 0
+    && (Fault_plan.is_killed t.plan ~node:ch.dst || Fault_plan.is_killed t.plan ~node:ch.src)
+  then begin
+    for b = 0 to u.nb - 1 do
+      let node = ref u.heads.(b) in
+      while !node >= 0 do
+        free_slot t st.vals.(!node);
+        Fault_plan.note_dead_letter t.plan trace ~src:ch.src ~dst:ch.dst;
+        node := st.next.(!node)
+      done
+    done;
+    Int_table.clear st u
+  end
 
 let due t trace =
   (* Only a newly committed kill, or a packet registered on a channel with
      a killed endpoint, can give the reaper something to do. *)
   if Fault_plan.killed_count t.plan <> t.reaped_kills || t.reap_pending then begin
-    reap_dead t trace;
+    iter_channels t trace reap_channel;
     t.reaped_kills <- Fault_plan.killed_count t.plan;
     t.reap_pending <- false
   end;
@@ -340,8 +551,7 @@ let due t trace =
   let b = t.bound in
   if t.clock.now >= b.lower then begin
     b.scan_min <- infinity;
-    t.scan_trace <- trace;
-    Hashtbl.iter t.on_channel t.channels;
+    iter_channels t trace scan_channel;
     b.lower <- b.scan_min
   end;
   t.ndue

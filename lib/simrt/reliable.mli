@@ -18,14 +18,68 @@
     The clock ({!clock}, deadlines) is whatever the host engine uses: round
     numbers for {!Sync_engine}, virtual time for {!Async_engine}.
 
-    Nothing here allocates per message beyond the sequence-number table
-    entry {!register} adds: outstanding packets live in a reusable slot
-    pool, and {!due} and {!receive_data} hand their results back through
-    reusable buffers, read with the accessors below until the next call.
+    Nothing here allocates per message: outstanding packets and
+    out-of-order arrivals live in a reusable slot pool, every table is an
+    {!Int_table} whose nodes come from one store per layer, and {!due}
+    and {!receive_data} hand their results back through reusable buffers,
+    read with the accessors below until the next call.  Only growth
+    allocates: the pool, the store or a table's buckets doubling, and a
+    channel's first use.
 
     Counters (retransmits, acks, suppressed duplicates, dead letters) are
     recorded on the shared {!Fault_plan.stats} so they aggregate across the
     many short-lived engines of a protocol run. *)
+
+(** Int-keyed chained hash tables in flat int arrays, with
+    [Hashtbl.Make (Int)]'s visit order.
+
+    The layer's tables are these, not [Hashtbl]s, so that entering a
+    packet allocates nothing; their visit order must nonetheless be
+    exactly a [Hashtbl]'s, because {!due} visits packets in it and the
+    fault digests pin that order.  So they follow the stdlib's rules:
+    [create n] starts at [Hashtbl.create n]'s bucket count, a key goes to
+    bucket [hash land (buckets - 1)] at the head of its chain, the table
+    doubles once it holds more than two keys per bucket, splitting each
+    bucket in order, and {!Int_table.reset} returns it to its initial
+    bucket count.  The nodes of many tables live in one {!Int_table.store}.
+    Exposed as a test seam: [test/test_faults.ml] drives it against
+    [Hashtbl.Make (Int)] and the polymorphic [Hashtbl] to catch a change
+    in the stdlib's internals. *)
+module Int_table : sig
+  type store
+  (** Node columns and a free list, shared by any number of tables. *)
+
+  type t
+
+  val store : unit -> store
+  val create : ?hash:(int -> int) -> int -> t
+  (** An empty table placing its keys by [hash] (default [Int.hash], as
+      [Hashtbl.Make (Int)]); it allocates its buckets on the first
+      insert. *)
+
+  val length : t -> int
+
+  val find : store -> t -> int -> int
+  (** The value bound to the key, or [-1]: values must be non-negative. *)
+
+  val replace : store -> t -> int -> int -> unit
+  (** As [Hashtbl.replace]. *)
+
+  val add : store -> t -> int -> int -> unit
+  (** As [Hashtbl.add]: the key goes in even if it is already bound.  With
+      [~hash:Fun.id] and [Hashtbl.hash k] as the key, a table fed only
+      [add] and [reset] visits its values as a polymorphic [Hashtbl] fed
+      the same [add]s of [k] visits its bindings. *)
+
+  val remove : store -> t -> int -> int
+  (** As [Hashtbl.remove]; returns the removed value, or [-1]. *)
+
+  val reset : store -> t -> unit
+  (** As [Hashtbl.reset]: empty, back at the initial bucket count. *)
+
+  val fold : store -> t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
+  (** Visit the bindings in the table's order. *)
+end
 
 type 'msg t
 
@@ -51,7 +105,7 @@ val reset : 'msg t -> unit
 (** Forget every channel and sequence number and zero the clock, keeping
     the buffers: afterwards the layer behaves exactly as a fresh one from
     {!create}.  Channel records are pooled, not rebuilt: a channel is
-    reset, with its tables back at their initial size, when it is next
+    reset, with its packet table back at its initial size, when it is next
     used, and only then does it rejoin the table {!due} and the reaper
     visit, so they visit channels and packets in a fresh layer's order.
     Raises [Invalid_argument] if packets are unacknowledged. *)
@@ -96,10 +150,11 @@ val due : 'msg t -> Dpq_obs.Trace.t option -> int
 
     The scan is skipped while [now] is below a lower bound on every
     outstanding deadline (made exact by each scan).  When it runs it
-    visits channels, and each channel's packets, in the iteration order of
-    the hash tables that record them; that order decides both the
-    per-channel fault draws of the retransmissions and their delivery
-    order, so the digests pin it. *)
+    visits channels in the order of a [(src, dst)]-keyed [Hashtbl] fed
+    the same insertions, and each channel's packets in the order of a
+    [Hashtbl.Make (Int)] from sequence number (see {!Int_table}); that
+    order decides both the per-channel fault draws of the retransmissions
+    and their delivery order, so the digests pin it. *)
 
 val due_src : 'msg t -> int -> int
 val due_dst : 'msg t -> int -> int
@@ -111,8 +166,8 @@ val unacked : 'msg t -> int
     Quiescence under faults means: no events in flight {e and} zero
     unacked. *)
 
-val next_deadline : 'msg t -> float option
-(** Earliest retransmission deadline, if anything is outstanding — where an
-    idle asynchronous engine jumps its clock. *)
+val next_deadline : 'msg t -> float
+(** Earliest retransmission deadline, [infinity] when nothing is
+    outstanding — where an idle asynchronous engine jumps its clock. *)
 
 exception Delivery_failed of string

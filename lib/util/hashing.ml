@@ -2,10 +2,16 @@ type t = { key : int64 }
 
 let create ~seed = { key = Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L }
 
-(* The helpers below are inlined, like [Rng.mix]: a call boxes every
-   Int64 or float it passes or returns, and a pair-point lookup
-   (KSelect's sorting stage makes one per pair per stage) allocated 14
-   minor words through them. *)
+(* The [@inline] helpers below are inlined into the other functions of
+   this module, so the Int64 values passed between them stay unboxed; as
+   separate calls, a pair-point lookup (KSelect's sorting stage makes one
+   per pair per stage) allocated 14 minor words through them.  The
+   annotation does not cross a library boundary in the dev profile that
+   [dune build] and perfbench use: it compiles every library with
+   [-opaque], so other libraries call these functions out of line, and
+   [to_unit_interval] and [pair_to_unit_interval] return a boxed float to
+   [Dht.key_point], [Ldb] and KSelect on every call.  Points as int
+   mantissas across [Ldb]'s API would remove that box. *)
 let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

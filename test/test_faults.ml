@@ -354,11 +354,11 @@ let test_reap_kill_between_rounds () =
   Alcotest.(check string) "digest" "db94d8d56891ab63" (trace_digest trace)
 
 (* Allocation guard: a bare engine under drop + dup, one send per node per
-   round for 800 rounds.  Apart from one sequence-number table entry per
-   send, the fault path allocates nothing per message or per round; a
-   closure or a boxed float back on it shows up here as words per
-   delivered message (about 340 before the reliable layer was made flat,
-   about 11 after). *)
+   round for 800 rounds.  The fault path allocates nothing per message or
+   per round; a closure, a boxed float or a table cell back on it shows
+   up here as words per delivered message (about 340 before the reliable
+   layer's pool and buffers were made flat, 10.6 with a [Hashtbl] entry
+   per packet, 1.2 with flat tables). *)
 let test_fault_path_allocation () =
   let plan = Fault_plan.create ~drop:0.05 ~duplicate:0.02 ~seed:5 () in
   let delivered = ref 0 in
@@ -380,8 +380,124 @@ let test_fault_path_allocation () =
   checki "retransmits" 1339 (Fault_plan.stats plan).Fault_plan.retransmits;
   let per_msg = words /. float_of_int !delivered in
   checkb
-    (Printf.sprintf "%.1f minor words per delivered message <= 24" per_msg)
-    true (per_msg <= 24.0)
+    (Printf.sprintf "%.1f minor words per delivered message <= 4" per_msg)
+    true (per_msg <= 4.0)
+
+(* Allocation guard for the reliable layer alone: the relay of the
+   retransmission-order test, untraced, on a warmed engine — run once,
+   then again after [reset_clock], so every pool, table and buffer has
+   already grown.  With a [Hashtbl] per channel for sequence numbers
+   and out-of-order arrivals, the second run allocated 26.8 minor words
+   per registered packet (300 packets); with the flat tables it
+   allocates 3.7, the relay's own pairs and the engine's per-run
+   bookkeeping. *)
+let test_warm_relay_allocation () =
+  let plan = Fault_plan.create ~drop:0.3 ~duplicate:0.1 ~seed:8 () in
+  let got = ref 0 in
+  let eng =
+    Sync_engine.create ~n:6 ~size_bits:(fun _ -> 8) ~faults:plan
+      ~handler:(fun eng ~dst:_ ~src:_ m ->
+        incr got;
+        relay Sync_engine.send eng m)
+      ()
+  in
+  let run () =
+    for c = 0 to 29 do
+      let src, dst = channel_of c in
+      Sync_engine.send eng ~src ~dst c
+    done;
+    ignore (Sync_engine.run_to_quiescence eng)
+  in
+  run ();
+  Sync_engine.reset_clock eng;
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  checki "delivered" 600 !got;
+  let per_packet = words /. 300.0 in
+  checkb
+    (Printf.sprintf "%.1f minor words per registered packet <= 6" per_packet)
+    true (per_packet <= 6.0)
+
+(* [Reliable.Int_table] must visit its bindings exactly as the stdlib's
+   [Hashtbl] does, because [due]'s visit order decides every
+   retransmission's fault draw and delivery order.  Random replace/remove
+   sequences grow both tables past 600 live keys (16 -> 512 buckets), with
+   resets after growth; the orders must agree after every step.  A
+   second table shares the store, so node ids interleave. *)
+module Itbl = Hashtbl.Make (Int)
+module It = Reliable.Int_table
+
+let test_int_table_order () =
+  let rng = Dpq_util.Rng.create ~seed:11 in
+  let st = It.store () in
+  let t = It.create 8 and h = Itbl.create 8 and other = It.create 8 in
+  let step = ref 0 and peak = ref 0 in
+  let check () =
+    incr step;
+    let mine = It.fold st t (fun k v acc -> (k, v) :: acc) [] in
+    let order = ref [] in
+    Itbl.iter (fun k v -> order := (k, v) :: !order) h;
+    if mine <> !order then Alcotest.failf "visit order differs from Hashtbl's after step %d" !step;
+    if It.length t <> Itbl.length h then Alcotest.failf "length differs after step %d" !step;
+    if It.length t > !peak then peak := It.length t
+  in
+  let op ~p_replace =
+    let k = Dpq_util.Rng.int rng 2000 in
+    if Dpq_util.Rng.bernoulli rng ~p:p_replace then begin
+      let v = Dpq_util.Rng.int rng 1_000_000 in
+      It.replace st t k v;
+      Itbl.replace h k v
+    end
+    else begin
+      let want = Option.value (Itbl.find_opt h k) ~default:(-1) in
+      checki "remove returns the bound value" want (It.remove st t k);
+      Itbl.remove h k
+    end;
+    checki "find" (Option.value (Itbl.find_opt h k) ~default:(-1)) (It.find st t k);
+    if Dpq_util.Rng.int rng 4 = 0 then It.replace st other (Dpq_util.Rng.int rng 500) k;
+    check ()
+  in
+  let grow_to n = while It.length t < n do op ~p_replace:0.8 done in
+  for _ = 1 to 3 do
+    grow_to 650;
+    for _ = 1 to 400 do
+      op ~p_replace:0.5
+    done;
+    It.reset st t;
+    Itbl.reset h;
+    check ();
+    for _ = 1 to 200 do
+      op ~p_replace:0.6
+    done
+  done;
+  checkb "reached 600 live keys" true (!peak >= 600)
+
+(* The channel table: keys [Hashtbl.hash (src, dst)] under the identity
+   hash, fed only [add] and [reset], visit their values as a polymorphic
+   [(src, dst)]-keyed [Hashtbl] visits its bindings (64 -> 512 buckets). *)
+let test_int_table_pair_order () =
+  let rng = Dpq_util.Rng.create ~seed:12 in
+  let st = It.store () in
+  let t = It.create ~hash:Fun.id 64 and h = Hashtbl.create 64 in
+  for round = 1 to 3 do
+    let seen = Hashtbl.create 16 in
+    for i = 0 to 599 do
+      let key = (Dpq_util.Rng.int rng 64, Dpq_util.Rng.int rng 64) in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.replace seen key ();
+        It.add st t (Hashtbl.hash key) i;
+        Hashtbl.replace h key i
+      end;
+      let mine = It.fold st t (fun _ v acc -> v :: acc) [] in
+      let order = ref [] in
+      Hashtbl.iter (fun _ v -> order := v :: !order) h;
+      if mine <> !order then Alcotest.failf "channel order differs in round %d at step %d" round i
+    done;
+    checkb "grew past 512 channels" true (Hashtbl.length h > 512);
+    It.reset st t;
+    Hashtbl.reset h
+  done
 
 (* --------------------------------------------- full-protocol fault matrix *)
 
@@ -722,6 +838,10 @@ let () =
           Alcotest.test_case "kill between rounds reaps its channels" `Quick
             test_reap_kill_between_rounds;
           Alcotest.test_case "fault path allocation guard" `Quick test_fault_path_allocation;
+          Alcotest.test_case "warmed relay allocation guard" `Quick test_warm_relay_allocation;
+          Alcotest.test_case "Int_table visits as Hashtbl.Make (Int)" `Quick test_int_table_order;
+          Alcotest.test_case "Int_table visits as a (src, dst) Hashtbl" `Quick
+            test_int_table_pair_order;
         ] );
       ( "protocol_matrix",
         [
