@@ -5,28 +5,33 @@
      dune exec bin/experiments.exe                 -- run everything
      dune exec bin/experiments.exe -- --only t1,t4 -- a subset
      dune exec bin/experiments.exe -- --full       -- larger sweeps
-     dune exec bin/experiments.exe -- --seed 7     -- different randomness *)
+     dune exec bin/experiments.exe -- --seed 7     -- different randomness
+
+   Every table's input is a closed-loop Workload.Gen spec seeded by --seed:
+   whole-run metrics come from Runner, the rows that inspect the heap
+   afterwards fill a Dpq_heap from the same rounds, and the KSelect tables
+   turn one generated round into per-node element lists. *)
 
 module Table = Dpq_util.Table
-module Rng = Dpq_util.Rng
 module Stats = Dpq_util.Stats
 module E = Dpq_util.Element
 module Ldb = Dpq_overlay.Ldb
 module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
-module Skeap = Dpq_skeap.Skeap
 module Seap = Dpq_seap.Seap
 module K = Dpq_kselect.Kselect
 module W = Dpq_workloads.Workload
+module G = W.Gen
 module R = Dpq_workloads.Runner
+module Heap = Dpq.Dpq_heap
 module Trace = Dpq_obs.Trace
 module Checker = Dpq_semantics.Checker
 
-(* Set by --trace FILE: experiments that drive the unified Runner (t6) feed
-   this sink; the driver writes the JSONL file at the end of the run. *)
+(* Set by --trace FILE: every Runner-driven table feeds this sink; the
+   driver writes the JSONL file at the end of the run. *)
 let trace_sink : Trace.t option ref = ref None
 
-(* Set by --faults SPEC: Runner-driven experiments (t6) execute over this
+(* Set by --faults SPEC: every Runner-driven table executes over this
    faulty network with reliable ack/retransmit delivery. *)
 let fault_spec : string option ref = ref None
 
@@ -39,90 +44,122 @@ let fi = float_of_int
 let header id source expectation =
   Printf.printf "\n### %s — %s\n(expected shape: %s)\n\n" id source expectation
 
+(* ------------------------------------------------------------ workloads *)
+
+(* [rounds] rounds in which every node injects [lambda] ops; a single
+   batch is [rounds = 1]. *)
+let closed ?(rounds = 1) ?(insert_ratio = 0.5) ~seed ~n ~lambda dist =
+  G.{ n; rounds; lambda; insert_ratio; dist; seed; arrival = W.Closed }
+
+let first_round spec = Option.get (G.next (G.create spec))
+
+(* Skeap and Unbatched draw from their constant priority set, the others
+   from a wide range. *)
+let prios : Heap.backend -> W.prio_dist = function
+  | Skeap { num_prios } | Unbatched { num_prios } -> Constant_set num_prios
+  | Seap | Centralized -> Uniform (1, 1_000_000)
+
+let skeap = Heap.Skeap { num_prios = 4 }
+
+(* One whole run through the closed-loop driver, over --trace and --faults. *)
+let run ?dht_mode ~seed backend (spec : G.spec) =
+  R.run_gen ~seed ?trace:!trace_sink
+    ?faults:(make_faults ~seed:(seed + spec.n))
+    ?dht_mode ~n:spec.n backend (G.create spec)
+
+let inject ~insert ~delete_min (round : W.round) =
+  List.iter
+    (fun (op : W.op) ->
+      match op.action with
+      | `Ins prio -> ignore (insert ~node:op.node ~prio)
+      | `Del -> delete_min ~node:op.node)
+    round
+
+(* For the rows that read the heap afterwards (T7, T9, T11): every round of
+   [spec] injected into a fresh heap and processed; returns the heap and
+   the per-round results. *)
+let filled ~seed backend (spec : G.spec) =
+  let h = Heap.create ~seed ~n:spec.n backend in
+  let gen = G.create spec in
+  let rec go acc =
+    match G.next gen with
+    | None -> (h, List.rev acc)
+    | Some round ->
+        inject ~insert:(Heap.insert h) ~delete_min:(Heap.delete_min h) round;
+        go (Heap.process h :: acc)
+  in
+  go []
+
+(* KSelect's input: [per_node] generated inserts at each node, as elements. *)
+let elements ~seed ~n ~per_node =
+  let ops =
+    Array.of_list
+      (first_round (closed ~insert_ratio:1.0 ~seed ~n ~lambda:per_node (prios Seap)))
+  in
+  Array.init n (fun v ->
+      List.init per_node (fun s ->
+          match ops.((v * per_node) + s).W.action with
+          | `Ins prio -> E.make ~prio ~origin:v ~seq:s ()
+          | `Del -> assert false))
+
+let net ~seed ~n = Phase.net (Aggtree.of_ldb (Ldb.build ~n ~seed))
+
+let correct (r : K.result) elements ~k =
+  string_of_bool (E.equal r.K.element (K.select_seq (List.concat (Array.to_list elements)) ~k))
+
+(* One table, one row per swept value. *)
+let sweep ~title ~columns xs row =
+  let tab = Table.create ~title ~columns in
+  List.iter (fun x -> Table.add_row tab (row x)) xs;
+  Table.print tab
+
+let right c = (c, Table.Right)
+let left c = (c, Table.Left)
+
 (* ------------------------------------------------------------------ T1 *)
 
 let t1 ~seed ~full =
   header "T1" "Skeap rounds per batch vs n (Thm 3.2(3), Cor 3.6)"
     "rounds / log2 n roughly constant";
   let sizes = if full then [ 16; 64; 256; 1024; 4096; 16384 ] else [ 16; 64; 256; 1024; 4096 ] in
-  let tab =
-    Table.create ~title:"T1 Skeap batch latency"
-      ~columns:
-        [ ("n", Table.Right); ("rounds", Table.Right); ("log2 n", Table.Right); ("rounds/log2 n", Table.Right) ]
-  in
-  List.iter
+  sweep ~title:"T1 Skeap batch latency"
+    ~columns:[ right "n"; right "rounds"; right "log2 n"; right "rounds/log2 n" ]
+    sizes
     (fun n ->
+      (* one insert per node, mean over three seeds *)
       let rounds =
         Stats.mean
           (List.map
              (fun s ->
-               let h = Skeap.create ~seed:(seed + s) ~n ~num_prios:4 () in
-               for v = 0 to n - 1 do
-                 ignore (Skeap.insert h ~node:v ~prio:(1 + (v mod 4)))
-               done;
-               fi (Skeap.process_batch h).Skeap.report.Phase.rounds)
+               let seed = seed + s in
+               fi (run ~seed skeap (closed ~insert_ratio:1.0 ~seed ~n ~lambda:1 (prios skeap))).R.rounds)
              [ 0; 1; 2 ])
       in
-      Table.add_row tab
-        [ string_of_int n; Table.fmt_float rounds; Table.fmt_float (log2 n); Table.fmt_float (rounds /. log2 n) ])
-    sizes;
-  Table.print tab
+      [ string_of_int n; Table.fmt_float rounds; Table.fmt_float (log2 n); Table.fmt_float (rounds /. log2 n) ])
 
-(* ------------------------------------------------------------------ T2 *)
+(* ----------------------------------------------------------- T2 and T3 *)
 
-let lambda_workload h n lambda rng num_prios =
-  for node = 0 to n - 1 do
-    for i = 1 to lambda do
-      if i mod 2 = 0 then ignore (Skeap.insert h ~node ~prio:(1 + Rng.int rng num_prios))
-      else Skeap.delete_min h ~node
-    done
-  done
+(* One batch of Λ mixed ops per node at n = 64: the largest message. *)
+let max_bits ~seed backend lambda =
+  (run ~seed backend (closed ~seed ~n:64 ~lambda (prios backend))).R.max_message_bits
 
 let t2 ~seed ~full =
   header "T2" "Skeap max message size vs injection rate Λ (Lemma 3.8)"
     "grows linearly with Λ (the O(Λ log² n) term)";
-  let n = 64 in
-  let lambdas = if full then [ 1; 2; 4; 8; 16; 32; 64; 128 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let tab =
-    Table.create ~title:"T2 Skeap message size vs Λ (n = 64)"
-      ~columns:[ ("Λ", Table.Right); ("max msg bits", Table.Right); ("bits/Λ", Table.Right) ]
-  in
-  List.iter
+  sweep ~title:"T2 Skeap message size vs Λ (n = 64)"
+    ~columns:[ right "Λ"; right "max msg bits"; right "bits/Λ" ]
+    (if full then [ 1; 2; 4; 8; 16; 32; 64; 128 ] else [ 1; 2; 4; 8; 16; 32; 64 ])
     (fun lambda ->
-      let h = Skeap.create ~seed ~n ~num_prios:4 () in
-      let rng = Rng.create ~seed:(seed * 31) in
-      lambda_workload h n lambda rng 4;
-      let bits = (Skeap.process_batch h).Skeap.report.Phase.max_message_bits in
-      Table.add_row tab
-        [ string_of_int lambda; string_of_int bits; Table.fmt_float (fi bits /. fi lambda) ])
-    lambdas;
-  Table.print tab
-
-(* ------------------------------------------------------------------ T3 *)
+      let bits = max_bits ~seed skeap lambda in
+      [ string_of_int lambda; string_of_int bits; Table.fmt_float (fi bits /. fi lambda) ])
 
 let t3 ~seed ~full =
   header "T3" "Seap max message size vs injection rate Λ (Lemma 5.5)"
     "flat O(log n), independent of Λ — the headline improvement over Skeap";
-  let n = 64 in
-  let lambdas = if full then [ 1; 2; 4; 8; 16; 32; 64; 128 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
-  let tab =
-    Table.create ~title:"T3 Seap message size vs Λ (n = 64)"
-      ~columns:[ ("Λ", Table.Right); ("max msg bits", Table.Right) ]
-  in
-  List.iter
-    (fun lambda ->
-      let h = Seap.create ~seed ~n () in
-      let rng = Rng.create ~seed:(seed * 31) in
-      for node = 0 to n - 1 do
-        for i = 1 to lambda do
-          if i mod 2 = 0 then ignore (Seap.insert h ~node ~prio:(1 + Rng.int rng 1_000_000))
-          else Seap.delete_min h ~node
-        done
-      done;
-      let bits = (Seap.process_round h).Seap.report.Phase.max_message_bits in
-      Table.add_row tab [ string_of_int lambda; string_of_int bits ])
-    lambdas;
-  Table.print tab
+  sweep ~title:"T3 Seap message size vs Λ (n = 64)"
+    ~columns:[ right "Λ"; right "max msg bits" ]
+    (if full then [ 1; 2; 4; 8; 16; 32; 64; 128 ] else [ 1; 2; 4; 8; 16; 32; 64 ])
+    (fun lambda -> [ string_of_int lambda; string_of_int (max_bits ~seed Heap.Seap lambda) ])
 
 (* ------------------------------------------------------------------ T4 *)
 
@@ -130,31 +167,19 @@ let t4 ~seed ~full =
   header "T4" "KSelect rounds vs n and m = n^q (Theorem 4.2)"
     "rounds / log2 n roughly constant in n; weakly sensitive to q (Phase 1 runs log q + 1 iterations)";
   let sizes = if full then [ 16; 64; 256; 1024; 4096 ] else [ 16; 64; 256; 1024 ] in
-  let tab =
-    Table.create ~title:"T4 KSelect latency (k = m/2)"
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("m", Table.Right);
-          ("m/n", Table.Right);
-          ("rounds", Table.Right);
-          ("rounds/log2 n", Table.Right);
-          ("max msg bits", Table.Right);
-          ("correct", Table.Left);
-        ]
-  in
-  let run n per_node =
-    let rng = Rng.create ~seed:(seed * 7) in
-    let m = per_node * n in
-    let tree = Aggtree.of_ldb (Ldb.build ~n ~seed) in
-    let elements =
-      Array.init n (fun v ->
-          List.init per_node (fun s -> E.make ~prio:(1 + Rng.int rng (m * 10)) ~origin:v ~seq:s ()))
-    in
-    let k = m / 2 in
-    let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
-    let expect = K.select_seq (List.concat (Array.to_list elements)) ~k in
-    Table.add_row tab
+  sweep ~title:"T4 KSelect latency (k = m/2)"
+    ~columns:
+      [ right "n"; right "m"; right "m/n"; right "rounds"; right "rounds/log2 n"; right "max msg bits";
+        left "correct" ]
+    (* n-sweep at m/n = 8, then a q-sweep at n = 256: m from n (q = 1) to
+       ~n^2 (q = 2) *)
+    (List.map (fun n -> (n, 8)) sizes
+    @ List.map (fun per_node -> (256, per_node)) [ 1; 32; (if full then 256 else 128) ])
+    (fun (n, per_node) ->
+      let m = per_node * n in
+      let elements = elements ~seed ~n ~per_node in
+      let k = m / 2 in
+      let r = K.select ~seed ~net:(net ~seed ~n) ~elements ~k () in
       [
         string_of_int n;
         string_of_int m;
@@ -162,44 +187,24 @@ let t4 ~seed ~full =
         string_of_int r.K.report.Phase.rounds;
         Table.fmt_float (fi r.K.report.Phase.rounds /. log2 n);
         string_of_int r.K.report.Phase.max_message_bits;
-        string_of_bool (E.equal r.K.element expect);
-      ]
-  in
-  List.iter (fun n -> run n 8) sizes;
-  (* q-sweep at fixed n: m from n (q = 1) to ~n^2 (q = 2) *)
-  let n = 256 in
-  List.iter (fun per_node -> run n per_node) [ 1; 32; (if full then 256 else 128) ];
-  Table.print tab
+        correct r elements ~k;
+      ])
 
 (* ------------------------------------------------------------------ T5 *)
 
 let t5 ~seed ~full =
   header "T5" "Congestion vs injection rate Λ (Lemmas 3.7, 5.4)"
     "grows ~linearly with Λ (polylog factors), for both protocols";
-  let n = 64 in
-  let lambdas = if full then [ 1; 2; 4; 8; 16; 32 ] else [ 1; 2; 4; 8; 16 ] in
-  let tab =
-    Table.create ~title:"T5 max messages per node per round (n = 64)"
-      ~columns:
-        [ ("Λ", Table.Right); ("skeap cong", Table.Right); ("seap cong", Table.Right) ]
-  in
-  List.iter
+  sweep ~title:"T5 max messages per node per round (n = 64)"
+    ~columns:[ right "Λ"; right "skeap cong"; right "seap cong" ]
+    (if full then [ 1; 2; 4; 8; 16; 32 ] else [ 1; 2; 4; 8; 16 ])
     (fun lambda ->
-      let hk = Skeap.create ~seed ~n ~num_prios:4 () in
-      let rng = Rng.create ~seed:(seed * 13) in
-      lambda_workload hk n lambda rng 4;
-      let ck = (Skeap.process_batch hk).Skeap.report.Phase.max_congestion in
-      let hs = Seap.create ~seed ~n () in
-      for node = 0 to n - 1 do
-        for i = 1 to lambda do
-          if i mod 2 = 0 then ignore (Seap.insert hs ~node ~prio:(1 + Rng.int rng 1_000_000))
-          else Seap.delete_min hs ~node
-        done
-      done;
-      let cs = (Seap.process_round hs).Seap.report.Phase.max_congestion in
-      Table.add_row tab [ string_of_int lambda; string_of_int ck; string_of_int cs ])
-    lambdas;
-  Table.print tab
+      string_of_int lambda
+      :: List.map
+           (fun backend ->
+             string_of_int
+               (run ~seed backend (closed ~seed ~n:64 ~lambda (prios backend))).R.max_congestion)
+           [ skeap; Heap.Seap ])
 
 (* ------------------------------------------------------------------ T6 *)
 
@@ -207,161 +212,83 @@ let t6 ~seed ~full =
   header "T6" "Skeap/Seap vs centralized vs unbatched (scalability claims, §1)"
     "batched protocols keep per-node load polylog; the baselines' coordinator/anchor load grows ~linearly with n·Λ, capping their bandwidth-honest throughput";
   let sizes = if full then [ 8; 16; 32; 64; 128; 256 ] else [ 8; 16; 32; 64; 128 ] in
-  let tab =
-    Table.create ~title:"T6 protocol comparison (Λ = 2, 3 rounds, P = {1..4})"
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("protocol", Table.Left);
-          ("ops", Table.Right);
-          ("rounds", Table.Right);
-          ("ops/round", Table.Right);
-          ("eff ops/round", Table.Right);
-          ("hotspot load", Table.Right);
-          ("max congestion", Table.Right);
-          ("messages", Table.Right);
-          ("ok", Table.Left);
-        ]
-  in
-  List.iter
-    (fun n ->
-      let spec =
-        W.Gen.
-          {
-            n;
-            rounds = 3;
-            lambda = 2;
-            insert_ratio = 0.5;
-            dist = W.Constant_set 4;
-            seed = seed * 3;
-            arrival = W.Closed;
-          }
-      in
-      let rows =
-        List.map
-          (fun backend ->
-            R.run_gen ~seed ?trace:!trace_sink
-              ?faults:(make_faults ~seed:(seed + n))
-              ~n backend (W.Gen.create spec))
-          [
-            Dpq_types.Types.Skeap { num_prios = 4 };
-            Dpq_types.Types.Seap;
-            Dpq_types.Types.Centralized;
-            Dpq_types.Types.Unbatched { num_prios = 4 };
-          ]
-      in
-      List.iter
-        (fun (s : R.summary) ->
-          Table.add_row tab
-            [
-              string_of_int n;
-              R.protocol_name s;
-              string_of_int s.R.ops;
-              string_of_int s.R.rounds;
-              Table.fmt_float (R.throughput s);
-              Table.fmt_float (R.effective_throughput s);
-              string_of_int s.R.hotspot_load;
-              string_of_int s.R.max_congestion;
-              string_of_int s.R.messages;
-              string_of_bool s.R.semantics_ok;
-            ])
-        rows)
-    sizes;
-  Table.print tab
+  sweep ~title:"T6 protocol comparison (Λ = 2, 3 rounds, P = {1..4})"
+    ~columns:
+      [ right "n"; left "protocol"; right "ops"; right "rounds"; right "ops/round"; right "eff ops/round";
+        right "hotspot load"; right "max congestion"; right "messages"; left "ok" ]
+    (List.concat_map
+       (fun n -> List.map (fun b -> (n, b)) [ skeap; Seap; Centralized; Unbatched { num_prios = 4 } ])
+       sizes)
+    (fun (n, backend) ->
+      let s = run ~seed backend (closed ~rounds:3 ~seed:(seed * 3) ~n ~lambda:2 (prios skeap)) in
+      [
+        string_of_int n;
+        R.protocol_name s;
+        string_of_int s.R.ops;
+        string_of_int s.R.rounds;
+        Table.fmt_float (R.throughput s);
+        Table.fmt_float (R.effective_throughput s);
+        string_of_int s.R.hotspot_load;
+        string_of_int s.R.max_congestion;
+        string_of_int s.R.messages;
+        string_of_bool s.R.semantics_ok;
+      ])
 
 (* ------------------------------------------------------------------ T7 *)
 
 let t7 ~seed ~full =
   header "T7" "DHT element distribution (Lemma 2.2(iv), fairness)"
     "max/mean load stays a small factor (balls-into-bins), independent of n";
-  let sizes = if full then [ 16; 64; 256; 1024 ] else [ 16; 64; 256 ] in
-  let tab =
-    Table.create ~title:"T7 storage balance after m = 50n inserts"
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("m", Table.Right);
-          ("mean/node", Table.Right);
-          ("max/node", Table.Right);
-          ("max/mean", Table.Right);
-        ]
-  in
-  List.iter
+  sweep ~title:"T7 storage balance after m = 50n inserts"
+    ~columns:[ right "n"; right "m"; right "mean/node"; right "max/node"; right "max/mean" ]
+    (if full then [ 16; 64; 256; 1024 ] else [ 16; 64; 256 ])
     (fun n ->
-      let h = Seap.create ~seed ~n () in
-      let rng = Rng.create ~seed:(seed * 5) in
+      let h, _ = filled ~seed Seap (closed ~insert_ratio:1.0 ~seed ~n ~lambda:50 (prios Seap)) in
       let m = 50 * n in
-      for i = 0 to m - 1 do
-        ignore (Seap.insert h ~node:(i mod n) ~prio:(1 + Rng.int rng 1_000_000))
-      done;
-      ignore (Seap.process_round h);
-      let counts = Seap.stored_per_node h in
       let mean = fi m /. fi n in
-      let maxl = Array.fold_left max 0 counts in
-      Table.add_row tab
-        [
-          string_of_int n;
-          string_of_int m;
-          Table.fmt_float mean;
-          string_of_int maxl;
-          Table.fmt_float (fi maxl /. mean);
-        ])
-    sizes;
-  Table.print tab
+      let maxl = Array.fold_left max 0 (Heap.stored_per_node h) in
+      [
+        string_of_int n;
+        string_of_int m;
+        Table.fmt_float mean;
+        string_of_int maxl;
+        Table.fmt_float (fi maxl /. mean);
+      ])
 
 (* ------------------------------------------------------------------ T8 *)
 
 let t8 ~seed ~full =
   header "T8" "Semantics under adversarial asynchrony (Lemmas 3.5, 5.2)"
     "every run passes its checker: 100% for both protocols under every delay policy";
-  let trials = if full then 10 else 5 in
-  let policies =
+  let trials = List.init (if full then 10 else 5) (fun i -> i + 1) in
+  (* Runs of 3 batches of 3 ops per node at n = 8, one per trial: how many
+     passed their checker, and how many deletes those runs answered with an
+     element. *)
+  let cells policy backend =
+    let runs =
+      List.map
+        (fun trial ->
+          let seed = seed + trial in
+          run ~seed ~dht_mode:(Dht_async { seed = trial; policy }) backend
+            (closed ~rounds:3 ~seed ~n:8 ~lambda:3 (prios backend)))
+        trials
+    in
+    [
+      Printf.sprintf "%d/%d"
+        (List.length (List.filter (fun s -> s.R.semantics_ok) runs))
+        (List.length trials);
+      string_of_int (List.fold_left (fun acc s -> acc + s.R.got) 0 runs);
+    ]
+  in
+  sweep
+    ~title:(Printf.sprintf "T8 async semantics (%d random runs each)" (List.length trials))
+    ~columns:[ left "policy"; left "skeap pass"; right "skeap got"; left "seap pass"; right "seap got" ]
     [
       ("uniform", Dpq_simrt.Async_engine.Uniform (1.0, 100.0));
       ("exponential", Dpq_simrt.Async_engine.Exponential 25.0);
       ("adversarial-lifo", Dpq_simrt.Async_engine.Adversarial_lifo);
     ]
-  in
-  let tab =
-    Table.create ~title:(Printf.sprintf "T8 async semantics (%d random runs each)" trials)
-      ~columns:
-        [ ("policy", Table.Left); ("skeap pass", Table.Left); ("seap pass", Table.Left) ]
-  in
-  List.iter
-    (fun (name, policy) ->
-      let skeap_pass = ref 0 and seap_pass = ref 0 in
-      for trial = 1 to trials do
-        let rng = Rng.create ~seed:(seed + (trial * 97)) in
-        let hk = Skeap.create ~seed:(seed + trial) ~n:8 ~num_prios:3 () in
-        for _ = 1 to 3 do
-          for _ = 1 to 20 do
-            let node = Rng.int rng 8 in
-            if Rng.bool rng then ignore (Skeap.insert hk ~node ~prio:(1 + Rng.int rng 3))
-            else Skeap.delete_min hk ~node
-          done;
-          ignore (Skeap.process_batch ~dht_mode:(Skeap.Dht_async { seed = trial; policy }) hk)
-        done;
-        if Checker.check Checker.Online.Skeap_contract (Skeap.oplog hk) = Ok () then
-          incr skeap_pass;
-        let hs = Seap.create ~seed:(seed + trial) ~n:8 () in
-        for _ = 1 to 3 do
-          for _ = 1 to 20 do
-            let node = Rng.int rng 8 in
-            if Rng.bool rng then ignore (Seap.insert hs ~node ~prio:(1 + Rng.int rng 100_000))
-            else Seap.delete_min hs ~node
-          done;
-          ignore (Seap.process_round ~dht_mode:(Seap.Dht_async { seed = trial; policy }) hs)
-        done;
-        if Checker.check Checker.Online.Seap_contract (Seap.oplog hs) = Ok () then incr seap_pass
-      done;
-      Table.add_row tab
-        [
-          name;
-          Printf.sprintf "%d/%d" !skeap_pass trials;
-          Printf.sprintf "%d/%d" !seap_pass trials;
-        ])
-    policies;
-  Table.print tab
+    (fun (name, policy) -> (name :: cells policy skeap) @ cells policy Seap)
 
 (* ------------------------------------------------------------------ T9 *)
 
@@ -369,116 +296,72 @@ let t9 ~seed ~full =
   header "T9" "Distributed sorting via Seap (application, §1)"
     "rounds grow near-linearly in m/n (each drain wave costs O(log n))";
   let n = 16 in
-  let ms = if full then [ 64; 128; 256; 512; 1024 ] else [ 64; 128; 256; 512 ] in
-  let tab =
-    Table.create ~title:"T9 sorting m keys on 16 nodes"
-      ~columns:
-        [
-          ("m", Table.Right);
-          ("rounds", Table.Right);
-          ("rounds/(m/n)", Table.Right);
-          ("sorted", Table.Left);
-        ]
-  in
-  List.iter
+  sweep ~title:"T9 sorting m keys on 16 nodes"
+    ~columns:[ right "m"; right "rounds"; right "rounds/(m/n)"; left "sorted" ]
+    (if full then [ 64; 128; 256; 512; 1024 ] else [ 64; 128; 256; 512 ])
     (fun m ->
-      let h = Seap.create ~seed ~n () in
-      let rng = Rng.create ~seed:(seed * 11) in
-      let keys = List.init m (fun _ -> 1 + Rng.int rng 1_000_000) in
-      List.iteri (fun i k -> ignore (Seap.insert h ~node:(i mod n) ~prio:k)) keys;
-      let total = ref (Seap.process_round h).Seap.report.Phase.rounds in
-      let out = ref [] in
-      while Seap.heap_size h > 0 do
-        for node = 0 to min n (Seap.heap_size h) - 1 do
-          Seap.delete_min h ~node
-        done;
-        let r = Seap.process_round h in
-        total := !total + r.Seap.report.Phase.rounds;
-        let wave =
-          List.filter_map
-            (fun c -> match c.Seap.outcome with `Got e -> Some e | _ -> None)
-            r.Seap.completions
-          |> List.sort E.compare
-        in
-        out := List.rev_append wave !out
-      done;
-      let out = List.rev_map E.prio !out in
-      let sorted = out = List.sort compare keys in
-      Table.add_row tab
-        [
-          string_of_int m;
-          string_of_int !total;
-          Table.fmt_float (fi !total /. (fi m /. fi n));
-          string_of_bool sorted;
-        ])
-    ms;
-  Table.print tab
+      let h, inserts =
+        filled ~seed Seap (closed ~insert_ratio:1.0 ~seed ~n ~lambda:(m / n) (prios Seap))
+      in
+      let outcomes (r : Heap.result) f = List.filter_map (fun c -> f c.Heap.outcome) r.completions in
+      let keys =
+        List.concat_map (fun r -> outcomes r (function `Inserted e -> Some (E.prio e) | _ -> None)) inserts
+      in
+      (* drain waves: one delete at each of the first min(n, size) nodes *)
+      let rec drain total out =
+        if Heap.heap_size h = 0 then (total, List.rev_map E.prio out)
+        else begin
+          for node = 0 to min n (Heap.heap_size h) - 1 do
+            Heap.delete_min h ~node
+          done;
+          let r = Heap.process h in
+          let wave = List.sort E.compare (outcomes r (function `Got e -> Some e | _ -> None)) in
+          drain (total + r.rounds) (List.rev_append wave out)
+        end
+      in
+      let total, out = drain (List.fold_left (fun acc (r : Heap.result) -> acc + r.rounds) 0 inserts) [] in
+      [
+        string_of_int m;
+        string_of_int total;
+        Table.fmt_float (fi total /. (fi m /. fi n));
+        string_of_bool (out = List.sort compare keys);
+      ])
 
-(* ----------------------------------------------------------------- T10 *)
+(* ---------------------------------------------------------- T10 and F1 *)
+
+(* An overlay quantity per n, averaged over [seeds] label seeds, and that
+   mean over log2 n. *)
+let per_log_n ~seed ~full ~title ~what ~per ~seeds f =
+  sweep ~title
+    ~columns:[ right "n"; right what; right per ]
+    (if full then [ 16; 64; 256; 1024; 4096; 16384 ] else [ 16; 64; 256; 1024; 4096 ])
+    (fun n ->
+      let x = Stats.mean (List.init seeds (fun s -> fi (f (Ldb.build ~n ~seed:(seed + s))))) in
+      [ string_of_int n; Table.fmt_float x; Table.fmt_float (x /. log2 n) ])
 
 let t10 ~seed ~full =
   header "T10" "Join cost vs n (Contribution 4)" "O(log n) messages per join";
-  let sizes = if full then [ 16; 64; 256; 1024; 4096; 16384 ] else [ 16; 64; 256; 1024; 4096 ] in
-  let tab =
-    Table.create ~title:"T10 node join cost"
-      ~columns:
-        [ ("n", Table.Right); ("join msgs", Table.Right); ("msgs/log2 n", Table.Right) ]
-  in
-  List.iter
-    (fun n ->
-      let cost =
-        Stats.mean
-          (List.map (fun s -> fi (Ldb.join_cost_hops (Ldb.build ~n ~seed:(seed + s)))) [ 0; 1; 2; 3 ])
-      in
-      Table.add_row tab
-        [ string_of_int n; Table.fmt_float cost; Table.fmt_float (cost /. log2 n) ])
-    sizes;
-  Table.print tab
-
-(* ------------------------------------------------------------------ F1 *)
+  per_log_n ~seed ~full ~title:"T10 node join cost" ~what:"join msgs" ~per:"msgs/log2 n"
+    ~seeds:4 Ldb.join_cost_hops
 
 let f1 ~seed ~full =
   header "F1" "Aggregation tree height vs n (Lemma 2.2(i), Cor A.4)"
     "height ≈ c · log2 n (empirically c ≈ 5–6)";
-  let sizes = if full then [ 16; 64; 256; 1024; 4096; 16384 ] else [ 16; 64; 256; 1024; 4096 ] in
-  let tab =
-    Table.create ~title:"F1 tree height (mean of 5 label seeds)"
-      ~columns:
-        [ ("n", Table.Right); ("height", Table.Right); ("height/log2 n", Table.Right) ]
-  in
-  List.iter
-    (fun n ->
-      let h =
-        Stats.mean
-          (List.map
-             (fun s -> fi (Aggtree.height (Aggtree.of_ldb (Ldb.build ~n ~seed:(seed + s)))))
-             [ 0; 1; 2; 3; 4 ])
-      in
-      Table.add_row tab [ string_of_int n; Table.fmt_float h; Table.fmt_float (h /. log2 n) ])
-    sizes;
-  Table.print tab
+  per_log_n ~seed ~full ~title:"F1 tree height (mean of 5 label seeds)" ~what:"height"
+    ~per:"height/log2 n" ~seeds:5
+    (fun ldb -> Aggtree.height (Aggtree.of_ldb ldb))
 
 (* ------------------------------------------------------------------ F2 *)
 
 let f2 ~seed ~full =
   header "F2" "Copy trees per node in KSelect's sorting stages (Lemma 4.5)"
     "Θ(1): flat in n (constant governed by the n' = 4√n sampling constant)";
-  let sizes = if full then [ 16; 64; 256; 1024 ] else [ 16; 64; 256 ] in
-  let tab =
-    Table.create ~title:"F2 mean T(v_i) participations per node"
-      ~columns:[ ("n", Table.Right); ("trees/node", Table.Right) ]
-  in
-  List.iter
+  sweep ~title:"F2 mean T(v_i) participations per node"
+    ~columns:[ right "n"; right "trees/node" ]
+    (if full then [ 16; 64; 256; 1024 ] else [ 16; 64; 256 ])
     (fun n ->
-      let rng = Rng.create ~seed:(seed * 3) in
-      let tree = Aggtree.of_ldb (Ldb.build ~n ~seed) in
-      let elements =
-        Array.init n (fun v -> List.init 16 (fun s -> E.make ~prio:(1 + Rng.int rng 1_000_000) ~origin:v ~seq:s ()))
-      in
-      let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k:(8 * n) () in
-      Table.add_row tab [ string_of_int n; Table.fmt_float r.K.diagnostics.K.mean_trees_per_node ])
-    sizes;
-  Table.print tab
+      let r = K.select ~seed ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16) ~k:(8 * n) () in
+      [ string_of_int n; Table.fmt_float r.K.diagnostics.K.mean_trees_per_node ])
 
 (* ------------------------------------------------------------------ F3 *)
 
@@ -486,30 +369,17 @@ let f3 ~seed ~full =
   header "F3" "Candidate-set shrinkage across KSelect phases (Lemmas 4.4, 4.7)"
     "phase 1 cuts m to ≪ n^{3/2} log n; each phase-2 iteration shrinks geometrically to ≤ ~4√n";
   let n = if full then 1024 else 256 in
-  let per_node = 16 in
-  let rng = Rng.create ~seed:(seed * 17) in
-  let tree = Aggtree.of_ldb (Ldb.build ~n ~seed) in
-  let elements =
-    Array.init n (fun v ->
-        List.init per_node (fun s -> E.make ~prio:(1 + Rng.int rng 100_000_000) ~origin:v ~seq:s ()))
-  in
-  let m = n * per_node in
-  let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k:(m / 2) () in
+  let m = n * 16 in
+  let r = K.select ~seed ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16) ~k:(m / 2) () in
   let d = r.K.diagnostics in
-  let tab =
-    Table.create
-      ~title:(Printf.sprintf "F3 candidates after each phase (n = %d, m = %d, k = m/2)" n m)
-      ~columns:[ ("stage", Table.Left); ("candidates N", Table.Right) ]
-  in
-  Table.add_row tab [ "initial"; string_of_int d.K.initial_candidates ];
-  List.iteri
-    (fun i c -> Table.add_row tab [ Printf.sprintf "after phase-1 iter %d" (i + 1); string_of_int c ])
-    d.K.phase1_candidates;
-  List.iteri
-    (fun i c -> Table.add_row tab [ Printf.sprintf "after phase-2 iter %d" (i + 1); string_of_int c ])
-    d.K.phase2_candidates;
-  Table.add_row tab [ "exact phase input"; string_of_int d.K.phase3_candidates ];
-  Table.print tab;
+  let stages name = List.mapi (fun i c -> (Printf.sprintf "after %s iter %d" name (i + 1), c)) in
+  sweep
+    ~title:(Printf.sprintf "F3 candidates after each phase (n = %d, m = %d, k = m/2)" n m)
+    ~columns:[ left "stage"; right "candidates N" ]
+    ((("initial", d.K.initial_candidates) :: stages "phase-1" d.K.phase1_candidates)
+    @ stages "phase-2" d.K.phase2_candidates
+    @ [ ("exact phase input", d.K.phase3_candidates) ])
+    (fun (stage, c) -> [ stage; string_of_int c ]);
   Printf.printf "bounds: n^1.5·log2 n = %.0f, 4√n = %.0f\n"
     ((fi n ** 1.5) *. log2 n)
     (4.0 *. sqrt (fi n))
@@ -575,42 +445,26 @@ let fig2 ~seed:_ ~full:_ =
     (Ldb.vnodes_in_cycle_order ldb)
 
 
+
 (* ----------------------------------------------------------------- T11 *)
 
 let t11 ~seed ~full =
   header "T11" "Data movement under churn (Contribution 4)"
     "a single join re-homes ~m/n elements (the new node's key-space share), not ~m";
-  let sizes = if full then [ 8; 16; 32; 64; 128 ] else [ 8; 16; 32; 64 ] in
-  let tab =
-    Table.create ~title:"T11 one join into a heap of m = 40n elements"
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("m", Table.Right);
-          ("moved", Table.Right);
-          ("moved/m", Table.Right);
-          ("1/(n+1)", Table.Right);
-        ]
-  in
-  List.iter
+  sweep ~title:"T11 one join into a heap of m = 40n elements"
+    ~columns:[ right "n"; right "m"; right "moved"; right "moved/m"; right "1/(n+1)" ]
+    (if full then [ 8; 16; 32; 64; 128 ] else [ 8; 16; 32; 64 ])
     (fun n ->
-      let h = Seap.create ~seed ~n () in
+      let h, _ = filled ~seed Seap (closed ~insert_ratio:1.0 ~seed ~n ~lambda:40 (prios Seap)) in
       let m = 40 * n in
-      for i = 0 to m - 1 do
-        ignore (Seap.insert h ~node:(i mod n) ~prio:(1 + (i * 31 mod 1_000_003)))
-      done;
-      ignore (Seap.process_round h);
-      let c = Seap.add_node h in
-      Table.add_row tab
-        [
-          string_of_int n;
-          string_of_int m;
-          string_of_int c.Seap.moved_elements;
-          Table.fmt_float ~dec:3 (fi c.Seap.moved_elements /. fi m);
-          Table.fmt_float ~dec:3 (1.0 /. fi (n + 1));
-        ])
-    sizes;
-  Table.print tab
+      let c = Heap.add_node h in
+      [
+        string_of_int n;
+        string_of_int m;
+        string_of_int c.Heap.moved_elements;
+        Table.fmt_float ~dec:3 (fi c.Heap.moved_elements /. fi m);
+        Table.fmt_float ~dec:3 (1.0 /. fi (n + 1));
+      ])
 
 (* ------------------------------------------------------------------ A1 *)
 
@@ -619,41 +473,24 @@ let a1 ~seed ~full =
     "larger c: fewer phase-2 iterations and rounds, more messages/congestion — a latency/bandwidth dial";
   let n = if full then 256 else 128 in
   let per_node = 16 in
-  let tab =
-    Table.create ~title:(Printf.sprintf "A1 KSelect with n' = c·√n (n = %d, m = %d, k = m/2)" n (n * per_node))
-      ~columns:
-        [
-          ("c", Table.Right);
-          ("p2 iters", Table.Right);
-          ("rounds", Table.Right);
-          ("messages", Table.Right);
-          ("max congestion", Table.Right);
-          ("correct", Table.Left);
-        ]
-  in
-  let rng0 = Rng.create ~seed:(seed * 19) in
-  let elements =
-    Array.init n (fun v ->
-        List.init per_node (fun s -> E.make ~prio:(1 + Rng.int rng0 100_000_000) ~origin:v ~seq:s ()))
-  in
-  let all = List.concat (Array.to_list elements) in
+  let elements = elements ~seed ~n ~per_node in
   let k = n * per_node / 2 in
-  let expect = K.select_seq all ~k in
-  let tree = Aggtree.of_ldb (Ldb.build ~n ~seed) in
-  List.iter
+  let net = net ~seed ~n in
+  sweep
+    ~title:(Printf.sprintf "A1 KSelect with n' = c·√n (n = %d, m = %d, k = m/2)" n (n * per_node))
+    ~columns:
+      [ right "c"; right "p2 iters"; right "rounds"; right "messages"; right "max congestion"; left "correct" ]
+    [ 1.0; 2.0; 4.0; 8.0 ]
     (fun c ->
-      let r = K.select ~seed ~rep_factor:c ~net:(Phase.net tree) ~elements ~k () in
-      Table.add_row tab
-        [
-          Table.fmt_float ~dec:0 c;
-          string_of_int (List.length r.K.diagnostics.K.phase2_candidates);
-          string_of_int r.K.report.Phase.rounds;
-          string_of_int r.K.report.Phase.messages;
-          string_of_int r.K.report.Phase.max_congestion;
-          string_of_bool (E.equal r.K.element expect);
-        ])
-    [ 1.0; 2.0; 4.0; 8.0 ];
-  Table.print tab
+      let r = K.select ~seed ~rep_factor:c ~net ~elements ~k () in
+      [
+        Table.fmt_float ~dec:0 c;
+        string_of_int (List.length r.K.diagnostics.K.phase2_candidates);
+        string_of_int r.K.report.Phase.rounds;
+        string_of_int r.K.report.Phase.messages;
+        string_of_int r.K.report.Phase.max_congestion;
+        correct r elements ~k;
+      ])
 
 (* ------------------------------------------------------------------ A2 *)
 
@@ -661,49 +498,29 @@ let a2 ~seed ~full =
   header "A2" "Ablation: Seap's consistency dial (the paper's §6 extension)"
     "Sequential mode restores local consistency but needs more rounds to drain the same workload";
   let n = 8 in
-  let lambdas = if full then [ 1; 2; 4; 8; 16 ] else [ 1; 2; 4; 8 ] in
-  let tab =
-    Table.create ~title:"A2 rounds to drain Λ ops/node (n = 8, mixed workload)"
-      ~columns:
-        [
-          ("Λ", Table.Right);
-          ("mode", Table.Left);
-          ("protocol rounds", Table.Right);
-          ("drain iterations", Table.Right);
-          ("seq. consistent", Table.Left);
-        ]
-  in
-  List.iter
-    (fun lambda ->
-      List.iter
-        (fun (name, mode) ->
-          let h = Seap.create ~seed ~consistency:mode ~n () in
-          let rng = Rng.create ~seed:(seed * 41) in
-          for node = 0 to n - 1 do
-            for i = 1 to lambda do
-              if i mod 2 = 0 then ignore (Seap.insert h ~node ~prio:(1 + Rng.int rng 1_000_000))
-              else Seap.delete_min h ~node
-            done
-          done;
-          let results = Seap.drain h in
-          let rounds =
-            List.fold_left (fun acc r -> acc + r.Seap.report.Phase.rounds) 0 results
-          in
-          let seq_ok = Checker.check Checker.Online.Skeap_contract (Seap.oplog h) = Ok () in
-          Table.add_row tab
-            [
-              string_of_int lambda;
-              name;
-              string_of_int rounds;
-              string_of_int (List.length results);
-              string_of_bool seq_ok;
-            ])
-        [ ("serializable", Seap.Serializable); ("sequential", Seap.Sequential) ])
-    lambdas;
-  Table.print tab
+  sweep ~title:"A2 rounds to drain Λ ops/node (n = 8, mixed workload)"
+    ~columns:
+      [ right "Λ"; left "mode"; right "protocol rounds"; right "drain iterations"; left "seq. consistent" ]
+    (List.concat_map
+       (fun lambda ->
+         [ (lambda, "serializable", Seap.Serializable); (lambda, "sequential", Seap.Sequential) ])
+       (if full then [ 1; 2; 4; 8; 16 ] else [ 1; 2; 4; 8 ]))
+    (fun (lambda, name, consistency) ->
+      (* Dpq_heap has no consistency dial: this row drives Seap itself *)
+      let h = Seap.create ~seed ~consistency ~n () in
+      inject ~insert:(Seap.insert h) ~delete_min:(Seap.delete_min h)
+        (first_round (closed ~seed ~n ~lambda (prios Seap)));
+      let results = Seap.drain h in
+      let rounds = List.fold_left (fun acc r -> acc + r.Seap.report.Phase.rounds) 0 results in
+      [
+        string_of_int lambda;
+        name;
+        string_of_int rounds;
+        string_of_int (List.length results);
+        string_of_bool (Checker.check Checker.Online.Skeap_contract (Seap.oplog h) = Ok ());
+      ])
 
 (* ------------------------------------------------------------- driver *)
-
 
 let all_experiments =
   [
@@ -743,12 +560,15 @@ let run only seed full trace_file faults =
     | None -> all_experiments
     | Some names ->
         let names = String.split_on_char ',' names |> List.map String.trim in
-        List.filter (fun (n, _) -> List.mem n names) all_experiments
+        (match List.filter (fun id -> not (List.mem_assoc id all_experiments)) names with
+        | [] -> ()
+        | unknown ->
+            Printf.eprintf "experiments: unknown --only id(s) %s; known: %s\n"
+              (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+              (String.concat ", " (List.map fst all_experiments));
+            exit 1);
+        List.filter (fun (id, _) -> List.mem id names) all_experiments
   in
-  if wanted = [] then (
-    Printf.eprintf "no matching experiments; known: %s\n"
-      (String.concat ", " (List.map fst all_experiments));
-    exit 1);
   (* An unwritable trace path fails here, before any table runs, not after
      all of them.  Opening without truncation creates the file if it is
      missing; the trace overwrites it at the end. *)
@@ -791,12 +611,15 @@ let full =
   Arg.(value & flag & info [ "full" ] ~doc)
 
 let trace_file =
-  let doc = "Record the Runner-driven experiments (t6) as JSONL trace events into $(docv)." in
+  let doc =
+    "Record the Runner-driven experiments (t1, t2, t3, t5, t6, t8) as JSONL trace events into \
+     $(docv)."
+  in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let faults =
   let doc =
-    "Run the Runner-driven experiments (t6) over a faulty network, e.g. \
+    "Run the Runner-driven experiments (t1, t2, t3, t5, t6, t8) over a faulty network, e.g. \
      $(b,drop=0.1,dup=0.05,crash=3@100-200); messages ride the reliable \
      ack/retransmit layer."
   in

@@ -1,4 +1,5 @@
 module Element = Dpq_util.Element
+module Binheap = Dpq_util.Binheap
 module Ldb = Dpq_overlay.Ldb
 module Sync = Dpq_simrt.Sync_engine
 module Metrics = Dpq_simrt.Metrics
@@ -13,7 +14,7 @@ type t = {
   faults : Dpq_simrt.Fault_plan.t option;
   sched : Dpq_simrt.Sched.t option;
   clients : Clients.t;
-  mutable heap : Element.t Pairing_heap.t;
+  heap : Element.t Binheap.t;
 }
 
 let create ?(seed = 1) ?trace ?faults ?sched ~n () =
@@ -24,7 +25,7 @@ let create ?(seed = 1) ?trace ?faults ?sched ~n () =
     faults;
     sched;
     clients = Clients.create ~name:"Centralized" ~n ();
-    heap = Pairing_heap.empty ~cmp:Element.compare;
+    heap = Binheap.create ~cmp:Element.compare;
   }
 
 let clients t = t.clients
@@ -35,13 +36,13 @@ include Clients.Make (struct
   let clients = clients
 end)
 
-let heap_size t = Pairing_heap.size t.heap
+let heap_size t = Binheap.length t.heap
 let trace t = t.trace
 
 let stored_per_node t =
   (* The whole heap lives at the coordinator. *)
   let a = Array.make (n t) 0 in
-  a.(0) <- Pairing_heap.size t.heap;
+  a.(0) <- Binheap.length t.heap;
   a
 
 type result = {
@@ -90,13 +91,11 @@ let process t =
         let outcome, result, okind =
           match kind with
           | `Ins elt ->
-              t.heap <- Pairing_heap.insert t.heap elt;
+              Binheap.push t.heap elt;
               (`Inserted elt, None, Oplog.Insert elt)
           | `Del -> (
-              match Pairing_heap.delete_min t.heap with
-              | Some (e, rest) ->
-                  t.heap <- rest;
-                  (`Got e, Some e, Oplog.Delete_min)
+              match Binheap.pop t.heap with
+              | Some e -> (`Got e, Some e, Oplog.Delete_min)
               | None -> (`Empty, None, Oplog.Delete_min))
         in
         Clients.serialize t.clients ~node:origin ~local_seq okind result;

@@ -14,7 +14,6 @@ type backend = Types.backend =
   | Unbatched of { num_prios : int }
 
 let backend_name = Types.backend_name
-let pp_backend = Types.pp_backend
 
 type dht_mode = Types.dht_mode =
   | Dht_sync

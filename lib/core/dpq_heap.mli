@@ -43,8 +43,6 @@ type backend = Dpq_types.Types.backend =
 val backend_name : backend -> string
 (** ["skeap"], ["seap"], ["centralized"], ["unbatched"]. *)
 
-val pp_backend : Format.formatter -> backend -> unit
-
 (** How the DHT rendezvous phase is delivered (= {!Dpq_types.Types.dht_mode});
     only meaningful for [Skeap] and [Seap].  {!process} raises
     [Invalid_argument] when [Dht_async] is requested on a baseline. *)

@@ -49,8 +49,6 @@ let grow t n' =
     t.n <- n'
   end
 
-let exchanges t = t.exchanges
-
 let estimate t ~node =
   if node < 0 || node >= t.n then None
   else if t.have.(node) then Some t.est.(node)

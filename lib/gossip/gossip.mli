@@ -38,9 +38,6 @@ val grow : t -> int -> unit
 (** [grow t n'] extends the state to [n'] nodes (join churn); a no-op if
     [n' <= n].  New nodes start with no estimate and a zero counter. *)
 
-val exchanges : t -> int
-(** Exchanges completed so far. *)
-
 val estimate : t -> node:int -> float option
 (** [node]'s current Λ̂ (ops per node per exchange interval), or [None]
     before its first completed exchange. *)

@@ -20,9 +20,3 @@ let backend_name = function
   | Seap -> "seap"
   | Centralized -> "centralized"
   | Unbatched _ -> "unbatched"
-
-let pp_backend fmt = function
-  | Skeap { num_prios } -> Format.fprintf fmt "skeap(num_prios=%d)" num_prios
-  | Seap -> Format.fprintf fmt "seap"
-  | Centralized -> Format.fprintf fmt "centralized"
-  | Unbatched { num_prios } -> Format.fprintf fmt "unbatched(num_prios=%d)" num_prios

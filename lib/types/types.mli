@@ -48,6 +48,3 @@ type backend =
 
 val backend_name : backend -> string
 (** ["skeap"], ["seap"], ["centralized"], ["unbatched"]. *)
-
-val pp_backend : Format.formatter -> backend -> unit
-(** [backend_name] plus parameters, e.g. ["skeap(num_prios=4)"]. *)

@@ -1,7 +1,8 @@
 (** Array-based binary min-heap, polymorphic over the element comparison.
 
-    Used as the event queue of the asynchronous engine and as the sequential
-    reference heap the protocols are checked against. *)
+    Used as the event queue of the asynchronous engine, as the sequential
+    reference heap the protocols are checked against, and as the centralized
+    baseline's coordinator heap. *)
 
 type 'a t
 

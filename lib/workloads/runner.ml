@@ -297,12 +297,3 @@ let effective_throughput s =
 
 let open_throughput s =
   if s.makespan = 0 then 0.0 else float_of_int (s.ops - s.lost_ops) /. float_of_int s.makespan
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "@[%s: n=%d ops=%d%s rounds=%d msgs=%d cong=%d hotspot=%d bits<=%d got=%d empty=%d \
-     live<=%d lat(p50/p99/p999)=%d/%d/%d makespan=%d ok=%b@]"
-    (protocol_name s) s.n s.ops
-    (if s.lost_ops > 0 then Printf.sprintf " lost=%d" s.lost_ops else "")
-    s.rounds s.messages s.max_congestion s.hotspot_load s.max_message_bits s.got s.empty
-    s.peak_live s.p50_latency s.p99_latency s.p999_latency s.makespan s.semantics_ok

@@ -150,5 +150,3 @@ val effective_throughput : summary -> float
 (** Operations per round when each node can also only {e process} one
     message per round: ops / max(rounds, hotspot_load).  This is the
     bandwidth-honest number where hotspots actually hurt. *)
-
-val pp_summary : Format.formatter -> summary -> unit

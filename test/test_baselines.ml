@@ -1,4 +1,3 @@
-module P = Dpq_baselines.Pairing_heap
 module C = Dpq_baselines.Centralized
 module U = Dpq_baselines.Unbatched
 module E = Dpq_util.Element
@@ -7,48 +6,6 @@ module Checker = Dpq_semantics.Checker
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 let ok_or_fail = function Ok () -> () | Error e -> Alcotest.fail e
-
-(* --------------------------------------------------------- Pairing heap *)
-
-let test_pairing_basic () =
-  let h = P.empty ~cmp:Int.compare in
-  checkb "empty" true (P.is_empty h);
-  let h = P.insert (P.insert (P.insert h 5) 1) 3 in
-  checki "size" 3 (P.size h);
-  checki "min" 1 (Option.get (P.find_min h));
-  let x, h = Option.get (P.delete_min h) in
-  checki "pop 1" 1 x;
-  let x, h = Option.get (P.delete_min h) in
-  checki "pop 3" 3 x;
-  let x, h = Option.get (P.delete_min h) in
-  checki "pop 5" 5 x;
-  checkb "drained" true (P.delete_min h = None)
-
-let test_pairing_persistence () =
-  (* purely functional: the old heap is untouched by deletions *)
-  let h = P.of_list ~cmp:Int.compare [ 4; 2; 7 ] in
-  let _, h' = Option.get (P.delete_min h) in
-  checki "old size" 3 (P.size h);
-  checki "new size" 2 (P.size h');
-  checki "old min still 2" 2 (Option.get (P.find_min h))
-
-let test_pairing_merge () =
-  let cmp = Int.compare in
-  let a = P.of_list ~cmp [ 5; 9 ] and b = P.of_list ~cmp [ 1; 7 ] in
-  let m = P.merge a b in
-  checki "merged size" 4 (P.size m);
-  Alcotest.(check (list int)) "sorted drain" [ 1; 5; 7; 9 ] (P.to_sorted_list m)
-
-let prop_pairing_sorts =
-  QCheck.Test.make ~name:"pairing heap drains sorted" ~count:300 QCheck.(list small_int)
-    (fun xs ->
-      P.to_sorted_list (P.of_list ~cmp:Int.compare xs) = List.sort Int.compare xs)
-
-let prop_pairing_agrees_with_binheap =
-  QCheck.Test.make ~name:"pairing heap = binary heap" ~count:200 QCheck.(list small_int)
-    (fun xs ->
-      let b = Dpq_util.Binheap.of_list ~cmp:Int.compare xs in
-      P.to_sorted_list (P.of_list ~cmp:Int.compare xs) = Dpq_util.Binheap.to_sorted_list b)
 
 (* ---------------------------------------------------------- Centralized *)
 
@@ -225,14 +182,6 @@ let prop_all_implementations_agree =
 let () =
   Alcotest.run "dpq_baselines"
     [
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basic" `Quick test_pairing_basic;
-          Alcotest.test_case "persistence" `Quick test_pairing_persistence;
-          Alcotest.test_case "merge" `Quick test_pairing_merge;
-          QCheck_alcotest.to_alcotest prop_pairing_sorts;
-          QCheck_alcotest.to_alcotest prop_pairing_agrees_with_binheap;
-        ] );
       ( "centralized",
         [
           Alcotest.test_case "roundtrip" `Quick test_centralized_roundtrip;

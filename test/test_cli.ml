@@ -151,6 +151,51 @@ let test_experiments_help () =
   checkb "example rendered" true (contains out "crash=3@100-200");
   checkb "no cmdliner error" false (contains (out ^ err) "cmdliner error")
 
+(* An unknown --only id fails the whole run, naming it and the known ids,
+   instead of running the known ones and dropping the rest. *)
+let test_experiments_unknown_only () =
+  let code, out, err = run_exe experiments_exe [ "--only"; "t10,bogus" ] in
+  checki "exit code" 1 code;
+  checkb "no table runs" true (out = "");
+  check_one_line_error ~what:"--only t10,bogus" ~prefix:"experiments: unknown --only id(s) \"bogus\"" err;
+  checkb (Printf.sprintf "lists the known ids in %S" err) true (contains err "known: t1, t2,")
+
+(* The experiments' bodies, keyed by id: the lines after each "### ID"
+   header, minus the timing lines. *)
+let experiment_sections out =
+  let sections = Hashtbl.create 32 and current = ref None in
+  List.iter
+    (fun line ->
+      if String.starts_with ~prefix:"### " line then begin
+        let id = List.nth (String.split_on_char ' ' line) 1 in
+        current := Some id;
+        Hashtbl.replace sections id []
+      end
+      else
+        match !current with
+        | Some id when not (String.starts_with ~prefix:"[" line) ->
+            Hashtbl.replace sections id (line :: Hashtbl.find sections id)
+        | _ -> ())
+    (String.split_on_char '\n' out);
+  sections
+
+(* --seed moves every seeded table; the two exact figure reproductions do
+   not depend on it. *)
+let test_experiments_seed_moves_tables () =
+  let seeded = [ "T1"; "T2"; "T3"; "T4"; "T5"; "T7"; "T8"; "T9"; "T11"; "A1"; "A2"; "F2"; "F3" ] in
+  let run seed =
+    let only = String.concat "," (List.map String.lowercase_ascii (seeded @ [ "Fig1"; "Fig2" ])) in
+    let code, out, err = run_exe experiments_exe [ "--only"; only; "--seed"; seed ] in
+    checki (Printf.sprintf "--seed %s exit code (stderr: %s)" seed err) 0 code;
+    experiment_sections out
+  in
+  let a = run "1" and b = run "2" in
+  let body s id =
+    match Hashtbl.find_opt s id with Some lines -> lines | None -> Alcotest.failf "%s missing" id
+  in
+  List.iter (fun id -> checkb (id ^ " differs between seeds 1 and 2") true (body a id <> body b id)) seeded;
+  List.iter (fun id -> checkb (id ^ " is seed-independent") true (body a id = body b id)) [ "Fig1"; "Fig2" ]
+
 let () =
   Alcotest.run "dpq_cli"
     [
@@ -168,4 +213,10 @@ let () =
           Alcotest.test_case "--domains is a usage error" `Quick test_domains_flag_rejected;
         ] );
       ("help", [ Alcotest.test_case "experiments --help renders" `Quick test_experiments_help ]);
+      ( "exp flags",
+        [
+          Alcotest.test_case "--only rejects unknown ids" `Quick test_experiments_unknown_only;
+          Alcotest.test_case "--seed moves every seeded table" `Quick
+            test_experiments_seed_moves_tables;
+        ] );
     ]
