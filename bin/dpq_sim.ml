@@ -36,38 +36,27 @@ module Explore = Dpq_explore.Explore
 module Checker = Dpq_semantics.Checker
 
 let make_faults ~seed ~faults_spec ~drop ~dup ~crash =
+  let parse flag spec =
+    try Dpq_simrt.Fault_plan.of_string ~seed spec
+    with Invalid_argument m ->
+      Printf.eprintf "dpq_sim: %s: %s\n" flag m;
+      exit 1
+  in
   match faults_spec with
-  | Some spec -> (
-      try Some (Dpq_simrt.Fault_plan.of_string ~seed spec)
-      with Invalid_argument m ->
-        Printf.eprintf "dpq_sim: --faults: %s\n" m;
-        exit 1)
+  | Some spec -> Some (parse "--faults" spec)
   | None ->
       if drop = 0.0 && dup = 0.0 && crash = [] then None
       else
+        (* Each --crash value is one [crash=] item of a --faults spec: the
+           same parser and validator serve both flags. *)
         let crashes =
-          List.map
+          List.concat_map
             (fun c ->
-              match String.split_on_char '@' c with
-              | [ node; window ] -> (
-                  match String.split_on_char '-' window with
-                  | [ f; u ] -> (
-                      try
-                        Dpq_simrt.Fault_plan.
-                          {
-                            node = int_of_string node;
-                            from_tick = int_of_string f;
-                            until_tick = int_of_string u;
-                          }
-                      with _ ->
-                        Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
-                        exit 1)
-                  | _ ->
-                      Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
-                      exit 1)
-              | _ ->
-                  Printf.eprintf "dpq_sim: bad --crash %S (want NODE@FROM-UNTIL)\n" c;
-                  exit 1)
+              if String.contains c ',' then begin
+                Printf.eprintf "dpq_sim: --crash: %S is not one NODE@FROM-UNTIL window\n" c;
+                exit 1
+              end;
+              Dpq_simrt.Fault_plan.crash_windows (parse "--crash" ("crash=" ^ c)))
             crash
         in
         Some (Dpq_simrt.Fault_plan.create ~drop ~duplicate:dup ~crashes ~seed ())
@@ -169,7 +158,14 @@ let run protocol nodes rounds lambda prios dist insert_ratio seed replication tr
         (fun (k : Dpq_simrt.Fault_plan.kill) ->
           if k.Dpq_simrt.Fault_plan.node >= nodes then
             bad "--faults" "kills node %d but --nodes is %d" k.Dpq_simrt.Fault_plan.node nodes)
-        (Dpq_simrt.Fault_plan.kills plan))
+        (Dpq_simrt.Fault_plan.kills plan);
+      (* a window on a node that does not exist would never fire *)
+      let flag = if faults_spec = None then "--crash" else "--faults" in
+      List.iter
+        (fun (w : Dpq_simrt.Fault_plan.crash_window) ->
+          if w.Dpq_simrt.Fault_plan.node >= nodes then
+            bad flag "crashes node %d but --nodes is %d" w.Dpq_simrt.Fault_plan.node nodes)
+        (Dpq_simrt.Fault_plan.crash_windows plan))
     faults;
   (* An unwritable trace path fails here, before the run, not after it.
      Opening without truncation creates the file if it is missing; the

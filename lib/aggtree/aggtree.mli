@@ -35,8 +35,9 @@ val height : t -> int
 (** Maximum depth. *)
 
 val vnodes : t -> Dpq_overlay.Ldb.vnode array
-(** All virtual nodes. *)
+(** Test seam: the tests visit every vnode with it.  All virtual nodes. *)
 
 val check_invariants : t -> (unit, string) result
-(** Tree well-formedness: single root, parent/child mutual consistency,
-    every vnode reachable from the root, ≤ 2 children each. *)
+(** Test seam.  Tree well-formedness: single root, parent/child mutual
+    consistency, every vnode reachable from the root, ≤ 2 children
+    each. *)

@@ -71,10 +71,6 @@ type 'a memo
     contribution and its sub-aggregate (own combined with its children's
     sub-aggregates). *)
 
-val memo_parts : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a list
-(** The ordered parts at a vnode, built on demand: own value first, then
-    each child's sub-aggregate in label order. *)
-
 val up :
   net ->
   local:(Dpq_overlay.Ldb.vnode -> 'a) ->
@@ -92,8 +88,9 @@ val down :
   split:(parts:'a list -> 'b -> 'b list) ->
   size_bits:('b -> int) ->
   'b option array * report
-(** Run one decomposition phase.  At a vnode with memorized parts
-    ({!memo_parts}, length [1 + #children]), [split ~parts payload] must
+(** Run one decomposition phase.  At a vnode with memorized parts (own
+    value first, then each child's sub-aggregate in label order: length
+    [1 + #children]), [split ~parts payload] must
     return one payload per part: the first is retained at the vnode, the
     rest are forwarded to the children in order.  The result array maps
     each vnode to its retained payload ([None] if the phase never produced

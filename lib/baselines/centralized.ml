@@ -37,7 +37,6 @@ include Clients.Make (struct
 end)
 
 let heap_size t = Binheap.length t.heap
-let trace t = t.trace
 
 let stored_per_node t =
   (* The whole heap lives at the coordinator. *)

@@ -32,8 +32,6 @@ val clients : t -> Dpq_types.Clients.t
 
 val heap_size : t -> int
 
-val trace : t -> Dpq_obs.Trace.t option
-
 val stored_per_node : t -> int array
 (** Element count per node: everything sits at the coordinator (node 0) —
     the degenerate storage balance the DHT-based designs avoid. *)

@@ -50,7 +50,6 @@ include Clients.Make (struct
 end)
 
 let heap_size t = Anchor.total_occupied t.anchor
-let trace t = t.trace
 let stored_per_node t = Dht.stored_counts t.dht
 
 type result = {

@@ -33,8 +33,6 @@ val clients : t -> Dpq_types.Clients.t
 
 val heap_size : t -> int
 
-val trace : t -> Dpq_obs.Trace.t option
-
 val stored_per_node : t -> int array
 (** Elements stored per node in the DHT (Lemma 2.2(iv) balance). *)
 

@@ -74,17 +74,8 @@ let create ?(seed = 1) ?(replication = 1) ?trace ?faults ?sched ?gossip ~n backe
   { backend; trace; faults; sched; impl; clients }
 
 let backend t = t.backend
-let trace t = t.trace
-let faults t = t.faults
-let sched t = t.sched
 
 let n t = Clients.n t.clients
-
-let replication t =
-  match t.impl with
-  | I_skeap h -> Skeap_impl.replication h
-  | I_seap h -> Seap_impl.replication h
-  | I_centralized _ | I_unbatched _ -> 1
 
 let live t ~node = Clients.live t.clients ~node
 let insert t ~node ~prio = Clients.insert t.clients ~node ~prio

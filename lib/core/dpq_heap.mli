@@ -40,9 +40,6 @@ type backend = Dpq_types.Types.backend =
   | Centralized
   | Unbatched of { num_prios : int }
 
-val backend_name : backend -> string
-(** ["skeap"], ["seap"], ["centralized"], ["unbatched"]. *)
-
 (** How the DHT rendezvous phase is delivered (= {!Dpq_types.Types.dht_mode});
     only meaningful for [Skeap] and [Seap].  {!process} raises
     [Invalid_argument] when [Dht_async] is requested on a baseline. *)
@@ -85,13 +82,10 @@ val create :
     to the pre-gossip protocol. *)
 
 val backend : t -> backend
-val trace : t -> Dpq_obs.Trace.t option
-val faults : t -> Dpq_simrt.Fault_plan.t option
-val sched : t -> Dpq_simrt.Sched.t option
-val n : t -> int
+(** Test seam: the tests check the facade keeps the backend it was built
+    with. *)
 
-val replication : t -> int
-(** The DHT replica degree [k] (1 on the baselines). *)
+val n : t -> int
 
 val live : t -> node:int -> bool
 (** A workload driver consults this before injecting (kills commit at
@@ -152,6 +146,8 @@ val verify : t -> (unit, string) Stdlib.result
     and scheduler (both contracts imply heap consistency). *)
 
 val oplog : t -> Dpq_semantics.Oplog.t
+(** Test seam: the tests read a finished run's whole log; drivers drain it
+    with {!take_oplog}. *)
 
 val take_oplog : t -> Dpq_semantics.Oplog.record list
 (** {!Dpq_types.Clients.S.take_log}.  Mixing {!take_oplog} with end-of-run

@@ -96,7 +96,6 @@ let create ?(k = 1) ~ldb ~seed () =
   }
 
 let ldb t = t.ldb
-let replication t = t.k
 let[@inline] key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
 
 (* Successor points: replica r of a key starts at h(x) + r/k (mod 1), then
@@ -519,9 +518,6 @@ let stored_counts t =
 
 let size t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.stores.(0) 0
 let pending_gets t = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) t.parkeds.(0) 0
-
-let stored_elements t =
-  Hashtbl.fold (fun _ q acc -> List.rev_append (List.of_seq (Queue.to_seq q)) acc) t.stores.(0) []
 
 (* One pass over the primary store, bucketed by owner: O(m + n) per call
    instead of a scan of all m keys for each of the n nodes.  Each node's

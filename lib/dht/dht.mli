@@ -49,17 +49,14 @@ val create : ?k:int -> ldb:Dpq_overlay.Ldb.t -> seed:int -> unit -> t
 
 val ldb : t -> Dpq_overlay.Ldb.t
 
-val replication : t -> int
-(** The replication degree [k]. *)
-
 val key_point : t -> int -> float
-(** Where a key lives in [\[0,1)]. *)
+(** Test seam: the tests locate a key's manager with it.  Where a key lives
+    in [\[0,1)]. *)
 
 val replica_point : t -> int -> int -> float
-(** [replica_point t r key]: where replica [r] of [key] lives;
+(** Test seam: the tests check replica placement with it.
+    [replica_point t r key]: where replica [r] of [key] lives;
     [replica_point t 0 key = key_point t key] exactly. *)
-
-val manager_of_key : t -> int -> Dpq_overlay.Ldb.vnode
 
 type op =
   | Put of { origin : int; key : int; elt : Element.t; confirm : bool }
@@ -116,10 +113,8 @@ val size : t -> int
 (** Total stored elements. *)
 
 val pending_gets : t -> int
-(** Gets parked waiting for their Put. *)
-
-val stored_elements : t -> Element.t list
-(** All stored elements, unordered (testing/diagnostics). *)
+(** Test seam: the tests watch gets park and unpark with it.  Gets parked
+    waiting for their Put. *)
 
 val elements_by_node : t -> Element.t list array
 (** [elements_by_node t].(v): the elements real node [v] currently stores
@@ -151,16 +146,18 @@ type repair_stats = {
 type kill_report = { destroyed : int; repair : repair_stats }
 
 val repair : ?trace:Dpq_obs.Trace.t -> t -> repair_stats
-(** Reconcile the [k] replica copies to their union with the Merkle
-    anti-entropy protocol (modeled on Scalaris's rr_recon): for each
-    directed replica pair, per-(owner, owner) sessions exchange compressed
-    hash-trie signatures top-down and ship only the entries of differing
-    leaf ranges.  Correct because replica divergence is one-sided (copies
-    can only miss entries, never hold stale ones).  Runs on a fresh
-    synchronous engine (reliable control plane); with [trace] it opens a
-    ["repair"] span, emits [Repair_session] events for productive sessions
-    and one [Repair_end], so the derived repair metrics in
-    {!Dpq_obs.Trace} measure exactly this traffic.  No-op at [k = 1]. *)
+(** Test seam: {!kill_node} runs it; the tests call it directly after
+    {!drop_replica_entries} plants a divergence.  Reconcile the [k]
+    replica copies to their union with the Merkle anti-entropy protocol
+    (modeled on Scalaris's rr_recon): for each directed replica pair,
+    per-(owner, owner) sessions exchange compressed hash-trie signatures
+    top-down and ship only the entries of differing leaf ranges.  Correct
+    because replica divergence is one-sided (copies can only miss entries,
+    never hold stale ones).  Runs on a fresh synchronous engine (reliable
+    control plane); with [trace] it opens a ["repair"] span, emits
+    [Repair_session] events for productive sessions and one [Repair_end],
+    so the derived repair metrics in {!Dpq_obs.Trace} measure exactly this
+    traffic.  No-op at [k = 1]. *)
 
 val kill_node : ?trace:Dpq_obs.Trace.t -> t -> node:int -> kill_report
 (** Permanent node loss: destroy every replica copy stored at [node],
@@ -172,6 +169,6 @@ val kill_node : ?trace:Dpq_obs.Trace.t -> t -> node:int -> kill_report
     [Invalid_argument] if [node] is already gone or the last live node. *)
 
 val drop_replica_entries : t -> r:int -> f:(key:int -> bool) -> int
-(** Testing hook: silently delete replica [r]'s entries for keys selected
+(** Test seam: silently delete replica [r]'s entries for keys selected
     by [f], returning how many entries were dropped — used to plant a
     divergence of known size δ for the repair-traffic bound experiment. *)

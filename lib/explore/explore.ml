@@ -206,9 +206,6 @@ let gen_spec ~seed ~n ~rounds ~lambda backend =
       arrival = Workload.Closed;
     }
 
-let gen_workload ~seed ~n ~rounds ~lambda backend =
-  Workload.of_gen (gen_spec ~seed ~n ~rounds ~lambda backend)
-
 let config_of_combo ?(n = 6) ?(rounds = 2) ?(lambda = 2) ~seed ~policy combo =
   let n = match combo.n_override with Some n' -> n' | None -> n in
   let spec = gen_spec ~seed ~n ~rounds ~lambda combo.backend in

@@ -104,13 +104,10 @@ val gen_spec :
   lambda:int ->
   Dpq_types.Types.backend ->
   Dpq_workloads.Workload.Gen.spec
-(** The sweep's workload as a serializable generator spec: drawn from the
+(** Test seam: {!config_of_combo} builds every run's workload with it.
+    The sweep's workload as a serializable generator spec: drawn from the
     seed's ["workload"] stream, priorities matched to the backend (constant
     set for Skeap/Unbatched, wide range for Seap/Centralized). *)
-
-val gen_workload :
-  seed:int -> n:int -> rounds:int -> lambda:int -> Dpq_types.Types.backend -> Dpq_workloads.Workload.t
-(** [Workload.of_gen] of {!gen_spec}. *)
 
 val config_of_combo :
   ?n:int ->
@@ -120,8 +117,9 @@ val config_of_combo :
   policy:Dpq_simrt.Sched.policy ->
   combo ->
   config
-(** Defaults: [n = 6], [rounds = 2], [lambda = 2].  A
-    combo's [n_override] beats the [?n] argument. *)
+(** Test seam: {!sweep} builds every run with it.  Defaults: [n = 6],
+    [rounds = 2], [lambda = 2].  A combo's [n_override] beats the [?n]
+    argument. *)
 
 type failure = { config : config; violation : Dpq_semantics.Checker.violation }
 
@@ -185,7 +183,10 @@ type expectation = {
 }
 
 val repro_to_string : config -> outcome -> string
+(** Test seam: {!write_repro}'s text, which the tests edit and re-parse. *)
+
 val repro_of_string : string -> (config * expectation, string) result
+(** Test seam: {!replay}'s parser. *)
 
 val write_repro : path:string -> config -> outcome -> unit
 
@@ -206,5 +207,9 @@ val backend_to_string : Dpq_types.Types.backend -> string
 (** [skeap:C] / [seap] / [centralized] / [unbatched:C]. *)
 
 val backend_of_string : string -> (Dpq_types.Types.backend, string) result
+(** Test seam: the repro parser's; the tests round-trip it. *)
+
 val engine_to_string : engine -> string
+
 val engine_of_string : string -> (engine, string) result
+(** Test seam: the repro parser's; the tests round-trip it. *)

@@ -48,7 +48,6 @@ let mix_trace h t =
 
 let to_hex = Printf.sprintf "%016Lx"
 
-let of_oplog log = to_hex (mix_oplog fnv_offset log)
 let of_run ~oplog ~trace = to_hex (mix_trace (mix_oplog fnv_offset oplog) trace)
 
 (* Streaming form: records are folded in as they are drained, the trace (if

@@ -12,9 +12,6 @@
     FNV-1a (64-bit), rendered as 16 lowercase hex digits.  Not
     cryptographic — it only separates schedules. *)
 
-val of_oplog : Dpq_semantics.Oplog.t -> string
-(** Digest of the operations alone (no trace). *)
-
 val of_run : oplog:Dpq_semantics.Oplog.t -> trace:Dpq_obs.Trace.t -> string
 (** Digest of operations + delivery schedule: the identity of one
     execution. *)
@@ -24,7 +21,7 @@ val of_run : oplog:Dpq_semantics.Oplog.t -> trace:Dpq_obs.Trace.t -> string
     Large-n runs drain their oplog round by round instead of materializing
     it; the accumulator folds the drained records in as they arrive and
     mixes the trace once at the end.  Feeding the same records in the same
-    (witness) order yields exactly {!of_run} / {!of_oplog}. *)
+    (witness) order yields exactly {!of_run}. *)
 
 type acc
 
@@ -35,4 +32,5 @@ val feed_records : acc -> Dpq_semantics.Oplog.record list -> unit
     (as {!Dpq.Dpq_heap.take_oplog} yields them). *)
 
 val finish : ?trace:Dpq_obs.Trace.t -> acc -> string
-(** The digest: {!of_run} when [trace] is given, {!of_oplog} otherwise. *)
+(** The digest: {!of_run} when [trace] is given, a digest of the
+    operations alone otherwise. *)

@@ -38,12 +38,6 @@ let select_seq elements ~k =
     invalid_arg (Printf.sprintf "Kselect.select_seq: k=%d outside [1,%d]" k (List.length sorted));
   List.nth sorted (k - 1)
 
-let kth_statistics elements ~k =
-  let e = select_seq elements ~k in
-  let below = List.length (List.filter (fun x -> Element.compare x e < 0) elements) in
-  let above = List.length (List.filter (fun x -> Element.compare x e > 0) elements) in
-  (e, below, above)
-
 (* ------------------------------------------------------------------------ *)
 (* The distributed sorting stage (Algorithm 3, Phase 2b).                    *)
 (* ------------------------------------------------------------------------ *)

@@ -103,12 +103,8 @@ val select_seq : Element.t list -> k:int -> Element.t
 (** Sequential oracle: sort and index.  Raises [Invalid_argument] on a bad
     [k]. *)
 
-val kth_statistics : Element.t list -> k:int -> Element.t * int * int
-(** Oracle diagnostics: the k-th element plus how many elements are strictly
-    below/above it. *)
-
 val unsafe_misaggregate_votes : bool ref
-(** Test-only: when set, an activation's aggregated send swaps the
+(** Test seam: when set, an activation's aggregated send swaps the
     smaller/larger counts of the first vote in every multi-item combined
     message — a planted wrong-aggregation bug.  The differential test layer
     flips this to prove the oracle comparison actually catches aggregation

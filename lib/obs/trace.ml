@@ -77,11 +77,6 @@ let phase_end topt ~span ~name ~rounds ~messages ~max_congestion ~max_message_bi
 let msg_delivered_direct t ~round ~src ~dst ~bits =
   push t (Msg_delivered { span = current_span t; round; src; dst; bits })
 
-let msg_delivered topt ~round ~src ~dst ~bits =
-  match topt with
-  | None -> ()
-  | Some t -> msg_delivered_direct t ~round ~src ~dst ~bits
-
 let anchor_assign topt ~batch_inserts ~batch_deletes ~heap_size =
   match topt with
   | None -> ()
@@ -299,21 +294,6 @@ let node_load t =
     load
   end
 
-let bits_per_round t =
-  let total = rounds t in
-  let arr = Array.make (max total 0) 0 in
-  let offset = ref 0 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Msg_delivered m ->
-          let gr = !offset + m.round in
-          if gr >= 0 && gr < Array.length arr then arr.(gr) <- arr.(gr) + m.bits
-      | Phase_end p -> offset := !offset + p.rounds
-      | _ -> ())
-    (events t);
-  arr
-
 let pp_summary fmt t =
   let spans =
     List.fold_left (fun acc ev -> match ev with Phase_start _ -> acc + 1 | _ -> acc) 0 (events t)
@@ -346,7 +326,7 @@ let pp_summary fmt t =
          Format.pp_print_int)
       (recovery_latencies t)
 
-(* ------------------------------------------------------------ JSONL I/O *)
+(* --------------------------------------------------------- JSONL writer *)
 
 (* Flat objects with int and string fields only; no JSON library is
    available in-tree, and none is needed for this schema. *)
@@ -479,177 +459,6 @@ let event_to_json ev =
   Buffer.add_char b '}';
   Buffer.contents b
 
-exception Bad of string
-
-type field = Fint of int | Fstr of string
-
-let parse_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise (Bad "unexpected end of line") in
-  let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () <> c then raise (Bad (Printf.sprintf "expected '%c' at column %d" c !pos));
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      let c = peek () in
-      incr pos;
-      if c = '"' then Buffer.contents b
-      else if c = '\\' then raise (Bad "escape sequences are not part of the trace schema")
-      else begin
-        Buffer.add_char b c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = '-' then incr pos;
-    while !pos < n && line.[!pos] >= '0' && line.[!pos] <= '9' do
-      incr pos
-    done;
-    if !pos = start || (!pos = start + 1 && line.[start] = '-') then raise (Bad "expected integer");
-    int_of_string (String.sub line start (!pos - start))
-  in
-  expect '{';
-  skip_ws ();
-  if peek () = '}' then begin
-    incr pos;
-    []
-  end
-  else begin
-    let fields = ref [] in
-    let rec entries () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      let v = if peek () = '"' then Fstr (parse_string ()) else Fint (parse_int ()) in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | ',' ->
-          incr pos;
-          entries ()
-      | '}' -> incr pos
-      | c -> raise (Bad (Printf.sprintf "expected ',' or '}', got '%c'" c))
-    in
-    entries ();
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage after object");
-    List.rev !fields
-  end
-
-let event_of_json line =
-  try
-    let fields = parse_fields line in
-    let fint key =
-      match List.assoc_opt key fields with
-      | Some (Fint v) -> v
-      | Some (Fstr _) -> raise (Bad (Printf.sprintf "field %S: expected integer" key))
-      | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-    in
-    let fstr key =
-      match List.assoc_opt key fields with
-      | Some (Fstr v) -> v
-      | Some (Fint _) -> raise (Bad (Printf.sprintf "field %S: expected string" key))
-      | None -> raise (Bad (Printf.sprintf "missing field %S" key))
-    in
-    let ev =
-      match fstr "ev" with
-      | "phase_start" -> Phase_start { span = fint "span"; name = fstr "name" }
-      | "phase_end" ->
-          Phase_end
-            {
-              span = fint "span";
-              name = fstr "name";
-              rounds = fint "rounds";
-              messages = fint "messages";
-              max_congestion = fint "max_congestion";
-              max_message_bits = fint "max_message_bits";
-              total_bits = fint "total_bits";
-            }
-      | "msg" ->
-          Msg_delivered
-            { span = fint "span"; round = fint "round"; src = fint "src"; dst = fint "dst"; bits = fint "bits" }
-      | "anchor_assign" ->
-          Anchor_assign
-            { batch_inserts = fint "inserts"; batch_deletes = fint "deletes"; heap_size = fint "heap_size" }
-      | "dht_put" ->
-          Dht_put { span = fint "span"; origin = fint "origin"; key = fint "key"; manager = fint "manager" }
-      | "dht_get" ->
-          Dht_get { span = fint "span"; origin = fint "origin"; key = fint "key"; manager = fint "manager" }
-      | "kselect_round" ->
-          Kselect_round
-            {
-              stage = fstr "stage";
-              iteration = fint "iteration";
-              candidates = fint "candidates";
-              messages = fint "messages";
-            }
-      | "churn" ->
-          Churn
-            {
-              kind = fstr "kind";
-              n = fint "n";
-              join_messages = fint "join_messages";
-              moved_elements = fint "moved_elements";
-            }
-      | "fault" ->
-          Fault_injected { span = fint "span"; kind = fstr "kind"; src = fint "src"; dst = fint "dst" }
-      | "retransmit" ->
-          Retransmit { span = fint "span"; src = fint "src"; dst = fint "dst"; attempt = fint "attempt" }
-      | "node_crash" -> Node_crashed { node = fint "node"; kind = fstr "kind"; at = fint "at" }
-      | "sched" ->
-          Sched_perturbed { span = fint "span"; kind = fstr "kind"; src = fint "src"; dst = fint "dst" }
-      | "repair_start" ->
-          Repair_start
-            { span = fint "span"; node = fint "node"; reason = fstr "reason"; entries_lost = fint "entries_lost" }
-      | "repair_session" ->
-          Repair_session
-            {
-              span = fint "span";
-              src = fint "src";
-              dst = fint "dst";
-              keys_pulled = fint "keys_pulled";
-              elements_shipped = fint "elements_shipped";
-            }
-      | "repair_end" ->
-          Repair_end
-            {
-              span = fint "span";
-              sessions = fint "sessions";
-              keys_pulled = fint "keys_pulled";
-              elements_shipped = fint "elements_shipped";
-            }
-      | "gossip_round" ->
-          Gossip_round
-            {
-              span = fint "span";
-              exchange = fint "exchange";
-              rounds = fint "rounds";
-              messages = fint "messages";
-              est_milli = fint "est_milli";
-            }
-      | "window_change" ->
-          Window_change
-            { at_batch = fint "at_batch"; window = fint "window"; est_milli = fint "est_milli" }
-      | other -> raise (Bad (Printf.sprintf "unknown event kind %S" other))
-    in
-    Ok ev
-  with Bad msg -> Error msg
-
 let to_channel t oc =
   List.iter
     (fun ev ->
@@ -657,33 +466,6 @@ let to_channel t oc =
       output_char oc '\n')
     (events t)
 
-let of_channel ic =
-  let t = create () in
-  let line_no = ref 0 in
-  let rec go () =
-    match In_channel.input_line ic with
-    | None -> Ok t
-    | Some line ->
-        incr line_no;
-        if String.trim line = "" then go ()
-        else begin
-          match event_of_json line with
-          | Ok ev ->
-              push t ev;
-              (match ev with
-              | Phase_start { span; _ } | Phase_end { span; _ } ->
-                  t.next_span <- max t.next_span (span + 1)
-              | _ -> ());
-              go ()
-          | Error msg -> Error (Printf.sprintf "line %d: %s" !line_no msg)
-        end
-  in
-  go ()
-
 let to_file t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel t oc)
-
-let of_file path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> of_channel ic)

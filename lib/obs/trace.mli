@@ -21,8 +21,9 @@
     delivery events but report zero cost (matching the empty report the
     drivers charge for them).
 
-    Traces serialize to JSONL — one flat JSON object per event — and read
-    back losslessly ({!to_file} / {!of_file}). *)
+    Traces are written as JSONL — one flat JSON object per event
+    ({!to_file}) — for tools outside the library to read; nothing in the
+    library reads them back. *)
 
 type span = int
 (** Identifier of a phase span, unique within one trace.  The pseudo-span
@@ -119,11 +120,9 @@ val phase_end :
   total_bits:int ->
   unit
 
-val msg_delivered : t option -> round:int -> src:int -> dst:int -> bits:int -> unit
-
-(** Non-optional variant for the engines' delivery hot loops: the caller
-    branches on its cached [t option] once, so a disabled tracer costs one
-    load-and-branch and no call. *)
+(** The one emitter that takes the sink itself, for the engines' delivery
+    hot loops: the caller branches on its cached [t option] once, so a
+    disabled tracer costs one load-and-branch and no call. *)
 val msg_delivered_direct : t -> round:int -> src:int -> dst:int -> bits:int -> unit
 val anchor_assign : t option -> batch_inserts:int -> batch_deletes:int -> heap_size:int -> unit
 val dht_put : t option -> origin:int -> key:int -> manager:int -> unit
@@ -148,46 +147,34 @@ val window_change : t option -> at_batch:int -> window:int -> est_milli:int -> u
 (** {2 Derived metrics}
 
     Recomputed from the raw events — deliberately independent of
-    {!Dpq_simrt.Metrics} so the two tallies cross-check each other. *)
+    {!Dpq_simrt.Metrics} so the two tallies cross-check each other.
+    {!pp_summary} prints them; outside it they are test seams, the side
+    of that cross-check the tests read. *)
 
 val rounds : t -> int
-(** Sum of [Phase_end] round counts (sequential phase composition). *)
+(** Test seam: sum of [Phase_end] round counts (sequential phase
+    composition). *)
 
 val messages : t -> int
-(** Number of [Msg_delivered] events. *)
+(** Test seam: number of [Msg_delivered] events. *)
 
 val total_bits : t -> int
+(** Test seam: bits over all [Msg_delivered] events. *)
+
 val max_message_bits : t -> int
+(** Test seam: the largest [Msg_delivered] size. *)
 
 val max_congestion : t -> int
-(** Max over (span, round, destination) cells of deliveries into the cell —
-    the paper's congestion measure, recomputed from raw deliveries. *)
+(** Test seam: max over (span, round, destination) cells of deliveries
+    into the cell — the paper's congestion measure, recomputed from raw
+    deliveries. *)
 
 val node_load : t -> int array
-(** Deliveries received per node, indexed by node id (length = 1 + the
-    largest node id seen; [||] for a message-free trace). *)
-
-val bits_per_round : t -> int array
-(** Bits delivered in each global round, concatenating spans in completion
-    order — the time series of wire traffic. *)
-
-val congestion_histogram : t -> (int * int) list
-(** [(c, cells)] pairs, ascending in [c]: how many (span, round, node)
-    cells received exactly [c] messages, over cells with at least one. *)
+(** Test seam: deliveries received per node, indexed by node id (length =
+    1 + the largest node id seen; [||] for a message-free trace). *)
 
 val retransmits : t -> int
-(** Number of [Retransmit] events. *)
-
-val faults_injected : t -> int
-(** Number of [Fault_injected] events (all kinds). *)
-
-val retransmit_amplification : t -> float
-(** (fresh deliveries + retransmissions) / fresh deliveries — 1.0 on a
-    fault-free run.  The reliable layer's traffic overhead factor. *)
-
-val crash_windows : t -> (int * int * int) list
-(** [(node, down_at, up_at)] per completed crash window, in trace order
-    (fault-plan ticks). *)
+(** Test seam: number of [Retransmit] events. *)
 
 val repair_messages : t -> int
 (** Deliveries inside ["repair"] spans — the message count of the
@@ -205,18 +192,11 @@ val window_changes : t -> (int * int) list
     controller's window trajectory. *)
 
 val pp_summary : Format.formatter -> t -> unit
-(** Compact one-paragraph text summary of the whole trace. *)
-
-(** {2 JSONL serialization} *)
-
-val event_to_json : event -> string
-(** One flat JSON object, no newlines. *)
-
-val event_of_json : string -> (event, string) result
+(** Compact one-paragraph text summary of the whole trace: the derived
+    metrics above, the congestion histogram and, on a faulty run, fault
+    counts by kind, retransmissions, amplification and crash-recovery
+    latencies. *)
 
 val to_file : t -> string -> unit
-(** One event per line, emission order. *)
-
-val of_file : string -> (t, string) result
-(** Reads until EOF; blank lines are skipped.  [Error] names the first
-    offending line. *)
+(** JSONL: one flat JSON object per event, one event per line, emission
+    order. *)

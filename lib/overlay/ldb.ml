@@ -29,7 +29,6 @@ let kind_to_string = function
   | Right -> "R"
 
 let n t = t.n
-let seed t = t.seed
 let label t v = t.labels.(v)
 
 let build_from_middles ?present ~seed middles =

@@ -31,8 +31,6 @@ val build : n:int -> seed:int -> t
 val n : t -> int
 (** Number of real nodes. *)
 
-val seed : t -> int
-
 val vnode : owner:int -> vkind -> vnode
 val owner : vnode -> int
 val kind : vnode -> vkind
@@ -93,10 +91,6 @@ val walk_route : t -> path_buf -> src:vnode -> point:float -> int
 val route_path : t -> src:vnode -> point:float -> vnode list
 (** [fst (route t ~src ~point)], computed with {!walk_route}. *)
 
-val route_message_hops : t -> src:vnode -> point:float -> int
-(** Number of costed (linear) hops of {!route} — the dilation of one
-    routing operation. *)
-
 val debruijn_hop :
   t -> src:vnode -> from_point:float -> bit:int -> point:float -> vnode list * hop list
 (** One emulated de Bruijn edge: [src] manages the ideal point
@@ -139,5 +133,5 @@ val join_cost_hops : t -> int
     (O(log n) w.h.p.) plus constant relinking. *)
 
 val check_invariants : t -> (unit, string) result
-(** Structural self-check used by tests: cycle sorted and closed,
+(** Test seam: structural self-check: cycle sorted and closed,
     [l = m/2], [r = (m+1)/2], pred/succ inverse of each other. *)

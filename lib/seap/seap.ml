@@ -43,11 +43,8 @@ include Clients.Make (struct
   let clients = clients
 end)
 
-let tree t = Host.tree t.host
 let consistency t = t.consistency
 let heap_size t = t.m
-let replication t = Dht.replication t.host.dht
-let trace t = t.host.trace
 let load_estimate t = Host.load_estimate t.host
 
 type dht_mode = Dpq_types.Types.dht_mode =

@@ -71,16 +71,10 @@ val clients : t -> Dpq_types.Clients.t
 (** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
 
 val consistency : t -> consistency
-val tree : t -> Dpq_aggtree.Aggtree.t
-
-val replication : t -> int
-(** The DHT replica degree [k]. *)
+(** Test seam: the mode given at {!create}. *)
 
 val heap_size : t -> int
 (** The anchor's element count m. *)
-
-val trace : t -> Dpq_obs.Trace.t option
-(** The trace sink passed at {!create}, if any. *)
 
 val load_estimate : t -> float option
 (** The anchor node's gossip estimate Λ̂ (issued ops per node per round),

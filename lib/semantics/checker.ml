@@ -78,7 +78,6 @@ module Online = struct
 
   type t = {
     contract : contract;
-    mutable fed : int;
     (* M1: well-formedness *)
     mutable wf : violation option;
     mutable last_witness : int;
@@ -102,7 +101,6 @@ module Online = struct
   let create contract =
     {
       contract;
-      fed = 0;
       wf = None;
       last_witness = min_int;
       node_seqs = Hashtbl.create 64;
@@ -117,8 +115,6 @@ module Online = struct
       last_local = Hashtbl.create 64;
     }
 
-  let records_fed t = t.fed
-  let live_elements t = t.live
   let peak_live t = t.peak_live
   let elt_key (e : Element.t) = (e.Element.prio, e.Element.origin, e.Element.seq)
 
@@ -240,7 +236,6 @@ module Online = struct
     Hashtbl.replace t.last_local r.Oplog.node r
 
   let feed t (r : Oplog.record) =
-    t.fed <- t.fed + 1;
     if t.wf = None then feed_wf t r;
     if t.wf = None && t.replay = None then begin
       (match r.Oplog.kind with
@@ -255,8 +250,6 @@ module Online = struct
     match (t.wf, t.replay, t.local) with
     | Some v, _, _ | None, Some v, _ | None, None, Some v -> Error v
     | None, None, None -> Ok ()
-
-  let failed t = t.wf <> None || t.replay <> None || t.local <> None
 end
 
 let explain contract log =

@@ -78,31 +78,20 @@ module Online : sig
 
   val create : contract -> t
 
-  val feed : t -> Oplog.record -> unit
-  (** Feed the next completed operation.  Records must arrive in
-      nondecreasing witness order (the order {!Oplog.to_list} yields, and
-      the order every backend completes operations in). *)
-
   val feed_all : t -> Oplog.record list -> unit
-  (** [List.iter (feed t)]. *)
+  (** Feed the next completed operations, in order.  Records must arrive
+      in nondecreasing witness order (the order {!Oplog.to_list} yields,
+      and the order every backend completes operations in); a run may feed
+      its log in any number of calls. *)
 
   val finish : t -> (unit, violation) result
   (** The verdict over everything fed so far.  May be called repeatedly;
       feeding may continue afterwards (a violation, once latched, stays). *)
 
-  val failed : t -> bool
-  (** A violation has already latched — the run is doomed regardless of
-      what is fed later.  Equivalent to [finish t <> Ok ()]. *)
-
-  val records_fed : t -> int
-
-  val live_elements : t -> int
-  (** Elements currently in the replay heap (inserted, not yet
-      returned). *)
-
   val peak_live : t -> int
-  (** High-water mark of {!live_elements} — the checker's state is O(this),
-      the observable for the bench's peak-heap ceiling. *)
+  (** High-water mark of the elements in the replay heap (inserted, not
+      yet returned) — the checker's state is O(this), the observable for
+      the bench's peak-heap ceiling. *)
 end
 
 val explain : Online.contract -> Oplog.t -> (unit, violation) result

@@ -85,10 +85,7 @@ let create ~n ~seed ?(policy = Uniform (1.0, 10.0)) ?trace ?faults ?sched ~size_
     cross_prev = None;
   }
 
-let n t = t.n
 let now t = t.now
-let delivered t = t.delivered
-let faults t = t.faults
 let pending t = Eventq.length t.queue
 let unacked t = match t.rel with None -> 0 | Some r -> Reliable.unacked r
 

@@ -53,8 +53,6 @@ val create :
     scheduler transforms each sampled delivery time (no effect under
     [Adversarial_lifo], whose pseudo-times already encode a worst case). *)
 
-val n : 'msg t -> int
-
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Self-sends are delivered immediately (virtual edges), like in
     {!Sync_engine}. *)
@@ -70,17 +68,8 @@ val run_to_quiescence : ?max_events:int -> ?stall_events:int -> 'msg t -> int
     context instead of spinning to [max_events]. *)
 
 val now : 'msg t -> float
-(** Current virtual time. *)
-
-val delivered : 'msg t -> int
-(** Fresh protocol deliveries so far (excludes acks and suppressed
-    duplicates). *)
-
-val pending : 'msg t -> int
-(** Wire events currently queued. *)
+(** Test seam.  Current virtual time. *)
 
 val unacked : 'msg t -> int
-(** Reliable-layer packets sent but not yet acknowledged (0 without
-    faults). *)
-
-val faults : 'msg t -> Fault_plan.t option
+(** Test seam.  Reliable-layer packets sent but not yet acknowledged (0
+    without faults). *)

@@ -21,7 +21,6 @@ type 'msg t = {
 let create () = { times = [||]; seqs = [||]; srcs = [||]; dsts = [||]; tags = [||]; pays = [||]; len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let grow t payload =
   let cap = Array.length t.seqs in

@@ -13,7 +13,6 @@ type 'msg t
 
 val create : unit -> 'msg t
 val length : 'msg t -> int
-val is_empty : 'msg t -> bool
 val push : 'msg t -> time:float -> seq:int -> src:int -> dst:int -> tag:int -> 'msg -> unit
 
 val pop : 'msg t -> bool

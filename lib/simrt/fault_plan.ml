@@ -99,8 +99,6 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor 
 let stats t = t.stats
 let drop t = t.drop
 let duplicate t = t.duplicate
-let delay_spike t = t.delay_spike
-let delay_factor t = t.delay_factor
 let crash_windows t = t.crashes
 let kills t = t.kills
 
@@ -224,10 +222,6 @@ let note_retransmit t = t.stats.retransmits <- t.stats.retransmits + 1
 let note_ack t = t.stats.acks_sent <- t.stats.acks_sent + 1
 let note_dup_suppressed t = t.stats.dups_suppressed <- t.stats.dups_suppressed + 1
 
-let total_injected t =
-  t.stats.drops + t.stats.duplicates + t.stats.delay_spikes + t.stats.crash_drops
-  + t.stats.dead_letters
-
 (* ----------------------------------------------------------- spec parsing *)
 
 (* "drop=0.2,dup=0.05,spike=0.1x8,crash=3@100-200,kill=2@40" —
@@ -318,4 +312,3 @@ let to_string t =
     t.crashes;
   List.iter (fun (k : kill) -> add (Printf.sprintf "kill=%d@%d" k.node k.at_tick)) t.kills;
   String.concat "," (List.rev !items)
-

@@ -83,28 +83,26 @@ val of_string : seed:int -> string -> t
     malformed input. *)
 
 val to_string : t -> string
-(** Canonical spec string: fields in a fixed order, defaults omitted,
-    floats printed so they read back exactly.  [of_string (to_string t)]
+(** Test seam (the round-trip test's printer).  Canonical spec string:
+    fields in a fixed order, defaults omitted, floats printed so they read
+    back exactly.  [of_string (to_string t)]
     rebuilds an equivalent plan (same knobs; RNG state is not captured). *)
 
 val stats : t -> stats
 (** The live counter record (shared, mutable). *)
 
-val total_injected : t -> int
-(** drops + duplicates + delay spikes + crash drops + dead letters — the
-    number of [Fault_injected] trace events a traced run emits. *)
-
 val tick : t -> Dpq_obs.Trace.t option -> unit
 (** Advance the global fault clock; emits edge-triggered [Node_crashed]
     ["down"]/["up"] events for windows entered/left. *)
 
-(** {2 Plan introspection} — the knobs [create] was given, for canonical
-    printing and round-trip tests. *)
+(** {2 Plan introspection} — the knobs [create] was given. *)
 
 val drop : t -> float
+(** Test seam: the round-trip test reads it back. *)
+
 val duplicate : t -> float
-val delay_spike : t -> float
-val delay_factor : t -> float
+(** Test seam: the round-trip test reads it back. *)
+
 val crash_windows : t -> crash_window list
 val kills : t -> kill list
 
@@ -149,4 +147,3 @@ val note_dead_letter : t -> Dpq_obs.Trace.t option -> src:int -> dst:int -> unit
 val note_retransmit : t -> unit
 val note_ack : t -> unit
 val note_dup_suppressed : t -> unit
-

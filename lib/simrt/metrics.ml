@@ -34,8 +34,6 @@ let create ~n =
     cur = Array.make n 0;
   }
 
-let n t = t.n
-
 let record_delivery t ~round ~dst ~bits =
   if round <> t.cur_round then begin
     t.epoch <- t.epoch + 1;
@@ -81,13 +79,3 @@ let reset t =
   t.epoch <- 0;
   Array.fill t.node_load 0 t.n 0;
   Array.fill t.cur 0 t.n 0
-
-let merge_max acc t =
-  acc.rounds <- acc.rounds + rounds t;
-  acc.total_messages <- acc.total_messages + total_messages t;
-  acc.total_bits <- acc.total_bits + total_bits t;
-  acc.local_deliveries <- acc.local_deliveries + local_deliveries t;
-  acc.max_message_bits <- max acc.max_message_bits (max_message_bits t);
-  acc.max_congestion <- max acc.max_congestion (max_congestion t);
-  let load = node_load t in
-  Array.iteri (fun i v -> acc.node_load.(i) <- acc.node_load.(i) + v) load

@@ -11,7 +11,6 @@
 type t
 
 val create : n:int -> t
-val n : t -> int
 
 val record_delivery : t -> round:int -> dst:int -> bits:int -> unit
 (** One message delivered to [dst] during [round]. *)
@@ -21,7 +20,8 @@ val record_local : t -> unit
     neither to congestion nor to message totals. *)
 
 val rounds : t -> int
-(** Highest round in which a delivery was recorded + 1 (0 if none). *)
+(** Test seam.  Highest round in which a delivery was recorded + 1 (0 if
+    none). *)
 
 val total_messages : t -> int
 val total_bits : t -> int
@@ -40,8 +40,3 @@ val max_node_load : t -> int
 (** The largest entry of {!node_load}, read without copying. *)
 
 val reset : t -> unit
-
-val merge_max : t -> t -> unit
-(** [merge_max acc t] folds [t]'s totals into [acc], taking maxima for the
-    max-type counters and sums for the totals; used to accumulate across
-    protocol phases. *)

@@ -53,8 +53,6 @@ let create () = { ring = Array.init ring_size new_bucket; base = 0; total = 0 }
 
 let pending t = t.total
 let is_empty t = t.total = 0
-let base t = t.base
-let len (b : _ bucket) = b.len
 
 let grow b payload =
   let cap = Array.length b.metas in

@@ -28,9 +28,6 @@ val create : unit -> 'msg t
 val pending : 'msg t -> int
 val is_empty : 'msg t -> bool
 
-val base : 'msg t -> int
-(** The earliest round the queue can still accept or deliver. *)
-
 val add : 'msg t -> round:int -> src:int -> dst:int -> tag:int -> defers:int -> 'msg -> unit
 (** Append to [round]'s bucket (FIFO within a round).  Raises
     [Invalid_argument] if [round] is before {!base} or beyond the ring
@@ -51,8 +48,6 @@ val take : 'msg t -> round:int -> 'msg bucket
 
 val recycle : 'msg t -> 'msg bucket -> unit
 (** Return a taken bucket to the pool, keeping its arrays for reuse. *)
-
-val len : 'msg bucket -> int
 
 (** Per-entry column accessors, and the packed-word decoders for callers
     that hoist the single [metas] read themselves. *)

@@ -24,7 +24,6 @@ let create ~seed policy =
   { policy; seed; rng = Rng.named ~seed "sched" }
 
 let policy t = t.policy
-let seed t = t.seed
 let rng t = t.rng
 
 let max_defers = 8
@@ -91,5 +90,3 @@ let policy_of_string s =
           | _ -> err ())
       | _ -> err ())
   | _ -> err ()
-
-let pp fmt t = Format.pp_print_string fmt (policy_to_string t.policy)

@@ -43,7 +43,6 @@ val create : seed:int -> policy -> t
     or [factor < 1]. *)
 
 val policy : t -> policy
-val seed : t -> int
 
 val rng : t -> Dpq_util.Rng.t
 (** The scheduler's own draw stream (shared by every engine of a run so the
@@ -67,5 +66,3 @@ val policy_to_string : policy -> string
     {!policy_of_string}. *)
 
 val policy_of_string : string -> (policy, string) result
-
-val pp : Format.formatter -> t -> unit

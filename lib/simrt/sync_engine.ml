@@ -52,11 +52,9 @@ let create ~n ~size_bits ~handler ?activate ?trace ?faults ?sched () =
     last_dst = 0;
   }
 
-let n t = t.n
 let round t = t.round
 let metrics t = t.metrics
 let pending t = Roundq.pending t.q
-let faults t = t.faults
 
 let unacked t = match t.rel with None -> 0 | Some r -> Reliable.unacked r
 

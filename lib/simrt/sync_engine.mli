@@ -40,8 +40,6 @@ val create :
     each round's delivery batch and may defer messages a bounded number of
     rounds ({!Sched.max_defers}); quiescence is still always reached. *)
 
-val n : 'msg t -> int
-
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 (** Enqueue a message for delivery next round ([dst <> src]) or deliver it
     locally right now ([dst = src]). Raises [Invalid_argument] on an
@@ -58,8 +56,6 @@ val pending : 'msg t -> int
 val unacked : 'msg t -> int
 (** Reliable-layer packets sent but not yet acknowledged (0 without
     faults). *)
-
-val faults : 'msg t -> Fault_plan.t option
 
 val run_to_quiescence : ?max_rounds:int -> ?stall_rounds:int -> 'msg t -> int
 (** Run rounds until no messages are in flight and nothing is unacked;

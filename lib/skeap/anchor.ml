@@ -6,7 +6,6 @@ let create ~num_prios =
   if num_prios < 1 then invalid_arg "Anchor.create: need at least one priority";
   { num_prios; first = Array.make num_prios 1; last = Array.make num_prios 0 }
 
-let num_prios t = t.num_prios
 let occupied t ~prio = t.last.(prio - 1) - t.first.(prio - 1) + 1
 
 let total_occupied t =
@@ -189,4 +188,3 @@ let assignment_bits assignment =
       + List.fold_left (fun a (_, iv) -> a + 8 + iv_bits iv) 0 ea.dels
       + Dpq_util.Bitsize.bits_of_int ea.bot)
     0 assignment
-

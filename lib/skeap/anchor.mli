@@ -21,10 +21,6 @@ type t
 (** The anchor's mutable [first_p]/[last_p] state. *)
 
 val create : num_prios:int -> t
-val num_prios : t -> int
-
-val occupied : t -> prio:int -> int
-(** Elements of priority [prio] currently in the heap. *)
 
 val total_occupied : t -> int
 (** Heap size as the anchor sees it. *)
@@ -61,4 +57,3 @@ val split : num_prios:int -> assignment -> parts:Batch.t list -> assignment list
 
 val assignment_bits : assignment -> int
 (** Wire size of an assignment message (interval endpoints). *)
-

@@ -35,8 +35,6 @@ let of_ops ~num_prios ops =
 
 let num_prios t = t.num_prios
 let entries t = t.entries
-let length t = List.length t.entries
-let is_empty t = t.entries = []
 
 let combine_entry num_prios a b =
   let ins = Array.make num_prios 0 in
@@ -62,7 +60,6 @@ let total_inserts t =
   List.fold_left (fun acc e -> acc + Array.fold_left ( + ) 0 e.ins) 0 t.entries
 
 let total_deletes t = List.fold_left (fun acc e -> acc + e.del) 0 t.entries
-let total_ops t = total_inserts t + total_deletes t
 
 let encoded_bits t =
   List.fold_left
@@ -82,5 +79,3 @@ let to_string t =
     Printf.sprintf "(%s),%d" ins_s e.del
   in
   "(" ^ String.concat "," (List.map entry_s t.entries) ^ ")"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -24,31 +24,28 @@ val of_ops : num_prios:int -> op list -> t
     [Invalid_argument] on a priority outside [1..num_prios]. *)
 
 val group_ops : op list -> op list list
-(** The grouping [of_ops] uses: maximal runs of inserts followed by the
-    deletes that trail them.  Mapping positions back to concrete operations
-    (Phase 4) walks the operations in step with the batch entries by the
-    same rule: an entry starts with the first operation and with every
-    insert that follows a delete. *)
+(** Test seam.  The grouping [of_ops] uses: maximal runs of inserts
+    followed by the deletes that trail them.  Mapping positions back to
+    concrete operations (Phase 4) walks the operations in step with the
+    batch entries by the same rule: an entry starts with the first
+    operation and with every insert that follows a delete. *)
 
 val num_prios : t -> int
 val entries : t -> entry list
-val length : t -> int
-(** Number of [(i_j, d_j)] entries. *)
 
-val is_empty : t -> bool
 val combine : t -> t -> t
 (** Raises [Invalid_argument] on differing priority universes.  The result
     may share entries with its arguments; entries are never mutated. *)
 
 val total_inserts : t -> int
 val total_deletes : t -> int
-val total_ops : t -> int
 
 val encoded_bits : t -> int
 (** Wire size: every count encoded with its bit length (Lemma 3.8 measures
     this growing as O(Λ log² n)). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+(** Test seam: the tests check {!combine}'s laws with it. *)
+
 val to_string : t -> string
 (** Paper notation, e.g. ["((2,0),1,(0,1),1)"]. *)

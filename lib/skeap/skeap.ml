@@ -59,11 +59,7 @@ include Clients.Make (struct
   let clients = clients
 end)
 
-let num_prios t = t.num_prios
-let tree t = Host.tree t.host
-let replication t = Dht.replication t.host.dht
 let heap_size t = Anchor.total_occupied t.anchor
-let trace t = t.host.trace
 let load_estimate t = Host.load_estimate t.host
 
 type dht_mode = Dpq_types.Types.dht_mode =

@@ -60,17 +60,8 @@ include Dpq_types.Clients.S with type t := t
 val clients : t -> Dpq_types.Clients.t
 (** The client side itself, which {!Dpq.Dpq_heap} calls directly. *)
 
-val num_prios : t -> int
-val tree : t -> Dpq_aggtree.Aggtree.t
-
-val replication : t -> int
-(** The DHT replica degree [k]. *)
-
 val heap_size : t -> int
 (** Elements logically in the heap (anchor's interval cardinalities). *)
-
-val trace : t -> Dpq_obs.Trace.t option
-(** The trace sink passed at {!create}, if any. *)
 
 val load_estimate : t -> float option
 (** The anchor node's gossip estimate Λ̂ (injected ops per node per batch),
@@ -96,7 +87,8 @@ val process_batch : ?dht_mode:dht_mode -> t -> batch_result
     aggregation of empty batches. *)
 
 val drain : ?dht_mode:dht_mode -> t -> batch_result list
-(** Process batches until no operations are pending. *)
+(** Test seam: process batches until no operations are pending (drivers
+    go through {!Dpq.Dpq_heap.drain}). *)
 
 val stored_per_node : t -> int array
 (** DHT elements per node — fairness measure. *)

@@ -7,7 +7,6 @@ type 'a t = {
 let create ~cmp = { cmp; data = [||]; size = 0 }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 let grow t x =
   let cap = Array.length t.data in
@@ -47,11 +46,6 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let of_list ~cmp l =
-  let t = create ~cmp in
-  List.iter (push t) l;
-  t
-
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
 let pop t =
@@ -65,22 +59,3 @@ let pop t =
     end;
     Some top
   end
-
-let pop_exn t =
-  match pop t with
-  | Some x -> x
-  | None -> invalid_arg "Binheap.pop_exn: empty heap"
-
-let to_sorted_list t =
-  let copy = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size } in
-  let rec drain acc =
-    match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []
-
-let clear t = t.size <- 0
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.data.(i)
-  done

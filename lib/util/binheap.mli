@@ -7,9 +7,7 @@
 type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
-val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 
 val peek : 'a t -> 'a option
@@ -17,14 +15,3 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the minimum. *)
-
-val pop_exn : 'a t -> 'a
-(** Raises [Invalid_argument] when empty. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** Non-destructive: all elements in ascending order. *)
-
-val clear : 'a t -> unit
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Iterate in unspecified (heap) order. *)

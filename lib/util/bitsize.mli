@@ -12,10 +12,5 @@ val bits_of_nat_bound : int -> int
 val log2_ceil : int -> int
 (** [log2_ceil n] = ⌈log2 n⌉ for n >= 1; raises on n <= 0. *)
 
-val log2_floor : int -> int
-(** ⌊log2 n⌋ for n >= 1; raises on n <= 0. *)
-
-val is_power_of_two : int -> bool
-
 val interval_bits : lo:int -> hi:int -> int
 (** Cost of an interval: two endpoint encodings. *)

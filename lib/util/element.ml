@@ -16,16 +16,6 @@ let prio e = e.prio
 let to_string e =
   Printf.sprintf "e(p=%d,%d.%d)" e.prio e.origin e.seq
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
-let rank_in e all =
-  let sorted = List.sort compare all in
-  let rec go i = function
-    | [] -> invalid_arg "Element.rank_in: element not present"
-    | x :: tl -> if equal x e then i else go (i + 1) tl
-  in
-  go 1 sorted
-
 let encoded_bits e =
   let bits = Bitsize.bits_of_int in
   bits e.prio + bits e.origin + bits e.seq + bits e.payload

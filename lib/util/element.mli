@@ -22,11 +22,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val prio : t -> prio
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
-val rank_in : t -> t list -> int
-(** [rank_in e all] is e's 1-based rank in the sorted order of [all]
-    (which must contain [e]). *)
 
 val encoded_bits : t -> int
 (** Size of a wire encoding of the element, in bits: used by the message-size

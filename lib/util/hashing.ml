@@ -26,8 +26,6 @@ let pair t i j =
   let h2 = mix64 (Int64.add h1 (Int64.of_int j)) in
   Int64.to_int (Int64.shift_right_logical h2 2)
 
-let pair_sym t i j = if i <= j then pair t i j else pair t j i
-
 let[@inline] float_of_raw r =
   let m = Int64.to_int (Int64.shift_right_logical r 11) in
   float_of_int m *. (1.0 /. 9007199254740992.0)

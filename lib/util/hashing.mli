@@ -19,10 +19,6 @@ val int : t -> int -> int
 val pair : t -> int -> int -> int
 (** Hash an ordered pair. *)
 
-val pair_sym : t -> int -> int -> int
-(** Symmetric pair hash: [pair_sym t i j = pair_sym t j i], as required for
-    the KSelect rendezvous function h(i,j). *)
-
 val to_unit_interval : t -> int -> float
 (** Hash an int to a uniform point of [0,1) — used for LDB labels and DHT
     keys. *)

@@ -17,7 +17,6 @@ let hi = function
   | Range r -> r.hi
 
 let cardinality = function Empty -> 0 | Range r -> r.hi - r.lo + 1
-let mem x = function Empty -> false | Range r -> r.lo <= x && x <= r.hi
 
 let equal a b =
   match (a, b) with
@@ -33,15 +32,6 @@ let take iv k =
       if k = 0 then (Empty, iv)
       else if k >= r.hi - r.lo + 1 then (iv, Empty)
       else (Range { lo = r.lo; hi = r.lo + k - 1 }, Range { lo = r.lo + k; hi = r.hi })
-
-let take_back iv k =
-  match iv with
-  | Empty -> (Empty, Empty)
-  | Range r ->
-      let k = max 0 k in
-      if k = 0 then (Empty, iv)
-      else if k >= r.hi - r.lo + 1 then (iv, Empty)
-      else (Range { lo = r.hi - k + 1; hi = r.hi }, Range { lo = r.lo; hi = r.hi - k })
 
 let split_sizes iv sizes =
   let total = List.fold_left ( + ) 0 sizes in
@@ -62,5 +52,3 @@ let positions = function
 let to_string = function
   | Empty -> "\xe2\x88\x85"
   | Range r -> Printf.sprintf "[%d,%d]" r.lo r.hi
-
-let pp fmt iv = Format.pp_print_string fmt (to_string iv)

@@ -12,7 +12,8 @@ type t
 val empty : t
 
 val make : int -> int -> t
-(** [make lo hi] is [\[lo, hi\]], or [empty] when [hi < lo]. *)
+(** Test seam: the tests build intervals with it.  [make lo hi] is
+    [\[lo, hi\]], or [empty] when [hi < lo]. *)
 
 val of_first_card : first:int -> card:int -> t
 (** [of_first_card ~first ~card] is the interval of [card] positions starting
@@ -28,18 +29,12 @@ val hi : t -> int
 
 val cardinality : t -> int
 
-val mem : int -> t -> bool
-
 val equal : t -> t -> bool
+(** Test seam. *)
 
 val take : t -> int -> t * t
-(** [take iv k] splits off the first [min k (cardinality iv)] positions:
-    returns [(front, rest)]. *)
-
-val take_back : t -> int -> t * t
-(** [take_back iv k] splits off the {e last} [min k (cardinality iv)]
-    positions: returns [(back, rest)] — the LIFO draw used by the
-    distributed stack. *)
+(** Test seam.  [take iv k] splits off the first [min k (cardinality iv)]
+    positions: returns [(front, rest)]. *)
 
 val split_sizes : t -> int list -> t list
 (** Test seam: no protocol calls this; the tests keep it as the oracle for
@@ -50,9 +45,8 @@ val split_sizes : t -> int list -> t list
     or contains negatives. *)
 
 val positions : t -> int list
-(** All positions, ascending; [\[\]] for empty.  Linear in cardinality. *)
+(** Test seam.  All positions, ascending; [\[\]] for empty.  Linear in
+    cardinality. *)
 
 val to_string : t -> string
 (** ["[a,b]"] or ["∅"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -74,14 +74,6 @@ let bernoulli_at ~seed ~index ~p =
     let state = Int64.add (Int64.of_int seed) (Int64.mul (Int64.of_int index) golden_gamma) in
     unit_float (mix state) < p
 
-let geometric t ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
-  if p >= 1.0 then 0
-  else
-    let u = float t in
-    (* Inverse CDF: floor(ln(1-u) / ln(1-p)) *)
-    int_of_float (Float.of_int 0 +. floor (log1p (-.u) /. log1p (-.p)))
-
 let shuffle t a =
   let n = Array.length a in
   for i = n - 1 downto 1 do
@@ -90,20 +82,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t ~k ~n =
-  if k < 0 || n < 0 || k > n then
-    invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";
-  (* Floyd's algorithm: O(k) expected, no O(n) allocation. *)
-  let seen = Hashtbl.create (2 * k) in
-  let acc = ref [] in
-  for j = n - k to n - 1 do
-    let r = int t (j + 1) in
-    let v = if Hashtbl.mem seen r then j else r in
-    Hashtbl.replace seen v ();
-    acc := v :: !acc
-  done;
-  !acc
 
 let rec poisson t ~mean =
   if mean < 0.0 then invalid_arg "Rng.poisson: mean must be non-negative";

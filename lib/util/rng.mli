@@ -12,8 +12,9 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator from a 64-bit seed. *)
 
 val split : t -> t
-(** [split t] derives an independent generator from [t], advancing [t].
-    Use it to give each node / phase its own stream. *)
+(** Test seam: no protocol draws through it; the tests check stream
+    independence with it.  [split t] derives an independent generator from
+    [t], advancing [t]. *)
 
 val named : seed:int -> string -> t
 (** [named ~seed name] is an independent stream keyed by [(seed, name)]:
@@ -24,10 +25,12 @@ val named : seed:int -> string -> t
     seed. *)
 
 val copy : t -> t
-(** [copy t] duplicates the current state (same future outputs). *)
+(** Test seam: the tests check that a copy resumes the same stream.
+    [copy t] duplicates the current state (same future outputs). *)
 
 val int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Test seam: the tests compare streams through it.  Next raw 64-bit
+    output. *)
 
 val bits : t -> int
 (** 62 uniform non-negative bits as an OCaml [int]. *)
@@ -55,16 +58,8 @@ val bernoulli_at : seed:int -> index:int -> p:float -> bool
     [bernoulli], it is [false] for [p <= 0] and [true] for [p >= 1] without
     looking at the draw. *)
 
-val geometric : t -> p:float -> int
-(** [geometric t ~p] is the number of failures before the first success of a
-    Bernoulli(p); 0-based. Requires [0 < p <= 1]. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val sample_without_replacement : t -> k:int -> n:int -> int list
-(** [sample_without_replacement t ~k ~n] draws [k] distinct indices from
-    [0, n); raises [Invalid_argument] if [k > n] or arguments are negative. *)
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (> 0). *)

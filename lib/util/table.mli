@@ -14,7 +14,8 @@ val add_row : t -> string list -> unit
 (** Raises [Invalid_argument] on arity mismatch. *)
 
 val render : t -> string
-(** Full table with title, header, separator and rows. *)
+(** Test seam: {!print}'s text, which the tests read without capturing
+    stdout.  Full table with title, header, separator and rows. *)
 
 val print : t -> unit
 

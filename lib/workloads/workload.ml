@@ -110,9 +110,6 @@ module Gen = struct
   let create spec =
     { spec; rng = Rng.named ~seed:spec.seed "workload"; produced = 0; increasing = 0 }
 
-  let spec t = t.spec
-  let produced t = t.produced
-
   (* Exact for closed-loop specs; the expectation for stochastic arrivals. *)
   let total_ops spec =
     match spec.arrival with

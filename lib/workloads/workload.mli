@@ -69,10 +69,6 @@ module Gen : sig
   (** A stateful round producer; single pass. *)
 
   val create : spec -> t
-  val spec : t -> spec
-
-  val produced : t -> int
-  (** Rounds handed out so far. *)
 
   val total_ops : spec -> int
   (** [n * rounds * lambda] for closed-loop specs (every slot yields exactly
@@ -109,7 +105,7 @@ val round_to_string : round -> string
 val round_of_string : string -> (round, string) result
 
 val to_string : t -> string
-(** Round-trips with {!of_string} up to blank lines. *)
+(** Test seam: round-trips with {!of_string} up to blank lines. *)
 
 val of_string : string -> (t, string) result
 (** Accepts both the materialized round-per-line form and the generator form:

@@ -153,12 +153,20 @@ let test_up_counts_nodes () =
 
 let test_up_memo_parts () =
   let tree = tree_of ~n:10 ~seed:4 in
-  let _total, memo, _ =
-    Phase.up (Phase.net tree) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1)
-  in
+  let net = Phase.net tree in
+  let _total, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
+  (* The memorized parts reach the down pass's [split]: carry each vnode's
+     id as its payload to record the parts it is handed. *)
+  let seen = Hashtbl.create 32 in
+  ignore
+    (Phase.down net ~memo ~root_payload:(Aggtree.root tree)
+       ~split:(fun ~parts v ->
+         Hashtbl.replace seen v parts;
+         v :: Aggtree.children tree v)
+       ~size_bits:(fun _ -> 1));
   Array.iter
     (fun v ->
-      let parts = Phase.memo_parts memo v in
+      let parts = Hashtbl.find seen v in
       checki "1 + #children parts" (1 + List.length (Aggtree.children tree v)) (List.length parts);
       checki "own part first" 1 (List.hd parts);
       (* Then each child's sub-aggregate: here, its subtree's size. *)

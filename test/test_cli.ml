@@ -78,6 +78,13 @@ let test_sim_rejects_bad_values () =
       ([ "--replication"; "0" ], "dpq_sim: --replication ");
       ([ "--prios"; "0" ], "dpq_sim: --prios ");
       ([ "--nodes"; "32"; "--faults"; "kill=99@5" ], "dpq_sim: --faults kills node 99 ");
+      (* a window on a missing node once ran silently with no crash at all *)
+      ([ "--nodes"; "32"; "--faults"; "crash=99@1-2" ], "dpq_sim: --faults crashes node 99 ");
+      ([ "--nodes"; "32"; "--crash"; "99@1-2" ], "dpq_sim: --crash crashes node 99 ");
+      (* --crash once had its own parser, and an empty window escaped it as
+         an uncaught exception (exit 125) *)
+      ([ "--crash"; "1@5-2" ], "dpq_sim: --crash: ");
+      ([ "--crash"; "1@2-3,drop=0.5" ], "dpq_sim: --crash: ");
       ([ "--faults"; "garbage" ], "dpq_sim: --faults");
       (* NaN once passed the range check: the run went ahead fault-free *)
       ([ "--faults"; "drop=nan" ], "dpq_sim: --faults: ");

@@ -127,7 +127,7 @@ let test_all_backends_unified () =
       checki "pending" 0 (H.pending_ops h);
       checki "size 8" 8 (H.heap_size h);
       checki "stored total" 8 (Array.fold_left ( + ) 0 (H.stored_per_node h));
-      checkb (Printf.sprintf "%s verifies" (H.backend_name backend)) true (H.verify h = Ok ()))
+      checkb (Printf.sprintf "%s verifies" (Dpq_types.Types.backend_name backend)) true (H.verify h = Ok ()))
     all_backends
 
 (* Every backend runs the same client-side checks: a node outside [0, n),
@@ -143,7 +143,7 @@ let test_client_checks () =
   in
   List.iter
     (fun backend ->
-      let name = H.backend_name backend in
+      let name = Dpq_types.Types.backend_name backend in
       let h = H.create ~n:4 backend in
       List.iter
         (fun node ->
@@ -163,7 +163,7 @@ let test_client_checks () =
     all_backends;
   List.iter
     (fun backend ->
-      let name = H.backend_name backend in
+      let name = Dpq_types.Types.backend_name backend in
       let faults = Dpq_simrt.Fault_plan.of_string ~seed:1 "kill=1@0" in
       let h = H.create ~replication:3 ~faults ~n:4 backend in
       ignore (H.insert h ~node:0 ~prio:1);
@@ -178,7 +178,7 @@ let test_backend_names () =
   Alcotest.(check (list string))
     "names"
     [ "skeap"; "seap"; "centralized"; "unbatched" ]
-    (List.map H.backend_name all_backends)
+    (List.map Dpq_types.Types.backend_name all_backends)
 
 let test_baselines_reject_async_dht () =
   List.iter

@@ -5,6 +5,9 @@ module Element = Dpq_util.Element
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
+(* The vnode managing [key]'s point: where its primary copy lives. *)
+let manager_of_key dht key = Ldb.manager_of_point (Dht.ldb dht) (Dht.key_point dht key)
+
 let mk_dht ~n ~seed = Dht.create ~ldb:(Ldb.build ~n ~seed) ~seed:(seed + 1000) ()
 let elt ?(prio = 1) ?(origin = 0) ?(seq = 0) () = Element.make ~prio ~origin ~seq ()
 
@@ -76,7 +79,11 @@ let test_keys_route_to_manager () =
   for k = 0 to 50 do
     let p = Dht.key_point dht k in
     checkb "point in range" true (p >= 0.0 && p < 1.0);
-    checki "manager consistent" (Ldb.manager_of_point (Dht.ldb dht) p) (Dht.manager_of_key dht k)
+    let owner = Ldb.owner (Ldb.manager_of_point (Dht.ldb dht) p) in
+    let before = (Dht.stored_counts dht).(owner) in
+    ignore
+      (Dht.run_batch_sync dht [ Dht.Put { origin = 0; key = k; elt = elt ~seq:k (); confirm = false } ]);
+    checki "stored at the key's manager" (before + 1) (Dht.stored_counts dht).(owner)
   done
 
 let test_load_roughly_uniform () =
@@ -189,21 +196,21 @@ let test_replica_zero_is_legacy_placement () =
   let d3 = mk_repl ~n:16 ~k:3 ~seed:31 in
   for key = 0 to 63 do
     checkb "primary point unchanged" true (Dht.replica_point d3 0 key = Dht.key_point d1 key);
-    checki "manager unchanged" (Dht.manager_of_key d1 key) (Dht.manager_of_key d3 key)
+    checki "manager unchanged" (manager_of_key d1 key) (manager_of_key d3 key)
   done
 
 (* The recursive definition replica placement had before it was computed
    in one ordered pass: each replica recomputes every lower one, 2^r calls
    for replica r.  Kept here as the oracle the pass must reproduce. *)
-let rec recursive_replica_point d r key =
+let rec recursive_replica_point d ~k r key =
   let ldb = Dht.ldb d in
   if r = 0 then Dht.key_point d key
   else begin
-    let p = Dht.key_point d key +. (float_of_int r /. float_of_int (Dht.replication d)) in
+    let p = Dht.key_point d key +. (float_of_int r /. float_of_int k) in
     let p = if p >= 1.0 then p -. 1.0 else p in
     let used =
       List.init r (fun r' ->
-          Ldb.owner (Ldb.manager_of_point ldb (recursive_replica_point d r' key)))
+          Ldb.owner (Ldb.manager_of_point ldb (recursive_replica_point d ~k r' key)))
     in
     let rec walk p steps =
       let m = Ldb.manager_of_point ldb p in
@@ -216,13 +223,14 @@ let rec recursive_replica_point d r key =
 let test_replica_points_match_recursive_definition () =
   List.iter
     (fun (n, seed) ->
-      let d = mk_repl ~n ~k:3 ~seed in
+      let k = 3 in
+      let d = mk_repl ~n ~k ~seed in
       for key = 0 to 199 do
-        for r = 0 to 2 do
+        for r = 0 to k - 1 do
           checkb
             (Printf.sprintf "n=%d key=%d replica %d" n key r)
             true
-            (Dht.replica_point d r key = recursive_replica_point d r key)
+            (Dht.replica_point d r key = recursive_replica_point d ~k r key)
         done
       done)
     [ (4, 7); (5, 3); (16, 31) ]
@@ -253,7 +261,7 @@ let test_parked_get_survives_crash_window () =
   (* The manager stalls for a window covering the start of the next batch;
      reliable delivery retransmits around the outage, so the parked get
      still meets its put once the node recovers. *)
-  let mgr = Ldb.owner (Dht.manager_of_key dht key) in
+  let mgr = Ldb.owner (manager_of_key dht key) in
   let faults = Dpq_simrt.Fault_plan.of_string ~seed:5 (Printf.sprintf "crash=%d@0-40" mgr) in
   let cs, _ =
     Dht.run_batch_sync ~faults dht [ Dht.Put { origin = 0; key; elt = elt (); confirm = false } ]
@@ -265,7 +273,7 @@ let test_parked_get_rehomed_on_kill () =
   let n = 10 in
   let dht = mk_repl ~n ~k:3 ~seed:51 in
   let key = 7 in
-  let victim = Ldb.owner (Dht.manager_of_key dht key) in
+  let victim = Ldb.owner (manager_of_key dht key) in
   let requester = (victim + 1) mod n in
   ignore (Dht.run_batch_sync dht [ Dht.Get { origin = requester; key } ]);
   checki "parked at the primary" 1 (Dht.pending_gets dht);
@@ -273,7 +281,7 @@ let test_parked_get_rehomed_on_kill () =
   checkb "the kill destroyed stored state" true (report.Dht.destroyed > 0);
   checki "the park survived the kill" 1 (Dht.pending_gets dht);
   checkb "key re-homed off the dead node" true
-    (Ldb.owner (Dht.manager_of_key dht key) <> victim);
+    (Ldb.owner (manager_of_key dht key) <> victim);
   let origin = (victim + 2) mod n in
   let cs, _ = Dht.run_batch_sync dht [ Dht.Put { origin; key; elt = elt (); confirm = false } ] in
   (match cs with
@@ -358,7 +366,8 @@ let test_repair_traffic_delta_log_m () =
 
 (* --- per-owner bucketing: elements_by_node / take_matching_by_node --- *)
 
-let elt_t = Alcotest.testable Element.pp Element.equal
+let elt_t =
+  Alcotest.testable (fun fmt e -> Format.pp_print_string fmt (Element.to_string e)) Element.equal
 
 (* [m] elements over [m * 3 / 4] keys, so some keys hold several. *)
 let stored_pairs m =
@@ -375,7 +384,7 @@ let by_owner_reference dht pairs =
   let buckets = Array.make (Ldb.n (Dht.ldb dht)) [] in
   List.iter
     (fun (key, e) ->
-      let owner = Ldb.owner (Dht.manager_of_key dht key) in
+      let owner = Ldb.owner (manager_of_key dht key) in
       buckets.(owner) <- e :: buckets.(owner))
     pairs;
   buckets
@@ -436,7 +445,7 @@ let test_take_drops_every_replica () =
   let report = Dht.kill_node dht ~node:victim in
   checkb "the kill destroyed stored state" true (report.Dht.destroyed > 0);
   checki "size unchanged by kill + repair" size (Dht.size dht);
-  let stored = Dht.stored_elements dht in
+  let stored = List.concat (Array.to_list (Dht.elements_by_node dht)) in
   Array.iter
     (List.iter (fun e ->
          checkb

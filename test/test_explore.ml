@@ -376,7 +376,7 @@ let test_spec_roundtrips () =
     [ Corrupt.Swap_matched_pair 2; Corrupt.Forge_bottom 0; Corrupt.Dup_witness 5 ]
 
 let test_workload_roundtrip () =
-  let wl = E.gen_workload ~seed:31 ~n:4 ~rounds:3 ~lambda:2 Types.Seap in
+  let wl = W.of_gen (E.gen_spec ~seed:31 ~n:4 ~rounds:3 ~lambda:2 Types.Seap) in
   checkb "workload round-trips" true (W.of_string (W.to_string wl) = Ok wl)
 
 (* Runner's online checker and Explore's batch check take the contract
@@ -395,7 +395,7 @@ let test_runner_explore_agree () =
         in
         let verdict v = Option.fold ~none:"none" ~some:Checker.violation_to_string v in
         checks
-          (Printf.sprintf "%s %s seed %d" (Heap.backend_name backend)
+          (Printf.sprintf "%s %s seed %d" (Dpq_types.Types.backend_name backend)
              (Sched.policy_to_string sched) seed)
           (verdict (E.run cfg).E.violation)
           (verdict s.Dpq_workloads.Runner.violation)

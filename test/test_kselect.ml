@@ -42,14 +42,6 @@ let test_select_seq () =
        false
      with Invalid_argument _ -> true)
 
-let test_kth_statistics () =
-  let mk p = E.make ~prio:p ~origin:0 ~seq:p () in
-  let es = [ mk 5; mk 2; mk 9; mk 1 ] in
-  let e, below, above = K.kth_statistics es ~k:2 in
-  checkb "element" true (E.equal e (mk 2));
-  checki "below" 1 below;
-  checki "above" 2 above
-
 (* ------------------------------------------------------------- select  *)
 
 let test_small_network_all_k () =
@@ -566,7 +558,6 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "select_seq" `Quick test_select_seq;
-          Alcotest.test_case "kth_statistics" `Quick test_kth_statistics;
         ] );
       ( "select",
         [

@@ -126,50 +126,91 @@ let test_derived_consistency () =
   ignore (run_some_ops h);
   checki "node_load sums to messages" (Trace.messages trace)
     (Array.fold_left ( + ) 0 (Trace.node_load trace));
-  checki "bits_per_round sums to total_bits" (Trace.total_bits trace)
-    (Array.fold_left ( + ) 0 (Trace.bits_per_round trace));
-  let hist = Trace.congestion_histogram trace in
+  (* The congestion histogram is only printed: read it back from the
+     summary's "deliveries/cell -> cells" line. *)
+  let summary = Format.asprintf "%a" Trace.pp_summary trace in
+  let hist =
+    let line =
+      List.find
+        (fun l -> String.starts_with ~prefix:"congestion histogram" l)
+        (String.split_on_char '\n' summary)
+    in
+    String.sub line (String.index line ':' + 1) (String.length line - String.index line ':' - 1)
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+    |> List.map (fun cell -> Scanf.sscanf cell "%d->%d" (fun c cells -> (c, cells)))
+  in
   checkb "histogram nonempty" true (hist <> []);
   checki "histogram max = max_congestion" (Trace.max_congestion trace)
     (List.fold_left (fun acc (c, _) -> max acc c) 0 hist);
   checki "histogram weighs every delivery" (Trace.messages trace)
     (List.fold_left (fun acc (c, cells) -> acc + (c * cells)) 0 hist)
 
-let test_jsonl_roundtrip () =
+(* The JSONL writer's exact text, one line per event kind: tools outside
+   the library (CI's repair-traffic step greps
+   ["ev":"repair_end"..."keys_pulled":N]) read this format, and nothing in
+   the library reads it back. *)
+let test_jsonl_writer_pinned () =
   let trace = Trace.create () in
-  let h = H.create ~seed:4 ~trace ~n:6 (H.Skeap { num_prios = 3 }) in
-  ignore (run_some_ops h);
-  ignore (H.add_node h);
+  let t = Some trace in
+  let span = Trace.phase_start t "repair" in
+  Trace.msg_delivered_direct trace ~round:1 ~src:2 ~dst:3 ~bits:40;
+  Trace.anchor_assign t ~batch_inserts:4 ~batch_deletes:2 ~heap_size:9;
+  Trace.dht_put t ~origin:1 ~key:77 ~manager:5;
+  Trace.dht_get t ~origin:2 ~key:78 ~manager:6;
+  Trace.kselect_round t ~stage:"phase1" ~iteration:2 ~candidates:30 ~messages:120;
+  Trace.churn t ~kind:"join" ~n:9 ~join_messages:14 ~moved_elements:3;
+  Trace.fault_injected t ~kind:"drop" ~src:1 ~dst:4;
+  Trace.retransmit t ~src:1 ~dst:4 ~attempt:1;
+  Trace.node_crashed t ~node:3 ~kind:"down" ~at:12;
+  Trace.sched_perturbed t ~kind:"swap" ~src:0 ~dst:2;
+  Trace.repair_start t ~node:3 ~reason:"kill" ~entries_lost:6;
+  Trace.repair_session t ~src:4 ~dst:5 ~keys_pulled:2 ~elements_shipped:6;
+  Trace.repair_end t ~sessions:1 ~keys_pulled:2 ~elements_shipped:6;
+  Trace.gossip_round t ~exchange:1 ~rounds:0 ~messages:18 ~est_milli:1500;
+  Trace.window_change t ~at_batch:3 ~window:16 ~est_milli:2250;
+  Trace.phase_end t ~span ~name:"repair" ~rounds:2 ~messages:1 ~max_congestion:1
+    ~max_message_bits:40 ~total_bits:40;
   let file = Filename.temp_file "dpq_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Trace.to_file trace file;
-      match Trace.of_file file with
-      | Error e -> Alcotest.fail e
-      | Ok trace' ->
-          checki "event count" (Trace.num_events trace) (Trace.num_events trace');
-          checkb "events identical" true (Trace.events trace = Trace.events trace');
-          checki "derived rounds survive" (Trace.rounds trace) (Trace.rounds trace');
-          checki "derived congestion survives" (Trace.max_congestion trace)
-            (Trace.max_congestion trace'))
-
-let test_event_json_errors () =
-  checkb "garbage rejected" true (Result.is_error (Trace.event_of_json "not json"));
-  checkb "unknown ev rejected" true (Result.is_error (Trace.event_of_json {|{"ev":"nope"}|}));
-  checkb "missing field rejected" true
-    (Result.is_error (Trace.event_of_json {|{"ev":"msg","span":1}|}));
-  let ev = Trace.Msg_delivered { span = 3; round = 1; src = 0; dst = 5; bits = 42 } in
-  Alcotest.(check bool) "roundtrip one event" true (Trace.event_of_json (Trace.event_to_json ev) = Ok ev)
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Trace.to_file trace file;
+        In_channel.with_open_text file In_channel.input_all)
+    |> String.split_on_char '\n'
+  in
+  Alcotest.(check (list string))
+    "one line per event kind"
+    [
+      {|{"ev":"phase_start","span":0,"name":"repair"}|};
+      {|{"ev":"msg","span":0,"round":1,"src":2,"dst":3,"bits":40}|};
+      {|{"ev":"anchor_assign","inserts":4,"deletes":2,"heap_size":9}|};
+      {|{"ev":"dht_put","span":0,"origin":1,"key":77,"manager":5}|};
+      {|{"ev":"dht_get","span":0,"origin":2,"key":78,"manager":6}|};
+      {|{"ev":"kselect_round","stage":"phase1","iteration":2,"candidates":30,"messages":120}|};
+      {|{"ev":"churn","kind":"join","n":9,"join_messages":14,"moved_elements":3}|};
+      {|{"ev":"fault","span":0,"kind":"drop","src":1,"dst":4}|};
+      {|{"ev":"retransmit","span":0,"src":1,"dst":4,"attempt":1}|};
+      {|{"ev":"node_crash","node":3,"kind":"down","at":12}|};
+      {|{"ev":"sched","span":0,"kind":"swap","src":0,"dst":2}|};
+      {|{"ev":"repair_start","span":0,"node":3,"reason":"kill","entries_lost":6}|};
+      {|{"ev":"repair_session","span":0,"src":4,"dst":5,"keys_pulled":2,"elements_shipped":6}|};
+      {|{"ev":"repair_end","span":0,"sessions":1,"keys_pulled":2,"elements_shipped":6}|};
+      {|{"ev":"gossip_round","span":0,"exchange":1,"rounds":0,"messages":18,"est_milli":1500}|};
+      {|{"ev":"window_change","at_batch":3,"window":16,"est_milli":2250}|};
+      {|{"ev":"phase_end","span":0,"name":"repair","rounds":2,"messages":1,"max_congestion":1,"max_message_bits":40,"total_bits":40}|};
+      "";
+    ]
+    lines
 
 let test_disabled_tracer_allocates_nothing () =
   let trace = None in
   (* Warm up so any one-time allocation is out of the way. *)
-  Trace.msg_delivered trace ~round:0 ~src:0 ~dst:1 ~bits:8;
+  Trace.dht_put trace ~origin:0 ~key:0 ~manager:1;
   let before = Gc.minor_words () in
   for i = 0 to 9_999 do
     let span = Trace.phase_start trace "up" in
-    Trace.msg_delivered trace ~round:i ~src:0 ~dst:1 ~bits:8;
     Trace.dht_put trace ~origin:0 ~key:i ~manager:1;
     Trace.kselect_round trace ~stage:"phase1" ~iteration:i ~candidates:i ~messages:i;
     Trace.phase_end trace ~span ~name:"up" ~rounds:0 ~messages:0 ~max_congestion:0
@@ -206,8 +247,7 @@ let () =
         ] );
       ( "jsonl",
         [
-          Alcotest.test_case "roundtrip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "error handling" `Quick test_event_json_errors;
+          Alcotest.test_case "writer pins every event kind" `Quick test_jsonl_writer_pinned;
         ] );
       ( "zero-cost",
         [ Alcotest.test_case "disabled tracer" `Quick test_disabled_tracer_allocates_nothing ] );

@@ -3,55 +3,6 @@ open Dpq_overlay
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
-(* ------------------------------------------------------------ Debruijn *)
-
-let test_db_neighbors () =
-  let g = Debruijn.create ~d:3 in
-  (* node 011 (=3): neighbors (0,0,1)=1 and (1,0,1)=5 *)
-  Alcotest.(check (list int)) "neighbors of 3" [ 1; 5 ] (Debruijn.neighbors g 3);
-  Alcotest.(check (list int)) "in-neighbors of 3" [ 6; 7 ] (Debruijn.in_neighbors g 3)
-
-let test_db_edge_consistency () =
-  let g = Debruijn.create ~d:4 in
-  for x = 0 to Debruijn.size g - 1 do
-    List.iter
-      (fun y -> checkb "edge both ways consistent" true (List.mem x (Debruijn.in_neighbors g y)))
-      (Debruijn.neighbors g x)
-  done
-
-let test_db_route_paper_example () =
-  (* §2.1: route s=(s1,s2,s3) to t=(t1,t2,t3) via
-     (t3,s1,s2), (t2,t3,s1), (t1,t2,t3). For s=0b101, t=0b010:
-     (0,1,0)... compute: hop1 prepend t3=0: (0,1,0)=2; hop2 prepend t2=1:
-     (1,0,1)=5; hop3 prepend t1=0: (0,1,0)=2. *)
-  let g = Debruijn.create ~d:3 in
-  Alcotest.(check (list int)) "route" [ 5; 2; 5; 2 ] (Debruijn.route g ~src:5 ~dst:2)
-
-let test_db_route_reaches_and_valid () =
-  let g = Debruijn.create ~d:5 in
-  let r = Dpq_util.Rng.create ~seed:3 in
-  for _ = 1 to 200 do
-    let src = Dpq_util.Rng.int r (Debruijn.size g) in
-    let dst = Dpq_util.Rng.int r (Debruijn.size g) in
-    let path = Debruijn.route g ~src ~dst in
-    checki "path length d+1" (Debruijn.d g + 1) (List.length path);
-    checki "starts at src" src (List.hd path);
-    checki "ends at dst" dst (List.nth path (List.length path - 1));
-    let rec check_edges = function
-      | a :: (b :: _ as rest) ->
-          checkb "every hop is an edge" true (Debruijn.is_edge g a b);
-          check_edges rest
-      | _ -> ()
-    in
-    check_edges path
-  done
-
-let test_db_bits_roundtrip () =
-  let g = Debruijn.create ~d:6 in
-  for x = 0 to Debruijn.size g - 1 do
-    checki "roundtrip" x (Debruijn.of_bits g (Debruijn.bits g x))
-  done
-
 (* ----------------------------------------------------------------- LDB *)
 
 let test_ldb_invariants_many_sizes () =
@@ -146,7 +97,11 @@ let test_ldb_route_hops_logarithmic () =
     for _ = 1 to trials do
       let point = Dpq_util.Rng.float r in
       let src = Ldb.vnode ~owner:(Dpq_util.Rng.int r n) Ldb.Middle in
-      total := !total + Ldb.route_message_hops ldb ~src ~point
+      let _, hops = Ldb.route ldb ~src ~point in
+      List.iter
+        (function
+          | Ldb.Linear (a, b) when Ldb.owner a <> Ldb.owner b -> incr total | _ -> ())
+        hops
     done;
     float_of_int !total /. float_of_int trials
   in
@@ -337,14 +292,6 @@ let test_ldb_single_node () =
 let () =
   Alcotest.run "dpq_overlay"
     [
-      ( "debruijn",
-        [
-          Alcotest.test_case "neighbors" `Quick test_db_neighbors;
-          Alcotest.test_case "edge consistency" `Quick test_db_edge_consistency;
-          Alcotest.test_case "paper routing example" `Quick test_db_route_paper_example;
-          Alcotest.test_case "route reaches dst" `Quick test_db_route_reaches_and_valid;
-          Alcotest.test_case "bits roundtrip" `Quick test_db_bits_roundtrip;
-        ] );
       ( "ldb",
         [
           Alcotest.test_case "invariants many sizes" `Quick test_ldb_invariants_many_sizes;

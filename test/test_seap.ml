@@ -357,7 +357,9 @@ let pinned_closed_run ?faults ?(replication = 1) ?dht_mode () =
   done;
   ignore (S.drain ?dht_mode h);
   ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h));
-  Dpq_explore.Run_digest.of_oplog (S.oplog h)
+  let acc = Dpq_explore.Run_digest.start () in
+  Dpq_explore.Run_digest.feed_records acc (Dpq_semantics.Oplog.to_list (S.oplog h));
+  Dpq_explore.Run_digest.finish acc
 
 (* Which element each operation got, and where it sits in the witness
    order, must not depend on how many aggregation-tree passes a batch

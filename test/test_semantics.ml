@@ -586,22 +586,20 @@ let test_online_matches_oracle_on_planted_bugs () =
 
 let test_online_incremental_properties () =
   (* Feeding records one at a time matches feeding them all at once, the
-     run's memory observables are sane, and [failed] latches. *)
+     run's memory observable is sane, and a corrupted log is rejected. *)
   let log = good_log_multi ~seed:17 ~nodes:4 ~len:80 in
   let records = O.to_list log in
   let t = C.Online.create C.Online.Skeap_contract in
   List.iter
     (fun r ->
-      C.Online.feed t r;
-      checkb "good prefix never fails" false (C.Online.failed t))
+      C.Online.feed_all t [ r ];
+      checkb "good prefix never fails" true (C.Online.finish t = Ok ()))
     records;
   checkb "accepts" true (C.Online.finish t = Ok ());
-  Alcotest.check Alcotest.int "records fed" (List.length records) (C.Online.records_fed t);
-  checkb "peak >= final live" true (C.Online.peak_live t >= C.Online.live_elements t);
+  checkb "some elements were live" true (C.Online.peak_live t > 0);
   let bad = Corrupt.apply (Corrupt.Dup_witness 3) log in
   let t' = C.Online.create C.Online.Skeap_contract in
   C.Online.feed_all t' (O.to_list bad);
-  checkb "latched after corruption" true (C.Online.failed t');
   checkb "rejects" true (C.Online.finish t' <> Ok ())
 
 (* qcheck: replaying a log generated BY a sequential heap always passes. *)

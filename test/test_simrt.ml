@@ -420,16 +420,6 @@ let test_metrics_congestion_per_round () =
   Metrics.record_delivery m ~round:0 ~dst:0 ~bits:1;
   checki "nothing survives reset" 1 (Metrics.max_congestion m)
 
-let test_metrics_merge () =
-  let a = Metrics.create ~n:2 and b = Metrics.create ~n:2 in
-  Metrics.record_delivery a ~round:0 ~dst:0 ~bits:5;
-  Metrics.record_delivery b ~round:0 ~dst:1 ~bits:9;
-  Metrics.record_delivery b ~round:1 ~dst:1 ~bits:9;
-  Metrics.merge_max a b;
-  checki "summed messages" 3 (Metrics.total_messages a);
-  checki "max bits" 9 (Metrics.max_message_bits a);
-  checki "summed rounds" 3 (Metrics.rounds a)
-
 let () =
   Alcotest.run "dpq_simrt"
     [
@@ -469,6 +459,5 @@ let () =
         [
           Alcotest.test_case "rounds and reset" `Quick test_metrics_rounds_and_reset;
           Alcotest.test_case "congestion per round" `Quick test_metrics_congestion_per_round;
-          Alcotest.test_case "merge" `Quick test_metrics_merge;
         ] );
     ]

@@ -95,7 +95,6 @@ let test_gen_next_exhaustion () =
   in
   checki "rounds produced" 4 (drain 0);
   checkb "exhausted generator stays exhausted" true (W.Gen.next g = None);
-  checki "produced" 4 (W.Gen.produced g);
   checki "total_ops" (6 * 4 * 3) (W.Gen.total_ops gen_spec)
 
 let test_gen_spec_roundtrip () =
