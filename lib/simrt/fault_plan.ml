@@ -265,8 +265,11 @@ let of_string ~seed spec =
                        factor := parse_float item (String.sub v (j + 1) (String.length v - j - 1))
                    | None -> spike := parse_float item v)
                | "crash" -> (
-                   match (String.index_opt v '@', String.index_opt v '-') with
-                   | Some a, Some d when d > a ->
+                   (* The window's '-' is the first after the '@': the node
+                      before it may carry a sign of its own. *)
+                   let at = String.index_opt v '@' in
+                   match (at, Option.bind at (fun a -> String.index_from_opt v a '-')) with
+                   | Some a, Some d ->
                        let node = parse_int item (String.sub v 0 a) in
                        let from_tick = parse_int item (String.sub v (a + 1) (d - a - 1)) in
                        let until_tick =

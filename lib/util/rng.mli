@@ -3,7 +3,14 @@
     All randomness in the code base flows through this module so that every
     simulation, test and benchmark is reproducible from a single seed.  The
     generator is SplitMix64 (Steele, Lea & Flood 2014): tiny state, excellent
-    statistical quality for simulation purposes, and trivially splittable. *)
+    statistical quality for simulation purposes, and trivially splittable.
+
+    The state is held unboxed, so [bits], [int], [int_in], [bool],
+    [bernoulli], [poisson], [shuffle] and [zipf] allocate nothing per
+    draw, also when called from another library.  [float], [int64] and
+    [exponential] return a boxed value across a library boundary (the dev
+    profile compiles with [-opaque], so no call is inlined there): 2, 3
+    and 2 words per call. *)
 
 type t
 (** Mutable generator state. *)
@@ -65,10 +72,11 @@ val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (> 0). *)
 
 val poisson : t -> mean:float -> int
-(** Poisson-distributed count with the given mean (>= 0).  Knuth's product
-    of uniforms; means above 30 are split recursively
-    (Poisson(a+b) = Poisson(a) + Poisson(b)), so large means neither
-    underflow nor bias. *)
+(** Poisson-distributed count with the given mean (finite, >= 0; raises
+    [Invalid_argument] otherwise).  Knuth's product of uniforms; means
+    above 30 are halved until they are not, and the halves' counts
+    summed (Poisson(a+b) = Poisson(a) + Poisson(b)), so large means
+    neither underflow nor bias. *)
 
 val zipf : t -> s:float -> n:int -> int
 (** [zipf t ~s ~n] samples from a Zipf distribution with exponent [s] over

@@ -41,7 +41,9 @@ module Lat = struct
 
   let add t lat ~count =
     if count > 0 then begin
-      Hashtbl.replace t.counts lat (count + Option.value ~default:0 (Hashtbl.find_opt t.counts lat));
+      (match Hashtbl.find t.counts lat with
+      | c -> Hashtbl.replace t.counts lat (c + count)
+      | exception Not_found -> Hashtbl.add t.counts lat count);
       t.total <- t.total + count
     end
 
@@ -210,10 +212,7 @@ let run_open ?(seed = 1) ?replication ?trace ?faults ?sched ?dht_mode ?gossip ?s
   let h = Heap.create ~seed ?replication ?trace ?faults ?sched ?gossip ~n backend in
   let checker = Heap.online_checker h in
   let acc = acc_create () in
-  (* (node, local_seq) -> arrival tick; entries die at completion, so the
-     table is O(in-flight ops). *)
-  let arrival : (int * int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let arr_seq = Array.make n 0 in
+  let arrival = Arrival_ticks.create ~n in
   let fixed_w = match window with Fixed w -> w | Adaptive _ -> 1 in
   let window_now () = match ctl with Some c -> Batch_ctl.window c | None -> fixed_w in
   let busy_until = ref 0 in
@@ -232,11 +231,8 @@ let run_open ?(seed = 1) ?replication ?trace ?faults ?sched ?dht_mode ?gossip ?s
     List.iter
       (fun (c : Heap.completion) ->
         acc_outcome acc c;
-        match Hashtbl.find_opt arrival (c.node, c.local_seq) with
-        | Some at ->
-            Hashtbl.remove arrival (c.node, c.local_seq);
-            Lat.add acc.lat (done_at - at) ~count:1
-        | None -> ())
+        let at = Arrival_ticks.take arrival ~node:c.node ~local_seq:c.local_seq in
+        if at >= 0 then Lat.add acc.lat (done_at - at) ~count:1)
       r.Heap.completions;
     let records = Heap.take_oplog h in
     Option.iter (fun f -> f records) sink;
@@ -272,8 +268,7 @@ let run_open ?(seed = 1) ?replication ?trace ?faults ?sched ?dht_mode ?gossip ?s
             if not (Heap.live h ~node:op.Workload.node) then acc.a_lost <- acc.a_lost + 1
             else begin
               let node = op.Workload.node in
-              Hashtbl.replace arrival (node, arr_seq.(node)) !tick;
-              arr_seq.(node) <- arr_seq.(node) + 1;
+              Arrival_ticks.add arrival ~node ~tick:!tick;
               match op.Workload.action with
               | `Ins p -> ignore (Heap.insert h ~node ~prio:p)
               | `Del -> Heap.delete_min h ~node

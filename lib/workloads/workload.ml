@@ -104,11 +104,30 @@ module Gen = struct
      workloads from, so a [gen:] line in a repro file reproduces the sweep's
      workload bit for bit.  [increasing] is the last priority an
      [Increasing] distribution handed out; it lives here, not in a global,
-     so one spec materializes the same way every time. *)
-  type t = { spec : spec; rng : Rng.t; mutable produced : int; mutable increasing : int }
+     so one spec materializes the same way every time.  [nodes], [prios]
+     and [inserts] are one round's draws, reused from round to round;
+     [prios.(i)] means nothing unless [inserts.(i)] (no sentinel: every
+     int is a legal priority). *)
+  type t = {
+    spec : spec;
+    rng : Rng.t;
+    mutable produced : int;
+    mutable increasing : int;
+    mutable nodes : int array;
+    mutable prios : int array;
+    mutable inserts : bool array;
+  }
 
   let create spec =
-    { spec; rng = Rng.named ~seed:spec.seed "workload"; produced = 0; increasing = 0 }
+    {
+      spec;
+      rng = Rng.named ~seed:spec.seed "workload";
+      produced = 0;
+      increasing = 0;
+      nodes = [||];
+      prios = [||];
+      inserts = [||];
+    }
 
   (* Exact for closed-loop specs; the expectation for stochastic arrivals. *)
   let total_ops spec =
@@ -130,24 +149,48 @@ module Gen = struct
         t.increasing <- t.increasing + 1;
         t.increasing
 
+  (* The columns start empty and double as the largest round so far
+     needs. *)
+  let grow t =
+    let cap = max 16 (2 * Array.length t.nodes) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.nodes <- extend t.nodes 0;
+    t.prios <- extend t.prios 0;
+    t.inserts <- extend t.inserts false
+
   (* One tick of the λ-injection model, node by node: the node's op count
      (exactly λ closed-loop, Poisson(λ(tick)) under an open-loop arrival),
-     then for each op an insert coin and, for an insert, its priority. *)
+     then for each op an insert coin and, for an insert, its priority.  The
+     draws land in the columns; the round's list is built from the back, so
+     it costs one op record and one list cell per op. *)
   let round t ~tick =
     let s = t.spec in
-    let count =
-      match s.arrival with
-      | Closed -> fun () -> s.lambda
-      | arrival ->
-          let rate = arrival_rate arrival ~tick in
-          fun () -> Rng.poisson t.rng ~mean:rate
-    in
-    List.concat_map
-      (fun node ->
-        List.init (count ()) (fun _ ->
-            if Rng.bernoulli t.rng ~p:s.insert_ratio then { node; action = `Ins (sample_prio t) }
-            else { node; action = `Del }))
-      (List.init s.n (fun v -> v))
+    let rate = match s.arrival with Closed -> 0.0 | arrival -> arrival_rate arrival ~tick in
+    let len = ref 0 in
+    for node = 0 to s.n - 1 do
+      let count =
+        match s.arrival with Closed -> s.lambda | _ -> Rng.poisson t.rng ~mean:rate
+      in
+      for _ = 1 to count do
+        if !len = Array.length t.nodes then grow t;
+        let i = !len in
+        let ins = Rng.bernoulli t.rng ~p:s.insert_ratio in
+        t.nodes.(i) <- node;
+        t.inserts.(i) <- ins;
+        if ins then t.prios.(i) <- sample_prio t;
+        len := i + 1
+      done
+    done;
+    let ops = ref [] in
+    for i = !len - 1 downto 0 do
+      let action = if t.inserts.(i) then `Ins t.prios.(i) else `Del in
+      ops := { node = t.nodes.(i); action } :: !ops
+    done;
+    !ops
 
   let next t =
     if t.produced >= t.spec.rounds then None

@@ -85,6 +85,10 @@ let test_sim_rejects_bad_values () =
          an uncaught exception (exit 125) *)
       ([ "--crash"; "1@5-2" ], "dpq_sim: --crash: ");
       ([ "--crash"; "1@2-3,drop=0.5" ], "dpq_sim: --crash: ");
+      (* the node's sign was once read as the window's '-' *)
+      ( [ "--crash=-1@2-3" ],
+        "dpq_sim: --crash: Fault_plan.of_string: \"crash=-1@2-3\" (Fault_plan: crash window \
+         names a negative node)" );
       ([ "--faults"; "garbage" ], "dpq_sim: --faults");
       (* NaN once passed the range check: the run went ahead fault-free *)
       ([ "--faults"; "drop=nan" ], "dpq_sim: --faults: ");

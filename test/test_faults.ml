@@ -738,6 +738,10 @@ let test_plan_error_messages () =
     "Fault_plan.of_string: \"kill=1@-5\" (Fault_plan: kill names a negative tick)";
   expect_invalid "kill=-1@5"
     "Fault_plan.of_string: \"kill=-1@5\" (Fault_plan: kill names a negative node)";
+  (* The node's own '-' was once taken for the window's, which hid the
+     negative node behind a malformed-window message. *)
+  expect_invalid "crash=-1@2-3"
+    "Fault_plan.of_string: \"crash=-1@2-3\" (Fault_plan: crash window names a negative node)";
   expect_invalid "crash=3@20-10"
     "Fault_plan.of_string: \"crash=3@20-10\" (Fault_plan: crash window must satisfy from_tick < \
      until_tick)";

@@ -108,6 +108,92 @@ let test_rng_exponential_mean () =
   let samples = List.init 10_000 (fun _ -> Rng.exponential r ~mean:4.0) in
   checkb "mean near 4" true (abs_float (Stats.mean samples -. 4.0) < 0.3)
 
+(* Known answers: SplitMix64 from state 0 (the published test vectors). *)
+let test_rng_known_answers () =
+  let r = Rng.create ~seed:0 in
+  List.iter
+    (fun want -> check Alcotest.string "int64" want (Printf.sprintf "0x%016Lx" (Rng.int64 r)))
+    [ "0xe220a8397b1dcdaf"; "0x6e789e6aa1b965f4"; "0x06c45d188009454f" ]
+
+(* Every workload, schedule and fault draw goes through these; a change
+   to how a draw is computed must not move a single value. *)
+let test_rng_stream_pins () =
+  let draws f =
+    let r = Rng.create ~seed:42 in
+    List.init 32 (fun _ -> f r)
+  in
+  let ints = Alcotest.(list int) and bools = Alcotest.(list bool) in
+  check ints "bits"
+    [
+      3419864383188818853; 737456523031723072; 1284820937115690964; 1587299515064563941;
+      175383196535490812; 4003995281415747265; 1007216178194406231; 3692262831746943977;
+      1567655219403120501; 2852245098062667243; 944942912856573551; 2273511335365284911;
+      2367621691557777849; 2398138063176555373; 3067506354810381239; 938178849217121532;
+      477651854551395997; 2285084233936398215; 430859011926661761; 3177204353049865752;
+      4414883413611604218; 336901045567871910; 2766164462476100981; 2858410777199325732;
+      342006375497199188; 1280053605451446596; 3421775590846900749; 3622476874840434247;
+      4343873076924128065; 3201329013802276752; 3642808914686572125; 3876198108700822295;
+    ]
+    (draws Rng.bits);
+  check ints "int_in -5 17"
+    [
+      -5; 12; 2; 11; -1; -5; 9; 4; 9; 5; -5; 16; 1; 10; 6; 4; 1; 11; 3; -3; 7; 6; 4; 15; 14; -1;
+      6; 15; 12; -4; -1; -5;
+    ]
+    (draws (fun r -> Rng.int_in r (-5) 17));
+  check bools "bernoulli 0.3"
+    [
+      false; true; true; false; true; false; true; false; false; false; true; false; false;
+      false; false; true; true; false; true; false; false; true; false; false; true; true;
+      false; false; false; false; false; false;
+    ]
+    (draws (fun r -> Rng.bernoulli r ~p:0.3));
+  check ints "poisson 0.05"
+    (List.init 32 (fun i -> if i = 20 then 1 else 0))
+    (draws (fun r -> Rng.poisson r ~mean:0.05));
+  (* mean 45 takes the split path: two Knuth runs of mean 22.5 *)
+  check ints "poisson 45"
+    [
+      44; 45; 41; 49; 49; 56; 43; 46; 44; 54; 42; 40; 39; 36; 36; 34; 39; 43; 48; 51; 40; 34; 51;
+      48; 41; 45; 50; 63; 52; 35; 35; 53;
+    ]
+    (draws (fun r -> Rng.poisson r ~mean:45.0))
+
+let test_rng_poisson_rejects_non_finite () =
+  List.iter
+    (fun mean ->
+      match Rng.poisson (Rng.create ~seed:1) ~mean with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "poisson accepted mean %g" mean)
+    [ -1.0; Float.nan; Float.infinity ]
+
+(* Allocation guard: the integer and boolean draws allocate nothing when
+   called from another library.  With the state in a [mutable int64]
+   field, every draw boxed a fresh Int64: 6 minor words per [bits], 8 per
+   [bernoulli] and [poisson ~mean:0.05], 11 per [int] and [int_in]. *)
+let test_rng_draws_allocate_nothing () =
+  let calls = 10_000 in
+  List.iter
+    (fun (name, f) ->
+      let r = Rng.create ~seed:1 in
+      f r;
+      let before = Gc.minor_words () in
+      for _ = 1 to calls do
+        f r
+      done;
+      let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+      checkb (Printf.sprintf "%s: %.2f minor words per call < 0.5" name per_call) true
+        (per_call < 0.5))
+    [
+      ("bits", fun r -> ignore (Rng.bits r));
+      ("int", fun r -> ignore (Rng.int r 1000));
+      ("int_in", fun r -> ignore (Rng.int_in r (-5) 17));
+      ("bool", fun r -> ignore (Rng.bool r));
+      ("bernoulli", fun r -> ignore (Rng.bernoulli r ~p:0.3));
+      ("poisson 0.05", fun r -> ignore (Rng.poisson r ~mean:0.05));
+      ("poisson 45", fun r -> ignore (Rng.poisson r ~mean:45.0));
+    ]
+
 (* -------------------------------------------------------------- Hashing *)
 
 let test_hash_deterministic () =
@@ -339,6 +425,11 @@ let () =
           Alcotest.test_case "zipf range" `Quick test_rng_zipf_range;
           Alcotest.test_case "zipf skew" `Quick test_rng_zipf_skew;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "stream pins" `Quick test_rng_stream_pins;
+          Alcotest.test_case "poisson rejects non-finite means" `Quick
+            test_rng_poisson_rejects_non_finite;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "hashing",
         [

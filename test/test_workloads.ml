@@ -169,6 +169,58 @@ let test_gen_rejects_bad_ratio () =
       | Error e -> Alcotest.fail e)
     [ "0"; "1"; "0.6" ]
 
+(* The op stream each spec generates, pinned by the MD5 of its text form:
+   a change to how rounds are drawn or assembled must not move one op. *)
+let test_gen_stream_pins () =
+  List.iter
+    (fun (spec, want) ->
+      match W.Gen.spec_of_string spec with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+          Alcotest.(check string)
+            spec want
+            (Digest.to_hex (Digest.string (W.to_string (W.of_gen s)))))
+    [
+      ("n=64 rounds=50 lambda=3 ratio=0.5 dist=uniform:1:1000 seed=7", "a4ac1fd22bb7a00d07892527de7e3a42");
+      ("n=64 rounds=50 lambda=3 ratio=0.3 dist=zipf:1.2:50 seed=8", "45d3bd02724961aa6a18290a6dde1e2f");
+      ("n=33 rounds=40 lambda=2 ratio=0.9 dist=increasing seed=9", "73f08c4fe2eb46026a8518328fb16d4b");
+      ( "n=100 rounds=200 lambda=1 ratio=0.5 dist=const:4 seed=3 arrival=poisson:0.05",
+        "b798d314bf23d41fb77d18f24202951c" );
+      ( "n=50 rounds=300 lambda=1 ratio=0.6 dist=uniform:1:9 seed=4 arrival=burst:10:20:2.5:0.1",
+        "190e9b6588811a00ceff62109191c67e" );
+      ( "n=50 rounds=300 lambda=1 ratio=0.6 dist=uniform:-5:5 seed=5 arrival=diurnal:50:3:0.2",
+        "6a65aac78f76cfbae04afee4628194e7" );
+    ]
+
+(* Allocation guard: a round costs its op records and list cells (6
+   words per delete, 8 per insert with its [`Ins] block) and nothing per
+   draw.  With a boxed Rng state and a [List.init]/[concat_map] round,
+   [next] allocated 33 words per op on the closed spec and 373 on the
+   Poisson one, where most nodes draw zero ops per tick. *)
+let test_gen_allocation () =
+  List.iter
+    (fun spec ->
+      match W.Gen.spec_of_string spec with
+      | Error e -> Alcotest.fail e
+      | Ok s ->
+          let g = W.Gen.create s in
+          let ops = ref 0 in
+          let before = Gc.minor_words () in
+          let rec drain () =
+            match W.Gen.next g with
+            | None -> ()
+            | Some round ->
+                ops := !ops + List.length round;
+                drain ()
+          in
+          drain ();
+          let per_op = (Gc.minor_words () -. before) /. float_of_int !ops in
+          checkb (Printf.sprintf "%s: %.2f minor words per op <= 9" spec per_op) true (per_op <= 9.0))
+    [
+      "n=1024 rounds=16 lambda=1 ratio=0.5 dist=const:4 seed=3";
+      "n=1024 rounds=400 lambda=1 ratio=0.5 dist=const:4 seed=3 arrival=poisson:0.05";
+    ]
+
 (* -------------------------------------------------------------- Runner *)
 
 module T = Dpq_types.Types
@@ -270,6 +322,98 @@ let test_all_runners_same_matched_count () =
   let u = R.run ~n:6 (T.Unbatched { num_prios = 3 }) wl in
   checkb "insert counts equal" true (a.R.inserted = c.R.inserted && c.R.inserted = u.R.inserted)
 
+(* ------------------------------------------------------- Arrival_ticks *)
+
+module A = Dpq_workloads.Arrival_ticks
+
+let test_arrival_ticks_any_order () =
+  let t = A.create ~n:2 in
+  (* node 0 submits seqs 0..9 at ticks 100..109, node 1 one op at tick 7 *)
+  for i = 0 to 9 do
+    A.add t ~node:0 ~tick:(100 + i)
+  done;
+  A.add t ~node:1 ~tick:7;
+  checki "out of order" 105 (A.take t ~node:0 ~local_seq:5);
+  checki "taken twice" (-1) (A.take t ~node:0 ~local_seq:5);
+  checki "never added" (-1) (A.take t ~node:0 ~local_seq:10);
+  checki "other node" 7 (A.take t ~node:1 ~local_seq:0);
+  checki "oldest" 100 (A.take t ~node:0 ~local_seq:0);
+  (* the window wraps and grows while seqs 1..4 and 6..9 stay in flight *)
+  for i = 10 to 40 do
+    A.add t ~node:0 ~tick:(100 + i)
+  done;
+  List.iter
+    (fun seq -> checki (Printf.sprintf "seq %d" seq) (100 + seq) (A.take t ~node:0 ~local_seq:seq))
+    [ 40; 1; 9; 2; 3; 4; 6; 7; 8; 10; 39 ];
+  checki "taken before the window moved" (-1) (A.take t ~node:0 ~local_seq:0)
+
+(* Allocation guard: once the rings have grown, recording and taking an
+   arrival allocate nothing.  The (node, local_seq) hash table they
+   replaced allocated a tuple key on every replace, find and remove, and
+   an option on every find. *)
+let test_arrival_ticks_allocate_nothing () =
+  let n = 16 and per_node = 8 in
+  let t = A.create ~n in
+  let cycle tick =
+    for node = 0 to n - 1 do
+      for _ = 1 to per_node do
+        A.add t ~node ~tick
+      done
+    done;
+    for node = 0 to n - 1 do
+      for k = per_node - 1 downto 0 do
+        ignore (A.take t ~node ~local_seq:((tick * per_node) + k))
+      done
+    done
+  in
+  cycle 0;
+  let before = Gc.minor_words () in
+  for tick = 1 to 1000 do
+    cycle tick
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f minor words over %d lookups" words (1000 * n * per_node)) true
+    (words = 0.0)
+
+(* Completion latencies of open-loop runs, pinned: the arrival table
+   must hand back exactly the tick each op arrived at, also when ops at a
+   killed node never complete. *)
+let test_run_open_latency_pins () =
+  let spec ~n ~rounds ~arrival ~dist ~seed =
+    W.Gen.{ n; rounds; lambda = 2; insert_ratio = 0.6; dist; seed; arrival }
+  in
+  let latencies (s : R.summary) =
+    [ s.R.ops; s.R.lost_ops; s.R.p50_latency; s.R.p99_latency; s.R.p999_latency; s.R.makespan ]
+  in
+  let sk = T.Skeap { num_prios = 4 } in
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "fixed window" [ 491; 0; 291; 588; 589; 626 ]
+    (latencies
+       (R.run_open ~window:(R.Fixed 4) ~n:8 sk
+          (W.Gen.create
+             (spec ~n:8 ~rounds:40 ~arrival:(W.Poisson_rate 1.5) ~dist:(W.Constant_set 4) ~seed:13))));
+  Alcotest.check ints "adaptive window" [ 567; 0; 98; 122; 122; 161 ]
+    (latencies
+       (R.run_open ~seed:3 ~window:(R.Adaptive Dpq_gossip.Batch_ctl.default_config) ~n:8 sk
+          (W.Gen.create
+             (spec ~n:8 ~rounds:60
+                ~arrival:(W.Burst { on = 5; off = 15; high = 4.0; low = 0.2 })
+                ~dist:(W.Constant_set 4) ~seed:13))));
+  Alcotest.check ints "killed node" [ 1297; 86; 1381; 2808; 2808; 2885 ]
+    (latencies
+       (R.run_open ~replication:3
+          ~faults:(Dpq_simrt.Fault_plan.of_string ~seed:5 "drop=0.05,dup=0.02,kill=2@30")
+          ~window:(R.Fixed 4) ~n:16 sk
+          (W.Gen.create
+             (spec ~n:16 ~rounds:80 ~arrival:(W.Poisson_rate 1.0) ~dist:(W.Constant_set 4) ~seed:7))));
+  Alcotest.check ints "seap" [ 1103; 0; 1674; 3554; 3554; 3611 ]
+    (latencies
+       (R.run_open ~window:(R.Fixed 8) ~n:16 T.Seap
+          (W.Gen.create
+             (spec ~n:16 ~rounds:64
+                ~arrival:(W.Diurnal { period = 32; peak = 2.0; base = 0.2 })
+                ~dist:(W.Uniform (1, 1000)) ~seed:9))))
+
 let () =
   Alcotest.run "dpq_workloads"
     [
@@ -287,6 +431,13 @@ let () =
           Alcotest.test_case "gen: workload line" `Quick test_gen_workload_of_string;
           Alcotest.test_case "arrival rates are finite" `Quick test_arrival_rejects_non_finite;
           Alcotest.test_case "insert ratio must be in [0,1]" `Quick test_gen_rejects_bad_ratio;
+          Alcotest.test_case "op streams pinned" `Quick test_gen_stream_pins;
+          Alcotest.test_case "allocation per op" `Quick test_gen_allocation;
+        ] );
+      ( "arrival_ticks",
+        [
+          Alcotest.test_case "any completion order" `Quick test_arrival_ticks_any_order;
+          Alcotest.test_case "allocates nothing" `Quick test_arrival_ticks_allocate_nothing;
         ] );
       ( "runner",
         [
@@ -298,5 +449,6 @@ let () =
           Alcotest.test_case "sink sees the whole run" `Quick test_run_sink;
           Alcotest.test_case "throughput metrics" `Quick test_throughput_metrics;
           Alcotest.test_case "insert counts agree" `Quick test_all_runners_same_matched_count;
+          Alcotest.test_case "open-loop latencies pinned" `Quick test_run_open_latency_pins;
         ] );
     ]
