@@ -391,9 +391,9 @@ let fig1 ~seed:_ ~full:_ =
     "all intermediate values equal the figure's";
   let module B = Dpq_skeap.Batch in
   let module A = Dpq_skeap.Anchor in
-  let v_a = B.of_ops ~num_prios:2 [ B.Ins 1 ] in
-  let v_b = B.of_ops ~num_prios:2 [ B.Ins 1; B.Ins 1; B.Ins 2; B.Del ] in
-  let v_c = B.of_ops ~num_prios:2 [ B.Ins 1; B.Del; B.Del ] in
+  let v_a = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1 ] in
+  let v_b = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1; B.Ins 1; B.Ins 2; B.Del ] in
+  let v_c = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1; B.Del; B.Del ] in
   let combined = B.combine v_a (B.combine v_b v_c) in
   Printf.printf "combined batch: %s (paper: ((4,1),3)) -> %s\n" (B.to_string combined)
     (if B.to_string combined = "((4,1),3)" then "MATCH" else "MISMATCH");

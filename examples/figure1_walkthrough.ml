@@ -27,9 +27,9 @@ let show_assignment label asg =
 let () =
   print_endline "== Figure 1 of Feldmann & Scheideler (SPAA 2019), step by step ==\n";
   (* (a) The three nodes' local operation sequences, as batches. *)
-  let v_a = B.of_ops ~num_prios:2 [ B.Ins 1 ] in
-  let v_b = B.of_ops ~num_prios:2 [ B.Ins 1; B.Ins 1; B.Ins 2; B.Del ] in
-  let v_c = B.of_ops ~num_prios:2 [ B.Ins 1; B.Del; B.Del ] in
+  let v_a = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1 ] in
+  let v_b = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1; B.Ins 1; B.Ins 2; B.Del ] in
+  let v_c = B.of_ops ~num_prios:2 ~prio:B.op_prio [ B.Ins 1; B.Del; B.Del ] in
   Printf.printf "(a) local batches before Phase 1:\n";
   Printf.printf "      v_a = %s\n" (B.to_string v_a);
   Printf.printf "      v_b = %s\n" (B.to_string v_b);
@@ -52,11 +52,38 @@ let () =
     (A.first anchor ~prio:1) (A.last anchor ~prio:1) (A.first anchor ~prio:2)
     (A.last anchor ~prio:2);
 
-  (* (d) Phase 3: decompose against the sub-batches. *)
-  let parts = A.split ~num_prios:2 asg ~parts:[ v_a; v_b; v_c ] in
-  List.iter2
-    (fun name part -> show_assignment (Printf.sprintf "(d) decomposition for %s" name) part)
-    [ "v_a"; "v_b"; "v_c" ] parts;
+  (* (d) Phase 3: one positions pass.  Every nonzero count of the combined
+     batch is a column; a part's piece of a column starts where the
+     previous part's ends (v_a, then v_b, then v_c, as the tree orders
+     them).  Insert columns hand out positions, the delete column offsets
+     into the draws D. *)
+  let cols = A.columns asg combined in
+  let next = Array.copy (A.firsts cols) in
+  List.iter
+    (fun (name, part) ->
+      let ins =
+        List.filter_map
+          (fun prio ->
+            let j = A.column cols ~entry:0 ~prio in
+            let count = if j < 0 then 0 else A.size cols part j in
+            if count = 0 then None
+            else
+              let iv = I.of_first_card ~first:next.(j) ~card:count in
+              Some (Printf.sprintf "p%d:%s" prio (I.to_string iv)))
+          [ 1; 2 ]
+      in
+      let j = A.column cols ~entry:0 ~prio:0 in
+      let dels =
+        List.init (A.size cols part j) (fun k ->
+            let off = next.(j) + k in
+            let d = A.draw cols ~entry:0 off in
+            if d < 0 then "⊥"
+            else Printf.sprintf "p%d:%d" (A.draw_prio cols d) (A.draw_pos cols d off))
+      in
+      Printf.printf "(d) decomposition for %s: inserts (%s) deletes (%s)\n" name
+        (String.concat ", " ins) (String.concat ", " dels);
+      Array.iteri (fun j s -> next.(j) <- s + A.size cols part j) next)
+    [ ("v_a", v_a); ("v_b", v_b); ("v_c", v_c) ];
 
   print_endline "\nEvery operation now owns a unique (priority, position) pair;";
   print_endline "Phase 4 turns them into DHT Put(h(p,pos), e) / Get(h(p,pos)) requests";

@@ -129,10 +129,6 @@ let rec send_children eng v = function
    tree never complete and have only their own value. *)
 type 'a memo = { mtree : Aggtree.t; own : 'a array; sub : 'a array }
 
-let rec subs sub = function [] -> [] | c :: cs -> sub.(c) :: subs sub cs
-
-let memo_parts memo v = memo.own.(v) :: subs memo.sub (Aggtree.children memo.mtree v)
-
 let rec fold_subs combine sub acc = function
   | [] -> acc
   | c :: cs -> fold_subs combine sub (combine acc sub.(c)) cs
@@ -173,81 +169,46 @@ let up net ~local ~combine ~size_bits =
   | Some value -> (value, { mtree = tree; own; sub }, report)
   | None -> failwith "Phase.up: aggregation did not reach the anchor"
 
-let rec forward eng inbox v children pieces =
-  match (children, pieces) with
-  | [], [] -> ()
-  | c :: children, piece :: pieces ->
-      inbox.(c) <- piece;
-      Sync.send eng ~src:(Ldb.owner v) ~dst:(Ldb.owner c) c;
-      forward eng inbox v children pieces
-  | _ -> failwith "Phase.down: split returned wrong arity"
-
 let check_memo net memo name =
   if memo.mtree != net.tree then invalid_arg (name ^ ": the memo is from another tree")
 
-let down net ~memo ~root_payload ~split ~size_bits =
-  check_memo net memo "Phase.down";
-  let span = start net "down" in
-  let tree = net.tree in
-  let nv = Array.length net.received in
-  (* [inbox.(c)] is the piece the message to child [c] carries. *)
-  let inbox = Array.make nv root_payload in
-  let retained = Array.make nv None in
-  let handle eng v payload =
-    match split ~parts:(memo_parts memo v) payload with
-    | [] -> failwith "Phase.down: split returned wrong arity"
-    | mine :: rest ->
-        retained.(v) <- Some mine;
-        forward eng inbox v (Aggtree.children tree v) rest
-  in
-  install net
-    ~deliver:(fun eng c -> handle eng c inbox.(c))
-    ~bits:(fun c -> size_bits inbox.(c));
-  handle net.eng (Aggtree.root tree) root_payload;
-  let report = finish net span "down" in
-  (retained, report)
-
-(* Column [j]'s start for each child of a vnode: the vnode's own piece
-   comes first, then the children's in label order. *)
-let rec deal size sub starts next = function
+(* Vnode-major starts: [starts.(v * w + j)] is column [j]'s start at [v].
+   A vnode's own piece comes first, then its children's in label order:
+   each child starts where the previous part, [x] at [prev], ends. *)
+let rec deal starts w size sub prev x = function
   | [] -> ()
   | c :: cs ->
-      starts.(c) <- next;
-      deal size sub starts (next + size sub.(c)) cs
+      for j = 0 to w - 1 do
+        starts.((c * w) + j) <- starts.(prev + j) + size x j
+      done;
+      deal starts w size sub (c * w) sub.(c) cs
 
-(* The piece [start, start + size - 1] cut at [limit], charged as an
-   interval payload: 2 bits when empty. *)
-let piece_bits ~start ~size ~limit =
+let cut_bits ~limit start size =
   let hi = min (start + size - 1) limit in
   if hi < start then 2 else Dpq_util.Bitsize.interval_bits ~lo:start ~hi
 
-let positions net ~memo ~sizes ~limits =
+let positions net ~memo ~first ~size ~bits ~fixed_bits =
   check_memo net memo "Phase.positions";
   let span = start net "down" in
   let tree = net.tree in
   let nv = Array.length net.received in
-  let ncols = Array.length sizes in
-  if Array.length limits <> ncols then
-    invalid_arg "Phase.positions: sizes and limits differ in length";
-  let starts = Array.init ncols (fun _ -> Array.make nv (-1)) in
+  let w = Array.length first in
+  let starts = Array.make (nv * w) (-1) in
+  (* Every child's starts are set before the first send: a send along a
+     virtual edge delivers at once. *)
   let handle eng v =
     let children = Aggtree.children tree v in
-    for j = 0 to ncols - 1 do
-      let size = sizes.(j) in
-      deal size memo.sub starts.(j) (starts.(j).(v) + size memo.own.(v)) children
-    done;
+    deal starts w size memo.sub (v * w) memo.own.(v) children;
     send_children eng v children
   in
   install net ~deliver:handle ~bits:(fun c ->
-      let b = ref 0 in
-      for j = 0 to ncols - 1 do
-        b := !b + piece_bits ~start:starts.(j).(c) ~size:(sizes.(j) memo.sub.(c)) ~limit:limits.(j)
+      let b = ref fixed_bits and sub = memo.sub.(c) in
+      for j = 0 to w - 1 do
+        b := !b + bits j starts.((c * w) + j) (size sub j)
       done;
       !b);
   let root = Aggtree.root tree in
-  for j = 0 to ncols - 1 do
-    starts.(j).(root) <- 1
-  done;
+  Array.blit first 0 starts (root * w) w;
   handle net.eng root;
   let report = finish net span "down" in
   (starts, report)

@@ -2,8 +2,9 @@
 
     An {e aggregation phase} (paper §2.2) moves values from the leaves to the
     anchor, combining along the way; a {e decomposition phase} (Skeap Phase 3,
-    §3.2.3) moves a value from the anchor down, splitting it at every node
-    with respect to the sub-aggregates memorized on the way up.
+    §3.2.3, Seap's positions and KSelect's representatives) hands out
+    consecutive positions from the anchor down, splitting them at every node
+    by the counts memorized on the way up.
 
     Every phase runs on a {!net}: the tree plus one synchronous engine
     ({!Dpq_simrt.Sync_engine}) that is reset between phases, so each phase
@@ -55,11 +56,11 @@ val net :
   ?sched:Dpq_simrt.Sched.t ->
   Aggtree.t ->
   net
-(** With [trace], every phase opens a span (["up"], ["down"] or
-    ["broadcast"]), traces every delivery, and closes the span with exactly
-    the returned report's numbers.  With [faults], phases run over the
-    faulty network with reliable delivery; with [sched], under that
-    adversarial scheduler. *)
+(** With [trace], every phase opens a span (["up"], ["down"] for
+    {!positions}, or ["broadcast"]), traces every delivery, and closes the
+    span with exactly the returned report's numbers.  With [faults], phases
+    run over the faulty network with reliable delivery; with [sched], under
+    that adversarial scheduler. *)
 
 val tree : net -> Aggtree.t
 val trace : net -> Dpq_obs.Trace.t option
@@ -81,40 +82,30 @@ val up :
     A vnode sends its parent once all its children have, and the message
     is charged [size_bits] of the vnode's sub-aggregate. *)
 
-val down :
-  net ->
-  memo:'a memo ->
-  root_payload:'b ->
-  split:(parts:'a list -> 'b -> 'b list) ->
-  size_bits:('b -> int) ->
-  'b option array * report
-(** Run one decomposition phase.  At a vnode with memorized parts (own
-    value first, then each child's sub-aggregate in label order: length
-    [1 + #children]), [split ~parts payload] must
-    return one payload per part: the first is retained at the vnode, the
-    rest are forwarded to the children in order.  The result array maps
-    each vnode to its retained payload ([None] if the phase never produced
-    one).  Raises [Failure] if [split] returns the wrong arity, and
-    [Invalid_argument] if [memo] comes from another tree's up pass. *)
-
 val positions :
   net ->
   memo:'a memo ->
-  sizes:('a -> int) array ->
-  limits:int array ->
-  int array array * report
-(** A decomposition phase that hands out consecutive positions by count:
-    column [j] decomposes the interval [\[1, limits.(j)\]] by the counts
-    [sizes.(j)] of the memo, each vnode's own piece first, then its
-    children's in label order, and a piece is cut at [limits.(j)], so the
-    traversal-last demand goes short when the counts exceed it.  The
-    result maps column [j] and vnode [v] to the first position of [v]'s own
-    piece, [starts.(j).(v)] (the piece is [\[s, min (s + size - 1)
-    limits.(j)\]], empty past the limit), and -1 where the phase never
-    reached [v].  A message to a child is charged, per column, what an
-    interval payload would: 2 bits for an empty piece, else
-    {!Dpq_util.Bitsize.interval_bits}.  Raises [Invalid_argument] if the
-    arrays differ in length or [memo] comes from another tree's up pass. *)
+  first:int array ->
+  size:('a -> int -> int) ->
+  bits:(int -> int -> int -> int) ->
+  fixed_bits:int ->
+  int array * report
+(** The decomposition phase: hand out consecutive positions by count, in
+    [w = Array.length first] columns.  Column [j] starts at [first.(j)] at
+    the anchor and is split by the counts [size x j] of the memo, each
+    vnode's own piece first, then its children's in label order.  The
+    result maps vnode [v] to the first position of its own piece in column
+    [j], [starts.(v * w + j)] (the piece is [\[s, s + size - 1\]]), and to
+    -1 where the phase never reached [v].  A message to a child [c] is
+    charged [fixed_bits] plus, per column, [bits j s size] of [c]'s piece
+    of its subtree.  Raises [Invalid_argument] if [memo] comes from another
+    tree's up pass. *)
+
+val cut_bits : limit:int -> int -> int -> int
+(** [cut_bits ~limit start size]: the cost of the piece [\[start,
+    start + size - 1\]] cut at [limit] (the last demands go short when the
+    counts exceed it), charged as an interval payload: 2 bits when empty,
+    else {!Dpq_util.Bitsize.interval_bits}. *)
 
 val broadcast : net -> bits:int -> report
 (** Flood a [bits]-bit value from the anchor to every virtual node: the

@@ -94,8 +94,8 @@ let process t =
   in
   let at_anchor eng origin local_seq kind =
     (* One-operation batch through the real anchor logic. *)
-    let ops = match kind with `Ins e -> [ Batch.Ins (Element.prio e) ] | `Del -> [ Batch.Del ] in
-    let assignment = Anchor.assign t.anchor (Batch.of_ops ~num_prios:t.num_prios ops) in
+    let prio = function `Ins e -> Element.prio e | `Del -> 0 in
+    let assignment = Anchor.assign t.anchor (Batch.of_ops ~num_prios:t.num_prios ~prio [ kind ]) in
     let ea = List.hd assignment in
     let slot, result, okind =
       match kind with

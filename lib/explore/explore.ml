@@ -496,6 +496,21 @@ let repro_of_string text =
             if v = "none" then Ok None else Result.map Option.some (clause_of_string v))
       in
       let* _, expect_digest = field "expect-digest" in
+      (* The workload must fit the run: node ids below [nodes] (the runner
+         drops other ids' ops) and insert priorities in the backend's range
+         (an insert outside it raises mid-replay). *)
+      let max_prio =
+        match backend with
+        | Types.Skeap { num_prios } | Types.Unbatched { num_prios } -> num_prios
+        | Types.Seap | Types.Centralized -> max_int
+      in
+      let check ?(what = "priority") ln ~node prio =
+        if node >= n then fail "Explore: line %d: node %d but nodes is %d" ln node n
+        else if prio < 1 || prio > max_prio then
+          fail "Explore: line %d: %s %d outside the backend's range %s" ln what prio
+            (if max_prio = max_int then ">= 1" else Printf.sprintf "[1,%d]" max_prio)
+        else Ok ()
+      in
       let* workload, gen =
         (* Two forms, both accepted by Workload.of_string: a [gen:] line
            referencing a generator spec, or materialized round lines. *)
@@ -504,6 +519,16 @@ let repro_of_string text =
             let* spec =
               at ln (Workload.Gen.spec_of_string (String.sub line 4 (String.length line - 4)))
             in
+            let lo, hi =
+              match spec.dist with
+              | Workload.Uniform (lo, hi) -> (lo, hi)
+              | Workload.Zipf { n; _ } -> (1, n)
+              | Workload.Constant_set c -> (1, c)
+              | Workload.Increasing -> (1, Workload.Gen.total_ops spec)
+            in
+            let what = "the gen: distribution can draw priority" in
+            let* () = check ~what ln ~node:(spec.n - 1) lo in
+            let* () = check ~what ln ~node:0 hi in
             Ok (Workload.of_gen spec, Some spec)
         | _ ->
             let* wl =
@@ -511,6 +536,13 @@ let repro_of_string text =
                 (fun acc (ln, line) ->
                   let* acc = acc in
                   let* r = at ln (Workload.round_of_string line) in
+                  let* () =
+                    List.fold_left
+                      (fun ok (op : Workload.op) ->
+                        let* () = ok in
+                        check ln ~node:op.node (match op.action with `Ins p -> p | `Del -> 1))
+                      (Ok ()) r
+                  in
                   Ok (r :: acc))
                 (Ok []) round_lines
               |> Result.map List.rev

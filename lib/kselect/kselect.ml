@@ -944,13 +944,18 @@ let draw_representatives st ~prob =
     up st ~local:counts ~combine:( + ) ~size_bits:(fun _ -> int_bits (max 1 st.n_remaining))
   in
   if n' > 0 then begin
-    let starts, down_r = Phase.positions st.net ~memo ~sizes:[| Fun.id |] ~limits:[| n' |] in
+    let starts, down_r =
+      Phase.positions st.net ~memo ~first:[| 1 |]
+        ~size:(fun count _ -> count)
+        ~bits:(fun _ start size -> Phase.cut_bits ~limit:n' start size)
+        ~fixed_bits:0
+    in
     add_report st down_r;
     (* [pos_lo] still holds each node's offset into [drawn].  A node's
        piece is [lo, lo + count - 1] unless the pass cut it at n'. *)
     for node = 0 to Array.length st.cands - 1 do
       let first = r.pos_lo.(node) and count = r.pos_count.(node) in
-      let lo = starts.(0).(Ldb.vnode ~owner:node Ldb.Middle) in
+      let lo = starts.(Ldb.vnode ~owner:node Ldb.Middle) in
       if lo > 0 && count > 0 then begin
         if lo + count - 1 > n' then
           invalid_arg "Kselect: a node's positions differ from its representative count";

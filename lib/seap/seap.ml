@@ -194,7 +194,10 @@ let delete_phase t ~dht_mode ~pending_inserts =
          shortage (k - k_eff) turns into ⊥ answers at the traversal-last
          deleters. *)
       let starts, down_r =
-        Phase.positions h.net ~memo ~sizes:[| fst; snd |] ~limits:[| k_eff; k_eff |]
+        Phase.positions h.net ~memo ~first:[| 1; 1 |]
+          ~size:(fun (elts, dels) j -> if j = 0 then elts else dels)
+          ~bits:(fun _ start size -> Phase.cut_bits ~limit:k_eff start size)
+          ~fixed_bits:0
       in
       add down_r;
       (* Phase 4-style DHT traffic: re-store the k smallest under h(pos),
@@ -203,7 +206,7 @@ let delete_phase t ~dht_mode ~pending_inserts =
       let get_index = Hashtbl.create 64 in
       for node = 0 to Clients.n h.clients - 1 do
         let mv = Ldb.vnode ~owner:node Ldb.Middle in
-        let elt_start = starts.(0).(mv) and del_start = starts.(1).(mv) in
+        let elt_start = starts.(2 * mv) and del_start = starts.((2 * mv) + 1) in
         if elt_start < 0 && taken.(node) <> [] then
           failwith "Seap: stored elements got no positions";
         List.iteri

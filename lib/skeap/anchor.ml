@@ -26,11 +26,12 @@ type entry_assign = {
 
 type assignment = entry_assign list
 
-let assign_entry t (e : Batch.entry) =
+let assign_entry t batch e =
+  let base = e * (t.num_prios + 1) in
   (* Inserts first: fresh positions above last_p. *)
   let ins =
     Array.init t.num_prios (fun i ->
-        let count = e.Batch.ins.(i) in
+        let count = Batch.count batch (base + i) in
         if count = 0 then Interval.empty
         else begin
           let iv = Interval.of_first_card ~first:(t.last.(i) + 1) ~card:count in
@@ -39,7 +40,7 @@ let assign_entry t (e : Batch.entry) =
         end)
   in
   (* Deletes: drain the most prioritized non-empty intervals. *)
-  let need = ref e.Batch.del in
+  let need = ref (Batch.count batch (base + t.num_prios)) in
   let dels = ref [] in
   let p = ref 0 in
   while !need > 0 && !p < t.num_prios do
@@ -57,134 +58,130 @@ let assign_entry t (e : Batch.entry) =
 let assign t batch =
   if Batch.num_prios batch <> t.num_prios then
     invalid_arg "Anchor.assign: batch priority universe mismatch";
-  List.map (assign_entry t) (Batch.entries batch)
+  (* Entries in order: each one moves the interval state. *)
+  let rec from e =
+    if e = Batch.num_entries batch then []
+    else
+      let ea = assign_entry t batch e in
+      ea :: from (e + 1)
+  in
+  from 0
 
-(* --------------------------------------------------------------- split *)
+(* ------------------------------------------------------------- columns *)
 
-(* The parts are served in order, each entry by entry, from cursors into
-   the assignment: per entry, how many insert positions of each priority
-   and how many delete positions earlier parts took.  A piece that covers a
-   whole interval, the whole rest of the delete list or the whole entry
-   reuses it as is, and the parts that demand nothing share one empty
-   piece; assignments are never mutated, so the sharing is invisible.  All
-   state is local to the call: a virtual-edge delivery in [Phase.down]
-   re-enters [split] while the caller's pieces are still being forwarded
-   (DESIGN.md §12). *)
-
-type split_state = {
-  np : int;
-  taken : int array;
-      (* entry [j]: [taken.(j * (np + 1) + i)] insert positions of priority
-         [i + 1], then at offset [np] the delete positions *)
-  mutable zero : entry_assign;  (* [no_piece] until a part demands nothing *)
+(* A column is a nonzero count of the combined batch, at vector index
+   [slot] (the batch layout, [width = num_prios + 1] slots per entry).
+   Every entry's draws are stored flat: entry [e]'s are [from.(e) ..
+   from.(e + 1) - 1], and draw [d] holds the entry's delete offsets
+   [d_off.(d) .. d_end.(d) - 1], priority [d_prio.(d)] from position
+   [d_lo.(d)] on. *)
+type columns = {
+  width : int;
+  slot : int array;
+  first : int array;
+  column : int array;  (* vector index -> column, -1 for a zero count *)
+  empty_bits : int;
+  from : int array;
+  d_prio : int array;
+  d_lo : int array;
+  d_off : int array;
+  d_end : int array;
 }
 
-let no_piece = { ins = [||]; dels = []; bot = 0 }
-
-let zero_piece st =
-  if st.zero == no_piece then
-    st.zero <- { ins = Array.make st.np Interval.empty; dels = []; bot = 0 };
-  st.zero
-
-(* The [want > 0] delete positions after the first [skip] of [dels], in
-   draw order; [left] positions of [dels] follow the skipped ones.  Draws
-   are never empty. *)
-let rec take_dels dels ~skip ~want ~left =
-  if skip = 0 && want >= left then dels
-  else
-    match dels with
-    | [] -> []
-    | ((prio, iv) as draw) :: tl ->
-        let card = Interval.cardinality iv in
-        if skip >= card then take_dels tl ~skip:(skip - card) ~want ~left
-        else
-          let avail = card - skip in
-          let first = Interval.lo iv + skip in
-          if want > avail then
-            (if skip = 0 then draw else (prio, Interval.of_first_card ~first ~card:avail))
-            :: take_dels tl ~skip:0 ~want:(want - avail) ~left:(left - avail)
-          else if want = card then [ draw ]
-          else [ (prio, Interval.of_first_card ~first ~card:want) ]
-
-let serve st j (ea : entry_assign) (pe : Batch.entry) =
-  let base = j * (st.np + 1) in
-  let none = ref true and whole = ref true in
-  for i = 0 to st.np - 1 do
-    let want = pe.Batch.ins.(i) in
-    let card = Interval.cardinality ea.ins.(i) in
-    if want < 0 || st.taken.(base + i) + want > card then
-      invalid_arg "Anchor.split: insert demand exceeds the interval";
-    if want <> 0 then none := false;
-    if want <> card then whole := false
-  done;
-  let ins =
-    if !none then (zero_piece st).ins
-    else if !whole then ea.ins
-    else begin
-      let a = Array.make st.np Interval.empty in
-      for i = 0 to st.np - 1 do
-        let want = pe.Batch.ins.(i) and iv = ea.ins.(i) in
-        if want > 0 then
-          a.(i) <-
-            (if want = Interval.cardinality iv then iv
-             else Interval.of_first_card ~first:(Interval.lo iv + st.taken.(base + i)) ~card:want)
-      done;
-      a
+let columns assignment batch =
+  let np = Batch.num_prios batch and entries = Batch.num_entries batch in
+  let width = np + 1 in
+  let column = Array.make (entries * width) (-1) in
+  let ncols = ref 0 and empty_bits = ref 0 in
+  for k = 0 to (entries * width) - 1 do
+    if Batch.count batch k > 0 then begin
+      column.(k) <- !ncols;
+      incr ncols
     end
-  in
-  for i = 0 to st.np - 1 do
-    st.taken.(base + i) <- st.taken.(base + i) + pe.Batch.ins.(i)
+    else
+      empty_bits :=
+        !empty_bits + if k mod width = np then Dpq_util.Bitsize.bits_of_int 0 else 2
   done;
-  let want = pe.Batch.del in
-  let skip = st.taken.(base + st.np) in
-  if want <= 0 then
-    if !none && want = 0 then zero_piece st
-    else if ins == ea.ins && ea.dels = [] && ea.bot = want then ea
-    else { ins; dels = []; bot = want }
-  else begin
-    let total = List.fold_left (fun acc (_, iv) -> acc + Interval.cardinality iv) 0 ea.dels in
-    let left = max 0 (total - skip) in
-    let dels = take_dels ea.dels ~skip ~want ~left in
-    let bot = max 0 (want - left) in
-    st.taken.(base + st.np) <- skip + want;
-    if ins == ea.ins && dels == ea.dels && bot = ea.bot then ea else { ins; dels; bot }
-  end
-
-(* One part's pieces, entry by entry; a part with fewer entries than the
-   assignment demands nothing of the rest. *)
-let rec serve_part st j assignment part_entries =
-  match (assignment, part_entries) with
-  | [], _ -> []
-  | _ :: rest, [] -> zero_piece st :: serve_part st (j + 1) rest []
-  | ea :: rest, pe :: pes ->
-      let piece = serve st j ea pe in
-      piece :: serve_part st (j + 1) rest pes
-
-let rec serve_parts st assignment = function
-  | [] -> []
-  | part :: parts ->
-      let pieces = serve_part st 0 assignment (Batch.entries part) in
-      pieces :: serve_parts st assignment parts
-
-let split ~num_prios assignment ~parts =
-  let st =
+  let ndraws = List.fold_left (fun acc ea -> acc + List.length ea.dels) 0 assignment in
+  let c =
     {
-      np = num_prios;
-      taken = Array.make (List.length assignment * (num_prios + 1)) 0;
-      zero = no_piece;
+      width;
+      slot = Array.make !ncols 0;
+      first = Array.make !ncols 0;
+      column;
+      empty_bits = !empty_bits;
+      from = Array.make (entries + 1) ndraws;
+      d_prio = Array.make ndraws 0;
+      d_lo = Array.make ndraws 0;
+      d_off = Array.make ndraws 0;
+      d_end = Array.make ndraws 0;
     }
   in
-  serve_parts st assignment parts
+  let d = ref 0 in
+  List.iteri
+    (fun e ea ->
+      for i = 0 to np do
+        let k = (e * width) + i in
+        let j = column.(k) in
+        if j >= 0 then begin
+          c.slot.(j) <- k;
+          c.first.(j) <- (if i < np then Interval.lo ea.ins.(i) else 0)
+        end
+      done;
+      c.from.(e) <- !d;
+      let off = ref 0 in
+      List.iter
+        (fun (prio, iv) ->
+          c.d_prio.(!d) <- prio;
+          c.d_lo.(!d) <- Interval.lo iv;
+          c.d_off.(!d) <- !off;
+          off := !off + Interval.cardinality iv;
+          c.d_end.(!d) <- !off;
+          incr d)
+        ea.dels)
+    assignment;
+  c
 
-let assignment_bits assignment =
-  let iv_bits iv =
-    if Interval.is_empty iv then 2
-    else Dpq_util.Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
-  in
-  List.fold_left
-    (fun acc ea ->
-      acc
-      + Array.fold_left (fun a iv -> a + iv_bits iv) 0 ea.ins
-      + List.fold_left (fun a (_, iv) -> a + 8 + iv_bits iv) 0 ea.dels
-      + Dpq_util.Bitsize.bits_of_int ea.bot)
-    0 assignment
+let firsts c = c.first
+let size c b j = Batch.count b c.slot.(j)
+let empty_bits c = c.empty_bits
+let column c ~entry ~prio =
+  c.column.((entry * c.width) + if prio = 0 then c.width - 1 else prio - 1)
+let draw_prio c d = c.d_prio.(d)
+let draw_pos c d off = c.d_lo.(d) + off - c.d_off.(d)
+
+(* One past the entry's last draw offset. *)
+let matched c e = if c.from.(e + 1) > c.from.(e) then c.d_end.(c.from.(e + 1) - 1) else 0
+
+let draw c ~entry off =
+  if off >= matched c entry then -1
+  else begin
+    (* the last draw of the entry starting at or before [off] *)
+    let lo = ref c.from.(entry) and hi = ref (c.from.(entry + 1) - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if c.d_off.(mid) <= off then lo := mid else hi := mid - 1
+    done;
+    !lo
+  end
+
+let interval_bits ~lo ~size = Dpq_util.Bitsize.interval_bits ~lo ~hi:(lo + size - 1)
+
+let bits c j start size =
+  let k = c.slot.(j) in
+  if k mod c.width <> c.width - 1 then if size = 0 then 2 else interval_bits ~lo:start ~size
+  else begin
+    (* Offsets [start, stop) are matched, the rest of the piece is ⊥. *)
+    let e = k / c.width in
+    let stop = max start (min (start + size) (matched c e)) in
+    let acc = ref (Dpq_util.Bitsize.bits_of_int (size - (stop - start))) in
+    if stop > start then begin
+      let d = ref (draw c ~entry:e start) in
+      while !d < c.from.(e + 1) && c.d_off.(!d) < stop do
+        let a = max start c.d_off.(!d) and b = min stop c.d_end.(!d) in
+        acc := !acc + 8 + interval_bits ~lo:(draw_pos c !d a) ~size:(b - a);
+        incr d
+      done
+    end;
+    !acc
+  end

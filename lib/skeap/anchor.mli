@@ -1,5 +1,5 @@
 (** The anchor's position bookkeeping (Skeap Phase 2, §3.2.2) and the
-    interval decomposition it feeds (Phase 3, §3.2.3).
+    columns its interval decomposition runs on (Phase 3, §3.2.3).
 
     For every priority [p] the anchor keeps [first_p] and [last_p] with the
     invariant [first_p <= last_p + 1]; the interval [\[first_p, last_p\]] is
@@ -12,8 +12,14 @@
       non-empty interval, spilling into the next priorities as intervals
       drain; deletes left over when everything is empty are ⊥ answers.
 
-    The resulting per-entry interval collections are then decomposed over
-    the aggregation tree against the memorized sub-batches. *)
+    Phase 3 hands these positions out by counts alone, so it runs as one
+    {!Dpq_aggtree.Phase.positions} pass over the memorized sub-batches.
+    Its {!columns} are the combined batch's nonzero counts: one per
+    (entry, priority) insert count, whose positions start at the entry's
+    interval [lo], and one per entry's delete count, whose positions are
+    offsets into the entry's draws (concatenated in draw order), past
+    which a delete is answered ⊥.  A part's piece of a column is
+    [\[s, s + size - 1\]] from its start [s]. *)
 
 module Interval = Dpq_util.Interval
 
@@ -33,7 +39,7 @@ type entry_assign = {
   ins : Interval.t array;  (** per priority: fresh positions for inserts *)
   dels : (int * Interval.t) list;
       (** positions to delete as (priority, interval), in draw order:
-          ascending priority, ascending position *)
+          ascending priority, ascending position; never empty *)
   bot : int;  (** deletes answered ⊥ because the heap ran dry *)
 }
 
@@ -43,17 +49,41 @@ val assign : t -> Batch.t -> assignment
 (** Process a combined batch at the anchor, mutating the interval state.
     Raises [Invalid_argument] if the batch priority universe mismatches. *)
 
-val split : num_prios:int -> assignment -> parts:Batch.t list -> assignment list
-(** Decompose an assignment among sub-batches (own batch first, then the
-    children's sub-batches in label order — the list
-    {!Dpq_aggtree.Phase.memo_parts} builds for [Phase.down]):
-    part [k] receives, per entry and per priority, the next
-    [i_{j,p}^{(k)}] insert positions, the next [d_j^{(k)}] delete positions
-    (and the trailing ⊥s once positions run out).  Pieces may share
-    intervals, delete lists and whole entries with [assignment]; the delete
-    intervals must be non-empty, as {!assign} makes them.  Raises
-    [Invalid_argument] if the parts demand more insert positions of a
-    priority than an entry holds. *)
+(** {2 Phase 3 columns} *)
 
-val assignment_bits : assignment -> int
-(** Wire size of an assignment message (interval endpoints). *)
+type columns
+
+val columns : assignment -> Batch.t -> columns
+(** The columns of the combined batch the anchor just assigned. *)
+
+val firsts : columns -> int array
+(** Per column, the first position (an insert interval's [lo]; 0 for a
+    delete column). *)
+
+val size : columns -> Batch.t -> int -> int
+(** [size c b j]: column [j]'s count in sub-batch [b]. *)
+
+val bits : columns -> int -> int -> int -> int
+(** [bits c j start size]: the wire cost of column [j]'s piece from
+    [start], what its interval payload costs: for inserts 2 bits if empty,
+    else [Bitsize.interval_bits]; for deletes [8 + interval_bits] per draw
+    it covers plus [bits_of_int] of its ⊥ count. *)
+
+val empty_bits : columns -> int
+(** What every message pays for the zero counts that have no column: 2
+    bits per empty insert interval, [bits_of_int 0] per entry without
+    deletes. *)
+
+val column : columns -> entry:int -> prio:int -> int
+(** The column of entry [entry]'s priority-[prio] inserts, or with
+    [prio = 0] of its deletes (the {!Batch.of_ops} convention); -1 if the
+    combined batch has none. *)
+
+val draw : columns -> entry:int -> int -> int
+(** [draw c ~entry off]: the draw holding entry [entry]'s delete offset
+    [off], or -1 if [off] is past the entry's draws (a ⊥ answer). *)
+
+val draw_prio : columns -> int -> int
+val draw_pos : columns -> int -> int -> int
+(** A draw's priority, and [draw_pos c d off] the position of offset [off]
+    in draw [d]. *)

@@ -1,81 +1,70 @@
 type op = Ins of int | Del
-type entry = { ins : int array; del : int }
-type t = { num_prios : int; entries : entry list }
 
-let empty ~num_prios = { num_prios; entries = [] }
+let op_prio = function
+  | Ins p when p < 1 -> invalid_arg (Printf.sprintf "Batch.op_prio: priority %d must be >= 1" p)
+  | Ins p -> p
+  | Del -> 0
 
-let group_ops ops =
-  (* Maximal groups of the shape ins* del*: a new group starts when an
-     insert follows a delete. *)
-  let rec go current in_dels acc = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | (Ins _ as op) :: rest ->
-        if in_dels then go [ op ] false (List.rev current :: acc) rest
-        else go (op :: current) false acc rest
-    | Del :: rest -> go (Del :: current) true acc rest
-  in
-  go [] false [] ops
+type t = { num_prios : int; counts : int array }
 
-let of_ops ~num_prios ops =
-  let entry_of_group group =
-    let ins = Array.make num_prios 0 in
-    let del = ref 0 in
-    List.iter
-      (fun op ->
-        match op with
-        | Ins p ->
-            if p < 1 || p > num_prios then
-              invalid_arg (Printf.sprintf "Batch.of_ops: priority %d outside [1,%d]" p num_prios);
-            ins.(p - 1) <- ins.(p - 1) + 1
-        | Del -> incr del)
-      group;
-    { ins; del = !del }
-  in
-  { num_prios; entries = List.map entry_of_group (group_ops ops) }
+let empty ~num_prios = { num_prios; counts = [||] }
+
+(* Entries of the shape ins* del*: a new one starts at the first op and
+   when an insert follows a delete.  The entries are counted on the way
+   down the list, and the vector, sized by the total, filled on the way
+   back up. *)
+let rec fill num_prios prio entries in_dels = function
+  | [] -> Array.make (entries * (num_prios + 1)) 0
+  | op :: rest ->
+      let p = prio op in
+      if p < 0 || p > num_prios then
+        invalid_arg (Printf.sprintf "Batch.of_ops: priority %d outside [1,%d]" p num_prios);
+      let entries = if entries = 0 || (p <> 0 && in_dels) then entries + 1 else entries in
+      let counts = fill num_prios prio entries (p = 0) rest in
+      let k = ((entries - 1) * (num_prios + 1)) + if p = 0 then num_prios else p - 1 in
+      counts.(k) <- counts.(k) + 1;
+      counts
+
+let of_ops ~num_prios ~prio ops = { num_prios; counts = fill num_prios prio 0 false ops }
 
 let num_prios t = t.num_prios
-let entries t = t.entries
-
-let combine_entry num_prios a b =
-  let ins = Array.make num_prios 0 in
-  for i = 0 to num_prios - 1 do
-    ins.(i) <- a.ins.(i) + b.ins.(i)
-  done;
-  { ins; del = a.del + b.del }
-
-(* Entries are never mutated, so the longer batch's tail is shared. *)
-let rec zip np xs ys =
-  match (xs, ys) with
-  | [], rest | rest, [] -> rest
-  | x :: xs, y :: ys -> combine_entry np x y :: zip np xs ys
+let num_entries t = Array.length t.counts / (t.num_prios + 1)
+let count t k = if k < Array.length t.counts then t.counts.(k) else 0
 
 let combine a b =
   if a.num_prios <> b.num_prios then invalid_arg "Batch.combine: differing priority universes";
-  match (a.entries, b.entries) with
-  | [], _ -> b
-  | _, [] -> a
-  | xs, ys -> { num_prios = a.num_prios; entries = zip a.num_prios xs ys }
+  let la = Array.length a.counts and lb = Array.length b.counts in
+  if la = 0 then b
+  else if lb = 0 then a
+  else
+    let long, short = if la >= lb then (a.counts, b.counts) else (b.counts, a.counts) in
+    let counts = Array.copy long in
+    for k = 0 to Array.length short - 1 do
+      counts.(k) <- counts.(k) + short.(k)
+    done;
+    { num_prios = a.num_prios; counts }
 
-let total_inserts t =
-  List.fold_left (fun acc e -> acc + Array.fold_left ( + ) 0 e.ins) 0 t.entries
+(* The sum of the delete counts ([dels]) or of the insert counts. *)
+let total t ~dels =
+  let acc = ref 0 in
+  for k = 0 to Array.length t.counts - 1 do
+    if (k mod (t.num_prios + 1) = t.num_prios) = dels then acc := !acc + t.counts.(k)
+  done;
+  !acc
 
-let total_deletes t = List.fold_left (fun acc e -> acc + e.del) 0 t.entries
+let total_inserts t = total t ~dels:false
+let total_deletes t = total t ~dels:true
 
 let encoded_bits t =
-  List.fold_left
-    (fun acc e ->
-      acc + Dpq_util.Bitsize.bits_of_int e.del
-      + Array.fold_left (fun a c -> a + Dpq_util.Bitsize.bits_of_int c) 0 e.ins)
-    0 t.entries
+  Array.fold_left (fun acc c -> acc + Dpq_util.Bitsize.bits_of_int c) 0 t.counts
 
-let equal a b =
-  a.num_prios = b.num_prios
-  && List.length a.entries = List.length b.entries
-  && List.for_all2 (fun x y -> x.ins = y.ins && x.del = y.del) a.entries b.entries
+let equal a b = a.num_prios = b.num_prios && a.counts = b.counts
 
 let to_string t =
-  let entry_s e =
-    let ins_s = String.concat "," (Array.to_list (Array.map string_of_int e.ins)) in
-    Printf.sprintf "(%s),%d" ins_s e.del
+  let w = t.num_prios + 1 in
+  let entry_s j =
+    let ins = List.init t.num_prios (fun i -> string_of_int t.counts.((j * w) + i)) in
+    let ins_s = String.concat "," ins in
+    Printf.sprintf "(%s),%d" ins_s t.counts.((j * w) + t.num_prios)
   in
-  "(" ^ String.concat "," (List.map entry_s t.entries) ^ ")"
+  "(" ^ String.concat "," (List.init (num_entries t) entry_s) ^ ")"

@@ -1,5 +1,4 @@
 module Element = Dpq_util.Element
-module Interval = Dpq_util.Interval
 module Ldb = Dpq_overlay.Ldb
 module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
@@ -69,8 +68,6 @@ type dht_mode = Dpq_types.Types.dht_mode =
 type batch_result = {
   completions : completion list;
   report : Phase.report;
-  batch : Batch.t;
-  assignment : Anchor.assignment;
 }
 
 let dht_key t prio pos = Dpq_util.Hashing.pair t.key_hash prio pos
@@ -81,8 +78,8 @@ let rerank t () = t.preorder_rank <- compute_preorder_ranks (Host.tree t.host)
 
 module Itbl = Hashtbl.Make (Int)
 
-let batch_op (p : Clients.pending) =
-  match p.kind with `Ins e -> Batch.Ins (Element.prio e) | `Del -> Batch.Del
+let pending_prio (p : Clients.pending) =
+  match p.kind with `Ins e -> Element.prio e | `Del -> 0
 
 (* Phase 4 keeps one slot per operation of the batch, numbered in
    (node, local_seq) order.  A slot's witness sort key is
@@ -114,16 +111,14 @@ let create_slots total =
   }
 
 (* Fill the slots from [first] on with [node]'s ops, walking them in step
-   with its entry assignments: a new entry starts with the first op and
-   with every insert that follows a delete ([Batch.group_ops]).  Per entry,
-   [ins_used] counts the insert positions taken per priority and
-   [dels]/[del_off] point at the next delete position.  Returns the next
+   with the batch entries by [Batch.of_ops]'s rule: a new entry starts with
+   the first op and with every insert that follows a delete.  An op takes
+   the next position of its column from the node's Middle-vnode starts,
+   which begin at [base]: an insert its priority's position, a delete its
+   entry's next offset into the draws (⊥ past them).  Returns the next
    free slot. *)
-let map_positions t sl ~first ~node ~ins_used (ops : Clients.pending list)
-    (entry_assigns : Anchor.assignment) =
-  let entries = ref entry_assigns and j = ref (-1) in
-  let ins = ref [||] and dels = ref [] and del_off = ref 0 in
-  let in_dels = ref true in
+let map_positions t sl cols starts ~first ~node ~base (ops : Clients.pending list) =
+  let entry = ref (-1) and in_dels = ref true in
   let ops = ref ops and slot = ref first and more = ref true in
   while !more do
     match !ops with
@@ -132,51 +127,37 @@ let map_positions t sl ~first ~node ~ins_used (ops : Clients.pending list)
         ops := rest;
         let s = !slot in
         incr slot;
-        let is_ins = match pending.kind with `Ins _ -> true | `Del -> false in
-        if !j < 0 || (is_ins && !in_dels) then begin
-          match !entries with
-          | [] -> failwith "Skeap: assignment/ops length mismatch"
-          | ea :: tl ->
-              entries := tl;
-              incr j;
-              ins := ea.Anchor.ins;
-              dels := ea.Anchor.dels;
-              del_off := 0;
-              Array.fill ins_used 0 t.num_prios 0
-        end;
-        in_dels := not is_ins;
+        let prio = pending_prio pending in
+        if !entry < 0 || (prio > 0 && !in_dels) then incr entry;
+        in_dels := prio = 0;
+        let col = Anchor.column cols ~entry:!entry ~prio in
+        if col < 0 then failwith "Skeap: an operation has no column";
+        let at = starts.(base + col) in
+        starts.(base + col) <- at + 1;
         sl.s_node.(s) <- node;
         sl.s_seq.(s) <- pending.local_seq;
         match pending.kind with
         | `Ins elt ->
-            let prio = Element.prio elt in
-            let iv = !ins.(prio - 1) in
-            let used = ins_used.(prio - 1) in
-            if used >= Interval.cardinality iv then failwith "Skeap: insert positions exhausted";
-            ins_used.(prio - 1) <- used + 1;
-            sl.s_key.(s) <- dht_key t prio (Interval.lo iv + used);
+            sl.s_key.(s) <- dht_key t prio at;
             sl.s_elt.(s) <- elt;
-            sl.k_jp.(s) <- 3 * !j;
+            sl.k_jp.(s) <- 3 * !entry;
             sl.k_a.(s) <- t.preorder_rank.(node);
             sl.k_b.(s) <- pending.local_seq
-        | `Del -> (
-            match !dels with
-            | (prio, iv) :: tl ->
-                let pos = Interval.lo iv + !del_off in
-                if pos = Interval.hi iv then begin
-                  dels := tl;
-                  del_off := 0
-                end
-                else incr del_off;
-                sl.s_key.(s) <- dht_key t prio pos;
-                sl.k_jp.(s) <- (3 * !j) + 1;
-                sl.k_a.(s) <- prio;
-                sl.k_b.(s) <- pos
-            | [] ->
-                (* ⊥: the heap ran dry for this entry. *)
-                sl.k_jp.(s) <- (3 * !j) + 2;
-                sl.k_a.(s) <- node;
-                sl.k_b.(s) <- pending.local_seq)
+        | `Del ->
+            let d = Anchor.draw cols ~entry:!entry at in
+            if d >= 0 then begin
+              let prio = Anchor.draw_prio cols d and pos = Anchor.draw_pos cols d at in
+              sl.s_key.(s) <- dht_key t prio pos;
+              sl.k_jp.(s) <- (3 * !entry) + 1;
+              sl.k_a.(s) <- prio;
+              sl.k_b.(s) <- pos
+            end
+            else begin
+              (* ⊥: the heap ran dry for this entry. *)
+              sl.k_jp.(s) <- (3 * !entry) + 2;
+              sl.k_a.(s) <- node;
+              sl.k_b.(s) <- pending.local_seq
+            end
   done;
   !slot
 
@@ -220,13 +201,12 @@ let process_batch ?(dht_mode = Dht_sync) t =
   let trace = h.trace in
   (* ---- snapshot buffers ---------------------------------------------- *)
   let node_ops = Clients.snapshot h.clients All in
-  let node_bops = Array.map (List.map batch_op) node_ops in
-  let node_batches = Array.map (Batch.of_ops ~num_prios:t.num_prios) node_bops in
   (* ---- Phase 1: aggregate batches to the anchor ----------------------- *)
+  let empty = Batch.empty ~num_prios:t.num_prios in
   let local v =
     match Ldb.kind v with
-    | Ldb.Middle -> node_batches.(Ldb.owner v)
-    | _ -> Batch.empty ~num_prios:t.num_prios
+    | Ldb.Middle -> Batch.of_ops ~num_prios:t.num_prios ~prio:pending_prio node_ops.(Ldb.owner v)
+    | _ -> empty
   in
   let combined, memo, up_report =
     Phase.up h.net ~local ~combine:Batch.combine ~size_bits:Batch.encoded_bits
@@ -236,24 +216,24 @@ let process_batch ?(dht_mode = Dht_sync) t =
   Dpq_obs.Trace.anchor_assign trace ~batch_inserts:(Batch.total_inserts combined)
     ~batch_deletes:(Batch.total_deletes combined)
     ~heap_size:(Anchor.total_occupied t.anchor);
-  (* ---- Phase 3: decompose intervals down the tree --------------------- *)
-  let retained, down_report =
-    Phase.down h.net ~memo ~root_payload:assignment
-      ~split:(fun ~parts a -> Anchor.split ~num_prios:t.num_prios a ~parts)
-      ~size_bits:Anchor.assignment_bits
+  (* ---- Phase 3: decompose the positions down the tree ----------------- *)
+  let cols = Anchor.columns assignment combined in
+  let first = Anchor.firsts cols in
+  let starts, down_report =
+    Phase.positions h.net ~memo ~first ~size:(Anchor.size cols) ~bits:(Anchor.bits cols)
+      ~fixed_bits:(Anchor.empty_bits cols)
   in
   (* Announce the phase switch (anchor-driven broadcast). *)
   let announce_report = Phase.broadcast h.net ~bits:1 in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
   let sl = create_slots (Array.fold_left (fun acc ops -> acc + List.length ops) 0 node_ops) in
-  let ins_used = Array.make t.num_prios 0 in
   let next = ref 0 in
   for node = 0 to Clients.n h.clients - 1 do
-    match retained.(Ldb.vnode ~owner:node Ldb.Middle) with
-    | None ->
-        if node_ops.(node) <> [] then failwith "Skeap: node with ops received no assignment"
-    | Some entry_assigns ->
-        next := map_positions t sl ~first:!next ~node ~ins_used node_ops.(node) entry_assigns
+    if node_ops.(node) <> [] then begin
+      let base = Ldb.vnode ~owner:node Ldb.Middle * Array.length first in
+      if starts.(base) < 0 then failwith "Skeap: node with ops received no assignment";
+      next := map_positions t sl cols starts ~first:!next ~node ~base node_ops.(node)
+    end
   done;
   (* The DHT requests in slot order; deletes in flight are indexed by key
      and answer only to the node that asked. *)
@@ -291,7 +271,7 @@ let process_batch ?(dht_mode = Dht_sync) t =
     List.fold_left Phase.add_report Phase.empty_report
       [ up_report; down_report; announce_report; dht_report; gossip_report ]
   in
-  { completions = completions_of sl; report; batch = combined; assignment }
+  { completions = completions_of sl; report }
 
 let drain ?(dht_mode = Dht_sync) t = Clients.drain t.host.clients (fun () -> process_batch ~dht_mode t)
 

@@ -77,8 +77,6 @@ type dht_mode = Dpq_types.Types.dht_mode =
 type batch_result = {
   completions : completion list;  (** sorted by (node, local_seq) *)
   report : Phase.report;  (** summed over all four phases *)
-  batch : Batch.t;  (** the combined batch the anchor processed *)
-  assignment : Anchor.assignment;  (** what the anchor handed out *)
 }
 
 val process_batch : ?dht_mode:dht_mode -> t -> batch_result

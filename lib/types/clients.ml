@@ -90,13 +90,19 @@ let delete_min c ~node =
 let pending_ops c = Array.fold_left (fun acc q -> acc + Queue.length q) 0 c.buffers
 let oplog c = Oplog.of_list c.log
 
+let rec descending witness = function
+  | [] -> true
+  | (r : Oplog.record) :: rest -> r.witness < witness && descending r.witness rest
+
 let take_log c =
   let l = c.log in
   c.log <- [];
   (* witnesses are assigned when an operation serializes, which can precede
      the moment its record is logged (e.g. matched deletes complete after
-     the DHT round), so the retained list is not witness-sorted *)
-  List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness) l
+     the DHT round), so the retained list need not be in reverse witness
+     order; when it is, reversing it is the sort *)
+  if descending max_int l then List.rev l
+  else List.sort (fun (a : Oplog.record) b -> Int.compare a.Oplog.witness b.Oplog.witness) l
 
 module Make (B : sig
   type t
@@ -122,7 +128,7 @@ end
 type take = All | Matching of (kind -> bool) | Leading of (kind -> bool)
 
 let take_all q =
-  let all = List.of_seq (Queue.to_seq q) in
+  let all = List.rev (Queue.fold (fun acc p -> p :: acc) [] q) in
   Queue.clear q;
   all
 

@@ -38,8 +38,8 @@ val take : t -> int -> t * t
 
 val split_sizes : t -> int list -> t list
 (** Test seam: no protocol calls this; the tests keep it as the oracle for
-    the cursor split of [Anchor.split] and the positions pass
-    [Dpq_aggtree.Phase.positions].  [split_sizes iv sizes] decomposes [iv]
+    the positions pass [Dpq_aggtree.Phase.positions] and Skeap's Phase 3
+    columns.  [split_sizes iv sizes] decomposes [iv]
     into consecutive sub-intervals of the given cardinalities, in order.
     Raises [Invalid_argument] if [sizes] sums to more than [cardinality iv]
     or contains negatives. *)

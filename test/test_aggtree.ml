@@ -155,24 +155,24 @@ let test_up_memo_parts () =
   let tree = tree_of ~n:10 ~seed:4 in
   let net = Phase.net tree in
   let _total, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
-  (* The memorized parts reach the down pass's [split]: carry each vnode's
-     id as its payload to record the parts it is handed. *)
-  let seen = Hashtbl.create 32 in
-  ignore
-    (Phase.down net ~memo ~root_payload:(Aggtree.root tree)
-       ~split:(fun ~parts v ->
-         Hashtbl.replace seen v parts;
-         v :: Aggtree.children tree v)
-       ~size_bits:(fun _ -> 1));
+  (* The memorized parts reach the positions pass as sizes: with every
+     vnode counting 1, a vnode's own piece is one position and each
+     child's piece is its subtree's size, so the children start after the
+     own position and every earlier sibling's subtree. *)
+  let starts, _ =
+    Phase.positions net ~memo ~first:[| 1 |] ~size:(fun x _ -> x) ~bits:(fun _ _ _ -> 1)
+      ~fixed_bits:0
+  in
+  let rec size c = List.fold_left (fun acc c -> acc + size c) 1 (Aggtree.children tree c) in
   Array.iter
     (fun v ->
-      let parts = Hashtbl.find seen v in
-      checki "1 + #children parts" (1 + List.length (Aggtree.children tree v)) (List.length parts);
-      checki "own part first" 1 (List.hd parts);
-      (* Then each child's sub-aggregate: here, its subtree's size. *)
-      let rec size c = List.fold_left (fun acc c -> acc + size c) 1 (Aggtree.children tree c) in
-      Alcotest.(check (list int))
-        "children's sub-aggregates" (List.map size (Aggtree.children tree v)) (List.tl parts))
+      let next = ref (starts.(v) + 1) in
+      List.iter
+        (fun c ->
+          checki "child starts after own part and earlier siblings" !next starts.(c);
+          next := !next + size c)
+        (Aggtree.children tree v);
+      checki "own part and children's parts cover the subtree" (starts.(v) + size v) !next)
     (Aggtree.vnodes tree)
 
 let test_up_respects_order () =
@@ -193,57 +193,28 @@ let test_up_respects_order () =
 
 let test_down_decomposes_intervals () =
   (* Give every vnode demand 1 (memoized via up with (+)), then decompose
-     the interval [1, 3n] down the tree: every vnode must retain a distinct
-     singleton. *)
+     the positions [1, 3n] down the tree: every vnode must get a distinct
+     one. *)
   let n = 20 in
   let tree = tree_of ~n ~seed:13 in
   let net = Phase.net tree in
-  let total, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 8) in
-  let iv = Interval.make 1 total in
-  let retained, _report =
-    Phase.down net ~memo ~root_payload:iv
-      ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
-      ~size_bits:(fun _ -> 64)
+  let _, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 8) in
+  let starts, _report =
+    Phase.positions net ~memo ~first:[| 1 |] ~size:(fun x _ -> x) ~bits:(fun _ _ _ -> 64)
+      ~fixed_bits:0
   in
-  let positions = ref [] in
-  Array.iter
-    (function
-      | None -> Alcotest.fail "vnode missed its share"
-      | Some iv ->
-          checki "cardinality 1" 1 (Interval.cardinality iv);
-          positions := Interval.lo iv :: !positions)
-    retained;
-  let sorted = List.sort compare !positions in
-  Alcotest.(check (list int)) "all positions exactly once" (List.init (3 * n) (fun i -> i + 1)) sorted
-
-let test_down_split_arity_enforced () =
-  let tree = tree_of ~n:4 ~seed:1 in
-  let net = Phase.net tree in
-  let _, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
-  checkb "raises on bad arity" true
-    (try
-       ignore
-         (Phase.down net ~memo ~root_payload:0
-            ~split:(fun ~parts:_ _ -> [])
-            ~size_bits:(fun _ -> 1));
-       false
-     with Failure _ -> true)
+  let sorted = List.sort compare (Array.to_list starts) in
+  Alcotest.(check (list int))
+    "all positions exactly once" (List.init (3 * n) (fun i -> i + 1)) sorted
 
 let test_broadcast_reaches_all () =
+  (* Every vnode but the anchor receives the value exactly once, over a
+     network message or a free virtual edge. *)
   let n = 25 in
   let tree = tree_of ~n ~seed:17 in
-  (* broadcast + down with copying split should mark everyone; use down to
-     observe retained values. *)
-  let net = Phase.net tree in
-  let _, memo, _ = Phase.up net ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 1) in
-  let retained, report =
-    Phase.down net ~memo ~root_payload:"go"
-      ~split:(fun ~parts payload -> List.map (fun _ -> payload) parts)
-      ~size_bits:(fun s -> 8 * String.length s)
-  in
-  Array.iter
-    (function Some "go" -> () | _ -> Alcotest.fail "missed broadcast")
-    retained;
+  let report = Phase.broadcast (Phase.net tree) ~bits:8 in
+  checki "one delivery per non-anchor vnode" ((3 * n) - 1)
+    (report.Phase.messages + report.Phase.local_deliveries);
   checkb "took at least height rounds" true (report.Phase.rounds >= 1)
 
 let test_broadcast_report () =
@@ -278,9 +249,10 @@ let test_up_rounds_scale_logarithmically () =
 
 (* ------------------------------------------------------ positions pass *)
 
-(* The list splits the positions pass replaced, kept here as its oracle:
-   [Interval.split_sizes] for an exact column, and the shortage-tolerant
-   take (parts that find no positions left get empty intervals). *)
+(* The list splits of the generic down pass the positions pass replaced,
+   kept here as its oracle: [Interval.split_sizes] for an exact column, and
+   the shortage-tolerant take (parts that find no positions left get empty
+   intervals). *)
 let take_sizes iv parts =
   let rest = ref iv in
   List.map
@@ -293,6 +265,39 @@ let take_sizes iv parts =
 let interval_bits iv =
   if Interval.is_empty iv then 2
   else Dpq_util.Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
+
+(* The sequential traversal-order oracle: split the anchor's pieces among
+   each vnode's own count and its children's subtree counts (own first,
+   then children in label order) with [split], recursively.  Returns every
+   vnode's own piece ([None] off the tree) and the piece each child is
+   sent. *)
+let oracle_pieces tree ~own ~sub ~split root_piece =
+  let nv = Array.length own in
+  let retained = Array.make nv None and sent = Array.make nv None in
+  let rec go v piece =
+    let children = Aggtree.children tree v in
+    match split piece (own.(v) :: List.map (fun c -> sub.(c)) children) with
+    | mine :: rest ->
+        retained.(v) <- Some mine;
+        List.iter2
+          (fun c p ->
+            sent.(c) <- Some p;
+            go c p)
+          children rest
+    | [] -> assert false
+  in
+  go (Aggtree.root tree) root_piece;
+  (retained, sent)
+
+(* Subtree sums of per-vnode counts, for the oracle's [sub]. *)
+let subtree_sums tree own add zero =
+  let sub = Array.make (Array.length own) zero in
+  let rec go v =
+    sub.(v) <- List.fold_left (fun acc c -> add acc (go c)) own.(v) (Aggtree.children tree v);
+    sub.(v)
+  in
+  ignore (go (Aggtree.root tree));
+  sub
 
 let deliveries trace =
   List.filter_map
@@ -324,46 +329,71 @@ let test_positions_match_list_split () =
         ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
         ~size_bits:(fun _ -> 8)
     in
-    (* Column a is exact; column b is cut short (or not) at a random limit. *)
+    (* Column a is exact; column b is cut short (or not) at a random
+       limit; every message also pays a fixed charge. *)
     let limit_a = total_a and limit_b = Random.State.int rng (total_b + 1) in
-    let trace_old = Trace.create () and trace_new = Trace.create () in
-    let retained, old_report =
-      Phase.down (Phase.net ~trace:trace_old tree) ~memo
-        ~root_payload:(Interval.make 1 limit_a, Interval.make 1 limit_b)
-        ~split:(fun ~parts (a, b) ->
+    let fixed_bits = trial mod 3 in
+    let sub = subtree_sums tree counts (fun (a, b) (c, d) -> (a + c, b + d)) (0, 0) in
+    let retained, sent =
+      oracle_pieces tree ~own:counts ~sub
+        ~split:(fun (a, b) parts ->
           List.combine
             (Interval.split_sizes a (List.map fst parts))
             (take_sizes b (List.map snd parts)))
-        ~size_bits:(fun (a, b) -> interval_bits a + interval_bits b)
+        (Interval.make 1 limit_a, Interval.make 1 limit_b)
     in
-    let starts, new_report =
-      Phase.positions (Phase.net ~trace:trace_new tree) ~memo ~sizes:[| fst; snd |]
-        ~limits:[| limit_a; limit_b |]
+    let trace_b = Trace.create () and trace = Trace.create () in
+    let header_r = Phase.broadcast (Phase.net ~trace:trace_b tree) ~bits:0 in
+    let starts, report =
+      Phase.positions (Phase.net ~trace tree) ~memo ~first:[| 1; 1 |]
+        ~size:(fun (a, b) j -> if j = 0 then a else b)
+        ~bits:(fun j start size ->
+          Phase.cut_bits ~limit:(if j = 0 then limit_a else limit_b) start size)
+        ~fixed_bits
     in
     let what = Printf.sprintf "trial %d (n=%d)" trial n in
     Array.iteri
       (fun v r ->
         let piece j size limit =
-          let s = starts.(j).(v) in
+          let s = starts.((2 * v) + j) in
           Interval.make s (min (s + size - 1) limit)
         in
         match r with
         | None ->
-            checki (what ^ ": unreached a") (-1) starts.(0).(v);
-            checki (what ^ ": unreached b") (-1) starts.(1).(v)
+            checki (what ^ ": unreached a") (-1) starts.(2 * v);
+            checki (what ^ ": unreached b") (-1) starts.((2 * v) + 1)
         | Some (a, b) ->
             let own_a, own_b = counts.(v) in
             checkb (what ^ ": column a") true (Interval.equal a (piece 0 own_a limit_a));
             checkb (what ^ ": column b") true (Interval.equal b (piece 1 own_b limit_b)))
       retained;
-    checkb (what ^ ": same report") true (old_report = new_report);
-    checkb (what ^ ": same deliveries and bits") true (deliveries trace_old = deliveries trace_new)
+    (* The messages are the broadcast's (same rounds, same edges); each is
+       charged its header, the fixed bits and its pieces. *)
+    let header = header_r.Phase.total_bits / max 1 header_r.Phase.messages in
+    let want_bits =
+      List.sort compare
+        (List.filter_map
+           (fun c ->
+             match (sent.(c), Aggtree.parent tree c) with
+             | Some (a, b), Some p when Ldb.owner p <> Ldb.owner c ->
+                 Some (header + fixed_bits + interval_bits a + interval_bits b)
+             | _ -> None)
+           (List.init (Array.length sent) Fun.id))
+    in
+    let drop_bits = List.map (fun (r, s, d, _) -> (r, s, d)) in
+    checkb (what ^ ": the broadcast's messages") true
+      (drop_bits (deliveries trace) = drop_bits (deliveries trace_b));
+    checkb (what ^ ": the broadcast's rounds") true (report.Phase.rounds = header_r.Phase.rounds);
+    checkb (what ^ ": bits per message") true
+      (List.sort compare (List.map (fun (_, _, _, b) -> b) (deliveries trace)) = want_bits);
+    checki (what ^ ": total bits") (List.fold_left ( + ) 0 want_bits) report.Phase.total_bits
   done
 
 let test_reused_net_equals_fresh () =
   (* Every kind of pass, twice over, on one net and on a fresh net each,
      under drops and duplicates: the reset engine must deliver, cost and
-     draw faults exactly as fresh ones do. *)
+     draw faults exactly as fresh ones do, and the positions agree with
+     the sequential oracle. *)
   let tree = Aggtree.of_ldb (Ldb.remove (Ldb.build ~n:24 ~seed:5) ~id:7) in
   let run next =
     let pass () =
@@ -371,13 +401,12 @@ let test_reused_net_equals_fresh () =
         Phase.up (next ()) ~local:(fun _ -> 1) ~combine:( + ) ~size_bits:(fun _ -> 12)
       in
       let bcast_r = Phase.broadcast (next ()) ~bits:5 in
-      let retained, down_r =
-        Phase.down (next ()) ~memo ~root_payload:(Interval.make 1 total)
-          ~split:(fun ~parts iv -> Interval.split_sizes iv parts)
-          ~size_bits:interval_bits
+      let starts, pos_r =
+        Phase.positions (next ()) ~memo ~first:[| 1 |] ~size:(fun x _ -> x)
+          ~bits:(fun _ start size -> Phase.cut_bits ~limit:total start size)
+          ~fixed_bits:0
       in
-      let starts, pos_r = Phase.positions (next ()) ~memo ~sizes:[| Fun.id |] ~limits:[| total |] in
-      ([ up_r; bcast_r; down_r; pos_r ], retained, starts)
+      ([ up_r; bcast_r; pos_r ], starts)
     in
     let first = pass () in
     let second = pass () in
@@ -392,7 +421,20 @@ let test_reused_net_equals_fresh () =
   checkb "same reports and results" true (reused = fresh);
   checkb "same deliveries" true (deliveries trace_r = deliveries trace_f);
   checkb "same fault-plan stats" true (Fault_plan.stats plan_r = Fault_plan.stats plan_f);
-  checkb "faults were injected" true ((Fault_plan.stats plan_r).Fault_plan.drops > 0)
+  checkb "faults were injected" true ((Fault_plan.stats plan_r).Fault_plan.drops > 0);
+  let (_, starts), (_, starts') = reused in
+  let own = Array.make (Array.length starts) 1 in
+  let sub = subtree_sums tree own ( + ) 0 in
+  let retained, _ =
+    oracle_pieces tree ~own ~sub ~split:Interval.split_sizes
+      (Interval.make 1 sub.(Aggtree.root tree))
+  in
+  Array.iteri
+    (fun v r ->
+      let want = match r with Some iv -> Interval.lo iv | None -> -1 in
+      checki "start equals the oracle's" want starts.(v);
+      checki "again on the second pass" want starts'.(v))
+    retained
 
 let test_reentry_fails () =
   let tree = tree_of ~n:8 ~seed:2 in
@@ -454,7 +496,6 @@ let () =
           Alcotest.test_case "up memo parts" `Quick test_up_memo_parts;
           Alcotest.test_case "up respects order" `Quick test_up_respects_order;
           Alcotest.test_case "down decomposes intervals" `Quick test_down_decomposes_intervals;
-          Alcotest.test_case "down arity enforced" `Quick test_down_split_arity_enforced;
           Alcotest.test_case "broadcast reaches all" `Quick test_broadcast_reaches_all;
           Alcotest.test_case "broadcast report" `Quick test_broadcast_report;
           Alcotest.test_case "report addition" `Quick test_report_addition;

@@ -98,6 +98,31 @@ let test_sim_rejects_bad_values () =
       (* NaN once passed the controller's range checks *)
       ([ "--adaptive"; "on:1:256:nan:0.25" ], "dpq_sim: --adaptive: ");
       ([ "--adaptive"; "on:1:256:0.8:nan" ], "dpq_sim: --adaptive: ");
+    ];
+  (* A repro whose workload the backend cannot run: an out-of-range
+     priority once died with an uncaught Invalid_argument (exit 125), and a
+     node id >= nodes once ran silently with its ops dropped. *)
+  List.iter
+    (fun (backend, round, prefix) ->
+      let file = Filename.temp_file "dpq-cli" ".repro" in
+      Out_channel.with_open_bin file (fun oc ->
+          Printf.fprintf oc
+            "dpq-repro v1\nseed 1\nnodes 2\nbackend %s\nengine sync\nsched fifo\nfaults none\n\
+             corrupt none\nexpect-clause none\nexpect-digest 0\nworkload\n%s\n"
+            backend round);
+      let what = Printf.sprintf "--replay of backend %s, round %s" backend round in
+      let code, out, err = run_sim [ "--replay"; file ] in
+      Sys.remove file;
+      checki (what ^ ": exit code") 1 code;
+      checkb (what ^ ": no run") true (out = "");
+      check_one_line_error ~what ~prefix err)
+    [
+      ("seap", "0:I-3", "replay: Explore: line 12: priority -3 outside the backend's range");
+      ("skeap:4", "0:I9", "replay: Explore: line 12: priority 9 outside the backend's range");
+      ("skeap:4", "5:I2", "replay: Explore: line 12: node 5 but nodes is 2");
+      ( "seap",
+        "gen: n=2 rounds=1 lambda=1 ratio=0.5 dist=uniform:-5:5 seed=3",
+        "replay: Explore: line 12: the gen: distribution can draw priority -5 outside" );
     ]
 
 (* Malformed grid flags exit 2 naming the flag, before any cell runs. *)

@@ -219,6 +219,82 @@ let prop_facade_verifies_random_runs =
       ignore (H.drain h);
       H.verify h = Ok ())
 
+(* [take_log] returns the retained records in witness order: a log
+   recorded in witness order (retained newest first) is reversed, any
+   other is sorted; both equal [List.sort]'s result. *)
+let test_take_log_order () =
+  let module C = Dpq_types.Clients in
+  let module O = Dpq_semantics.Oplog in
+  let c = C.create ~name:"T" ~n:2 () in
+  let record w =
+    { O.node = w mod 2; local_seq = w; witness = w; kind = O.Delete_min; result = None }
+  in
+  let witnesses = List.map (fun (r : O.record) -> r.witness) in
+  let sorted l = List.sort (fun (a : O.record) b -> Int.compare a.witness b.O.witness) l in
+  List.iter
+    (fun ws ->
+      let records = List.map record ws in
+      List.iter (C.record c) records;
+      let got = C.take_log c in
+      Alcotest.(check (list int))
+        (Printf.sprintf "recorded as [%s]" (String.concat ";" (List.map string_of_int ws)))
+        (witnesses (sorted records)) (witnesses got);
+      checkb "equal to the sorted records" true (got = sorted records))
+    [ [ 0; 1; 2; 3; 4 ]; [ 5; 6; 8; 7; 9 ]; [ 13; 12; 11; 10 ]; [ 14 ]; [] ]
+
+(* Allocation guard for a Skeap batch: Phase 3 is one positions pass
+   over flat count-vector batches, so no pass allocates a piece, list or
+   interval per vnode.  [process] on n = 1024, 4 priorities, measured over
+   batches 2-9 of a closed workload at seed 3 (the first batch warms the
+   engines up), read 76.3 minor words per op at λ = 1 and 61.6 at λ = 4;
+   with a generic down pass splitting interval lists per vnode and batches
+   as entry lists, 274.0 and 151.4. *)
+let test_skeap_process_allocation () =
+  let module W = Dpq_workloads.Workload in
+  List.iter
+    (fun (lambda, bound) ->
+      let n = 1024 in
+      let h = H.create ~n (H.Skeap { num_prios = 4 }) in
+      let g =
+        W.Gen.create
+          {
+            W.Gen.n;
+            rounds = 9;
+            lambda;
+            insert_ratio = 0.5;
+            dist = W.Constant_set 4;
+            seed = 3;
+            arrival = W.Closed;
+          }
+      in
+      let words = ref 0.0 and ops = ref 0 and batch = ref 0 in
+      let rec go () =
+        match W.Gen.next g with
+        | None -> ()
+        | Some round ->
+            incr batch;
+            List.iter
+              (fun (o : W.op) ->
+                match o.action with
+                | `Ins prio -> ignore (H.insert h ~node:o.node ~prio)
+                | `Del -> H.delete_min h ~node:o.node)
+              round;
+            let before = Gc.minor_words () in
+            ignore (Sys.opaque_identity (H.process h));
+            if !batch >= 2 then begin
+              words := !words +. (Gc.minor_words () -. before);
+              ops := !ops + List.length round
+            end;
+            ignore (H.take_oplog h);
+            go ()
+      in
+      go ();
+      let per_op = !words /. float_of_int !ops in
+      checkb
+        (Printf.sprintf "λ=%d: %.1f minor words per op <= %.0f" lambda per_op bound)
+        true (per_op <= bound))
+    [ (1, 120.0); (4, 90.0) ]
+
 let () =
   Alcotest.run "dpq_core"
     [
@@ -236,5 +312,7 @@ let () =
           Alcotest.test_case "baselines reject async dht" `Quick test_baselines_reject_async_dht;
           Alcotest.test_case "client checks on every backend" `Quick test_client_checks;
           QCheck_alcotest.to_alcotest prop_facade_verifies_random_runs;
+          Alcotest.test_case "take_log returns witness order" `Quick test_take_log_order;
+          Alcotest.test_case "skeap process allocation" `Quick test_skeap_process_allocation;
         ] );
     ]

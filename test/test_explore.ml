@@ -245,6 +245,61 @@ let test_repro_strict_parser () =
     "dpq-repro v1\nseed 1\nnodes 4\nbackend seap\nengine sync\nsched fifo\nfaults none\n\
      corrupt none\nexpect-clause none\nexpect-digest deadbeef\nworkload\n.\ngarbage!!\n"
 
+(* A workload the backend cannot run is a parse error naming the line and
+   the value: an insert priority outside the backend's range (the insert
+   once raised mid-replay), a gen: distribution that can draw one, and a
+   node id >= nodes (its ops were once dropped silently). *)
+let test_repro_rejects_out_of_range_workload () =
+  let repro ~nodes backend round =
+    Printf.sprintf
+      "dpq-repro v1\nseed 1\nnodes %d\nbackend %s\nengine sync\nsched fifo\nfaults none\n\
+       corrupt none\nexpect-clause none\nexpect-digest 0\nworkload\n.\n%s\n"
+      nodes backend round
+  in
+  let gen dist = "gen: n=4 rounds=2 lambda=2 ratio=0.5 dist=" ^ dist ^ " seed=3" in
+  List.iter
+    (fun (nodes, backend, round, want) ->
+      let what = Printf.sprintf "backend %s, %s" backend round in
+      match E.repro_of_string (repro ~nodes backend round) with
+      | Ok _ -> Alcotest.fail (what ^ ": accepted")
+      | Error e -> Alcotest.(check string) what want e)
+    [
+      (4, "seap", "0:I-3", "Explore: line 13: priority -3 outside the backend's range >= 1");
+      ( 4,
+        "centralized",
+        "1:D 0:I0",
+        "Explore: line 13: priority 0 outside the backend's range >= 1" );
+      (4, "skeap:4", "0:I9", "Explore: line 13: priority 9 outside the backend's range [1,4]");
+      (4, "unbatched:2", "3:I3", "Explore: line 13: priority 3 outside the backend's range [1,2]");
+      (2, "skeap:4", "5:I2", "Explore: line 13: node 5 but nodes is 2");
+      (2, "seap", "0:D 2:D", "Explore: line 13: node 2 but nodes is 2");
+    ];
+  let gen_error ~nodes backend dist want =
+    (* a gen: line must be the whole workload section *)
+    let text =
+      Printf.sprintf
+        "dpq-repro v1\nseed 1\nnodes %d\nbackend %s\nengine sync\nsched fifo\nfaults none\n\
+         corrupt none\nexpect-clause none\nexpect-digest 0\nworkload\n%s\n"
+        nodes backend (gen dist)
+    in
+    let what = Printf.sprintf "backend %s, dist=%s" backend dist in
+    match E.repro_of_string text with
+    | Ok _ when want = "" -> ()
+    | Ok _ -> Alcotest.fail (what ^ ": accepted")
+    | Error e -> Alcotest.(check string) what want e
+  in
+  let drawn = "Explore: line 12: the gen: distribution can draw priority " in
+  gen_error ~nodes:4 "seap" "uniform:-5:5" (drawn ^ "-5 outside the backend's range >= 1");
+  gen_error ~nodes:4 "skeap:4" "const:8" (drawn ^ "8 outside the backend's range [1,4]");
+  gen_error ~nodes:4 "skeap:4" "zipf:1.2:5" (drawn ^ "5 outside the backend's range [1,4]");
+  gen_error ~nodes:4 "unbatched:3" "increasing" (drawn ^ "16 outside the backend's range [1,3]");
+  gen_error ~nodes:3 "seap" "uniform:1:50" "Explore: line 12: node 3 but nodes is 3";
+  (* in range: parses *)
+  gen_error ~nodes:4 "skeap:4" "const:4" "";
+  gen_error ~nodes:4 "seap" "increasing" "";
+  checkb "in-range round lines parse" true
+    (Result.is_ok (E.repro_of_string (repro ~nodes:4 "skeap:4" "0:I4 3:D")))
+
 (* Adaptive configs serialize (an [adaptive] header line), replay to the
    same digest, and old-style files without the key parse as Off. *)
 let adaptive_combo : E.combo =
@@ -435,6 +490,8 @@ let () =
           Alcotest.test_case "replays bit-for-bit" `Quick test_repro_replays_bit_for_bit;
           Alcotest.test_case "rejects garbage" `Quick test_repro_rejects_garbage;
           Alcotest.test_case "strict parser positions errors" `Quick test_repro_strict_parser;
+          Alcotest.test_case "rejects out-of-range workloads" `Quick
+            test_repro_rejects_out_of_range_workload;
           Alcotest.test_case "adaptive round-trip and replay" `Quick test_repro_adaptive_roundtrip;
           Alcotest.test_case "absent adaptive key means off" `Quick
             test_repro_absent_adaptive_defaults_off;

@@ -11,42 +11,55 @@ let ok_or_fail = function Ok () -> () | Error e -> Alcotest.fail e
 
 (* ---------------------------------------------------------------- Batch *)
 
+let of_ops ~num_prios ops = Batch.of_ops ~num_prios ~prio:Batch.op_prio ops
+
+(* The batch as (per-priority insert counts, delete count) entries. *)
+let entries b =
+  let np = Batch.num_prios b in
+  List.init (Batch.num_entries b) (fun j ->
+      let base = j * (np + 1) in
+      (Array.init np (fun i -> Batch.count b (base + i)), Batch.count b (base + np)))
+
 let test_batch_paper_example () =
   (* §3.1's example: Insert(e1), Insert(e2), DeleteMin, Insert(e3),
      DeleteMin with prios 1,1,2 and P = {1,2} gives ((2,0),1,(0,1),1). *)
   let b =
-    Batch.of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 1; Batch.Del; Batch.Ins 2; Batch.Del ]
+    of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 1; Batch.Del; Batch.Ins 2; Batch.Del ]
   in
   Alcotest.(check string) "paper notation" "((2,0),1,(0,1),1)" (Batch.to_string b);
-  checki "length" 2 (List.length (Batch.entries b));
+  checki "length" 2 (Batch.num_entries b);
   checki "inserts" 3 (Batch.total_inserts b);
   checki "deletes" 2 (Batch.total_deletes b)
 
 let test_batch_grouping () =
-  let groups = Batch.group_ops [ Batch.Del; Batch.Del; Batch.Ins 1; Batch.Del; Batch.Ins 1 ] in
-  checki "3 groups" 3 (List.length groups);
-  (* leading deletes form their own group with zero inserts *)
-  checkb "first group only dels" true (List.hd groups = [ Batch.Del; Batch.Del ])
+  let b = of_ops ~num_prios:1 [ Batch.Del; Batch.Del; Batch.Ins 1; Batch.Del; Batch.Ins 1 ] in
+  checki "3 entries" 3 (Batch.num_entries b);
+  (* leading deletes form their own entry with zero inserts *)
+  Alcotest.(check string) "first entry only dels" "((0),2,(1),1,(1),0)" (Batch.to_string b)
 
 let test_batch_combine () =
-  let b1 = Batch.of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Del ] in
-  let b2 = Batch.of_ops ~num_prios:2 [ Batch.Ins 2; Batch.Ins 2; Batch.Del; Batch.Ins 1; Batch.Del ] in
+  let b1 = of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Del ] in
+  let b2 = of_ops ~num_prios:2 [ Batch.Ins 2; Batch.Ins 2; Batch.Del; Batch.Ins 1; Batch.Del ] in
   let c = Batch.combine b1 b2 in
   Alcotest.(check string) "padded combine" "((1,2),2,(1,0),1)" (Batch.to_string c);
   let total b = Batch.total_inserts b + Batch.total_deletes b in
   checki "total ops" (total b1 + total b2) (total c)
 
 let test_batch_combine_empty_identity () =
-  let b = Batch.of_ops ~num_prios:3 [ Batch.Ins 2; Batch.Del ] in
+  let b = of_ops ~num_prios:3 [ Batch.Ins 2; Batch.Del ] in
   checkb "right identity" true (Batch.equal b (Batch.combine b (Batch.empty ~num_prios:3)));
   checkb "left identity" true (Batch.equal b (Batch.combine (Batch.empty ~num_prios:3) b))
 
 let test_batch_bad_priority () =
-  checkb "raises" true
-    (try
-       ignore (Batch.of_ops ~num_prios:2 [ Batch.Ins 3 ]);
-       false
-     with Invalid_argument _ -> true)
+  (* [Ins 0] must not pass for a delete, which [prio] encodes as 0 *)
+  List.iter
+    (fun op ->
+      checkb "raises" true
+        (try
+           ignore (of_ops ~num_prios:2 [ Batch.Ins 1; op ]);
+           false
+         with Invalid_argument _ -> true))
+    [ Batch.Ins 3; Batch.Ins 0; Batch.Ins (-1) ]
 
 let prop_batch_combine_associative =
   let gen_ops =
@@ -57,7 +70,7 @@ let prop_batch_combine_associative =
   let arb = QCheck.make gen_ops in
   QCheck.Test.make ~name:"batch combine associative" ~count:200 (QCheck.triple arb arb arb)
     (fun (o1, o2, o3) ->
-      let b o = Batch.of_ops ~num_prios:3 o in
+      let b o = of_ops ~num_prios:3 o in
       Batch.equal
         (Batch.combine (Batch.combine (b o1) (b o2)) (b o3))
         (Batch.combine (b o1) (Batch.combine (b o2) (b o3))))
@@ -70,7 +83,7 @@ let prop_batch_counts_preserved =
   in
   QCheck.Test.make ~name:"batch of_ops preserves counts" ~count:200 (QCheck.make gen_ops)
     (fun ops ->
-      let b = Batch.of_ops ~num_prios:4 ops in
+      let b = of_ops ~num_prios:4 ops in
       let ins = List.length (List.filter (function Batch.Ins _ -> true | _ -> false) ops) in
       let del = List.length (List.filter (( = ) Batch.Del) ops) in
       Batch.total_inserts b = ins && Batch.total_deletes b = del)
@@ -82,7 +95,7 @@ let occupied a ~prio = Anchor.last a ~prio - Anchor.first a ~prio + 1
 
 let test_anchor_assign_inserts () =
   let a = Anchor.create ~num_prios:2 in
-  let b = Batch.of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 1; Batch.Ins 2 ] in
+  let b = of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 1; Batch.Ins 2 ] in
   let asg = Anchor.assign a b in
   checki "one entry" 1 (List.length asg);
   let ea = List.hd asg in
@@ -93,8 +106,8 @@ let test_anchor_assign_inserts () =
 
 let test_anchor_deletes_prefer_low_priority () =
   let a = Anchor.create ~num_prios:3 in
-  ignore (Anchor.assign a (Batch.of_ops ~num_prios:3 [ Batch.Ins 2; Batch.Ins 3 ]));
-  let asg = Anchor.assign a (Batch.of_ops ~num_prios:3 [ Batch.Del ]) in
+  ignore (Anchor.assign a (of_ops ~num_prios:3 [ Batch.Ins 2; Batch.Ins 3 ]));
+  let asg = Anchor.assign a (of_ops ~num_prios:3 [ Batch.Del ]) in
   let ea = List.hd asg in
   (match ea.Anchor.dels with
   | [ (2, iv) ] -> checkb "takes from prio 2" true (Interval.equal iv (Interval.make 1 1))
@@ -105,8 +118,8 @@ let test_anchor_deletes_prefer_low_priority () =
 
 let test_anchor_delete_spans_priorities () =
   let a = Anchor.create ~num_prios:3 in
-  ignore (Anchor.assign a (Batch.of_ops ~num_prios:3 [ Batch.Ins 1; Batch.Ins 2; Batch.Ins 3 ]));
-  let asg = Anchor.assign a (Batch.of_ops ~num_prios:3 [ Batch.Del; Batch.Del; Batch.Del; Batch.Del ]) in
+  ignore (Anchor.assign a (of_ops ~num_prios:3 [ Batch.Ins 1; Batch.Ins 2; Batch.Ins 3 ]));
+  let asg = Anchor.assign a (of_ops ~num_prios:3 [ Batch.Del; Batch.Del; Batch.Del; Batch.Del ]) in
   let ea = List.hd asg in
   checki "three draws" 3 (List.length ea.Anchor.dels);
   checki "one bot" 1 ea.Anchor.bot;
@@ -116,7 +129,7 @@ let test_anchor_delete_spans_priorities () =
 let test_anchor_interleaved_entries () =
   let a = Anchor.create ~num_prios:1 in
   (* entry1: 2 ins, 1 del; entry2: 1 ins, 2 del  -> ends with 0 elements *)
-  let b = Batch.of_ops ~num_prios:1 [ Batch.Ins 1; Batch.Ins 1; Batch.Del; Batch.Ins 1; Batch.Del; Batch.Del ] in
+  let b = of_ops ~num_prios:1 [ Batch.Ins 1; Batch.Ins 1; Batch.Del; Batch.Ins 1; Batch.Del; Batch.Del ] in
   let asg = Anchor.assign a b in
   checki "two entries" 2 (List.length asg);
   let e1 = List.nth asg 0 and e2 = List.nth asg 1 in
@@ -130,6 +143,70 @@ let test_anchor_interleaved_entries () =
   | _ -> Alcotest.fail "e2 dels");
   checki "drained" 0 (Anchor.total_occupied a)
 
+(* Phase 3 without the tree: the parts' column starts as the positions
+   pass deals them (each part starts where the previous one ends), and a
+   part's piece read back from its starts through the lookups Skeap's
+   Phase 4 uses. *)
+let part_starts_from cols first parts =
+  let next = Array.copy first in
+  List.map
+    (fun part ->
+      let starts = Array.copy next in
+      Array.iteri (fun j s -> next.(j) <- s + Anchor.size cols part j) starts;
+      starts)
+    parts
+
+let part_starts cols parts = part_starts_from cols (Anchor.firsts cols) parts
+
+let piece_of_starts cols ~entries part starts =
+  let np = Batch.num_prios part in
+  let count k = Batch.count part k in
+  List.init entries (fun e ->
+      let base = e * (np + 1) in
+      let ins =
+        Array.init np (fun i ->
+            let j = Anchor.column cols ~entry:e ~prio:(i + 1) in
+            if j < 0 then Interval.empty
+            else Interval.of_first_card ~first:starts.(j) ~card:(count (base + i)))
+      in
+      (* Each delete offset resolved alone, then runs of one draw's
+         consecutive positions joined into intervals. *)
+      let dels = ref [] and bot = ref 0 in
+      let j = Anchor.column cols ~entry:e ~prio:0 in
+      if j >= 0 then
+        for off = starts.(j) to starts.(j) + count (base + np) - 1 do
+          let d = Anchor.draw cols ~entry:e off in
+          if d < 0 then incr bot
+          else
+            let prio = Anchor.draw_prio cols d and pos = Anchor.draw_pos cols d off in
+            dels :=
+              match !dels with
+              | (p, iv) :: rest when p = prio && Interval.hi iv + 1 = pos ->
+                  (p, Interval.make (Interval.lo iv) pos) :: rest
+              | l -> (prio, Interval.make pos pos) :: l
+        done;
+      { Anchor.ins; dels = List.rev !dels; bot = !bot })
+
+(* What a piece's message is charged: the payload the list split sent. *)
+let assignment_bits assignment =
+  let iv_bits iv =
+    if Interval.is_empty iv then 2
+    else Dpq_util.Bitsize.interval_bits ~lo:(Interval.lo iv) ~hi:(Interval.hi iv)
+  in
+  List.fold_left
+    (fun acc (ea : Anchor.entry_assign) ->
+      acc
+      + Array.fold_left (fun a iv -> a + iv_bits iv) 0 ea.ins
+      + List.fold_left (fun a (_, iv) -> a + 8 + iv_bits iv) 0 ea.dels
+      + Dpq_util.Bitsize.bits_of_int ea.bot)
+    0 assignment
+
+(* What the positions pass charges a message carrying [part]'s starts. *)
+let charged_bits cols part starts =
+  let acc = ref (Anchor.empty_bits cols) in
+  Array.iteri (fun j s -> acc := !acc + Anchor.bits cols j s (Anchor.size cols part j)) starts;
+  !acc
+
 let test_anchor_figure1 () =
   (* Figure 1 of the paper, n = 3, P = {1,2}.  Batches:
      v_a = ((1,0),0), v_b = ((2,1),1), v_c = ((1,0),2); combined (in that
@@ -138,7 +215,7 @@ let test_anchor_figure1 () =
      I_1 = ([1,4],[1,1]) and D_1 = ([1,3], ∅);
      last_1=4, last_2=1, first_1=4, first_2=1. *)
   let a = Anchor.create ~num_prios:2 in
-  let mk ops = Batch.of_ops ~num_prios:2 ops in
+  let mk ops = of_ops ~num_prios:2 ops in
   let va = mk [ Batch.Ins 1 ] in
   let vb = mk [ Batch.Ins 1; Batch.Ins 1; Batch.Ins 2; Batch.Del ] in
   let vc = mk [ Batch.Ins 1; Batch.Del; Batch.Del ] in
@@ -155,13 +232,14 @@ let test_anchor_figure1 () =
   checki "last_1 = 4" 4 (Anchor.last a ~prio:1);
   checki "first_2 = 1" 1 (Anchor.first a ~prio:2);
   checki "last_2 = 1" 1 (Anchor.last a ~prio:2);
-  (* Phase 3 decomposition against the sub-batches (figure d):
-     part v_a keeps (([1,1],∅),(∅,∅));
-     part v_b gets (([2,3],[1,1]),([1,1],∅)) — wait, the figure gives v_b
-     = (([2,2],∅),([1,2],∅))? The figure's second decomposition splits
-     [1,4] as [1,1] / [2,3] / [4,4] per insert counts 1/2/1 and [1,3] as
-     ∅ / [1,1] / [2,3] per delete counts 0/1/2. *)
-  let parts = Anchor.split ~num_prios:2 asg ~parts:[ va; vb; vc ] in
+  (* Phase 3 decomposition against the sub-batches (figure d): the
+     positions pass hands out [1,4] as [1,1] / [2,3] / [4,4] per insert
+     counts 1/2/1, and the delete offsets into D = [1,3] as ∅ / [1,1] /
+     [2,3] per delete counts 0/1/2. *)
+  let cols = Anchor.columns asg combined in
+  let parts =
+    List.map2 (piece_of_starts cols ~entries:1) [ va; vb; vc ] (part_starts cols [ va; vb; vc ])
+  in
   checki "three parts" 3 (List.length parts);
   let pa = List.hd (List.nth parts 0) in
   let pb = List.hd (List.nth parts 1) in
@@ -180,11 +258,13 @@ let test_anchor_figure1 () =
 
 let test_anchor_split_bot_goes_to_late_parts () =
   let a = Anchor.create ~num_prios:1 in
-  ignore (Anchor.assign a (Batch.of_ops ~num_prios:1 [ Batch.Ins 1 ]));
-  let asg = Anchor.assign a (Batch.of_ops ~num_prios:1 [ Batch.Del; Batch.Del; Batch.Del ]) in
-  let one_del = Batch.of_ops ~num_prios:1 [ Batch.Del ] in
-  let parts = Anchor.split ~num_prios:1 asg ~parts:[ one_del; one_del; one_del ] in
-  let bots = List.map (fun p -> (List.hd p).Anchor.bot) parts in
+  ignore (Anchor.assign a (of_ops ~num_prios:1 [ Batch.Ins 1 ]));
+  let one_del = of_ops ~num_prios:1 [ Batch.Del ] in
+  let parts = [ one_del; one_del; one_del ] in
+  let combined = List.fold_left Batch.combine (Batch.empty ~num_prios:1) parts in
+  let cols = Anchor.columns (Anchor.assign a combined) combined in
+  let pieces = List.map2 (piece_of_starts cols ~entries:1) parts (part_starts cols parts) in
+  let bots = List.map (fun p -> (List.hd p).Anchor.bot) pieces in
   Alcotest.(check (list int)) "first part matched, rest ⊥" [ 0; 1; 1 ] bots
 
 (* qcheck: anchor assignment vs a sequential multiset oracle — the number of
@@ -199,7 +279,7 @@ let prop_anchor_conservation =
   QCheck.Test.make ~name:"anchor conserves elements" ~count:200 (QCheck.make gen_ops)
     (fun ops ->
       let a = Anchor.create ~num_prios:3 in
-      let b = Batch.of_ops ~num_prios:3 ops in
+      let b = of_ops ~num_prios:3 ops in
       let asg = Anchor.assign a b in
       let matched =
         List.fold_left
@@ -235,23 +315,20 @@ let oracle_split ~num_prios (assignment : Anchor.assignment) ~parts =
         (List.rev !got, !need))
       sizes
   in
-  let split_entry (ea : Anchor.entry_assign) (part_entries : Batch.entry list) =
+  let split_entry (ea : Anchor.entry_assign) part_entries =
     let ins_parts =
       Array.init num_prios (fun i ->
-          Interval.split_sizes ea.Anchor.ins.(i)
-            (List.map (fun (pe : Batch.entry) -> pe.Batch.ins.(i)) part_entries))
+          Interval.split_sizes ea.Anchor.ins.(i) (List.map (fun (ins, _) -> ins.(i)) part_entries))
     in
-    let del_parts =
-      split_dels ea.Anchor.dels (List.map (fun (pe : Batch.entry) -> pe.Batch.del) part_entries)
-    in
+    let del_parts = split_dels ea.Anchor.dels (List.map snd part_entries) in
     List.mapi
       (fun k _ ->
         let dels, bot = List.nth del_parts k in
         { Anchor.ins = Array.init num_prios (fun i -> List.nth ins_parts.(i) k); dels; bot })
       part_entries
   in
-  let zero : Batch.entry = { Batch.ins = Array.make num_prios 0; del = 0 } in
-  let part_entry_lists = List.map Batch.entries parts in
+  let zero = (Array.make num_prios 0, 0) in
+  let part_entry_lists = List.map entries parts in
   let per_entry =
     List.mapi
       (fun j ea ->
@@ -261,12 +338,10 @@ let oracle_split ~num_prios (assignment : Anchor.assignment) ~parts =
   in
   List.init (List.length parts) (fun k -> List.map (fun pieces -> List.nth pieces k) per_entry)
 
-(* The zero-padding [Batch.combine] the tail-sharing one replaced. *)
+(* The zero-padding entry-list combine the flat vector sum replaced. *)
 let oracle_combine_entries num_prios xs ys =
-  let zero : Batch.entry = { Batch.ins = Array.make num_prios 0; del = 0 } in
-  let add (x : Batch.entry) (y : Batch.entry) : Batch.entry =
-    { Batch.ins = Array.init num_prios (fun i -> x.ins.(i) + y.ins.(i)); del = x.del + y.del }
-  in
+  let zero = (Array.make num_prios 0, 0) in
+  let add (xi, xd) (yi, yd) = (Array.init num_prios (fun i -> xi.(i) + yi.(i)), xd + yd) in
   let rec zip xs ys =
     match (xs, ys) with
     | [], [] -> []
@@ -306,56 +381,46 @@ let print_split_case (num_prios, history, parts, drop_last) =
 (* Run the case: assign the combined parts at the anchor, then split the
    assignment among the parts (one part dropped when [drop_last], so the
    demands fall short of the intervals), and each part's piece among its
-   sub-parts, as the tree does one level down. *)
-let split_case_outputs split (num_prios, history, part_ops, drop_last) =
+   sub-parts, as the tree does one level down.  With [columns], the pieces
+   are read back from the parts' column starts (each sub-part starting at
+   its part's start) and paired with their message's charge; the list
+   split pairs its pieces with [assignment_bits]. *)
+let split_case_outputs ~columns (num_prios, history, part_ops, drop_last) =
   let a = Anchor.create ~num_prios in
-  List.iter (fun ops -> ignore (Anchor.assign a (Batch.of_ops ~num_prios ops))) history;
-  let subs = List.map (List.map (Batch.of_ops ~num_prios)) part_ops in
+  List.iter (fun ops -> ignore (Anchor.assign a (of_ops ~num_prios ops))) history;
+  let subs = List.map (List.map (of_ops ~num_prios)) part_ops in
   let combine_all = List.fold_left Batch.combine (Batch.empty ~num_prios) in
   let parts = List.map combine_all subs in
-  let asg = Anchor.assign a (combine_all parts) in
+  let combined = combine_all parts in
+  let asg = Anchor.assign a combined in
   let parts, subs =
     if drop_last && List.length parts > 1 then
       let keep = List.length parts - 1 in
       (List.filteri (fun k _ -> k < keep) parts, List.filteri (fun k _ -> k < keep) subs)
     else (parts, subs)
   in
-  let pieces = split ~num_prios asg ~parts in
-  pieces :: List.map2 (fun piece sub -> split ~num_prios piece ~parts:sub) pieces subs
+  if columns then begin
+    let cols = Anchor.columns asg combined in
+    let read parts starts =
+      List.map2
+        (fun part s ->
+          (piece_of_starts cols ~entries:(List.length asg) part s, charged_bits cols part s))
+        parts starts
+    in
+    let starts = part_starts cols parts in
+    read parts starts
+    :: List.map2 (fun sub s -> read sub (part_starts_from cols s sub)) subs starts
+  end
+  else
+    let with_bits = List.map (fun p -> (p, assignment_bits p)) in
+    let pieces = oracle_split ~num_prios asg ~parts in
+    with_bits pieces
+    :: List.map2 (fun piece sub -> with_bits (oracle_split ~num_prios piece ~parts:sub)) pieces subs
 
 let prop_split_matches_oracle =
-  QCheck.Test.make ~name:"cursor split equals the list-transpose split" ~count:500
+  QCheck.Test.make ~name:"positions columns equal the list-transpose split" ~count:500
     (QCheck.make ~print:print_split_case gen_split_case) (fun case ->
-      let got = split_case_outputs Anchor.split case in
-      let want = split_case_outputs oracle_split case in
-      let bits = List.map (List.map Anchor.assignment_bits) in
-      got = want && bits got = bits want)
-
-let prop_split_rejects_excess_inserts =
-  QCheck.Test.make ~name:"split rejects insert demand beyond the interval" ~count:200
-    (QCheck.make ~print:print_split_case gen_split_case) (fun (num_prios, history, part_ops, _) ->
-      let a = Anchor.create ~num_prios in
-      List.iter (fun ops -> ignore (Anchor.assign a (Batch.of_ops ~num_prios ops))) history;
-      let parts = List.map (fun subs -> Batch.of_ops ~num_prios (List.concat subs)) part_ops in
-      let asg = Anchor.assign a (List.fold_left Batch.combine (Batch.empty ~num_prios) parts) in
-      QCheck.assume (asg <> []);
-      (* One insert more than was assigned, in the first entry. *)
-      let parts = parts @ [ Batch.of_ops ~num_prios [ Batch.Ins num_prios ] ] in
-      let raises split =
-        match split ~num_prios asg ~parts with
-        | _ -> false
-        | exception Invalid_argument _ -> true
-      in
-      raises Anchor.split && raises oracle_split)
-
-let test_anchor_split_excess_insert_raises () =
-  let a = Anchor.create ~num_prios:2 in
-  let b = Batch.of_ops ~num_prios:2 [ Batch.Ins 1; Batch.Ins 2; Batch.Del ] in
-  let asg = Anchor.assign a b in
-  checkb "raises" true
-    (match Anchor.split ~num_prios:2 asg ~parts:[ b; b ] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+      split_case_outputs ~columns:true case = split_case_outputs ~columns:false case)
 
 let prop_combine_matches_oracle =
   let gen =
@@ -363,12 +428,12 @@ let prop_combine_matches_oracle =
       int_range 1 6 >>= fun np ->
       pair (gen_ops_over np 12) (gen_ops_over np 12) >|= fun (o1, o2) -> (np, o1, o2))
   in
-  QCheck.Test.make ~name:"tail-sharing combine equals the zero-padding combine" ~count:300
+  QCheck.Test.make ~name:"flat combine equals the zero-padding combine" ~count:300
     (QCheck.make gen) (fun (np, o1, o2) ->
-      let b1 = Batch.of_ops ~num_prios:np o1 and b2 = Batch.of_ops ~num_prios:np o2 in
+      let b1 = of_ops ~num_prios:np o1 and b2 = of_ops ~num_prios:np o2 in
       let c = Batch.combine b1 b2 in
       Batch.num_prios c = np
-      && Batch.entries c = oracle_combine_entries np (Batch.entries b1) (Batch.entries b2))
+      && entries c = oracle_combine_entries np (entries b1) (entries b2))
 
 (* ---------------------------------------------------------- Full Skeap *)
 
@@ -667,9 +732,7 @@ let () =
           Alcotest.test_case "figure 1" `Quick test_anchor_figure1;
           Alcotest.test_case "split bot late parts" `Quick test_anchor_split_bot_goes_to_late_parts;
           QCheck_alcotest.to_alcotest prop_anchor_conservation;
-          Alcotest.test_case "split excess insert raises" `Quick test_anchor_split_excess_insert_raises;
           QCheck_alcotest.to_alcotest prop_split_matches_oracle;
-          QCheck_alcotest.to_alcotest prop_split_rejects_excess_inserts;
         ] );
       ( "skeap",
         [
