@@ -169,6 +169,16 @@ let up net ~local ~combine ~size_bits =
   | Some value -> (value, { mtree = tree; own; sub }, report)
   | None -> failwith "Phase.up: aggregation did not reach the anchor"
 
+let count_bits = 31
+
+let pack_counts a b =
+  if a < 0 || b < 0 || a lsr count_bits <> 0 || b lsr count_bits <> 0 then
+    invalid_arg (Printf.sprintf "Phase.pack_counts: %d or %d outside [0, 2^31)" a b);
+  (a lsl count_bits) lor b
+
+let first_count x = x lsr count_bits
+let second_count x = x land ((1 lsl count_bits) - 1)
+
 let check_memo net memo name =
   if memo.mtree != net.tree then invalid_arg (name ^ ": the memo is from another tree")
 

@@ -82,6 +82,23 @@ val up :
     A vnode sends its parent once all its children have, and the message
     is charged [size_bits] of the vnode's sub-aggregate. *)
 
+(** {2 Two counts in one immediate}
+
+    An up pass that sums two counts per vnode can carry both in one int:
+    [combine] is then [( + )] and no value of the pass is boxed.  Each
+    count takes 31 bits, so sums stay exact while both columns' totals stay
+    below [2{^31}] — counts of operations and elements held in memory, far
+    below it. *)
+
+val pack_counts : int -> int -> int
+(** [pack_counts a b] holds [a] and [b].  Raises [Invalid_argument] unless
+    both are in [\[0, 2{^31})]. *)
+
+val first_count : int -> int
+val second_count : int -> int
+(** [first_count (pack_counts a b) = a] and [second_count (pack_counts a b)
+    = b]; likewise for sums of packed counts. *)
+
 val positions :
   net ->
   memo:'a memo ->

@@ -96,7 +96,10 @@ let create ?(k = 1) ~ldb ~seed () =
   }
 
 let ldb t = t.ldb
-let[@inline] key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
+(* A key's point as its 53-bit mantissa, the form [Ldb] looks it up in
+   without boxing it. *)
+let key_mantissa t k = Dpq_util.Hashing.point t.hash k
+let key_point t k = Ldb.point_of_mantissa (key_mantissa t k)
 
 (* Successor points: replica r of a key starts at h(x) + r/k (mod 1), then
    walks forward one managed arc at a time past every node that already
@@ -111,9 +114,12 @@ let[@inline] key_point t k = Dpq_util.Hashing.to_unit_interval t.hash k
    exactly the unreplicated placement, so k = 1 runs are bit-identical to
    the historical behavior.  [place_replicas t r key] places replicas
    0..r in order into [t.rpoints] and [t.rowners], each walk checking the
-   owners of the ones before it.  It builds no array or closure (only the
-   floats it passes into [Ldb] are boxed), and the next call overwrites
-   the result. *)
+   owners of the ones before it.  It builds no array or closure, and the
+   next call overwrites the result.  Replica 0's point is the key's
+   mantissa and crosses into [Ldb] unboxed; the others are built by float
+   arithmetic (h(x) + r/k, then cycle labels), which no fixed-point int
+   reproduces exactly for every k, so they keep [Ldb]'s float entry point
+   and are boxed on each call, as are [p0] and every label read back. *)
 let owner_used t r o =
   let used = ref false in
   for j = 0 to r - 1 do
@@ -122,9 +128,10 @@ let owner_used t r o =
   !used
 
 let place_replicas t r key =
-  let p0 = key_point t key in
+  let m0 = key_mantissa t key in
+  let p0 = Ldb.point_of_mantissa m0 in
   t.rpoints.(0) <- p0;
-  t.rowners.(0) <- Ldb.owner (Ldb.manager_of_point t.ldb p0);
+  t.rowners.(0) <- Ldb.owner (Ldb.manager_of_mantissa t.ldb m0);
   for r' = 1 to r do
     let p = p0 +. (float_of_int r' /. float_of_int t.k) in
     let p = ref (if p >= 1.0 then p -. 1.0 else p) in
@@ -145,7 +152,7 @@ let replica_point t r key =
   place_replicas t r key;
   t.rpoints.(r)
 
-let manager_of_key t k = Ldb.manager_of_point t.ldb (key_point t k)
+let manager_of_key t k = Ldb.manager_of_mantissa t.ldb (key_mantissa t k)
 
 let replica_owner t r key =
   place_replicas t r key;
@@ -210,11 +217,9 @@ let end_batch t =
   t.r_rep <- [||];
   t.completions <- []
 
-(* Walk a route from [src_vnode] to the manager of [point] into the arena
-   and record its payload; returns its route id.  Sends nothing. *)
-let add_route t ~src_vnode ~point ~kind ~origin ~key ~elt ~rep =
-  let start = Ldb.path_length t.arena in
-  let len = Ldb.walk_route t.ldb t.arena ~src:src_vnode ~point in
+(* Record the payload of the route just walked into the arena at [start],
+   [len] vnodes long; returns its route id.  Sends nothing. *)
+let record_route t ~start ~len ~kind ~origin ~key ~elt ~rep =
   if len > 0x10000 then invalid_arg "Dht: route too long for the wire encoding";
   let rid = t.nroutes in
   if rid = Array.length t.r_start then begin
@@ -237,6 +242,19 @@ let add_route t ~src_vnode ~point ~kind ~origin ~key ~elt ~rep =
   t.r_rep.(rid) <- rep;
   t.nroutes <- rid + 1;
   rid
+
+(* Walk a route from [src_vnode] to the manager of [point] and record it.
+   A reply or backup point is a float; a request goes to its key's point,
+   which [add_key_route] walks as a mantissa. *)
+let add_route t ~src_vnode ~point ~kind ~origin ~key ~elt ~rep =
+  let start = Ldb.path_length t.arena in
+  let len = Ldb.walk_route t.ldb t.arena ~src:src_vnode ~point in
+  record_route t ~start ~len ~kind ~origin ~key ~elt ~rep
+
+let add_key_route t ~src_vnode ~kind ~origin ~key ~elt =
+  let start = Ldb.path_length t.arena in
+  let len = Ldb.walk_route_mantissa t.ldb t.arena ~src:src_vnode ~mantissa:(key_mantissa t key) in
+  record_route t ~start ~len ~kind ~origin ~key ~elt ~rep:0
 
 let hop_owner t rid idx = Ldb.owner (Ldb.path_get t.arena (t.r_start.(rid) + idx))
 
@@ -410,12 +428,14 @@ let handle t ~send w =
 let launch t ~send op =
   match op with
   | Put { origin; key; elt; confirm } ->
-      route_via t ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle) ~point:(key_point t key)
-        ~kind:(if confirm then kind_put_confirm else kind_put)
-        ~origin ~key ~elt ~rep:0
+      send_route t ~send
+        (add_key_route t ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle)
+           ~kind:(if confirm then kind_put_confirm else kind_put)
+           ~origin ~key ~elt)
   | Get { origin; key } ->
-      route_via t ~send ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle) ~point:(key_point t key)
-        ~kind:kind_get ~origin ~key ~elt:no_elt ~rep:0
+      send_route t ~send
+        (add_key_route t ~src_vnode:(Ldb.vnode ~owner:origin Ldb.Middle) ~kind:kind_get ~origin
+           ~key ~elt:no_elt)
 
 (* One trace event per launched operation, tagged with the manager node the
    key rendezvouses at. *)
@@ -495,7 +515,7 @@ let set_topology t ldb' =
   (* Count the elements (and parked requests) whose manager moved to a
      different real node: the data that a join/leave hands off. *)
   let moved = ref 0 in
-  let owner_of ldb key = Ldb.owner (Ldb.manager_of_point ldb (key_point t key)) in
+  let owner_of ldb key = Ldb.owner (Ldb.manager_of_mantissa ldb (key_mantissa t key)) in
   Hashtbl.iter
     (fun key q -> if owner_of t.ldb key <> owner_of ldb' key then moved := !moved + Queue.length q)
     t.stores.(0);

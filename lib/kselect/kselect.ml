@@ -151,8 +151,8 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(rep
   let n = Ldb.n ldb in
   let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
   let point_of_bits x = float_of_int x /. float_of_int (1 lsl d') in
-  let pos_point i = Hashing.to_unit_interval hash_pos i in
-  let pair_point i j = Hashing.pair_to_unit_interval hash_pair (min i j) (max i j) in
+  let pos_point i = Ldb.point_of_mantissa (Hashing.point hash_pos i) in
+  let pair_point i j = Ldb.point_of_mantissa (Hashing.pair_point hash_pair (min i j) (max i j)) in
   let tnodes : (int * int, tnode) Hashtbl.t = Hashtbl.create (4 * n') in
   let rendez : (int * int, int * Element.t * float) Hashtbl.t = Hashtbl.create (n' * n' / 2) in
   let orders = Array.make (n' + 1) 0 in
@@ -507,6 +507,25 @@ let take s ~src ~item_bits =
   sort_prefix s.dsts !ndst;
   !ndst
 
+(* The engine every aggregated stage of one selection runs on, created at
+   its first stage and reset before each later one the way [Phase.net]
+   reuses its engine: a stage delivers, costs and draws faults exactly as
+   on a fresh engine, while the queue keeps the buffers it grew.  A
+   message is a row id; the running stage installs what a delivery, an
+   activation and a message's size mean, and between stages they fail. *)
+type sort_net = {
+  mutable eng : int Sync.t option;
+  mutable handle : int Sync.t -> int -> int -> unit;  (** [handle eng dst w] *)
+  mutable activate : int Sync.t -> int -> unit;
+  mutable size : int -> int;
+}
+
+let idle_handle _ _ _ = failwith "Kselect: sorting message delivered outside a stage"
+let idle_activate _ _ = failwith "Kselect: sorting activation outside a stage"
+let idle_size _ = 0
+
+let sort_net () = { eng = None; handle = idle_handle; activate = idle_activate; size = idle_size }
+
 (* The aggregated sorting stage: same copy trees, same hashed pair points,
    same vote algebra as the pairwise reference, but every payload goes
    directly to its destination's manager.  Items buffer in the [store];
@@ -522,8 +541,8 @@ let take s ~src ~item_bits =
    by bitstring x and of pair points by slot min·(n'+1) + max, each looked
    up once per stage; tree node c_{i,j} and the rendezvous of {i, j} in
    columns indexed i·(n'+1) + j. *)
-let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(store : store)
-    ~(reps : reps) ~n' ~(add_report : Phase.report -> unit) =
+let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(net : sort_net)
+    ~(store : store) ~(reps : reps) ~n' ~(add_report : Phase.report -> unit) =
   let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
   let s = store in
   let n = Ldb.n ldb in
@@ -550,10 +569,11 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(s
      else child_sum_bits ~i ~parent_mid:s.f_pmid.(q) ~smaller:s.f_b.(q) ~larger:s.f_x.(q))
     + point_bits + 2
   in
+  (* Points reach [Ldb] as 53-bit mantissas, unboxed.  The copy point
+     x/2^d' is the mantissa x·2^(53-d'), exactly: x < 2^d'. *)
   let copy_vnode = Array.make (1 lsl d') (-1) in
   let copy_manager x =
-    if copy_vnode.(x) < 0 then
-      copy_vnode.(x) <- Ldb.manager_of_point ldb (float_of_int x /. float_of_int (1 lsl d'));
+    if copy_vnode.(x) < 0 then copy_vnode.(x) <- Ldb.manager_of_mantissa ldb (x lsl (53 - d'));
     copy_vnode.(x)
   in
   let pair_vnode = Array.make cells (-1) in
@@ -561,8 +581,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(s
     let lo = min i j and hi = max i j in
     let slot = (lo * side) + hi in
     if pair_vnode.(slot) < 0 then
-      pair_vnode.(slot) <-
-        Ldb.manager_of_point ldb (Hashing.pair_to_unit_interval hash_pair lo hi);
+      pair_vnode.(slot) <- Ldb.manager_of_mantissa ldb (Hashing.pair_point hash_pair lo hi);
     pair_vnode.(slot)
   in
   (* Tree node c_{i,j}: its vnode (-1 until its copy arrives), its parent's
@@ -674,7 +693,7 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(s
         ((i * side) + s.f_pmid.(q))
         ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
   in
-  let handler eng ~dst ~src:_ w =
+  let handler eng dst w =
     if w < 0 then begin
       let q = lnot w in
       handle eng dst q;
@@ -708,13 +727,30 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(s
       Sync.send eng ~src:node ~dst:d first
     done
   in
-  let size_bits w = if w < 0 then 0 else s.m_bits.(w) in
-  let eng = Sync.create ~n ~size_bits ~handler ~activate ?trace ?faults ?sched () in
+  let eng =
+    match net.eng with
+    | Some eng ->
+        Sync.reset_clock eng;
+        eng
+    | None ->
+        let eng =
+          Sync.create ~n
+            ~size_bits:(fun w -> net.size w)
+            ~handler:(fun eng ~dst ~src:_ w -> net.handle eng dst w)
+            ~activate:(fun eng node -> net.activate eng node)
+            ?trace ?faults ?sched ()
+        in
+        net.eng <- Some eng;
+        eng
+  in
+  net.handle <- handler;
+  net.activate <- activate;
+  net.size <- (fun w -> if w < 0 then 0 else s.m_bits.(w));
   (* Kick off: every chosen representative goes to the manager of its
      position, which becomes the root v_i of copy tree T(v_i). *)
   for node = 0 to n - 1 do
     for pos = reps.pos_lo.(node) to reps.pos_lo.(node) + reps.pos_count.(node) - 1 do
-      let root = Ldb.manager_of_point ldb (Hashing.to_unit_interval hash_pos pos) in
+      let root = Ldb.manager_of_mantissa ldb (Hashing.point hash_pos pos) in
       post eng ~src:node root ~kind:k_disseminate ~i:pos ~a:1 ~b:n' ~x:(-1) ~v:root ~parent:(-1)
         ~pmid:(-1)
     done
@@ -728,6 +764,9 @@ let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(s
     Sync.step eng;
     incr rounds
   done;
+  net.handle <- idle_handle;
+  net.activate <- idle_activate;
+  net.size <- idle_size;
   let stage_report = Phase.report_of_metrics (Sync.metrics eng) !rounds in
   add_report stage_report;
   Phase.trace_phase_end trace span "kselect-sort" stage_report;
@@ -771,6 +810,7 @@ type state = {
   scratch : Element.t array; (* Phase 1's local selection *)
   reps : reps;
   store : store;
+  sort_net : sort_net;
   mutable n_remaining : int; (* v0.N *)
   mutable k : int; (* v0.k *)
   mutable prune : prune option; (* decided, rides on the next broadcast *)
@@ -908,11 +948,12 @@ let phase1_iteration st =
       done;
       st.cand_len.(node) <- !kept
     done;
-    (* Charge the (k', k'') count aggregation. *)
-    let _, _ =
+    (* Charge the (k', k'') count aggregation; the counts were taken
+       above, so the pass carries empty packed pairs. *)
+    let (_ : int), _ =
       up st
-        ~local:(fun _ -> (0, 0))
-        ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
+        ~local:(fun _ -> Phase.pack_counts 0 0)
+        ~combine:( + )
         ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
     in
     st.k <- st.k - !removed_below;
@@ -978,15 +1019,15 @@ let exact_ranks st c_l c_r =
       if Element.compare cs.(t) c_l < 0 then incr below_l;
       if Element.compare cs.(t) c_r < 0 then incr below_r
     done;
-    (!below_l, !below_r)
+    Phase.pack_counts !below_l !below_r
   in
-  let (bl, br), _ =
+  let below, _ =
     up st
-      ~local:(fun v -> match Ldb.kind v with Ldb.Middle -> local (Ldb.owner v) | _ -> (0, 0))
-      ~combine:(fun (a, b) (c, d) -> (a + c, b + d))
+      ~local:(fun v -> match Ldb.kind v with Ldb.Middle -> local (Ldb.owner v) | _ -> 0)
+      ~combine:( + )
       ~size_bits:(fun _ -> 2 * int_bits (max 1 st.n_remaining))
   in
-  (bl + 1, br + 1)
+  (Phase.first_count below + 1, Phase.second_count below + 1)
 
 (* The anchor's prune decision from the exact ranks, with no count
    convergecast: candidates are totally ordered, so pruning at or below c_l
@@ -1059,6 +1100,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
           pos_count = Array.make n 0;
         };
       store = store_create ~n;
+      sort_net = sort_net ();
       n_remaining = m;
       k;
       prune = None;
@@ -1074,7 +1116,8 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
     let by_order, parts =
       if aggregated then
         sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
-          ~hash_pair:st.hash_pair ~store:st.store ~reps:st.reps ~n' ~add_report:(add_report st)
+          ~hash_pair:st.hash_pair ~net:st.sort_net ~store:st.store ~reps:st.reps ~n'
+          ~add_report:(add_report st)
       else
         sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
           ~hash_pair:st.hash_pair ~reps:st.reps ~n' ~add_report:(add_report st)

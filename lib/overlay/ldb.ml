@@ -72,9 +72,13 @@ let build_from_middles ?present ~seed middles =
   done;
   { n; seed; present; labels; cycle; cycle_pos; d; pidx }
 
+(* A hashed point's 53-bit mantissa [m] is the point [m·2^-53], exactly:
+   [m] fits a double's mantissa and the scaling is a power of two. *)
+let[@inline] point_of_mantissa m = float_of_int m *. 0x1p-53
+
 let middle_label ~seed id =
   let h = Dpq_util.Hashing.create ~seed in
-  Dpq_util.Hashing.to_unit_interval h id
+  point_of_mantissa (Dpq_util.Hashing.point h id)
 
 let build ~n ~seed =
   if n < 1 then invalid_arg "Ldb.build: need n >= 1";
@@ -97,7 +101,9 @@ let pred t v =
    bucket's start; a short forward scan (expected O(1): labels are
    hash-uniform) finishes the job.  This sits on every routing step, where
    it replaced a full binary search over the cycle; it is inlined, so the
-   walk below never boxes its float argument. *)
+   walk below never boxes its float argument, and neither does
+   [manager_of_mantissa], whose int argument crosses the library boundary
+   unboxed and becomes a float only here. *)
 let[@inline] manager_pos t p =
   let len = Array.length t.cycle in
   if p < 0.0 then len - 1
@@ -110,6 +116,7 @@ let[@inline] manager_pos t p =
   end
 
 let manager_of_point t p = t.cycle.(manager_pos t p)
+let manager_of_mantissa t m = t.cycle.(manager_pos t (point_of_mantissa m))
 
 let min_vnode t = t.cycle.(0)
 
@@ -161,7 +168,7 @@ let seek_kind_near t v p k =
 
 let seek_middle_near t v p = seek_kind_near t v p Middle
 
-let bit_of_point p i =
+let[@inline] bit_of_point p i =
   (* i-th bit of the binary expansion of p in [0,1), 1-based, MSB first. *)
   let x = p *. Float.of_int (1 lsl i) in
   int_of_float (floor x) land 1
@@ -265,7 +272,9 @@ let middle_steps t pos dir =
   done;
   !found
 
-let walk_route t b ~src ~point =
+(* The walk itself, shared by both entry points below; inlined into each,
+   so neither boxes the point. *)
+let[@inline] walk t b src point =
   if point < 0.0 || point >= 1.0 then invalid_arg "Ldb.route: point must be in [0,1)";
   let start = b.len in
   path_push b src;
@@ -294,6 +303,9 @@ let walk_route t b ~src ~point =
   done;
   walk_to t b !cur t.cycle.(manager_pos t point);
   b.len - start
+
+let walk_route t b ~src ~point = walk t b src point
+let walk_route_mantissa t b ~src ~mantissa = walk t b src (point_of_mantissa mantissa)
 
 let route_path t ~src ~point =
   let b = path_buf () in

@@ -50,6 +50,16 @@ val manager_of_point : t -> float -> vnode
     greatest label [<= p] (wrapping to the maximum label below the minimum
     label). *)
 
+val point_of_mantissa : int -> float
+(** [point_of_mantissa m = m·2{^-53}], exactly: the point of [\[0,1)] whose
+    53-bit mantissa {!Dpq_util.Hashing.point} returns. *)
+
+val manager_of_mantissa : t -> int -> vnode
+(** [manager_of_mantissa t m = manager_of_point t (point_of_mantissa m)],
+    bit for bit, with the point passed as an immediate int: across a
+    library compiled with [-opaque] a float argument is boxed on every
+    call, an int never is. *)
+
 val min_vnode : t -> vnode
 (** The virtual node with the globally smallest label — the aggregation
     tree's anchor position (Appendix A). *)
@@ -87,6 +97,10 @@ val walk_route : t -> path_buf -> src:vnode -> point:float -> int
     uses index arithmetic on the sorted cycle and allocates nothing but
     the buffer's growth — the forwarding hot path of the DHT, which never
     looks at the hop constructors and indexes the path by hop position. *)
+
+val walk_route_mantissa : t -> path_buf -> src:vnode -> mantissa:int -> int
+(** [walk_route] to the point [point_of_mantissa mantissa], bit for bit,
+    without boxing it (see {!manager_of_mantissa}). *)
 
 val route_path : t -> src:vnode -> point:float -> vnode list
 (** [fst (route t ~src ~point)], computed with {!walk_route}. *)

@@ -42,9 +42,9 @@
     doubles once it holds more than two keys per bucket, splitting each
     bucket in order, and {!Int_table.reset} returns it to its initial
     bucket count.  The nodes of many tables live in one {!Int_table.store}.
-    Exposed as a test seam: [test/test_faults.ml] drives it against
-    [Hashtbl.Make (Int)] and the polymorphic [Hashtbl] to catch a change
-    in the stdlib's internals. *)
+    [test/test_faults.ml] drives it against [Hashtbl.Make (Int)] and the
+    polymorphic [Hashtbl] to catch a change in the stdlib's internals.
+    Seap also indexes a phase's DHT requests by key with it. *)
 module Int_table : sig
   type store
   (** Node columns and a free list, shared by any number of tables. *)

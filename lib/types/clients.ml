@@ -28,10 +28,47 @@ type completion = Types.completion = {
 type kind = [ `Ins of Element.t | `Del ]
 type pending = { local_seq : int; kind : kind }
 
+(* A node's buffered operations, oldest first, in [ops.(head) ..
+   ops.(head + len - 1)]; every other slot holds [vacant], so a taken
+   operation is not kept alive by the buffer.  A snapshot takes operations
+   out in place, so an operation it leaves costs it nothing. *)
+type buffer = { mutable ops : pending array; mutable head : int; mutable len : int }
+
+let vacant = { local_seq = -1; kind = `Del }
+let buffer () = { ops = [||]; head = 0; len = 0 }
+
+(* Append [p]; when the array's end is reached, slide the operations to
+   the front if that frees at least half of it, else double it. *)
+let buffer_push b p =
+  let cap = Array.length b.ops in
+  if b.head + b.len = cap then begin
+    let a = if cap > 0 && 2 * b.len <= cap then b.ops else Array.make (max 8 (2 * cap)) vacant in
+    Array.blit b.ops b.head a 0 b.len;
+    if a == b.ops then Array.fill a b.len (cap - b.len) vacant;
+    b.ops <- a;
+    b.head <- 0
+  end;
+  b.ops.(b.head + b.len) <- p;
+  b.len <- b.len + 1
+
+(* The operations in [lo .. hi], in order, and vacate their slots. *)
+let buffer_take b lo hi =
+  let l = ref [] in
+  for i = hi downto lo do
+    l := b.ops.(i) :: !l;
+    b.ops.(i) <- vacant
+  done;
+  !l
+
+let buffer_clear b =
+  Array.fill b.ops b.head b.len vacant;
+  b.head <- 0;
+  b.len <- 0
+
 type t = {
   name : string;
   max_prio : int option;
-  mutable buffers : pending Queue.t array;
+  mutable buffers : buffer array;
   mutable seq_counters : int array; (* per-node local operation counter *)
   mutable elt_counters : int array; (* per-node element tiebreaker counter *)
   mutable dead : bool array; (* permanently lost (killed) node ids *)
@@ -48,7 +85,7 @@ let create ~name ?max_prio ~n () =
   {
     name;
     max_prio;
-    buffers = Array.init n (fun _ -> Queue.create ());
+    buffers = Array.init n (fun _ -> buffer ());
     seq_counters = Array.make n 0;
     elt_counters = Array.make n 0;
     dead = Array.make n false;
@@ -67,7 +104,7 @@ let check_node c node =
 let push c node kind =
   let local_seq = c.seq_counters.(node) in
   c.seq_counters.(node) <- local_seq + 1;
-  Queue.push { local_seq; kind } c.buffers.(node)
+  buffer_push c.buffers.(node) { local_seq; kind }
 
 let insert c ~node ~prio =
   check_node c node;
@@ -87,7 +124,7 @@ let delete_min c ~node =
   check_node c node;
   push c node `Del
 
-let pending_ops c = Array.fold_left (fun acc q -> acc + Queue.length q) 0 c.buffers
+let pending_ops c = Array.fold_left (fun acc b -> acc + b.len) 0 c.buffers
 let oplog c = Oplog.of_list c.log
 
 let rec descending witness = function
@@ -127,34 +164,40 @@ end
 
 type take = All | Matching of (kind -> bool) | Leading of (kind -> bool)
 
-let take_all q =
-  let all = List.rev (Queue.fold (fun acc p -> p :: acc) [] q) in
-  Queue.clear q;
-  all
+(* One pass from the back: a taken operation is consed onto the result,
+   a kept one slides back over the gap the taken ones left, so both keep
+   their order and the kept ones end the buffer. *)
+let take_matching keep b =
+  let last = b.head + b.len - 1 in
+  let mine = ref [] and w = ref last in
+  for i = last downto b.head do
+    let p = b.ops.(i) in
+    if keep p.kind then mine := p :: !mine
+    else begin
+      b.ops.(!w) <- p;
+      decr w
+    end
+  done;
+  Array.fill b.ops b.head (!w + 1 - b.head) vacant;
+  b.len <- last - !w;
+  b.head <- (if b.len = 0 then 0 else !w + 1);
+  !mine
+
+let take_leading keep b =
+  let r = ref 0 in
+  while !r < b.len && keep b.ops.(b.head + !r).kind do
+    incr r
+  done;
+  let mine = buffer_take b b.head (b.head + !r - 1) in
+  b.len <- b.len - !r;
+  b.head <- (if b.len = 0 then 0 else b.head + !r);
+  mine
 
 let snapshot c take =
   match take with
-  | All -> Array.map take_all c.buffers
-  | Matching keep ->
-      let keep p = keep p.kind in
-      Array.map
-        (fun q ->
-          let mine, rest = List.partition keep (take_all q) in
-          List.iter (fun p -> Queue.push p q) rest;
-          mine)
-        c.buffers
-  | Leading keep ->
-      Array.map
-        (fun q ->
-          let rec go acc =
-            match Queue.peek_opt q with
-            | Some p when keep p.kind ->
-                ignore (Queue.pop q);
-                go (p :: acc)
-            | _ -> List.rev acc
-          in
-          go [])
-        c.buffers
+  | All -> Array.map (take_leading (fun _ -> true)) c.buffers
+  | Matching keep -> Array.map (take_matching keep) c.buffers
+  | Leading keep -> Array.map (take_leading keep) c.buffers
 
 let issued c node = c.seq_counters.(node)
 
@@ -175,12 +218,20 @@ let sort_completions cs =
       if c <> 0 then c else Int.compare a.local_seq b.local_seq)
     cs
 
+let[@tail_mod_cons] rec merge_completions (a : completion list) (b : completion list) =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      if x.node < y.node || (x.node = y.node && x.local_seq < y.local_seq) then
+        x :: merge_completions a' b
+      else y :: merge_completions a b'
+
 let drain c iterate =
   let rec go acc = if pending_ops c = 0 then List.rev acc else go (iterate () :: acc) in
   go []
 
 let kill c ~node =
-  Queue.clear c.buffers.(node);
+  buffer_clear c.buffers.(node);
   c.dead.(node) <- true
 
 let grow_array a len zero = Array.init len (fun i -> if i < Array.length a then a.(i) else zero)
@@ -188,14 +239,14 @@ let grow_array a len zero = Array.init len (fun i -> if i < Array.length a then 
 let add_node c =
   let id = n c in
   let seq0, elt0 = match Hashtbl.find_opt c.retired id with Some s -> s | None -> (0, 0) in
-  c.buffers <- grow_array c.buffers (id + 1) (Queue.create ());
+  c.buffers <- grow_array c.buffers (id + 1) (buffer ());
   c.seq_counters <- grow_array c.seq_counters (id + 1) seq0;
   c.elt_counters <- grow_array c.elt_counters (id + 1) elt0;
   c.dead <- grow_array c.dead (id + 1) false
 
 let remove_last_node c =
   let leaving = n c - 1 in
-  if not (Queue.is_empty c.buffers.(leaving)) then
+  if c.buffers.(leaving).len > 0 then
     invalid_arg (c.name ^ ".remove_last_node: leaving node still has buffered operations");
   Hashtbl.replace c.retired leaving (c.seq_counters.(leaving), c.elt_counters.(leaving));
   c.buffers <- Array.sub c.buffers 0 leaving;

@@ -94,7 +94,8 @@ type take =
           [Sequential] mode) *)
 
 val snapshot : t -> take -> pending list array
-(** Remove the taken operations, per node in issue order. *)
+(** Remove the taken operations, per node in issue order.  Costs one list
+    cell per operation taken; the ones left stay where they are. *)
 
 val issued : t -> int -> int
 (** Operations [node] has issued so far (its next [local_seq]) — the
@@ -113,6 +114,9 @@ val serialize : t -> node:int -> local_seq:int -> Oplog.kind -> Element.t option
 
 val sort_completions : completion list -> completion list
 (** Sorted by [(node, local_seq)]. *)
+
+val merge_completions : completion list -> completion list -> completion list
+(** Merge two lists sorted by [(node, local_seq)] into one. *)
 
 val drain : t -> (unit -> 'r) -> 'r list
 (** [drain c iterate] runs protocol iterations until nothing is buffered;

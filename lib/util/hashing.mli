@@ -19,9 +19,13 @@ val int : t -> int -> int
 val pair : t -> int -> int -> int
 (** Hash an ordered pair. *)
 
-val to_unit_interval : t -> int -> float
-(** Hash an int to a uniform point of [0,1) — used for LDB labels and DHT
-    keys. *)
+val point : t -> int -> int
+(** Hash an int to a uniform point of [\[0,1)], given as its 53-bit
+    mantissa [m] in [\[0, 2{^53})]: the point is [m·2{^-53}], exactly a
+    double.  Used for LDB labels, DHT keys and KSelect's positions; an int
+    crosses a library boundary unboxed, and [Ldb]'s lookups take it as
+    is. *)
 
-val pair_to_unit_interval : t -> int -> int -> float
-(** Ordered pair to a uniform point of [0,1). *)
+val pair_point : t -> int -> int -> int
+(** An ordered pair to a uniform point of [\[0,1)], as {!point} gives
+    it: [pair_point t i j = pair t i j lsr 9]. *)

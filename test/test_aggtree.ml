@@ -476,6 +476,26 @@ let test_pass_allocation () =
   checkb (Printf.sprintf "up: %.3f minor words per vnode <= 0.5" up_w) true (up_w <= 0.5);
   checkb (Printf.sprintf "broadcast: %.3f minor words per vnode <= 0.5" bcast_w) true (bcast_w <= 0.5)
 
+(* Two counts share one immediate: sums of packed pairs unpack to the
+   column sums, and a count that would not fit its 31 bits is refused. *)
+let test_packed_counts () =
+  let big = (1 lsl 31) - 1 in
+  List.iter
+    (fun (a, b) ->
+      let x = Phase.pack_counts a b in
+      checki "first" a (Phase.first_count x);
+      checki "second" b (Phase.second_count x))
+    [ (0, 0); (1, 0); (0, 1); (big, big); (12345, 678) ];
+  let sum = Phase.pack_counts 3 big + Phase.pack_counts (big - 3) 0 in
+  checki "summed first" big (Phase.first_count sum);
+  checki "summed second" big (Phase.second_count sum);
+  List.iter
+    (fun (a, b) ->
+      match Phase.pack_counts a b with
+      | _ -> Alcotest.failf "pack_counts %d %d accepted" a b
+      | exception Invalid_argument _ -> ())
+    [ (big + 1, 0); (0, big + 1); (max_int, 0); (-1, 0); (0, -1) ]
+
 let () =
   Alcotest.run "dpq_aggtree"
     [
@@ -504,5 +524,6 @@ let () =
           Alcotest.test_case "reused net equals fresh engines" `Quick test_reused_net_equals_fresh;
           Alcotest.test_case "re-entry fails" `Quick test_reentry_fails;
           Alcotest.test_case "allocation per vnode" `Quick test_pass_allocation;
+          Alcotest.test_case "packed counts" `Quick test_packed_counts;
         ] );
     ]

@@ -246,9 +246,11 @@ let test_take_log_order () =
    over flat count-vector batches, so no pass allocates a piece, list or
    interval per vnode.  [process] on n = 1024, 4 priorities, measured over
    batches 2-9 of a closed workload at seed 3 (the first batch warms the
-   engines up), read 76.3 minor words per op at λ = 1 and 61.6 at λ = 4;
-   with a generic down pass splitting interval lists per vnode and batches
-   as entry lists, 274.0 and 151.4. *)
+   engines up), read 71.3 minor words per op at λ = 1 and 56.7 at λ = 4
+   (76.3 and 61.6 with the client buffers as queues that a snapshot
+   drained into a list and reversed); with a generic down pass splitting
+   interval lists per vnode and batches as entry lists, 274.0 and
+   151.4. *)
 let test_skeap_process_allocation () =
   let module W = Dpq_workloads.Workload in
   List.iter
@@ -295,6 +297,63 @@ let test_skeap_process_allocation () =
         true (per_op <= bound))
     [ (1, 120.0); (4, 90.0) ]
 
+(* Allocation guard for a Seap batch: hashed points reach the overlay as
+   int mantissas, count pairs travel packed in one int, the snapshot takes
+   operations out of the buffers in place, and the bookkeeping runs over
+   the snapshot and flat slot arrays, so Seap's own bookkeeping allocates
+   nothing per operation but the DHT requests, the completions and the
+   oplog records.
+   [process] on n = 1024, uniform priorities, measured over batches 2-9 of
+   a closed workload at seed 3, read 148.0 minor words per op at λ = 1
+   with 60% inserts and 111.0 at λ = 4 with 75% inserts; with boxed float
+   points, tuple counts, a drain-and-refill snapshot and tuple-keyed
+   tables and list sorts, 429.6 and 292.7. *)
+let test_seap_process_allocation () =
+  let module W = Dpq_workloads.Workload in
+  List.iter
+    (fun (lambda, insert_ratio, bound) ->
+      let n = 1024 in
+      let h = H.create ~n H.Seap in
+      let g =
+        W.Gen.create
+          {
+            W.Gen.n;
+            rounds = 9;
+            lambda;
+            insert_ratio;
+            dist = W.Uniform (1, 1_000_000);
+            seed = 3;
+            arrival = W.Closed;
+          }
+      in
+      let words = ref 0.0 and ops = ref 0 and batch = ref 0 in
+      let rec go () =
+        match W.Gen.next g with
+        | None -> ()
+        | Some round ->
+            incr batch;
+            List.iter
+              (fun (o : W.op) ->
+                match o.action with
+                | `Ins prio -> ignore (H.insert h ~node:o.node ~prio)
+                | `Del -> H.delete_min h ~node:o.node)
+              round;
+            let before = Gc.minor_words () in
+            ignore (Sys.opaque_identity (H.process h));
+            if !batch >= 2 then begin
+              words := !words +. (Gc.minor_words () -. before);
+              ops := !ops + List.length round
+            end;
+            ignore (H.take_oplog h);
+            go ()
+      in
+      go ();
+      let per_op = !words /. float_of_int !ops in
+      checkb
+        (Printf.sprintf "λ=%d: %.1f minor words per op <= %.0f" lambda per_op bound)
+        true (per_op <= bound))
+    [ (1, 0.6, 170.0); (4, 0.75, 128.0) ]
+
 let () =
   Alcotest.run "dpq_core"
     [
@@ -314,5 +373,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_facade_verifies_random_runs;
           Alcotest.test_case "take_log returns witness order" `Quick test_take_log_order;
           Alcotest.test_case "skeap process allocation" `Quick test_skeap_process_allocation;
+          Alcotest.test_case "seap process allocation" `Quick test_seap_process_allocation;
         ] );
     ]

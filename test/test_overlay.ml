@@ -197,6 +197,77 @@ let test_ldb_walk_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   checkb (Printf.sprintf "1000 walks: %.0f minor words < 100" words) true (words < 100.0)
 
+(* The int entry points take a hashed point as its 53-bit mantissa m.
+   They must answer exactly what the float ones do for the point
+   m·2^-53, computed here independently of [Ldb]: for 10^5 random
+   mantissas, both ends of the range, and every label's own mantissa with
+   its neighbours (the cells where a lookup flips from one vnode to the
+   next). *)
+let oracle m = Float.ldexp (float_of_int m) (-53)
+
+let test_ldb_mantissa_entry_points () =
+  let top = (1 lsl 53) - 1 in
+  List.iter
+    (fun n ->
+      let ldb = Ldb.build ~n ~seed:(29 + n) in
+      let r = Dpq_util.Rng.create ~seed:n in
+      let labels =
+        List.concat_map
+          (fun v ->
+            let m = int_of_float (Float.ldexp (Ldb.label ldb v) 53) in
+            [ m - 1; m; m + 1 ])
+          (Array.to_list (Ldb.vnodes_in_cycle_order ldb))
+      in
+      let random = List.init 100_000 (fun _ -> Dpq_util.Rng.int r (1 lsl 53)) in
+      let ms = List.filter (fun m -> m >= 0 && m <= top) ([ 0; 1; top ] @ labels @ random) in
+      let a = Ldb.path_buf () and b = Ldb.path_buf () in
+      List.iteri
+        (fun i m ->
+          let p = oracle m in
+          if Ldb.manager_of_mantissa ldb m <> Ldb.manager_of_point ldb p then
+            Alcotest.failf "n=%d: manager of mantissa %d differs from that of %h" n m p;
+          let src = i mod (3 * n) in
+          Ldb.path_clear a;
+          Ldb.path_clear b;
+          let la = Ldb.walk_route_mantissa ldb a ~src ~mantissa:m in
+          let lb = Ldb.walk_route ldb b ~src ~point:p in
+          if la <> lb || List.init la (Ldb.path_get a) <> List.init lb (Ldb.path_get b) then
+            Alcotest.failf "n=%d: walk from %d to mantissa %d differs from the walk to %h" n src
+              m p)
+        ms;
+      (* A copy point x/2^d' is the mantissa x·2^(53-d'), exactly. *)
+      for d' = 1 to 12 do
+        for x = 0 to (1 lsl d') - 1 do
+          let m = x lsl (53 - d') in
+          let p = float_of_int x /. float_of_int (1 lsl d') in
+          if oracle m <> p then Alcotest.failf "copy point %d/2^%d: %h <> %h" x d' (oracle m) p;
+          if Ldb.manager_of_mantissa ldb m <> Ldb.manager_of_point ldb p then
+            Alcotest.failf "n=%d: copy point %d/2^%d has another manager" n x d'
+        done
+      done)
+    [ 1; 5; 64 ]
+
+(* The int entry points box nothing: a lookup allocates nothing, and a
+   walk only its buffer's growth. *)
+let test_ldb_mantissa_allocates_nothing () =
+  let ldb = Ldb.build ~n:1024 ~seed:5 in
+  let r = Dpq_util.Rng.create ~seed:9 in
+  let ms = Array.init 1000 (fun _ -> Dpq_util.Rng.int r (1 lsl 53)) in
+  let buf = Ldb.path_buf () in
+  let walk_all () =
+    Ldb.path_clear buf;
+    Array.iteri
+      (fun src m ->
+        ignore (Ldb.manager_of_mantissa ldb m);
+        ignore (Ldb.walk_route_mantissa ldb buf ~src ~mantissa:m))
+      ms
+  in
+  walk_all ();
+  let before = Gc.minor_words () in
+  walk_all ();
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "1000 lookups and walks: %.0f minor words < 100" words) true (words < 100.0)
+
 let test_ldb_debruijn_hop () =
   (* One emulated de Bruijn edge lands at the manager of (p + bit)/2 and
      costs O(1)-ish messages. *)
@@ -306,6 +377,8 @@ let () =
           Alcotest.test_case "route local edges only" `Quick test_ldb_route_uses_only_local_edges;
           Alcotest.test_case "walk equals route" `Quick test_ldb_walk_equals_route;
           Alcotest.test_case "walk allocates nothing" `Quick test_ldb_walk_allocates_nothing;
+          Alcotest.test_case "mantissa entry points" `Quick test_ldb_mantissa_entry_points;
+          Alcotest.test_case "mantissa allocates nothing" `Quick test_ldb_mantissa_allocates_nothing;
           Alcotest.test_case "debruijn hop" `Quick test_ldb_debruijn_hop;
           Alcotest.test_case "debruijn hop back" `Quick test_ldb_debruijn_hop_back;
           Alcotest.test_case "hop near wrap" `Quick test_ldb_hop_near_wrap;

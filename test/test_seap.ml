@@ -122,6 +122,53 @@ let test_random_semantics_sync () =
       ok_or_fail (Checker.check Checker.Online.Seap_contract (S.oplog h)))
     [ 1; 2; 3 ]
 
+(* A round's completions are built apart from its oplog records (from the
+   snapshot and the rebound slots, not from the serialization pass), so
+   they must agree op for op: sorted by (node, local_seq), one per record,
+   each answer the record's result.  Nodes issue several deletes per
+   round, so a node's fetched elements must be rebound to its deletes in
+   issue order in both.  Both consistency modes, ⊥ answers included. *)
+let test_completions_match_oplog () =
+  let module O = Dpq_semantics.Oplog in
+  List.iter
+    (fun consistency ->
+      let n = 6 in
+      let h = S.create ~seed:4 ~consistency ~n () in
+      let rng = Dpq_util.Rng.create ~seed:41 in
+      for round = 1 to 8 do
+        for _ = 1 to 30 do
+          let node = Dpq_util.Rng.int rng n in
+          if round <= 2 || Dpq_util.Rng.int rng 3 = 0 then
+            ignore (S.insert h ~node ~prio:(1 + Dpq_util.Rng.int rng 1000))
+          else S.delete_min h ~node
+        done;
+        let r = S.process_round h in
+        let key (c : S.completion) = (c.node, c.local_seq) in
+        let keys = List.map key r.S.completions in
+        checkb "sorted by (node, local_seq)" true (keys = List.sort_uniq compare keys);
+        let recs = S.take_log h in
+        checki "one record per completion" (List.length recs) (List.length r.S.completions);
+        List.iter
+          (fun (c : S.completion) ->
+            match
+              List.find_opt (fun (x : O.record) -> (x.node, x.local_seq) = key c) recs
+            with
+            | None -> Alcotest.failf "no record for (%d, %d)" c.node c.local_seq
+            | Some x ->
+                let agree =
+                  match (c.outcome, x.kind, x.result) with
+                  | `Inserted e, O.Insert e', None -> E.equal e e'
+                  | `Got e, O.Delete_min, Some e' -> E.equal e e'
+                  | `Empty, O.Delete_min, None -> true
+                  | _ -> false
+                in
+                if not agree then
+                  Alcotest.failf "round %d: (%d, %d) answered apart from its record" round c.node
+                    c.local_seq)
+          r.S.completions
+      done)
+    [ S.Serializable; S.Sequential ]
+
 let test_random_semantics_async () =
   List.iter
     (fun policy ->
@@ -477,6 +524,7 @@ let () =
           Alcotest.test_case "duplicate priorities" `Quick test_duplicate_priorities;
           Alcotest.test_case "random semantics (sync)" `Quick test_random_semantics_sync;
           Alcotest.test_case "random semantics (async)" `Quick test_random_semantics_async;
+          Alcotest.test_case "completions match the oplog" `Quick test_completions_match_oplog;
           Alcotest.test_case "message bits flat in Λ" `Quick test_message_bits_independent_of_rate;
           Alcotest.test_case "rounds logarithmic" `Slow test_rounds_logarithmic;
           Alcotest.test_case "fairness" `Quick test_fairness;

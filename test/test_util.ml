@@ -207,8 +207,8 @@ let test_hash_seed_dependent () =
 let test_hash_unit_interval () =
   let h = Hashing.create ~seed:5 in
   for x = 0 to 1000 do
-    let f = Hashing.to_unit_interval h x in
-    checkb "in [0,1)" true (f >= 0.0 && f < 1.0)
+    let m = Hashing.point h x in
+    checkb "mantissa in [0,2^53)" true (m >= 0 && m < 1 lsl 53)
   done
 
 let test_hash_uniformity () =
@@ -216,7 +216,7 @@ let test_hash_uniformity () =
   let lo = ref 0 in
   let total = 10_000 in
   for x = 0 to total - 1 do
-    if Hashing.to_unit_interval h x < 0.5 then incr lo
+    if Hashing.point h x < 1 lsl 52 then incr lo
   done;
   checkb "roughly balanced" true (abs (!lo - (total / 2)) < total / 20)
 
@@ -229,10 +229,11 @@ let prop_hashing_stable =
       let h1 = Hashing.create ~seed and h2 = Hashing.create ~seed in
       Hashing.int h1 i = Hashing.int h2 i
       && Hashing.pair h1 i j = Hashing.pair h2 i j
-      && Hashing.to_unit_interval h1 i = Hashing.to_unit_interval h2 i
+      && Hashing.point h1 i = Hashing.point h2 i
+      && Hashing.pair_point h1 i j = Hashing.pair h1 i j lsr 9
       &&
-      let u = Hashing.to_unit_interval h1 i in
-      u >= 0.0 && u < 1.0)
+      let m = Hashing.point h1 i in
+      m >= 0 && m < 1 lsl 53)
 
 (* ---------------------------------------------------------------- Stats *)
 
