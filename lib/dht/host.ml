@@ -56,23 +56,30 @@ let exchange_gossip h =
         ~live:(fun v -> Clients.live h.clients ~node:v)
         ~cumulative:(Clients.issued h.clients) ~anchor:(anchor h) ()
 
-let commit_kills h ~step =
+(* Asked before every batch; when no kill is due it allocates nothing. *)
+let commit_kills h =
   match h.faults with
-  | None -> ()
-  | Some plan ->
-      List.iter
-        (fun node ->
-          if node >= n h then
-            invalid_arg
-              (Printf.sprintf "%s: fault plan kills node %d but the heap has %d nodes" h.name node (n h));
-          if Ldb.is_present (ldb h) ~id:node then begin
-            Clients.kill h.clients ~node;
-            ignore (Dht.kill_node ?trace:h.trace h.dht ~node);
-            set_tree h (ldb h);
-            step ()
-          end;
-          Dpq_simrt.Fault_plan.commit_kill plan h.trace ~node)
-        (Dpq_simrt.Fault_plan.pending_kills plan)
+  | None -> false
+  | Some plan -> (
+      match Dpq_simrt.Fault_plan.pending_kills plan with
+      | [] -> false
+      | pending ->
+          let changed = ref false in
+          List.iter
+            (fun node ->
+              if node >= n h then
+                invalid_arg
+                  (Printf.sprintf "%s: fault plan kills node %d but the heap has %d nodes" h.name
+                     node (n h));
+              if Ldb.is_present (ldb h) ~id:node then begin
+                Clients.kill h.clients ~node;
+                ignore (Dht.kill_node ?trace:h.trace h.dht ~node);
+                set_tree h (ldb h);
+                changed := true
+              end;
+              Dpq_simrt.Fault_plan.commit_kill plan h.trace ~node)
+            pending;
+          !changed)
 
 let retopology h ldb' ~step =
   let moved = Dht.set_topology h.dht ldb' in

@@ -54,12 +54,13 @@ val exchange_gossip : t -> Dpq_aggtree.Phase.report
 (** One push-sum exchange among the live nodes at the iteration boundary;
     the empty report when gossip is off. *)
 
-val commit_kills : t -> step:(unit -> unit) -> unit
+val commit_kills : t -> bool
 (** Commit the fault plan's due kills: the host drops the node's buffered
     operations, destroys its replica copies, re-homes its key range and
-    runs anti-entropy repair, then runs [step]; only then is the plan told
-    the kill happened.  Raises [Invalid_argument] if the plan names a node
-    id the heap does not have. *)
+    runs anti-entropy repair; only then is the plan told the kill
+    happened.  Returns whether the topology changed, in which case the
+    caller redoes what it derives from it.  Raises [Invalid_argument] if
+    the plan names a node id the heap does not have. *)
 
 val add_node : t -> step:(unit -> unit) -> Dpq_types.Types.churn_cost
 val remove_last_node : t -> step:(unit -> unit) -> Dpq_types.Types.churn_cost

@@ -9,7 +9,7 @@ module Kselect = Dpq_kselect.Kselect
 module Oplog = Dpq_semantics.Oplog
 module Clients = Dpq_types.Clients
 module Host = Dpq_dht.Host
-module Int_table = Dpq_simrt.Reliable.Int_table
+module Int_table = Dpq_simrt.Int_table
 
 type consistency = Serializable | Sequential
 
@@ -372,7 +372,7 @@ let delete_phase t ~dht_mode ~pending_inserts =
 let resync_m t () = t.m <- Dht.size t.host.dht
 
 let process_round ?(dht_mode = Dht_sync) t =
-  Host.commit_kills t.host ~step:(resync_m t);
+  if Host.commit_kills t.host then resync_m t ();
   let ins_cs, ins_r, pending_inserts = insert_phase t ~dht_mode in
   let del_cs, del_r, kdiag = delete_phase t ~dht_mode ~pending_inserts in
   (* Gossip exchange at the round boundary (Sequential mode's retained

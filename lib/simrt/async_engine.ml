@@ -5,7 +5,8 @@ type delay_policy =
 
 (* Events live in a struct-of-arrays heap ({!Eventq}) keyed by
    (delivery time, sequence number); the wire is the integer tag + payload
-   encoding documented in {!Roundq} (-1 plain, even Data, odd Ack). *)
+   encoding documented in {!Roundq} (-1 plain, even Data, odd Ack, both
+   carrying their reliable channel's id). *)
 type 'msg t = {
   n : int;
   size_bits : 'msg -> int;
@@ -29,10 +30,6 @@ type 'msg t = {
   mutable lifo_next : float; (* decreasing pseudo-times for adversarial mode *)
   mutable cross_prev : float option; (* pending partner time for Crossing_pairs *)
 }
-
-let tag_plain = -1
-let tag_data sn = 2 * sn
-let tag_ack sn = (2 * sn) + 1
 
 let policy_to_string = function
   | Uniform (lo, hi) -> Printf.sprintf "uniform:%g,%g" lo hi
@@ -132,36 +129,39 @@ let sched_time t s ~src ~dst base =
           partner -. 0.5)
 
 (* Under the adversarial policy delivery "times" are decreasing pseudo-times,
-   so delay spikes are meaningless there and the plan is not consulted. *)
-let event_time t ~src ~dst =
+   so delay spikes are meaningless there and the plan is not consulted.
+   Under a plan every non-local message is a reliable-layer packet, whose
+   tag names the channel its delay draw belongs to. *)
+let event_time t ~src ~dst ~tag =
   match t.policy with
   | Adversarial_lifo ->
       t.lifo_next <- t.lifo_next -. 1.0;
       t.lifo_next
   | _ ->
       let mult =
-        match t.faults with
-        | None -> 1.0
-        | Some plan -> Fault_plan.delay_multiplier plan t.trace ~src ~dst
+        match (t.faults, t.rel) with
+        | Some plan, Some rel ->
+            Fault_plan.delay_multiplier_on plan t.trace ~chan:(Reliable.fault_channel rel ~tag)
+        | _ -> 1.0
       in
       let base = t.now +. (sample_delay t *. mult) in
       (match t.sched with None -> base | Some s -> sched_time t s ~src ~dst base)
 
 let push_event t ~src ~dst ~tag payload =
-  let time = event_time t ~src ~dst in
+  let time = event_time t ~src ~dst ~tag in
   t.seq <- t.seq + 1;
   Eventq.push t.queue ~time ~seq:t.seq ~src ~dst ~tag payload
 
-(* One logical transmission through the fault plan: 0, 1, or 2 copies land
-   in the event queue, each with an independently sampled delay. *)
+(* One reliable-layer packet through the fault plan: 0, 1, or 2 copies
+   land in the event queue, each with an independently sampled delay. *)
 let transmit t ~src ~dst ~tag payload =
-  match t.faults with
-  | None -> push_event t ~src ~dst ~tag payload
-  | Some plan ->
-      let copies = Fault_plan.transmit_copies plan t.trace ~src ~dst in
-      for _ = 1 to copies do
+  match (t.faults, t.rel) with
+  | Some plan, Some rel ->
+      let chan = Reliable.fault_channel rel ~tag in
+      for _ = 1 to Fault_plan.transmit_copies_on plan t.trace ~chan do
         push_event t ~src ~dst ~tag payload
       done
+  | _ -> push_event t ~src ~dst ~tag payload
 
 (* Virtual time moves forward only; the reliable layer's clock follows. *)
 let advance_to t time =
@@ -180,10 +180,8 @@ let send t ~src ~dst msg =
   if src = dst then t.handler t ~dst ~src msg
   else
     match t.rel with
-    | None -> push_event t ~src ~dst ~tag:tag_plain msg
-    | Some rel ->
-        let sn = Reliable.register rel ~src ~dst msg in
-        transmit t ~src ~dst ~tag:(tag_data sn) msg
+    | None -> push_event t ~src ~dst ~tag:Roundq.tag_plain msg
+    | Some rel -> transmit t ~src ~dst ~tag:(Reliable.register rel ~src ~dst msg) msg
 
 let deliver t ~src ~dst payload =
   t.delivered <- t.delivered + 1;
@@ -207,10 +205,9 @@ let process t ~src ~dst ~tag payload =
   (* One fault-plan tick per delivered wire event: the async engine's
      stand-in for the round clock, so crash windows elapse with traffic. *)
   (match t.faults with Some plan -> Fault_plan.tick plan t.trace | None -> ());
-  if tag = tag_plain then deliver t ~src ~dst payload
-  else if tag land 1 = 0 then begin
+  if tag = Roundq.tag_plain then deliver t ~src ~dst payload
+  else if not (Roundq.is_ack tag) then begin
     (* Data packet. *)
-    let sn = tag asr 1 in
     let plan = Option.get t.faults and rel = Option.get t.rel in
     if is_down t dst then Fault_plan.note_crash_drop plan t.trace ~src ~dst
     else begin
@@ -218,20 +215,18 @@ let process t ~src ~dst ~tag payload =
          The ack rides the same faulty channel back, its payload slot
          carrying the data payload as an inert dummy. *)
       Fault_plan.note_ack plan;
-      transmit t ~src:dst ~dst:src ~tag:(tag_ack sn) payload;
-      for k = 0 to Reliable.receive_data rel ~src ~dst ~sn payload - 1 do
+      transmit t ~src:dst ~dst:src ~tag:(Roundq.ack_tag tag) payload;
+      for k = 0 to Reliable.receive_data rel ~tag payload - 1 do
         deliver t ~src ~dst (Reliable.released rel k)
       done
     end
   end
   else begin
     (* Ack. *)
-    let sn = tag asr 1 in
     let plan = Option.get t.faults and rel = Option.get t.rel in
     if is_down t dst then Fault_plan.note_crash_drop plan t.trace ~src ~dst
     else begin
-      (* The data direction is the reverse of the ack's travel. *)
-      Reliable.receive_ack rel ~src:dst ~dst:src ~sn;
+      Reliable.receive_ack rel ~tag;
       t.acks_received <- t.acks_received + 1
     end
   end
@@ -242,8 +237,7 @@ let retransmit_due t =
   | Some rel ->
       for i = 0 to Reliable.due rel t.trace - 1 do
         transmit t ~src:(Reliable.due_src rel i) ~dst:(Reliable.due_dst rel i)
-          ~tag:(tag_data (Reliable.due_sn rel i))
-          (Reliable.due_payload rel i)
+          ~tag:(Reliable.due_tag rel i) (Reliable.due_payload rel i)
       done
 
 let quiescence_diag t reason ~events =

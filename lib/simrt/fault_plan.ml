@@ -1,6 +1,5 @@
 module Rng = Dpq_util.Rng
 module Trace = Dpq_obs.Trace
-module Itbl = Hashtbl.Make (Int)
 
 type crash_window = { node : int; from_tick : int; until_tick : int }
 type kill = { node : int; at_tick : int }
@@ -42,15 +41,30 @@ type t = {
      sequential stream would make every fault decision depend on the global
      delivery order — poison for any engine optimisation that wants to
      reproduce a run bit-for-bit while processing it in a different
-     internal order.  One counter per (channel, purpose). *)
-  transmit_counts : int Itbl.t;
-  delay_counts : int Itbl.t;
+     internal order.  One counter per (channel, purpose).
+
+     Each directed channel gets a dense index c the first time it is used
+     ([index] is consulted only then; callers keep the index).  Its
+     endpoints and counters sit in one array, so a new channel costs at
+     most one growth: [chans.(4c)] is src, [4c + 1] dst, [4c + 2] the
+     transmissions drawn so far and [4c + 3] the delays drawn so far. *)
+  nodes : Int_table.store;
+  index : Int_table.t; (* (src lsl 31) lor dst -> channel index *)
+  mutable nchannels : int;
+  mutable chans : int array;
   stats : stats;
   mutable tick : int;
+  (* The ticks at which the set of crashed nodes can change (a window's
+     [from_tick] or [until_tick], at least 1, the first tick), ascending
+     and distinct; [next_edge] is the first one not yet reached. *)
+  edges : int array;
+  mutable next_edge : int;
   (* nodes currently inside a crash window, for edge-triggered trace events *)
   down_now : (int, unit) Hashtbl.t;
-  (* kills the host has acted on: state destroyed, node permanently dead *)
-  killed : (int, unit) Hashtbl.t;
+  (* kills the host has acted on: state destroyed, node permanently dead.
+     There are a handful at most, and [is_down] asks on every delivery. *)
+  mutable killed : int list;
+  mutable nkilled : int;
 }
 
 (* Written so that NaN fails too. *)
@@ -88,12 +102,21 @@ let create ?(drop = 0.0) ?(duplicate = 0.0) ?(delay_spike = 0.0) ?(delay_factor 
     crashes;
     kills;
     seed;
-    transmit_counts = Itbl.create 64;
-    delay_counts = Itbl.create 16;
+    nodes = Int_table.store ();
+    index = Int_table.create ~hash:Int_table.scatter 64;
+    nchannels = 0;
+    chans = [||];
     stats = empty_stats ();
     tick = 0;
+    edges =
+      List.concat_map (fun (w : crash_window) -> [ w.from_tick; w.until_tick ]) crashes
+      |> List.map (max 1)
+      |> List.sort_uniq Int.compare
+      |> Array.of_list;
+    next_edge = 0;
     down_now = Hashtbl.create 4;
-    killed = Hashtbl.create 4;
+    killed = [];
+    nkilled = 0;
   }
 
 let stats t = t.stats
@@ -109,23 +132,28 @@ let rec in_window tick node = function
   | (w : crash_window) :: rest ->
       (w.node = node && w.from_tick <= tick && tick < w.until_tick) || in_window tick node rest
 
-let is_killed t ~node = Hashtbl.mem t.killed node
-let is_down t ~node = Hashtbl.mem t.killed node || in_window t.tick node t.crashes
-let killed_count t = Hashtbl.length t.killed
+let rec mem_int node = function [] -> false | x :: rest -> x = node || mem_int node rest
+let is_killed t ~node = t.nkilled > 0 && mem_int node t.killed
+let is_down t ~node = is_killed t ~node || in_window t.tick node t.crashes
+let killed_count t = t.nkilled
 
 (* Kills whose tick has arrived but which the host has not yet committed,
-   in plan order (deterministic). *)
-let pending_kills t =
-  List.filter_map
-    (fun (k : kill) ->
-      if k.at_tick <= t.tick && not (Hashtbl.mem t.killed k.node) then Some k.node else None)
-    t.kills
+   in plan order (deterministic).  The host asks before every batch; a
+   direct recursion allocates nothing when none is pending. *)
+let rec pending t = function
+  | [] -> []
+  | (k : kill) :: rest ->
+      if k.at_tick <= t.tick && not (is_killed t ~node:k.node) then k.node :: pending t rest
+      else pending t rest
+
+let pending_kills t = pending t t.kills
 
 let commit_kill t trace ~node =
   if not (List.exists (fun (k : kill) -> k.node = node) t.kills) then
     invalid_arg (Printf.sprintf "Fault_plan.commit_kill: node %d has no scheduled kill" node);
-  if not (Hashtbl.mem t.killed node) then begin
-    Hashtbl.replace t.killed node ();
+  if not (is_killed t ~node) then begin
+    t.killed <- node :: t.killed;
+    t.nkilled <- t.nkilled + 1;
     Trace.node_crashed trace ~node ~kind:"killed" ~at:t.tick
   end
 
@@ -136,10 +164,12 @@ let crashed_nodes t =
        t.crashes)
 
 (* Advance the global fault clock one step and emit edge-triggered
-   Node_crashed events for every window entered or left. *)
+   Node_crashed events for every window entered or left.  Between two
+   edges the crashed set cannot change, so only an edge does any work. *)
 let tick t trace =
   t.tick <- t.tick + 1;
-  if t.crashes <> [] then begin
+  if t.next_edge < Array.length t.edges && t.edges.(t.next_edge) = t.tick then begin
+    t.next_edge <- t.next_edge + 1;
     let now_down = crashed_nodes t in
     List.iter
       (fun node ->
@@ -157,28 +187,40 @@ let tick t trace =
       (Hashtbl.copy t.down_now)
   end
 
+let channel t ~src ~dst =
+  let key = (src lsl 31) lor dst in
+  match Int_table.find t.nodes t.index key with
+  | -1 ->
+      let chan = t.nchannels in
+      if 4 * chan = Array.length t.chans then t.chans <- Int_table.grow t.chans 0;
+      t.chans.(4 * chan) <- src;
+      t.chans.((4 * chan) + 1) <- dst;
+      t.nchannels <- chan + 1;
+      Int_table.add t.nodes t.index key chan;
+      chan
+  | chan -> chan
+
 (* Fault draws are keyed by (master seed, purpose salt, channel,
    per-channel event count): the xor-multiply fold spreads that identity
    over the seed, and the draw is the [index]-th value of the SplitMix64
    stream [Rng.create ~seed:key] would give, computed directly
    ({!Rng.bernoulli_at}).  Nothing is allocated per draw. *)
-let draw_key t counters ~salt ~src ~dst =
-  let chan = (src lsl 24) lor dst in
-  let count =
-    match Itbl.find counters chan with
-    | c ->
-        Itbl.replace counters chan (c + 1);
-        c
-    | exception Not_found ->
-        Itbl.add counters chan 1;
-        0
-  in
-  let fold h x = (h lxor x) * 0x2545F4914F6CDD1D in
-  fold (fold (fold (t.seed lxor (salt * 0x9E3779B9)) src) dst) count
+let src_of t chan = t.chans.(4 * chan)
+let dst_of t chan = t.chans.((4 * chan) + 1)
 
-let transmit_copies t trace ~src ~dst =
+(* [salt] 1 draws a transmission, counted at [4c + 2]; 2 a delay, at
+   [4c + 3]. *)
+let draw_key t ~salt chan =
+  let i = (4 * chan) + 1 + salt in
+  let count = t.chans.(i) in
+  t.chans.(i) <- count + 1;
+  let fold h x = (h lxor x) * 0x2545F4914F6CDD1D in
+  fold (fold (fold (t.seed lxor (salt * 0x9E3779B9)) (src_of t chan)) (dst_of t chan)) count
+
+let transmit_copies_on t trace ~chan =
   if t.drop > 0.0 || t.duplicate > 0.0 then begin
-    let key = draw_key t t.transmit_counts ~salt:1 ~src ~dst in
+    let key = draw_key t ~salt:1 chan in
+    let src = src_of t chan and dst = dst_of t chan in
     if t.drop > 0.0 && Rng.bernoulli_at ~seed:key ~index:1 ~p:t.drop then begin
       t.stats.drops <- t.stats.drops + 1;
       Trace.fault_injected trace ~kind:"drop" ~src ~dst;
@@ -197,18 +239,19 @@ let transmit_copies t trace ~src ~dst =
   end
   else 1
 
-let delay_multiplier t trace ~src ~dst =
+let delay_multiplier_on t trace ~chan =
   if
     t.delay_spike > 0.0
-    && Rng.bernoulli_at
-         ~seed:(draw_key t t.delay_counts ~salt:2 ~src ~dst)
-         ~index:1 ~p:t.delay_spike
+    && Rng.bernoulli_at ~seed:(draw_key t ~salt:2 chan) ~index:1 ~p:t.delay_spike
   then begin
     t.stats.delay_spikes <- t.stats.delay_spikes + 1;
-    Trace.fault_injected trace ~kind:"delay" ~src ~dst;
+    Trace.fault_injected trace ~kind:"delay" ~src:(src_of t chan) ~dst:(dst_of t chan);
     t.delay_factor
   end
   else 1.0
+
+let transmit_copies t trace ~src ~dst = transmit_copies_on t trace ~chan:(channel t ~src ~dst)
+let delay_multiplier t trace ~src ~dst = delay_multiplier_on t trace ~chan:(channel t ~src ~dst)
 
 let note_crash_drop t trace ~src ~dst =
   t.stats.crash_drops <- t.stats.crash_drops + 1;

@@ -25,7 +25,10 @@
     draws the same fate regardless of how deliveries on other channels
     interleave with it, so engine-internal reorderings (delivery-loop
     optimisations) cannot silently reshuffle every subsequent
-    fault decision.  The plan keeps a global {e tick} clock advanced
+    fault decision.  Each directed channel gets a dense index on first use
+    ({!channel}); its counters live in int arrays on that index, so a
+    caller that keeps the index ({!Reliable} does, per channel) draws
+    without any lookup.  The plan keeps a global {e tick} clock advanced
     by the engines (one tick per synchronous round / per asynchronous
     delivery) — crash windows and kills are expressed in ticks and
     therefore span engine instances: a window can begin in one protocol
@@ -93,7 +96,9 @@ val stats : t -> stats
 
 val tick : t -> Dpq_obs.Trace.t option -> unit
 (** Advance the global fault clock; emits edge-triggered [Node_crashed]
-    ["down"]/["up"] events for windows entered/left. *)
+    ["down"]/["up"] events for windows entered/left.  Only a tick that is
+    some window's [from_tick] or [until_tick] (or the first tick) does any
+    work; every other tick allocates nothing. *)
 
 (** {2 Plan introspection} — the knobs [create] was given. *)
 
@@ -128,13 +133,27 @@ val commit_kill : t -> Dpq_obs.Trace.t option -> node:int -> unit
     emitted.  Raises [Invalid_argument] if [node] has no scheduled kill;
     idempotent once committed. *)
 
+val channel : t -> src:int -> dst:int -> int
+(** The dense index of the directed channel [src -> dst], assigned the
+    first time the channel is named (0, 1, 2, ... in that order) and
+    fixed for the plan's life.  Keep it: {!transmit_copies_on} and
+    {!delay_multiplier_on} take it without a lookup. *)
+
+val transmit_copies_on : t -> Dpq_obs.Trace.t option -> chan:int -> int
+(** Consult the plan for one transmission on channel index [chan]: 0
+    (dropped), 1, or 2 (duplicated).  Counts and traces the injected
+    fault, if any. *)
+
+val delay_multiplier_on : t -> Dpq_obs.Trace.t option -> chan:int -> float
+(** 1.0, or [delay_factor] with probability [delay_spike] (counted and
+    traced as kind ["delay"]), for one delivery on channel index
+    [chan]. *)
+
 val transmit_copies : t -> Dpq_obs.Trace.t option -> src:int -> dst:int -> int
-(** Consult the plan for one transmission: 0 (dropped), 1, or 2
-    (duplicated).  Counts and traces the injected fault, if any. *)
+(** {!transmit_copies_on} of [channel t ~src ~dst]. *)
 
 val delay_multiplier : t -> Dpq_obs.Trace.t option -> src:int -> dst:int -> float
-(** 1.0, or [delay_factor] with probability [delay_spike] (counted and
-    traced as kind ["delay"]). *)
+(** {!delay_multiplier_on} of [channel t ~src ~dst]. *)
 
 val note_crash_drop : t -> Dpq_obs.Trace.t option -> src:int -> dst:int -> unit
 (** Record a delivery lost to a down receiver (counted and traced as kind

@@ -1,177 +1,11 @@
 module Trace = Dpq_obs.Trace
 
-(* Int-keyed chained hash tables held in flat int arrays.  Every table
-   draws its nodes from a [store] shared by all the tables of one layer;
-   a table owns only its bucket heads.  The layout is [Hashtbl]'s, so the
-   visit order is too: bucket [hash key land (buckets - 1)], a new key at
-   the head of its bucket, doubling once size exceeds twice the buckets
-   with each bucket split in order, and [reset] back to the initial
-   bucket count. *)
-module Int_table = struct
-  type store = {
-    mutable next : int array; (* next node in the bucket, or -1 *)
-    mutable keys : int array;
-    mutable vals : int array;
-    mutable free : int; (* free nodes, chained through [next]; -1 if none *)
-    mutable used : int; (* nodes ever handed out *)
-  }
-
-  (* [heads] has [nb] buckets, or is empty until the first insert. *)
-  type t = {
-    hash : int -> int;
-    initial : int;
-    mutable nb : int;
-    mutable heads : int array;
-    mutable size : int;
-  }
-
-  let store () = { next = [||]; keys = [||]; vals = [||]; free = -1; used = 0 }
-
-  (* [Hashtbl.create n]'s bucket count. *)
-  let create ?(hash = Int.hash) n =
-    let rec pow2 x = if x >= n then x else pow2 (2 * x) in
-    let b = pow2 16 in
-    { hash; initial = b; nb = b; heads = [||]; size = 0 }
-
-  let length t = t.size
-
-  let grow a fill =
-    let a' = Array.make (max 16 (2 * Array.length a)) fill in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-
-  let alloc st =
-    if st.free >= 0 then begin
-      let node = st.free in
-      st.free <- st.next.(node);
-      node
-    end
-    else begin
-      let node = st.used in
-      if node = Array.length st.next then begin
-        st.next <- grow st.next (-1);
-        st.keys <- grow st.keys 0;
-        st.vals <- grow st.vals 0
-      end;
-      st.used <- node + 1;
-      node
-    end
-
-  (* Split every bucket [i] into [i] and [i + nb], each keeping the order
-     its nodes had, as [Hashtbl]'s in-place resize does. *)
-  let resize st t =
-    let nb = t.nb in
-    let heads = Array.make (2 * nb) (-1) in
-    for i = 0 to nb - 1 do
-      let node = ref t.heads.(i) in
-      let lo = ref (-1) and hi = ref (-1) in
-      while !node >= 0 do
-        let n = !node in
-        node := st.next.(n);
-        st.next.(n) <- -1;
-        if t.hash st.keys.(n) land nb = 0 then begin
-          if !lo < 0 then heads.(i) <- n else st.next.(!lo) <- n;
-          lo := n
-        end
-        else begin
-          if !hi < 0 then heads.(i + nb) <- n else st.next.(!hi) <- n;
-          hi := n
-        end
-      done
-    done;
-    t.heads <- heads;
-    t.nb <- 2 * nb
-
-  let add st t key v =
-    if Array.length t.heads < t.nb then t.heads <- Array.make t.nb (-1);
-    let node = alloc st in
-    let b = t.hash key land (t.nb - 1) in
-    st.keys.(node) <- key;
-    st.vals.(node) <- v;
-    st.next.(node) <- t.heads.(b);
-    t.heads.(b) <- node;
-    t.size <- t.size + 1;
-    if t.size > 2 * t.nb then resize st t
-
-  (* The node holding [key], or -1. *)
-  let find_node st t key =
-    if t.size = 0 then -1
-    else begin
-      let node = ref t.heads.(t.hash key land (t.nb - 1)) in
-      while !node >= 0 && st.keys.(!node) <> key do
-        node := st.next.(!node)
-      done;
-      !node
-    end
-
-  let find st t key =
-    let node = find_node st t key in
-    if node < 0 then -1 else st.vals.(node)
-
-  let replace st t key v =
-    let node = find_node st t key in
-    if node >= 0 then st.vals.(node) <- v else add st t key v
-
-  let remove st t key =
-    if t.size = 0 then -1
-    else begin
-      let b = t.hash key land (t.nb - 1) in
-      let prev = ref (-1) and node = ref t.heads.(b) in
-      while !node >= 0 && st.keys.(!node) <> key do
-        prev := !node;
-        node := st.next.(!node)
-      done;
-      let n = !node in
-      if n < 0 then -1
-      else begin
-        if !prev < 0 then t.heads.(b) <- st.next.(n) else st.next.(!prev) <- st.next.(n);
-        st.next.(n) <- st.free;
-        st.free <- n;
-        t.size <- t.size - 1;
-        st.vals.(n)
-      end
-    end
-
-  (* Empty the table, keeping its bucket count, as [Hashtbl.clear]. *)
-  let clear st t =
-    if t.size > 0 then begin
-      for b = 0 to t.nb - 1 do
-        let node = ref t.heads.(b) in
-        while !node >= 0 do
-          let n = !node in
-          node := st.next.(n);
-          st.next.(n) <- st.free;
-          st.free <- n
-        done;
-        t.heads.(b) <- -1
-      done;
-      t.size <- 0
-    end
-
-  let reset st t =
-    clear st t;
-    if t.nb > t.initial then begin
-      t.heads <- [||];
-      t.nb <- t.initial
-    end
-
-  let fold st t f acc =
-    let acc = ref acc in
-    if t.size > 0 then
-      for b = 0 to t.nb - 1 do
-        let node = ref t.heads.(b) in
-        while !node >= 0 do
-          acc := f st.keys.(!node) st.vals.(!node) !acc;
-          node := st.next.(!node)
-        done
-      done;
-    !acc
-end
-
 type channel = {
-  id : int; (* index in the layer's [chans] *)
+  id : int; (* index in the layer's [chans], carried in every packet's tag *)
   src : int;
   dst : int;
+  fwd : int; (* the plan's index of src -> dst, where data travels *)
+  rev : int; (* ... and of dst -> src, where acks travel *)
   hash : int; (* [Hashtbl.hash (src, dst)], its key in [order] *)
   mutable epoch : int; (* the [reset] generation the fields below belong to *)
   mutable next_sn : int; (* sender side: next sequence number to allocate *)
@@ -186,11 +20,12 @@ type channel = {
    allocates nothing. *)
 type clock = { mutable now : float }
 
-(* [lower] is at most every outstanding deadline, and exactly their
-   minimum after a completed scan; [scan_min] accumulates that minimum
-   during the scan, so a scan cut short by [Delivery_failed] leaves
-   [lower] valid. *)
-type bound = { mutable lower : float; mutable scan_min : float }
+(* [lower] is at most every outstanding deadline, and after a completed
+   scan the least of the channels' own bounds ([lowers]); [scan_min]
+   accumulates it during the scan, so a scan cut short by
+   [Delivery_failed] leaves [lower] valid.  [chan_min] accumulates one
+   channel's exact minimum while its packets are walked. *)
+type bound = { mutable lower : float; mutable scan_min : float; mutable chan_min : float }
 
 type 'msg t = {
   plan : Fault_plan.t;
@@ -200,13 +35,18 @@ type 'msg t = {
      [order] and is reset when next touched. *)
   mutable chans : channel array;
   mutable nchans : int;
-  by_key : Int_table.t; (* [chan_key] -> channel id *)
+  (* By channel id: at most the deadline of every packet the channel has
+     outstanding, exactly their minimum after the scan that last walked
+     them, and infinity once the channel has none.  A scan skips a
+     channel whose bound is in the future: none of its packets is due. *)
+  mutable lowers : float array;
+  by_key : Int_table.t; (* [chan_key] -> channel id, read by [register] only *)
   (* The channels of this epoch, placed as a [(src, dst)]-keyed
      [Hashtbl.create 64] would hold them (key [Hashtbl.hash (src, dst)],
      hashed by identity; value the channel id): [due] and the reaper
      visit channels in its order, which the digests pin. *)
   order : Int_table.t;
-  (* Out-of-order arrivals of every channel: [held_key] -> pool slot.
+  (* Out-of-order arrivals of every channel: data tag -> pool slot.
      Its order is never observed. *)
   held : Int_table.t;
   mutable epoch : int;
@@ -227,10 +67,8 @@ type 'msg t = {
   mutable free : int array;
   mutable nfree : int;
   mutable slots : int; (* high-water mark of the pool *)
-  (* [due]'s result, in visit order: channel src/dst, sn and pool slot *)
-  mutable due_srcs : int array;
-  mutable due_dsts : int array;
-  mutable due_sns : int array;
+  (* [due]'s result, in visit order: data tag and pool slot *)
+  mutable due_tags : int array;
   mutable due_slots : int array;
   mutable ndue : int;
   (* [receive_data]'s result *)
@@ -251,19 +89,13 @@ let header_bits = 33
 let chan_key ~src ~dst = (src lsl 31) lor dst
 let grow = Int_table.grow
 
-let held_key ch sn = (ch.id lsl 31) lor sn
-
 let push_due t ch sn slot =
   let i = t.ndue in
-  if i = Array.length t.due_sns then begin
-    t.due_srcs <- grow t.due_srcs 0;
-    t.due_dsts <- grow t.due_dsts 0;
-    t.due_sns <- grow t.due_sns 0;
+  if i = Array.length t.due_tags then begin
+    t.due_tags <- grow t.due_tags 0;
     t.due_slots <- grow t.due_slots 0
   end;
-  t.due_srcs.(i) <- ch.src;
-  t.due_dsts.(i) <- ch.dst;
-  t.due_sns.(i) <- sn;
+  t.due_tags.(i) <- Roundq.data_tag ~chan:ch.id ~sn;
   t.due_slots.(i) <- slot;
   t.ndue <- i + 1
 
@@ -288,15 +120,37 @@ let scan_packet t trace ch sn slot =
     Trace.retransmit trace ~src:ch.src ~dst:ch.dst ~attempt:attempts;
     push_due t ch sn slot
   end;
-  if t.deadlines.(slot) < b.scan_min then b.scan_min <- t.deadlines.(slot)
+  if t.deadlines.(slot) < b.chan_min then b.chan_min <- t.deadlines.(slot)
 
+(* Walk [ch]'s outstanding packets, retransmitting the due ones, and make
+   its bound exact. *)
 let scan_channel t trace ch =
-  let st = t.nodes and u = ch.unacked in
+  let st = t.nodes and u = ch.unacked and b = t.bound in
+  b.chan_min <- infinity;
   if u.size > 0 then
-    for b = 0 to u.nb - 1 do
-      let node = ref u.heads.(b) in
+    for bucket = 0 to u.nb - 1 do
+      let node = ref u.heads.(bucket) in
       while !node >= 0 do
         scan_packet t trace ch st.keys.(!node) st.vals.(!node);
+        node := st.next.(!node)
+      done
+    done;
+  t.lowers.(ch.id) <- b.chan_min
+
+(* Visit this epoch's channels in [order]'s order, walking the packets of
+   those whose bound has come: a channel none of whose packets is due is
+   passed over on its [lowers] entry alone, without touching its record.
+   That changes nothing the scan returns, so the due packets keep their
+   visit order. *)
+let scan_channels t trace =
+  let st = t.nodes and o = t.order and b = t.bound in
+  if o.size > 0 then
+    for bucket = 0 to o.nb - 1 do
+      let node = ref o.heads.(bucket) in
+      while !node >= 0 do
+        let id = st.vals.(!node) in
+        if t.lowers.(id) <= t.clock.now then scan_channel t trace t.chans.(id);
+        if t.lowers.(id) < b.scan_min then b.scan_min <- t.lowers.(id);
         node := st.next.(!node)
       done
     done
@@ -322,16 +176,17 @@ let create ?(base_rto = 4.0) ?(max_rto = 64.0) ?(max_attempts = 64) ~plan () =
     nodes = Int_table.store ();
     chans = [||];
     nchans = 0;
-    by_key = Int_table.create 64;
+    lowers = [||];
+    by_key = Int_table.create ~hash:Int_table.scatter 64;
     order = Int_table.create ~hash:Fun.id 64;
-    held = Int_table.create 16;
+    held = Int_table.create ~hash:Int_table.scatter 16;
     epoch = 0;
     base_rto;
     max_rto;
     max_attempts;
     unacked_total = 0;
     clock = { now = 0.0 };
-    bound = { lower = infinity; scan_min = infinity };
+    bound = { lower = infinity; scan_min = infinity; chan_min = infinity };
     pays = [||];
     attempts = [||];
     deadlines = [||];
@@ -339,9 +194,7 @@ let create ?(base_rto = 4.0) ?(max_rto = 64.0) ?(max_attempts = 64) ~plan () =
     free = [||];
     nfree = 0;
     slots = 0;
-    due_srcs = [||];
-    due_dsts = [||];
-    due_sns = [||];
+    due_tags = [||];
     due_slots = [||];
     ndue = 0;
     released = [||];
@@ -356,6 +209,8 @@ let new_channel t ~src ~dst key =
       id = t.nchans;
       src;
       dst;
+      fwd = Fault_plan.channel t.plan ~src ~dst;
+      rev = Fault_plan.channel t.plan ~src:dst ~dst:src;
       hash = Hashtbl.hash (src, dst);
       epoch = -1;
       next_sn = 0;
@@ -364,16 +219,22 @@ let new_channel t ~src ~dst key =
       nheld = 0;
     }
   in
-  if t.nchans = Array.length t.chans then t.chans <- grow t.chans ch;
+  if t.nchans = Array.length t.chans then begin
+    t.chans <- grow t.chans ch;
+    t.lowers <- grow t.lowers infinity
+  end;
   t.chans.(t.nchans) <- ch;
   t.nchans <- t.nchans + 1;
   Int_table.replace t.nodes t.by_key key ch.id;
   ch
 
-(* A channel is entered in [order] when first touched in an epoch, so
-   that table sees the insertions a fresh layer's would.  A new or pooled
-   channel is reset then, its packet table back at its initial size, so
-   it iterates exactly like a fresh one. *)
+(* The one lookup of the packet path: [register] resolves its channel
+   here, and every later step of the packet finds the channel by the id
+   in its tag.  A channel is entered in [order] when its first packet of
+   an epoch is registered, so that table sees the insertions a fresh
+   layer's would.  A new or pooled channel is reset then, its packet
+   table back at its initial size, so it iterates exactly like a fresh
+   one. *)
 let channel t ~src ~dst =
   let key = chan_key ~src ~dst in
   let id = Int_table.find t.nodes t.by_key key in
@@ -383,6 +244,7 @@ let channel t ~src ~dst =
     ch.next_sn <- 0;
     ch.next_deliver <- 0;
     ch.nheld <- 0;
+    t.lowers.(ch.id) <- infinity;
     Int_table.reset t.nodes ch.unacked;
     Int_table.add t.nodes t.order ch.hash ch.id
   end;
@@ -449,13 +311,15 @@ let register t ~src ~dst payload =
   t.deadlines.(slot) <- deadline;
   t.rtos.(slot) <- t.base_rto;
   if deadline < t.bound.lower then t.bound.lower <- deadline;
-  Int_table.replace t.nodes ch.unacked sn slot;
+  if deadline < t.lowers.(ch.id) then t.lowers.(ch.id) <- deadline;
+  (* [sn] is fresh: no lookup before the insert. *)
+  Int_table.add t.nodes ch.unacked sn slot;
   t.unacked_total <- t.unacked_total + 1;
   if
     Fault_plan.killed_count t.plan > 0
     && (Fault_plan.is_killed t.plan ~node:dst || Fault_plan.is_killed t.plan ~node:src)
   then t.reap_pending <- true;
-  sn
+  Roundq.data_tag ~chan:ch.id ~sn
 
 let release t payload =
   let i = t.nreleased in
@@ -465,7 +329,7 @@ let release t payload =
 
 (* Release the held arrival next in order on [ch], if there is one. *)
 let release_held t ch =
-  let slot = Int_table.remove t.nodes t.held (held_key ch ch.next_deliver) in
+  let slot = Int_table.remove t.nodes t.held (Roundq.data_tag ~chan:ch.id ~sn:ch.next_deliver) in
   slot >= 0
   && begin
        release t t.pays.(slot);
@@ -479,16 +343,16 @@ let release_held t ch =
    must not reorder the application stream, so out-of-order arrivals are
    held until the gap closes.  An arrival that is next in order on a
    channel with nothing held (the common case) never touches [held]. *)
-let receive_data t ~src ~dst ~sn payload =
-  let ch = channel t ~src ~dst and st = t.nodes in
+let receive_data t ~tag payload =
+  let ch = t.chans.(Roundq.tag_chan tag) and sn = Roundq.tag_sn tag and st = t.nodes in
   t.nreleased <- 0;
-  if sn < ch.next_deliver || (ch.nheld > 0 && Int_table.find st t.held (held_key ch sn) >= 0) then
+  if sn < ch.next_deliver || (ch.nheld > 0 && Int_table.find st t.held tag >= 0) then
     Fault_plan.note_dup_suppressed t.plan
   else if sn > ch.next_deliver then begin
     let slot = alloc_slot t payload in
     t.pays.(slot) <- payload;
     t.attempts.(slot) <- -1;
-    Int_table.replace st t.held (held_key ch sn) slot;
+    Int_table.replace st t.held tag slot;
     ch.nheld <- ch.nheld + 1
   end
   else begin
@@ -502,11 +366,17 @@ let receive_data t ~src ~dst ~sn payload =
 
 let released t i = t.released.(i)
 
-let receive_ack t ~src ~dst ~sn =
-  (* [src -> dst] names the DATA direction; the ack travelled dst -> src. *)
-  let ch = channel t ~src ~dst in
-  let slot = Int_table.remove t.nodes ch.unacked sn in
-  if slot >= 0 then free_slot t slot
+let receive_ack t ~tag =
+  let ch = t.chans.(Roundq.tag_chan tag) in
+  let slot = Int_table.remove t.nodes ch.unacked (Roundq.tag_sn tag) in
+  if slot >= 0 then begin
+    free_slot t slot;
+    if ch.unacked.size = 0 then t.lowers.(ch.id) <- infinity
+  end
+
+let fault_channel t ~tag =
+  let ch = t.chans.(Roundq.tag_chan tag) in
+  if Roundq.is_ack tag then ch.rev else ch.fwd
 
 let unacked t = t.unacked_total
 
@@ -536,7 +406,8 @@ let reap_channel t trace ch =
         node := st.next.(!node)
       done
     done;
-    Int_table.clear st u
+    Int_table.clear st u;
+    t.lowers.(ch.id) <- infinity
   end
 
 let due t trace =
@@ -551,7 +422,7 @@ let due t trace =
   let b = t.bound in
   if t.clock.now >= b.lower then begin
     b.scan_min <- infinity;
-    iter_channels t trace scan_channel;
+    scan_channels t trace;
     b.lower <- b.scan_min
   end;
   t.ndue
@@ -559,7 +430,7 @@ let due t trace =
 (* [due] fills its buffer in visit order; packets go back on the wire in
    the reverse of it, as they always have. *)
 let due_index t i = t.ndue - 1 - i
-let due_src t i = t.due_srcs.(due_index t i)
-let due_dst t i = t.due_dsts.(due_index t i)
-let due_sn t i = t.due_sns.(due_index t i)
+let due_tag t i = t.due_tags.(due_index t i)
+let due_src t i = t.chans.(Roundq.tag_chan (due_tag t i)).src
+let due_dst t i = t.chans.(Roundq.tag_chan (due_tag t i)).dst
 let due_payload t i = t.pays.(t.due_slots.(due_index t i))

@@ -12,8 +12,20 @@
     Each ack carries the sequence number of the data packet it answers; it
     travels over the same faulty channel, can itself be dropped, and is
     never retransmitted directly (the data retransmission draws a fresh
-    ack).  On the engines' wire a data packet is tag [2·sn] and its ack
-    tag [2·sn + 1] (see {!Roundq}).
+    ack).
+
+    A channel is looked up by [(src, dst)] once per packet, in
+    {!register}, which hands back the packet's wire tag: its sequence
+    number and its channel's id, [Roundq.data_tag ~chan ~sn]
+    ([(sn lsl 31) lor (chan lsl 1)]), its ack being the same word with
+    bit 0 set.  Every later step of the packet — {!receive_data},
+    {!receive_ack}, {!due}, and the fault draw of each transmission
+    through {!fault_channel} — indexes the channel by that id.  Each
+    channel keeps its two directions' {!Fault_plan.channel} indices from
+    its creation, so a fault draw is an array access too, and the plan's
+    kill set is a short list with a count, so the [is_killed] checks of
+    {!register} and the reaper cost one comparison while nobody has been
+    killed.
 
     The clock ({!clock}, deadlines) is whatever the host engine uses: round
     numbers for {!Sync_engine}, virtual time for {!Async_engine}.
@@ -29,57 +41,6 @@
     Counters (retransmits, acks, suppressed duplicates, dead letters) are
     recorded on the shared {!Fault_plan.stats} so they aggregate across the
     many short-lived engines of a protocol run. *)
-
-(** Int-keyed chained hash tables in flat int arrays, with
-    [Hashtbl.Make (Int)]'s visit order.
-
-    The layer's tables are these, not [Hashtbl]s, so that entering a
-    packet allocates nothing; their visit order must nonetheless be
-    exactly a [Hashtbl]'s, because {!due} visits packets in it and the
-    fault digests pin that order.  So they follow the stdlib's rules:
-    [create n] starts at [Hashtbl.create n]'s bucket count, a key goes to
-    bucket [hash land (buckets - 1)] at the head of its chain, the table
-    doubles once it holds more than two keys per bucket, splitting each
-    bucket in order, and {!Int_table.reset} returns it to its initial
-    bucket count.  The nodes of many tables live in one {!Int_table.store}.
-    [test/test_faults.ml] drives it against [Hashtbl.Make (Int)] and the
-    polymorphic [Hashtbl] to catch a change in the stdlib's internals.
-    Seap also indexes a phase's DHT requests by key with it. *)
-module Int_table : sig
-  type store
-  (** Node columns and a free list, shared by any number of tables. *)
-
-  type t
-
-  val store : unit -> store
-  val create : ?hash:(int -> int) -> int -> t
-  (** An empty table placing its keys by [hash] (default [Int.hash], as
-      [Hashtbl.Make (Int)]); it allocates its buckets on the first
-      insert. *)
-
-  val length : t -> int
-
-  val find : store -> t -> int -> int
-  (** The value bound to the key, or [-1]: values must be non-negative. *)
-
-  val replace : store -> t -> int -> int -> unit
-  (** As [Hashtbl.replace]. *)
-
-  val add : store -> t -> int -> int -> unit
-  (** As [Hashtbl.add]: the key goes in even if it is already bound.  With
-      [~hash:Fun.id] and [Hashtbl.hash k] as the key, a table fed only
-      [add] and [reset] visits its values as a polymorphic [Hashtbl] fed
-      the same [add]s of [k] visits its bindings. *)
-
-  val remove : store -> t -> int -> int
-  (** As [Hashtbl.remove]; returns the removed value, or [-1]. *)
-
-  val reset : store -> t -> unit
-  (** As [Hashtbl.reset]: empty, back at the initial bucket count. *)
-
-  val fold : store -> t -> (int -> int -> 'a -> 'a) -> 'a -> 'a
-  (** Visit the bindings in the table's order. *)
-end
 
 type 'msg t
 
@@ -113,11 +74,18 @@ val reset : 'msg t -> unit
 val register : 'msg t -> src:int -> dst:int -> 'msg -> int
 (** Allocate the next sequence number on channel [(src, dst)], remember the
     payload for retransmission (first deadline [now + base_rto]), and
-    return the sequence number the data packet carries. *)
+    return the data packet's wire tag ({!Roundq.data_tag} of the channel's
+    id and the sequence number).  Raises [Invalid_argument] from
+    {!Roundq.data_tag} if either outgrows its bits. *)
 
-val receive_data : 'msg t -> src:int -> dst:int -> sn:int -> 'msg -> int
-(** Receiver-side dedup and per-channel FIFO reordering for channel
-    [(src, dst)].  Returns how many payloads are released to the protocol
+val fault_channel : 'msg t -> tag:int -> int
+(** The {!Fault_plan.channel} index of the direction a packet with this
+    data or ack tag travels: the data direction, or its reverse for an
+    ack. *)
+
+val receive_data : 'msg t -> tag:int -> 'msg -> int
+(** Receiver-side dedup and per-channel FIFO reordering for the data
+    packet [tag].  Returns how many payloads are released to the protocol
     handler, readable as [released t 0] .. [released t (k - 1)] in order:
     0 for a duplicate (counted on the plan's stats) or an out-of-order
     arrival (buffered), otherwise the whole in-order run this arrival
@@ -127,15 +95,14 @@ val receive_data : 'msg t -> src:int -> dst:int -> sn:int -> 'msg -> int
 val released : 'msg t -> int -> 'msg
 (** The [i]-th payload released by the last {!receive_data}. *)
 
-val receive_ack : 'msg t -> src:int -> dst:int -> sn:int -> unit
-(** Clear the outstanding packet [sn] of the {e data} direction
-    [(src, dst)] (the ack itself travelled dst → src).  Duplicate acks are
-    ignored. *)
+val receive_ack : 'msg t -> tag:int -> unit
+(** Clear the outstanding packet an ack tag answers (the ack travelled
+    the reverse of its channel).  Duplicate acks are ignored. *)
 
 val due : 'msg t -> Dpq_obs.Trace.t option -> int
 (** Collect the outstanding packets whose deadline is at or before the
     clock's [now] and return how many there are; read them with
-    {!due_src}, {!due_dst}, {!due_sn} and {!due_payload} at [0] .. [k - 1],
+    {!due_src}, {!due_dst}, {!due_tag} and {!due_payload} at [0] .. [k - 1],
     in the order they go back on the wire.  Each gets its attempt count bumped, its deadline pushed back
     (exponential backoff), a [Retransmit] trace event, and a tally on the
     plan's stats.  Raises {!Delivery_failed} when a packet exhausts
@@ -149,16 +116,19 @@ val due : 'msg t -> Dpq_obs.Trace.t option -> int
     channel with a killed endpoint.
 
     The scan is skipped while [now] is below a lower bound on every
-    outstanding deadline (made exact by each scan).  When it runs it
-    visits channels in the order of a [(src, dst)]-keyed [Hashtbl] fed
-    the same insertions, and each channel's packets in the order of a
-    [Hashtbl.Make (Int)] from sequence number (see {!Int_table}); that
-    order decides both the per-channel fault draws of the retransmissions
-    and their delivery order, so the digests pin it. *)
+    outstanding deadline, and within a scan a channel's packets are
+    skipped while [now] is below the channel's own bound (exact after the
+    channel's packets were last walked): neither skip passes over a due
+    packet.  When it runs it visits channels in the order of a
+    [(src, dst)]-keyed [Hashtbl] fed the same insertions, and each
+    channel's packets in the order of a [Hashtbl.Make (Int)] from
+    sequence number (see {!Int_table}); that order decides both the
+    per-channel fault draws of the retransmissions and their delivery
+    order, so the digests pin it. *)
 
 val due_src : 'msg t -> int -> int
 val due_dst : 'msg t -> int -> int
-val due_sn : 'msg t -> int -> int
+val due_tag : 'msg t -> int -> int
 val due_payload : 'msg t -> int -> 'msg
 
 val unacked : 'msg t -> int

@@ -18,11 +18,21 @@
    into dst).
 
    Wire tags distinguish the reliable layer's packets from plain protocol
-   messages without an allocated envelope/variant per message:
+   messages without an allocated envelope/variant per message, and name
+   the reliable channel a packet belongs to, so no receiver looks it up:
 
-     tag = -1          a plain protocol message (the fault-free fast path)
-     tag = 2*sn        a reliable-layer Data packet with sequence number sn
-     tag = 2*sn + 1    a reliable-layer Ack for sn (payload is a dummy) *)
+     tag = -1                              a plain protocol message
+                                           (the fault-free fast path)
+     tag = (sn lsl 31) lor (chan lsl 1)    a reliable-layer Data packet:
+                                           sequence number sn on channel
+                                           id chan
+     tag = data tag lor 1                  its Ack (payload is a dummy)
+
+   A channel id has 30 bits and a sequence number 31, so a tag stays a
+   non-negative 62-bit int; [data_tag] refuses a value that would spill
+   into its neighbour's bits instead of aliasing another channel.  Both
+   engines build their tags here (the asynchronous one's {!Eventq} carries
+   the same encoding). *)
 
 type 'msg bucket = {
   mutable round : int; (* the absolute round this bucket delivers in *)
@@ -39,6 +49,23 @@ let defers (b : _ bucket) i = b.metas.(i) land 0xff
 let meta (b : _ bucket) i = b.metas.(i)
 let meta_src m = m lsr 32
 let meta_dst m = (m lsr 8) land 0xffffff
+
+let tag_plain = -1
+let chan_bits = 30
+let sn_bits = 31
+
+(* [lsr] makes a negative value huge, so one test covers both ends. *)
+let data_tag ~chan ~sn =
+  if chan lsr chan_bits <> 0 then
+    invalid_arg (Printf.sprintf "Roundq.data_tag: channel id %d outside [0, 2^%d)" chan chan_bits);
+  if sn lsr sn_bits <> 0 then
+    invalid_arg (Printf.sprintf "Roundq.data_tag: sequence number %d outside [0, 2^%d)" sn sn_bits);
+  (sn lsl (chan_bits + 1)) lor (chan lsl 1)
+
+let ack_tag data = data lor 1
+let is_ack tag = tag land 1 = 1
+let tag_chan tag = (tag lsr 1) land ((1 lsl chan_bits) - 1)
+let tag_sn tag = tag lsr (chan_bits + 1)
 
 let ring_size = 4 (* engine adds only at [base] or [base + 1]; 4 is slack *)
 

@@ -9,8 +9,33 @@
     ids must be below [2^24] and deferral counts below [2^8] (both guarded
     in {!add}, both far beyond anything the engine produces).  The wire tag
     encodes what the old envelope variant did without a per-message
-    allocation: [-1] for a plain message, [2*sn] for a reliable-layer Data
-    packet, [2*sn + 1] for an Ack (whose payload slot holds a dummy). *)
+    allocation: {!tag_plain} for a plain message, {!data_tag} for a
+    reliable-layer Data packet, which carries its sequence number and its
+    channel's id, and {!ack_tag} of that for its Ack (whose payload slot
+    holds a dummy). *)
+
+val tag_plain : int
+(** [-1]: a plain protocol message (no reliable layer). *)
+
+val data_tag : chan:int -> sn:int -> int
+(** [(sn lsl 31) lor (chan lsl 1)]: the tag of the data packet with
+    sequence number [sn] on reliable channel [chan].  Raises
+    [Invalid_argument] naming the channel id or the sequence number if
+    [chan] is outside [\[0, 2^30)] or [sn] outside [\[0, 2^31)], rather
+    than let it alias another channel's packets. *)
+
+val ack_tag : int -> int
+(** The tag of the ack answering a data tag: the same word with bit 0
+    set. *)
+
+val is_ack : int -> bool
+(** Is this (non-plain) tag an ack? *)
+
+val tag_chan : int -> int
+(** The channel id of a data or ack tag. *)
+
+val tag_sn : int -> int
+(** The sequence number of a data or ack tag. *)
 
 type 'msg bucket = private {
   mutable round : int;

@@ -3,8 +3,10 @@
    plan.  Messages live in a round-indexed calendar queue ({!Roundq}) as
    integer-tagged column entries instead of allocated envelopes: tag -1 is
    the zero-overhead plain fast path, even tags are Data packets, odd tags
-   are Acks (see Roundq's header).  Without faults nothing is wrapped and
-   behavior/costs are bit-identical to the fault-free engine. *)
+   are Acks, and both name their reliable channel by id (see Roundq's
+   header), so a packet's receive path does no channel lookup.  Without
+   faults nothing is wrapped and behavior/costs are bit-identical to the
+   fault-free engine. *)
 
 type 'msg t = {
   n : int;
@@ -58,11 +60,6 @@ let pending t = Roundq.pending t.q
 
 let unacked t = match t.rel with None -> 0 | Some r -> Reliable.unacked r
 
-(* Wire tags, as documented in Roundq. *)
-let tag_plain = -1
-let tag_data sn = 2 * sn
-let tag_ack sn = (2 * sn) + 1
-
 (* The reliable layer reads its clock from a float-only record; keeping it
    on the round counter here costs no allocation. *)
 let set_round t r =
@@ -80,17 +77,18 @@ let target_round t = if t.in_step then t.round + 1 else t.round
 let enqueue t ~src ~dst ~tag ~defers payload =
   Roundq.add t.q ~round:(target_round t) ~src ~dst ~tag ~defers payload
 
-(* Put one logical transmission on the wire, letting the fault plan drop or
-   duplicate it.  A dropped data packet stays registered with the reliable
-   layer and comes back as a retransmission. *)
+(* Put one reliable-layer packet on the wire, letting the fault plan drop
+   or duplicate it.  A dropped data packet stays registered with the
+   reliable layer and comes back as a retransmission. *)
 let transmit t ~src ~dst ~tag payload =
-  match t.faults with
-  | None -> enqueue t ~src ~dst ~tag ~defers:0 payload
-  | Some plan ->
-      let copies = Fault_plan.transmit_copies plan t.trace ~src ~dst in
+  match (t.faults, t.rel) with
+  | Some plan, Some rel ->
+      let chan = Reliable.fault_channel rel ~tag in
+      let copies = Fault_plan.transmit_copies_on plan t.trace ~chan in
       for _ = 1 to copies do
         enqueue t ~src ~dst ~tag ~defers:0 payload
       done
+  | _ -> enqueue t ~src ~dst ~tag ~defers:0 payload
 
 let send t ~src ~dst msg =
   check_id t src "send";
@@ -103,10 +101,8 @@ let send t ~src ~dst msg =
   end
   else
     match t.rel with
-    | None -> enqueue t ~src ~dst ~tag:tag_plain ~defers:0 msg
-    | Some rel ->
-        let sn = Reliable.register rel ~src ~dst msg in
-        transmit t ~src ~dst ~tag:(tag_data sn) msg
+    | None -> enqueue t ~src ~dst ~tag:Roundq.tag_plain ~defers:0 msg
+    | Some rel -> transmit t ~src ~dst ~tag:(Reliable.register rel ~src ~dst msg) msg
 
 (* ---------------------------------------------------- schedule adversary *)
 
@@ -234,10 +230,10 @@ let step t =
     let src = Roundq.meta_src m and dst = Roundq.meta_dst m in
     let tag = b.Roundq.tags.(i) in
     let payload = b.Roundq.pays.(i) in
-    if tag = tag_plain then deliver t ~this_round ~src ~dst ~bits:(t.size_bits payload) payload
-    else if tag land 1 = 0 then begin
+    if tag = Roundq.tag_plain then
+      deliver t ~this_round ~src ~dst ~bits:(t.size_bits payload) payload
+    else if not (Roundq.is_ack tag) then begin
       (* Data packet. *)
-      let sn = tag asr 1 in
       let plan = Option.get t.faults and rel = Option.get t.rel in
       if is_down t dst then Fault_plan.note_crash_drop plan t.trace ~src ~dst
       else begin
@@ -245,8 +241,8 @@ let step t =
            The ack rides the same faulty channel; its payload slot carries
            the data payload as an inert dummy. *)
         Fault_plan.note_ack plan;
-        transmit t ~src:dst ~dst:src ~tag:(tag_ack sn) payload;
-        for k = 0 to Reliable.receive_data rel ~src ~dst ~sn payload - 1 do
+        transmit t ~src:dst ~dst:src ~tag:(Roundq.ack_tag tag) payload;
+        for k = 0 to Reliable.receive_data rel ~tag payload - 1 do
           let p = Reliable.released rel k in
           deliver t ~this_round ~src ~dst ~bits:(t.size_bits p + Reliable.header_bits) p
         done
@@ -254,12 +250,10 @@ let step t =
     end
     else begin
       (* Ack. *)
-      let sn = tag asr 1 in
       let plan = Option.get t.faults and rel = Option.get t.rel in
       if is_down t dst then Fault_plan.note_crash_drop plan t.trace ~src ~dst
       else begin
-        (* The data direction is the reverse of the ack's travel. *)
-        Reliable.receive_ack rel ~src:dst ~dst:src ~sn;
+        Reliable.receive_ack rel ~tag;
         t.acks_received <- t.acks_received + 1
       end
     end
@@ -274,8 +268,7 @@ let step t =
   | Some rel ->
       for i = 0 to Reliable.due rel t.trace - 1 do
         transmit t ~src:(Reliable.due_src rel i) ~dst:(Reliable.due_dst rel i)
-          ~tag:(tag_data (Reliable.due_sn rel i))
-          (Reliable.due_payload rel i)
+          ~tag:(Reliable.due_tag rel i) (Reliable.due_payload rel i)
       done
 
 let quiescence_diag t reason =

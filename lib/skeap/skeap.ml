@@ -197,7 +197,7 @@ let completions_of sl =
 
 let process_batch ?(dht_mode = Dht_sync) t =
   let h = t.host in
-  Host.commit_kills h ~step:(rerank t);
+  if Host.commit_kills h then rerank t ();
   let trace = h.trace in
   (* ---- snapshot buffers ---------------------------------------------- *)
   let node_ops = Clients.snapshot h.clients All in

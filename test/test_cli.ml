@@ -7,6 +7,7 @@ let exe dir name = Filename.concat (Filename.concat Filename.parent_dir_name dir
 let sim_exe = exe "bin" "dpq_sim.exe"
 let experiments_exe = exe "bin" "experiments.exe"
 let bench_exe = exe "bench" "main.exe"
+let profile_exe = exe "bench" "profile.exe"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -149,6 +150,25 @@ let test_bench_rejects_bad_values () =
       ([ "--trace"; "t.jsonl" ], "bench: unknown mode \"--trace\"");
     ]
 
+(* The profiler checks its arguments before it runs anything. *)
+let test_profile_rejects_bad_values () =
+  List.iter
+    (fun (args, prefix) ->
+      let what = String.concat " " args in
+      let code, out, err = run_exe profile_exe args in
+      checki (what ^ ": exit code") 2 code;
+      checkb (what ^ ": nothing profiled") true (out = "");
+      checkb (Printf.sprintf "%s: message %S starts with %S" what err prefix) true
+        (String.starts_with ~prefix err))
+    [
+      ([], "profile: --workload is required");
+      ([ "--workload"; "nope" ], "profile: unknown workload \"nope\" (known: skeap-closed, ");
+      ([ "--workload"; "skeap-faults"; "--seconds"; "0" ], "profile: --seconds expects a positive integer");
+      ([ "--workload"; "skeap-faults"; "--seed"; "x" ], "profile: --seed expects an integer");
+      ([ "--workload"; "skeap-faults"; "--seed" ], "profile: unknown or incomplete argument \"--seed\"");
+      ([ "--workload"; "skeap-faults"; "--hz"; "100" ], "profile: unknown or incomplete argument \"--hz\"");
+    ]
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -247,6 +267,8 @@ let () =
           Alcotest.test_case "dpq_sim exits 1 naming the flag" `Quick test_sim_rejects_bad_values;
           Alcotest.test_case "bench exits 2 naming the flag" `Quick test_bench_rejects_bad_values;
           Alcotest.test_case "--domains is a usage error" `Quick test_domains_flag_rejected;
+          Alcotest.test_case "profile exits 2 naming the flag" `Quick
+            test_profile_rejects_bad_values;
         ] );
       ("help", [ Alcotest.test_case "experiments --help renders" `Quick test_experiments_help ]);
       ( "exp flags",

@@ -9,6 +9,11 @@ module Trace = Dpq_obs.Trace
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------ Fault_plan *)
 
 let test_plan_of_string () =
@@ -90,6 +95,207 @@ let test_crash_window_ticks () =
       (Trace.events trace)
   in
   checkb "one window, down at 2 and up at 4" true (transitions = [ (2, "down", 2); (2, "up", 4) ])
+
+(* A reference for the plan's fault draws, kept the way the plan once
+   kept them: one counter per purpose in a [Hashtbl.Make (Int)] keyed by
+   [(src lsl 24) lor dst], found and replaced on every draw.  The plan now
+   keeps its counters in an array on a dense channel index; both must
+   give every draw the same answer. *)
+module Ref_plan = struct
+  module Itbl = Hashtbl.Make (Int)
+
+  type t = {
+    seed : int;
+    drop : float;
+    dup : float;
+    spike : float;
+    factor : float;
+    transmits : int Itbl.t;
+    delays : int Itbl.t;
+  }
+
+  let create ~drop ~dup ~spike ~factor ~seed =
+    { seed; drop; dup; spike; factor; transmits = Itbl.create 64; delays = Itbl.create 16 }
+
+  let draw_key r counters ~salt ~src ~dst =
+    let chan = (src lsl 24) lor dst in
+    let count = Option.value ~default:0 (Itbl.find_opt counters chan) in
+    Itbl.replace counters chan (count + 1);
+    let fold h x = (h lxor x) * 0x2545F4914F6CDD1D in
+    fold (fold (fold (r.seed lxor (salt * 0x9E3779B9)) src) dst) count
+
+  let transmit_copies r ~src ~dst =
+    if r.drop > 0.0 || r.dup > 0.0 then begin
+      let key = draw_key r r.transmits ~salt:1 ~src ~dst in
+      if r.drop > 0.0 && Dpq_util.Rng.bernoulli_at ~seed:key ~index:1 ~p:r.drop then 0
+      else if
+        r.dup > 0.0
+        && Dpq_util.Rng.bernoulli_at ~seed:key ~index:(if r.drop > 0.0 then 2 else 1) ~p:r.dup
+      then 2
+      else 1
+    end
+    else 1
+
+  let delay_multiplier r ~src ~dst =
+    if
+      r.spike > 0.0
+      && Dpq_util.Rng.bernoulli_at
+           ~seed:(draw_key r r.delays ~salt:2 ~src ~dst)
+           ~index:1 ~p:r.spike
+    then r.factor
+    else 1.0
+end
+
+(* 20000 draws on up to 40 x 40 channels (the dense arrays grow many
+   times), transmissions and delays interleaved at random, each drawn
+   either through [~src ~dst] or through an index resolved earlier. *)
+let test_dense_counters_match_reference () =
+  let r = Dpq_util.Rng.create ~seed:17 in
+  List.iter
+    (fun (drop, dup, spike) ->
+      let plan =
+        Fault_plan.create ~drop ~duplicate:dup ~delay_spike:spike ~delay_factor:3.0 ~seed:99 ()
+      in
+      let model = Ref_plan.create ~drop ~dup ~spike ~factor:3.0 ~seed:99 in
+      let drops = ref 0 and dups = ref 0 and spikes = ref 0 in
+      for i = 1 to 20_000 do
+        let src = Dpq_util.Rng.int r 40 and dst = Dpq_util.Rng.int r 40 in
+        let by_index = Dpq_util.Rng.bool r in
+        let where = Printf.sprintf "draw %d on %d->%d" i src dst in
+        if Dpq_util.Rng.int r 3 = 0 then begin
+          let want = Ref_plan.delay_multiplier model ~src ~dst in
+          if want > 1.0 then incr spikes;
+          Alcotest.(check (float 0.0))
+            where want
+            (if by_index then
+               Fault_plan.delay_multiplier_on plan None ~chan:(Fault_plan.channel plan ~src ~dst)
+             else Fault_plan.delay_multiplier plan None ~src ~dst)
+        end
+        else begin
+          let want = Ref_plan.transmit_copies model ~src ~dst in
+          if want = 0 then incr drops;
+          if want = 2 then incr dups;
+          checki where want
+            (if by_index then
+               Fault_plan.transmit_copies_on plan None ~chan:(Fault_plan.channel plan ~src ~dst)
+             else Fault_plan.transmit_copies plan None ~src ~dst)
+        end
+      done;
+      let s = Fault_plan.stats plan in
+      checki "drops" !drops s.Fault_plan.drops;
+      checki "duplicates" !dups s.Fault_plan.duplicates;
+      checki "delay spikes" !spikes s.Fault_plan.delay_spikes;
+      checkb "faults fired" true (!drops + !dups + !spikes > 0))
+    [ (0.3, 0.2, 0.25); (0.0, 0.3, 0.0); (1.0, 0.5, 1.0); (0.0, 0.0, 0.4) ]
+
+(* A channel's index is fixed at its first use and dense. *)
+let test_channel_index_dense () =
+  let plan = Fault_plan.create ~seed:1 () in
+  checki "first" 0 (Fault_plan.channel plan ~src:3 ~dst:4);
+  checki "reverse is another channel" 1 (Fault_plan.channel plan ~src:4 ~dst:3);
+  checki "same channel, same index" 0 (Fault_plan.channel plan ~src:3 ~dst:4);
+  checki "next" 2 (Fault_plan.channel plan ~src:0 ~dst:1)
+
+(* The kill set against a list model: pending kills in plan order as
+   their ticks arrive, commits in an order of the host's choosing,
+   idempotent re-commits, and [is_down] following [is_killed]. *)
+let test_kill_set () =
+  let kills : Fault_plan.kill list =
+    [
+      { node = 5; at_tick = 3 };
+      { node = 2; at_tick = 1 };
+      { node = 9; at_tick = 3 };
+      { node = 0; at_tick = 6 };
+      { node = 7; at_tick = 2 };
+    ]
+  in
+  let plan = Fault_plan.create ~kills ~seed:1 () in
+  let ints = Alcotest.(list int) in
+  let committed = ref [] in
+  let check_model when_ =
+    for node = 0 to 10 do
+      let dead = List.mem node !committed in
+      checkb (Printf.sprintf "%s: is_killed %d" when_ node) dead (Fault_plan.is_killed plan ~node);
+      checkb (Printf.sprintf "%s: is_down %d" when_ node) dead (Fault_plan.is_down plan ~node)
+    done;
+    checki (when_ ^ ": killed_count") (List.length !committed) (Fault_plan.killed_count plan)
+  in
+  let commit node =
+    Fault_plan.commit_kill plan None ~node;
+    if not (List.mem node !committed) then committed := node :: !committed
+  in
+  Alcotest.check ints "none due at tick 0" [] (Fault_plan.pending_kills plan);
+  check_model "tick 0";
+  Fault_plan.tick plan None;
+  Alcotest.check ints "tick 1" [ 2 ] (Fault_plan.pending_kills plan);
+  Fault_plan.tick plan None;
+  Fault_plan.tick plan None;
+  Alcotest.check ints "tick 3: plan order" [ 5; 2; 9; 7 ] (Fault_plan.pending_kills plan);
+  commit 9;
+  check_model "9 committed";
+  Alcotest.check ints "9 no longer pending" [ 5; 2; 7 ] (Fault_plan.pending_kills plan);
+  commit 2;
+  commit 2;
+  check_model "2 committed twice";
+  Alcotest.check ints "2 no longer pending" [ 5; 7 ] (Fault_plan.pending_kills plan);
+  (match Fault_plan.commit_kill plan None ~node:4 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "committed a kill the plan never scheduled");
+  commit 7;
+  commit 5;
+  for _ = 4 to 6 do
+    Fault_plan.tick plan None
+  done;
+  Alcotest.check ints "tick 6" [ 0 ] (Fault_plan.pending_kills plan);
+  commit 0;
+  check_model "all committed";
+  Alcotest.check ints "nothing pending" [] (Fault_plan.pending_kills plan)
+
+(* The keys the reliable layer and the plan index channels by pack two
+   node ids as [(src lsl 31) lor dst].  [Int.hash] folds a key's high 32
+   bits onto its low ones, so the 4032 channels of 64 nodes get only 128
+   distinct hashes (chains of ~30 on every lookup); [Int_table.scatter]
+   must spread them over nearly every one of 1024 buckets (it fills all
+   of them; a uniform random hash would fill about 1004). *)
+let test_scatter_spreads_channel_keys () =
+  let buckets hash =
+    let seen = Hashtbl.create 1024 in
+    for src = 0 to 63 do
+      for dst = 0 to 63 do
+        if src <> dst then Hashtbl.replace seen (hash ((src lsl 31) lor dst) land 1023) ()
+      done
+    done;
+    Hashtbl.length seen
+  in
+  let folded = buckets Int.hash and spread = buckets Int_table.scatter in
+  checkb (Printf.sprintf "Int.hash fills %d of 1024 buckets" folded) true (folded <= 128);
+  checkb (Printf.sprintf "scatter fills %d of 1024 buckets" spread) true (spread >= 980)
+
+(* Wire tags: a channel id has 30 bits and a sequence number 31.  The
+   largest of each survives the round trip; one more fails naming its
+   field instead of aliasing another channel's packets. *)
+let test_wire_tag_limits () =
+  let chan = (1 lsl 30) - 1 and sn = (1 lsl 31) - 1 in
+  let tag = Roundq.data_tag ~chan ~sn in
+  checkb "non-negative" true (tag >= 0);
+  checki "channel back" chan (Roundq.tag_chan tag);
+  checki "sn back" sn (Roundq.tag_sn tag);
+  checkb "data" false (Roundq.is_ack tag);
+  let ack = Roundq.ack_tag tag in
+  checkb "ack" true (Roundq.is_ack ack);
+  checki "ack channel" chan (Roundq.tag_chan ack);
+  checki "ack sn" sn (Roundq.tag_sn ack);
+  checki "small" 5 (Roundq.tag_chan (Roundq.data_tag ~chan:5 ~sn:(1 lsl 30)));
+  let fails field f =
+    match f () with
+    | exception Invalid_argument m ->
+        checkb (Printf.sprintf "%S names %s" m field) true (contains m field)
+    | _ -> Alcotest.failf "no failure for an oversized %s" field
+  in
+  fails "channel id" (fun () -> Roundq.data_tag ~chan:(1 lsl 30) ~sn:0);
+  fails "channel id" (fun () -> Roundq.data_tag ~chan:(-1) ~sn:0);
+  fails "sequence number" (fun () -> Roundq.data_tag ~chan:0 ~sn:(1 lsl 31));
+  fails "sequence number" (fun () -> Roundq.data_tag ~chan:0 ~sn:(-1))
 
 (* ------------------------------------------------- engine-level reliable *)
 
@@ -177,11 +383,6 @@ let test_quiescence_diagnostics () =
       ()
   in
   Sync_engine.send eng ~src:0 ~dst:1 "ping";
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   match Sync_engine.run_to_quiescence ~max_rounds:50 eng with
   | exception Failure m ->
       checkb "mentions pending" true (contains m "pending=");
@@ -293,6 +494,143 @@ let test_async_next_deadline_drives_clock () =
     "drops=8709 dups=97 spikes=0 crash_drops=0 retransmits=8464 acks=982 suppressed=734 dead=0"
     stats;
   Alcotest.(check string) "digest" "856abe857940f43b" digest
+
+(* Crash windows through whole runs: overlapping windows on one node, a
+   window open from tick 0, two nodes coming up on the same tick (their
+   "up" events in the order the plan's down set has always visited them)
+   and windows that open after the traffic has died down.  The events,
+   counters and digests were recorded while every tick still recomputed
+   the crashed set; only a window's edge may now do that work. *)
+let crash_windows : Fault_plan.crash_window list =
+  [
+    { node = 1; from_tick = 0; until_tick = 3 };
+    { node = 2; from_tick = 4; until_tick = 9 };
+    { node = 2; from_tick = 6; until_tick = 12 };
+    { node = 5; from_tick = 5; until_tick = 14 };
+    { node = 3; from_tick = 7; until_tick = 14 };
+    { node = 0; from_tick = 14; until_tick = 15 };
+    { node = 4; from_tick = 20; until_tick = 31 };
+  ]
+
+let crash_events trace =
+  List.filter_map
+    (function Trace.Node_crashed { node; kind; at } -> Some (node, kind, at) | _ -> None)
+    (Trace.events trace)
+
+let crash_event = Alcotest.(list (triple int string int))
+
+let test_sync_crash_window_run () =
+  let plan = Fault_plan.create ~drop:0.1 ~crashes:crash_windows ~seed:13 () in
+  let trace = Trace.create () in
+  let got = ref 0 in
+  let eng =
+    Sync_engine.create ~n:6 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun eng ~dst:_ ~src:_ m ->
+        incr got;
+        relay Sync_engine.send eng m)
+      ()
+  in
+  for c = 0 to 29 do
+    let src, dst = channel_of c in
+    Sync_engine.send eng ~src ~dst c
+  done;
+  checki "rounds" 128 (Sync_engine.run_to_quiescence eng);
+  checki "delivered" 300 !got;
+  Alcotest.(check string)
+    "stats"
+    "drops=97 dups=0 spikes=0 crash_drops=167 retransmits=264 acks=468 suppressed=168 dead=0"
+    (stats_line plan);
+  Alcotest.check crash_event "node_crash events"
+    [
+      (1, "down", 1);
+      (1, "up", 3);
+      (2, "down", 4);
+      (5, "down", 5);
+      (3, "down", 7);
+      (2, "up", 12);
+      (0, "down", 14);
+      (3, "up", 14);
+      (5, "up", 14);
+      (0, "up", 15);
+      (4, "down", 20);
+      (4, "up", 31);
+    ]
+    (crash_events trace);
+  Alcotest.(check string) "digest" "9792698b051161be" (trace_digest trace)
+
+(* The same windows stretched 20x for the asynchronous engine, which
+   ticks once per event, with delay spikes on. *)
+let test_async_crash_window_run () =
+  let crashes =
+    List.map
+      (fun (w : Fault_plan.crash_window) ->
+        { w with from_tick = 20 * w.from_tick; until_tick = 20 * w.until_tick })
+      crash_windows
+  in
+  let plan = Fault_plan.create ~drop:0.1 ~delay_spike:0.1 ~crashes ~seed:13 () in
+  let trace = Trace.create () in
+  let got = ref 0 in
+  let eng =
+    Async_engine.create ~n:6 ~seed:9 ~size_bits:(fun _ -> 8) ~trace ~faults:plan
+      ~handler:(fun eng ~dst:_ ~src:_ m ->
+        incr got;
+        relay Async_engine.send eng m)
+      ()
+  in
+  for c = 0 to 29 do
+    let src, dst = channel_of c in
+    Async_engine.send eng ~src ~dst c
+  done;
+  checki "events" 1353 (Async_engine.run_to_quiescence eng);
+  checki "delivered" 300 !got;
+  Alcotest.(check string)
+    "stats"
+    "drops=148 dups=0 spikes=142 crash_drops=127 retransmits=527 acks=674 suppressed=374 dead=0"
+    (stats_line plan);
+  Alcotest.check crash_event "node_crash events"
+    [
+      (1, "down", 1);
+      (1, "up", 60);
+      (2, "down", 80);
+      (5, "down", 100);
+      (3, "down", 140);
+      (2, "up", 240);
+      (0, "down", 280);
+      (3, "up", 280);
+      (5, "up", 280);
+      (0, "up", 300);
+      (4, "down", 400);
+      (4, "up", 620);
+    ]
+    (crash_events trace);
+  Alcotest.(check string) "digest" "794aada6b94f5708" (trace_digest trace)
+
+(* A tick between two window edges does no work: 1000 of them allocate
+   exactly what an empty loop does. *)
+let test_non_edge_tick_allocation () =
+  let plan = Fault_plan.create ~crashes:crash_windows ~seed:1 () in
+  let trace = Some (Trace.create ()) in
+  for _ = 1 to 31 do
+    Fault_plan.tick plan trace
+  done;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let empty () =
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity plan)
+    done
+  in
+  let ticks () =
+    for _ = 1 to 1000 do
+      Fault_plan.tick plan trace
+    done
+  in
+  let base = words empty in
+  Alcotest.(check (float 0.0)) "minor words of 1000 non-edge ticks" base (words ticks);
+  checkb "still nobody down" false (Fault_plan.is_down plan ~node:4)
 
 (* Reaping runs only after a kill is committed or a packet is registered
    on a channel with a killed endpoint.  This is the second trigger: the
@@ -420,14 +758,14 @@ let test_warm_relay_allocation () =
     (Printf.sprintf "%.1f minor words per registered packet <= 6" per_packet)
     true (per_packet <= 6.0)
 
-(* [Reliable.Int_table] must visit its bindings exactly as the stdlib's
+(* [Int_table] must visit its bindings exactly as the stdlib's
    [Hashtbl] does, because [due]'s visit order decides every
    retransmission's fault draw and delivery order.  Random replace/remove
    sequences grow both tables past 600 live keys (16 -> 512 buckets), with
    resets after growth; the orders must agree after every step.  A
    second table shares the store, so node ids interleave. *)
 module Itbl = Hashtbl.Make (Int)
-module It = Reliable.Int_table
+module It = Int_table
 
 let test_int_table_order () =
   let rng = Dpq_util.Rng.create ~seed:11 in
@@ -837,6 +1175,15 @@ let () =
           QCheck_alcotest.to_alcotest plan_roundtrip;
           Alcotest.test_case "of_string error messages are precise" `Quick
             test_plan_error_messages;
+          Alcotest.test_case "a non-edge tick allocates nothing" `Quick
+            test_non_edge_tick_allocation;
+          Alcotest.test_case "dense counters = (src, dst)-keyed reference" `Quick
+            test_dense_counters_match_reference;
+          Alcotest.test_case "channel indices are dense and fixed" `Quick test_channel_index_dense;
+          Alcotest.test_case "kill set: pending order, commits, is_down" `Quick test_kill_set;
+          Alcotest.test_case "wire tag limits name their field" `Quick test_wire_tag_limits;
+          Alcotest.test_case "scatter spreads packed channel keys" `Quick
+            test_scatter_spreads_channel_keys;
         ] );
       ( "reliable",
         [
@@ -861,6 +1208,8 @@ let () =
           Alcotest.test_case "Int_table visits as Hashtbl.Make (Int)" `Quick test_int_table_order;
           Alcotest.test_case "Int_table visits as a (src, dst) Hashtbl" `Quick
             test_int_table_pair_order;
+          Alcotest.test_case "sync crash-window run pinned" `Quick test_sync_crash_window_run;
+          Alcotest.test_case "async crash-window run pinned" `Quick test_async_crash_window_run;
         ] );
       ( "protocol_matrix",
         [
