@@ -9,8 +9,9 @@
                        open-loop cells (mode "open": burst / diurnal
                        arrivals x fixed windows + the adaptive gossip-fed
                        controller, EXPERIMENTS.md §S6), and last the
-                       streamed large-n cells (mode "stream": skeap at n =
-                       4096, 16384, 65536 with 2²⁰ ops each), ascending in
+                       streamed large-n cells (mode "stream": skeap and
+                       seap at n = 4096, 16384, 65536, with 2²⁰ ops per
+                       skeap cell and 2¹⁸ per seap cell), ascending in
                        n, because Gc top_heap_words is process-global and
                        monotonic.
        --faults SPEC   run the grid over the faulty network (e.g.
@@ -71,6 +72,7 @@ let stream_grid =
     (skeap, 16384, 1, 64);
     (Dpq_types.Types.Seap, 16384, 1, 16);
     (skeap, 65536, 1, 16);
+    (Dpq_types.Types.Seap, 65536, 1, 4);
   ]
 
 let cell_spec ~n ~lambda ~wl_rounds =

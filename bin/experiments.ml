@@ -165,28 +165,33 @@ let t3 ~seed ~full =
 
 let t4 ~seed ~full =
   header "T4" "KSelect rounds vs n and m = n^q (Theorem 4.2)"
-    "rounds / log2 n roughly constant in n; weakly sensitive to q (Phase 1 runs log q + 1 iterations)";
+    "rounds / log2 n roughly constant in n and weakly sensitive to q (pairwise; counting's two-pass iterations, one per 16-fold cut of the priority span, grow it slowly, at fewer rounds)";
   let sizes = if full then [ 16; 64; 256; 1024; 4096 ] else [ 16; 64; 256; 1024 ] in
   sweep ~title:"T4 KSelect latency (k = m/2)"
     ~columns:
-      [ right "n"; right "m"; right "m/n"; right "rounds"; right "rounds/log2 n"; right "max msg bits";
-        left "correct" ]
+      [ right "n"; right "m"; right "m/n"; left "impl"; right "rounds"; right "rounds/log2 n";
+        right "messages"; right "max msg bits"; right "max cong"; left "correct" ]
     (* n-sweep at m/n = 8, then a q-sweep at n = 256: m from n (q = 1) to
        ~n^2 (q = 2) *)
-    (List.map (fun n -> (n, 8)) sizes
-    @ List.map (fun per_node -> (256, per_node)) [ 1; 32; (if full then 256 else 128) ])
-    (fun (n, per_node) ->
+    (List.concat_map
+       (fun size -> [ (size, `Counting); (size, `Pairwise) ])
+       (List.map (fun n -> (n, 8)) sizes
+       @ List.map (fun per_node -> (256, per_node)) [ 1; 32; (if full then 256 else 128) ]))
+    (fun ((n, per_node), impl) ->
       let m = per_node * n in
       let elements = elements ~seed ~n ~per_node in
       let k = m / 2 in
-      let r = K.select ~seed ~net:(net ~seed ~n) ~elements ~k () in
+      let r = K.select ~seed ~impl ~net:(net ~seed ~n) ~elements ~k () in
       [
         string_of_int n;
         string_of_int m;
         string_of_int per_node;
+        (match impl with `Counting -> "counting" | `Pairwise -> "pairwise");
         string_of_int r.K.report.Phase.rounds;
         Table.fmt_float (fi r.K.report.Phase.rounds /. log2 n);
+        string_of_int r.K.report.Phase.messages;
         string_of_int r.K.report.Phase.max_message_bits;
+        string_of_int r.K.report.Phase.max_congestion;
         correct r elements ~k;
       ])
 
@@ -360,7 +365,10 @@ let f2 ~seed ~full =
     ~columns:[ right "n"; right "trees/node" ]
     (if full then [ 16; 64; 256; 1024 ] else [ 16; 64; 256 ])
     (fun n ->
-      let r = K.select ~seed ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16) ~k:(8 * n) () in
+      let r =
+        K.select ~seed ~impl:`Pairwise ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16)
+          ~k:(8 * n) ()
+      in
       [ string_of_int n; Table.fmt_float r.K.diagnostics.K.mean_trees_per_node ])
 
 (* ------------------------------------------------------------------ F3 *)
@@ -370,7 +378,10 @@ let f3 ~seed ~full =
     "phase 1 cuts m to ≪ n^{3/2} log n; each phase-2 iteration shrinks geometrically to ≤ ~4√n";
   let n = if full then 1024 else 256 in
   let m = n * 16 in
-  let r = K.select ~seed ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16) ~k:(m / 2) () in
+  let r =
+    K.select ~seed ~impl:`Pairwise ~net:(net ~seed ~n) ~elements:(elements ~seed ~n ~per_node:16)
+      ~k:(m / 2) ()
+  in
   let d = r.K.diagnostics in
   let stages name = List.mapi (fun i c -> (Printf.sprintf "after %s iter %d" name (i + 1), c)) in
   sweep
@@ -482,7 +493,7 @@ let a1 ~seed ~full =
       [ right "c"; right "p2 iters"; right "rounds"; right "messages"; right "max congestion"; left "correct" ]
     [ 1.0; 2.0; 4.0; 8.0 ]
     (fun c ->
-      let r = K.select ~seed ~rep_factor:c ~net ~elements ~k () in
+      let r = K.select ~seed ~impl:`Pairwise ~rep_factor:c ~net ~elements ~k () in
       [
         Table.fmt_float ~dec:0 c;
         string_of_int (List.length r.K.diagnostics.K.phase2_candidates);

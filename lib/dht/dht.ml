@@ -553,32 +553,35 @@ let elements_by_node t =
     t.stores.(0);
   by_node
 
+(* One pass that edits the primary store as it walks it
+   ([filter_map_inplace] visits bindings in [iter]'s order): a key with no
+   match is kept as it is, a key whose elements all match is dropped, and
+   any other key's queue keeps its unmatched elements, rotated through
+   itself in order.  Each key's taken elements go onto its owner's list in
+   queue order, in front of the keys visited before. *)
 let take_matching_by_node t ~f =
   let taken = Array.make (Ldb.n t.ldb) [] in
-  let updates = ref [] in
-  Hashtbl.iter
+  Hashtbl.filter_map_inplace
     (fun key q ->
-      (* Most keys hold nothing to take: test first, allocate only on a hit. *)
-      if Queue.fold (fun hit e -> hit || f e) false q then begin
-        let keep = Queue.create () in
+      let hits = Queue.fold (fun c e -> if f e then c + 1 else c) 0 q in
+      if hits = 0 then Some q
+      else begin
         let mine = ref [] in
-        Queue.iter (fun e -> if f e then mine := e :: !mine else Queue.push e keep) q;
+        for _ = 1 to Queue.length q do
+          let e = Queue.take q in
+          if f e then mine := e :: !mine else Queue.push e q
+        done;
         let owner = Ldb.owner (manager_of_key t key) in
         taken.(owner) <- List.rev_append !mine taken.(owner);
-        updates := (key, keep, !mine) :: !updates
+        (* Replica copies drop the same identities, key by key; modelled as
+           free local bookkeeping, like the take itself (Seap charges this
+           phase's traffic elsewhere). *)
+        for r = 1 to t.k - 1 do
+          List.iter (fun e -> ignore (tbl_remove t.stores.(r) key (Element.equal e))) !mine
+        done;
+        if Queue.is_empty q then None else Some q
       end)
     t.stores.(0);
-  List.iter
-    (fun (key, keep, removed) ->
-      if Queue.is_empty keep then Hashtbl.remove t.stores.(0) key
-      else Hashtbl.replace t.stores.(0) key keep;
-      (* Replica copies drop the same identities, key by key; modelled as
-         free local bookkeeping, like the take itself (Seap charges this
-         phase's traffic elsewhere). *)
-      for r = 1 to t.k - 1 do
-        List.iter (fun e -> ignore (tbl_remove t.stores.(r) key (Element.equal e))) removed
-      done)
-    !updates;
   taken
 
 (* ===================================================== anti-entropy repair

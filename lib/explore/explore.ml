@@ -162,11 +162,11 @@ let default_combos =
           [ None; Some drop_dup_spec ])
       [ Types.Skeap { num_prios }; Types.Seap ]
   in
-  (* Large-n Seap cells: the aggregated KSelect path only differs from the
-     pairwise one in routing volume, so the sweep must exercise it where the
-     comparison-vector batching actually multiplexes (n >> the default 6).
-     Fault-free and sync — the point is arbitrary-priority semantics at
-     scale, not fault interleavings (those are covered at small n above). *)
+  (* Large-n Seap cells: KSelect's counting iterations only run deep
+     aggregation trees and merge many bucket samples well above the default
+     n = 6, so the sweep exercises them there.  Fault-free and sync — the
+     point is arbitrary-priority semantics at scale, not fault
+     interleavings (those are covered at small n above). *)
   let seap_large =
     List.map
       (fun n ->

@@ -91,7 +91,7 @@ val default_combos : combo list
     cells: {Skeap, Seap} × sync × {no faults, drop+dup} under a burst
     arrival with the default {!Dpq_gossip.Batch_ctl} controller (4
     more), plus fault-free large-n Seap cells at n = 128 and n = 256
-    exercising the aggregated KSelect routing path (2 more). *)
+    exercising KSelect's counting iterations on deep trees (2 more). *)
 
 val default_policies : Dpq_simrt.Sched.policy list
 (** Fifo, a shuffle with starvation, crossing pairs, and a channel bias

@@ -6,7 +6,6 @@ module Ldb = Dpq_overlay.Ldb
 module Aggtree = Dpq_aggtree.Aggtree
 module Phase = Dpq_aggtree.Phase
 module Sync = Dpq_simrt.Sync_engine
-module Metrics = Dpq_simrt.Metrics
 
 type diagnostics = {
   initial_candidates : int;
@@ -19,18 +18,13 @@ type diagnostics = {
   phase3_candidates : int;
 }
 
-type impl = [ `Aggregated | `Pairwise ]
+type impl = [ `Counting | `Pairwise ]
 
 type result = {
   element : Element.t;
   report : Phase.report;
   diagnostics : diagnostics;
 }
-
-(* Test-only: corrupt the first vote of every multi-item aggregated message
-   (smaller/larger swapped) — a planted wrong-aggregation bug the
-   differential test layer must catch.  Never set outside tests. *)
-let unsafe_misaggregate_votes = ref false
 
 let select_seq elements ~k =
   let sorted = List.sort Element.compare elements in
@@ -91,35 +85,18 @@ type tnode = {
   mutable t_done : bool;
 }
 
-(* The billed bit-length of each payload kind, shared by both stages:
-   [point_bits] is charged for every point field of the pairwise payload,
-   [elt_bits] is the carried element's [Element.encoded_bits]. *)
-let disseminate_bits ~point_bits ~i ~a ~b ~x ~parent_mid ~elt_bits =
-  Bitsize.bits_of_int i + Bitsize.bits_of_int a + Bitsize.bits_of_int b
-  + Bitsize.bits_of_int (abs x) + (2 * point_bits) + Bitsize.bits_of_int (abs parent_mid)
-  + elt_bits
-
-let rendezvous_bits ~point_bits ~i ~j ~elt_bits =
-  Bitsize.bits_of_int i + Bitsize.bits_of_int j + elt_bits + point_bits
-
-let vote_bits ~i ~j ~smaller ~larger =
-  Bitsize.bits_of_int i + Bitsize.bits_of_int j + smaller + larger + 2
-
-let child_sum_bits ~i ~parent_mid ~smaller ~larger =
-  Bitsize.bits_of_int i + Bitsize.bits_of_int parent_mid + Bitsize.bits_of_int smaller
-  + Bitsize.bits_of_int larger
-
+(* The billed bit-length of a payload: [point_bits] for every point field,
+   an element's [Element.encoded_bits] for every element. *)
 let spayload_bits ldb p =
   let point_bits = 2 * Bitsize.log2_ceil (max 2 (Ldb.n ldb)) in
+  let bits = Bitsize.bits_of_int in
   match p with
   | Disseminate d ->
-      disseminate_bits ~point_bits ~i:d.i ~a:d.a ~b:d.b ~x:d.x ~parent_mid:d.parent_mid
-        ~elt_bits:(Element.encoded_bits d.elt)
-  | Rendezvous r ->
-      rendezvous_bits ~point_bits ~i:r.i ~j:r.j ~elt_bits:(Element.encoded_bits r.elt)
-  | Vote v -> vote_bits ~i:v.i ~j:v.j ~smaller:v.smaller ~larger:v.larger
-  | Child_sum c ->
-      child_sum_bits ~i:c.i ~parent_mid:c.parent_mid ~smaller:c.smaller ~larger:c.larger
+      bits d.i + bits d.a + bits d.b + bits (abs d.x) + (2 * point_bits) + bits (abs d.parent_mid)
+      + Element.encoded_bits d.elt
+  | Rendezvous r -> bits r.i + bits r.j + Element.encoded_bits r.elt + point_bits
+  | Vote v -> bits v.i + bits v.j + v.smaller + v.larger + 2
+  | Child_sum c -> bits c.i + bits c.parent_mid + bits c.smaller + bits c.larger
 
 (* [orders.(i)]: the order the root of T(v_i) computed, 0 while unknown.
    Returns the position of each order 1..n' (slot 0 unused). *)
@@ -140,10 +117,10 @@ let positions_by_order ~n' orders =
 (* Returns the position of each order (index 1..n') plus the number of
    (node, tree) participations, and adds the engine costs to [reports].
 
-   The pre-optimization protocol: every copy-tree edge is a de Bruijn hop,
-   every rendezvous and vote is routed hop-by-hop to the hashed pair point,
-   and every payload is its own wire message.  Kept executable as the
-   reference the differential test layer runs the aggregated rewrite
+   The paper's protocol: every copy-tree edge is a de Bruijn hop, every
+   rendezvous and vote is routed hop-by-hop to the hashed pair point, and
+   every payload is its own wire message.  Kept executable as the
+   reference the differential test layer runs the counting path
    against. *)
 let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(reps : reps) ~n'
     ~(add_report : Phase.report -> unit) =
@@ -340,450 +317,385 @@ let sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(rep
   Phase.trace_phase_end trace span "kselect-sort" stage_report;
   (positions_by_order ~n' orders, Hashtbl.length participations)
 
-(* The aggregated stage's items, one row each in int columns.  An item is
-   one payload of the pairwise twin, with vnodes where the pairwise one
-   carries points: a copy's disseminate names the vnode of the tree node
-   it creates and of that node's parent (-1 at a root), a rendezvous the
-   vnode its vote returns to.  Votes and child sums therefore go straight
-   to a known vnode, and only copy and pair points need a manager lookup.
-   No element is carried: every disseminate and rendezvous of copy tree i
-   holds the element at position i.  Column use by kind:
+(* ------------------------------------------------------------------------ *)
+(* Rank counting on the aggregation tree (the default path).                *)
+(* ------------------------------------------------------------------------ *)
 
-     kind         i  a       b        x       v      parent  pmid
-     disseminate  i  a       b        x       vnode  parent  parent_mid
-     rendezvous   i  j       -        -       back   -       -
-     vote         i  j       smaller  larger  -      -       -
-     child sum    i  -       smaller  larger  -      -       parent_mid
+(* b = s = 5: pivots per sampled pass, and entries per bucket sample.  The
+   sequential probe of EXPERIMENTS.md §S21 picked it: 10.9 tree passes per
+   selection on seap-closed's sizes against 12.3 at 4 and 9.9 at 6, while a
+   full message of 6 counts and 30 elements stays below 1 kbit at n=65536,
+   where 6 would not. *)
+let fanout = 5
 
-   A disseminate's x is -1 at a root: derived from the root's label. *)
-let k_disseminate = 0
-let k_rendezvous = 1
-let k_vote = 2
-let k_child_sum = 3
+(* The entries one message samples, (b+1)·s.  A pass without pivots has one
+   bucket, and its sample takes all of them. *)
+let sample_max = (fanout + 1) * fanout
 
-(* The item and message store of one selection, reused by all its
-   aggregated stages.  A live row is an item posted and not yet handled.
-   While buffered, a row sits on its source's chain ([head], then [next],
-   newest first) with its destination in [dst].  An activation's [take]
-   walks one source's chain and pushes every row onto its destination's
-   chain at [first], which reverses it back into post order: one stable
-   pass groups the items by destination, summing each group's bits.  Each
-   group becomes one message, named on the wire by its first row, an
-   immediate int; that row's [m_count] and [m_bits] hold the message's
-   item count and billed bits.  An item posted to its own sender travels
-   as [lnot row] and is handled at once.  The rows of a handled message or
-   local item go back on a free list ([free_row] through [next]), so no
-   row is reused while an undelivered message (dropped, awaiting
-   retransmission, deferred, or held by a down node) still names it; the
-   columns grow on demand and rewind to empty whenever no row is live. *)
-type store = {
-  mutable kind : int array;
-  mutable f_i : int array;
-  mutable f_a : int array;
-  mutable f_b : int array;
-  mutable f_x : int array;
-  mutable f_v : int array;
-  mutable f_parent : int array;
-  mutable f_pmid : int array;
-  mutable dst : int array;
-  mutable next : int array;
-  mutable m_count : int array;
-  mutable m_bits : int array;
-  mutable rows : int;  (** rows in use since the last rewind *)
-  mutable free_row : int;
-  mutable live_rows : int;
-  mutable buffered : int;  (** rows on a source chain *)
-  head : int array;  (** per source *)
-  first : int array;  (** per destination, during a take *)
-  count : int array;
-  bits : int array;
-  mutable dsts : int array;  (** the running take's destinations, ascending *)
+(* Buckets of a priority-range pass: counts only, so its message stays below
+   a sampled pass's.  16 gives a selection the same pass count on nearly
+   every batch of the Seap workloads (EXPERIMENTS.md §S22). *)
+let range_buckets = 16
+
+(* A sample entry orders by (tag, element).  Equal tags fall to the smaller
+   element, never to arrival order, so merging is exact: the bottom-s of a
+   union is the bottom-s of its parts' bottom-s, whatever the merge order. *)
+let[@inline] precedes (t1 : int) e1 (t2 : int) e2 = t1 < t2 || (t1 = t2 && Element.compare e1 e2 < 0)
+
+(* The sub-aggregates of one up pass, in slots.  Slot q holds, per bucket j
+   < [nb], the count [cnt.(q·range_buckets + j)] of the subtree's
+   candidates in the bucket and their bottom-[cap] sample: [len] entries
+   from [q·sample_max + j·cap], ascending by (tag, element).  In the first
+   pass it also holds the subtree's smallest and largest candidate.  A vnode's
+   value in the pass is its slot, or -1 when its subtree holds no candidate
+   in range; a merge returns the child's slot to the free stack.  Only a
+   node's middle vnode takes a slot of its own and a merge never takes
+   one, so n slots suffice. *)
+type pool = {
+  mutable nb : int;  (** buckets this pass: pivots + 1 *)
+  mutable cap : int;  (** sample entries per bucket this pass *)
+  mutable extremes : bool;  (** this pass also carries the smallest and largest *)
+  cnt : int array;
+  len : int array;
+  tags : int array;
+  elts : Element.t array;
+  smallest : Element.t array;
+  largest : Element.t array;
+  free : int array;
+  mutable nfree : int;
+  m_tags : int array;  (** merge scratch, [sample_max] entries *)
+  m_elts : Element.t array;
 }
 
-let store_create ~n =
+let pool_create ~slots ~dummy =
+  let cells = slots * range_buckets in
   {
-    kind = [||];
-    f_i = [||];
-    f_a = [||];
-    f_b = [||];
-    f_x = [||];
-    f_v = [||];
-    f_parent = [||];
-    f_pmid = [||];
-    dst = [||];
-    next = [||];
-    m_count = [||];
-    m_bits = [||];
-    rows = 0;
-    free_row = -1;
-    live_rows = 0;
-    buffered = 0;
-    head = Array.make n (-1);
-    first = Array.make n (-1);
-    count = Array.make n 0;
-    bits = Array.make n 0;
-    dsts = Array.make 16 0;
+    nb = 1;
+    cap = fanout;
+    extremes = false;
+    cnt = Array.make cells 0;
+    len = Array.make cells 0;
+    tags = Array.make (slots * sample_max) 0;
+    elts = Array.make (slots * sample_max) dummy;
+    smallest = Array.make slots dummy;
+    largest = Array.make slots dummy;
+    free = Array.make slots 0;
+    nfree = 0;
+    m_tags = Array.make sample_max 0;
+    m_elts = Array.make sample_max dummy;
   }
 
-let grow a len =
-  let a' = Array.make (max 64 (2 * len)) 0 in
-  Array.blit a 0 a' 0 len;
-  a'
+(* Where bucket [j]'s sample starts in slot [q]. *)
+let[@inline] entries p q j = (q * sample_max) + (j * p.cap)
 
-let alloc_row s =
-  if s.live_rows = 0 then begin
-    s.rows <- 0;
-    s.free_row <- -1
-  end;
-  s.live_rows <- s.live_rows + 1;
-  if s.free_row >= 0 then begin
-    let q = s.free_row in
-    s.free_row <- s.next.(q);
-    q
-  end
-  else begin
-    let q = s.rows in
-    if q = Array.length s.kind then begin
-      s.kind <- grow s.kind q;
-      s.f_i <- grow s.f_i q;
-      s.f_a <- grow s.f_a q;
-      s.f_b <- grow s.f_b q;
-      s.f_x <- grow s.f_x q;
-      s.f_v <- grow s.f_v q;
-      s.f_parent <- grow s.f_parent q;
-      s.f_pmid <- grow s.f_pmid q;
-      s.dst <- grow s.dst q;
-      s.next <- grow s.next q;
-      s.m_count <- grow s.m_count q;
-      s.m_bits <- grow s.m_bits q
-    end;
-    s.rows <- q + 1;
-    q
-  end
+(* Every slot back on the free stack: the start of a pass. *)
+let reset_slots p =
+  let slots = Array.length p.free in
+  for q = 0 to slots - 1 do
+    p.free.(q) <- slots - 1 - q
+  done;
+  p.nfree <- slots
 
-(* Return the [len] rows chained from [first] to [last] through [next]. *)
-let free_rows s ~first ~last ~len =
-  s.next.(last) <- s.free_row;
-  s.free_row <- first;
-  s.live_rows <- s.live_rows - len
+let alloc_slot p =
+  if p.nfree = 0 then failwith "Kselect: counting pass ran out of slots";
+  p.nfree <- p.nfree - 1;
+  let q = p.free.(p.nfree) in
+  let c = q * range_buckets in
+  Array.fill p.cnt c p.nb 0;
+  Array.fill p.len c p.nb 0;
+  q
 
-(* Insertion sort: an activation's destinations are few (on seap-closed
-   and seap-deep the median is 0, the 99th percentile about 20 and the
-   maximum 162: 12.1M shifts over a whole seap-closed instance).  The
-   [int array] annotation keeps the comparison off polymorphic [compare]. *)
-let sort_prefix (a : int array) k =
-  for i = 1 to k - 1 do
-    let v = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > v do
-      a.(!j + 1) <- a.(!j);
-      decr j
+let free_slot p q =
+  p.free.(p.nfree) <- q;
+  p.nfree <- p.nfree + 1
+
+(* Offer one entry to the sample of cell [c], whose entries start at
+   [base], kept sorted by insertion. *)
+let offer p c base tag e =
+  let l = p.len.(c) in
+  if l < p.cap || precedes tag e p.tags.(base + l - 1) p.elts.(base + l - 1) then begin
+    let i = ref (if l < p.cap then l else l - 1) in
+    while !i > 0 && precedes tag e p.tags.(base + !i - 1) p.elts.(base + !i - 1) do
+      p.tags.(base + !i) <- p.tags.(base + !i - 1);
+      p.elts.(base + !i) <- p.elts.(base + !i - 1);
+      decr i
     done;
-    a.(!j + 1) <- v
-  done
+    p.tags.(base + !i) <- tag;
+    p.elts.(base + !i) <- e;
+    if l < p.cap then p.len.(c) <- l + 1
+  end
 
-(* Unchain [src]'s items, group them by destination and sum each group's
-   [item_bits]; returns the number of destinations, listed ascending in
-   [s.dsts]. *)
-let take s ~src ~item_bits =
-  let q = ref s.head.(src) in
-  s.head.(src) <- -1;
-  let ndst = ref 0 in
-  while !q >= 0 do
-    let i = !q in
-    q := s.next.(i);
-    let d = s.dst.(i) in
-    if s.first.(d) < 0 then begin
-      if !ndst = Array.length s.dsts then s.dsts <- grow s.dsts !ndst;
-      s.dsts.(!ndst) <- d;
-      incr ndst
-    end;
-    s.next.(i) <- s.first.(d);
-    s.first.(d) <- i;
-    s.count.(d) <- s.count.(d) + 1;
-    s.bits.(d) <- s.bits.(d) + item_bits i;
-    s.buffered <- s.buffered - 1
-  done;
-  sort_prefix s.dsts !ndst;
-  !ndst
-
-(* The engine every aggregated stage of one selection runs on, created at
-   its first stage and reset before each later one the way [Phase.net]
-   reuses its engine: a stage delivers, costs and draws faults exactly as
-   on a fresh engine, while the queue keeps the buffers it grew.  A
-   message is a row id; the running stage installs what a delivery, an
-   activation and a message's size mean, and between stages they fail. *)
-type sort_net = {
-  mutable eng : int Sync.t option;
-  mutable handle : int Sync.t -> int -> int -> unit;  (** [handle eng dst w] *)
-  mutable activate : int Sync.t -> int -> unit;
-  mutable size : int -> int;
-}
-
-let idle_handle _ _ _ = failwith "Kselect: sorting message delivered outside a stage"
-let idle_activate _ _ = failwith "Kselect: sorting activation outside a stage"
-let idle_size _ = 0
-
-let sort_net () = { eng = None; handle = idle_handle; activate = idle_activate; size = idle_size }
-
-(* The aggregated sorting stage: same copy trees, same hashed pair points,
-   same vote algebra as the pairwise reference, but every payload goes
-   directly to its destination's manager.  Items buffer in the [store];
-   each node's activation sends ONE combined vector message per
-   destination, in ascending destination order with items in post order,
-   and an item posted to its own sender is delivered at once.  Messages
-   per stage drop from Θ(n'² log n) wire words to the number of busy
-   (src, dst) edges per round, while every O(log n)-bit payload invariant
-   survives: a combined message carries the per-node constant number of
-   comparisons that previously travelled as separate words.
-
-   All simulation state is flat and int-indexed: managers of copy points
-   by bitstring x and of pair points by slot min·(n'+1) + max, each looked
-   up once per stage; tree node c_{i,j} and the rendezvous of {i, j} in
-   columns indexed i·(n'+1) + j. *)
-let sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos ~hash_pair ~(net : sort_net)
-    ~(store : store) ~(reps : reps) ~n' ~(add_report : Phase.report -> unit) =
-  let span = Dpq_obs.Trace.phase_start trace "kselect-sort" in
-  let s = store in
-  let n = Ldb.n ldb in
-  let d' = max 1 (Bitsize.log2_ceil (max 2 n')) in
-  let side = n' + 1 in
-  let cells = side * side in
-  let elt_of_pos = reps.elt_of_pos in
-  let elt_bits = Array.make side 0 in
-  for p = 1 to n' do
-    elt_bits.(p) <- Element.encoded_bits elt_of_pos.(p)
-  done;
-  let point_bits = 2 * Bitsize.log2_ceil (max 2 n) in
-  let routing_header = point_bits + Bitsize.log2_ceil (max 2 n) in
-  (* [apayload_bits]: the pairwise twin's bits plus the destination vnode
-     address every aggregated item ships ([point_bits + 2]). *)
-  let item_bits q =
-    let i = s.f_i.(q) in
-    let k = s.kind.(q) in
-    (if k = k_disseminate then
-       disseminate_bits ~point_bits ~i ~a:s.f_a.(q) ~b:s.f_b.(q) ~x:s.f_x.(q)
-         ~parent_mid:s.f_pmid.(q) ~elt_bits:elt_bits.(i)
-     else if k = k_rendezvous then rendezvous_bits ~point_bits ~i ~j:s.f_a.(q) ~elt_bits:elt_bits.(i)
-     else if k = k_vote then vote_bits ~i ~j:s.f_a.(q) ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
-     else child_sum_bits ~i ~parent_mid:s.f_pmid.(q) ~smaller:s.f_b.(q) ~larger:s.f_x.(q))
-    + point_bits + 2
-  in
-  (* Points reach [Ldb] as 53-bit mantissas, unboxed.  The copy point
-     x/2^d' is the mantissa x·2^(53-d'), exactly: x < 2^d'. *)
-  let copy_vnode = Array.make (1 lsl d') (-1) in
-  let copy_manager x =
-    if copy_vnode.(x) < 0 then copy_vnode.(x) <- Ldb.manager_of_mantissa ldb (x lsl (53 - d'));
-    copy_vnode.(x)
-  in
-  let pair_vnode = Array.make cells (-1) in
-  let pair_manager i j =
-    let lo = min i j and hi = max i j in
-    let slot = (lo * side) + hi in
-    if pair_vnode.(slot) < 0 then
-      pair_vnode.(slot) <- Ldb.manager_of_mantissa ldb (Hashing.pair_point hash_pair lo hi);
-    pair_vnode.(slot)
-  in
-  (* Tree node c_{i,j}: its vnode (-1 until its copy arrives), its parent's
-     vnode (-1 at a root) and mid, its vote sums, and how many of its own
-     vote and child sums are still outstanding. *)
-  let tn_vnode = Array.make cells (-1) in
-  let tn_parent = Array.make cells (-1) in
-  let tn_parent_mid = Array.make cells 0 in
-  let tn_smaller = Array.make cells 0 in
-  let tn_larger = Array.make cells 0 in
-  let tn_waiting = Array.make cells 0 in
-  (* Rendezvous of the pair {i, j}, i < j: the first copy to arrive parks
-     its tree and return vnode; [rz_i = 0] means nobody waits. *)
-  let rz_i = Array.make cells 0 in
-  let rz_back = Array.make cells 0 in
-  let orders = Array.make side 0 in
-  let post eng ~src dest ~kind ~i ~a ~b ~x ~v ~parent ~pmid =
-    let dst = Ldb.owner dest in
-    let q = alloc_row s in
-    s.kind.(q) <- kind;
-    s.f_i.(q) <- i;
-    s.f_a.(q) <- a;
-    s.f_b.(q) <- b;
-    s.f_x.(q) <- x;
-    s.f_v.(q) <- v;
-    s.f_parent.(q) <- parent;
-    s.f_pmid.(q) <- pmid;
-    if dst = src then Sync.send eng ~src ~dst (lnot q)
-    else begin
-      s.dst.(q) <- dst;
-      s.next.(q) <- s.head.(src);
-      s.head.(src) <- q;
-      s.buffered <- s.buffered + 1
-    end
-  in
-  let vote eng self dest ~i ~j ~smaller ~larger =
-    post eng ~src:self dest ~kind:k_vote ~i ~a:j ~b:smaller ~x:larger ~v:0 ~parent:0 ~pmid:0
-  in
-  let credit eng self ~what i c ~smaller ~larger =
-    if tn_vnode.(c) < 0 then failwith ("Kselect.sorting_stage: " ^ what ^ " for unknown tree node");
-    tn_smaller.(c) <- tn_smaller.(c) + smaller;
-    tn_larger.(c) <- tn_larger.(c) + larger;
-    tn_waiting.(c) <- tn_waiting.(c) - 1;
-    if tn_waiting.(c) = 0 then
-      if tn_parent.(c) < 0 then orders.(i) <- tn_smaller.(c) + 1
-      else
-        post eng ~src:self tn_parent.(c) ~kind:k_child_sum ~i ~a:0 ~b:tn_smaller.(c)
-          ~x:tn_larger.(c) ~v:0 ~parent:0 ~pmid:tn_parent_mid.(c)
-  in
-  (* Every field is read before the first post: a post may grow the
-     columns. *)
-  let handle eng self q =
-    let kind = s.kind.(q) and i = s.f_i.(q) in
-    if kind = k_disseminate then begin
-      let a = s.f_a.(q) and b = s.f_b.(q) and vnode = s.f_v.(q) in
-      let x =
-        if s.f_x.(q) >= 0 then s.f_x.(q)
-        else min ((1 lsl d') - 1) (int_of_float (Ldb.label ldb vnode *. float_of_int (1 lsl d')))
-      in
-      let mid = (a + b) / 2 in
-      let left = a <= mid - 1 and right = mid + 1 <= b in
-      let c = (i * side) + mid in
-      tn_vnode.(c) <- vnode;
-      tn_parent.(c) <- s.f_parent.(q);
-      tn_parent_mid.(c) <- s.f_pmid.(q);
-      tn_waiting.(c) <- 1 + Bool.to_int left + Bool.to_int right;
-      (* Spread the copies: prepend 0 / 1 to the bitstring (Phase 2b). *)
-      let shifted = x lsr 1 in
-      if left then begin
-        let dest = copy_manager shifted in
-        post eng ~src:self dest ~kind:k_disseminate ~i ~a ~b:(mid - 1) ~x:shifted ~v:dest
-          ~parent:vnode ~pmid:mid
-      end;
-      if right then begin
-        let xr = shifted lor (1 lsl (d' - 1)) in
-        let dest = copy_manager xr in
-        post eng ~src:self dest ~kind:k_disseminate ~i ~a:(mid + 1) ~b ~x:xr ~v:dest
-          ~parent:vnode ~pmid:mid
-      end;
-      (* This node holds copy c_{i,mid}: rendezvous with c_{mid,i}. *)
-      post eng ~src:self (pair_manager i mid) ~kind:k_rendezvous ~i ~a:mid ~b:0 ~x:0 ~v:vnode
-        ~parent:0 ~pmid:0
-    end
-    else if kind = k_rendezvous then begin
-      let j = s.f_a.(q) and back = s.f_v.(q) in
-      if i = j then
-        (* A copy paired with itself contributes nothing to the order. *)
-        vote eng self back ~i ~j ~smaller:0 ~larger:0
-      else begin
-        let slot = (min i j * side) + max i j in
-        let i0 = rz_i.(slot) in
-        if i0 = 0 then begin
-          rz_i.(slot) <- i;
-          rz_back.(slot) <- back
+(* Merge slot [src] into slot [dst], bucket by bucket: counts add, samples
+   merge to their bottom [cap]. *)
+let merge_slots p ~dst ~src =
+  for j = 0 to p.nb - 1 do
+    let cd = (dst * range_buckets) + j and cs = (src * range_buckets) + j in
+    p.cnt.(cd) <- p.cnt.(cd) + p.cnt.(cs);
+    let ld = p.len.(cd) and ls = p.len.(cs) in
+    if ls > 0 then begin
+      let bd = entries p dst j and bs = entries p src j in
+      let i = ref 0 and t = ref 0 and o = ref 0 in
+      while !o < p.cap && (!i < ld || !t < ls) do
+        if
+          !t >= ls
+          || (!i < ld && precedes p.tags.(bd + !i) p.elts.(bd + !i) p.tags.(bs + !t) p.elts.(bs + !t))
+        then begin
+          p.m_tags.(!o) <- p.tags.(bd + !i);
+          p.m_elts.(!o) <- p.elts.(bd + !i);
+          incr i
         end
         else begin
-          rz_i.(slot) <- 0;
-          (* [s0] = 1 iff the parked copy's element is the larger one. *)
-          let s0 = Bool.to_int (Element.compare elt_of_pos.(i0) elt_of_pos.(i) >= 0) in
-          vote eng self rz_back.(slot) ~i:i0 ~j:i ~smaller:s0 ~larger:(1 - s0);
-          vote eng self back ~i ~j:i0 ~smaller:(1 - s0) ~larger:s0
-        end
-      end
-    end
-    else if kind = k_vote then
-      credit eng self ~what:"vote" i ((i * side) + s.f_a.(q)) ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
-    else
-      credit eng self ~what:"child sum" i
-        ((i * side) + s.f_pmid.(q))
-        ~smaller:s.f_b.(q) ~larger:s.f_x.(q)
-  in
-  let handler eng dst w =
-    if w < 0 then begin
-      let q = lnot w in
-      handle eng dst q;
-      free_rows s ~first:q ~last:q ~len:1
-    end
-    else begin
-      let len = s.m_count.(w) in
-      let q = ref w and last = ref w in
-      for _ = 1 to len do
-        handle eng dst !q;
-        last := !q;
-        q := s.next.(!q)
+          p.m_tags.(!o) <- p.tags.(bs + !t);
+          p.m_elts.(!o) <- p.elts.(bs + !t);
+          incr t
+        end;
+        incr o
       done;
-      free_rows s ~first:w ~last:!last ~len
+      Array.blit p.m_tags 0 p.tags bd !o;
+      Array.blit p.m_elts 0 p.elts bd !o;
+      p.len.(cd) <- !o
     end
-  in
-  let activate eng node =
-    for g = 0 to take s ~src:node ~item_bits - 1 do
-      let d = s.dsts.(g) in
-      let first = s.first.(d) in
-      s.m_count.(first) <- s.count.(d);
-      s.m_bits.(first) <- routing_header + s.bits.(d);
-      s.first.(d) <- -1;
-      s.count.(d) <- 0;
-      s.bits.(d) <- 0;
-      if !unsafe_misaggregate_votes && s.m_count.(first) >= 2 && s.kind.(first) = k_vote then begin
-        let smaller = s.f_b.(first) in
-        s.f_b.(first) <- s.f_x.(first);
-        s.f_x.(first) <- smaller
-      end;
-      Sync.send eng ~src:node ~dst:d first
-    done
-  in
-  let eng =
-    match net.eng with
-    | Some eng ->
-        Sync.reset_clock eng;
-        eng
-    | None ->
-        let eng =
-          Sync.create ~n
-            ~size_bits:(fun w -> net.size w)
-            ~handler:(fun eng ~dst ~src:_ w -> net.handle eng dst w)
-            ~activate:(fun eng node -> net.activate eng node)
-            ?trace ?faults ?sched ()
-        in
-        net.eng <- Some eng;
-        eng
-  in
-  net.handle <- handler;
-  net.activate <- activate;
-  net.size <- (fun w -> if w < 0 then 0 else s.m_bits.(w));
-  (* Kick off: every chosen representative goes to the manager of its
-     position, which becomes the root v_i of copy tree T(v_i). *)
-  for node = 0 to n - 1 do
-    for pos = reps.pos_lo.(node) to reps.pos_lo.(node) + reps.pos_count.(node) - 1 do
-      let root = Ldb.manager_of_mantissa ldb (Hashing.point hash_pos pos) in
-      post eng ~src:node root ~kind:k_disseminate ~i:pos ~a:1 ~b:n' ~x:(-1) ~v:root ~parent:(-1)
-        ~pmid:(-1)
-    done
   done;
-  (* [run_to_quiescence] would stop while items still sit on source chains
-     (they are not in flight until an activation sends them; a down node's
-     skipped activation keeps them), so the stage drives rounds itself. *)
-  let rounds = ref 0 in
-  while s.buffered > 0 || Sync.pending eng > 0 || Sync.unacked eng > 0 do
-    if !rounds >= 200_000 then failwith "Kselect.sorting_stage: exceeded round budget";
-    Sync.step eng;
-    incr rounds
+  if p.extremes then begin
+    if Element.compare p.smallest.(src) p.smallest.(dst) < 0 then p.smallest.(dst) <- p.smallest.(src);
+    if Element.compare p.largest.(src) p.largest.(dst) > 0 then p.largest.(dst) <- p.largest.(src)
+  end
+
+let combine_slots p a c =
+  if a < 0 then c
+  else if c < 0 then a
+  else begin
+    merge_slots p ~dst:a ~src:c;
+    free_slot p c;
+    a
+  end
+
+(* A subtree's message: one count per bucket plus its sample's elements
+   (a tag is recomputed from its element, so it is not sent), and in the
+   first pass its smallest and largest candidate. *)
+let slot_bits p q =
+  if q < 0 then p.nb
+  else begin
+    let bits = ref 0 in
+    for j = 0 to p.nb - 1 do
+      let c = (q * range_buckets) + j and base = entries p q j in
+      bits := !bits + Bitsize.bits_of_int p.cnt.(c);
+      for t = 0 to p.len.(c) - 1 do
+        bits := !bits + Element.encoded_bits p.elts.(base + t)
+      done
+    done;
+    if p.extremes then
+      bits := !bits + Element.encoded_bits p.smallest.(q) + Element.encoded_bits p.largest.(q);
+    !bits
+  end
+
+let bottom_s_merge a b =
+  match a @ b with
+  | [] -> []
+  | (_, dummy) :: _ ->
+      let p = pool_create ~slots:2 ~dummy in
+      reset_slots p;
+      let fill l =
+        let q = alloc_slot p in
+        List.iter (fun (tag, e) -> offer p (q * range_buckets) (entries p q 0) tag e) l;
+        q
+      in
+      let qa = fill a in
+      let q = combine_slots p qa (fill b) in
+      let base = entries p q 0 in
+      List.init p.len.(q * range_buckets) (fun t -> (p.tags.(base + t), p.elts.(base + t)))
+
+(* The pivots of a priority-range pass into [pivots]: [plo, phi], at least
+   [range_buckets] priorities wide, cut into [range_buckets] parts whose
+   widths differ by at most one.  The pivot below a part that starts at
+   priority a stands for "priority below a": the element of priority a at
+   origin -1, below every real element of that priority.  Every node
+   derives them from [plo] and [phi], so only those two travel.  Returns
+   the pivot count. *)
+let range_pivots pivots ~plo ~phi =
+  let span = phi - plo + 1 in
+  let width = span / range_buckets and extra = span mod range_buckets in
+  for j = 1 to range_buckets - 1 do
+    pivots.(j - 1) <- Element.make ~prio:(plo + (j * width) + min j extra) ~origin:(-1) ~seq:0 ()
   done;
-  net.handle <- idle_handle;
-  net.activate <- idle_activate;
-  net.size <- idle_size;
-  let stage_report = Phase.report_of_metrics (Sync.metrics eng) !rounds in
-  add_report stage_report;
-  Phase.trace_phase_end trace span "kselect-sort" stage_report;
-  (* (node, tree) participations: the distinct owners of each tree's
-     nodes, counted with one stamp per real node. *)
-  let participations = ref 0 in
-  let stamp = Array.make n 0 in
-  for i = 1 to n' do
-    for j = 1 to n' do
-      let v = tn_vnode.((i * side) + j) in
-      if v >= 0 && stamp.(Ldb.owner v) <> i then begin
-        stamp.(Ldb.owner v) <- i;
-        incr participations
+  range_buckets - 1
+
+(* The counting selection.  Iteration i is one broadcast and one up pass:
+   the broadcast carries the bucket the anchor chose from iteration i-1
+   (each node drops its candidates outside it) and the new pivots; the up
+   pass carries, per bucket, the count of candidates in it and, on a
+   sampled pass, their bottom-s sample under the seeded tag h(seed, i, e).
+   The anchor keeps the bucket holding rank k and knows the priorities it
+   can hold, [plo, phi].  Once the bucket's count is at most its sample's
+   size, the sample is the whole bucket and the k-th element is read off
+   it.  Otherwise the next pass is
+   - a priority-range pass while the bucket exceeds one message and
+     [plo, phi] spans at least [range_buckets] priorities: that many equal
+     parts of it, counts only;
+   - a collect (no pivots, a [sample_max] sample, so all of it) once the
+     bucket fits one message, or, with no sample in hand, a pass of the
+     same shape that draws one;
+   - a sampled pass otherwise: the sorted sample, or [fanout] of it evenly
+     spaced, as pivots.
+   Iteration 0 has no pivots: one bucket, the whole set, with its smallest
+   and largest element for the first [plo, phi] and a sample two entries
+   short, so that its message holds no more elements than a sampled
+   pass's.  Range passes narrow [plo, phi] 16-fold each and sampled ones
+   shrink the bucket by about (s+2)/2, so a selection takes at most
+   log_16 of the priority span plus O(log m) passes w.h.p.  On the Seap
+   workloads' priorities it takes the same four on nearly every batch:
+   extremes, two ranges, collect. *)
+let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
+  let trace = Phase.trace net and tree = Phase.tree net in
+  let n = Ldb.n ldb in
+  let report = ref Phase.empty_report in
+  let add r = report := Phase.add_report !report r in
+  let cand_len = Array.map Array.length cands in
+  let p = pool_create ~slots:n ~dummy in
+  let hash = Hashing.create ~seed:(seed + 7919) in
+  (* The running range (lo, hi], the priorities it can hold [plo, phi], the
+     pivots and what the broadcast announcing them costs, the sample size
+     per bucket, and the anchor's last choice. *)
+  let lo = ref None and hi = ref None in
+  let plo = ref 0 and phi = ref 0 in
+  let pivots = Array.make (range_buckets - 1) dummy and npiv = ref 0 in
+  let pivot_bits = ref 0 and cap = ref (sample_max - 2) in
+  let chosen = ref 0 in
+  let k = ref k and c = ref m in
+  let answer = ref None and iter = ref 0 and trail = ref [] in
+  let in_range e =
+    (match !lo with None -> true | Some l -> Element.compare l e < 0)
+    && match !hi with None -> true | Some h -> Element.compare e h <= 0
+  in
+  while Option.is_none !answer do
+    let i = !iter in
+    add (Phase.broadcast net ~bits:(Bitsize.bits_of_int !chosen + !pivot_bits));
+    (* Every node keeps its candidates in the chosen bucket only. *)
+    if i > 0 then
+      for node = 0 to n - 1 do
+        let cs = cands.(node) in
+        let kept = ref 0 in
+        for t = 0 to cand_len.(node) - 1 do
+          let e = cs.(t) in
+          if in_range e then begin
+            cs.(!kept) <- e;
+            incr kept
+          end
+        done;
+        cand_len.(node) <- !kept
+      done;
+    p.nb <- !npiv + 1;
+    p.cap <- !cap;
+    p.extremes <- i = 0;
+    reset_slots p;
+    let local v =
+      let node = Ldb.owner v in
+      if Ldb.kind v <> Ldb.Middle || cand_len.(node) = 0 || not (Aggtree.in_tree tree v) then -1
+      else begin
+        let q = alloc_slot p in
+        let cs = cands.(node) in
+        if p.extremes then begin
+          p.smallest.(q) <- cs.(0);
+          p.largest.(q) <- cs.(0)
+        end;
+        for t = 0 to cand_len.(node) - 1 do
+          let e = cs.(t) in
+          let j = ref 0 in
+          while !j < !npiv && Element.compare pivots.(!j) e < 0 do
+            incr j
+          done;
+          let cell = (q * range_buckets) + !j in
+          p.cnt.(cell) <- p.cnt.(cell) + 1;
+          if p.cap > 0 then begin
+            let tag =
+              Hashing.pair hash (Hashing.pair hash (Hashing.pair hash i e.prio) e.origin) e.seq
+            in
+            offer p cell (entries p q !j) tag e
+          end;
+          if p.extremes then begin
+            if Element.compare e p.smallest.(q) < 0 then p.smallest.(q) <- e;
+            if Element.compare e p.largest.(q) > 0 then p.largest.(q) <- e
+          end
+        done;
+        q
       end
-    done
+    in
+    let root, _, r = Phase.up net ~local ~combine:(combine_slots p) ~size_bits:(slot_bits p) in
+    add r;
+    (* Every candidate is counted once, in iteration 0's single bucket. *)
+    let base = root * range_buckets in
+    let counted = if root < 0 then 0 else p.cnt.(base) in
+    if i = 0 && counted <> m then
+      failwith (Printf.sprintf "Kselect: the tree counted %d of %d candidates" counted m);
+    (* The bucket holding rank k, and k's rank inside it. *)
+    let j = ref 0 in
+    while !k > p.cnt.(base + !j) do
+      k := !k - p.cnt.(base + !j);
+      incr j
+    done;
+    let cell = base + !j in
+    c := p.cnt.(cell);
+    let sample = Array.sub p.elts (entries p root !j) p.len.(cell) in
+    Array.sort Element.compare sample;
+    let len = Array.length sample in
+    if !c <= len then answer := Some sample.(!k - 1)
+    else begin
+      if i = 0 then begin
+        plo := p.smallest.(root).prio;
+        phi := p.largest.(root).prio
+      end;
+      (* A range pivot's priority starts the part above it; a sampled one
+         is an element of the parts on both sides. *)
+      if !j > 0 then begin
+        lo := Some pivots.(!j - 1);
+        plo := pivots.(!j - 1).prio
+      end;
+      if !j < !npiv then begin
+        hi := Some pivots.(!j);
+        phi := (if pivots.(!j).origin < 0 then pivots.(!j).prio - 1 else pivots.(!j).prio)
+      end;
+      chosen := !j;
+      pivot_bits := 0;
+      (* A span past max_int wraps negative and takes the sampled path. *)
+      if !c > sample_max && !phi - !plo + 1 >= range_buckets then begin
+        npiv := range_pivots pivots ~plo:!plo ~phi:!phi;
+        pivot_bits := Bitsize.bits_of_int !plo + Bitsize.bits_of_int !phi;
+        cap := 0
+      end
+      else if !c <= sample_max || len = 0 then begin
+        npiv := 0;
+        cap := sample_max
+      end
+      else begin
+        let b = min fanout len in
+        for t = 0 to b - 1 do
+          pivots.(t) <- sample.((((t + 1) * (len + 1)) / (b + 1)) - 1);
+          pivot_bits := !pivot_bits + Element.encoded_bits pivots.(t)
+        done;
+        npiv := b;
+        cap := fanout
+      end
+    end;
+    trail := !c :: !trail;
+    Dpq_obs.Trace.kselect_round trace ~stage:"phase2" ~iteration:(i + 1) ~candidates:!c
+      ~messages:!report.Phase.messages;
+    incr iter
   done;
-  (positions_by_order ~n' orders, !participations)
+  Dpq_obs.Trace.kselect_round trace ~stage:"phase3" ~iteration:0 ~candidates:!c
+    ~messages:!report.Phase.messages;
+  let diagnostics =
+    {
+      initial_candidates = m;
+      phase1_iterations = 0;
+      phase1_skipped = true;
+      phase1_candidates = [];
+      phase2_candidates = List.rev !trail;
+      phase2_rep_counts = [];
+      mean_trees_per_node = 0.0;
+      phase3_candidates = !c;
+    }
+  in
+  { element = Option.get !answer; report = !report; diagnostics }
 
 (* ------------------------------------------------------------------------ *)
 (* The full protocol.                                                        *)
@@ -809,8 +721,6 @@ type state = {
   cand_len : int array;
   scratch : Element.t array; (* Phase 1's local selection *)
   reps : reps;
-  store : store;
-  sort_net : sort_net;
   mutable n_remaining : int; (* v0.N *)
   mutable k : int; (* v0.k *)
   mutable prune : prune option; (* decided, rides on the next broadcast *)
@@ -1074,33 +984,24 @@ let bcast_with_prune st payload_bits =
 
 (* -------------------------------------------------------------- select  *)
 
-let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~elements ~k () =
+(* The paper's Phases 1-3, with the pairwise sorting stage. *)
+let select_pairwise ~seed ~rep_factor ~net ~ldb ~cands ~m ~k ~dummy =
   let trace = Phase.trace net and faults = Phase.faults net and sched = Phase.sched net in
-  let ldb = Aggtree.ldb (Phase.tree net) in
   let n = Ldb.n ldb in
-  if Array.length elements <> n then
-    invalid_arg "Kselect.select: elements array length differs from node count";
-  let cands = Array.map Array.of_list elements in
-  let m = Array.fold_left (fun acc cs -> acc + Array.length cs) 0 cands in
-  if k < 1 || k > m then
-    invalid_arg (Printf.sprintf "Kselect.select: k=%d outside [1,%d]" k m);
-  let some_elt = (Option.get (Array.find_opt (fun cs -> cs <> [||]) cands)).(0) in
   let st =
     {
       net;
       ldb;
       cands;
       cand_len = Array.map Array.length cands;
-      scratch = Array.make (Array.fold_left (fun acc cs -> max acc (Array.length cs)) 0 cands) some_elt;
+      scratch = Array.make (Array.fold_left (fun acc cs -> max acc (Array.length cs)) 0 cands) dummy;
       reps =
         {
-          elt_of_pos = Array.make (m + 1) some_elt;
-          drawn = Array.make m some_elt;
+          elt_of_pos = Array.make (m + 1) dummy;
+          drawn = Array.make m dummy;
           pos_lo = Array.make n 0;
           pos_count = Array.make n 0;
         };
-      store = store_create ~n;
-      sort_net = sort_net ();
       n_remaining = m;
       k;
       prune = None;
@@ -1110,17 +1011,11 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
       hash_pair = Hashing.create ~seed:(seed + 65537);
     }
   in
-  let aggregated = impl = `Aggregated in
   (* The element of each order 1..n' of the representatives just drawn. *)
   let sorting_stage ~n' =
     let by_order, parts =
-      if aggregated then
-        sorting_stage_aggregated ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
-          ~hash_pair:st.hash_pair ~net:st.sort_net ~store:st.store ~reps:st.reps ~n'
-          ~add_report:(add_report st)
-      else
-        sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
-          ~hash_pair:st.hash_pair ~reps:st.reps ~n' ~add_report:(add_report st)
+      sorting_stage_pairwise ~trace ~faults ~sched ~ldb ~hash_pos:st.hash_pos
+        ~hash_pair:st.hash_pair ~reps:st.reps ~n' ~add_report:(add_report st)
     in
     ((fun order -> st.reps.elt_of_pos.(by_order.(order))), parts)
   in
@@ -1130,74 +1025,68 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
   (* Stop shrinking once everything fits into one exact sorting stage of
      the size Phase 2 would sample anyway (n' ≈ 4√n). *)
   let threshold = max (int_of_float (rep_factor *. sqrt (float_of_int n))) 32 in
-  (* Small batches skip straight to the Phase 3 exact sort: the whole
-     candidate set is no bigger than the sample Phase 2 would draw, so the
-     sampling iterations could not reduce the sorting work they precede. *)
-  let skip_direct = aggregated && m <= threshold in
   let iters1_run = ref 0 in
-  if not skip_direct then begin
-    (* ---------------- Phase 1: log(q)+1 sampling iterations ------------ *)
-    let q =
-      if n < 2 then 1
-      else max 1 (int_of_float (ceil (log (float_of_int (max 2 m)) /. log (float_of_int n))))
-    in
-    let iters1 = Bitsize.log2_ceil (max 1 q) + 1 in
-    (* A void iteration ends Phase 1: the remaining ones would see the same
-       k, N and candidates and reach the same verdict. *)
-    let rec phase1 i =
-      if i <= iters1 then begin
-        let void = phase1_iteration st in
-        iters1_run := i;
-        diag_p1 := st.n_remaining :: !diag_p1;
-        Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
-          ~candidates:st.n_remaining ~messages:(msgs ());
-        if not void then phase1 (i + 1)
-      end
-    in
-    phase1 1;
-    (* ---------------- Phase 2: shrink to ~sqrt(n) candidates ----------- *)
-    (* δ = Θ(√(log n) · n^{1/4}) (Lemma 4.6).  The constant is 1 rather than
-       the proof's larger c: the exact-rank guards below make pruning safe
-       unconditionally, so a tighter δ only trades a little failure
-       probability for much faster shrinkage at moderate n. *)
-    let delta =
-      max 1
-        (int_of_float
-           (sqrt (log (float_of_int (max 2 n))) *. (float_of_int (max 2 n) ** 0.25)))
-    in
-    let no_progress = ref 0 in
-    let iter2 = ref 0 in
-    while st.n_remaining > threshold && !no_progress < 3 && !iter2 < 30 do
-      incr iter2;
-      let before = st.n_remaining in
-      bcast_with_prune st (2 * int_bits (max n st.n_remaining));
-      (* n' = Θ(√n) representatives; the constant 4 keeps n' comfortably above
-         δ at practical n (the paper's asymptotics assume n' ≫ δ, which for
-         √n vs n^{1/4}·√log n only holds at very large n). *)
-      let prob = rep_factor *. sqrt (float_of_int n) /. float_of_int st.n_remaining in
-      let prob = min 1.0 prob in
-      let n' = draw_representatives st ~prob in
-      if n' >= 2 then begin
-        diag_reps := n' :: !diag_reps;
-        let by_order, parts = sorting_stage ~n' in
-        participations := !participations + parts;
-        incr stages;
-        let ideal = float_of_int st.k *. float_of_int n' /. float_of_int st.n_remaining in
-        let l = max 1 (min n' (int_of_float (floor (ideal -. float_of_int delta)))) in
-        let r = max 1 (min n' (int_of_float (ceil (ideal +. float_of_int delta)))) in
-        let c_l = by_order l and c_r = by_order (max l r) in
-        (* One aggregation for the exact ranks, then prune with the safety
-           guards: below only if rank(c_l) < k, above only if rank(c_r) >= k.
-           The decision rides on the next iteration's start broadcast. *)
-        let rank_l, rank_r = exact_ranks st c_l c_r in
-        decide_prune st ~c_l ~c_r ~rank_l ~rank_r
-      end;
-      diag_p2 := st.n_remaining :: !diag_p2;
-      Dpq_obs.Trace.kselect_round trace ~stage:"phase2" ~iteration:!iter2
+  (* ---------------- Phase 1: log(q)+1 sampling iterations ------------ *)
+  let q =
+    if n < 2 then 1
+    else max 1 (int_of_float (ceil (log (float_of_int (max 2 m)) /. log (float_of_int n))))
+  in
+  let iters1 = Bitsize.log2_ceil (max 1 q) + 1 in
+  (* A void iteration ends Phase 1: the remaining ones would see the same
+     k, N and candidates and reach the same verdict. *)
+  let rec phase1 i =
+    if i <= iters1 then begin
+      let void = phase1_iteration st in
+      iters1_run := i;
+      diag_p1 := st.n_remaining :: !diag_p1;
+      Dpq_obs.Trace.kselect_round trace ~stage:"phase1" ~iteration:i
         ~candidates:st.n_remaining ~messages:(msgs ());
-      if st.n_remaining >= before then incr no_progress else no_progress := 0
-    done
-  end;
+      if not void then phase1 (i + 1)
+    end
+  in
+  phase1 1;
+  (* ---------------- Phase 2: shrink to ~sqrt(n) candidates ----------- *)
+  (* δ = Θ(√(log n) · n^{1/4}) (Lemma 4.6).  The constant is 1 rather than
+     the proof's larger c: the exact-rank guards below make pruning safe
+     unconditionally, so a tighter δ only trades a little failure
+     probability for much faster shrinkage at moderate n. *)
+  let delta =
+    max 1
+      (int_of_float
+         (sqrt (log (float_of_int (max 2 n))) *. (float_of_int (max 2 n) ** 0.25)))
+  in
+  let no_progress = ref 0 in
+  let iter2 = ref 0 in
+  while st.n_remaining > threshold && !no_progress < 3 && !iter2 < 30 do
+    incr iter2;
+    let before = st.n_remaining in
+    bcast_with_prune st (2 * int_bits (max n st.n_remaining));
+    (* n' = Θ(√n) representatives; the constant 4 keeps n' comfortably above
+       δ at practical n (the paper's asymptotics assume n' ≫ δ, which for
+       √n vs n^{1/4}·√log n only holds at very large n). *)
+    let prob = rep_factor *. sqrt (float_of_int n) /. float_of_int st.n_remaining in
+    let prob = min 1.0 prob in
+    let n' = draw_representatives st ~prob in
+    if n' >= 2 then begin
+      diag_reps := n' :: !diag_reps;
+      let by_order, parts = sorting_stage ~n' in
+      participations := !participations + parts;
+      incr stages;
+      let ideal = float_of_int st.k *. float_of_int n' /. float_of_int st.n_remaining in
+      let l = max 1 (min n' (int_of_float (floor (ideal -. float_of_int delta)))) in
+      let r = max 1 (min n' (int_of_float (ceil (ideal +. float_of_int delta)))) in
+      let c_l = by_order l and c_r = by_order (max l r) in
+      (* One aggregation for the exact ranks, then prune with the safety
+         guards: below only if rank(c_l) < k, above only if rank(c_r) >= k.
+         The decision rides on the next iteration's start broadcast. *)
+      let rank_l, rank_r = exact_ranks st c_l c_r in
+      decide_prune st ~c_l ~c_r ~rank_l ~rank_r
+    end;
+    diag_p2 := st.n_remaining :: !diag_p2;
+    Dpq_obs.Trace.kselect_round trace ~stage:"phase2" ~iteration:!iter2
+      ~candidates:st.n_remaining ~messages:(msgs ());
+    if st.n_remaining >= before then incr no_progress else no_progress := 0
+  done;
   (* ---------------- Phase 3: exact computation ------------------------- *)
   (* Phase 2's last prune decision goes out in a broadcast of its own. *)
   if Option.is_some st.prune then bcast_with_prune st 0;
@@ -1237,7 +1126,7 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
     {
       initial_candidates = m;
       phase1_iterations = !iters1_run;
-      phase1_skipped = skip_direct;
+      phase1_skipped = false;
       phase1_candidates = List.rev !diag_p1;
       phase2_candidates = List.rev !diag_p2;
       phase2_rep_counts = List.rev !diag_reps;
@@ -1248,3 +1137,16 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Aggregated) ~net ~el
     }
   in
   { element; report = st.report; diagnostics }
+
+let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Counting) ~net ~elements ~k () =
+  let ldb = Aggtree.ldb (Phase.tree net) in
+  if Array.length elements <> Ldb.n ldb then
+    invalid_arg "Kselect.select: elements array length differs from node count";
+  let cands = Array.map Array.of_list elements in
+  let m = Array.fold_left (fun acc cs -> acc + Array.length cs) 0 cands in
+  if k < 1 || k > m then
+    invalid_arg (Printf.sprintf "Kselect.select: k=%d outside [1,%d]" k m);
+  let dummy = (Option.get (Array.find_opt (fun cs -> cs <> [||]) cands)).(0) in
+  match impl with
+  | `Counting -> select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy
+  | `Pairwise -> select_pairwise ~seed ~rep_factor ~net ~ldb ~cands ~m ~k ~dummy

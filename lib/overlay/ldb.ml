@@ -9,8 +9,13 @@ type t = {
   cycle : vnode array; (* the present nodes' vnodes sorted by label *)
   cycle_pos : int array; (* inverse of [cycle]; -1 for absent vnodes *)
   d : int; (* emulated de Bruijn dimension *)
-  pidx : int array; (* bucket index for [manager_of_point]: greatest cycle
-                       position whose label <= b/256, or -1 *)
+  clabels : float array; (* labels in cycle order: [labels.(cycle.(pos))] *)
+  pidx : int array; (* bucket index for [manager_of_point], one bucket per
+                       1/2^k of [0,1) where 2^k >= the cycle length:
+                       greatest cycle position whose label <= b/2^k, or -1 *)
+  mid_steps : int array; (* per cycle position, the steps to the nearest
+                            middle vnode forward (low 31 bits) and
+                            backward (high bits) *)
 }
 
 let kind_code = function Left -> 0 | Middle -> 1 | Right -> 2
@@ -30,6 +35,32 @@ let kind_to_string = function
 
 let n t = t.n
 let label t v = t.labels.(v)
+
+(* The present nodes' vnodes sorted by label.  m ↦ m/2 and m ↦ (m+1)/2
+   keep order, so sorting the n middles sorts the left and the right
+   labels too, and the cycle is the merge of the three runs: an n-element
+   sort and a linear merge instead of a 3n-element sort.  Hashed labels
+   never tie; were two equal, they would go in node-id order within a run
+   and in left, middle, right order across runs. *)
+let sorted_cycle labels present =
+  let n = Array.length present in
+  let ids = Array.of_list (List.filter (fun i -> present.(i)) (List.init n Fun.id)) in
+  Array.stable_sort (fun a b -> Float.compare labels.((3 * a) + 1) labels.((3 * b) + 1)) ids;
+  let k = Array.length ids in
+  let cycle = Array.make (3 * k) 0 in
+  (* [next.(j)]: the next id of run j (vnode code j: left, middle, right). *)
+  let next = Array.make 3 0 in
+  let[@inline] head j = labels.((3 * ids.(next.(j))) + j) in
+  for o = 0 to (3 * k) - 1 do
+    let best = ref (-1) in
+    for j = 0 to 2 do
+      if next.(j) < k && (!best < 0 || head j < head !best) then best := j
+    done;
+    let j = !best in
+    cycle.(o) <- (3 * ids.(next.(j))) + j;
+    next.(j) <- next.(j) + 1
+  done;
+  cycle
 
 let build_from_middles ?present ~seed middles =
   let n = Array.length middles in
@@ -52,25 +83,41 @@ let build_from_middles ?present ~seed middles =
     middles;
   (* Only present nodes contribute vnodes to the cycle; absent vnodes keep
      their labels (ids stay stable) but take no part in routing. *)
-  let cycle =
-    Array.init (3 * n) (fun v -> v)
-    |> Array.to_list
-    |> List.filter (fun v -> present.(v / 3))
-    |> Array.of_list
-  in
-  Array.sort (fun a b -> Float.compare labels.(a) labels.(b)) cycle;
+  let cycle = sorted_cycle labels present in
   let cycle_pos = Array.make (3 * n) (-1) in
   Array.iteri (fun pos v -> cycle_pos.(v) <- pos) cycle;
   let d = Dpq_util.Bitsize.log2_ceil (max 2 n) + 2 in
   let len = Array.length cycle in
-  let pidx = Array.make 256 (-1) in
+  let clabels = Array.map (fun v -> labels.(v)) cycle in
+  let buckets = 1 lsl Dpq_util.Bitsize.log2_ceil len in
+  let pidx = Array.make buckets (-1) in
   let pos = ref (-1) in
-  for b = 0 to 255 do
-    let lim = float_of_int b /. 256.0 in
-    while !pos + 1 < len && labels.(cycle.(!pos + 1)) <= lim do incr pos done;
+  for b = 0 to buckets - 1 do
+    let lim = float_of_int b /. float_of_int buckets in
+    while !pos + 1 < len && clabels.(!pos + 1) <= lim do incr pos done;
     pidx.(b) <- !pos
   done;
-  { n; seed; present; labels; cycle; cycle_pos; d; pidx }
+  (* Steps to the nearest middle vnode in each direction, in one sweep
+     each way around the cycle from a middle vnode (every present node has
+     one, so some position is a middle). *)
+  let is_middle pos = cycle.(pos) mod 3 = 1 in
+  let m0 = ref 0 in
+  while not (is_middle !m0) do incr m0 done;
+  let mid_steps = Array.make len 0 in
+  let f = ref 0 and b = ref 0 in
+  for i = 1 to len - 1 do
+    let pos = !m0 - i in
+    let pos = if pos < 0 then pos + len else pos in
+    f := if is_middle pos then 0 else !f + 1;
+    mid_steps.(pos) <- !f
+  done;
+  for i = 1 to len - 1 do
+    let pos = !m0 + i in
+    let pos = if pos >= len then pos - len else pos in
+    b := if is_middle pos then 0 else !b + 1;
+    mid_steps.(pos) <- mid_steps.(pos) lor (!b lsl 31)
+  done;
+  { n; seed; present; labels; cycle; cycle_pos; d; clabels; pidx; mid_steps }
 
 (* A hashed point's 53-bit mantissa [m] is the point [m·2^-53], exactly:
    [m] fits a double's mantissa and the scaling is a power of two. *)
@@ -97,21 +144,23 @@ let pred t v =
 
 (* The cycle position of the manager of [p]: the greatest label <= p,
    wrapping to the maximum label if p is below all labels.  The bucket
-   index jumps to the last position at or below the enclosing 1/256
-   bucket's start; a short forward scan (expected O(1): labels are
-   hash-uniform) finishes the job.  This sits on every routing step, where
-   it replaced a full binary search over the cycle; it is inlined, so the
-   walk below never boxes its float argument, and neither does
-   [manager_of_mantissa], whose int argument crosses the library boundary
-   unboxed and becomes a float only here. *)
+   index has at least as many buckets as the cycle has vnodes, so it jumps
+   to the last position at or below p's bucket start and a forward scan of
+   expected O(1) labels (they are hash-uniform) finishes the job, at every
+   n.  This sits on every routing step, where it replaced a full binary
+   search over the cycle; it is inlined, so the walk below never boxes its
+   float argument, and neither does [manager_of_mantissa], whose int
+   argument crosses the library boundary unboxed and becomes a float only
+   here. *)
 let[@inline] manager_pos t p =
   let len = Array.length t.cycle in
   if p < 0.0 then len - 1
   else begin
-    let b = int_of_float (p *. 256.0) in
-    let b = if b > 255 then 255 else b in
+    let buckets = Array.length t.pidx in
+    let b = int_of_float (p *. float_of_int buckets) in
+    let b = if b >= buckets then buckets - 1 else b in
     let i = ref t.pidx.(b) in
-    while !i + 1 < len && t.labels.(t.cycle.(!i + 1)) <= p do incr i done;
+    while !i + 1 < len && t.clabels.(!i + 1) <= p do incr i done;
     if !i < 0 then len - 1 else !i
   end
 
@@ -262,16 +311,6 @@ let walk_to t b v target =
   let bwd = if fwd = 0 then 0 else len - fwd in
   if fwd <= bwd then walk_steps t b pv fwd 1 else walk_steps t b pv bwd (-1)
 
-(* Steps from cycle position [pos] in [dir] to the first middle vnode
-   (vnode code 1 mod 3), scanning at most a full cycle; -1 if none. *)
-let middle_steps t pos dir =
-  let len = Array.length t.cycle in
-  let found = ref (-1) and i = ref 0 in
-  while !found < 0 && !i <= len do
-    if cycle_at t pos !i dir mod 3 = 1 then found := !i else incr i
-  done;
-  !found
-
 (* The walk itself, shared by both entry points below; inlined into each,
    so neither boxes the point. *)
 let[@inline] walk t b src point =
@@ -285,11 +324,10 @@ let[@inline] walk t b src point =
     (* The middle vnode real-nearest to the ideal point, preferring forward
        on distance ties, exactly like [seek_kind_near]. *)
     let pos = t.cycle_pos.(!cur) in
-    let f = middle_steps t pos 1 and bk = middle_steps t pos (-1) in
-    let df = if f < 0 then infinity else abs_float (t.labels.(cycle_at t pos f 1) -. !p) in
-    let db = if bk < 0 then infinity else abs_float (t.labels.(cycle_at t pos bk (-1)) -. !p) in
-    if df = infinity && db = infinity then
-      failwith "Ldb.seek_kind_near: no virtual node of the requested kind";
+    let steps = t.mid_steps.(pos) in
+    let f = steps land 0x7fff_ffff and bk = steps lsr 31 in
+    let df = abs_float (t.labels.(cycle_at t pos f 1) -. !p) in
+    let db = abs_float (t.labels.(cycle_at t pos bk (-1)) -. !p) in
     let fwd = df <= db in
     let steps = if fwd then f else bk and dir = if fwd then 1 else -1 in
     walk_steps t b pos steps dir;

@@ -352,7 +352,7 @@ let test_seap_process_allocation () =
       checkb
         (Printf.sprintf "λ=%d: %.1f minor words per op <= %.0f" lambda per_op bound)
         true (per_op <= bound))
-    [ (1, 0.6, 170.0); (4, 0.75, 128.0) ]
+    [ (1, 0.6, 135.0); (4, 0.75, 120.0) ]
 
 let () =
   Alcotest.run "dpq_core"

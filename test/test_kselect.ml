@@ -14,9 +14,9 @@ let uniform_elements ~rng ~n ~per_node ~prio_range =
       List.init per_node (fun s ->
           E.make ~prio:(1 + Dpq_util.Rng.int rng prio_range) ~origin:v ~seq:s ()))
 
-let run_and_check ?(seed = 3) ~tree ~elements k =
+let run_and_check ?(seed = 3) ?impl ~tree ~elements k =
   let all = Array.to_list elements |> List.concat in
-  let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
+  let r = K.select ~seed ?impl ~net:(Phase.net tree) ~elements ~k () in
   let expect = K.select_seq all ~k in
   checkb
     (Printf.sprintf "k=%d selects the right element" k)
@@ -75,6 +75,27 @@ let test_all_same_priority () =
   let elements = Array.init n (fun v -> List.init 8 (fun s -> E.make ~prio:7 ~origin:v ~seq:s ())) in
   List.iter (fun k -> ignore (run_and_check ~tree ~elements k)) [ 1; 40; 80 ]
 
+(* Priorities across the whole int range: the counting path's priority
+   span between min_int and max_int does not fit an int, so it takes
+   sampled passes until the span does, then range passes. *)
+let test_extreme_priorities () =
+  let n = 16 in
+  let tree = tree_of ~n ~seed:9 in
+  let rng = Dpq_util.Rng.create ~seed:23 in
+  let elements =
+    Array.init n (fun v ->
+        List.init 8 (fun s ->
+            let prio =
+              match s mod 4 with
+              | 0 -> min_int + v
+              | 1 -> max_int - v
+              | 2 -> (v - 8) * (max_int / 16)
+              | _ -> (Dpq_util.Rng.int rng 1_000_000 - 500_000) * 9_000_000_000_000
+            in
+            E.make ~prio ~origin:v ~seq:s ()))
+  in
+  List.iter (fun k -> ignore (run_and_check ~tree ~elements k)) [ 1; 17; 40; 64; 100; 127; 128 ]
+
 let test_skewed_distribution () =
   (* All elements on a handful of nodes: stresses the short-node sentinels
      of Phase 1. *)
@@ -129,12 +150,16 @@ let test_deterministic_given_seed () =
 
 (* -------------------------------------------------- theorem-shaped props *)
 
+(* The Phase-1 and Phase-2 lemmas are about the paper's protocol, so those
+   checks run the [`Pairwise] reference; the round and message-size
+   theorems hold for both implementations. *)
+
 let test_phase1_reduces_candidates () =
   let rng = Dpq_util.Rng.create ~seed:17 in
   let n = 128 in
   let tree = tree_of ~n ~seed:2 in
   let elements = uniform_elements ~rng ~n ~per_node:32 ~prio_range:1_000_000 in
-  let r = run_and_check ~tree ~elements 2048 in
+  let r = run_and_check ~impl:`Pairwise ~tree ~elements 2048 in
   let after_p1 = List.nth r.K.diagnostics.K.phase1_candidates
       (List.length r.K.diagnostics.K.phase1_candidates - 1) in
   checkb "phase 1 pruned" true (after_p1 < r.K.diagnostics.K.initial_candidates);
@@ -157,7 +182,7 @@ let test_void_phase1_cut_short () =
           List.init 20 (fun s ->
               E.make ~prio:(1 + Dpq_util.Rng.int rng 1_000_000) ~origin:v ~seq:s ()))
   in
-  let r = run_and_check ~tree ~elements 10 in
+  let r = run_and_check ~impl:`Pairwise ~tree ~elements 10 in
   let d = r.K.diagnostics in
   checkb "phase 1 not skipped" false d.K.phase1_skipped;
   checki "one phase-1 iteration" 1 d.K.phase1_iterations;
@@ -168,7 +193,7 @@ let test_phase2_reaches_threshold () =
   let n = 64 in
   let tree = tree_of ~n ~seed:2 in
   let elements = uniform_elements ~rng ~n ~per_node:40 ~prio_range:1_000_000 in
-  let r = run_and_check ~tree ~elements 1280 in
+  let r = run_and_check ~impl:`Pairwise ~tree ~elements 1280 in
   (* Lemma 4.7 (with our n' = 4√n constant): the exact phase runs on at
      most ~4√n + a few candidates. *)
   checkb "phase 3 input small" true
@@ -182,7 +207,7 @@ let test_trees_per_node_bounded () =
     let rng = Dpq_util.Rng.create ~seed:23 in
     let tree = tree_of ~n ~seed:2 in
     let elements = uniform_elements ~rng ~n ~per_node:16 ~prio_range:100_000 in
-    let r = run_and_check ~tree ~elements (8 * n) in
+    let r = run_and_check ~impl:`Pairwise ~tree ~elements (8 * n) in
     r.K.diagnostics.K.mean_trees_per_node
   in
   let l64 = load 64 and l256 = load 256 in
@@ -208,7 +233,7 @@ let test_phase2_geometric_drop_64_seeds () =
     let tree = tree_of ~n ~seed in
     let elements = uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000 in
     let k = 1 + Dpq_util.Rng.int rng (n * per_node) in
-    let r = run_and_check ~seed ~tree ~elements k in
+    let r = run_and_check ~seed ~impl:`Pairwise ~tree ~elements k in
     let d = r.K.diagnostics in
     trees := d.K.mean_trees_per_node :: !trees;
     (* N entering Phase 2 is the last Phase-1 count. *)
@@ -265,11 +290,9 @@ let test_rounds_logarithmic () =
   checkb "O(log n) shape" true (r1024 < 6.0 *. r64)
 
 let test_message_bits_logarithmic () =
-  (* The O(log n)-bit wire-word theorem is a statement about the paper's
-     protocol, whose message format the [`Pairwise] reference implements;
-     the aggregated format deliberately concatenates many O(log n)-bit
-     items into one vector message, so its per-message maximum is checked
-     separately below. *)
+  (* The O(log n)-bit wire-word theorem (Lemma 5.5), for both formats:
+     the pairwise reference sends one payload per message, counting a
+     fixed number of O(log n)-bit fields per message. *)
   let bits ?impl n =
     let rng = Dpq_util.Rng.create ~seed:37 in
     let tree = tree_of ~n ~seed:2 in
@@ -281,11 +304,34 @@ let test_message_bits_logarithmic () =
   in
   let b64 = bits ~impl:`Pairwise 64 and b1024 = bits ~impl:`Pairwise 1024 in
   checkb "bits grow additively, not multiplicatively" true (b1024 < b64 +. 80.0);
-  (* Aggregated vectors: the biggest combined message may pick up more
-     items on hot destinations as n grows, but it must stay well below
-     linear growth (observed ~4x over a 16x node increase). *)
-  let a64 = bits 64 and a1024 = bits 1024 in
-  checkb "aggregated vector growth stays sublinear" true (a1024 < 8.0 *. a64)
+  (* Counting: a message holds at most 16 counts, or s+1 counts and
+     (s+1)·s elements.  Every message fits that format at the run's field
+     widths (counts up to m = 8n, priorities in [1, 80n], origins below n,
+     sequence numbers below 8, an empty payload, and the header's two
+     points below 3n), whose size 16x the nodes widen by log2 16 = 4 bits
+     a field.  The bound is that full format, not
+     the n = 64 reading: the two runs sample different elements, whose
+     priorities differ in width, so a reading-relative bound would compare
+     different messages. *)
+  let ceiling n =
+    let bits = Dpq_util.Bitsize.bits_of_int in
+    let header = 2 * Dpq_util.Bitsize.bits_of_nat_bound ((3 * n) - 1) in
+    let element = bits (80 * n) + bits (n - 1) + bits 7 + bits 0 in
+    let counts = K.fanout + 1 and count = bits (8 * n) in
+    header + max (16 * count) ((counts * count) + (counts * K.fanout * element))
+  in
+  List.iter
+    (fun n ->
+      let b = bits n in
+      checkb
+        (Printf.sprintf "counting: %.0f bits at n=%d, full format %d" b n (ceiling n))
+        true
+        (b <= float_of_int (ceiling n)))
+    [ 64; 1024 ];
+  (* 4 bits for each of the header's two points, the 6 counts and the 30
+     elements' priorities and origins. *)
+  checki "the format widens by 4 bits a field" (4 * (2 + 6 + (2 * 30)))
+    (ceiling 1024 - ceiling 64)
 
 (* qcheck: KSelect = sort-then-index on random inputs. *)
 let prop_kselect_matches_oracle =
@@ -305,11 +351,9 @@ let prop_kselect_matches_oracle =
 
 (* -------------------------------------------------- differential layer *)
 
-(* One differential data point: the optimized (aggregated) implementation
-   against BOTH the sequential sorted-oracle and the pre-optimization
-   pairwise protocol, on the same instance and seed.  Asserts the three
-   agree on the selected element and that the optimization strictly drops
-   engine messages. *)
+(* One differential data point: the counting implementation against BOTH
+   the sequential sorted oracle and the paper's pairwise protocol, on the
+   same instance and seed.  Returns both message counts. *)
 let diff_point ~n ~per_node ~prio_range ~seed k =
   let rng = Dpq_util.Rng.create ~seed in
   let tree = tree_of ~n ~seed:2 in
@@ -319,27 +363,13 @@ let diff_point ~n ~per_node ~prio_range ~seed k =
   let opt = K.select ~seed ~net:(Phase.net tree) ~elements ~k () in
   let refr = K.select ~seed ~impl:`Pairwise ~net:(Phase.net tree) ~elements ~k () in
   checkb
-    (Printf.sprintf "n=%d m=%d k=%d: optimized matches oracle" n (List.length all) k)
+    (Printf.sprintf "n=%d m=%d k=%d: counting matches oracle" n (List.length all) k)
     true
     (E.equal opt.K.element oracle);
   checkb
     (Printf.sprintf "n=%d m=%d k=%d: pairwise matches oracle" n (List.length all) k)
     true
     (E.equal refr.K.element oracle);
-  (* When both formats run Phases 1-2, they draw the same samples and build
-     the same copy trees on the same nodes, so the diagnostics agree too —
-     the participation count in particular is computed independently by
-     each (flat stamp array vs. a set of (node, tree) pairs). *)
-  let d_opt = opt.K.diagnostics and d_ref = refr.K.diagnostics in
-  if not d_opt.K.phase1_skipped then begin
-    let label what = Printf.sprintf "n=%d m=%d k=%d: %s agree" n (List.length all) k what in
-    checkb (label "mean_trees_per_node") true
-      (d_opt.K.mean_trees_per_node = d_ref.K.mean_trees_per_node);
-    Alcotest.(check (list int)) (label "phase2_candidates") d_ref.K.phase2_candidates
-      d_opt.K.phase2_candidates;
-    Alcotest.(check (list int)) (label "phase2_rep_counts") d_ref.K.phase2_rep_counts
-      d_opt.K.phase2_rep_counts
-  end;
   (opt.K.report.Phase.messages, refr.K.report.Phase.messages)
 
 (* qcheck sweep over random (n, per_node, k, seed) up to n=64, plus the
@@ -350,16 +380,11 @@ let prop_differential_matches_and_drops =
       triple (2 -- 64) (1 -- 8) (0 -- 1000) >>= fun (n, per_node, seed) ->
       map (fun k -> (n, per_node, seed, k)) (1 -- (n * per_node)))
   in
-  QCheck.Test.make ~name:"aggregated = pairwise = oracle, fewer messages" ~count:20
+  QCheck.Test.make ~name:"counting = pairwise = oracle, fewer messages" ~count:20
     (QCheck.make gen)
     (fun (n, per_node, seed, k) ->
-      let opt_msgs, ref_msgs =
-        diff_point ~n ~per_node ~prio_range:200 ~seed:(seed + 1) k
-      in
-      (* Tiny instances skip straight to one exact sorting stage, where the
-         two formats can tie; from a handful of nodes up the aggregated
-         format must win outright. *)
-      if n >= 8 then opt_msgs < ref_msgs else opt_msgs <= ref_msgs)
+      let opt_msgs, ref_msgs = diff_point ~n ~per_node ~prio_range:200 ~seed:(seed + 1) k in
+      opt_msgs < ref_msgs)
 
 let test_differential_large_grid () =
   List.iter
@@ -373,96 +398,229 @@ let test_differential_large_grid () =
         [ 1; m / 2; m ])
     [ (128, 4); (512, 4) ]
 
-let test_planted_misaggregation_caught () =
-  (* The planted wrong-aggregation bug (vote smaller/larger swapped inside
-     combined vectors) must surface in the differential as a wrong element
-     or a hard protocol failure — silent agreement would mean the test
-     layer cannot see aggregation mistakes. *)
-  let n = 32 and per_node = 16 in
-  let rng = Dpq_util.Rng.create ~seed:97 in
-  let tree = tree_of ~n ~seed:2 in
-  let elements = uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000 in
-  let all = Array.to_list elements |> List.concat in
-  let k = (n * per_node) / 2 in
-  let oracle = K.select_seq all ~k in
-  let caught =
-    Fun.protect
-      ~finally:(fun () -> K.unsafe_misaggregate_votes := false)
-      (fun () ->
-        K.unsafe_misaggregate_votes := true;
-        try
-          let r = K.select ~seed:97 ~net:(Phase.net tree) ~elements ~k () in
-          not (E.equal r.K.element oracle)
-        with Failure _ -> true)
+(* The shapes a selection meets, each with its network: priorities from a
+   wide range, a narrow one (many duplicates) or a single value; every
+   element on one node; one node killed (removed from the overlay, its
+   elements gone with it); 5% drops and 2% duplicates; a shuffling
+   scheduler. *)
+type shape = Wide | Narrow | All_equal | One_node | Killed | Faulty | Shuffled
+
+let shape_name = function
+  | Wide -> "wide"
+  | Narrow -> "narrow"
+  | All_equal -> "all-equal"
+  | One_node -> "one node"
+  | Killed -> "killed node"
+  | Faulty -> "drop 5%/dup 2%"
+  | Shuffled -> "shuffle"
+
+let shape_instance shape ~n ~seed =
+  let rng = Dpq_util.Rng.create ~seed in
+  let per_node = if n >= 64 then 4 else 6 in
+  let prio () =
+    match shape with
+    | Narrow -> 1 + Dpq_util.Rng.int rng 4
+    | All_equal -> 7
+    | Wide | One_node | Killed | Faulty | Shuffled -> 1 + Dpq_util.Rng.int rng 1_000_000
   in
-  checkb "differential catches the planted bug" true caught;
-  (* And the same instance passes clean with the flag off. *)
-  let r = K.select ~seed:97 ~net:(Phase.net tree) ~elements ~k () in
-  checkb "clean run agrees with oracle" true (E.equal r.K.element oracle)
+  let ldb = Ldb.build ~n ~seed:2 in
+  let ldb, dead = if shape = Killed && n > 1 then (Ldb.remove ldb ~id:(n / 2), n / 2) else (ldb, -1) in
+  let elements =
+    Array.init n (fun v ->
+        let count =
+          match shape with
+          | One_node -> if v = n - 1 then per_node * n else 0
+          | _ -> if v = dead then 0 else per_node
+        in
+        List.init count (fun s -> E.make ~prio:(prio ()) ~origin:v ~seq:s ()))
+  in
+  let tree = Aggtree.of_ldb ldb in
+  let net () =
+    match shape with
+    | Faulty ->
+        Phase.net ~faults:(Dpq_simrt.Fault_plan.create ~drop:0.05 ~duplicate:0.02 ~seed ()) tree
+    | Shuffled ->
+        Phase.net
+          ~sched:(Dpq_simrt.Sched.create ~seed (Shuffle { burst = 1; starvation = 0.1 }))
+          tree
+    | _ -> Phase.net tree
+  in
+  (elements, net)
+
+(* Counting = pairwise = oracle on every shape, at n ∈ {1, 2, 3, 16, 64,
+   256} and k ∈ {1, m/2, m}.  The pairwise reference runs up to n = 64
+   (at n = 256 its stages cost seconds per selection). *)
+let prop_counting_shapes =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ 1; 2; 3; 16; 64; 256 ])
+        (oneofl [ Wide; Narrow; All_equal; One_node; Killed; Faulty; Shuffled ])
+        (0 -- 10_000))
+  in
+  QCheck.Test.make ~name:"counting = pairwise = oracle on every shape" ~count:30
+    (QCheck.make gen)
+    (fun (n, shape, seed) ->
+      let elements, net = shape_instance shape ~n ~seed in
+      let all = List.concat (Array.to_list elements) in
+      let m = List.length all in
+      List.for_all
+        (fun k ->
+          let oracle = K.select_seq all ~k in
+          let label what =
+            Printf.sprintf "n=%d %s seed=%d k=%d: %s" n (shape_name shape) seed k what
+          in
+          let c = K.select ~seed ~net:(net ()) ~elements ~k () in
+          checkb (label "counting matches oracle") true (E.equal c.K.element oracle);
+          if n <= 64 then begin
+            let p = K.select ~seed ~impl:`Pairwise ~net:(net ()) ~elements ~k () in
+            checkb (label "pairwise matches oracle") true (E.equal p.K.element oracle)
+          end;
+          true)
+        (List.sort_uniq compare [ 1; max 1 (m / 2); m ]))
+
+(* The bottom-s sample merges exactly: the bottom-s of two parts' bottom-s
+   samples is the bottom-s of their union, whatever the split, with equal
+   tags falling to the smaller element. *)
+let prop_bottom_s_merge =
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (0 -- 12) (pair (0 -- 6) (0 -- 40))) (list_size (0 -- 12) (pair (0 -- 6) (0 -- 40))))
+  in
+  QCheck.Test.make ~name:"bottom-s samples merge exactly" ~count:300 (QCheck.make gen)
+    (fun (a, b) ->
+      (* Entries are (tag, element); an element appears at most once. *)
+      let seen = Hashtbl.create 16 in
+      let entries side l =
+        List.filter_map
+          (fun (tag, p) ->
+            let e = E.make ~prio:p ~origin:side ~seq:p () in
+            if Hashtbl.mem seen (side, p) then None
+            else begin
+              Hashtbl.replace seen (side, p) ();
+              Some (tag, e)
+            end)
+          l
+      in
+      let a = entries 0 a and b = entries 1 b in
+      let order (t1, e1) (t2, e2) = if t1 <> t2 then compare t1 t2 else E.compare e1 e2 in
+      let union = List.sort order (a @ b) in
+      let expect = List.filteri (fun i _ -> i < K.fanout) union in
+      let got = K.bottom_s_merge a b in
+      List.length got = List.length expect
+      && List.for_all2 (fun (t1, e1) (t2, e2) -> t1 = t2 && E.equal e1 e2) got expect)
+
+(* Tree passes of one counting selection, counted from its trace. *)
+let counting_passes ~seed ~tree ~elements ~k =
+  let trace = Dpq_obs.Trace.create () in
+  let r = K.select ~seed ~net:(Phase.net ~trace tree) ~elements ~k () in
+  let passes =
+    List.length
+      (List.filter
+         (function
+           | Dpq_obs.Trace.Phase_start { name = "up" | "broadcast"; _ } -> true
+           | _ -> false)
+         (Dpq_obs.Trace.events trace))
+  in
+  (r, passes, trace)
+
+(* Passes per selection at n = 256, m = 4n, against the sequential probe
+   of EXPERIMENTS.md §S21 (b = s = 5, uniform data, k = m/2: mean 10.5
+   passes over 2 000 draws, none above 16). *)
+let test_counting_pass_count () =
+  let n = 256 in
+  let tree = tree_of ~n ~seed:2 in
+  let total = ref 0 and runs = ref 0 in
+  for seed = 1 to 16 do
+    let rng = Dpq_util.Rng.create ~seed:(500 + seed) in
+    let elements = uniform_elements ~rng ~n ~per_node:4 ~prio_range:1_000_000 in
+    List.iter
+      (fun k ->
+        let r, passes, _ = counting_passes ~seed ~tree ~elements ~k in
+        checkb "right element" true
+          (E.equal r.K.element (K.select_seq (List.concat (Array.to_list elements)) ~k));
+        checkb (Printf.sprintf "seed %d k=%d: %d passes <= 16" seed k passes) true (passes <= 16);
+        checki "two passes per iteration" (2 * List.length r.K.diagnostics.K.phase2_candidates) passes;
+        total := !total + passes;
+        incr runs)
+      [ 512 ]
+  done;
+  let mean = float_of_int !total /. float_of_int !runs in
+  checkb (Printf.sprintf "mean %.2f passes <= 12" mean) true (mean <= 12.0)
+
+(* Priority-range passes make the pass count steady: over wide priorities
+   a selection takes the same number of iterations on nearly every input,
+   so a batch's rounds do not hinge on its sample (EXPERIMENTS.md §S22).
+   Bottom-5 sampled pivots alone spread the same draws over five
+   iteration counts, 3 to 7. *)
+let test_counting_pass_count_steady () =
+  let n = 256 in
+  let tree = tree_of ~n ~seed:2 in
+  let counts = Hashtbl.create 8 in
+  let draws = 64 in
+  for seed = 1 to draws do
+    let rng = Dpq_util.Rng.create ~seed:(900 + seed) in
+    let elements = uniform_elements ~rng ~n ~per_node:4 ~prio_range:1_000_000 in
+    let r = K.select ~seed ~net:(Phase.net tree) ~elements ~k:(2 * n) () in
+    let its = List.length r.K.diagnostics.K.phase2_candidates in
+    Hashtbl.replace counts its (1 + Option.value (Hashtbl.find_opt counts its) ~default:0)
+  done;
+  let hist = List.sort compare (List.of_seq (Hashtbl.to_seq counts)) in
+  let mode, at_mode = List.fold_left (fun (m, c) (i, c') -> if c' > c then (i, c') else (m, c)) (0, 0) hist in
+  let shown = String.concat ", " (List.map (fun (i, c) -> Printf.sprintf "%d: %d" i c) hist) in
+  checkb (Printf.sprintf "iterations {%s}: %d of %d at the mode" shown at_mode draws) true
+    (at_mode * 10 >= draws * 9);
+  checkb (Printf.sprintf "iterations {%s}: none above mode + 1" shown) true
+    (List.for_all (fun (i, _) -> i <= mode + 1) hist)
+
+(* The trace a counting selection leaves: one [kselect_round] with stage
+   "phase2" per iteration, numbered from 1, with the kept bucket's count,
+   then exactly one "phase3" (perfbench's layer fold ends a selection on
+   any other stage). *)
+let test_counting_trace_shape () =
+  let rng = Dpq_util.Rng.create ~seed:61 in
+  let n = 64 in
+  let tree = tree_of ~n ~seed:2 in
+  let elements = uniform_elements ~rng ~n ~per_node:8 ~prio_range:1_000_000 in
+  let r, _, trace = counting_passes ~seed:5 ~tree ~elements ~k:200 in
+  let rounds =
+    List.filter_map
+      (function
+        | Dpq_obs.Trace.Kselect_round { stage; iteration; candidates; _ } ->
+            Some (stage, iteration, candidates)
+        | _ -> None)
+      (Dpq_obs.Trace.events trace)
+  in
+  let d = r.K.diagnostics in
+  let want =
+    List.mapi (fun i c -> ("phase2", i + 1, c)) d.K.phase2_candidates
+    @ [ ("phase3", 0, d.K.phase3_candidates) ]
+  in
+  Alcotest.(check (list (triple string int int))) "kselect rounds" want rounds;
+  checkb "final bucket fits one sample" true (d.K.phase3_candidates <= K.fanout);
+  checkb "several iterations" true (List.length d.K.phase2_candidates >= 3)
 
 (* ------------------------------------------------------ golden reports *)
 
-(* Everything a [`Aggregated] selection reports, on one line: the element,
-   the full cost report and the diagnostics (the float exactly, in hex). *)
+(* Everything a counting selection reports, on one line: the element, the
+   full cost report and the kept buckets' counts. *)
 let golden_line (r : K.result) =
   let p = r.K.report and d = r.K.diagnostics in
-  let ints l = String.concat "," (List.map string_of_int l) in
-  Printf.sprintf
-    "%s rounds=%d msgs=%d cong=%d maxbits=%d bits=%d local=%d busiest=%d | m=%d p1it=%d \
-     skip=%b p1=[%s] p2=[%s] reps=[%s] trees=%h p3=%d"
+  Printf.sprintf "%s rounds=%d msgs=%d cong=%d maxbits=%d bits=%d local=%d busiest=%d | kept=[%s] last=%d"
     (E.to_string r.K.element) p.Phase.rounds p.Phase.messages p.Phase.max_congestion
-    p.Phase.max_message_bits p.Phase.total_bits p.Phase.local_deliveries
-    p.Phase.busiest_node_load d.K.initial_candidates d.K.phase1_iterations d.K.phase1_skipped
-    (ints d.K.phase1_candidates) (ints d.K.phase2_candidates) (ints d.K.phase2_rep_counts)
-    d.K.mean_trees_per_node d.K.phase3_candidates
-
-let golden_instance ~n ~per_node =
-  let rng = Dpq_util.Rng.create ~seed:(41 + n) in
-  (tree_of ~n ~seed:7, uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000)
-
-(* n=64, k=m/2 under 5% drops, 2% duplicates and node 33 down for ticks
-   610-619, which falls inside the third sorting stage: the node holds
-   buffered items through ten skipped activations and flushes them when it
-   comes back. *)
-let golden_fault_plan () =
-  Dpq_simrt.Fault_plan.create ~drop:0.05 ~duplicate:0.02
-    ~crashes:[ { Dpq_simrt.Fault_plan.node = 33; from_tick = 610; until_tick = 620 } ]
-    ~seed:5 ()
-
-(* Recorded with prune decisions riding on the next broadcast and void
-   Phase-1 iterations cut short; a change that claims the same protocol
-   must reproduce every field. *)
-let golden_expected =
-  [
-    ("n=16 k=1",
-     "e(p=1770,11.3) rounds=132 msgs=982 cong=15 maxbits=1604 bits=114601 local=700 busiest=92 | m=128 p1it=2 skip=false p1=[27,27] p2=[] reps=[] trees=0x1.2cp+4 p3=27");
-    ("n=16 k=64",
-     "e(p=506076,8.0) rounds=214 msgs=1482 cong=15 maxbits=2157 bits=170839 local=1043 busiest=145 | m=128 p1it=2 skip=false p1=[75,69] p2=[28] reps=[16] trees=0x1.bbp+3 p3=28");
-    ("n=16 k=128",
-     "e(p=992254,14.1) rounds=206 msgs=808 cong=10 maxbits=879 bits=55526 local=690 busiest=90 | m=128 p1it=2 skip=false p1=[63,43] p2=[9] reps=[15] trees=0x1.4ep+2 p3=9");
-    ("n=64 k=1",
-     "e(p=682,56.1) rounds=418 msgs=5477 cong=36 maxbits=2304 bits=469686 local=3660 busiest=258 | m=512 p1it=2 skip=false p1=[216,216] p2=[74,12] reps=[28,33] trees=0x1.76p+2 p3=12");
-    ("n=64 k=256",
-     "e(p=522014,4.7) rounds=426 msgs=7727 cong=34 maxbits=2298 bits=768056 local=4394 busiest=373 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
-    ("n=64 k=512",
-     "e(p=999177,24.5) rounds=410 msgs=4838 cong=34 maxbits=1808 bits=425620 local=3628 busiest=246 | m=512 p1it=2 skip=false p1=[336,215] p2=[38,6] reps=[28,31] trees=0x1.3d55555555555p+2 p3=6");
-    ("n=256 k=1",
-     "e(p=757,140.1) rounds=694 msgs=21921 cong=84 maxbits=3821 bits=2357556 local=13664 busiest=525 | m=1024 p1it=2 skip=false p1=[824,824] p2=[127,19] reps=[60,64] trees=0x1.3caaaaaaaaaabp+2 p3=19");
-    ("n=256 k=512",
-     "e(p=506791,232.3) rounds=864 msgs=34949 cong=80 maxbits=3922 bits=3973725 local=18004 busiest=778 | m=1024 p1it=2 skip=false p1=[887,887] p2=[327,83,24] reps=[56,76,64] trees=0x1.a6cp+2 p3=24");
-    ("n=256 k=1024",
-     "e(p=998417,15.3) rounds=690 msgs=22486 cong=69 maxbits=3661 bits=2383079 local=13718 busiest=487 | m=1024 p1it=2 skip=false p1=[771,716] p2=[114,15] reps=[68,55] trees=0x1.558p+2 p3=15");
-    ("faults",
-     "e(p=522014,4.7) rounds=667 msgs=8745 cong=25 maxbits=1794 bits=1074965 local=4394 busiest=449 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
-    ("shuffle",
-     "e(p=522014,4.7) rounds=481 msgs=8911 cong=27 maxbits=1938 bits=789368 local=4394 busiest=457 | m=512 p1it=2 skip=false p1=[394,346] p2=[117,28] reps=[32,40] trees=0x1.2a8p+3 p3=28");
-  ]
+    p.Phase.max_message_bits p.Phase.total_bits p.Phase.local_deliveries p.Phase.busiest_node_load
+    (String.concat "," (List.map string_of_int d.K.phase2_candidates))
+    d.K.phase3_candidates
 
 let golden_actual () =
+  let instance ~n ~per_node =
+    let rng = Dpq_util.Rng.create ~seed:(41 + n) in
+    (tree_of ~n ~seed:7, uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000)
+  in
   let plain =
     List.concat_map
       (fun (n, per_node) ->
-        let tree, elements = golden_instance ~n ~per_node in
+        let tree, elements = instance ~n ~per_node in
         let m = n * per_node in
         List.map
           (fun k ->
@@ -471,29 +629,64 @@ let golden_actual () =
           [ 1; m / 2; m ])
       [ (16, 8); (64, 8); (256, 4) ]
   in
-  let tree, elements = golden_instance ~n:64 ~per_node:8 in
-  let faults = golden_fault_plan () in
+  let tree, elements = instance ~n:64 ~per_node:8 in
+  (* n=64, k=m/2 under 5% drops, 2% duplicates and node 33 down for ticks
+     60-69, between the selection's first and last up pass (checked
+     below). *)
+  let faults =
+    Dpq_simrt.Fault_plan.create ~drop:0.05 ~duplicate:0.02
+      ~crashes:[ { Dpq_simrt.Fault_plan.node = 33; from_tick = 60; until_tick = 70 } ]
+      ~seed:5 ()
+  in
   let trace = Dpq_obs.Trace.create () in
   let faulty = K.select ~seed:3 ~net:(Phase.net ~trace ~faults tree) ~elements ~k:256 () in
   let sched = Dpq_simrt.Sched.create ~seed:9 (Shuffle { burst = 1; starvation = 0.1 }) in
   let shuffled = K.select ~seed:3 ~net:(Phase.net ~sched tree) ~elements ~k:256 () in
-  ( plain @ [ ("faults", golden_line faulty); ("shuffle", golden_line shuffled) ],
-    faults,
-    trace )
+  (plain @ [ ("faults", golden_line faulty); ("shuffle", golden_line shuffled) ], faults, trace)
 
-let test_golden_aggregated_reports () =
+(* Recorded when counting took priority-range passes; a change that claims
+   the same protocol must reproduce every field. *)
+let golden_expected =
+  [
+    ("n=16 k=1",
+     "e(p=1770,11.3) rounds=60 msgs=90 cong=1 maxbits=778 bits=11674 local=192 busiest=9 | kept=[128,12,12] last=12");
+    ("n=16 k=64",
+     "e(p=506076,8.0) rounds=60 msgs=90 cong=1 maxbits=778 bits=12110 local=192 busiest=9 | kept=[128,12,12] last=12");
+    ("n=16 k=128",
+     "e(p=992254,14.1) rounds=60 msgs=90 cong=1 maxbits=778 bits=12267 local=192 busiest=9 | kept=[128,12,12] last=12");
+    ("n=64 k=1",
+     "e(p=682,56.1) rounds=96 msgs=378 cong=1 maxbits=861 bits=58698 local=768 busiest=9 | kept=[512,24,24] last=24");
+    ("n=64 k=256",
+     "e(p=522014,4.7) rounds=128 msgs=504 cong=1 maxbits=861 bits=60391 local=1024 busiest=12 | kept=[512,33,4,4] last=4");
+    ("n=64 k=512",
+     "e(p=999177,24.5) rounds=128 msgs=504 cong=1 maxbits=861 bits=60155 local=1024 busiest=12 | kept=[512,38,2,2] last=2");
+    ("n=256 k=1",
+     "e(p=757,140.1) rounds=224 msgs=2040 cong=2 maxbits=905 bits=207501 local=4096 busiest=12 | kept=[1024,65,4,4] last=4");
+    ("n=256 k=512",
+     "e(p=506791,232.3) rounds=224 msgs=2040 cong=2 maxbits=905 bits=213310 local=4096 busiest=12 | kept=[1024,68,8,8] last=8");
+    ("n=256 k=1024",
+     "e(p=998417,15.3) rounds=224 msgs=2040 cong=2 maxbits=905 bits=212055 local=4096 busiest=12 | kept=[1024,61,2,2] last=2");
+    ("faults",
+     "e(p=522014,4.7) rounds=199 msgs=504 cong=1 maxbits=894 bits=77023 local=1024 busiest=12 | kept=[512,33,4,4] last=4");
+    ("shuffle",
+     "e(p=522014,4.7) rounds=138 msgs=504 cong=2 maxbits=861 bits=60391 local=1024 busiest=12 | kept=[512,33,4,4] last=4");
+  ]
+
+let test_golden_counting_reports () =
   let actual, faults, trace = golden_actual () in
-  (* The crash window must really overlap a sorting stage and cost
-     deliveries, or the fault case would not exercise held items. *)
-  let in_sort = ref false and down_in_sort = ref false in
+  (* The crash window must really fall inside the selection's iterations
+     and cost deliveries, or the fault case would test drops and
+     duplicates only: node 33 goes down after the first up pass and before
+     the last one starts. *)
+  let ups = ref 0 and ups_before_down = ref (-1) in
   List.iter
     (function
-      | Dpq_obs.Trace.Phase_start { name = "kselect-sort"; _ } -> in_sort := true
-      | Dpq_obs.Trace.Phase_end { name = "kselect-sort"; _ } -> in_sort := false
-      | Dpq_obs.Trace.Node_crashed { node = 33; kind = "down"; _ } -> down_in_sort := !in_sort
+      | Dpq_obs.Trace.Phase_start { name = "up"; _ } -> incr ups
+      | Dpq_obs.Trace.Node_crashed { node = 33; kind = "down"; _ } -> ups_before_down := !ups
       | _ -> ())
     (Dpq_obs.Trace.events trace);
-  checkb "crash window starts inside a sorting stage" true !down_in_sort;
+  checkb "crash window starts between the first and the last up pass" true
+    (!ups_before_down >= 1 && !ups_before_down < !ups);
   checkb "crash window drops deliveries" true
     ((Dpq_simrt.Fault_plan.stats faults).Dpq_simrt.Fault_plan.crash_drops > 0);
   checki "cases" (List.length golden_expected) (List.length actual);
@@ -521,37 +714,6 @@ let test_rounds_per_log_constant () =
     true
     (mx <= 2.5 *. mn)
 
-(* Items one sorting stage over n' representatives posts: each of the n'
-   copy trees has n' nodes, each made by one disseminate, sending one
-   rendezvous, answered by one vote, and, below the root, sending one
-   child sum. *)
-let stage_items n' = (4 * n' * n') - n'
-
-(* Allocation guard for the sorting stage: it keeps its items and messages
-   in int columns and allocates nothing per item.  One fixed aggregated
-   selection at n=256, m=4n runs Phase 2 and Phase 3 sorting stages (54 116
-   items); its minor words, tree passes included, divided by those items
-   bound the stage's words per item from above.  Measured 1.47 words per
-   item, of which the sorting stages take about 0.7 (per-stage tables and
-   one boxed float per pair point); it was 6.73 while the tree passes
-   allocated per message, and 18.8 with one boxed payload record per item
-   and a fresh item array per message. *)
-let test_sorting_stage_allocation () =
-  let tree, elements = golden_instance ~n:256 ~per_node:4 in
-  let net = Phase.net tree in
-  let before = Gc.minor_words () in
-  let r = K.select ~seed:3 ~net ~elements ~k:512 () in
-  let words = Gc.minor_words () -. before in
-  let d = r.K.diagnostics in
-  let reps = d.K.phase2_rep_counts @ [ d.K.phase3_candidates ] in
-  Alcotest.(check (list int)) "stage sizes" [ 56; 76; 64; 24 ] reps;
-  let items = List.fold_left (fun acc n' -> acc + stage_items n') 0 reps in
-  checki "sorting-stage items" 54_116 items;
-  let per_item = words /. float_of_int items in
-  checkb
-    (Printf.sprintf "%.2f minor words per sorting-stage item <= 8" per_item)
-    true (per_item <= 8.0)
-
 let () =
   Alcotest.run "dpq_kselect"
     [
@@ -565,6 +727,7 @@ let () =
           Alcotest.test_case "medium network" `Quick test_medium_network_selected_k;
           Alcotest.test_case "duplicate priorities" `Quick test_duplicate_priorities;
           Alcotest.test_case "all same priority" `Quick test_all_same_priority;
+          Alcotest.test_case "extreme priorities" `Quick test_extreme_priorities;
           Alcotest.test_case "skewed distribution" `Quick test_skewed_distribution;
           Alcotest.test_case "single node" `Quick test_single_node;
           Alcotest.test_case "one element" `Quick test_one_element;
@@ -588,9 +751,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_differential_matches_and_drops;
           Alcotest.test_case "large grid messages drop" `Quick test_differential_large_grid;
-          Alcotest.test_case "planted misaggregation caught" `Quick
-            test_planted_misaggregation_caught;
-          Alcotest.test_case "golden aggregated reports" `Quick test_golden_aggregated_reports;
-          Alcotest.test_case "sorting stage allocation guard" `Quick test_sorting_stage_allocation;
+          QCheck_alcotest.to_alcotest prop_counting_shapes;
+          QCheck_alcotest.to_alcotest prop_bottom_s_merge;
+          Alcotest.test_case "counting pass count" `Quick test_counting_pass_count;
+          Alcotest.test_case "counting pass count steady" `Quick test_counting_pass_count_steady;
+          Alcotest.test_case "counting trace shape" `Quick test_counting_trace_shape;
+          Alcotest.test_case "golden counting reports" `Quick test_golden_counting_reports;
         ] );
     ]

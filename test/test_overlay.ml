@@ -150,8 +150,17 @@ let walks_match_route ldb ~seed ~pairs =
         (src, point, start, len))
   in
   checkb "the buffer grew past its first size" true (Ldb.path_length buf > 256);
+  (* The manager by definition: the greatest label <= the point, else the
+     greatest label of all. *)
+  let cycle = Ldb.vnodes_in_cycle_order ldb in
+  let manager point =
+    Array.fold_left
+      (fun best v -> if Ldb.label ldb v <= point then v else best)
+      cycle.(Array.length cycle - 1) cycle
+  in
   List.iter
     (fun (src, point, start, len) ->
+      checki (Printf.sprintf "manager of %h" point) (manager point) (Ldb.manager_of_point ldb point);
       let want = fst (Ldb.route ldb ~src ~point) in
       let got = List.init len (fun i -> Ldb.path_get buf (start + i)) in
       Alcotest.(check (list int)) (Printf.sprintf "walk %d -> %h" src point) want got)
@@ -173,7 +182,7 @@ let test_ldb_walk_equals_route () =
       done;
       checki "a third removed" (n - (n / 3)) (Ldb.live_count !ldb);
       walks_match_route !ldb ~seed:(n + 2) ~pairs:500)
-    [ 1; 2; 3; 5; 64; 1000 ]
+    [ 1; 2; 3; 5; 64; 86; 1000; 1365 ]
 
 (* A buffer that has reached its working size is reused with
    [path_clear]: walking then allocates nothing at all. *)
@@ -245,7 +254,7 @@ let test_ldb_mantissa_entry_points () =
             Alcotest.failf "n=%d: copy point %d/2^%d has another manager" n x d'
         done
       done)
-    [ 1; 5; 64 ]
+    [ 1; 5; 64; 86; 1365; 4096 ]
 
 (* The int entry points box nothing: a lookup allocates nothing, and a
    walk only its buffer's growth. *)

@@ -185,7 +185,17 @@ let test_random_semantics_async () =
 
 let test_message_bits_independent_of_rate () =
   (* Lemma 5.5 vs Lemma 3.8: Seap's messages stay O(log n) no matter how
-     many operations a round carries. *)
+     many operations a round carries.  The largest is KSelect's: at most
+     s+1 counts and (s+1)·s sampled elements (s = [Kselect.fanout]),
+     whatever Λ is.  A round of Λ operations per node only widens those
+     fields, by O(log Λ) bits each: a count is at most the 8·Λ inserted
+     elements, and an element is a priority below 10^6, an origin below
+     16, a sequence number below Λ and an empty payload.  The bound is the
+     full format at the run's field widths, not the Λ = 2 reading: how many
+     fields a message fills, and how wide the priorities in the selected
+     range are, depend on the batch (256 bits at Λ = 2, 814 at Λ = 40),
+     so a reading-relative bound would compare different formats.  Skeap's
+     largest message instead grows linearly in Λ (T2). *)
   let max_bits lambda =
     let h = S.create ~seed:7 ~n:16 () in
     let rng = Dpq_util.Rng.create ~seed:70 in
@@ -198,8 +208,21 @@ let test_message_bits_independent_of_rate () =
     let r = S.process_round h in
     r.S.report.Phase.max_message_bits
   in
-  let b_small = max_bits 2 and b_large = max_bits 40 in
-  checkb "flat in Λ" true (b_large < b_small + 32)
+  let bits = Dpq_util.Bitsize.bits_of_int in
+  let counts = Dpq_kselect.Kselect.fanout + 1 in
+  let ceiling lambda =
+    let header = 2 * Dpq_util.Bitsize.bits_of_nat_bound ((3 * 16) - 1) in
+    let element = bits 1_000_000 + bits 15 + bits (lambda - 1) + bits 0 in
+    header + (counts * bits (8 * lambda)) + (counts * Dpq_kselect.Kselect.fanout * element)
+  in
+  List.iter
+    (fun lambda ->
+      let b = max_bits lambda in
+      checkb
+        (Printf.sprintf "%d bits at Λ=%d, full format %d" b lambda (ceiling lambda))
+        true
+        (b <= ceiling lambda))
+    [ 2; 40; 160; 1000 ]
 
 let test_rounds_logarithmic () =
   let rounds n =
@@ -385,8 +408,8 @@ let prop_delete_positions_match_sorted_reference =
 (* ------------------------------------------------- pinned executions *)
 
 (* A fixed closed Seap run: n=16, eight rounds of four operations per node,
-   70% inserts, so the heap grows past KSelect's direct-sort threshold and
-   later selections run Phases 1 and 2.  Drains, checks the oplog, and
+   70% inserts, so the heap grows past one KSelect sample and later
+   selections run several counting iterations.  Drains, checks the oplog, and
    returns its operations-only digest. *)
 let pinned_closed_run ?faults ?(replication = 1) ?dht_mode () =
   let n = 16 in
@@ -426,7 +449,8 @@ let test_oplog_digests_pinned () =
 
 (* Aggregation-tree passes of one traced Seap batch, by kind, counted from
    the trace's phase spans: n=16, 64 elements stored, then a batch of 32
-   inserts and 16 deletes, whose KSelect runs Phases 1 and 2. *)
+   inserts and 16 deletes, whose KSelect runs three counting iterations of
+   one broadcast and one up pass each. *)
 let test_pass_counts_pinned () =
   let n = 16 in
   let trace = Dpq_obs.Trace.create () in
@@ -452,7 +476,7 @@ let test_pass_counts_pinned () =
   in
   Alcotest.(check (list (pair string int)))
     "passes by kind"
-    [ ("up", 9); ("down", 4); ("broadcast", 8) ]
+    [ ("up", 5); ("down", 1); ("broadcast", 5) ]
     (List.map (fun k -> (k, count k)) [ "up"; "down"; "broadcast" ])
 
 (* ------------------------------------------------------ large-n stream *)
@@ -461,7 +485,7 @@ module W = Dpq_workloads.Workload
 module R = Dpq_workloads.Runner
 
 (* Seap at n = 4096 driven through the streaming runner for 2^18 ops with
-   the online checker on every completion — the scale cell the aggregated
+   the online checker on every completion — the scale cell the counting
    KSelect path makes affordable (the pairwise path pushes two orders of
    magnitude more messages through the same run).  Mirrors the Skeap
    stream cells: nothing is materialized, so memory stays O(peak_live). *)

@@ -406,7 +406,7 @@ let test_run_open_latency_pins () =
           ~window:(R.Fixed 4) ~n:16 sk
           (W.Gen.create
              (spec ~n:16 ~rounds:80 ~arrival:(W.Poisson_rate 1.0) ~dist:(W.Constant_set 4) ~seed:7))));
-  Alcotest.check ints "seap" [ 1103; 0; 1674; 3554; 3554; 3611 ]
+  Alcotest.check ints "seap" [ 1103; 0; 898; 1788; 1788; 1845 ]
     (latencies
        (R.run_open ~window:(R.Fixed 8) ~n:16 T.Seap
           (W.Gen.create
