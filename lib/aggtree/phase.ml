@@ -169,6 +169,29 @@ let up net ~local ~combine ~size_bits =
   | Some value -> (value, { mtree = tree; own; sub }, report)
   | None -> failwith "Phase.up: aggregation did not reach the anchor"
 
+(* The recursion follows the tree: its depth is the tree's height. *)
+let derive net ~local ~combine =
+  let tree = net.tree in
+  let nv = Array.length net.received in
+  let own = Array.init nv local in
+  let sub = Array.make nv own.(0) in
+  let rec complete v =
+    let children = Aggtree.children tree v in
+    complete_all children;
+    sub.(v) <- fold_subs combine sub own.(v) children
+  and complete_all = function
+    | [] -> ()
+    | c :: cs ->
+        complete c;
+        complete_all cs
+  in
+  let root = Aggtree.root tree in
+  complete root;
+  (sub.(root), { mtree = tree; own; sub })
+
+let memo_own memo v = memo.own.(v)
+let memo_sub memo v = memo.sub.(v)
+
 let count_bits = 31
 
 let pack_counts a b =

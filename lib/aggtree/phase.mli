@@ -82,6 +82,19 @@ val up :
     A vnode sends its parent once all its children have, and the message
     is charged [size_bits] of the vnode's sub-aggregate. *)
 
+val derive :
+  net -> local:(Dpq_overlay.Ldb.vnode -> 'a) -> combine:('a -> 'a -> 'a) -> 'a * 'a memo
+(** [derive net ~local ~combine]: the root value and memo that {!up} with
+    these arguments would return, computed without a message.  For values
+    every vnode already holds from earlier passes (a subtree's count that
+    its children's messages carried), so a positions pass can split by them
+    without a convergecast of its own. *)
+
+val memo_own : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a
+val memo_sub : 'a memo -> Dpq_overlay.Ldb.vnode -> 'a
+(** Test seam: a vnode's own value and its sub-aggregate.  A vnode outside
+    the tree has no sub-aggregate; its [memo_sub] is arbitrary. *)
+
 (** {2 Two counts in one immediate}
 
     An up pass that sums two counts per vnode can carry both in one int:

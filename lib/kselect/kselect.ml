@@ -24,6 +24,7 @@ type result = {
   element : Element.t;
   report : Phase.report;
   diagnostics : diagnostics;
+  le_counts : int array;
 }
 
 let select_seq elements ~k =
@@ -540,12 +541,27 @@ let range_pivots pivots ~plo ~phi =
    Iteration 0 has no pivots: one bucket, the whole set, with its smallest
    and largest element for the first [plo, phi] and a sample two entries
    short, so that its message holds no more elements than a sampled
-   pass's.  Range passes narrow [plo, phi] 16-fold each and sampled ones
+   pass's.  Given a [bound] [blo, bhi] instead, iteration 0 is the pass
+   the loop would pick for a bucket of m candidates spanning those
+   priorities: a range pass over it, a collect when m fits one message,
+   or a collect-shaped pass that draws a sample when the span is under
+   [range_buckets].  The bound is taken as the first [plo, phi] and never
+   checked: a candidate outside it lands in an edge bucket, the counts
+   stay exact, and a wrong bound costs passes, not the answer.  Range
+   passes narrow [plo, phi] 16-fold each and sampled ones
    shrink the bucket by about (s+2)/2, so a selection takes at most
    log_16 of the priority span plus O(log m) passes w.h.p.  On the Seap
    workloads' priorities it takes the same four on nearly every batch:
-   extremes, two ranges, collect. *)
-let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
+   extremes, two ranges, collect; with Seap's bound, two ranges and a
+   collect.
+
+   [below.(node)] counts the node's candidates at or below the answer,
+   from what the passes told it: a candidate dropped below the kept
+   bucket's range, and at the end one of the last range's up to the
+   answer.  Summed over a subtree these are its counts in the buckets
+   below every kept one plus its last-bucket entries up to the answer,
+   which every vnode has seen in its children's messages. *)
+let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy ~bound =
   let trace = Phase.trace net and tree = Phase.tree net in
   let n = Ldb.n ldb in
   let report = ref Phase.empty_report in
@@ -560,13 +576,23 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
   let plo = ref 0 and phi = ref 0 in
   let pivots = Array.make (range_buckets - 1) dummy and npiv = ref 0 in
   let pivot_bits = ref 0 and cap = ref (sample_max - 2) in
+  (match bound with
+  | None -> ()
+  | Some (blo, bhi) ->
+      plo := blo;
+      phi := bhi;
+      if m > sample_max && bhi - blo + 1 >= range_buckets then begin
+        npiv := range_pivots pivots ~plo:blo ~phi:bhi;
+        pivot_bits := Bitsize.bits_of_int blo + Bitsize.bits_of_int bhi;
+        cap := 0
+      end
+      else cap := sample_max);
   let chosen = ref 0 in
   let k = ref k and c = ref m in
   let answer = ref None and iter = ref 0 and trail = ref [] in
-  let in_range e =
-    (match !lo with None -> true | Some l -> Element.compare l e < 0)
-    && match !hi with None -> true | Some h -> Element.compare e h <= 0
-  in
+  let below = Array.make n 0 in
+  let above_lo e = match !lo with None -> true | Some l -> Element.compare l e < 0 in
+  let below_hi e = match !hi with None -> true | Some h -> Element.compare e h <= 0 in
   while Option.is_none !answer do
     let i = !iter in
     add (Phase.broadcast net ~bits:(Bitsize.bits_of_int !chosen + !pivot_bits));
@@ -577,7 +603,8 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
         let kept = ref 0 in
         for t = 0 to cand_len.(node) - 1 do
           let e = cs.(t) in
-          if in_range e then begin
+          if not (above_lo e) then below.(node) <- below.(node) + 1
+          else if below_hi e then begin
             cs.(!kept) <- e;
             incr kept
           end
@@ -586,7 +613,7 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
       done;
     p.nb <- !npiv + 1;
     p.cap <- !cap;
-    p.extremes <- i = 0;
+    p.extremes <- i = 0 && Option.is_none bound;
     reset_slots p;
     let local v =
       let node = Ldb.owner v in
@@ -622,11 +649,17 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
     in
     let root, _, r = Phase.up net ~local ~combine:(combine_slots p) ~size_bits:(slot_bits p) in
     add r;
-    (* Every candidate is counted once, in iteration 0's single bucket. *)
+    (* Every candidate is counted once, in one of iteration 0's buckets. *)
     let base = root * range_buckets in
-    let counted = if root < 0 then 0 else p.cnt.(base) in
-    if i = 0 && counted <> m then
-      failwith (Printf.sprintf "Kselect: the tree counted %d of %d candidates" counted m);
+    if i = 0 then begin
+      let counted = ref 0 in
+      if root >= 0 then
+        for j = 0 to p.nb - 1 do
+          counted := !counted + p.cnt.(base + j)
+        done;
+      if !counted <> m then
+        failwith (Printf.sprintf "Kselect: the tree counted %d of %d candidates" !counted m)
+    end;
     (* The bucket holding rank k, and k's rank inside it. *)
     let j = ref 0 in
     while !k > p.cnt.(base + !j) do
@@ -638,9 +671,18 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
     let sample = Array.sub p.elts (entries p root !j) p.len.(cell) in
     Array.sort Element.compare sample;
     let len = Array.length sample in
-    if !c <= len then answer := Some sample.(!k - 1)
+    if !c <= len then begin
+      let e_k = sample.(!k - 1) in
+      answer := Some e_k;
+      for node = 0 to n - 1 do
+        let cs = cands.(node) in
+        for t = 0 to cand_len.(node) - 1 do
+          if Element.compare cs.(t) e_k <= 0 then below.(node) <- below.(node) + 1
+        done
+      done
+    end
     else begin
-      if i = 0 then begin
+      if p.extremes then begin
         plo := p.smallest.(root).prio;
         phi := p.largest.(root).prio
       end;
@@ -695,7 +737,7 @@ let select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy =
       phase3_candidates = !c;
     }
   in
-  { element = Option.get !answer; report = !report; diagnostics }
+  { element = Option.get !answer; report = !report; diagnostics; le_counts = below }
 
 (* ------------------------------------------------------------------------ *)
 (* The full protocol.                                                        *)
@@ -985,7 +1027,7 @@ let bcast_with_prune st payload_bits =
 (* -------------------------------------------------------------- select  *)
 
 (* The paper's Phases 1-3, with the pairwise sorting stage. *)
-let select_pairwise ~seed ~rep_factor ~net ~ldb ~cands ~m ~k ~dummy =
+let select_pairwise ~seed ~rep_factor ~net ~ldb ~elements ~cands ~m ~k ~dummy =
   let trace = Phase.trace net and faults = Phase.faults net and sched = Phase.sched net in
   let n = Ldb.n ldb in
   let st =
@@ -1136,9 +1178,14 @@ let select_pairwise ~seed ~rep_factor ~net ~ldb ~cands ~m ~k ~dummy =
       phase3_candidates = phase3_n;
     }
   in
-  { element; report = st.report; diagnostics }
+  let le_counts =
+    Array.map
+      (List.fold_left (fun acc e -> if Element.compare e element <= 0 then acc + 1 else acc) 0)
+      elements
+  in
+  { element; report = st.report; diagnostics; le_counts }
 
-let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Counting) ~net ~elements ~k () =
+let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Counting) ?bound ~net ~elements ~k () =
   let ldb = Aggtree.ldb (Phase.tree net) in
   if Array.length elements <> Ldb.n ldb then
     invalid_arg "Kselect.select: elements array length differs from node count";
@@ -1148,5 +1195,5 @@ let select ?(seed = 1) ?(rep_factor = 4.0) ?(impl : impl = `Counting) ~net ~elem
     invalid_arg (Printf.sprintf "Kselect.select: k=%d outside [1,%d]" k m);
   let dummy = (Option.get (Array.find_opt (fun cs -> cs <> [||]) cands)).(0) in
   match impl with
-  | `Counting -> select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy
-  | `Pairwise -> select_pairwise ~seed ~rep_factor ~net ~ldb ~cands ~m ~k ~dummy
+  | `Counting -> select_counting ~seed ~net ~ldb ~cands ~m ~k ~dummy ~bound
+  | `Pairwise -> select_pairwise ~seed ~rep_factor ~net ~ldb ~elements ~cands ~m ~k ~dummy

@@ -12,7 +12,9 @@
       carries the count of the subtree's candidates in each bucket.  The
       anchor keeps the bucket that holds rank [k], and the priorities it
       can hold.  Iteration 0 has one bucket and also carries the smallest
-      and largest candidate.  While the kept bucket is larger than one
+      and largest candidate, unless the caller passes a priority bound:
+      then iteration 0 already cuts the bound into ranges (or collects,
+      when the candidates fit one message).  While the kept bucket is larger than one
       message and spans at least 16 priorities, the next pivots cut that
       span into 16 equal parts, and the broadcast carries only its two
       ends.  Once the bucket fits one message, a pass without pivots
@@ -84,12 +86,20 @@ type result = {
   element : Element.t;
   report : Phase.report;
   diagnostics : diagnostics;
+  le_counts : int array;
+      (** [le_counts.(v)]: how many of node [v]'s candidates are at most
+          [element].  [`Counting] reads them off its passes (the
+          candidates each node dropped below a kept bucket, plus those of
+          the last bucket up to [element]), so that a caller can split
+          positions among the [k] smallest without counting them again;
+          [`Pairwise] counts them directly. *)
 }
 
 val select :
   ?seed:int ->
   ?rep_factor:float ->
   ?impl:impl ->
+  ?bound:int * int ->
   net:Phase.net ->
   elements:Element.t list array ->
   k:int ->
@@ -110,7 +120,14 @@ val select :
     √(log n)·n^{1/4}, i.e. the lemma's constant taken as 1.
 
     [impl] (default [`Counting]) picks the implementation; [rep_factor]
-    only matters to [`Pairwise].  Both return the exact same element. *)
+    only matters to [`Pairwise].  Both return the exact same element.
+
+    [bound] [(lo, hi)]: priorities the caller expects every candidate's
+    priority to lie in, such as Seap's anchor keeps from the inserts it
+    counted.  [`Counting]'s first iteration then starts from it instead of
+    learning the smallest and largest candidate.  The bound is not
+    checked: a candidate outside it still counts, so a wrong bound costs
+    iterations, never the answer.  [`Pairwise] ignores it. *)
 
 val select_seq : Element.t list -> k:int -> Element.t
 (** Sequential oracle: sort and index.  Raises [Invalid_argument] on a bad
@@ -119,6 +136,10 @@ val select_seq : Element.t list -> k:int -> Element.t
 val fanout : int
 (** b = s of [`Counting]'s sampled passes: the pivots per iteration and the
     entries per bucket sample. *)
+
+val sample_max : int
+(** (b+1)·s: the sample one [`Counting] message carries at most, and the
+    largest bucket a pass collects whole. *)
 
 val bottom_s_merge : (int * Element.t) list -> (int * Element.t) list -> (int * Element.t) list
 (** [bottom_s_merge a b]: the {!fanout} smallest of [a]'s and [b]'s

@@ -20,6 +20,8 @@ type t = {
   ins_key_hash : Hashing.t; (* fresh random key per inserted element *)
   pos_key_hash : Hashing.t; (* (phase, pos) -> key for the rendezvous *)
   mutable m : int; (* v0.m: elements in the heap *)
+  mutable plo : int; (* v0's bound on the stored priorities, [plo, phi] *)
+  mutable phi : int;
   mutable phase_no : int;
 }
 
@@ -33,6 +35,8 @@ let create ?(seed = 1) ?(replication = 1) ?(consistency = Serializable) ?trace ?
     ins_key_hash = Hashing.create ~seed:(seed + 104729);
     pos_key_hash = Hashing.create ~seed:(seed + 1299709);
     m = 0;
+    plo = max_int;
+    phi = min_int;
     phase_no = 0;
   }
 
@@ -60,6 +64,14 @@ type round_result = {
 
 let int_bits = Bitsize.bits_of_int
 
+(* The anchor's element count; an empty heap forgets its priority bound. *)
+let set_m t m =
+  t.m <- m;
+  if m = 0 then begin
+    t.plo <- max_int;
+    t.phi <- min_int
+  end
+
 (* Take this phase's share of every node's buffer: all matching operations
    (Serializable) or only the maximal leading run of them (Sequential). *)
 let snapshot t keep =
@@ -72,22 +84,62 @@ let is_delete : Clients.kind -> bool = function `Del -> true | `Ins _ -> false
 let inserted (p : Clients.pending) =
   match p.kind with `Ins elt -> elt | `Del -> invalid_arg "Seap: a delete among the inserts"
 
-(* Aggregate a pair of per-node list lengths to the anchor, packed in one
-   int; the memo drives a later decomposition over the same nodes. *)
-let count_pairs_up (h : Host.t) fst_per_node snd_per_node =
-  let counts, memo, r =
+let rec prio_min acc = function
+  | [] -> acc
+  | p :: rest -> prio_min (min acc (inserted p).Element.prio) rest
+
+let rec prio_max acc = function
+  | [] -> acc
+  | p :: rest -> prio_max (max acc (inserted p).Element.prio) rest
+
+(* The batch's count convergecast: per subtree, its (inserts, deletes)
+   packed in one int and the smallest and largest priority it inserted
+   (max_int and min_int when none).  A value of the pass is the id of the
+   vnode whose subtree sums sit in these arrays, so the pass boxes
+   nothing.  Returns (inserts, deletes, smallest, largest). *)
+let count_up (h : Host.t) pending_inserts pending_deletes =
+  let nv = 3 * Array.length pending_inserts in
+  let cnt = Array.make nv 0 and lo = Array.make nv max_int and hi = Array.make nv min_int in
+  let root, _, r =
     Phase.up h.net
       ~local:(fun v ->
-        match Ldb.kind v with
+        (match Ldb.kind v with
         | Ldb.Middle ->
             let node = Ldb.owner v in
-            Phase.pack_counts (List.length fst_per_node.(node)) (List.length snd_per_node.(node))
-        | _ -> 0)
-      ~combine:( + )
-      ~size_bits:(fun c ->
-        int_bits (max 1 (Phase.first_count c)) + int_bits (max 1 (Phase.second_count c)))
+            let ins = pending_inserts.(node) in
+            cnt.(v) <- Phase.pack_counts (List.length ins) (List.length pending_deletes.(node));
+            lo.(v) <- prio_min max_int ins;
+            hi.(v) <- prio_max min_int ins
+        | _ -> ());
+        v)
+      ~combine:(fun v c ->
+        cnt.(v) <- cnt.(v) + cnt.(c);
+        lo.(v) <- min lo.(v) lo.(c);
+        hi.(v) <- max hi.(v) hi.(c);
+        v)
+      ~size_bits:(fun v ->
+        let ins = Phase.first_count cnt.(v) in
+        int_bits (max 1 ins)
+        + int_bits (max 1 (Phase.second_count cnt.(v)))
+        + if ins > 0 then int_bits lo.(v) + int_bits hi.(v) else 0)
   in
-  (Phase.first_count counts, Phase.second_count counts, memo, r)
+  (Phase.first_count cnt.(root), Phase.second_count cnt.(root), lo.(root), hi.(root), r)
+
+(* The (taken, deleters) memo the positions pass splits by, from counts
+   the vnodes already hold: [taken.(node)] of the node's elements lie at or
+   below e_k (KSelect's passes gave every vnode its children's subtree
+   counts below each kept bucket and their last-bucket entries, so with e_k
+   on the positions message a vnode knows each child's count), and
+   [deleters node] deletes (the batch's count convergecast). *)
+let taken_memo net ~taken ~deleters =
+  Phase.derive net
+    ~local:(fun v ->
+      match Ldb.kind v with
+      | Ldb.Middle ->
+          let node = Ldb.owner v in
+          Phase.pack_counts taken.(node) (deleters node)
+      | _ -> 0)
+    ~combine:( + )
 
 (* The requests of a phase that expect an answer, by DHT key: a flat int
    table from key to the request's slot (an insert's: its origin), so a
@@ -235,10 +287,16 @@ let delete_phase t ~dht_mode ~pending_inserts =
   (* The batch's one count convergecast, (inserts, deletes) per subtree:
      the anchor adds the inserts to m, then learns k.  A node sends it after
      its own confirmed Puts, so it is the barrier between the phase's
-     inserts and its deletes (Lemma 5.2). *)
-  let inserts, k, _memo, up_r = count_pairs_up h pending_inserts pending_deletes in
+     inserts and its deletes (Lemma 5.2).  It also carries the inserts'
+     smallest and largest priority, known before the Puts: every stored
+     element lies at or above the last e_k or is a later insert, and at or
+     below the largest priority inserted since the heap was last empty, so
+     the anchor's [plo, phi] bounds KSelect's first pass. *)
+  let inserts, k, ins_lo, ins_hi, up_r = count_up h pending_inserts pending_deletes in
   add up_r;
   t.m <- t.m + inserts;
+  t.plo <- min t.plo ins_lo;
+  t.phi <- max t.phi ins_hi;
   let kselect_diag = ref None in
   (* [matched.(node)]: how many of the node's deletes, a prefix in issue
      order, fetch an element; the rest answer ⊥.  [first.(node)] is its
@@ -251,38 +309,43 @@ let delete_phase t ~dht_mode ~pending_inserts =
       (* Find the k_eff-th smallest stored element. *)
       let elements = Dht.elements_by_node h.dht in
       let sel =
-        Kselect.select ~seed:(t.seed + t.phase_no) ~net:h.net ~elements ~k:k_eff ()
+        Kselect.select ~seed:(t.seed + t.phase_no) ~bound:(t.plo, t.phi) ~net:h.net ~elements
+          ~k:k_eff ()
       in
       add sel.Kselect.report;
       kselect_diag := Some sel.Kselect.diagnostics;
       let e_k = sel.Kselect.element in
-      (* Broadcast e_k so every node can pick out its rank-<=k elements. *)
-      add (Phase.broadcast h.net ~bits:(Element.encoded_bits e_k));
-      (* Pull those elements out of their random-key homes and assign them
-         positions 1..k_eff by interval decomposition. *)
-      let taken =
-        Dht.take_matching_by_node h.dht ~f:(fun e -> Element.compare e e_k <= 0)
-        |> Array.map (List.sort Element.compare)
+      let le = sel.Kselect.le_counts in
+      let packed, memo =
+        taken_memo h.net ~taken:le ~deleters:(fun node -> List.length pending_deletes.(node))
       in
-      let taken_total = Array.fold_left (fun acc l -> acc + List.length l) 0 taken in
-      if taken_total <> k_eff then
-        failwith
-          (Printf.sprintf "Seap: expected %d elements at or below e_k, found %d" k_eff
-             taken_total);
-      let taken_chk, del_chk, memo, up2 = count_pairs_up h taken pending_deletes in
-      add up2;
-      assert (taken_chk = k_eff && del_chk = k);
-      (* One positions pass decomposes [1, k_eff] over the taken elements
-         and over the deleters.  The deleter column is cut at k_eff, so its
-         shortage (k - k_eff) turns into ⊥ answers at the traversal-last
-         deleters. *)
+      assert (Phase.first_count packed = k_eff && Phase.second_count packed = k);
+      (* One positions pass carries e_k and decomposes [1, k_eff] over the
+         elements at or below it and over the deleters.  The deleter column
+         is cut at k_eff, so its shortage (k - k_eff) turns into ⊥ answers
+         at the traversal-last deleters. *)
       let starts, down_r =
         Phase.positions h.net ~memo ~first:[| 1; 1 |]
           ~size:(fun c j -> if j = 0 then Phase.first_count c else Phase.second_count c)
           ~bits:(fun _ start size -> Phase.cut_bits ~limit:k_eff start size)
-          ~fixed_bits:0
+          ~fixed_bits:(Element.encoded_bits e_k)
       in
       add down_r;
+      (* With e_k in hand, every node pulls its elements at or below it out
+         of their random-key homes: exactly as many as its positions. *)
+      let taken =
+        Dht.take_matching_by_node h.dht ~f:(fun e -> Element.compare e e_k <= 0)
+        |> Array.map (List.sort Element.compare)
+      in
+      Array.iteri
+        (fun node l ->
+          if List.length l <> le.(node) then
+            failwith
+              (Printf.sprintf "Seap: node %d holds %d elements at or below e_k, KSelect counted %d"
+                 node (List.length l) le.(node)))
+        taken;
+      (* Every stored element now lies above e_k. *)
+      t.plo <- e_k.prio;
       (* Phase 4-style DHT traffic: re-store the k smallest under h(pos),
          fetch per assigned deleter position.  The positions up to k_eff
          are a prefix of each node's deletes. *)
@@ -328,7 +391,7 @@ let delete_phase t ~dht_mode ~pending_inserts =
           | Dht.Put_confirmed _ -> ())
         dht_cs;
       if unanswered rq > 0 then failwith "Seap: some DeleteMin requests never met their element";
-      t.m <- t.m - k_eff;
+      set_m t (t.m - k_eff);
       (* Once all of a node's fetches are in, it rebinds them locally:
          smallest fetched element to its first-issued delete, and so on.
          That keeps each node's delete answers in issue order (needed for
@@ -369,7 +432,7 @@ let delete_phase t ~dht_mode ~pending_inserts =
 (* After a kill, resynchronize the anchor's element count m with what
    actually survived (identical when k > kills so far; smaller only when
    replication could not cover the loss). *)
-let resync_m t () = t.m <- Dht.size t.host.dht
+let resync_m t () = set_m t (Dht.size t.host.dht)
 
 let process_round ?(dht_mode = Dht_sync) t =
   if Host.commit_kills t.host then resync_m t ();

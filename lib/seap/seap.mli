@@ -12,13 +12,17 @@
     confirmed back to the inserter.
 
     {b DeleteMin phase} (§5.2): once its Puts are confirmed, each node
-    joins one convergecast of (inserts, deletes): the anchor adds the
-    inserts to its element count m and learns the number k of pending
-    deletes; {!Dpq_kselect.Kselect} finds the element of rank k; every
-    node pulls its stored elements ≤ e_k out of their random-key homes and
-    re-stores them under position keys h(1..k), and the deleters fetch
-    from positions 1..k; one down-pass assigns both position sets by
-    interval decomposition.  Deletes beyond the current heap size get ⊥.
+    joins one convergecast of (inserts, deletes) and its inserts' smallest
+    and largest priority: the anchor adds the inserts to its element count
+    m, learns the number k of pending deletes, and widens its bound on the
+    stored priorities; {!Dpq_kselect.Kselect}, starting from that bound,
+    finds the element e_k of rank k; one down-pass carries e_k and assigns
+    positions 1..k by interval decomposition, both to the elements ≤ e_k
+    (KSelect's passes already told every vnode how many its subtrees
+    hold) and to the deleters.  Every node pulls its stored elements ≤ e_k
+    out of their random-key homes and re-stores them under position keys
+    h(1..k), and the deleters fetch from positions 1..k.  Deletes beyond
+    the current heap size get ⊥.
 
     The run records an operation log whose witness order places each
     phase's inserts (in element order) before its deletes (in rank order);
@@ -100,6 +104,14 @@ val drain : ?dht_mode:dht_mode -> t -> round_result list
 (** Rounds until nothing is pending. *)
 
 val stored_per_node : t -> int array
+
+val taken_memo :
+  Phase.net -> taken:int array -> deleters:(int -> int) -> int * int Phase.memo
+(** Test seam: the memo the DeleteMin positions pass splits by, and its
+    root value, both columns packed ({!Phase.pack_counts}):
+    [taken.(node)] elements at or below e_k ({!Dpq_kselect.Kselect.result}'s
+    [le_counts]) and [deleters node] deletes per node, summed over every
+    subtree without a message. *)
 
 (** {2 Membership changes (paper Contribution 4)} — same contract as
     {!Dpq_skeap.Skeap.add_node} / [remove_last_node]. *)

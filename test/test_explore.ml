@@ -103,7 +103,7 @@ let test_mini_sweep_clean () =
 let test_sweep_digest_pinned () =
   let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~seeds:(List.init 64 Fun.id) () in
   checki "no violations" 0 (List.length r.E.failures);
-  checks "64-seed sweep digest" "8ba46f038b645edc35d724963f2657e7" r.E.digest
+  checks "64-seed sweep digest" "396ca05573655d2b09683a4c88f6e93f" r.E.digest
 
 (* The same sweep over the Skeap cells of the default grid only: a change
    that re-pins the combined digest for a Seap reason must leave this one

@@ -349,6 +349,126 @@ let prop_kselect_matches_oracle =
       let r = K.select ~seed:(prio_seed + 1) ~net:(Phase.net tree) ~elements ~k () in
       E.equal r.K.element (K.select_seq all ~k))
 
+(* ------------------------------------------------------ priority bounds *)
+
+(* The shapes a caller's priority bound can take against the candidates. *)
+type bound_case = Exact | Too_wide | Too_narrow | Ties | Small | Full_range
+
+let bound_case_name = function
+  | Exact -> "exact"
+  | Too_wide -> "far too wide"
+  | Too_narrow -> "too narrow"
+  | Ties -> "under 16 priorities"
+  | Small -> "m <= sample_max"
+  | Full_range -> "min_int..max_int"
+
+let prio_span elements =
+  List.fold_left
+    (fun (lo, hi) (e : E.t) -> (min lo e.E.prio, max hi e.E.prio))
+    (max_int, min_int)
+    (List.concat (Array.to_list elements))
+
+(* An instance of [case] on n nodes: its candidates and the bound. *)
+let bound_instance case ~n ~seed =
+  let rng = Dpq_util.Rng.create ~seed in
+  let per_node = match case with Small -> K.sample_max / n | _ -> 4 + Dpq_util.Rng.int rng 8 in
+  let prio () =
+    match case with
+    | Ties -> 100 + Dpq_util.Rng.int rng 6
+    | Full_range -> (
+        match Dpq_util.Rng.int rng 4 with
+        | 0 -> min_int + Dpq_util.Rng.int rng 3
+        | 1 -> max_int - Dpq_util.Rng.int rng 3
+        | 2 -> (Dpq_util.Rng.int rng 1_000_000 - 500_000) * 9_000_000_000_000
+        | _ -> Dpq_util.Rng.int rng 1_000)
+    | Exact | Too_wide | Too_narrow | Small -> 1 + Dpq_util.Rng.int rng 1_000_000
+  in
+  let elements =
+    Array.init n (fun v -> List.init per_node (fun s -> E.make ~prio:(prio ()) ~origin:v ~seq:s ()))
+  in
+  let lo, hi = prio_span elements in
+  let bound =
+    match case with
+    | Exact | Ties | Small -> (lo, hi)
+    | Too_wide -> (lo - 1_000_000_000, hi + 1_000_000_000)
+    | Too_narrow -> (lo + ((hi - lo) / 3), hi - ((hi - lo) / 3))
+    | Full_range -> (min_int, max_int)
+  in
+  (elements, bound)
+
+let le_counts_direct elements e =
+  Array.map (List.fold_left (fun acc x -> if E.compare x e <= 0 then acc + 1 else acc) 0) elements
+
+(* With any bound, right or wrong, the counting selection returns the
+   oracle's element, and its per-node counts at or below it are exact. *)
+let prop_bounded_select =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ Exact; Too_wide; Too_narrow; Ties; Small; Full_range ])
+        (1 -- 24) (0 -- 10_000)
+      >>= fun (case, n, seed) -> map (fun kf -> (case, n, seed, kf)) (0 -- 1000))
+  in
+  QCheck.Test.make ~name:"bounded select matches the oracle" ~count:200 (QCheck.make gen)
+    (fun (case, n, seed, kf) ->
+      let elements, bound = bound_instance case ~n ~seed in
+      let all = List.concat (Array.to_list elements) in
+      let m = List.length all in
+      if case = Small then checkb "small case fits one message" true (m <= K.sample_max);
+      if case = Too_narrow then begin
+        let lo, hi = bound in
+        checkb "too narrow: candidates below and above" true
+          (List.exists (fun (e : E.t) -> e.E.prio < lo) all
+          && List.exists (fun (e : E.t) -> e.E.prio > hi) all)
+      end;
+      let k = 1 + (kf * (m - 1) / 1000) in
+      let r = K.select ~seed ~bound ~net:(Phase.net (tree_of ~n ~seed:2)) ~elements ~k () in
+      let label = Printf.sprintf "%s n=%d seed=%d k=%d" (bound_case_name case) n seed k in
+      checkb (label ^ ": oracle's element") true (E.equal r.K.element (K.select_seq all ~k));
+      Alcotest.(check (array int)) (label ^ ": counts at or below it")
+        (le_counts_direct elements r.K.element) r.K.le_counts;
+      true)
+
+(* An exact bound replaces the pass that learns the extremes: on wide
+   priorities the selection takes one iteration fewer than without it. *)
+let test_exact_bound_saves_an_iteration () =
+  let n = 64 in
+  let tree = tree_of ~n ~seed:2 in
+  for seed = 1 to 8 do
+    let rng = Dpq_util.Rng.create ~seed:(700 + seed) in
+    let elements = uniform_elements ~rng ~n ~per_node:8 ~prio_range:1_000_000 in
+    let k = 1 + Dpq_util.Rng.int rng (8 * n) in
+    let iterations ?bound () =
+      let r = K.select ~seed ?bound ~net:(Phase.net tree) ~elements ~k () in
+      List.length r.K.diagnostics.K.phase2_candidates
+    in
+    checki (Printf.sprintf "seed %d k=%d" seed k) (iterations () - 1)
+      (iterations ~bound:(prio_span elements) ())
+  done
+
+(* The first pass still counts every candidate, with or without a bound:
+   candidates on a node the overlay removed are not in the tree, and the
+   selection fails naming both counts. *)
+let test_planted_miscount () =
+  let n = 8 in
+  let tree = Aggtree.of_ldb (Ldb.remove (Ldb.build ~n ~seed:2) ~id:3) in
+  List.iter
+    (fun per_node ->
+      let rng = Dpq_util.Rng.create ~seed:per_node in
+      let elements = uniform_elements ~rng ~n ~per_node ~prio_range:1_000_000 in
+      let m = n * per_node in
+      let lo, hi = prio_span elements in
+      List.iter
+        (fun bound ->
+          match K.select ?bound ~net:(Phase.net tree) ~elements ~k:1 () with
+          | _ -> Alcotest.fail "a miscount went unnoticed"
+          | exception Failure msg ->
+              Alcotest.(check string) "message"
+                (Printf.sprintf "Kselect: the tree counted %d of %d candidates" (m - per_node) m)
+                msg)
+        [ None; Some (lo, hi); Some (lo + 10, hi - 10); Some (7, 9) ])
+    [ 2; 8 ]
+
 (* -------------------------------------------------- differential layer *)
 
 (* One differential data point: the counting implementation against BOTH
@@ -734,6 +854,13 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
           Alcotest.test_case "deterministic" `Quick test_deterministic_given_seed;
           QCheck_alcotest.to_alcotest prop_kselect_matches_oracle;
+        ] );
+      ( "bound",
+        [
+          QCheck_alcotest.to_alcotest prop_bounded_select;
+          Alcotest.test_case "exact bound saves an iteration" `Quick
+            test_exact_bound_saves_an_iteration;
+          Alcotest.test_case "planted miscount" `Quick test_planted_miscount;
         ] );
       ( "theorems",
         [

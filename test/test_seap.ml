@@ -449,8 +449,10 @@ let test_oplog_digests_pinned () =
 
 (* Aggregation-tree passes of one traced Seap batch, by kind, counted from
    the trace's phase spans: n=16, 64 elements stored, then a batch of 32
-   inserts and 16 deletes, whose KSelect runs three counting iterations of
-   one broadcast and one up pass each. *)
+   inserts and 16 deletes.  The go-ahead broadcast, the count convergecast,
+   two counting iterations of one broadcast and one up pass each (a range
+   pass over the anchor's priority bound, then a collect), and the
+   positions pass that carries e_k. *)
 let test_pass_counts_pinned () =
   let n = 16 in
   let trace = Dpq_obs.Trace.create () in
@@ -476,8 +478,86 @@ let test_pass_counts_pinned () =
   in
   Alcotest.(check (list (pair string int)))
     "passes by kind"
-    [ ("up", 5); ("down", 1); ("broadcast", 5) ]
+    [ ("up", 3); ("down", 1); ("broadcast", 3) ]
     (List.map (fun k -> (k, count k)) [ "up"; "down"; "broadcast" ])
+
+(* The (taken, deleters) memo the positions pass splits by is built from
+   KSelect's per-node counts at or below e_k, without a convergecast.  It
+   must equal what an explicit up pass of each node's count of elements
+   at or below e_k (and its deleters) memorizes, at every vnode in the
+   tree: on random trees, on trees with removed nodes, and when the answer
+   was read off a sampled pass (ties) rather than a collect. *)
+let test_taken_memo_matches_up () =
+  let module K = Dpq_kselect.Kselect in
+  let module Ldb = Dpq_overlay.Ldb in
+  let module Aggtree = Dpq_aggtree.Aggtree in
+  let removed_cases = ref 0 and sampled_cases = ref 0 in
+  for seed = 1 to 300 do
+    let rng = Dpq_util.Rng.create ~seed in
+    let n = 1 + Dpq_util.Rng.int rng 40 in
+    let ldb = ref (Ldb.build ~n ~seed) in
+    let dead = Array.make n false in
+    for _ = 1 to Dpq_util.Rng.int rng 3 do
+      let id = Dpq_util.Rng.int rng n in
+      if (not dead.(id)) && Array.fold_left (fun acc d -> if d then acc else acc + 1) 0 dead > 1
+      then begin
+        ldb := Ldb.remove !ldb ~id;
+        dead.(id) <- true
+      end
+    done;
+    if Array.exists Fun.id dead then incr removed_cases;
+    let ties = seed mod 2 = 0 in
+    let elements =
+      Array.init n (fun v ->
+          if dead.(v) then []
+          else
+            List.init (Dpq_util.Rng.int rng 12) (fun s ->
+                let prio =
+                  if ties then 1 + Dpq_util.Rng.int rng 3 else 1 + Dpq_util.Rng.int rng 1_000_000
+                in
+                E.make ~prio ~origin:v ~seq:s ()))
+    in
+    let all = List.concat (Array.to_list elements) in
+    let m = List.length all in
+    if m > 0 then begin
+      let net = Phase.net (Aggtree.of_ldb !ldb) in
+      let k = 1 + Dpq_util.Rng.int rng m in
+      let deleters = Array.init n (fun v -> if dead.(v) then 0 else Dpq_util.Rng.int rng 6) in
+      let bound =
+        List.fold_left (fun (lo, hi) (e : E.t) -> (min lo e.E.prio, max hi e.E.prio)) (max_int, min_int) all
+      in
+      let sel = K.select ~seed ~bound ~net ~elements ~k () in
+      let e_k = sel.K.element in
+      (match List.rev sel.K.diagnostics.K.phase2_candidates with
+      | _ :: before :: _ when before > K.sample_max -> incr sampled_cases
+      | _ -> ());
+      let packed, memo = S.taken_memo net ~taken:sel.K.le_counts ~deleters:(Array.get deleters) in
+      let explicit, up_memo, _ =
+        Phase.up net
+          ~local:(fun v ->
+            match Ldb.kind v with
+            | Ldb.Middle ->
+                let node = Ldb.owner v in
+                let le = List.length (List.filter (fun e -> E.compare e e_k <= 0) elements.(node)) in
+                Phase.pack_counts le deleters.(node)
+            | _ -> 0)
+          ~combine:( + )
+          ~size_bits:(fun _ -> 1)
+      in
+      let label = Printf.sprintf "seed %d n=%d m=%d k=%d" seed n m k in
+      checki (label ^ ": taken_chk = k") k (Phase.first_count packed);
+      checki (label ^ ": root") explicit packed;
+      Array.iter
+        (fun v ->
+          if Aggtree.in_tree (Phase.tree net) v then begin
+            checki (label ^ ": own") (Phase.memo_own up_memo v) (Phase.memo_own memo v);
+            checki (label ^ ": sub") (Phase.memo_sub up_memo v) (Phase.memo_sub memo v)
+          end)
+        (Aggtree.vnodes (Phase.tree net))
+    end
+  done;
+  checkb (Printf.sprintf "%d cases with removed nodes" !removed_cases) true (!removed_cases >= 30);
+  checkb (Printf.sprintf "%d answers off a sampled pass" !sampled_cases) true (!sampled_cases >= 10)
 
 (* ------------------------------------------------------ large-n stream *)
 
@@ -558,6 +638,7 @@ let () =
           Alcotest.test_case "stream n=4096, 2^18 ops" `Slow test_stream_large_n;
           Alcotest.test_case "oplog digests pinned" `Quick test_oplog_digests_pinned;
           Alcotest.test_case "pass counts pinned" `Quick test_pass_counts_pinned;
+          Alcotest.test_case "taken memo = explicit up pass" `Quick test_taken_memo_matches_up;
           QCheck_alcotest.to_alcotest prop_delete_positions_match_sorted_reference;
           QCheck_alcotest.to_alcotest prop_seap_semantics;
         ] );
