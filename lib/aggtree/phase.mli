@@ -138,5 +138,5 @@ val cut_bits : limit:int -> int -> int -> int
     else {!Dpq_util.Bitsize.interval_bits}. *)
 
 val broadcast : net -> bits:int -> report
-(** Flood a [bits]-bit value from the anchor to every virtual node: the
-    phase-change announcement of the protocol drivers. *)
+(** Flood a [bits]-bit value from the anchor to every virtual node:
+    Seap's go-ahead for its Puts and KSelect's per-iteration starts. *)

@@ -47,14 +47,19 @@ let observe t ~ops ~rounds =
 
 (* (F, c) of the fitted batch-cost model T(b) = F + c*b.  While all samples
    share one batch size the slope is unidentifiable; fall back to c = 0 and
-   F = mean T, which still yields a usable bootstrap window. *)
+   F = mean T, which still yields a usable bootstrap window.  The same holds
+   with only two samples: a line passes through any two points, so their
+   slope is the rounds' noise as much as a per-op cost.  Two bootstrap
+   batches at w_min differ by a few dozen ops and a few rounds, and such a
+   slope times λ̂ could alone exceed the headroom and peg the window at
+   w_max on some seeds but not others. *)
 let fit t =
   (* fewer than two (decayed) samples: with decay 0.9 two fresh samples
-     weigh 1.9, one weighs 1.0 *)
+     weigh 1.9, one weighs 1.0, three weigh 2.71 *)
   if t.sn < 1.5 then None
   else begin
     let det = (t.sn *. t.sxx) -. (t.sx *. t.sx) in
-    if Float.abs det < 1e-6 *. Float.max 1.0 t.sxx then Some (t.sy /. t.sn, 0.0)
+    if t.sn < 2.5 || Float.abs det < 1e-6 *. Float.max 1.0 t.sxx then Some (t.sy /. t.sn, 0.0)
     else begin
       let c = ((t.sn *. t.sxy) -. (t.sx *. t.sy)) /. det in
       let c = Float.max 0.0 c in

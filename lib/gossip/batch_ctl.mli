@@ -42,7 +42,8 @@ val update : t -> lambda_hat:float -> int * bool
 (** Re-evaluate the window against the global arrival-rate estimate
     [lambda_hat] (ops per tick, all nodes).  Returns the window now in
     force and whether it changed; before the fit has two samples the
-    window is left alone. *)
+    window is left alone, and before it has three it assumes no per-op
+    cost (the window becomes the mean batch cost over [headroom]). *)
 
 (** {2 Textual spec}
 

@@ -6,6 +6,7 @@ module Dht = Dpq_dht.Dht
 module Oplog = Dpq_semantics.Oplog
 module Clients = Dpq_types.Clients
 module Host = Dpq_dht.Host
+module Int_table = Dpq_simrt.Int_table
 
 type t = {
   host : Host.t;
@@ -75,8 +76,6 @@ let dht_key t prio pos = Dpq_util.Hashing.pair t.key_hash prio pos
 (* Traversal ranks follow the tree, so every topology change recomputes
    them. *)
 let rerank t () = t.preorder_rank <- compute_preorder_ranks (Host.tree t.host)
-
-module Itbl = Hashtbl.Make (Int)
 
 let pending_prio (p : Clients.pending) =
   match p.kind with `Ins e -> Element.prio e | `Del -> 0
@@ -223,9 +222,10 @@ let process_batch ?(dht_mode = Dht_sync) t =
     Phase.positions h.net ~memo ~first ~size:(Anchor.size cols) ~bits:(Anchor.bits cols)
       ~fixed_bits:(Anchor.empty_bits cols)
   in
-  (* Announce the phase switch (anchor-driven broadcast). *)
-  let announce_report = Phase.broadcast h.net ~bits:1 in
   (* ---- Phase 4: map positions to ops, run the DHT --------------------- *)
+  (* A node's positions message is its go-ahead: no barrier is needed
+     before the rendezvous, since a Get that beats its Put parks at the
+     key's manager. *)
   let sl = create_slots (Array.fold_left (fun acc ops -> acc + List.length ops) 0 node_ops) in
   let next = ref 0 in
   for node = 0 to Clients.n h.clients - 1 do
@@ -236,16 +236,18 @@ let process_batch ?(dht_mode = Dht_sync) t =
     end
   done;
   (* The DHT requests in slot order; deletes in flight are indexed by key
-     and answer only to the node that asked. *)
-  let get_index = Itbl.create 64 in
+     (to their slot) and answer only to the node that asked. *)
+  let store = Int_table.store () in
+  let gets = Int_table.create ~hash:Fun.id (Batch.total_deletes combined) in
   let dht_ops = ref [] in
   for s = !next - 1 downto 0 do
     let origin = sl.s_node.(s) and key = sl.s_key.(s) in
     match sl.k_jp.(s) mod 3 with
     | 0 -> dht_ops := Dht.Put { origin; key; elt = sl.s_elt.(s); confirm = false } :: !dht_ops
     | 1 ->
-        if Itbl.mem get_index key then failwith "Skeap: two DeleteMin requests share a DHT key";
-        Itbl.add get_index key s;
+        if Int_table.find store gets key >= 0 then
+          failwith "Skeap: two DeleteMin requests share a DHT key";
+        Int_table.add store gets key s;
         dht_ops := Dht.Get { origin; key } :: !dht_ops
     | _ -> ()
   done;
@@ -253,23 +255,21 @@ let process_batch ?(dht_mode = Dht_sync) t =
   List.iter
     (fun c ->
       match c with
-      | Dht.Got { origin; key; elt } -> (
-          match Itbl.find get_index key with
-          | s when sl.s_node.(s) = origin ->
-              Itbl.remove get_index key;
-              sl.s_elt.(s) <- elt
-          | _ | (exception Not_found) -> failwith "Skeap: DHT returned an element nobody asked for")
+      | Dht.Got { origin; key; elt } ->
+          let s = Int_table.remove store gets key in
+          if s < 0 || sl.s_node.(s) <> origin then
+            failwith "Skeap: DHT returned an element nobody asked for";
+          sl.s_elt.(s) <- elt
       | Dht.Put_confirmed _ -> ())
     dht_completions;
-  if Itbl.length get_index > 0 then
-    failwith "Skeap: some DeleteMin requests never met their element";
+  if Int_table.length gets > 0 then failwith "Skeap: some DeleteMin requests never met their element";
   (* ---- assign witness positions in anchor processing order ------------ *)
   record_witnesses h.clients sl;
   (* ---- gossip exchange: load estimation rides the batch boundary ------- *)
   let gossip_report = Host.exchange_gossip h in
   let report =
     List.fold_left Phase.add_report Phase.empty_report
-      [ up_report; down_report; announce_report; dht_report; gossip_report ]
+      [ up_report; down_report; dht_report; gossip_report ]
   in
   { completions = completions_of sl; report }
 

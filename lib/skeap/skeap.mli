@@ -14,7 +14,12 @@
       [(priority, position)] pair;
     + {b Phase 4} — every insert issues [Put(h(p,pos), e)] and every delete
       [Get(h(p,pos))] on the DHT; matching pairs rendezvous at the same
-      virtual node regardless of message delays.
+      virtual node regardless of message delays.  No broadcast separates
+      the phases: a node's Phase-3 positions are all it needs to start,
+      since a Get that beats its Put waits at the key's manager.  The
+      simulator still starts the DHT run after the whole positions pass.
+
+    A batch thus makes two aggregation-tree passes, one up and one down.
 
     The run records an operation log whose witness order is the anchor's
     processing order; {!Dpq_semantics.Checker.check} with the

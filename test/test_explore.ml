@@ -103,7 +103,7 @@ let test_mini_sweep_clean () =
 let test_sweep_digest_pinned () =
   let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~seeds:(List.init 64 Fun.id) () in
   checki "no violations" 0 (List.length r.E.failures);
-  checks "64-seed sweep digest" "396ca05573655d2b09683a4c88f6e93f" r.E.digest
+  checks "64-seed sweep digest" "25f871c71e83b36c2b8ce05fff721d99" r.E.digest
 
 (* The same sweep over the Skeap cells of the default grid only: a change
    that re-pins the combined digest for a Seap reason must leave this one
@@ -116,7 +116,7 @@ let test_skeap_sweep_digest_pinned () =
   in
   let r = E.sweep ~n:6 ~rounds:2 ~lambda:2 ~combos ~seeds:(List.init 64 Fun.id) () in
   checki "no violations" 0 (List.length r.E.failures);
-  checks "64-seed Skeap-only sweep digest" "d92e294279d9548b0b98484c9e6b7d2a" r.E.digest
+  checks "64-seed Skeap-only sweep digest" "57c841b3a1b595198fc9e6b91b55dace" r.E.digest
 
 (* ------------------------------------------- Planted bugs and shrinking *)
 

@@ -144,9 +144,20 @@ let test_ctl_saturation_maxes_window () =
   let c = Batch_ctl.create Batch_ctl.default_config in
   Batch_ctl.observe c ~ops:10 ~rounds:20;
   Batch_ctl.observe c ~ops:100 ~rounds:110;
+  Batch_ctl.observe c ~ops:50 ~rounds:60;
   (* slope ~1 round/op: any λ̂ >= headroom is unservable; window maxes out *)
   let w, _ = Batch_ctl.update c ~lambda_hat:50.0 in
   checki "window pegged at w_max" Batch_ctl.default_config.w_max w
+
+let test_ctl_two_batches_no_slope () =
+  let c = Batch_ctl.create { Batch_ctl.default_config with w_max = 256 } in
+  (* two bootstrap batches at w_min: 96 ops in 149 rounds, 30 in 142; their
+     slope (0.106 rounds/op) times λ̂ = 63 would exceed any headroom *)
+  Batch_ctl.observe c ~ops:96 ~rounds:149;
+  Batch_ctl.observe c ~ops:30 ~rounds:142;
+  let w, changed = Batch_ctl.update c ~lambda_hat:63.0 in
+  checki "window = mean cost / headroom" 182 w;
+  checkb "reported as changed" true changed
 
 let ctl_spec_arb =
   QCheck.make
@@ -400,6 +411,7 @@ let () =
           Alcotest.test_case "tracks load" `Quick test_ctl_tracks_load;
           Alcotest.test_case "hysteresis deadband" `Quick test_ctl_hysteresis;
           Alcotest.test_case "saturation maxes window" `Quick test_ctl_saturation_maxes_window;
+          Alcotest.test_case "two batches fit no slope" `Quick test_ctl_two_batches_no_slope;
           qt test_ctl_spec_roundtrip;
           Alcotest.test_case "spec rejects garbage" `Quick test_ctl_spec_rejects;
         ] );

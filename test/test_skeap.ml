@@ -657,6 +657,113 @@ let test_skeap_empty_batch_noop () =
   checki "no completions" 0 (List.length r.Skeap.completions);
   checki "heap empty" 0 (Skeap.heap_size h)
 
+(* Aggregation-tree passes of one traced Skeap batch, by kind, counted
+   from the trace's phase spans: n=16, 48 elements stored, then a batch of
+   32 inserts and 16 deletes.  The batches' convergecast and the positions
+   pass, whose message is each node's Phase-4 go-ahead; no broadcast.  The
+   batch's reported rounds are exactly its spans' rounds. *)
+let test_pass_counts_pinned () =
+  let n = 16 in
+  let trace = Dpq_obs.Trace.create () in
+  let h = Skeap.create ~seed:3 ~trace ~n ~num_prios:4 () in
+  for i = 0 to 47 do
+    ignore (Skeap.insert h ~node:(i mod n) ~prio:(1 + (i mod 4)))
+  done;
+  ignore (Skeap.process_batch h);
+  Dpq_obs.Trace.clear trace;
+  for node = 0 to n - 1 do
+    ignore (Skeap.insert h ~node ~prio:(1 + (node mod 4)));
+    Skeap.delete_min h ~node;
+    ignore (Skeap.insert h ~node ~prio:(4 - (node mod 4)))
+  done;
+  let r = Skeap.process_batch h in
+  let events = Dpq_obs.Trace.events trace in
+  let count kind =
+    List.length
+      (List.filter
+         (function Dpq_obs.Trace.Phase_start { name; _ } -> name = kind | _ -> false)
+         events)
+  in
+  Alcotest.(check (list (pair string int)))
+    "passes by kind"
+    [ ("up", 1); ("down", 1); ("broadcast", 0) ]
+    (List.map (fun k -> (k, count k)) [ "up"; "down"; "broadcast" ]);
+  let span_rounds =
+    List.fold_left
+      (fun acc -> function Dpq_obs.Trace.Phase_end { rounds; _ } -> acc + rounds | _ -> acc)
+      0 events
+  in
+  checki "reported rounds are the spans' rounds" span_rounds r.Skeap.report.Dpq_aggtree.Phase.rounds
+
+(* A closed run whose first batch starts on an empty heap, so its matched
+   deletes take elements inserted in the same batch and their Gets race
+   their Puts in Phase 4.  The online checker must accept it.  Returns the
+   operations-only digest, how many deletes of the first batch got an
+   element, and how many deliveries the scheduler perturbed. *)
+let schedule_run ?sched ?dht_mode () =
+  let n = 12 in
+  let trace = Dpq_obs.Trace.create () in
+  let h = Skeap.create ~seed:5 ~trace ?sched ~n ~num_prios:3 () in
+  let rng = Dpq_util.Rng.create ~seed:21 in
+  let same_batch = ref 0 in
+  for batch = 1 to 4 do
+    for node = 0 to n - 1 do
+      for _ = 1 to 3 do
+        if Dpq_util.Rng.float rng < 0.6 then
+          ignore (Skeap.insert h ~node ~prio:(1 + Dpq_util.Rng.int rng 3))
+        else Skeap.delete_min h ~node
+      done
+    done;
+    let r = Skeap.process_batch ?dht_mode h in
+    if batch = 1 then
+      same_batch :=
+        List.length
+          (List.filter (fun (c : Skeap.completion) -> match c.outcome with `Got _ -> true | _ -> false)
+             r.Skeap.completions)
+  done;
+  ignore (Skeap.drain ?dht_mode h);
+  ok_or_fail (Checker.check Checker.Online.Skeap_contract (Skeap.oplog h));
+  let perturbed =
+    List.length
+      (List.filter
+         (function Dpq_obs.Trace.Sched_perturbed _ -> true | _ -> false)
+         (Dpq_obs.Trace.events trace))
+  in
+  let acc = Dpq_explore.Run_digest.start () in
+  Dpq_explore.Run_digest.feed_records acc (Oplog.to_list (Skeap.oplog h));
+  (Dpq_explore.Run_digest.finish acc, !same_batch, perturbed)
+
+(* What every operation returns, and where it sits in the witness order,
+   must not depend on the order the DHT's messages arrive in, even when a
+   Get races the Put of its own batch: every adversarial schedule, and
+   the asynchronous DHT, must reproduce the FIFO run's digest.  The
+   simulator still finishes the whole positions pass before Phase 4
+   starts, so this checks independence from DHT and channel order only;
+   that a node may start at its own positions' arrival is Lemma 3.5's
+   argument (DESIGN.md §13), not something this run exercises. *)
+let test_results_independent_of_schedule () =
+  let module Sched = Dpq_simrt.Sched in
+  let fifo, same_batch, _ = schedule_run () in
+  checkb "deletes matched to same-batch inserts" true (same_batch > 0);
+  List.iter
+    (fun policy ->
+      let name = Sched.policy_to_string policy in
+      let digest, _, perturbed = schedule_run ~sched:(Sched.create ~seed:17 policy) () in
+      checkb (name ^ " perturbed the schedule") true (perturbed > 0);
+      Alcotest.(check string) (name ^ " digest") fifo digest)
+    [
+      Sched.Crossing_pairs;
+      Sched.Channel_bias { src = None; dst = Some 0; factor = 3 };
+      Sched.Shuffle { burst = 4; starvation = 0.3 };
+    ];
+  List.iter
+    (fun policy ->
+      let digest, _, _ =
+        schedule_run ~dht_mode:(Skeap.Dht_async { seed = 9; policy }) ()
+      in
+      Alcotest.(check string) "async DHT digest" fifo digest)
+    [ Dpq_simrt.Async_engine.Exponential 25.0; Dpq_simrt.Async_engine.Adversarial_lifo ]
+
 (* qcheck: arbitrary interleavings across nodes keep full Skeap semantics. *)
 let prop_skeap_semantics =
   let gen =
@@ -751,6 +858,9 @@ let () =
           Alcotest.test_case "fairness" `Quick test_skeap_fairness;
           Alcotest.test_case "invalid args" `Quick test_skeap_invalid_args;
           Alcotest.test_case "empty batch noop" `Quick test_skeap_empty_batch_noop;
+          Alcotest.test_case "pass counts pinned" `Quick test_pass_counts_pinned;
+          Alcotest.test_case "results independent of the schedule" `Quick
+            test_results_independent_of_schedule;
           QCheck_alcotest.to_alcotest prop_skeap_semantics;
           QCheck_alcotest.to_alcotest prop_one_priority_fifo;
         ] );
